@@ -1,7 +1,9 @@
 """File-driven command line front end.
 
-Exit codes: 0 success or property true, 1 property false, 2 input error,
-64 unknown subcommand, 65 malformed file.
+Each run is one process: handlers read their files through plain loaders,
+and nothing is cached between runs.  Exit codes: 0 success or property
+true, 1 property false (including a failed ``selftest`` suite), 2 input
+error or bad option, 64 unknown subcommand, 65 malformed file.
 """
 
 from __future__ import annotations
@@ -9,12 +11,10 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass, field
-from fractions import Fraction
 from pathlib import Path
 
 from . import io as tio
-from .complexes import check_balanced, intersect
+from .complexes import PolyComplex1D, check_balanced, intersect
 from .curve import INF, Curve, canonical_model
 from .errors import FileFormatError, NonTransversalError, TropError
 from .glue import glue, glue_function
@@ -24,7 +24,7 @@ from .plfunction import (PLFunction, chip_fire, disconnection_witness, is_harmon
                          extend)
 from .realization import (bezout_check, check_realization, curve_from_complex,
                           fit_tropical_polynomial, harmonic_balance_report, realize)
-from .semifield import rat
+from .semifield import TropPoly, rat
 
 COMMANDS = [
     "check-curve", "canonical", "chipfire", "div", "degree", "harmonic", "localize",
@@ -34,41 +34,27 @@ COMMANDS = [
 ]
 
 
-@dataclass
-class Workspace:
-    """Named artifacts loaded from files; names are unique per kind."""
-
-    curves: dict[str, Curve] = field(default_factory=dict)
-    functions: dict[str, PLFunction] = field(default_factory=dict)
-    complexes: dict = field(default_factory=dict)
-    polynomials: dict = field(default_factory=dict)
-
-    def curve(self, path: str) -> Curve:
-        if path not in self.curves:
-            self.curves[path] = tio.curve_from_json(_read(path))
-        return self.curves[path]
-
-    def function(self, path: str, curve: Curve) -> PLFunction:
-        if path not in self.functions:
-            self.functions[path] = tio.function_from_json(curve, _read(path))
-        return self.functions[path]
-
-    def complex(self, path: str):
-        if path not in self.complexes:
-            self.complexes[path] = tio.complex_from_json(_read(path))
-        return self.complexes[path]
-
-    def polynomial(self, path: str, nvars=None):
-        if path not in self.polynomials:
-            self.polynomials[path] = tio.poly_from_text(_read(path), nvars=nvars)
-        return self.polynomials[path]
-
-
 def _read(path: str) -> str:
     try:
         return Path(path).read_text()
     except OSError as exc:
         raise FileFormatError(f"cannot read {path}: {exc.strerror}") from exc
+
+
+def _curve(path: str) -> Curve:
+    return tio.curve_from_json(_read(path))
+
+
+def _function(path: str, curve: Curve) -> PLFunction:
+    return tio.function_from_json(curve, _read(path))
+
+
+def _complex(path: str) -> PolyComplex1D:
+    return tio.complex_from_json(_read(path))
+
+
+def _poly(path: str, nvars: int) -> TropPoly:
+    return tio.poly_from_text(_read(path), nvars=nvars)
 
 
 def _write(path: str | None, text: str, json_mode: bool, payload=None):
@@ -103,7 +89,7 @@ def main(argv=None) -> int:
         parser.print_help()
         return 2
     try:
-        return args.func(args, Workspace())
+        return args.func(args)
     except FileFormatError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 65
@@ -227,7 +213,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = cmd("selftest", _cmd_selftest, help="run the invariant suites")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--parallel", action="store_true")
     p.add_argument("--quick", action="store_true", help="fewer cases per suite")
 
     p = cmd("plot", _cmd_plot, help="emit SVG (dim 2) or CSV for a complex")
@@ -239,8 +224,8 @@ def _build_parser() -> argparse.ArgumentParser:
 # -- handlers -------------------------------------------------------------------------
 
 
-def _cmd_check_curve(args, ws: Workspace) -> int:
-    c = ws.curve(args.curve)
+def _cmd_check_curve(args) -> int:
+    c = _curve(args.curve)
     payload = {
         "vertices": sum(1 for v in c.vertices.values() if not v.hidden),
         "edges": len(c.edges),
@@ -252,42 +237,42 @@ def _cmd_check_curve(args, ws: Workspace) -> int:
     return 0
 
 
-def _cmd_canonical(args, ws: Workspace) -> int:
-    c = canonical_model(ws.curve(args.curve))
+def _cmd_canonical(args) -> int:
+    c = canonical_model(_curve(args.curve))
     text = tio.curve_to_json(c)
     _write(args.out, text, args.json, payload=c.description())
     return 0
 
 
-def _cmd_chipfire(args, ws: Workspace) -> int:
-    c = ws.curve(args.curve)
+def _cmd_chipfire(args) -> int:
+    c = _curve(args.curve)
     g = tio.subgraph_from_json(c, _read(args.subgraph))
     f = chip_fire(c, g, _length(args.length))
     _write(args.out, tio.function_to_json(f), args.json)
     return 0
 
 
-def _cmd_div(args, ws: Workspace) -> int:
-    c = ws.curve(args.curve)
-    f = ws.function(args.fn, c)
+def _cmd_div(args) -> int:
+    c = _curve(args.curve)
+    f = _function(args.fn, c)
     d = principal_divisor(f)
     payload = {str(p): k for p, k in d.items()}
     _emit(payload, str(d), args.json)
     return 0
 
 
-def _cmd_degree(args, ws: Workspace) -> int:
-    c = ws.curve(args.curve)
-    gens = [ws.function(path, c) for path in args.fn]
+def _cmd_degree(args) -> int:
+    c = _curve(args.curve)
+    gens = [_function(path, c) for path in args.fn]
     deg = module_degree(gens)
     _emit({"degree": "-inf" if deg is None else deg},
           f"degree: {'-inf' if deg is None else deg}", args.json)
     return 0
 
 
-def _cmd_harmonic(args, ws: Workspace) -> int:
-    c = ws.curve(args.curve)
-    f = ws.function(args.fn, c)
+def _cmd_harmonic(args) -> int:
+    c = _curve(args.curve)
+    f = _function(args.fn, c)
     p = tio.parse_point(c, args.point)
     result = is_harmonic_at(f, p)
     coeff = principal_divisor(f).coeff(p)
@@ -296,9 +281,9 @@ def _cmd_harmonic(args, ws: Workspace) -> int:
     return 0 if result else 1
 
 
-def _cmd_localize(args, ws: Workspace) -> int:
-    c = ws.curve(args.curve)
-    f = ws.function(args.fn, c)
+def _cmd_localize(args) -> int:
+    c = _curve(args.curve)
+    f = _function(args.fn, c)
     p = tio.parse_point(c, args.point)
     loc = localize(c, p)
     germ = loc.apply(f)
@@ -311,21 +296,21 @@ def _cmd_localize(args, ws: Workspace) -> int:
     return 0
 
 
-def _cmd_pullback(args, ws: Workspace) -> int:
-    src = ws.curve(args.source)
-    tgt = ws.curve(args.target)
+def _cmd_pullback(args) -> int:
+    src = _curve(args.source)
+    tgt = _curve(args.target)
     m = tio.morphism_from_json(src, tgt, _read(args.morphism))
-    f = ws.function(args.fn, tgt)
+    f = _function(args.fn, tgt)
     result = pullback(m, f)
     _write(args.out, tio.function_to_json(result), args.json)
     return 0
 
 
-def _cmd_weight(args, ws: Workspace) -> int:
+def _cmd_weight(args) -> int:
     if args.morphism:
         if not (args.source and args.target):
             raise TropError("--morphism needs --source and --target")
-        src, tgt = ws.curve(args.source), ws.curve(args.target)
+        src, tgt = _curve(args.source), _curve(args.target)
         m = tio.morphism_from_json(src, tgt, _read(args.morphism))
         rep = validate_morphism(m)
         if not rep.ok:
@@ -343,16 +328,16 @@ def _cmd_weight(args, ws: Workspace) -> int:
         return 0 if wc.is_weight else 1
     if not (args.curve and args.fn and args.edge):
         raise TropError("generator mode needs --curve, --fn (repeatable), --edge")
-    c = ws.curve(args.curve)
-    gens = [ws.function(path, c) for path in args.fn]
+    c = _curve(args.curve)
+    gens = [_function(path, c) for path in args.fn]
     w = weight_from_generators(gens, args.edge)
     _emit({"edge": args.edge, "weight": w}, f"weight on {args.edge}: {w}", args.json)
     return 0
 
 
-def _cmd_restrict(args, ws: Workspace) -> int:
-    c = ws.curve(args.curve)
-    f = ws.function(args.fn, c)
+def _cmd_restrict(args) -> int:
+    c = _curve(args.curve)
+    f = _function(args.fn, c)
     g = tio.subgraph_from_json(c, _read(args.subgraph))
     whole, _ = restrict_whole(f, g)
     parts = split_components(whole)
@@ -372,27 +357,27 @@ def _cmd_restrict(args, ws: Workspace) -> int:
     return 0
 
 
-def _cmd_extend(args, ws: Workspace) -> int:
-    c = ws.curve(args.curve)
+def _cmd_extend(args) -> int:
+    c = _curve(args.curve)
     g = tio.subgraph_from_json(c, _read(args.subgraph))
     sub, _ = g.as_curve()
-    f_prime = tio.function_from_json(sub, _read(args.fn))
+    f_prime = _function(args.fn, sub)
     result = extend(f_prime, g, args.slope)
     _write(args.out, tio.function_to_json(result), args.json)
     return 0
 
 
-def _cmd_glue(args, ws: Workspace) -> int:
-    c1, c2 = ws.curve(args.a), ws.curve(args.b)
-    shape = ws.curve(args.shape)
+def _cmd_glue(args) -> int:
+    c1, c2 = _curve(args.a), _curve(args.b)
+    shape = _curve(args.shape)
     e1 = tio.embedding_from_json(shape, c1, _read(args.embed_a))
     e2 = tio.embedding_from_json(shape, c2, _read(args.embed_b))
     res = glue(c1, c2, e1, e2)
     if args.fn_a or args.fn_b:
         if not (args.fn_a and args.fn_b):
             raise TropError("function gluing needs both --fn-a and --fn-b")
-        h1 = tio.function_from_json(c1, _read(args.fn_a))
-        h2 = tio.function_from_json(c2, _read(args.fn_b))
+        h1 = _function(args.fn_a, c1)
+        h2 = _function(args.fn_b, c2)
         welded = glue_function(h1, h2, res)
         if args.out_fn:
             Path(args.out_fn).write_text(tio.function_to_json(welded))
@@ -401,8 +386,8 @@ def _cmd_glue(args, ws: Workspace) -> int:
     return 0
 
 
-def _cmd_witness(args, ws: Workspace) -> int:
-    c = ws.curve(args.curve)
+def _cmd_witness(args) -> int:
+    c = _curve(args.curve)
     result = disconnection_witness(c)
     if result is None:
         _emit({"connected": True}, "connected", args.json)
@@ -421,9 +406,9 @@ def _cmd_witness(args, ws: Workspace) -> int:
     return 0
 
 
-def _cmd_realize(args, ws: Workspace) -> int:
-    c = ws.curve(args.curve)
-    fs = [ws.function(path, c) for path in args.fn]
+def _cmd_realize(args) -> int:
+    c = _curve(args.curve)
+    fs = [_function(path, c) for path in args.fn]
     r = realize(c, fs)
     rep = check_realization(r)
     hb = harmonic_balance_report(r)
@@ -446,8 +431,8 @@ def _cmd_realize(args, ws: Workspace) -> int:
     return 0
 
 
-def _cmd_balance(args, ws: Workspace) -> int:
-    k = ws.complex(args.complex)
+def _cmd_balance(args) -> int:
+    k = _complex(args.complex)
     rep = check_balanced(k)
     defects = {str(i): list(d) for i, d in rep.defects if any(d)}
     _emit({"balanced": rep.balanced, "defects": defects},
@@ -456,8 +441,8 @@ def _cmd_balance(args, ws: Workspace) -> int:
     return 0 if rep.balanced else 1
 
 
-def _cmd_ingest(args, ws: Workspace) -> int:
-    k = ws.complex(args.complex)
+def _cmd_ingest(args) -> int:
+    k = _complex(args.complex)
     c, fs, r = curve_from_complex(k)
     payload = {"curve": c.description(),
                "functions": [json.loads(tio.function_to_json(f)) for f in fs]}
@@ -474,8 +459,8 @@ def _cmd_ingest(args, ws: Workspace) -> int:
     return 0
 
 
-def _cmd_fitpoly(args, ws: Workspace) -> int:
-    k = ws.complex(args.complex)
+def _cmd_fitpoly(args) -> int:
+    k = _complex(args.complex)
     F = fit_tropical_polynomial(k)
     _write(args.out, tio.poly_to_text(F), args.json,
            payload={"degree": F.degree(), "terms": len(F.terms),
@@ -483,8 +468,8 @@ def _cmd_fitpoly(args, ws: Workspace) -> int:
     return 0
 
 
-def _cmd_hypersurface(args, ws: Workspace) -> int:
-    F = ws.polynomial(args.poly, nvars=2)
+def _cmd_hypersurface(args) -> int:
+    F = _poly(args.poly, 2)
     window = None
     if args.window:
         x0, y0, x1, y1 = (rat(v) for v in args.window)
@@ -497,8 +482,8 @@ def _cmd_hypersurface(args, ws: Workspace) -> int:
     return 0
 
 
-def _cmd_intersect(args, ws: Workspace) -> int:
-    k1, k2 = ws.complex(args.a), ws.complex(args.b)
+def _cmd_intersect(args) -> int:
+    k1, k2 = _complex(args.a), _complex(args.b)
     points = intersect(k1, k2)
     payload = [{"point": [str(x) for x in p.point], "mult": p.multiplicity}
                for p in points]
@@ -507,8 +492,8 @@ def _cmd_intersect(args, ws: Workspace) -> int:
     return 0
 
 
-def _cmd_bezout(args, ws: Workspace) -> int:
-    rep = bezout_check(ws.complex(args.a), ws.complex(args.b))
+def _cmd_bezout(args) -> int:
+    rep = bezout_check(_complex(args.a), _complex(args.b))
     payload = {"sum": rep.total, "bound": rep.bound,
                "degrees": [rep.degree1, rep.degree2], "ok": rep.ok}
     _emit(payload, f"sum {rep.total} <= bound {rep.bound} "
@@ -516,24 +501,27 @@ def _cmd_bezout(args, ws: Workspace) -> int:
     return 0 if rep.ok else 1
 
 
-def _cmd_selftest(args, ws: Workspace) -> int:
+def _cmd_selftest(args) -> int:
     from .selftest import run_all
 
-    results = run_all(seed=args.seed, parallel=args.parallel, quick=args.quick)
+    results = run_all(seed=args.seed, quick=args.quick)
     ok = all(r.passed for r in results)
     if args.json:
         print(json.dumps([{"suite": r.name, "cases": r.cases, "passed": r.passed,
-                           "detail": r.detail} for r in results], indent=2))
+                           "detail": r.detail} | ({} if r.passed else {"seed": args.seed})
+                          for r in results], indent=2))
     else:
         for r in results:
-            mark = "pass" if r.passed else "FAIL"
-            print(f"{mark}  {r.name}: {r.cases} cases" + (f" ({r.detail})" if r.detail else ""))
+            if r.passed:
+                print(f"pass  {r.name}: {r.cases} cases")
+            else:
+                print(f"FAIL  {r.name}: {r.detail}; reproduce with --seed {args.seed}")
         print(f"{'all suites passed' if ok else 'SUITE FAILURES'}")
     return 0 if ok else 1
 
 
-def _cmd_plot(args, ws: Workspace) -> int:
-    k = ws.complex(args.complex)
+def _cmd_plot(args) -> int:
+    k = _complex(args.complex)
     out = args.out
     if out.endswith(".svg"):
         text = tio.complex_to_svg(k)

@@ -246,9 +246,6 @@ class Curve:
     def __hash__(self):
         return hash(self.key())
 
-    def same_curve(self, other: "Curve") -> bool:
-        return self == other
-
     # -- points ---------------------------------------------------------------
 
     def pt_vertex(self, vid: str) -> PointRef:

@@ -28,14 +28,6 @@ def dot(a: Sequence, b: Sequence):
     return sum((x * y for x, y in zip(a, b)), Fraction(0))
 
 
-def cross2(a: Sequence, b: Sequence):
-    return a[0] * b[1] - a[1] * b[0]
-
-
-def is_zero(a: Sequence) -> bool:
-    return all(x == 0 for x in a)
-
-
 def parallel(a: Sequence, b: Sequence) -> bool:
     """True when two vectors are linearly dependent (any dimension)."""
     n = len(a)
@@ -60,10 +52,6 @@ def primitive_of(d: Sequence) -> tuple[IVec, Fraction]:
         g = gcd(g, abs(v))
     prim = tuple(v // g for v in ints)
     return prim, Fraction(g, denom)
-
-
-def lattice_length(d: Sequence) -> Fraction:
-    return primitive_of(d)[1]
 
 
 def ivec_gcd(d: Sequence[int]) -> int:

@@ -8,7 +8,7 @@ from typing import Mapping
 
 from .curve import INF, Curve, EdgeDesc, PointRef, VertexInfo
 from .errors import TropError
-from .plfunction import PLFunction, Profile, _concat, _normalize, _reverse, _slice, edge_profile
+from .plfunction import PLFunction, Profile, _reverse, _slice, edge_profile
 from .semifield import rat
 
 
@@ -81,7 +81,7 @@ def validate_embedding(emb: Embedding, target: Curve) -> None:
     # Injectivity: image intervals may meet only at endpoints that are
     # images of a common shape vertex.
     images = list(emb.vertex_map.values())
-    if len({(p.kind, p.vertex, p.edge, p.offset) for p in images}) != len(images):
+    if len(set(images)) != len(images):
         raise TropError("vertex map is not injective")
     for i in range(len(intervals)):
         for j in range(i + 1, len(intervals)):

@@ -9,14 +9,13 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
-from typing import Mapping
 
 from .complexes import PolyComplex1D
-from .curve import INF, Curve, PointRef, length_str
+from .curve import INF, Curve, PointRef
 from .errors import FileFormatError, TropError
 from .glue import Embedding
 from .morphism import Morphism
-from .plfunction import Divisor, PLFunction, Profile, edge_profile, _isolated_vertices
+from .plfunction import Divisor, PLFunction, edge_profile
 from .semifield import TropPoly, rat
 from .subgraph import Subgraph, make_subgraph
 
@@ -34,12 +33,18 @@ def _require(cond: bool, message: str):
 
 
 def _rational(x, what: str) -> Fraction:
-    if isinstance(x, float):
-        raise FileFormatError(f"{what} must be a rational string, not a float: {x!r}")
+    if isinstance(x, (bool, float)):
+        raise FileFormatError(f"{what} must be a rational string, not a {type(x).__name__}: {x!r}")
     try:
         return rat(x)
     except TropError as exc:
         raise FileFormatError(f"bad {what}: {x!r}") from exc
+
+
+def _integer(x, what: str) -> int:
+    if not isinstance(x, int) or isinstance(x, bool):
+        raise FileFormatError(f"{what} must be an integer")
+    return x
 
 
 # -- curves ---------------------------------------------------------------------
@@ -145,11 +150,14 @@ def function_from_json(c: Curve, text: str) -> PLFunction:
     for eid, entry in data.items():
         _require(isinstance(entry, dict) and "breakpoints" in entry,
                  f"edge {eid!r} needs a breakpoints list")
-        breaks = [(_rational(o, "offset"), _rational(v, "value"))
-                  for o, v in entry["breakpoints"]]
+        try:
+            breaks = [(_rational(o, "offset"), _rational(v, "value"))
+                      for o, v in entry["breakpoints"]]
+        except (TypeError, ValueError) as exc:
+            raise FileFormatError(f"edge {eid!r}: breakpoints are [offset, value] pairs") from exc
         tail = entry.get("slope_at_infinity")
         if tail is not None:
-            _require(isinstance(tail, int), "slope_at_infinity must be an integer")
+            _integer(tail, "slope_at_infinity")
         edge_data[str(eid)] = (breaks, tail)
     try:
         return PLFunction.from_edge_data(c, edge_data,
@@ -174,8 +182,7 @@ def divisor_from_json(c: Curve, text: str) -> Divisor:
         _require(isinstance(entry, (list, tuple)) and len(entry) == 2,
                  "divisor entries are [point, int]")
         p, k = entry
-        _require(isinstance(k, int), "divisor coefficients must be integers")
-        coeffs.append((parse_point(c, p), k))
+        coeffs.append((parse_point(c, p), _integer(k, "divisor coefficient")))
     try:
         return Divisor(c, coeffs)
     except TropError as exc:

@@ -11,7 +11,7 @@ from typing import Mapping, Sequence
 from .curve import INF, Curve, PointRef
 from .errors import TropError
 from .plfunction import PLFunction, Profile, _isolated_vertices, _normalize, edge_profile
-from .semifield import Germ, rat
+from .semifield import Germ
 
 
 @dataclass(frozen=True)

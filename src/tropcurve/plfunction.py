@@ -7,7 +7,6 @@ equality is structural equality of normalized profiles.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
@@ -385,15 +384,6 @@ class PLFunction:
         profiles = {aid: _combine2(self.profiles[aid], other.profiles[aid], "max")
                     for aid in self.profiles}
         iso = {vid: max(v, other.isolated[vid]) for vid, v in self.isolated.items()}
-        return PLFunction(self.curve, profiles, iso)
-
-    def min_with(self, other: "PLFunction") -> "PLFunction":
-        self._require_same_curve(other)
-        if self.profiles is None or other.profiles is None:
-            raise TropError("pointwise min with the zero function")
-        profiles = {aid: _combine2(self.profiles[aid], other.profiles[aid], "min")
-                    for aid in self.profiles}
-        iso = {vid: min(v, other.isolated[vid]) for vid, v in self.isolated.items()}
         return PLFunction(self.curve, profiles, iso)
 
     def mul(self, other: "PLFunction") -> "PLFunction":
@@ -784,9 +774,7 @@ def extend(f_prime: PLFunction, g: Subgraph, s: int) -> PLFunction:
         e = sub.edges[sub_eid]
         hi = INF if e.is_infinite else start + e.length
         sub_edges_by_parent.setdefault(parent_eid, []).append((start, hi, sub_eid))
-    sub_vertex_by_parent: dict[tuple, str] = {}
-    for svid, ppoint in chart.vertex_points.items():
-        sub_vertex_by_parent[(ppoint.kind, ppoint.vertex, ppoint.edge, ppoint.offset)] = svid
+    sub_vertex_by_parent = {ppoint: svid for svid, ppoint in chart.vertex_points.items()}
 
     def g_value(parent_eid: str, off) -> Fraction:
         for lo, hi, sub_eid in sub_edges_by_parent.get(parent_eid, ()):
@@ -794,8 +782,7 @@ def extend(f_prime: PLFunction, g: Subgraph, s: int) -> PLFunction:
                 prof = edge_profile(f_prime, sub_eid)
                 return prof.value(off - lo)
         p = c.pt_on_edge(parent_eid, off)
-        key = (p.kind, p.vertex, p.edge, p.offset)
-        svid = sub_vertex_by_parent.get(key)
+        svid = sub_vertex_by_parent.get(p)
         if svid is None:
             raise TropError(f"point {p} not in the subgraph")
         return f_prime.value_at(sub.pt_vertex(svid))
@@ -806,7 +793,7 @@ def extend(f_prime: PLFunction, g: Subgraph, s: int) -> PLFunction:
         if vid in c.hidden_info:
             eid, off = c.hidden_info[vid]
             return g_value(eid, off)
-        svid = sub_vertex_by_parent.get(("vertex", vid, None, None))
+        svid = sub_vertex_by_parent.get(PointRef("vertex", vid))
         return f_prime.value_at(sub.pt_vertex(svid))
 
     imap = g.interval_map()

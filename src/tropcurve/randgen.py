@@ -1,22 +1,63 @@
-"""Seeded random curves, subgraphs, and functions for sampled verification."""
+"""Seeded random instances for sampled verification.
+
+Germs, curves, subgraphs, functions, plane polynomials and libraries of
+connected plane curves; every sampled check in the package and its tests
+draws from here.
+"""
 
 from __future__ import annotations
 
 import random
 from fractions import Fraction
 
+from .complexes import PolyComplex1D
 from .curve import INF, Curve, PointRef
 from .errors import TropError
+from .hypersurface import plane_hypersurface
 from .plfunction import PLFunction, chip_fire
-from .subgraph import Subgraph, make_subgraph, point_subgraph, whole_subgraph
+from .semifield import Germ, TropPoly
+from .subgraph import Subgraph, make_subgraph, point_subgraph
+
+LINE_POLY = TropPoly.of(2, {(0, 0): 0, (1, 0): 0, (0, 1): 0})
+DOUBLE_LINE_POLY = TropPoly.of(2, {(0, 0): 0, (2, 0): 0})
+CONIC_POLY = TropPoly.of(2, {(0, 0): 0, (1, 0): 1, (0, 1): 1, (1, 1): 3, (2, 0): 1, (0, 2): 1})
 
 
 def random_rational(rng: random.Random, lo: int = -8, hi: int = 8, den: int = 6) -> Fraction:
     return Fraction(rng.randint(lo, hi), rng.randint(1, den))
 
 
+def random_germ(rng: random.Random, n: int) -> Germ:
+    """A rank-n germ; one in ten is the zero germ."""
+    if rng.random() < 0.1:
+        return Germ.zero(n)
+    return Germ(n, random_rational(rng), tuple(rng.randint(-6, 6) for _ in range(n)))
+
+
+def random_plane_poly(rng: random.Random) -> TropPoly:
+    """Two to six terms with exponents in [0, 3]^2; repeated exponents may leave a monomial."""
+    terms = {}
+    for _ in range(rng.randint(2, 6)):
+        terms[(rng.randint(0, 3), rng.randint(0, 3))] = Fraction(
+            rng.randint(-6, 6), rng.randint(1, 3))
+    return TropPoly.of(2, terms)
+
+
+def complex_library(rng: random.Random, size: int) -> list[PolyComplex1D]:
+    """The line, the double line and a conic, then random connected plane curves up to size."""
+    out = [plane_hypersurface(F) for F in (LINE_POLY, DOUBLE_LINE_POLY, CONIC_POLY)]
+    while len(out) < size:
+        try:
+            K = plane_hypersurface(random_plane_poly(rng))
+        except TropError:
+            continue  # a monomial has no hypersurface
+        if K.is_connected():
+            out.append(K)
+    return out
+
+
 def random_curve(rng: random.Random, max_extra: int = 2, max_rays: int = 3,
-                 allow_disconnected: bool = False, share_ray_classes: bool = True) -> Curve:
+                 share_ray_classes: bool = True) -> Curve:
     """A small random connected curve: a tree plus extra edges plus rays."""
     n = rng.randint(1, 4)
     vertices = [f"v{i}" for i in range(n)]

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .complexes import BalanceReport, PolyComplex1D, check_balanced, line_anchor
+from .complexes import BalanceReport, PolyComplex1D, check_balanced
 from .curve import INF, Curve, PointRef
 from .errors import TropError
 from .geometry import ivec_gcd, primitive_of, vadd, vscale, vsub
@@ -46,9 +46,6 @@ class RealizationMap:
     merged_vertices: bool   # distinct skeleton points shared an image point
     merged_edges: bool      # distinct pieces shared an image edge
 
-    def point_image(self, p: PointRef) -> tuple[Fraction, ...]:
-        return tuple(f.value_at(p) for f in self.functions)
-
 
 def realize(c: Curve, fs: Sequence[PLFunction]) -> RealizationMap:
     """Image of the curve under (f_1, .., f_n) over a common refinement.
@@ -75,10 +72,10 @@ def realize(c: Curve, fs: Sequence[PLFunction]) -> RealizationMap:
     skeleton: list[tuple[PointRef, tuple[Fraction, ...]]] = []
     seen_points = set()
 
-    def vid(coords: tuple[Fraction, ...], source_key) -> int:
+    def vid(coords: tuple[Fraction, ...], pt: PointRef) -> int:
         nonlocal merged_vertices
         if coords in vertex_ids:
-            if source_key not in seen_points:
+            if pt not in seen_points:
                 merged_vertices = True
             return vertex_ids[coords]
         vertex_ids[coords] = len(vertices)
@@ -93,9 +90,8 @@ def realize(c: Curve, fs: Sequence[PLFunction]) -> RealizationMap:
     for vid_iso in _isolated_vertices(c):
         coords = tuple(f.isolated[vid_iso] for f in fs)
         pt = c.pt_vertex(vid_iso)
-        key = (pt.kind, pt.vertex, pt.edge, pt.offset)
-        vid(coords, key)
-        seen_points.add(key)
+        vid(coords, pt)
+        seen_points.add(pt)
         skeleton.append((pt, coords))
 
     for aid, arc in sorted(c.arcs.items()):
@@ -109,10 +105,9 @@ def realize(c: Curve, fs: Sequence[PLFunction]) -> RealizationMap:
         values = {o: tuple(f.profiles[aid].value(o) for f in fs) for o in offs}
         for o in offs:
             pt = c.point_from_arc(aid, o)
-            key = (pt.kind, pt.vertex, pt.edge, pt.offset)
-            vid(values[o], key)
-            if key not in seen_points:
-                seen_points.add(key)
+            vid(values[o], pt)
+            if pt not in seen_points:
+                seen_points.add(pt)
                 skeleton.append((pt, values[o]))
         for lo, hi in zip(offs, offs[1:]):
             slopes = tuple(f.profiles[aid].slope_right(lo) for f in fs)

@@ -94,20 +94,6 @@ NEG_INF = TropValue(None)
 UNIT = TropValue(Fraction(0))
 
 
-def trop_sum(values: Iterable[TropValue]) -> TropValue:
-    out = NEG_INF
-    for v in values:
-        out = out.add(v)
-    return out
-
-
-def trop_prod(values: Iterable[TropValue]) -> TropValue:
-    out = UNIT
-    for v in values:
-        out = out.mul(v)
-    return out
-
-
 @dataclass(frozen=True)
 class Germ:
     """Value-plus-integer-slope-vector element of the rank-n germ semifield.
@@ -139,12 +125,6 @@ class Germ:
     @staticmethod
     def unit(n: int) -> "Germ":
         return Germ(n, Fraction(0), (0,) * n)
-
-    @staticmethod
-    def from_trop(t: TropValue) -> "Germ":
-        if t.is_neg_inf:
-            return Germ.zero(0)
-        return Germ(0, t.coef, ())
 
     @property
     def is_neg_inf(self) -> bool:

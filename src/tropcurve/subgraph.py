@@ -206,29 +206,6 @@ class Subgraph:
                     heapq.heappush(heap, (nd, w))
         return dist
 
-    def distance_to(self, p: PointRef) -> "Fraction | float":
-        """Infimum of distances from p to the subgraph."""
-        if self.is_empty():
-            raise TropError("distance to an empty subgraph")
-        c = self.curve
-        dmap = self.distance_map()
-        kind, ident, off = c._resolve(p)
-        if kind == "vertex":
-            return dmap[ident]
-        arc = c.arcs[ident]
-        best = dmap[arc.u] + off
-        if arc.length != INF:
-            alt = dmap[arc.v] + (arc.length - off)
-            if alt < best:
-                best = alt
-        for lo, hi in self.interval_map().get(ident, ()):
-            if lo <= off <= hi:
-                return Fraction(0)
-            local = lo - off if off < lo else off - hi
-            if local < best:
-                best = local
-        return best
-
 
 @dataclass(frozen=True)
 class SubChart:

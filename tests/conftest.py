@@ -3,11 +3,10 @@
 from __future__ import annotations
 
 import random
-from fractions import Fraction
 
 import pytest
 
-from tropcurve.curve import INF, Curve
+from tropcurve.curve import Curve
 from tropcurve.plfunction import PLFunction
 
 

@@ -12,27 +12,20 @@ import random
 import time
 from fractions import Fraction
 
-import pytest
-
-from tropcurve.complexes import PolyComplex1D, check_balanced, intersect
-from tropcurve.curve import INF, Curve, disjoint_union
-from tropcurve.errors import NonTransversalError, TropError
+from tropcurve.complexes import intersect
+from tropcurve.curve import Curve, disjoint_union
+from tropcurve.errors import TropError
 from tropcurve.glue import Embedding, glue, glue_function
 from tropcurve.hypersurface import plane_hypersurface
-from tropcurve.morphism import (Morphism, localize, pullback, weight_check,
-                                weight_from_generators)
-from tropcurve.plfunction import (PLFunction, chip_fire, disconnection_witness, extend,
-                                  is_harmonic_at, module_degree, principal_divisor,
-                                  pseudodirect_tuple, restrict_whole, witness_conditions)
-from tropcurve.randgen import (random_class_respecting_function, random_curve,
-                               random_function, random_point, random_rational,
-                               random_subgraph)
-from tropcurve.realization import curve_from_complex, fit_tropical_polynomial, realize
-from tropcurve.semifield import Germ, TropPoly, TropValue, germ_generator_report
-
-LINE_POLY = TropPoly.of(2, {(0, 0): 0, (1, 0): 0, (0, 1): 0})
-DOUBLE_LINE_POLY = TropPoly.of(2, {(0, 0): 0, (2, 0): 0})
-CONIC_POLY = TropPoly.of(2, {(0, 0): 0, (1, 0): 1, (0, 1): 1, (1, 1): 3, (2, 0): 1, (0, 2): 1})
+from tropcurve.morphism import Morphism, pullback, weight_check, weight_from_generators
+from tropcurve.plfunction import PLFunction, module_degree, principal_divisor, pseudodirect_tuple
+from tropcurve.randgen import CONIC_POLY, DOUBLE_LINE_POLY, LINE_POLY
+from tropcurve.realization import fit_tropical_polynomial
+from tropcurve.selftest import (suite_complex_round_trip, suite_disconnection, suite_fit,
+                                suite_function_axioms, suite_generator_identities,
+                                suite_germ_axioms, suite_intersections, suite_localization,
+                                suite_module_degree, suite_restrict_extend, suite_scalar_axioms)
+from tropcurve.semifield import Germ, TropPoly
 
 
 def report(number: int, text: str):
@@ -50,72 +43,15 @@ def line_fn(c: Curve, k: int) -> PLFunction:
 def test_criterion_01_semifield_axiom_suites():
     start = time.monotonic()
     rng = random.Random("acceptance-1")
-
-    # Scalars.
-    def scalar():
-        return TropValue(None) if rng.random() < 0.1 else TropValue(random_rational(rng))
-
-    for _ in range(1000):
-        a, b, c = scalar(), scalar(), scalar()
-        assert a.add(b) == b.add(a)
-        assert a.mul(b) == b.mul(a)
-        assert a.add(b).add(c) == a.add(b.add(c))
-        assert a.mul(b).mul(c) == a.mul(b.mul(c))
-        assert a.mul(b.add(c)) == a.mul(b).add(a.mul(c))
-        assert a.add(a) == a
-        if not a.is_neg_inf:
-            assert a.mul(a.inv()) == TropValue(Fraction(0))
-
-    # Slope germs of every rank up to five.
-    for case in range(1000):
-        n = case % 6
-
-        def germ():
-            if rng.random() < 0.1:
-                return Germ.zero(n)
-            return Germ(n, random_rational(rng), tuple(rng.randint(-6, 6) for _ in range(n)))
-
-        a, b, c = germ(), germ(), germ()
-        assert a.add(b) == b.add(a)
-        assert a.mul(b) == b.mul(a)
-        assert a.add(b).add(c) == a.add(b.add(c))
-        assert a.mul(b).mul(c) == a.mul(b.mul(c))
-        assert a.mul(b.add(c)) == a.mul(b).add(a.mul(c))
-        assert a.add(a) == a
-        if not a.is_neg_inf:
-            assert a.mul(a.inv()) == Germ.unit(n)
-
-    # Piecewise linear functions, over a pool of light random functions.
-    pools = []
-    while len(pools) < 6:
-        c = random_curve(rng)
-        pool = [PLFunction.neg_inf(c), PLFunction.constant(c, random_rational(rng))]
-        tries = 0
-        while len(pool) < 9 and tries < 60:
-            tries += 1
-            f = random_function(c, rng)
-            if sum(len(p.breaks) for p in f.profiles.values()) <= 10:
-                pool.append(f)
-        if len(pool) >= 6:
-            pools.append((c, pool))
-    for k in range(1000):
-        c, pool = pools[k % len(pools)]
-        f, g, h = (rng.choice(pool) for _ in range(3))
-        assert f.add(g) == g.add(f)
-        assert f.add(g).add(h) == f.add(g.add(h))
-        assert f.mul(g.add(h)) == f.mul(g).add(f.mul(h))
-        assert f.add(f) == f
-        if not f.is_neg_inf:
-            assert f.mul(f.inv()) == PLFunction.constant(c, 0)
+    for suite in (suite_scalar_axioms, suite_germ_axioms, suite_function_axioms):
+        assert suite(rng, 1000) == 1000
     elapsed = time.monotonic() - start
     assert elapsed < 10, f"axiom suites took {elapsed:.1f}s"
     report(1, f"scalar, germ, and function semifields: 1000 cases each in {elapsed:.1f}s")
 
 
 def test_criterion_02_generator_identities():
-    for n in range(1, 9):
-        rep = germ_generator_report(n)
-        assert rep.ok, (n, rep)
+    assert suite_generator_identities(random.Random("acceptance-2"), 8) == 8
     v = Germ.of(0, (1, -1))
     assert v.add(Germ.unit(2)) == Germ.of(0, (1, 0))
     assert v.inv().add(Germ.unit(2)) == Germ.of(0, (0, 1))
@@ -159,84 +95,31 @@ def test_criterion_03_source_regressions():
 
 
 def test_criterion_04_module_degree_invariance():
-    rng = random.Random("acceptance-4")
-    done = 0
-    while done < 200:
-        c = random_curve(rng)
-        gens = [random_function(c, rng) for _ in range(rng.randint(1, 3))]
-        base = module_degree(gens)
-        extra = []
-        for _ in range(rng.randint(1, 2)):
-            combo = PLFunction.neg_inf(c)
-            for g in gens:
-                if rng.random() < 0.85:
-                    combo = combo.add(g.scale(random_rational(rng)))
-            if combo.is_neg_inf:
-                combo = gens[0]
-            extra.append(combo)
-        assert module_degree(gens + extra) == base
-        done += 1
+    assert suite_module_degree(random.Random("acceptance-4"), 200) == 200
     report(4, "module degree unchanged by 200 random regenerations")
 
 
 def test_criterion_05_localization_and_harmonicity():
-    rng = random.Random("acceptance-5")
-    done = 0
-    while done < 500:
-        c = random_curve(rng)
-        for _ in range(5):
-            x = random_point(c, rng)
-            loc = localize(c, x)
-            f, g = random_function(c, rng), random_function(c, rng)
-            assert loc.apply(f.add(g)) == loc.apply(f).add(loc.apply(g))
-            assert loc.apply(f.mul(g)) == loc.apply(f).mul(loc.apply(g))
-            assert (loc.apply(f).slope_sum() == 0) == is_harmonic_at(f, x)
-            done += 1
+    assert suite_localization(random.Random("acceptance-5"), 500) == 500
     report(5, "localization homomorphism and slope-sum harmonicity on 500 triples")
-
-
-def _complex_library(rng: random.Random, minimum: int = 20) -> list[PolyComplex1D]:
-    out = [plane_hypersurface(LINE_POLY), plane_hypersurface(DOUBLE_LINE_POLY),
-           plane_hypersurface(CONIC_POLY)]
-    while len(out) < minimum:
-        terms = {}
-        for _ in range(rng.randint(2, 6)):
-            terms[(rng.randint(0, 3), rng.randint(0, 3))] = Fraction(
-                rng.randint(-6, 6), rng.randint(1, 3))
-        try:
-            K = plane_hypersurface(TropPoly.of(2, terms))
-        except TropError:
-            continue
-        if K.is_connected():
-            out.append(K)
-    return out
 
 
 def test_criterion_06_balanced_round_trip():
     start = time.monotonic()
-    rng = random.Random("acceptance-6")
-    library = _complex_library(rng, minimum=20)
-    assert len(library) >= 20
-    for K in library:
-        c, fs, r = curve_from_complex(K)
-        for f in fs:
-            assert all(c.is_at_infinity(p) for p in principal_divisor(f).support())
-        assert r.image.canonical() == K.canonical()
+    done = suite_complex_round_trip(random.Random("acceptance-6"), 20)
+    assert done == 20
     elapsed = time.monotonic() - start
     assert elapsed < 30, f"round trips took {elapsed:.1f}s"
-    report(6, f"{len(library)} balanced complexes re-realized exactly in {elapsed:.1f}s")
+    report(6, f"{done} balanced complexes re-realized exactly in {elapsed:.1f}s")
 
 
 def test_criterion_07_polynomial_fitting():
-    rng = random.Random("acceptance-7")
-    library = _complex_library(rng, minimum=12)
-    for K in library:
-        F = fit_tropical_polynomial(K)
-        assert plane_hypersurface(F).canonical() == K.canonical()
+    done = suite_fit(random.Random("acceptance-7"), 12)
+    assert done == 12
     assert fit_tropical_polynomial(plane_hypersurface(LINE_POLY)).degree() == 1
     assert fit_tropical_polynomial(plane_hypersurface(DOUBLE_LINE_POLY)).degree() == 2
     assert fit_tropical_polynomial(plane_hypersurface(CONIC_POLY)).degree() == 2
-    report(7, f"fits verified on {len(library)} complexes; degrees 1, 2, 2 recovered")
+    report(7, f"fits verified on {done} complexes; degrees 1, 2, 2 recovered")
 
 
 def test_criterion_08_intersections_and_degree_bound():
@@ -248,76 +131,20 @@ def test_criterion_08_intersections_and_degree_bound():
     pts2 = intersect(vertical2, horizontal)
     assert [(p.point, p.multiplicity) for p in pts2] == [((0, 0), 2)]
 
-    rng = random.Random("acceptance-8")
-    degrees: dict[int, int] = {}
-    done = 0
-    while done < 50:
-        lib = _complex_library(rng, minimum=4)
-        K1 = rng.choice(lib)
-        K2 = rng.choice(lib).translate((random_rational(rng, -30, 30, 7),
-                                        random_rational(rng, -30, 30, 11)))
-        try:
-            points = intersect(K1, K2)
-        except (NonTransversalError, TropError):
-            continue
-        total = sum(p.multiplicity for p in points)
-        d1 = fit_tropical_polynomial(K1).degree()
-        d2 = fit_tropical_polynomial(K2).degree()
-        assert total <= d1 * d2, (total, d1, d2)
-        done += 1
+    assert suite_intersections(random.Random("acceptance-8"), 50) == 50
     report(8, "50 random transversal pairs kept within the degree-product bound")
 
 
 def test_criterion_09_disconnection_witnesses():
-    rng = random.Random("acceptance-9")
-    for _ in range(40):
-        parts = [random_curve(rng, share_ray_classes=False)
-                 for _ in range(rng.randint(2, 3))]
-        u = disjoint_union(parts)
-        result = disconnection_witness(u)
-        assert result is not None
-        s, rep = result
-        assert rep.separated_low and rep.separated_high and rep.identity_holds
-    # Negative control: candidates of the same clamp shape never verify on
-    # connected curves.
-    done = 0
-    while done < 100:
-        c = random_curve(rng)
-        if not c.is_connected():
-            continue
-        g = random_subgraph(c, rng)
-        candidates = [
-            chip_fire(c, g, 4).inv(),
-            chip_fire(c, g, 4).inv().scale(random_rational(rng, 0, 2, 2)),
-            chip_fire(c, g, Fraction(rng.randint(1, 4))).scale(rng.randint(0, 4)),
-        ]
-        for cand in candidates:
-            assert not witness_conditions(cand, 3, 2, 1).verified
-        done += 1
+    # Each case verifies a witness on a disconnected curve and runs the
+    # negative controls on a connected one.
+    assert suite_disconnection(random.Random("acceptance-9"), 100) == 100
     report(9, "witnesses verified on disconnected curves; no connected impostors in 100 runs")
 
 
 def test_criterion_10_restriction_extension_and_gluing():
     rng = random.Random("acceptance-10")
-    done = 0
-    while done < 200:
-        c = random_curve(rng)
-        g = random_subgraph(c, rng)
-        f = random_class_respecting_function(c, rng)
-        fp, _ = restrict_whole(f, g)
-        if fp.is_neg_inf:
-            continue
-        back = None
-        for s in (-8, -64, -1024, -2 ** 18):
-            try:
-                back = extend(fp, g, s)
-                break
-            except TropError:
-                continue
-        assert back is not None
-        again, _ = restrict_whole(back, g)
-        assert again == fp
-        done += 1
+    assert suite_restrict_extend(rng, 200) == 200
 
     # Gluing accepts exactly the pairs that agree on the shared subgraph.
     accepted = rejected = 0

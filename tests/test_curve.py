@@ -9,6 +9,7 @@ import pytest
 from tropcurve.curve import INF, Curve, canonical_model, disjoint_union
 from tropcurve.errors import TropError
 from tropcurve.glue import Embedding, glue, validate_embedding
+from tropcurve.selftest import suite_canonical_model, suite_metric
 from tropcurve.subgraph import make_subgraph, point_subgraph, whole_subgraph
 
 from conftest import rng_for
@@ -69,23 +70,7 @@ class TestCanonicalModel:
         assert sorted(d["ray_classes"].values()) == ["L", "R"]
 
     def test_idempotent_and_isometric(self):
-        from tropcurve.randgen import random_curve
-
-        rng = rng_for("canonical")
-        done = 0
-        while done < 25:
-            c = random_curve(rng)
-            if not c.is_connected():
-                continue
-            cm = canonical_model(c)
-            assert canonical_model(cm) == cm
-            survivors = [v.id for v in cm.vertices.values()
-                         if not v.hidden and v.id in c.vertices]
-            for a in survivors:
-                for b in survivors:
-                    assert (cm.distance(cm.pt_vertex(a), cm.pt_vertex(b))
-                            == c.distance(c.pt_vertex(a), c.pt_vertex(b)))
-            done += 1
+        assert suite_canonical_model(rng_for("canonical"), 25) == 25
 
 
 class TestValenceDistance:
@@ -112,15 +97,7 @@ class TestValenceDistance:
         assert lp.distance(lp.pt_vertex("P"), lp.pt_on_edge("c", 2)) == 2
 
     def test_metric_properties(self):
-        from tropcurve.randgen import random_curve, random_point
-
-        rng = rng_for("metric")
-        for _ in range(30):
-            c = random_curve(rng)
-            p, q, r = (random_point(c, rng) for _ in range(3))
-            assert c.distance(p, p) == 0
-            assert c.distance(p, q) == c.distance(q, p)
-            assert c.distance(p, r) <= c.distance(p, q) + c.distance(q, r)
+        assert suite_metric(rng_for("metric"), 30) == 30
 
 
 class TestSubgraph:

@@ -7,31 +7,17 @@ from fractions import Fraction
 
 import pytest
 
-from tropcurve.complexes import check_balanced
 from tropcurve.errors import TropError
 from tropcurve.hypersurface import plane_hypersurface
+from tropcurve.randgen import CONIC_POLY, DOUBLE_LINE_POLY, LINE_POLY
+from tropcurve.selftest import GRID, argmax_oracle, suite_hypersurface_oracle
 from tropcurve.semifield import TropPoly
 
 from conftest import rng_for
 
-LINE = TropPoly.of(2, {(0, 0): 0, (1, 0): 0, (0, 1): 0})
-DOUBLE_LINE = TropPoly.of(2, {(0, 0): 0, (2, 0): 0})
-CONIC = TropPoly.of(2, {(0, 0): 0, (1, 0): 1, (0, 1): 1, (1, 1): 3, (2, 0): 1, (0, 2): 1})
-
-
-def grid_matches(F: TropPoly, K, reach=5) -> bool:
-    for x in range(-reach, reach + 1):
-        for y in range(-reach, reach + 1):
-            for dx, dy in ((0, 0), (Fraction(1, 3), Fraction(2, 7))):
-                p = (x + dx, y + dy)
-                _, arg = F.eval(p)
-                if (len(arg) >= 2) != K.contains(p):
-                    return False
-    return True
-
 
 def test_line():
-    K = plane_hypersurface(LINE)
+    K = plane_hypersurface(LINE_POLY)
     assert K.vertices == ((Fraction(0), Fraction(0)),)
     assert sorted(d for _, d, _ in K.rays) == [(-1, 0), (0, -1), (1, 1)]
     assert all(w == 1 for _, _, w in K.rays)
@@ -39,14 +25,14 @@ def test_line():
 
 
 def test_double_line_weight():
-    K = plane_hypersurface(DOUBLE_LINE)
+    K = plane_hypersurface(DOUBLE_LINE_POLY)
     assert len(K.rays) == 2 and all(w == 2 for _, _, w in K.rays)
     assert sorted(d for _, d, _ in K.rays) == [(0, -1), (0, 1)]
 
 
 def test_middle_term_keeps_weight():
     with_mid = TropPoly.of(2, {(0, 0): 0, (1, 0): 0, (2, 0): 0})
-    assert plane_hypersurface(with_mid).canonical() == plane_hypersurface(DOUBLE_LINE).canonical()
+    assert plane_hypersurface(with_mid).canonical() == plane_hypersurface(DOUBLE_LINE_POLY).canonical()
 
 
 def test_degenerate_square_vertex():
@@ -63,7 +49,7 @@ def test_split_square_gives_segment():
 
 
 def test_conic_shape():
-    K = plane_hypersurface(CONIC)
+    K = plane_hypersurface(CONIC_POLY)
     dirs = collections.Counter(d for _, d, _ in K.rays)
     assert dirs == {(-1, 0): 2, (0, -1): 2, (1, 1): 2}
     assert len(K.vertices) == 4 and len(K.segments) == 3
@@ -84,25 +70,11 @@ def test_window():
 
 
 def test_all_outputs_balanced_and_match_grid():
-    rng = rng_for("hypersurface-grid")
-    done = 0
-    while done < 25:
-        terms = {}
-        for _ in range(rng.randint(2, 6)):
-            terms[(rng.randint(0, 3), rng.randint(0, 3))] = Fraction(
-                rng.randint(-6, 6), rng.randint(1, 3))
-        F = TropPoly.of(2, terms)
-        try:
-            K = plane_hypersurface(F)
-        except TropError:
-            continue
-        assert check_balanced(K).balanced
-        assert grid_matches(F, K)
-        done += 1
+    assert suite_hypersurface_oracle(rng_for("hypersurface-grid"), 25) == 25
 
 
 def test_disconnected_hypersurface():
     F = TropPoly.of(2, {(0, 0): 0, (1, 0): 0, (2, 0): -1})
     K = plane_hypersurface(F)
     assert len(K.rays) == 4 and not K.is_connected()
-    assert grid_matches(F, K)
+    argmax_oracle(F, K, GRID)

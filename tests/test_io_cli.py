@@ -9,12 +9,13 @@ from pathlib import Path
 import pytest
 
 from tropcurve import io as tio
+from tropcurve import selftest
 from tropcurve.cli import main
-from tropcurve.curve import Curve, INF
+from tropcurve.curve import Curve
 from tropcurve.errors import FileFormatError
 from tropcurve.hypersurface import plane_hypersurface
 from tropcurve.plfunction import PLFunction, principal_divisor
-from tropcurve.randgen import random_curve, random_function
+from tropcurve.selftest import SUITES, suite_formats
 from tropcurve.semifield import TropPoly
 
 from conftest import identity_fn, rng_for, scaled_fn
@@ -24,17 +25,8 @@ LINE_POLY = TropPoly.of(2, {(0, 0): 0, (1, 0): 0, (0, 1): 0})
 
 class TestRoundTrips:
     def test_curve(self):
-        rng = rng_for("io-curve")
-        for _ in range(25):
-            c = random_curve(rng)
-            assert tio.curve_from_json(tio.curve_to_json(c)) == c
-
-    def test_function(self):
-        rng = rng_for("io-fn")
-        for _ in range(25):
-            c = random_curve(rng)
-            f = random_function(c, rng, allow_neg_inf=True)
-            assert tio.function_from_json(c, tio.function_to_json(f)) == f
+        # Curves, functions, divisors, polynomials and complexes.
+        assert suite_formats(rng_for("io-curve"), 25) == 25
 
     def test_divisor(self, line):
         d = principal_divisor(scaled_fn(line, 2))
@@ -57,6 +49,25 @@ class TestRoundTrips:
 
 
 class TestRejects:
+    @pytest.mark.parametrize("right, message", [
+        ({"breakpoints": [["0"]], "slope_at_infinity": 1}, "[offset, value] pairs"),
+        ({"breakpoints": [[0, True]], "slope_at_infinity": 1}, "not a bool"),
+        ({"breakpoints": [["0", "1"]], "slope_at_infinity": True}, "must be an integer"),
+    ], ids=["short-breakpoint", "bool-value", "bool-slope"])
+    def test_malformed_function_exits_65(self, workdir, capsys, right, message):
+        left = {"breakpoints": [["0", "1"]], "slope_at_infinity": -1}
+        (workdir / "f.json").write_text(json.dumps({"left": left, "right": right}))
+        assert main(["div", "--curve", str(workdir / "line.json"),
+                     "--fn", str(workdir / "f.json")]) == 65
+        assert message in capsys.readouterr().err
+
+    def test_bool_length_exits_65(self, tmp_path, capsys):
+        bad = tmp_path / "c.json"
+        bad.write_text(json.dumps({"vertices": [{"id": "A"}, {"id": "B"}],
+                                   "edges": [{"id": "e", "u": "A", "v": "B", "length": True}]}))
+        assert main(["check-curve", "--curve", str(bad)]) == 65
+        assert "not a bool" in capsys.readouterr().err
+
     def test_float_length(self):
         text = json.dumps({"vertices": [{"id": "A"}, {"id": "B"}],
                            "edges": [{"id": "e", "u": "A", "v": "B", "length": 1.5}]})
@@ -217,7 +228,28 @@ class TestCli:
         assert csv.read_text().startswith("kind,")
 
     def test_selftest_quick(self, capsys):
-        assert main(["selftest", "--quick"]) == 0
+        assert main(["selftest", "--quick", "--json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert sorted(r["suite"] for r in payload) == sorted(name for name, _ in SUITES)
+        assert all(r["passed"] for r in payload)
+
+    def test_selftest_parallel_is_rejected(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["selftest", "--parallel"])
+        assert exc.value.code == 2
+
+    def test_selftest_reports_a_crash_with_its_seed(self, monkeypatch, capsys):
+        def crash(rng, cases):
+            raise ValueError("boom")
+
+        monkeypatch.setattr(selftest, "SUITES", [("crashing suite", crash)])
+        assert main(["selftest", "--seed", "7"]) == 1
+        out, err = capsys.readouterr()
+        assert "FAIL  crashing suite: ValueError: boom; reproduce with --seed 7" in out
+        assert "Traceback" not in out + err
+        assert main(["selftest", "--seed", "7", "--json"]) == 1
+        (entry,) = json.loads(capsys.readouterr().out)
+        assert entry["detail"] == "ValueError: boom" and entry["seed"] == 7
 
     def test_weight_generator_mode(self, workdir, capsys):
         assert main(["weight", "--curve", str(workdir / "line.json"),

@@ -11,8 +11,9 @@ from tropcurve.errors import TropError
 from tropcurve.morphism import (Morphism, compose, germ_bump, localization_surjectivity,
                                 localize, pullback, validate_morphism, weight_check,
                                 weight_from_generators, weighted_local_image)
-from tropcurve.plfunction import PLFunction, chip_fire, is_harmonic_at
-from tropcurve.randgen import random_curve, random_function, random_point
+from tropcurve.plfunction import PLFunction, chip_fire
+from tropcurve.randgen import random_function
+from tropcurve.selftest import suite_localization, suite_pullback
 from tropcurve.semifield import Germ
 from tropcurve.subgraph import point_subgraph
 
@@ -79,13 +80,8 @@ class TestPullback:
         f = PLFunction.from_edge_data(pt_curve, {}, isolated={"P": Fraction(5)})
         assert pullback(m, f) == PLFunction.constant(segment3, 5)
 
-    def test_homomorphism_random(self, tripod):
-        rng = rng_for("pullback-hom")
-        m = Morphism.identity(tripod)
-        for _ in range(40):
-            f, g = random_function(tripod, rng), random_function(tripod, rng)
-            assert pullback(m, f.add(g)) == pullback(m, f).add(pullback(m, g))
-            assert pullback(m, f.mul(g)) == pullback(m, f).mul(pullback(m, g))
+    def test_homomorphism_random(self):
+        assert suite_pullback(rng_for("pullback-hom"), 40) == 40
 
     def test_composition_multiplies_degrees(self, line):
         quad = compose(doubling(line), doubling(line))
@@ -179,17 +175,7 @@ class TestLocalize:
         assert rep1.all_matched and rep1.rank == 1
 
     def test_homomorphism_and_harmonicity_random(self):
-        rng = rng_for("localize-hom")
-        done = 0
-        while done < 60:
-            c = random_curve(rng)
-            x = random_point(c, rng)
-            loc = localize(c, x)
-            f, g = random_function(c, rng), random_function(c, rng)
-            assert loc.apply(f.add(g)) == loc.apply(f).add(loc.apply(g))
-            assert loc.apply(f.mul(g)) == loc.apply(f).mul(loc.apply(g))
-            assert (loc.apply(f).slope_sum() == 0) == is_harmonic_at(f, x)
-            done += 1
+        assert suite_localization(rng_for("localize-hom"), 60) == 60
 
 
 class TestWeightedLocalImage:

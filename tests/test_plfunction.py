@@ -12,9 +12,9 @@ from tropcurve.plfunction import (Divisor, PLFunction, chip_fire, disconnection_
                                   extend, is_harmonic_at, module_degree, principal_divisor,
                                   pseudodirect_tuple, rd_contains, restrict, restrict_whole,
                                   split_components, witness_conditions)
-from tropcurve.randgen import (random_class_respecting_function, random_curve,
-                               random_function, random_point, random_rational,
-                               random_subgraph)
+from tropcurve.randgen import random_class_respecting_function, random_curve, random_rational
+from tropcurve.selftest import (suite_chip_fire, suite_disconnection, suite_divisors,
+                                suite_module_degree, suite_restrict_extend)
 from tropcurve.subgraph import make_subgraph, point_subgraph, whole_subgraph
 
 from conftest import identity_fn, rng_for, scaled_fn
@@ -43,21 +43,6 @@ class TestOps:
     def test_mismatched_curves(self, segment3, line):
         with pytest.raises(TropError):
             PLFunction.constant(segment3, 0).add(PLFunction.constant(line, 0))
-
-    def test_semifield_laws_random(self):
-        rng = rng_for("pl-axioms")
-        done = 0
-        while done < 40:
-            c = random_curve(rng)
-            f, g, h = (random_function(c, rng, allow_neg_inf=True) for _ in range(3))
-            assert f.add(g) == g.add(f)
-            assert f.add(g).add(h) == f.add(g.add(h))
-            assert f.mul(g).mul(h) == f.mul(g.mul(h))
-            assert f.mul(g.add(h)) == f.mul(g).add(f.mul(h))
-            assert f.add(f) == f
-            if not f.is_neg_inf:
-                assert f.mul(f.inv()) == PLFunction.constant(c, 0)
-            done += 1
 
 
 class TestEval:
@@ -97,20 +82,7 @@ class TestChipFire:
         assert cf.value_at(u.pt_on_edge("0:e", 1)) == -1
 
     def test_bounds_random(self):
-        rng = rng_for("cf-bounds")
-        done = 0
-        while done < 30:
-            c = random_curve(rng)
-            g = random_subgraph(c, rng)
-            depth = Fraction(rng.randint(1, 4), rng.randint(1, 2))
-            f = chip_fire(c, g, depth)
-            for _ in range(8):
-                p = random_point(c, rng)
-                v = f.value_at(p)
-                assert -depth <= v <= 0
-                if g.contains_point(p):
-                    assert v == 0
-            done += 1
+        assert suite_chip_fire(rng_for("cf-bounds"), 30) == 30
 
 
 class TestOutgoingSlope:
@@ -154,15 +126,7 @@ class TestDivisors:
         assert principal_divisor(PLFunction.constant(segment3, 5)) == Divisor(segment3, {})
 
     def test_degree_zero_and_homomorphism_random(self):
-        rng = rng_for("div-zero")
-        done = 0
-        while done < 40:
-            c = random_curve(rng)
-            f, g = random_function(c, rng), random_function(c, rng)
-            assert principal_divisor(f).degree() == 0
-            assert principal_divisor(f.mul(g)) == principal_divisor(f).add(principal_divisor(g))
-            assert principal_divisor(f.inv()) == principal_divisor(f).neg()
-            done += 1
+        assert suite_divisors(rng_for("div-zero"), 40) == 40
 
 
 class TestHarmonic:
@@ -220,20 +184,7 @@ class TestModuleDegree:
         assert module_degree([g, h]) == expected == 3
 
     def test_invariance_under_regeneration(self):
-        rng = rng_for("module-degree")
-        done = 0
-        while done < 50:
-            c = random_curve(rng)
-            gens = [random_function(c, rng) for _ in range(rng.randint(1, 3))]
-            base = module_degree(gens)
-            extra = []
-            for _ in range(2):
-                combo = PLFunction.neg_inf(c)
-                for g in gens:
-                    combo = combo.add(g.scale(random_rational(rng)))
-                extra.append(combo)
-            assert module_degree(gens + extra) == base
-            done += 1
+        assert suite_module_degree(rng_for("module-degree"), 50) == 50
 
     def test_harmonic_generators_are_extremal(self, line):
         # Members below a generator whose max recovers it must equal it.
@@ -314,26 +265,7 @@ class TestRestrictExtend:
             extend(fp, g, 1)
 
     def test_round_trip_random(self):
-        rng = rng_for("restrict-extend")
-        done = 0
-        while done < 40:
-            c = random_curve(rng)
-            g = random_subgraph(c, rng)
-            f = random_class_respecting_function(c, rng)
-            fp, _ = restrict_whole(f, g)
-            if fp.is_neg_inf:
-                continue
-            back = None
-            for s in (-8, -64, -1024, -2 ** 18):
-                try:
-                    back = extend(fp, g, s)
-                    break
-                except TropError:
-                    continue
-            assert back is not None
-            again, _ = restrict_whole(back, g)
-            assert again == fp
-            done += 1
+        assert suite_restrict_extend(rng_for("restrict-extend"), 40) == 40
 
 
 class TestRayClasses:
@@ -409,17 +341,7 @@ class TestDisconnectionWitness:
         assert not rep.verified
 
     def test_connected_candidates_never_verify(self):
-        rng = rng_for("witness-control")
-        done = 0
-        while done < 25:
-            c = random_curve(rng)
-            if not c.is_connected():
-                continue
-            g = random_subgraph(c, rng)
-            cand = chip_fire(c, g, 4).inv().scale(random_rational(rng, 0, 2, 2))
-            rep = witness_conditions(cand, 3, 2, 1)
-            assert not rep.verified
-            done += 1
+        assert suite_disconnection(rng_for("witness-control"), 25) == 25
 
 
 class TestGlueFunction:

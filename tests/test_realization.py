@@ -11,36 +11,15 @@ from tropcurve.complexes import PolyComplex1D, check_balanced, intersect
 from tropcurve.curve import INF, Curve
 from tropcurve.errors import NonTransversalError, TropError
 from tropcurve.hypersurface import plane_hypersurface
-from tropcurve.plfunction import PLFunction, chip_fire, principal_divisor
+from tropcurve.plfunction import PLFunction, chip_fire
+from tropcurve.randgen import CONIC_POLY, DOUBLE_LINE_POLY, LINE_POLY, complex_library
 from tropcurve.realization import (bezout_check, check_realization, curve_from_complex,
                                    fit_tropical_polynomial, harmonic_balance_report, realize)
+from tropcurve.selftest import suite_complex_round_trip, suite_fit, suite_intersections
 from tropcurve.semifield import TropPoly
 from tropcurve.subgraph import point_subgraph
 
 from conftest import identity_fn, rng_for, scaled_fn
-
-LINE_POLY = TropPoly.of(2, {(0, 0): 0, (1, 0): 0, (0, 1): 0})
-DOUBLE_LINE_POLY = TropPoly.of(2, {(0, 0): 0, (2, 0): 0})
-CONIC_POLY = TropPoly.of(2, {(0, 0): 0, (1, 0): 1, (0, 1): 1, (1, 1): 3, (2, 0): 1, (0, 2): 1})
-
-
-def complex_library():
-    """Balanced connected complexes used across the round-trip tests."""
-    rng = rng_for("library")
-    out = [plane_hypersurface(LINE_POLY), plane_hypersurface(DOUBLE_LINE_POLY),
-           plane_hypersurface(CONIC_POLY)]
-    while len(out) < 22:
-        terms = {}
-        for _ in range(rng.randint(2, 6)):
-            terms[(rng.randint(0, 3), rng.randint(0, 3))] = Fraction(
-                rng.randint(-6, 6), rng.randint(1, 3))
-        try:
-            K = plane_hypersurface(TropPoly.of(2, terms))
-        except TropError:
-            continue
-        if K.is_connected():
-            out.append(K)
-    return out
 
 
 class TestRealize:
@@ -153,11 +132,7 @@ class TestIngest:
             curve_from_complex(K)
 
     def test_library_round_trips(self):
-        for K in complex_library():
-            c, fs, r = curve_from_complex(K)
-            assert r.image.canonical() == K.canonical()
-            for f in fs:
-                assert all(c.is_at_infinity(p) for p in principal_divisor(f).support())
+        assert suite_complex_round_trip(rng_for("library"), 22) == 22
 
 
 class TestFit:
@@ -179,9 +154,7 @@ class TestFit:
         assert plane_hypersurface(F).canonical() == K.canonical()
 
     def test_library(self):
-        for K in complex_library():
-            F = fit_tropical_polynomial(K)
-            assert plane_hypersurface(F).canonical() == K.canonical()
+        assert suite_fit(rng_for("library"), 22) == 22
 
     def test_newton_polygons_agree_up_to_translation(self):
         # Fitting a translate changes coefficients, not the exponent set.
@@ -223,27 +196,7 @@ class TestIntersect:
         assert err.value.condition == 2
 
     def test_symmetry_and_translation_invariance(self):
-        rng = rng_for("intersect-sym")
-        done = 0
-        while done < 15:
-            t1 = {(rng.randint(0, 2), rng.randint(0, 2)): Fraction(rng.randint(-4, 4), rng.randint(1, 3))
-                  for _ in range(rng.randint(2, 5))}
-            t2 = {(rng.randint(0, 2), rng.randint(0, 2)): Fraction(rng.randint(-4, 4), rng.randint(1, 3))
-                  for _ in range(rng.randint(2, 5))}
-            try:
-                K1 = plane_hypersurface(TropPoly.of(2, t1))
-                K2 = plane_hypersurface(TropPoly.of(2, t2)).translate(
-                    (Fraction(rng.randint(-20, 20), 7), Fraction(rng.randint(-20, 20), 11)))
-                pts = intersect(K1, K2)
-            except (TropError, NonTransversalError):
-                continue
-            swapped = intersect(K2, K1)
-            assert [(p.point, p.multiplicity) for p in pts] == \
-                   [(p.point, p.multiplicity) for p in swapped]
-            shift = (Fraction(rng.randint(-5, 5), 3), Fraction(rng.randint(-5, 5), 2))
-            moved = intersect(K1.translate(shift), K2.translate(shift))
-            assert sum(p.multiplicity for p in pts) == sum(p.multiplicity for p in moved)
-            done += 1
+        assert suite_intersections(rng_for("intersect-sym"), 15) == 15
 
 
 class TestBezout:
@@ -269,7 +222,7 @@ class TestPerturbedHarmonicFamilies:
         # Tropical scalar multiples keep harmonicity and injectivity, so the
         # translated images must stay balanced.
         rng = rng_for("perturbed")
-        for K in complex_library()[:10]:
+        for K in complex_library(rng_for("library"), 10):
             c, fs, r = curve_from_complex(K)
             scaled = [f.scale(Fraction(rng.randint(-6, 6), rng.randint(1, 4))) for f in fs]
             r2 = realize(c, scaled)

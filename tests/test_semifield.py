@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from tropcurve.errors import TropError
+from tropcurve.selftest import collapse_laws, forget_laws, semifield_laws, suite_germ_axioms
 from tropcurve.semifield import (NEG_INF, UNIT, Germ, TropPoly, TropValue,
                                  germ_generator_report, rat)
 
@@ -50,15 +52,7 @@ class TestTropValue:
 
     @given(trop_values, trop_values, trop_values)
     def test_semifield_axioms(self, a, b, c):
-        assert a.add(b) == b.add(a)
-        assert a.mul(b) == b.mul(a)
-        assert a.add(b).add(c) == a.add(b.add(c))
-        assert a.mul(b).mul(c) == a.mul(b.mul(c))
-        assert a.mul(b.add(c)) == a.mul(b).add(a.mul(c))
-        assert a.add(a) == a
-        assert a.mul(UNIT) == a
-        if not a.is_neg_inf:
-            assert a.mul(a.inv()) == UNIT
+        semifield_laws(a, b, c, UNIT)
 
 
 class TestGerm:
@@ -96,37 +90,15 @@ class TestGerm:
 
     @pytest.mark.parametrize("n", range(6))
     def test_semifield_axioms_sampled(self, n):
-        import random
-
-        rng = random.Random(n)
-        for _ in range(200):
-            def draw():
-                if rng.random() < 0.1:
-                    return Germ.zero(n)
-                return Germ(n, Fraction(rng.randint(-20, 20), rng.randint(1, 9)),
-                            tuple(rng.randint(-6, 6) for _ in range(n)))
-            a, b, c = draw(), draw(), draw()
-            assert a.add(b) == b.add(a)
-            assert a.mul(b) == b.mul(a)
-            assert a.add(b).add(c) == a.add(b.add(c))
-            assert a.mul(b).mul(c) == a.mul(b.mul(c))
-            assert a.mul(b.add(c)) == a.mul(b).add(a.mul(c))
-            assert a.add(a) == a
-            assert a.mul(Germ.unit(n)) == a
-            if not a.is_neg_inf:
-                assert a.mul(a.inv()) == Germ.unit(n)
+        assert suite_germ_axioms(random.Random(n), 200) == 200
 
     @given(germs(3), germs(3), st.integers(1, 3))
     def test_forget_is_homomorphism(self, g, h, k):
-        assert g.add(h).forget(k) == g.forget(k).add(h.forget(k))
-        assert g.mul(h).forget(k) == g.forget(k).mul(h.forget(k))
+        forget_laws(g, h, k, k)
 
     @given(germs(4), st.integers(1, 4), st.integers(1, 4))
     def test_forget_orders_commute(self, g, j, k):
-        a, b = sorted((j, k))
-        if a == b:
-            return
-        assert g.forget(b).forget(a) == g.forget(a).forget(b - 1)
+        forget_laws(g, g, j, k)
 
 
 class TestTropPoly:
@@ -165,9 +137,7 @@ class TestTropPoly:
            st.dictionaries(st.tuples(st.integers(-3, 3), st.integers(-3, 3)),
                            rationals, min_size=1, max_size=5))
     def test_to_germ_is_homomorphism(self, t1, t2):
-        F, G = TropPoly.of(2, t1), TropPoly.of(2, t2)
-        assert F.add(G).to_germ() == F.to_germ().add(G.to_germ())
-        assert F.mul(G).to_germ() == F.to_germ().mul(G.to_germ())
+        collapse_laws(TropPoly.of(2, t1), TropPoly.of(2, t2))
 
     @given(st.dictionaries(st.tuples(st.integers(-3, 3), st.integers(-3, 3)),
                            rationals, min_size=1, max_size=5))
