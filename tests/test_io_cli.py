@@ -15,18 +15,16 @@ from tropcurve.curve import Curve
 from tropcurve.errors import FileFormatError
 from tropcurve.hypersurface import plane_hypersurface
 from tropcurve.plfunction import PLFunction, principal_divisor
-from tropcurve.selftest import SUITES, suite_formats
+from tropcurve.randgen import LINE_POLY
 from tropcurve.semifield import TropPoly
 
 from conftest import identity_fn, rng_for, scaled_fn
-
-LINE_POLY = TropPoly.of(2, {(0, 0): 0, (1, 0): 0, (0, 1): 0})
 
 
 class TestRoundTrips:
     def test_curve(self):
         # Curves, functions, divisors, polynomials and complexes.
-        assert suite_formats(rng_for("io-curve"), 25) == 25
+        assert selftest.suite_formats(rng_for("io-curve"), 25) == 25
 
     def test_divisor(self, line):
         d = principal_divisor(scaled_fn(line, 2))
@@ -230,7 +228,7 @@ class TestCli:
     def test_selftest_quick(self, capsys):
         assert main(["selftest", "--quick", "--json"]) == 0
         payload = json.loads(capsys.readouterr().out)
-        assert sorted(r["suite"] for r in payload) == sorted(name for name, _ in SUITES)
+        assert sorted(r["suite"] for r in payload) == sorted(name for name, _ in selftest.SUITES)
         assert all(r["passed"] for r in payload)
 
     def test_selftest_parallel_is_rejected(self, capsys):
