@@ -147,6 +147,7 @@ def suite_forget_commutes(rng: random.Random, cases: int) -> int:
 
 
 def suite_generator_identities(rng: random.Random, cases: int) -> int:
+    """Deterministic: ranks 1 to 8 whatever the stream and count."""
     for n in range(1, 9):
         assert germ_generator_report(n).ok, f"generator identities fail at rank {n}"
     return 8
@@ -255,18 +256,15 @@ def suite_module_degree(rng: random.Random, cases: int) -> int:
 
 
 def suite_localization(rng: random.Random, cases: int) -> int:
-    done = 0
-    while done < cases:
+    for _ in range(cases):
         c = random_curve(rng)
-        for _ in range(min(5, cases - done)):
-            x = random_point(c, rng)
-            loc = localize(c, x)
-            f, g = random_function(c, rng), random_function(c, rng)
-            assert loc.apply(f.add(g)) == loc.apply(f).add(loc.apply(g))
-            assert loc.apply(f.mul(g)) == loc.apply(f).mul(loc.apply(g))
-            assert (loc.apply(f).slope_sum() == 0) == is_harmonic_at(f, x)
-            done += 1
-    return done
+        x = random_point(c, rng)
+        loc = localize(c, x)
+        f, g = random_function(c, rng), random_function(c, rng)
+        assert loc.apply(f.add(g)) == loc.apply(f).add(loc.apply(g))
+        assert loc.apply(f.mul(g)) == loc.apply(f).mul(loc.apply(g))
+        assert (loc.apply(f).slope_sum() == 0) == is_harmonic_at(f, x)
+    return cases
 
 
 def suite_pullback(rng: random.Random, cases: int) -> int:
@@ -303,27 +301,50 @@ def suite_fit(rng: random.Random, cases: int) -> int:
     return len(library)
 
 
+def _intersection_total(K1, K2, rng: random.Random) -> int | None:
+    """The total multiplicity of a transversal pair, checked symmetric and shift-invariant."""
+    try:
+        pts = intersect(K1, K2)
+    except TropError:
+        return None  # not transversal
+    swapped = intersect(K2, K1)
+    assert [(p.point, p.multiplicity) for p in pts] == \
+           [(p.point, p.multiplicity) for p in swapped]
+    total = sum(p.multiplicity for p in pts)
+    shift = (random_rational(rng), random_rational(rng))
+    moved = intersect(K1.translate(shift), K2.translate(shift))
+    assert total == sum(p.multiplicity for p in moved)
+    return total
+
+
 def suite_intersections(rng: random.Random, cases: int) -> int:
+    """Each case: a transversal pair from the library and one of raw hypersurfaces,
+    disconnected ones included, both within the degree-product bound (of the fitted
+    polynomials for the library pair, of the drawn ones for the raw pair)."""
     done = 0
     while done < cases:
         library = complex_library(rng, 4)
         K1 = rng.choice(library)
         K2 = rng.choice(library).translate((random_rational(rng, -30, 30, 7),
                                             random_rational(rng, -30, 30, 11)))
-        try:
-            pts = intersect(K1, K2)
-        except TropError:
-            continue  # not transversal
-        swapped = intersect(K2, K1)
-        assert [(p.point, p.multiplicity) for p in pts] == \
-               [(p.point, p.multiplicity) for p in swapped]
-        total = sum(p.multiplicity for p in pts)
-        shift = (random_rational(rng), random_rational(rng))
-        moved = intersect(K1.translate(shift), K2.translate(shift))
-        assert total == sum(p.multiplicity for p in moved)
+        total = _intersection_total(K1, K2, rng)
+        if total is None:
+            continue
         d1 = fit_tropical_polynomial(K1).degree()
         d2 = fit_tropical_polynomial(K2).degree()
         assert total <= d1 * d2, f"{total} intersections exceed degrees {d1} * {d2}"
+        while True:
+            F1, F2 = random_plane_poly(rng), random_plane_poly(rng)
+            try:
+                K1 = plane_hypersurface(F1)
+                K2 = plane_hypersurface(F2).translate((random_rational(rng, -20, 20, 7),
+                                                       random_rational(rng, -20, 20, 11)))
+            except TropError:
+                continue  # a monomial has no hypersurface
+            total = _intersection_total(K1, K2, rng)
+            if total is not None:
+                break
+        assert total <= F1.degree() * F2.degree(), f"{total} intersections exceed {F1} * {F2}"
         done += 1
     return done
 

@@ -51,7 +51,8 @@ def test_criterion_01_semifield_axiom_suites():
 
 
 def test_criterion_02_generator_identities():
-    assert suite_generator_identities(random.Random("acceptance-2"), 8) == 8
+    # Deterministic: the suite checks ranks 1..8 whatever stream and count it is given.
+    assert suite_generator_identities(random.Random(), 8) == 8
     v = Germ.of(0, (1, -1))
     assert v.add(Germ.unit(2)) == Germ.of(0, (1, 0))
     assert v.inv().add(Germ.unit(2)) == Germ.of(0, (0, 1))

@@ -12,9 +12,10 @@ from tropcurve.plfunction import (Divisor, PLFunction, chip_fire, disconnection_
                                   extend, is_harmonic_at, module_degree, principal_divisor,
                                   pseudodirect_tuple, rd_contains, restrict, restrict_whole,
                                   split_components, witness_conditions)
-from tropcurve.randgen import random_class_respecting_function, random_curve, random_rational
-from tropcurve.selftest import (suite_chip_fire, suite_disconnection, suite_divisors,
-                                suite_module_degree, suite_restrict_extend)
+from tropcurve.randgen import (random_class_respecting_function, random_curve, random_function,
+                               random_rational)
+from tropcurve.selftest import (semifield_laws, suite_chip_fire, suite_disconnection,
+                                suite_divisors, suite_module_degree, suite_restrict_extend)
 from tropcurve.subgraph import make_subgraph, point_subgraph, whole_subgraph
 
 from conftest import identity_fn, rng_for, scaled_fn
@@ -43,6 +44,14 @@ class TestOps:
     def test_mismatched_curves(self, segment3, line):
         with pytest.raises(TropError):
             PLFunction.constant(segment3, 0).add(PLFunction.constant(line, 0))
+
+    def test_semifield_laws_random(self):
+        # Unfiltered draws, many breakpoints included; criterion 1 keeps to light functions.
+        rng = rng_for("pl-axioms")
+        for _ in range(40):
+            c = random_curve(rng)
+            f, g, h = (random_function(c, rng, allow_neg_inf=True) for _ in range(3))
+            semifield_laws(f, g, h, PLFunction.constant(c, 0))
 
 
 class TestEval:

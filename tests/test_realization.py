@@ -195,6 +195,13 @@ class TestIntersect:
             intersect(Khit, Kc)
         assert err.value.condition == 2
 
+    def test_disconnected_complex(self):
+        Kv = plane_hypersurface(TropPoly.of(2, {(0, 0): 0, (1, 0): 0, (2, 0): -1}))
+        Kh = plane_hypersurface(TropPoly.of(2, {(0, 0): 0, (0, 1): 0}))
+        assert not Kv.is_connected()
+        for pts in (intersect(Kv, Kh), intersect(Kh, Kv)):
+            assert [(p.point, p.multiplicity) for p in pts] == [((0, 0), 1), ((1, 0), 1)]
+
     def test_symmetry_and_translation_invariance(self):
         assert suite_intersections(rng_for("intersect-sym"), 15) == 15
 
