@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -31,12 +32,29 @@ def _coerce_point(p: Sequence, dim: int) -> Vec:
     return q
 
 
+def _int(x, what: str) -> int:
+    if isinstance(x, bool) or not isinstance(x, int):
+        raise TropError(f"{what} must be an integer, not {type(x).__name__}: {x!r}")
+    return x
+
+
+def _fmt(p: Sequence) -> str:
+    return "(" + ", ".join(str(x) for x in p) + ")"
+
+
 @dataclass(frozen=True)
 class PolyComplex1D:
     """Vertices plus weighted segments and rays with primitive directions.
 
-    Edges may meet only at shared vertices; weights are positive integers;
-    ray directions are primitive integer vectors.
+    Two edges may meet only at a vertex that is an endpoint of both, and a
+    vertex that no edge uses lies on no edge; weights are positive integers;
+    ray directions are primitive integer vectors of length ``dim``.
+
+    Every constructor validates all of this except ``_trusted``, which sets
+    the fields as given.  Use it only for a result that is a complex by
+    construction from a complex: ``translate`` (translation keeps every
+    meeting) and ``canonical`` (merging a straight 2-valent vertex or
+    re-anchoring a line touches nothing another edge meets).
     """
 
     dim: int
@@ -63,6 +81,8 @@ class PolyComplex1D:
         for i, d, w in self.rays:
             if not 0 <= i < nv:
                 raise TropError("ray base index out of range")
+            if len(d) != self.dim:
+                raise TropError(f"ray direction {d} has dimension {len(d)}, expected {self.dim}")
             if w <= 0:
                 raise TropError("weights must be positive")
             if ivec_gcd(d) != 1:
@@ -73,9 +93,20 @@ class PolyComplex1D:
     def of(dim: int, vertices: Iterable[Sequence], segments: Iterable[Sequence] = (),
            rays: Iterable[Sequence] = ()) -> "PolyComplex1D":
         vs = tuple(_coerce_point(v, dim) for v in vertices)
-        segs = tuple((int(i), int(j), int(w)) for i, j, w in segments)
-        rs = tuple((int(i), tuple(int(c) for c in d), int(w)) for i, d, w in rays)
+        segs = tuple((_int(i, "segment endpoint"), _int(j, "segment endpoint"), _int(w, "weight"))
+                     for i, j, w in segments)
+        rs = tuple((_int(i, "ray base"), tuple(_int(c, "ray direction component") for c in d),
+                    _int(w, "weight")) for i, d, w in rays)
         return PolyComplex1D(dim, vs, segs, rs)
+
+    @classmethod
+    def _trusted(cls, dim: int, vertices: tuple[Vec, ...], segments: tuple, rays: tuple):
+        """The complex with these fields, unchecked: see the class docstring."""
+        k = object.__new__(cls)
+        for name, value in (("dim", dim), ("vertices", vertices),
+                            ("segments", segments), ("rays", rays)):
+            object.__setattr__(k, name, value)
+        return k
 
     # -- basic queries ---------------------------------------------------
 
@@ -118,23 +149,48 @@ class PolyComplex1D:
 
     def translate(self, offset: Sequence) -> "PolyComplex1D":
         off = _coerce_point(offset, self.dim)
-        return PolyComplex1D(self.dim, tuple(vadd(v, off) for v in self.vertices),
-                             self.segments, self.rays)
+        return PolyComplex1D._trusted(self.dim, tuple(vadd(v, off) for v in self.vertices),
+                                      self.segments, self.rays)
 
     def _check_complex_property(self):
+        """Edges meet only at shared endpoints; unused vertices lie on no edge.
+
+        Only pairs whose boxes meet are tested exactly, edge pairs first and
+        then unused vertices, each in sorted index order, so the first error
+        is the one an all-pairs loop over the same order would raise.
+        """
         edges = list(self.edges())
-        for a in range(len(edges)):
-            for b in range(a + 1, len(edges)):
-                ka, pa, qa, _ = edges[a]
-                kb, pb, qb, _ = edges[b]
-                res = edge_intersection(ka, pa, qa, kb, pb, qb)
-                if res[0] == "none":
-                    continue
-                if res[0] == "overlap":
-                    raise TropError(f"edges {a} and {b} overlap: not a complex")
-                p = res[1]
-                if p not in self.vertices:
-                    raise TropError(f"edges {a} and {b} cross at non-vertex {p}")
+        if not edges:
+            return
+        used = {x for i, j, _ in self.segments for x in (i, j)} | {i for i, _, _ in self.rays}
+        loose = [v for v in range(len(self.vertices)) if v not in used]
+        boxes = [_box(kind, p, q) for kind, p, q, _ in edges]
+        boxes += [tuple((x, x) for x in self.vertices[v]) for v in loose]
+        axis = max(range(self.dim), key=lambda k: (max(v[k] for v in self.vertices)
+                                                   - min(v[k] for v in self.vertices)))
+        n = len(edges)
+        pairs, hits = [], []
+        for a, b in _box_candidates(boxes, axis):
+            if b < n:
+                pairs.append((a, b))
+            elif a < n:
+                hits.append((loose[b - n], a))
+        for a, b in sorted(pairs):
+            ka, pa, qa, _ = edges[a]
+            kb, pb, qb, _ = edges[b]
+            res = edge_intersection(ka, pa, qa, kb, pb, qb)
+            if res[0] == "none":
+                continue
+            if res[0] == "overlap":
+                raise TropError(f"edges {a} and {b} overlap: not a complex")
+            p = res[1]
+            if p not in _ends(edges[a]) or p not in _ends(edges[b]):
+                raise TropError(f"edges {a} and {b} meet at {_fmt(p)}, "
+                                f"which is not an endpoint of both")
+        for v, e in sorted(hits):
+            kind, p, q, _ = edges[e]
+            if (on_segment if kind == "seg" else on_ray)(self.vertices[v], p, q):
+                raise TropError(f"vertex {v} at {_fmt(self.vertices[v])} lies inside edge {e}")
 
     # -- canonical form --------------------------------------------------
 
@@ -205,7 +261,7 @@ class PolyComplex1D:
         remap = {p: i for i, p in enumerate(points)}
         seg_idx = sorted((min(remap[a], remap[b]), max(remap[a], remap[b]), w) for a, b, w in segs)
         ray_idx = sorted((remap[base], d, w) for base, d, w in rays)
-        return PolyComplex1D(self.dim, tuple(points), tuple(seg_idx), tuple(ray_idx))
+        return PolyComplex1D._trusted(self.dim, tuple(points), tuple(seg_idx), tuple(ray_idx))
 
     @staticmethod
     def _dir_away(edge, v: Vec):
@@ -235,6 +291,51 @@ class PolyComplex1D:
             return ("ray", b, e1[2], w)
         # ray + ray in opposite directions: a full line, re-anchored later.
         return ("line", v, e1[2], w)
+
+
+def _ends(edge) -> tuple:
+    return edge[1:3] if edge[0] == "seg" else edge[1:2]
+
+
+def _box(kind: str, p: Sequence, q: Sequence) -> tuple:
+    """Per coordinate, the (lo, hi) extent of an edge; None on a ray's unbounded side."""
+    if kind == "seg":
+        return tuple((a, b) if a <= b else (b, a) for a, b in zip(p, q))
+    return tuple((c, None) if s > 0 else (None, c) if s < 0 else (c, c) for c, s in zip(p, q))
+
+
+def _boxes_meet(A: tuple, B: tuple) -> bool:
+    for (lo1, hi1), (lo2, hi2) in zip(A, B):
+        if hi1 is not None and lo2 is not None and hi1 < lo2:
+            return False
+        if hi2 is not None and lo1 is not None and hi2 < lo1:
+            return False
+    return True
+
+
+def _box_candidates(boxes: Sequence[tuple], axis: int) -> list[tuple[int, int]]:
+    """Index pairs (a, b), a < b, of meeting boxes, by a sweep along one coordinate.
+
+    Boxes enter in order of their low end on the axis and leave once the
+    sweep passes their high end, so only boxes overlapping on the axis are
+    compared in full.
+    """
+    order = sorted(range(len(boxes)),
+                   key=lambda k: (boxes[k][axis][0] is not None, boxes[k][axis][0] or 0))
+    active: dict[int, tuple] = {}
+    leaving: list = []  # heap of (high end on the axis, index)
+    out = []
+    for k in order:
+        box = boxes[k]
+        lo, hi = box[axis]
+        while leaving and lo is not None and leaving[0][0] < lo:
+            del active[heapq.heappop(leaving)[1]]
+        out.extend((min(a, k), max(a, k)) for a, other in active.items()
+                   if _boxes_meet(other, box))
+        active[k] = box
+        if hi is not None:
+            heapq.heappush(leaving, (hi, k))
+    return out
 
 
 def line_anchor(base: Sequence, d: Sequence) -> Vec:
@@ -293,9 +394,14 @@ def intersect(k1: PolyComplex1D, k2: PolyComplex1D) -> tuple[IntersectionPoint, 
     b = k2.canonical()
     a_through = _through_vertices(a)
     b_through = _through_vertices(b)
+    a_vertices, b_vertices = set(a.vertices), set(b.vertices)
+    b_edges = [(e, _box(*e[:3])) for e in b.edges()]
     found: dict[Vec, int] = {}
     for ka, pa, qa, wa in a.edges():
-        for kb, pb, qb, wb in b.edges():
+        box = _box(ka, pa, qa)
+        for (kb, pb, qb, wb), other in b_edges:
+            if not _boxes_meet(box, other):
+                continue
             res = edge_intersection(ka, pa, qa, kb, pb, qb)
             if res[0] == "none":
                 continue
@@ -304,12 +410,12 @@ def intersect(k1: PolyComplex1D, k2: PolyComplex1D) -> tuple[IntersectionPoint, 
             p = res[1]
             da = _slope_vector(ka, pa, qa, wa)
             db = _slope_vector(kb, pb, qb, wb)
-            if p in a.vertices:
+            if p in a_vertices:
                 if p not in a_through:
                     raise NonTransversalError(
                         p, 2, "intersection at a vertex is not two-valent on both sides")
                 da = a_through[p]
-            if p in b.vertices:
+            if p in b_vertices:
                 if p not in b_through:
                     raise NonTransversalError(
                         p, 2, "intersection at a vertex is not two-valent on both sides")

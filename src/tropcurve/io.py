@@ -205,13 +205,13 @@ def complex_to_json(k: PolyComplex1D) -> str:
 def complex_from_json(text: str) -> PolyComplex1D:
     data = _load_json(text)
     _require(isinstance(data, dict) and "dim" in data, "complex file needs a dim")
-    dim = data["dim"]
-    _require(isinstance(dim, int) and dim >= 1, "dim must be a positive integer")
+    dim = _integer(data["dim"], "dim")
+    _require(dim >= 1, "dim must be a positive integer")
     vertices = [[_rational(x, "coordinate") for x in v] for v in data.get("vertices", [])]
     try:
         return PolyComplex1D.of(dim, vertices,
                                 data.get("segments", []), data.get("rays", []))
-    except (TropError, ValueError) as exc:
+    except (TropError, TypeError, ValueError) as exc:
         raise FileFormatError(f"invalid complex: {exc}") from exc
 
 
@@ -243,7 +243,8 @@ def morphism_from_json(source: Curve, target: Curve, text: str) -> Morphism:
             emap[str(eid)] = ("vertex", str(entry["vertex"]))
     degrees = {}
     for eid, d in data.get("degrees", {}).items():
-        _require(isinstance(d, int) and d >= 0, f"degree of {eid!r} must be a nonnegative integer")
+        _require(_integer(d, f"degree of {eid!r}") >= 0,
+                 f"degree of {eid!r} must be a nonnegative integer")
         degrees[str(eid)] = d
     return Morphism(source, target, vmap, emap, degrees)
 

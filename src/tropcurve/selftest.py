@@ -2,8 +2,9 @@
 
 Each ``suite_*`` function takes a seeded ``random.Random`` and a case count,
 checks one family of identities on that many random instances, and returns
-the number of cases it ran; the first violation raises ``AssertionError``.
-The ``selftest`` subcommand runs every suite in ``SUITES``.  The test suite,
+the number of cases it ran; the first violation raises ``AssertionError``
+through ``check``, which ``python -O`` keeps.  The ``selftest`` subcommand
+runs every suite in ``SUITES``.  The test suite,
 acceptance criteria included, calls the same functions with its own seeds,
 case counts and time budgets, and its property-based tests call the
 per-instance laws below, so a deployed install re-verifies exactly what the
@@ -43,32 +44,41 @@ class SuiteResult:
 # -- per-instance laws ------------------------------------------------------------------
 
 
+def check(ok, message: str = "", *args) -> None:
+    """Raise AssertionError unless ok; unlike ``assert``, this survives ``python -O``.
+
+    The message is formatted with args only on failure.
+    """
+    if not ok:
+        raise AssertionError(message.format(*args))
+
+
 def semifield_laws(a, b, c, one) -> None:
     """The semifield axioms on one triple of scalars, germs or functions."""
-    assert a.add(b) == b.add(a)
-    assert a.mul(b) == b.mul(a)
-    assert a.add(b).add(c) == a.add(b.add(c))
-    assert a.mul(b).mul(c) == a.mul(b.mul(c))
-    assert a.mul(b.add(c)) == a.mul(b).add(a.mul(c))
-    assert a.add(a) == a
-    assert a.mul(one) == a
+    check(a.add(b) == b.add(a))
+    check(a.mul(b) == b.mul(a))
+    check(a.add(b).add(c) == a.add(b.add(c)))
+    check(a.mul(b).mul(c) == a.mul(b.mul(c)))
+    check(a.mul(b.add(c)) == a.mul(b).add(a.mul(c)))
+    check(a.add(a) == a)
+    check(a.mul(one) == a)
     if not a.is_neg_inf:
-        assert a.mul(a.inv()) == one
+        check(a.mul(a.inv()) == one)
 
 
 def collapse_laws(F: TropPoly, G: TropPoly) -> None:
     """Taking the germ at the origin is a homomorphism of polynomials."""
-    assert F.add(G).to_germ() == F.to_germ().add(G.to_germ())
-    assert F.mul(G).to_germ() == F.to_germ().mul(G.to_germ())
+    check(F.add(G).to_germ() == F.to_germ().add(G.to_germ()))
+    check(F.mul(G).to_germ() == F.to_germ().mul(G.to_germ()))
 
 
 def forget_laws(g: Germ, h: Germ, j: int, k: int) -> None:
     """Forgetting slope k is a homomorphism, and forgetting slopes j and k commutes."""
-    assert g.add(h).forget(k) == g.forget(k).add(h.forget(k))
-    assert g.mul(h).forget(k) == g.forget(k).mul(h.forget(k))
+    check(g.add(h).forget(k) == g.forget(k).add(h.forget(k)))
+    check(g.mul(h).forget(k) == g.forget(k).mul(h.forget(k)))
     lo, hi = sorted((j, k))
     if lo != hi:
-        assert g.forget(hi).forget(lo) == g.forget(lo).forget(hi - 1)
+        check(g.forget(hi).forget(lo) == g.forget(lo).forget(hi - 1))
 
 
 # Integer points and off-lattice points of the square [-5, 5]^2.
@@ -80,7 +90,7 @@ def argmax_oracle(F: TropPoly, K, points) -> None:
     """K contains exactly the points where the maximum of F is attained twice."""
     for p in points:
         _, arg = F.eval(p)
-        assert (len(arg) >= 2) == K.contains(p), f"hypersurface and argmax disagree at {p}"
+        check((len(arg) >= 2) == K.contains(p), "hypersurface and argmax disagree at {}", p)
 
 
 # -- suites -----------------------------------------------------------------------------
@@ -149,7 +159,7 @@ def suite_forget_commutes(rng: random.Random, cases: int) -> int:
 def suite_generator_identities(rng: random.Random, cases: int) -> int:
     """Deterministic: ranks 1 to 8 whatever the stream and count."""
     for n in range(1, 9):
-        assert germ_generator_report(n).ok, f"generator identities fail at rank {n}"
+        check(germ_generator_report(n).ok, "generator identities fail at rank {}", n)
     return 8
 
 
@@ -161,7 +171,7 @@ def suite_hypersurface_oracle(rng: random.Random, cases: int) -> int:
             K = plane_hypersurface(F)
         except TropError:
             continue  # a monomial has no hypersurface
-        assert check_balanced(K).balanced
+        check(check_balanced(K).balanced)
         argmax_oracle(F, K, GRID + tuple(
             (random_rational(rng, -9, 9, 4), random_rational(rng, -9, 9, 4)) for _ in range(20)))
         done += 1
@@ -172,9 +182,9 @@ def suite_metric(rng: random.Random, cases: int) -> int:
     for _ in range(cases):
         c = random_curve(rng)
         p, q, r = (random_point(c, rng) for _ in range(3))
-        assert c.distance(p, p) == c.distance(q, q) == c.distance(r, r) == 0
-        assert c.distance(p, q) == c.distance(q, p)
-        assert c.distance(p, r) <= c.distance(p, q) + c.distance(q, r)
+        check(c.distance(p, p) == c.distance(q, q) == c.distance(r, r) == 0)
+        check(c.distance(p, q) == c.distance(q, p))
+        check(c.distance(p, r) <= c.distance(p, q) + c.distance(q, r))
     return cases
 
 
@@ -182,12 +192,12 @@ def suite_canonical_model(rng: random.Random, cases: int) -> int:
     for _ in range(cases):
         c = random_curve(rng)
         cm = canonical_model(c)
-        assert canonical_model(cm) == cm
+        check(canonical_model(cm) == cm)
         survivors = [v.id for v in cm.vertices.values() if not v.hidden and v.id in c.vertices]
         for a in survivors:
             for b in survivors:
-                assert (cm.distance(cm.pt_vertex(a), cm.pt_vertex(b))
-                        == c.distance(c.pt_vertex(a), c.pt_vertex(b)))
+                check(cm.distance(cm.pt_vertex(a), cm.pt_vertex(b))
+                      == c.distance(c.pt_vertex(a), c.pt_vertex(b)))
     return cases
 
 
@@ -195,9 +205,9 @@ def suite_divisors(rng: random.Random, cases: int) -> int:
     for _ in range(cases):
         c = random_curve(rng)
         f, g = random_function(c, rng), random_function(c, rng)
-        assert principal_divisor(f).degree() == 0
-        assert principal_divisor(f.mul(g)) == principal_divisor(f).add(principal_divisor(g))
-        assert principal_divisor(f.inv()) == principal_divisor(f).neg()
+        check(principal_divisor(f).degree() == 0)
+        check(principal_divisor(f.mul(g)) == principal_divisor(f).add(principal_divisor(g)))
+        check(principal_divisor(f.inv()) == principal_divisor(f).neg())
     return cases
 
 
@@ -210,9 +220,9 @@ def suite_chip_fire(rng: random.Random, cases: int) -> int:
         for _ in range(8):
             p = random_point(c, rng)
             v = f.value_at(p)
-            assert -depth <= v <= 0
+            check(-depth <= v <= 0)
             if g.contains_point(p):
-                assert v == 0
+                check(v == 0)
     return cases
 
 
@@ -232,9 +242,9 @@ def suite_restrict_extend(rng: random.Random, cases: int) -> int:
                 break
             except TropError:
                 continue
-        assert back is not None, "no descent slope was steep enough"
+        check(back is not None, "no descent slope was steep enough")
         again, _ = restrict_whole(back, g)
-        assert again == fp
+        check(again == fp)
         done += 1
     return done
 
@@ -251,7 +261,7 @@ def suite_module_degree(rng: random.Random, cases: int) -> int:
                 if rng.random() < 0.85:
                     combo = combo.add(g.scale(random_rational(rng)))
             combos.append(gens[0] if combo.is_neg_inf else combo)
-        assert module_degree(gens + combos) == base
+        check(module_degree(gens + combos) == base)
     return cases
 
 
@@ -261,9 +271,9 @@ def suite_localization(rng: random.Random, cases: int) -> int:
         x = random_point(c, rng)
         loc = localize(c, x)
         f, g = random_function(c, rng), random_function(c, rng)
-        assert loc.apply(f.add(g)) == loc.apply(f).add(loc.apply(g))
-        assert loc.apply(f.mul(g)) == loc.apply(f).mul(loc.apply(g))
-        assert (loc.apply(f).slope_sum() == 0) == is_harmonic_at(f, x)
+        check(loc.apply(f.add(g)) == loc.apply(f).add(loc.apply(g)))
+        check(loc.apply(f.mul(g)) == loc.apply(f).mul(loc.apply(g)))
+        check((loc.apply(f).slope_sum() == 0) == is_harmonic_at(f, x))
     return cases
 
 
@@ -276,9 +286,9 @@ def suite_pullback(rng: random.Random, cases: int) -> int:
             continue
         f, g = random_function(c, rng), random_function(c, rng)
         t = random_rational(rng)
-        assert pullback(m, f.add(g)) == pullback(m, f).add(pullback(m, g))
-        assert pullback(m, f.mul(g)) == pullback(m, f).mul(pullback(m, g))
-        assert pullback(m, PLFunction.constant(c, t)) == PLFunction.constant(c, t)
+        check(pullback(m, f.add(g)) == pullback(m, f).add(pullback(m, g)))
+        check(pullback(m, f.mul(g)) == pullback(m, f).mul(pullback(m, g)))
+        check(pullback(m, PLFunction.constant(c, t)) == PLFunction.constant(c, t))
         done += 1
     return done
 
@@ -287,9 +297,9 @@ def suite_complex_round_trip(rng: random.Random, cases: int) -> int:
     library = complex_library(rng, cases)
     for K in library:
         c, fs, r = curve_from_complex(K)
-        assert r.image.canonical() == K.canonical()
+        check(r.image.canonical() == K.canonical())
         for f in fs:
-            assert all(c.is_at_infinity(p) for p in principal_divisor(f).support())
+            check(all(c.is_at_infinity(p) for p in principal_divisor(f).support()))
     return len(library)
 
 
@@ -297,7 +307,7 @@ def suite_fit(rng: random.Random, cases: int) -> int:
     library = complex_library(rng, cases)
     for K in library:
         G = fit_tropical_polynomial(K)
-        assert plane_hypersurface(G).canonical() == K.canonical()
+        check(plane_hypersurface(G).canonical() == K.canonical())
     return len(library)
 
 
@@ -308,12 +318,12 @@ def _intersection_total(K1, K2, rng: random.Random) -> int | None:
     except TropError:
         return None  # not transversal
     swapped = intersect(K2, K1)
-    assert [(p.point, p.multiplicity) for p in pts] == \
-           [(p.point, p.multiplicity) for p in swapped]
+    check([(p.point, p.multiplicity) for p in pts]
+          == [(p.point, p.multiplicity) for p in swapped])
     total = sum(p.multiplicity for p in pts)
     shift = (random_rational(rng), random_rational(rng))
     moved = intersect(K1.translate(shift), K2.translate(shift))
-    assert total == sum(p.multiplicity for p in moved)
+    check(total == sum(p.multiplicity for p in moved))
     return total
 
 
@@ -332,7 +342,7 @@ def suite_intersections(rng: random.Random, cases: int) -> int:
             continue
         d1 = fit_tropical_polynomial(K1).degree()
         d2 = fit_tropical_polynomial(K2).degree()
-        assert total <= d1 * d2, f"{total} intersections exceed degrees {d1} * {d2}"
+        check(total <= d1 * d2, "{} intersections exceed degrees {} * {}", total, d1, d2)
         while True:
             F1, F2 = random_plane_poly(rng), random_plane_poly(rng)
             try:
@@ -344,7 +354,8 @@ def suite_intersections(rng: random.Random, cases: int) -> int:
             total = _intersection_total(K1, K2, rng)
             if total is not None:
                 break
-        assert total <= F1.degree() * F2.degree(), f"{total} intersections exceed {F1} * {F2}"
+        check(total <= F1.degree() * F2.degree(),
+              "{} intersections exceed {} * {}", total, F1, F2)
         done += 1
     return done
 
@@ -353,16 +364,16 @@ def suite_disconnection(rng: random.Random, cases: int) -> int:
     for _ in range(cases):
         parts = [random_curve(rng, share_ray_classes=False) for _ in range(rng.randint(2, 3))]
         result = disconnection_witness(disjoint_union(parts))
-        assert result is not None and result[1].verified
+        check(result is not None and result[1].verified)
         # Negative controls: a connected curve has no witness, and candidates
         # of the same clamp shape never verify on it.
         c = random_curve(rng)
-        assert disconnection_witness(c) is None
+        check(disconnection_witness(c) is None)
         g = random_subgraph(c, rng)
         for cand in (chip_fire(c, g, 4).inv(),
                      chip_fire(c, g, 4).inv().scale(random_rational(rng, 0, 2, 2)),
                      chip_fire(c, g, Fraction(rng.randint(1, 4))).scale(rng.randint(0, 4))):
-            assert not witness_conditions(cand, 3, 2, 1).verified
+            check(not witness_conditions(cand, 3, 2, 1).verified)
     return cases
 
 
@@ -371,19 +382,19 @@ def suite_formats(rng: random.Random, cases: int) -> int:
 
     for _ in range(cases):
         c = random_curve(rng)
-        assert tio.curve_from_json(tio.curve_to_json(c)) == c
+        check(tio.curve_from_json(tio.curve_to_json(c)) == c)
         f = random_function(c, rng, allow_neg_inf=True)
-        assert tio.function_from_json(c, tio.function_to_json(f)) == f
+        check(tio.function_from_json(c, tio.function_to_json(f)) == f)
         if not f.is_neg_inf:
             d = principal_divisor(f)
-            assert tio.divisor_from_json(c, tio.divisor_to_json(d)) == d
+            check(tio.divisor_from_json(c, tio.divisor_to_json(d)) == d)
         F = random_plane_poly(rng)
-        assert tio.poly_from_text(tio.poly_to_text(F), nvars=2) == F
+        check(tio.poly_from_text(tio.poly_to_text(F), nvars=2) == F)
         try:
             K = plane_hypersurface(F)
         except TropError:
             continue  # a monomial has no hypersurface
-        assert tio.complex_from_json(tio.complex_to_json(K)) == K
+        check(tio.complex_from_json(tio.complex_to_json(K)) == K)
     return cases
 
 

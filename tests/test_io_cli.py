@@ -3,6 +3,9 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -65,6 +68,31 @@ class TestRejects:
                                    "edges": [{"id": "e", "u": "A", "v": "B", "length": True}]}))
         assert main(["check-curve", "--curve", str(bad)]) == 65
         assert "not a bool" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("data, message", [
+        ({"dim": 2, "vertices": [["0", "0"]], "rays": [[0, [1], 1]]},
+         "ray direction (1,) has dimension 1, expected 2"),
+        ({"dim": 2, "vertices": [["0", "0"]], "rays": [[0, [1.5, 0], 1], [0, [-1, 0], 1]]},
+         "ray direction component must be an integer, not float"),
+        ({"dim": 2, "vertices": [["0", "0"], ["1", "0"]], "segments": [[0, 1, True]]},
+         "weight must be an integer, not bool"),
+        ({"dim": True, "vertices": [["0"]]}, "dim must be an integer"),
+        ({"dim": 2, "vertices": [["0", "0"]], "rays": [[0, 1, 1]]}, "invalid complex"),
+    ], ids=["short-direction", "float-direction", "bool-weight", "bool-dim", "int-direction"])
+    def test_malformed_complex_exits_65(self, tmp_path, capsys, data, message):
+        (tmp_path / "k.json").write_text(json.dumps(data))
+        assert main(["balance", "--complex", str(tmp_path / "k.json")]) == 65
+        assert message in capsys.readouterr().err
+
+    def test_bool_degree_exits_65(self, workdir, capsys):
+        m = {"vertex_map": {"O": "O", "left.inf": "left.inf", "right.inf": "right.inf"},
+             "edge_map": {"left": {"edge": "left"}, "right": {"edge": "right"}},
+             "degrees": {"left": True, "right": True}}
+        (workdir / "m.json").write_text(json.dumps(m))
+        assert main(["pullback", "--source", str(workdir / "line.json"),
+                     "--target", str(workdir / "line.json"), "--morphism", str(workdir / "m.json"),
+                     "--fn", str(workdir / "x.json")]) == 65
+        assert "degree of 'left' must be an integer" in capsys.readouterr().err
 
     def test_float_length(self):
         text = json.dumps({"vertices": [{"id": "A"}, {"id": "B"}],
@@ -248,6 +276,23 @@ class TestCli:
         assert main(["selftest", "--seed", "7", "--json"]) == 1
         (entry,) = json.loads(capsys.readouterr().out)
         assert entry["detail"] == "ValueError: boom" and entry["seed"] == 7
+
+    def test_selftest_fails_under_optimize(self):
+        # python -O strips assert statements; a false law must still fail the run.
+        code = ("import sys\n"
+                "from tropcurve import selftest\n"
+                "from tropcurve.cli import main\n"
+                "from tropcurve.curve import Curve\n"
+                "Curve.distance = lambda self, p, q: 1\n"
+                "selftest.SUITES = [('distance is a metric', selftest.suite_metric)]\n"
+                "print('optimize', sys.flags.optimize)\n"
+                "sys.exit(main(['selftest', '--seed', '5']))\n")
+        src = Path(__file__).resolve().parents[1] / "src"
+        proc = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": str(src)}, timeout=120)
+        assert proc.returncode == 1, proc.stdout + proc.stderr
+        assert "optimize 1" in proc.stdout
+        assert "FAIL  distance is a metric: AssertionError; reproduce with --seed 5" in proc.stdout
 
     def test_weight_generator_mode(self, workdir, capsys):
         assert main(["weight", "--curve", str(workdir / "line.json"),
