@@ -19,9 +19,8 @@ from .curve import INF, Curve, canonical_model
 from .errors import FileFormatError, NonTransversalError, TropError
 from .glue import glue, glue_function
 from .morphism import localize, pullback, validate_morphism, weight_check, weight_from_generators
-from .plfunction import (PLFunction, chip_fire, disconnection_witness, is_harmonic_at,
-                         module_degree, principal_divisor, restrict_whole, split_components,
-                         extend)
+from .plfunction import (PLFunction, _slope_sum, chip_fire, disconnection_witness, extend,
+                         module_degree, principal_divisor, restrict_whole, split_components)
 from .realization import (bezout_check, check_realization, curve_from_complex,
                           fit_tropical_polynomial, harmonic_balance_report, realize)
 from .semifield import TropPoly, rat
@@ -274,8 +273,8 @@ def _cmd_harmonic(args) -> int:
     c = _curve(args.curve)
     f = _function(args.fn, c)
     p = tio.parse_point(c, args.point)
-    result = is_harmonic_at(f, p)
-    coeff = principal_divisor(f).coeff(p)
+    coeff = _slope_sum(f, p)
+    result = coeff == 0
     _emit({"harmonic": result, "coefficient": coeff},
           f"harmonic at {p}: {result} (coefficient {coeff})", args.json)
     return 0 if result else 1

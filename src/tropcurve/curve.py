@@ -113,6 +113,7 @@ class Curve:
         self._validate()
         self._build_arcs()
         self._dijkstra_cache: dict[str, dict[str, "Fraction | float"]] = {}
+        self._key: tuple | None = None
 
     # -- construction ------------------------------------------------------
 
@@ -233,15 +234,18 @@ class Curve:
         }
 
     def key(self):
-        d = self.description()
-        return (
-            tuple((v["id"], v["at_infinity"]) for v in d["vertices"]),
-            tuple((e["id"], e["u"], e["v"], e["length"]) for e in d["edges"]),
-            tuple(d["ray_classes"].items()),
-        )
+        """The description as nested tuples, built once: a curve never changes."""
+        if self._key is None:
+            d = self.description()
+            self._key = (
+                tuple((v["id"], v["at_infinity"]) for v in d["vertices"]),
+                tuple((e["id"], e["u"], e["v"], e["length"]) for e in d["edges"]),
+                tuple(d["ray_classes"].items()),
+            )
+        return self._key
 
     def __eq__(self, other):
-        return isinstance(other, Curve) and self.key() == other.key()
+        return self is other or (isinstance(other, Curve) and self.key() == other.key())
 
     def __hash__(self):
         return hash(self.key())

@@ -207,7 +207,10 @@ def complex_from_json(text: str) -> PolyComplex1D:
     _require(isinstance(data, dict) and "dim" in data, "complex file needs a dim")
     dim = _integer(data["dim"], "dim")
     _require(dim >= 1, "dim must be a positive integer")
-    vertices = [[_rational(x, "coordinate") for x in v] for v in data.get("vertices", [])]
+    raw = data.get("vertices", [])
+    _require(isinstance(raw, list) and all(isinstance(v, list) for v in raw),
+             "complex vertices must be a list of coordinate lists")
+    vertices = [[_rational(x, "coordinate") for x in v] for v in raw]
     try:
         return PolyComplex1D.of(dim, vertices,
                                 data.get("segments", []), data.get("rays", []))

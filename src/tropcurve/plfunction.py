@@ -7,8 +7,10 @@ equality is structural equality of normalized profiles.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import itemgetter
 from typing import Iterable, Mapping, Sequence
 
 from .curve import INF, Curve, PointRef
@@ -35,20 +37,20 @@ class Profile:
             if self.tail is None:
                 raise TropError(f"offset {t} beyond arc end")
             return bs[-1][1] + self.tail * (t - bs[-1][0])
-        for k in range(len(bs) - 1, -1, -1):
-            if bs[k][0] <= t:
-                if bs[k][0] == t:
-                    return bs[k][1]
-                o0, v0 = bs[k]
-                o1, v1 = bs[k + 1]
-                return v0 + (v1 - v0) * (t - o0) / (o1 - o0)
-        raise TropError(f"offset {t} before arc start")
+        k = bisect_right(bs, t, key=itemgetter(0)) - 1
+        if k < 0:
+            raise TropError(f"offset {t} before arc start")
+        o0, v0 = bs[k]
+        if o0 == t:
+            return v0
+        o1, v1 = bs[k + 1]
+        return v0 + (v1 - v0) * (t - o0) / (o1 - o0)
 
     def slope_right(self, t: Fraction) -> int:
         bs = self.breaks
-        for k in range(len(bs) - 1):
-            if bs[k][0] <= t < bs[k + 1][0]:
-                return _slope(bs[k], bs[k + 1])
+        k = bisect_right(bs, t, key=itemgetter(0)) - 1
+        if 0 <= k < len(bs) - 1:
+            return _slope(bs[k], bs[k + 1])
         if self.tail is None:
             raise TropError(f"no piece right of {t}")
         return self.tail
@@ -57,17 +59,42 @@ class Profile:
         bs = self.breaks
         if self.tail is not None and t > bs[-1][0]:
             return self.tail
-        for k in range(len(bs) - 1, 0, -1):
-            if bs[k - 1][0] < t <= bs[k][0]:
-                return _slope(bs[k - 1], bs[k])
+        k = bisect_left(bs, t, key=itemgetter(0))
+        if 0 < k < len(bs):
+            return _slope(bs[k - 1], bs[k])
         raise TropError(f"no piece left of {t}")
 
 
 def _slope(b0, b1) -> int:
-    s = (b1[1] - b0[1]) / (b1[0] - b0[0])
-    if s.denominator != 1:
-        raise TropError(f"non-integer slope {s}")
-    return int(s)
+    rise, run = b1[1] - b0[1], b1[0] - b0[0]
+    q, r = divmod(rise.numerator * run.denominator, rise.denominator * run.numerator)
+    if r:
+        raise TropError(f"non-integer slope {rise / run}")
+    return q
+
+
+def _slopes(p: Profile) -> list[int]:
+    """The slope of each piece left to right, then the tail slope on a ray."""
+    bs = p.breaks
+    out = [_slope(b0, b1) for b0, b1 in zip(bs, bs[1:])]
+    if p.tail is not None:
+        out.append(p.tail)
+    return out
+
+
+def _slopes_right(p: Profile, offsets: Sequence[Fraction]) -> list[int]:
+    """Slopes right of sorted offsets in [0, end of the last piece), in one sweep."""
+    bs = p.breaks
+    s = _slopes(p)
+    out = []
+    k = 0
+    for t in offsets:
+        while k + 1 < len(bs) and bs[k + 1][0] <= t:
+            k += 1
+        if k == len(s):
+            raise TropError(f"no piece right of {t}")
+        out.append(s[k])
+    return out
 
 
 def _normalize(breaks: Sequence[tuple[Fraction, Fraction]], tail: int | None) -> Profile:
@@ -216,6 +243,22 @@ class PLFunction:
         self.profiles = {aid: _normalize(p.breaks, p.tail) for aid, p in profiles.items()}
         self.isolated = dict(isolated or {})
         self._validate()
+
+    @classmethod
+    def _trusted(cls, curve: Curve, profiles: dict[str, Profile],
+                 isolated: dict[str, Fraction]) -> "PLFunction":
+        """A function taking normalized, valid profiles as given.
+
+        Only for the kernel results of ``add``, ``mul``, ``inv``, ``pow`` and
+        ``scale``, which are normalized, continuous and integer-sloped by
+        construction from valid operands.  Everything else goes through
+        ``PLFunction(...)``, which normalizes and validates.
+        """
+        f = cls.__new__(cls)
+        f.curve = curve
+        f.profiles = profiles
+        f.isolated = isolated
+        return f
 
     # -- construction -------------------------------------------------------
 
@@ -384,7 +427,7 @@ class PLFunction:
         profiles = {aid: _combine2(self.profiles[aid], other.profiles[aid], "max")
                     for aid in self.profiles}
         iso = {vid: max(v, other.isolated[vid]) for vid, v in self.isolated.items()}
-        return PLFunction(self.curve, profiles, iso)
+        return PLFunction._trusted(self.curve, profiles, iso)
 
     def mul(self, other: "PLFunction") -> "PLFunction":
         """Tropical product: pointwise ordinary sum."""
@@ -394,29 +437,33 @@ class PLFunction:
         profiles = {aid: _combine2(self.profiles[aid], other.profiles[aid], "add")
                     for aid in self.profiles}
         iso = {vid: v + other.isolated[vid] for vid, v in self.isolated.items()}
-        return PLFunction(self.curve, profiles, iso)
+        return PLFunction._trusted(self.curve, profiles, iso)
 
     def inv(self) -> "PLFunction":
         if self.profiles is None:
             raise TropError("zero has no multiplicative inverse")
-        return PLFunction(self.curve, {a: _negate(p) for a, p in self.profiles.items()},
-                          {vid: -v for vid, v in self.isolated.items()})
+        return PLFunction._trusted(self.curve, {a: _negate(p) for a, p in self.profiles.items()},
+                                   {vid: -v for vid, v in self.isolated.items()})
 
     def pow(self, k: int) -> "PLFunction":
+        if not isinstance(k, int):
+            raise TropError(f"exponent must be an integer, not {type(k).__name__}")
         if self.profiles is None:
             if k <= 0:
                 raise TropError("zero has no multiplicative inverse")
             return self
-        return PLFunction(self.curve, {a: _scale_values(p, k) for a, p in self.profiles.items()},
-                          {vid: v * k for vid, v in self.isolated.items()})
+        return PLFunction._trusted(self.curve,
+                                   {a: _scale_values(p, k) for a, p in self.profiles.items()},
+                                   {vid: v * k for vid, v in self.isolated.items()})
 
     def scale(self, t) -> "PLFunction":
         """Tropical scalar multiple: add a constant (or collapse to -inf)."""
         tv = t if isinstance(t, TropValue) else TropValue.of(t)
         if tv.is_neg_inf or self.profiles is None:
             return PLFunction.neg_inf(self.curve)
-        return PLFunction(self.curve, {a: _shift(p, tv.coef) for a, p in self.profiles.items()},
-                          {vid: v + tv.coef for vid, v in self.isolated.items()})
+        return PLFunction._trusted(self.curve,
+                                   {a: _shift(p, tv.coef) for a, p in self.profiles.items()},
+                                   {vid: v + tv.coef for vid, v in self.isolated.items()})
 
     # -- ray classes -----------------------------------------------------------------
 
@@ -461,6 +508,19 @@ class Divisor:
                 acc[p] = acc.get(p, 0) + k
         self.coeffs = {p: k for p, k in acc.items() if k != 0}
 
+    @classmethod
+    def _trusted(cls, curve: Curve, coeffs: dict[PointRef, int]) -> "Divisor":
+        """A divisor taking ``coeffs`` as given, without the point checks.
+
+        Only for ``principal_divisor``, whose points come from the curve's own
+        arcs, each once, with nonzero integer coefficients.  Everything else
+        goes through ``Divisor(...)``.
+        """
+        d = cls.__new__(cls)
+        d.curve = curve
+        d.coeffs = coeffs
+        return d
+
     def coeff(self, p: PointRef) -> int:
         return self.coeffs.get(p, 0)
 
@@ -501,59 +561,45 @@ def principal_divisor(f: PLFunction) -> Divisor:
     """Sum of outgoing slopes at every point, as a divisor.
 
     At a point at infinity the single outgoing slope is the slope toward
-    infinity times minus one.
+    infinity times minus one.  One slope sweep per arc: each vertex, point
+    at infinity and interior breakpoint is reached exactly once.
     """
     if f.profiles is None:
         raise TropError("the zero function has no principal divisor")
     c = f.curve
+    slopes = {aid: _slopes(prof) for aid, prof in f.profiles.items()}
     coeffs: dict[PointRef, int] = {}
-
-    def bump(p: PointRef, k: int):
-        if k:
-            coeffs[p] = coeffs.get(p, 0) + k
-
     for vid, ends in c.arcs_at.items():
         if not ends:
             continue
         info = c.vertices[vid]
         if info.at_infinity:
             aid, _ = ends[0]
-            bump(c.pt_infinity_of(c.arcs[aid].edge), -f.profiles[aid].tail)
-            continue
-        total = 0
-        for aid, sign in ends:
-            prof = f.profiles[aid]
-            if sign > 0:
-                total += prof.slope_right(Fraction(0))
-            elif prof.tail is None:
-                total += -prof.slope_left(prof.breaks[-1][0])
-            else:
-                total += -prof.tail
-        point = (c.pt_vertex(vid) if not info.hidden
-                 else c.pt_on_edge(*c.hidden_info[vid]))
-        bump(point, total)
+            point, total = c.pt_infinity_of(c.arcs[aid].edge), -slopes[aid][-1]
+        else:
+            total = sum(slopes[aid][0] if sign > 0 else -slopes[aid][-1] for aid, sign in ends)
+            point = (c.pt_vertex(vid) if not info.hidden
+                     else c.pt_on_edge(*c.hidden_info[vid]))
+        if total:
+            coeffs[point] = total
     for aid, prof in f.profiles.items():
-        arc = c.arcs[aid]
-        interior = prof.breaks[1:-1] if prof.tail is None else prof.breaks[1:]
-        for o, _ in interior:
-            change = prof.slope_right(o) - prof.slope_left(o)
-            bump(c.point_from_arc(aid, o), change)
-    return Divisor(c, coeffs)
+        s = slopes[aid]
+        for k in range(1, len(s)):
+            if s[k] != s[k - 1]:
+                coeffs[c.point_from_arc(aid, prof.breaks[k][0])] = s[k] - s[k - 1]
+    return Divisor._trusted(c, coeffs)
+
+
+def _slope_sum(f: PLFunction, p: PointRef) -> int:
+    """The coefficient of p in the principal divisor of f, from p's own slopes."""
+    if f.profiles is None:
+        raise TropError("the zero function has no principal divisor")
+    return sum(f.outgoing_slope(p, d) for d in f.curve.directions_at(p))
 
 
 def is_harmonic_at(f: PLFunction, p: PointRef) -> bool:
     """True when the outgoing slopes of f at p sum to zero."""
-    return principal_divisor(f).coeff(_normalize_point(f.curve, p)) == 0
-
-
-def _normalize_point(c: Curve, p: PointRef) -> PointRef:
-    kind, ident, off = c._resolve(p)
-    if kind == "vertex":
-        if ident in c.hidden_info:
-            return PointRef("on_edge", edge=c.hidden_info[ident][0], offset=c.hidden_info[ident][1])
-        return c.pt_vertex(ident)
-    arc = c.arcs[ident]
-    return c.pt_on_edge(arc.edge, arc.start + off)
+    return _slope_sum(f, p) == 0
 
 
 def rd_contains(d: Divisor, f: PLFunction) -> bool:

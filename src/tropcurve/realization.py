@@ -21,7 +21,8 @@ from .curve import INF, Curve, PointRef
 from .errors import TropError
 from .geometry import ivec_gcd, primitive_of, vadd, vscale, vsub
 from .hypersurface import plane_hypersurface
-from .plfunction import PLFunction, _isolated_vertices, principal_divisor
+from .plfunction import (PLFunction, _isolated_vertices, _slopes_right, _values_at,
+                         principal_divisor)
 from .semifield import TropPoly
 
 
@@ -95,26 +96,22 @@ def realize(c: Curve, fs: Sequence[PLFunction]) -> RealizationMap:
         skeleton.append((pt, coords))
 
     for aid, arc in sorted(c.arcs.items()):
-        offsets = {Fraction(0)}
-        if arc.length != INF:
-            offsets.add(arc.length)
-        for f in fs:
-            for o, _ in f.profiles[aid].breaks:
-                offsets.add(o)
-        offs = sorted(offsets)
-        values = {o: tuple(f.profiles[aid].value(o) for f in fs) for o in offs}
-        for o in offs:
+        profs = [f.profiles[aid] for f in fs]
+        offs = sorted({o for p in profs for o, _ in p.breaks})
+        values = list(zip(*(_values_at(p, offs) for p in profs)))
+        ids = []
+        for o, coords in zip(offs, values):
             pt = c.point_from_arc(aid, o)
-            vid(values[o], pt)
+            ids.append(vid(coords, pt))
             if pt not in seen_points:
                 seen_points.add(pt)
-                skeleton.append((pt, values[o]))
-        for lo, hi in zip(offs, offs[1:]):
-            slopes = tuple(f.profiles[aid].slope_right(lo) for f in fs)
-            pieces.append(Piece(aid, lo, hi, slopes, values[lo]))
+                skeleton.append((pt, coords))
+        piece_slopes = zip(*(_slopes_right(p, offs[:-1]) for p in profs))
+        for k, slopes in enumerate(piece_slopes):
+            pieces.append(Piece(aid, offs[k], offs[k + 1], slopes, values[k]))
             if all(s == 0 for s in slopes):
                 continue
-            i, j = vertex_ids[values[lo]], vertex_ids[values[hi]]
+            i, j = ids[k], ids[k + 1]
             key = (min(i, j), max(i, j))
             g = ivec_gcd(slopes)
             if key in seg_weights:
@@ -123,13 +120,11 @@ def realize(c: Curve, fs: Sequence[PLFunction]) -> RealizationMap:
             else:
                 seg_weights[key] = g
         if arc.length == INF:
-            tails = tuple(f.profiles[aid].tail for f in fs)
-            last = offs[-1]
-            pieces.append(Piece(aid, last, INF, tails, values[last]))
+            tails = tuple(p.tail for p in profs)
+            pieces.append(Piece(aid, offs[-1], INF, tails, values[-1]))
             if any(t != 0 for t in tails):
                 prim, _ = primitive_of(tails)
-                base = vertex_ids[values[last]]
-                key = (base, prim)
+                key = (ids[-1], prim)
                 g = ivec_gcd(tails)
                 if key in ray_weights:
                     merged_edges = True

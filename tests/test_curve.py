@@ -24,6 +24,14 @@ class TestBuild:
         inf_vs = [v for v in c.vertices.values() if v.at_infinity]
         assert len(inf_vs) == 1 and c.valence(c.pt_vertex(inf_vs[0].id)) == 1
 
+    def test_key_built_once_and_equality(self):
+        build = lambda: Curve.build(vertices=["A"], edges=[("l", "A", "A", 2), ("r", "A", None, INF)],
+                                    ray_classes={"r": "x"})
+        c, d = build(), build()
+        assert c.key() is c.key()
+        assert c == c and c == d and hash(c) == hash(d)
+        assert c != Curve.segment(2) and c != "c"
+
     def test_parallel_classes_allowed(self):
         both = Curve.build(vertices=["A", "B"],
                            edges=[("l", "A", None, INF), ("m", "A", "B", 1), ("r", "B", None, INF)],

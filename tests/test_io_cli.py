@@ -84,6 +84,14 @@ class TestRejects:
         assert main(["balance", "--complex", str(tmp_path / "k.json")]) == 65
         assert message in capsys.readouterr().err
 
+    @pytest.mark.parametrize("vertices", [[5], 5], ids=["int-vertex", "int-vertices"])
+    def test_vertices_not_lists_exit_65(self, tmp_path, capsys, vertices):
+        data = {"dim": 2, "vertices": vertices, "segments": [], "rays": []}
+        (tmp_path / "k.json").write_text(json.dumps(data))
+        assert main(["balance", "--complex", str(tmp_path / "k.json")]) == 65
+        assert capsys.readouterr().err.startswith(
+            "error: complex vertices must be a list of coordinate lists")
+
     def test_bool_degree_exits_65(self, workdir, capsys):
         m = {"vertex_map": {"O": "O", "left.inf": "left.inf", "right.inf": "right.inf"},
              "edge_map": {"left": {"edge": "left"}, "right": {"edge": "right"}},
@@ -175,6 +183,27 @@ class TestCli:
                      "--fn", str(workdir / "x.json"), "--point", "O"]) == 0
         assert main(["harmonic", "--curve", str(workdir / "line.json"),
                      "--fn", str(workdir / "x.json"), "--point", "right.inf"]) == 1
+
+    @pytest.mark.parametrize("spec", ["P", "s@1", "l@2", "r.inf", "A", "s@1/2"],
+                             ids=["vertex", "breakpoint", "loop-midpoint", "infinity",
+                                  "harmonic-vertex", "harmonic-interior"])
+    def test_harmonic_reports_the_divisor_coefficient(self, tmp_path, capsys, spec):
+        c = Curve.build(vertices=["P"], edges=[("l", "P", "P", 4), ("s", "P", "A", 2),
+                                               ("r", "P", None, "inf")], ray_classes={"r": "x"})
+        f = PLFunction.from_edge_data(c, {"l": ([(0, 0), (2, 2), (4, 0)], None),
+                                          "s": ([(0, 0), (1, 1), (2, 1)], None),
+                                          "r": ([(0, 0)], 1)})
+        (tmp_path / "c.json").write_text(tio.curve_to_json(c))
+        (tmp_path / "f.json").write_text(tio.function_to_json(f))
+        p = tio.parse_point(c, spec)
+        coeff = principal_divisor(f).coeff(p)
+        args = ["harmonic", "--curve", str(tmp_path / "c.json"), "--fn", str(tmp_path / "f.json"),
+                "--point", spec]
+        assert main(args) == (0 if coeff == 0 else 1)
+        assert capsys.readouterr().out == f"harmonic at {p}: {coeff == 0} (coefficient {coeff})\n"
+        main(args + ["--json"])
+        assert capsys.readouterr().out == json.dumps(
+            {"harmonic": coeff == 0, "coefficient": coeff}, indent=2) + "\n"
 
     def test_intersect_example(self, workdir, capsys):
         code = main(["intersect", "--a", str(workdir / "line0.json"),
