@@ -5,23 +5,11 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Iterable, Sequence
 
 from .errors import NonTransversalError, TropError
-from .geometry import (
-    IVec,
-    Vec,
-    dot,
-    edge_intersection,
-    ivec_gcd,
-    on_ray,
-    on_segment,
-    parallel,
-    primitive_of,
-    vadd,
-    vscale,
-    vsub,
-)
+from .geometry import IVec, Vec, dot, edge_intersection, ivec_gcd, on_edge, parallel, vadd, vsub
 from .semifield import rat
 
 
@@ -40,6 +28,32 @@ def _int(x, what: str) -> int:
 
 def _fmt(p: Sequence) -> str:
     return "(" + ", ".join(str(x) for x in p) + ")"
+
+
+def _on_integers(*groups: Sequence[Sequence]) -> tuple[int, list[list[IVec]]]:
+    """One scale L > 0, the lcm of every coordinate's denominator, and each
+    group of rational points multiplied by it.
+
+    Multiplying by L keeps order, equality and collinearity, so every
+    predicate in this module decides exactly on the integer points.
+    """
+    ratios = [[[x.as_integer_ratio() for x in p] for p in g] for g in groups]
+    L = lcm(*(d for g in ratios for p in g for _, d in p))
+    return L, [[tuple(n * (L // d) for n, d in p) for p in g] for g in ratios]
+
+
+def _unscaled(num: Sequence[int], den: int) -> Vec:
+    return tuple(Fraction(x, den) for x in num)
+
+
+def _int_edges(k: "PolyComplex1D", P: Sequence[IVec], L: int) -> list[tuple]:
+    """k's edges ("seg", p, q) and ("ray", base, direction) on the vertices P = L * k.vertices.
+
+    Ray directions are scaled by L too, so a point keeps its parameter along
+    every edge and an overlap witness is L times the rational one.
+    """
+    return ([("seg", P[i], P[j]) for i, j, _ in k.segments]
+            + [("ray", P[i], tuple(L * x for x in d)) for i, d, _ in k.rays])
 
 
 @dataclass(frozen=True)
@@ -63,13 +77,15 @@ class PolyComplex1D:
     rays: tuple[tuple[int, IVec, int], ...]
 
     def __post_init__(self):
-        seen = set()
         for v in self.vertices:
             if len(v) != self.dim:
                 raise TropError(f"vertex {v} has wrong dimension")
-            if v in seen:
+        L, (P,) = _on_integers(self.vertices)
+        seen = set()
+        for v, p in zip(self.vertices, P):
+            if p in seen:
                 raise TropError(f"duplicate vertex {v}")
-            seen.add(v)
+            seen.add(p)
         nv = len(self.vertices)
         for i, j, w in self.segments:
             if not (0 <= i < nv and 0 <= j < nv):
@@ -87,7 +103,7 @@ class PolyComplex1D:
                 raise TropError("weights must be positive")
             if ivec_gcd(d) != 1:
                 raise TropError(f"ray direction {d} is not primitive")
-        self._check_complex_property()
+        self._check_complex_property(P, L)
 
     @staticmethod
     def of(dim: int, vertices: Iterable[Sequence], segments: Iterable[Sequence] = (),
@@ -110,26 +126,12 @@ class PolyComplex1D:
 
     # -- basic queries ---------------------------------------------------
 
-    def edges(self):
-        """Yield ("seg", p, q, w) and ("ray", base, dir, w) tuples."""
-        for i, j, w in self.segments:
-            yield ("seg", self.vertices[i], self.vertices[j], w)
-        for i, d, w in self.rays:
-            yield ("ray", self.vertices[i], d, w)
-
     def edge_count(self) -> int:
         return len(self.segments) + len(self.rays)
 
     def contains(self, p: Sequence) -> bool:
-        q = _coerce_point(p, self.dim)
-        if q in self.vertices:
-            return True
-        for kind, a, b, _ in self.edges():
-            if kind == "seg" and on_segment(q, a, b):
-                return True
-            if kind == "ray" and on_ray(q, a, b):
-                return True
-        return False
+        L, (P, (q,)) = _on_integers(self.vertices, [_coerce_point(p, self.dim)])
+        return q in P or any(on_edge(*e, q) for e in _int_edges(self, P, L))
 
     def is_connected(self) -> bool:
         n = len(self.vertices)
@@ -152,22 +154,22 @@ class PolyComplex1D:
         return PolyComplex1D._trusted(self.dim, tuple(vadd(v, off) for v in self.vertices),
                                       self.segments, self.rays)
 
-    def _check_complex_property(self):
+    def _check_complex_property(self, P: Sequence[IVec], L: int):
         """Edges meet only at shared endpoints; unused vertices lie on no edge.
 
-        Only pairs whose boxes meet are tested exactly, edge pairs first and
-        then unused vertices, each in sorted index order, so the first error
-        is the one an all-pairs loop over the same order would raise.
+        P holds the vertices times the scale L of ``_on_integers``.  Only
+        pairs whose boxes meet are tested exactly, edge pairs first and then
+        unused vertices, each in sorted index order, so the first error is
+        the one an all-pairs loop over the same order would raise.
         """
-        edges = list(self.edges())
+        edges = _int_edges(self, P, L)
         if not edges:
             return
         used = {x for i, j, _ in self.segments for x in (i, j)} | {i for i, _, _ in self.rays}
-        loose = [v for v in range(len(self.vertices)) if v not in used]
-        boxes = [_box(kind, p, q) for kind, p, q, _ in edges]
-        boxes += [tuple((x, x) for x in self.vertices[v]) for v in loose]
-        axis = max(range(self.dim), key=lambda k: (max(v[k] for v in self.vertices)
-                                                   - min(v[k] for v in self.vertices)))
+        loose = [v for v in range(len(P)) if v not in used]
+        boxes = [_box(*e) for e in edges]
+        boxes += [tuple((x, x) for x in P[v]) for v in loose]
+        axis = max(range(self.dim), key=lambda k: max(p[k] for p in P) - min(p[k] for p in P))
         n = len(edges)
         pairs, hits = [], []
         for a, b in _box_candidates(boxes, axis):
@@ -176,20 +178,16 @@ class PolyComplex1D:
             elif a < n:
                 hits.append((loose[b - n], a))
         for a, b in sorted(pairs):
-            ka, pa, qa, _ = edges[a]
-            kb, pb, qb, _ = edges[b]
-            res = edge_intersection(ka, pa, qa, kb, pb, qb)
+            res = edge_intersection(*edges[a], *edges[b])
             if res[0] == "none":
                 continue
             if res[0] == "overlap":
                 raise TropError(f"edges {a} and {b} overlap: not a complex")
-            p = res[1]
-            if p not in _ends(edges[a]) or p not in _ends(edges[b]):
-                raise TropError(f"edges {a} and {b} meet at {_fmt(p)}, "
+            if not (res[3] and res[4]):
+                raise TropError(f"edges {a} and {b} meet at {_fmt(_unscaled(res[1], res[2] * L))}, "
                                 f"which is not an endpoint of both")
         for v, e in sorted(hits):
-            kind, p, q, _ = edges[e]
-            if (on_segment if kind == "seg" else on_ray)(self.vertices[v], p, q):
+            if on_edge(*edges[e], P[v]):
                 raise TropError(f"vertex {v} at {_fmt(self.vertices[v])} lies inside edge {e}")
 
     # -- canonical form --------------------------------------------------
@@ -198,21 +196,25 @@ class PolyComplex1D:
         """Dissolve straight 2-valent vertices, re-anchor full lines, sort.
 
         Two complexes with the same weighted support have equal canonical
-        forms, which makes support equality a structural comparison.
+        forms, which makes support equality a structural comparison.  The
+        work runs on the vertices times the scale of ``_on_integers``; a
+        vertex that survives keeps its original coordinates.
         """
+        L, (P,) = _on_integers(self.vertices)
         used = set()
         for i, j, _ in self.segments:
             used.update((i, j))
         for i, _, _ in self.rays:
             used.add(i)
-        isolated = [self.vertices[i] for i in range(len(self.vertices)) if i not in used]
+        isolated = [P[i] for i in range(len(P)) if i not in used]
 
         # Mutable edge soup: ("seg", p, q, w) / ("ray", base, d, w) / ("line", base, d, w).
-        edges = list(self.edges())
+        edges = ([("seg", P[i], P[j], w) for i, j, w in self.segments]
+                 + [("ray", P[i], d, w) for i, d, w in self.rays])
         changed = True
         while changed:
             changed = False
-            incident: dict[Vec, list[int]] = {}
+            incident: dict[IVec, list[int]] = {}
             for idx, e in enumerate(edges):
                 if e[0] == "seg":
                     incident.setdefault(e[1], []).append(idx)
@@ -245,10 +247,9 @@ class PolyComplex1D:
                 segs.append((a, b, e[3]))
             elif e[0] == "ray":
                 rays.append((e[1], e[2], e[3]))
-            else:  # full line through base with direction d
-                base, d, w = e[1], e[2], e[3]
-                anchor = line_anchor(base, d)
-                dpos, _ = primitive_of(d)
+            else:  # full line through base with primitive direction d
+                base, dpos, w = e[1], e[2], e[3]
+                anchor = line_anchor(base, dpos)  # may leave the lattice: Fractions
                 dneg = tuple(-x for x in dpos)
                 if dneg < dpos:
                     dpos, dneg = dneg, dpos
@@ -261,10 +262,12 @@ class PolyComplex1D:
         remap = {p: i for i, p in enumerate(points)}
         seg_idx = sorted((min(remap[a], remap[b]), max(remap[a], remap[b]), w) for a, b, w in segs)
         ray_idx = sorted((remap[base], d, w) for base, d, w in rays)
-        return PolyComplex1D._trusted(self.dim, tuple(points), tuple(seg_idx), tuple(ray_idx))
+        original = dict(zip(P, self.vertices))
+        vertices = tuple(original[p] if p in original else _unscaled(p, L) for p in points)
+        return PolyComplex1D._trusted(self.dim, vertices, tuple(seg_idx), tuple(ray_idx))
 
     @staticmethod
-    def _dir_away(edge, v: Vec):
+    def _dir_away(edge, v: IVec):
         if edge[0] == "seg":
             if edge[1] == v:
                 return vsub(edge[2], edge[1])
@@ -272,11 +275,11 @@ class PolyComplex1D:
                 return vsub(edge[1], edge[2])
             return None
         if edge[0] == "ray" and edge[1] == v:
-            return tuple(Fraction(x) for x in edge[2])
+            return edge[2]
         return None
 
     @staticmethod
-    def _merge_at(e1, e2, v: Vec):
+    def _merge_at(e1, e2, v: IVec):
         # Merge two collinear equal-weight edges meeting at v into one edge.
         w = e1[3]
         if e1[0] == "seg" and e2[0] == "seg":
@@ -291,10 +294,6 @@ class PolyComplex1D:
             return ("ray", b, e1[2], w)
         # ray + ray in opposite directions: a full line, re-anchored later.
         return ("line", v, e1[2], w)
-
-
-def _ends(edge) -> tuple:
-    return edge[1:3] if edge[0] == "seg" else edge[1:2]
 
 
 def _box(kind: str, p: Sequence, q: Sequence) -> tuple:
@@ -341,14 +340,13 @@ def _box_candidates(boxes: Sequence[tuple], axis: int) -> list[tuple[int, int]]:
 def line_anchor(base: Sequence, d: Sequence) -> Vec:
     """Deterministic anchor of the line through base with direction d.
 
-    Zeroes the first coordinate in which d is nonzero.
+    Zeroes the first coordinate in which d is nonzero.  Exact for integer
+    and rational coordinates alike; the anchor's coordinates are Fractions.
     """
-    b = tuple(Fraction(x) for x in base)
-    dd = tuple(Fraction(x) for x in d)
-    for k, x in enumerate(dd):
-        if x != 0:
-            t = b[k] / x
-            return vsub(b, vscale(dd, t))
+    for x, y in zip(base, d):
+        if y != 0:
+            t = Fraction(x, y)
+            return tuple(b - c * t for b, c in zip(base, d))
     raise TropError("zero direction")
 
 
@@ -360,17 +358,17 @@ class BalanceReport:
 
 def check_balanced(complex_: PolyComplex1D) -> BalanceReport:
     """Sum weight * primitive outgoing direction at every vertex, exactly."""
-    sums: dict[int, list[Fraction]] = {i: [Fraction(0)] * complex_.dim for i in range(len(complex_.vertices))}
+    _, (P,) = _on_integers(complex_.vertices)
+    sums = [[0] * complex_.dim for _ in P]
     for i, j, w in complex_.segments:
-        d = vsub(complex_.vertices[j], complex_.vertices[i])
-        prim, _ = primitive_of(d)
+        d = _primitive(vsub(P[j], P[i]), w)
         for k in range(complex_.dim):
-            sums[i][k] += w * prim[k]
-            sums[j][k] -= w * prim[k]
+            sums[i][k] += d[k]
+            sums[j][k] -= d[k]
     for i, d, w in complex_.rays:
         for k in range(complex_.dim):
             sums[i][k] += w * d[k]
-    defects = tuple((i, tuple(int(x) for x in s)) for i, s in sorted(sums.items()))
+    defects = tuple((i, tuple(s)) for i, s in enumerate(sums))
     balanced = all(all(x == 0 for x in s) for _, s in defects)
     return BalanceReport(balanced, defects)
 
@@ -386,61 +384,80 @@ def intersect(k1: PolyComplex1D, k2: PolyComplex1D) -> tuple[IntersectionPoint, 
 
     Any point violating transversality (a vertex hit, or dependent
     directions / overlap) raises NonTransversalError naming the point and
-    the failed condition.
+    the failed condition.  Both canonical forms are tested on the integer
+    points of one common scale.
     """
     if k1.dim != 2 or k2.dim != 2:
         raise TropError("plane intersection requires dimension 2")
     a = k1.canonical()
     b = k2.canonical()
-    a_through = _through_vertices(a)
-    b_through = _through_vertices(b)
-    a_vertices, b_vertices = set(a.vertices), set(b.vertices)
-    b_edges = [(e, _box(*e[:3])) for e in b.edges()]
-    found: dict[Vec, int] = {}
-    for ka, pa, qa, wa in a.edges():
-        box = _box(ka, pa, qa)
-        for (kb, pb, qb, wb), other in b_edges:
+    L, (A, B) = _on_integers(a.vertices, b.vertices)
+    a_through = _through_vertices(a, A)
+    b_through = _through_vertices(b, B)
+    b_edges = _plane_edges(b, B, L)
+    found: dict[tuple, int] = {}  # (num, den) in lowest terms -> multiplicity
+    for ea, sa, box in _plane_edges(a, A, L):
+        for eb, sb, other in b_edges:
             if not _boxes_meet(box, other):
                 continue
-            res = edge_intersection(ka, pa, qa, kb, pb, qb)
+            res = edge_intersection(*ea, *eb)
             if res[0] == "none":
                 continue
             if res[0] == "overlap":
-                raise NonTransversalError(res[1], 4, "the two edges overlap along a common line")
-            p = res[1]
-            da = _slope_vector(ka, pa, qa, wa)
-            db = _slope_vector(kb, pb, qb, wb)
-            if p in a_vertices:
-                if p not in a_through:
+                raise NonTransversalError(_unscaled(res[1], res[2] * L), 4,
+                                          "the two edges overlap along a common line")
+            _, num, den, at_end_a, at_end_b = res
+            g = gcd(den, *num)
+            key = (tuple(x // g for x in num), den // g)
+            # A vertex met by an edge of a complex is an endpoint of that edge,
+            # and an integer point, key[0].
+            da, db = sa, sb
+            if at_end_a:
+                if key[0] not in a_through:
                     raise NonTransversalError(
-                        p, 2, "intersection at a vertex is not two-valent on both sides")
-                da = a_through[p]
-            if p in b_vertices:
-                if p not in b_through:
+                        _unscaled(num, den * L), 2,
+                        "intersection at a vertex is not two-valent on both sides")
+                da = a_through[key[0]]
+            if at_end_b:
+                if key[0] not in b_through:
                     raise NonTransversalError(
-                        p, 2, "intersection at a vertex is not two-valent on both sides")
-                db = b_through[p]
+                        _unscaled(num, den * L), 2,
+                        "intersection at a vertex is not two-valent on both sides")
+                db = b_through[key[0]]
             det = da[0] * db[1] - da[1] * db[0]
             if det == 0:
-                raise NonTransversalError(p, 4, "direction vectors are linearly dependent")
-            mult = abs(int(det))
-            if p in found and found[p] != mult:
-                raise NonTransversalError(p, 2, "point lies on more than one edge of a complex")
-            found[p] = mult
-    return tuple(IntersectionPoint(p, m) for p, m in sorted(found.items()))
+                raise NonTransversalError(_unscaled(num, den * L), 4,
+                                          "direction vectors are linearly dependent")
+            mult = abs(det)
+            if key in found and found[key] != mult:
+                raise NonTransversalError(_unscaled(num, den * L), 2,
+                                          "point lies on more than one edge of a complex")
+            found[key] = mult
+    common = lcm(*(den for _, den in found))
+    order = sorted(found, key=lambda k: tuple(x * (common // k[1]) for x in k[0]))
+    return tuple(IntersectionPoint(_unscaled(num, den * L), found[num, den]) for num, den in order)
 
 
-def _through_vertices(k: PolyComplex1D) -> dict[Vec, IVec]:
+def _plane_edges(k: PolyComplex1D, P: Sequence[IVec], L: int) -> list[tuple]:
+    """(edge, weight times primitive direction, box) per edge of ``_int_edges(k, P, L)``."""
+    weights = [w for *_, w in k.segments] + [w for *_, w in k.rays]
+    return [(e, _primitive(vsub(e[2], e[1]) if e[0] == "seg" else e[2], w), _box(*e))
+            for e, w in zip(_int_edges(k, P, L), weights)]
+
+
+def _through_vertices(k: PolyComplex1D, P: Sequence[IVec]) -> dict[IVec, IVec]:
     """Vertices that are straight 2-valent points: equal weights, opposite
     collinear directions.  Such points are interior points of the support
-    (line anchors, for instance), so meetings there stay transversal."""
-    incident: dict[int, list[tuple[Vec, int]]] = {}
+    (line anchors, for instance), so meetings there stay transversal.
+
+    Keys and directions are integer vectors, the vertices being P."""
+    incident: dict[int, list[tuple[IVec, int]]] = {}
     for i, j, w in k.segments:
-        incident.setdefault(i, []).append((vsub(k.vertices[j], k.vertices[i]), w))
-        incident.setdefault(j, []).append((vsub(k.vertices[i], k.vertices[j]), w))
+        incident.setdefault(i, []).append((vsub(P[j], P[i]), w))
+        incident.setdefault(j, []).append((vsub(P[i], P[j]), w))
     for i, d, w in k.rays:
-        incident.setdefault(i, []).append((tuple(Fraction(x) for x in d), w))
-    out: dict[Vec, IVec] = {}
+        incident.setdefault(i, []).append((d, w))
+    out: dict[IVec, IVec] = {}
     for i, ends in incident.items():
         if len(ends) != 2:
             continue
@@ -448,12 +465,11 @@ def _through_vertices(k: PolyComplex1D) -> dict[Vec, IVec]:
         if w1 != w2:
             continue
         if parallel(d1, d2) and dot(d1, d2) < 0:
-            prim, _ = primitive_of(d1)
-            out[k.vertices[i]] = tuple(w1 * x for x in prim)
+            out[P[i]] = _primitive(d1, w1)
     return out
 
 
-def _slope_vector(kind, p, q, w) -> IVec:
-    d = vsub(q, p) if kind == "seg" else q
-    prim, _ = primitive_of(d)
-    return tuple(w * x for x in prim)
+def _primitive(d: IVec, w: int = 1) -> IVec:
+    """w times the primitive integer vector along the nonzero integer vector d."""
+    g = ivec_gcd(d)
+    return tuple(w * x // g for x in d)

@@ -1,4 +1,9 @@
-"""Exact rational geometry helpers for one-dimensional complexes in Q^n."""
+"""Exact geometry helpers for one-dimensional complexes in Q^n.
+
+The predicates ``parallel``, ``on_edge`` and ``edge_intersection`` take
+integer coordinates: ``complexes`` multiplies rational points by one positive
+lcm of their denominators, which keeps order, equality and collinearity.
+"""
 
 from __future__ import annotations
 
@@ -25,17 +30,23 @@ def vscale(a: Sequence, t) -> Vec:
 
 
 def dot(a: Sequence, b: Sequence):
-    return sum((x * y for x, y in zip(a, b)), Fraction(0))
+    return sum((x * y for x, y in zip(a, b)), 0)
+
+
+def _minor(a: Sequence, b: Sequence):
+    """(i, j, a[i] b[j] - a[j] b[i]) for the first nonzero 2x2 minor, or None."""
+    n = len(a)
+    for i in range(n):
+        for j in range(i + 1, n):
+            m = a[i] * b[j] - a[j] * b[i]
+            if m:
+                return i, j, m
+    return None
 
 
 def parallel(a: Sequence, b: Sequence) -> bool:
     """True when two vectors are linearly dependent (any dimension)."""
-    n = len(a)
-    for i in range(n):
-        for j in range(i + 1, n):
-            if a[i] * b[j] - a[j] * b[i] != 0:
-                return False
-    return True
+    return _minor(a, b) is None
 
 
 def primitive_of(d: Sequence) -> tuple[IVec, Fraction]:
@@ -61,86 +72,61 @@ def ivec_gcd(d: Sequence[int]) -> int:
     return g
 
 
-def on_segment(p: Sequence, a: Sequence, b: Sequence) -> bool:
-    """Exact point-on-closed-segment test."""
-    ab = vsub(b, a)
-    ap = vsub(p, a)
-    if not parallel(ab, ap):
+def on_edge(kind: str, p0: IVec, p1: IVec, x: IVec) -> bool:
+    """Whether x lies on the closed segment p0 p1, or on the ray from p0 along p1."""
+    d = vsub(p1, p0) if kind == "seg" else p1
+    px = vsub(x, p0)
+    if not parallel(d, px):
         return False
-    t = dot(ap, ab)
-    return 0 <= t <= dot(ab, ab)
+    t = dot(px, d)
+    return t >= 0 and (kind == "ray" or t <= dot(d, d))
 
 
-def on_ray(p: Sequence, base: Sequence, d: Sequence) -> bool:
-    bp = vsub(p, base)
-    if not parallel(d, bp):
-        return False
-    return dot(bp, d) >= 0
+def edge_intersection(kind_a: str, a0: IVec, a1: IVec, kind_b: str, b0: IVec, b1: IVec):
+    """Intersect two edges ("seg" endpoints or "ray" base and direction) on integers.
 
-
-def _as_param(kind, p0, p1):
-    # (origin, direction, hi) with hi None for rays, else the segment end parameter 1.
-    if kind == "seg":
-        return p0, vsub(p1, p0), Fraction(1)
-    return p0, tuple(Fraction(x) for x in p1), None
-
-
-def edge_intersection(kind_a: str, a0, a1, kind_b: str, b0, b1):
-    """Intersect two edges ("seg" endpoints or "ray" base+direction) exactly.
-
-    Returns ("none",), ("point", p), or ("overlap", witness) where an
-    overlap means the supports share infinitely many points.  Works in any
-    ambient dimension.
+    Returns ("none",); ("overlap", num, den) when the supports share
+    infinitely many points, num / den being one of them; or ("point", num,
+    den, at_end_a, at_end_b) for a single common point num / den, with one
+    flag per edge saying whether it is an endpoint (a segment's end or a
+    ray's base).  num is an integer vector, den a positive integer: nothing
+    is divided.  Works in any ambient dimension.
     """
-    o1, d1, hi1 = _as_param(kind_a, a0, a1)
-    o2, d2, hi2 = _as_param(kind_b, b0, b1)
-    diff = vsub(o2, o1)
-    if parallel(d1, d2):
+    d1 = vsub(a1, a0) if kind_a == "seg" else a1
+    d2 = vsub(b1, b0) if kind_b == "seg" else b1
+    diff = vsub(b0, a0)
+    pivot = _minor(d1, d2)
+    if pivot is None:
         if not parallel(d1, diff):
             return ("none",)
+        # Parameters along a, times dd: a covers [0, dd], or [0, oo) for a ray.
         dd = dot(d1, d1)
-        t0 = dot(diff, d1) / dd
-        step = dot(d2, d1) / dd
-        if hi2 is None:
-            blo, bhi = (t0, None) if step > 0 else (None, t0)
+        t0 = dot(diff, d1)
+        t1 = t0 + dot(d2, d1)
+        if kind_b == "ray":
+            blo, bhi = (t0, None) if t1 > t0 else (None, t0)
         else:
-            ta, tb = t0, t0 + step * hi2
-            blo, bhi = (min(ta, tb), max(ta, tb))
-        lo = Fraction(0) if blo is None else max(blo, Fraction(0))
-        if hi1 is None:
-            hi = bhi
-        elif bhi is None:
-            hi = hi1
-        else:
-            hi = min(hi1, bhi)
+            blo, bhi = min(t0, t1), max(t0, t1)
+        lo = 0 if blo is None else max(blo, 0)
+        hi = bhi if kind_a == "ray" else dd if bhi is None else min(dd, bhi)
         if hi is not None and lo > hi:
             return ("none",)
-        if hi is not None and lo == hi:
-            return ("point", vadd(o1, vscale(d1, lo)))
-        witness = vadd(o1, vscale(d1, lo + 1 if hi is None else (lo + hi) / 2))
-        return ("overlap", witness)
-    # Independent directions: solve o1 + t d1 = o2 + s d2 on two coordinates,
-    # then confirm on the rest.
-    n = len(d1)
-    pivot = None
-    for i in range(n):
-        for j in range(i + 1, n):
-            den = d1[i] * (-d2[j]) - (-d2[i]) * d1[j]
-            if den != 0:
-                pivot = (i, j, den)
-                break
-        if pivot:
-            break
-    if pivot is None:
-        return ("none",)
+        if lo == hi:
+            return ("point", tuple(o * dd + d * lo for o, d in zip(a0, d1)), dd, True, True)
+        if hi is None:
+            return ("overlap", tuple(o * dd + d * (lo + dd) for o, d in zip(a0, d1)), dd)
+        return ("overlap", tuple(o * 2 * dd + d * (lo + hi) for o, d in zip(a0, d1)), 2 * dd)
+    # Independent directions: a0 + (t/den) d1 = b0 + (s/den) d2 by Cramer's
+    # rule on the pivot coordinates, then confirmed on the rest.
     i, j, den = pivot
-    t = (diff[i] * (-d2[j]) - (-d2[i]) * diff[j]) / den
-    s = (d1[i] * diff[j] - diff[i] * d1[j]) / den
-    p = vadd(o1, vscale(d1, t))
-    if p != vadd(o2, vscale(d2, s)):
+    t = diff[i] * d2[j] - diff[j] * d2[i]
+    s = diff[i] * d1[j] - diff[j] * d1[i]
+    if den < 0:
+        t, s, den = -t, -s, -den
+    if len(d1) > 2 and any(diff[k] * den != d1[k] * t - d2[k] * s
+                           for k in range(len(d1)) if k not in (i, j)):
         return ("none",)
-    if t < 0 or (hi1 is not None and t > hi1):
+    if t < 0 or (kind_a == "seg" and t > den) or s < 0 or (kind_b == "seg" and s > den):
         return ("none",)
-    if s < 0 or (hi2 is not None and s > hi2):
-        return ("none",)
-    return ("point", p)
+    return ("point", tuple(o * den + d * t for o, d in zip(a0, d1)), den,
+            t == 0 or (kind_a == "seg" and t == den), s == 0 or (kind_b == "seg" and s == den))

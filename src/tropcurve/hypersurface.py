@@ -37,13 +37,10 @@ def plane_hypersurface(F: TropPoly, window: Sequence | None = None) -> PolyCompl
             key, data = cell
             cells[key] = data  # identical supports collapse onto one key
 
-    vertices: list[tuple[Fraction, Fraction]] = []
+    vertices: dict[tuple[Fraction, Fraction], int] = {}  # point -> index, in order of first use
 
     def vid(p) -> int:
-        if p in vertices:
-            return vertices.index(p)
-        vertices.append(p)
-        return len(vertices) - 1
+        return vertices.setdefault(p, len(vertices))
 
     segments = []
     rays = []
@@ -65,7 +62,7 @@ def plane_hypersurface(F: TropPoly, window: Sequence | None = None) -> PolyCompl
             q = vadd(anchor, vscale(direction, hi))
             segments.append((vid(p), vid(q), weight))
 
-    out = PolyComplex1D.of(2, vertices, segments, rays)
+    out = PolyComplex1D.of(2, list(vertices), segments, rays)
     if window is not None:
         (x0, y0), (x1, y1) = window
         x0, y0, x1, y1 = rat(x0), rat(y0), rat(x1), rat(y1)

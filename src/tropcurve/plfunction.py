@@ -49,7 +49,9 @@ class Profile:
     def slope_right(self, t: Fraction) -> int:
         bs = self.breaks
         k = bisect_right(bs, t, key=itemgetter(0)) - 1
-        if 0 <= k < len(bs) - 1:
+        if k < 0:
+            raise TropError(f"offset {t} before arc start")
+        if k < len(bs) - 1:
             return _slope(bs[k], bs[k + 1])
         if self.tail is None:
             raise TropError(f"no piece right of {t}")

@@ -19,6 +19,8 @@ RatLike = "Fraction | int | str"
 def rat(x) -> Fraction:
     """Coerce an int, a ``p/q`` string, or a Fraction to an exact rational.
 
+    A string is an optional ``-``, ASCII digits, and optionally ``/`` and
+    ASCII digits: no spaces, ``+``, decimal point, exponent or ``_``.
     Floats are rejected: this package never computes with binary floating
     point.
     """
@@ -27,10 +29,13 @@ def rat(x) -> Fraction:
     if isinstance(x, int):
         return Fraction(x)
     if isinstance(x, str):
-        try:
-            return Fraction(x)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise TropError(f"not a rational literal: {x!r}") from exc
+        num, slash, den = x.removeprefix("-").partition("/")
+        if x.isascii() and num.isdigit() and (den.isdigit() or not slash):
+            try:
+                return Fraction(x)
+            except (ValueError, ZeroDivisionError):  # a zero or overlong denominator
+                pass
+        raise TropError(f"not a rational literal: {x!r}")
     raise TropError(f"exact rational required, got {type(x).__name__}: {x!r}")
 
 

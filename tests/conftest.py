@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import fractions
 import random
+import sys
 
 import pytest
 
@@ -38,3 +40,22 @@ def scaled_fn(line: Curve, k: int) -> PLFunction:
 
 def rng_for(name: str) -> random.Random:
     return random.Random(f"tropcurve-tests:{name}")
+
+
+def fraction_calls(op, *args) -> int:
+    """Calls into the ``fractions`` module made by ``op(*args)``."""
+    count = 0
+    target = fractions.__file__
+
+    def hook(frame, event, arg):
+        nonlocal count
+        if event == "call" and frame.f_code.co_filename == target:
+            count += 1
+
+    previous = sys.getprofile()
+    sys.setprofile(hook)
+    try:
+        op(*args)
+    finally:
+        sys.setprofile(previous)
+    return count

@@ -1,4 +1,12 @@
-"""The complex property of PolyComplex1D against an all-pairs reference check."""
+"""PolyComplex1D's predicates against rational reference code.
+
+``ref_edge_intersection``, ``ref_on_segment``, ``ref_on_ray`` and
+``ref_intersect`` are the rational versions the library used to run.  The
+library now decides on integer points, the vertices times one lcm of their
+denominators; these tests require the same verdicts, points and messages, an
+all-pairs check of the complex property, and a validation whose calls into
+``fractions`` do not grow with the number of edge pairs tested.
+"""
 
 from __future__ import annotations
 
@@ -13,14 +21,160 @@ from tropcurve import complexes
 from tropcurve.cli import main
 from tropcurve.complexes import PolyComplex1D
 from tropcurve.curve import Curve
-from tropcurve.errors import TropError
-from tropcurve.geometry import edge_intersection, on_ray, on_segment
+from tropcurve.errors import NonTransversalError, TropError
+from tropcurve.geometry import dot, edge_intersection, on_edge, primitive_of, vadd, vscale, vsub
 from tropcurve.hypersurface import plane_hypersurface
 from tropcurve.plfunction import PLFunction
 from tropcurve.randgen import complex_library, random_plane_poly, random_rational
 from tropcurve.realization import realize
 
-from conftest import rng_for
+from conftest import fraction_calls, rng_for
+
+# -- reference code -------------------------------------------------------------------
+
+
+def ref_parallel(a, b) -> bool:
+    n = len(a)
+    for i in range(n):
+        for j in range(i + 1, n):
+            if a[i] * b[j] - a[j] * b[i] != 0:
+                return False
+    return True
+
+
+def ref_on_segment(p, a, b) -> bool:
+    ab = vsub(b, a)
+    ap = vsub(p, a)
+    if not ref_parallel(ab, ap):
+        return False
+    t = dot(ap, ab)
+    return 0 <= t <= dot(ab, ab)
+
+
+def ref_on_ray(p, base, d) -> bool:
+    bp = vsub(p, base)
+    if not ref_parallel(d, bp):
+        return False
+    return dot(bp, d) >= 0
+
+
+def _as_param(kind, p0, p1):
+    # (origin, direction, hi) with hi None for rays, else the segment end parameter 1.
+    if kind == "seg":
+        return p0, vsub(p1, p0), Fraction(1)
+    return p0, tuple(Fraction(x) for x in p1), None
+
+
+def ref_edge_intersection(kind_a: str, a0, a1, kind_b: str, b0, b1):
+    """("none",), ("point", p) or ("overlap", witness), all in Fractions."""
+    o1, d1, hi1 = _as_param(kind_a, a0, a1)
+    o2, d2, hi2 = _as_param(kind_b, b0, b1)
+    diff = vsub(o2, o1)
+    if ref_parallel(d1, d2):
+        if not ref_parallel(d1, diff):
+            return ("none",)
+        dd = dot(d1, d1)
+        t0 = dot(diff, d1) / dd
+        step = dot(d2, d1) / dd
+        if hi2 is None:
+            blo, bhi = (t0, None) if step > 0 else (None, t0)
+        else:
+            ta, tb = t0, t0 + step * hi2
+            blo, bhi = (min(ta, tb), max(ta, tb))
+        lo = Fraction(0) if blo is None else max(blo, Fraction(0))
+        if hi1 is None:
+            hi = bhi
+        elif bhi is None:
+            hi = hi1
+        else:
+            hi = min(hi1, bhi)
+        if hi is not None and lo > hi:
+            return ("none",)
+        if hi is not None and lo == hi:
+            return ("point", vadd(o1, vscale(d1, lo)))
+        witness = vadd(o1, vscale(d1, lo + 1 if hi is None else (lo + hi) / 2))
+        return ("overlap", witness)
+    n = len(d1)
+    pivot = None
+    for i in range(n):
+        for j in range(i + 1, n):
+            den = d1[i] * (-d2[j]) - (-d2[i]) * d1[j]
+            if den != 0:
+                pivot = (i, j, den)
+                break
+        if pivot:
+            break
+    i, j, den = pivot
+    t = (diff[i] * (-d2[j]) - (-d2[i]) * diff[j]) / den
+    s = (d1[i] * diff[j] - diff[i] * d1[j]) / den
+    p = vadd(o1, vscale(d1, t))
+    if p != vadd(o2, vscale(d2, s)):
+        return ("none",)
+    if t < 0 or (hi1 is not None and t > hi1):
+        return ("none",)
+    if s < 0 or (hi2 is not None and s > hi2):
+        return ("none",)
+    return ("point", p)
+
+
+def ref_intersect(k1: PolyComplex1D, k2: PolyComplex1D):
+    """All edge pairs of the canonical forms, tested in Fractions."""
+    a, b = k1.canonical(), k2.canonical()
+    a_through, b_through = ref_through_vertices(a), ref_through_vertices(b)
+    found = {}
+    for ka, pa, qa, wa in ref_edges(a):
+        for kb, pb, qb, wb in ref_edges(b):
+            res = ref_edge_intersection(ka, pa, qa, kb, pb, qb)
+            if res[0] == "none":
+                continue
+            if res[0] == "overlap":
+                raise NonTransversalError(res[1], 4, "the two edges overlap along a common line")
+            p = res[1]
+            da = ref_slope_vector(ka, pa, qa, wa)
+            db = ref_slope_vector(kb, pb, qb, wb)
+            if p in a.vertices:
+                if p not in a_through:
+                    raise NonTransversalError(
+                        p, 2, "intersection at a vertex is not two-valent on both sides")
+                da = a_through[p]
+            if p in b.vertices:
+                if p not in b_through:
+                    raise NonTransversalError(
+                        p, 2, "intersection at a vertex is not two-valent on both sides")
+                db = b_through[p]
+            det = da[0] * db[1] - da[1] * db[0]
+            if det == 0:
+                raise NonTransversalError(p, 4, "direction vectors are linearly dependent")
+            if p in found and found[p] != abs(det):
+                raise NonTransversalError(p, 2, "point lies on more than one edge of a complex")
+            found[p] = abs(det)
+    return tuple(sorted(found.items()))
+
+
+def ref_edges(k: PolyComplex1D) -> list[tuple]:
+    return ([("seg", k.vertices[i], k.vertices[j], w) for i, j, w in k.segments]
+            + [("ray", k.vertices[i], d, w) for i, d, w in k.rays])
+
+
+def ref_through_vertices(k: PolyComplex1D) -> dict:
+    incident = {}
+    for i, j, w in k.segments:
+        incident.setdefault(i, []).append((vsub(k.vertices[j], k.vertices[i]), w))
+        incident.setdefault(j, []).append((vsub(k.vertices[i], k.vertices[j]), w))
+    for i, d, w in k.rays:
+        incident.setdefault(i, []).append((tuple(Fraction(x) for x in d), w))
+    out = {}
+    for i, ends in incident.items():
+        if len(ends) != 2:
+            continue
+        (d1, w1), (d2, w2) = ends
+        if w1 == w2 and ref_parallel(d1, d2) and dot(d1, d2) < 0:
+            out[k.vertices[i]] = tuple(w1 * x for x in primitive_of(d1)[0])
+    return out
+
+
+def ref_slope_vector(kind, p, q, w):
+    return tuple(w * x for x in primitive_of(vsub(q, p) if kind == "seg" else q)[0])
 
 
 def _fmt(p) -> str:
@@ -37,7 +191,7 @@ def all_pairs_verdict(dim, vertices, segments, rays) -> str | None:
     ends = [(p, q) if kind == "seg" else (p,) for kind, p, q in edges]
     for a in range(len(edges)):
         for b in range(a + 1, len(edges)):
-            res = edge_intersection(*edges[a], *edges[b])
+            res = ref_edge_intersection(*edges[a], *edges[b])
             if res[0] == "overlap":
                 return f"edges {a} and {b} overlap: not a complex"
             if res[0] == "point" and (res[1] not in ends[a] or res[1] not in ends[b]):
@@ -48,7 +202,7 @@ def all_pairs_verdict(dim, vertices, segments, rays) -> str | None:
         if v in used:
             continue
         for e, (kind, a, b) in enumerate(edges):
-            if (on_segment if kind == "seg" else on_ray)(p, a, b):
+            if (ref_on_segment if kind == "seg" else ref_on_ray)(p, a, b):
                 return f"vertex {v} at {_fmt(p)} lies inside edge {e}"
     return None
 
@@ -161,14 +315,17 @@ def test_trusted_results_pass_full_validation():
             assert PolyComplex1D(T.dim, T.vertices, T.segments, T.rays) == T
 
 
-def test_rebuilding_an_embedded_image_prunes_pairs(monkeypatch):
-    # A 200-breakpoint sawtooth against a strictly increasing function: a long
-    # monotone chain, where all pairs would be about 200^2 / 2 exact tests.
-    n = 200
+def embedded_image(n: int) -> PolyComplex1D:
+    """An n-breakpoint sawtooth against a strictly increasing function: a long
+    monotone chain, where all pairs would be about n^2 / 2 exact tests."""
     c = Curve.build(vertices=["A", "B"], edges=[("e", "A", "B", n - 1)])
     f = PLFunction.from_edge_data(c, {"e": ([(k, k % 2) for k in range(n)], None)})
     g = PLFunction.from_edge_data(c, {"e": ([(k, 2 * k + k % 2) for k in range(n)], None)})
-    image = realize(c, [f, g]).image
+    return realize(c, [f, g]).image
+
+
+def test_rebuilding_an_embedded_image_prunes_pairs(monkeypatch):
+    image = embedded_image(200)
     calls = 0
 
     def counted(*args):
@@ -179,3 +336,156 @@ def test_rebuilding_an_embedded_image_prunes_pairs(monkeypatch):
     monkeypatch.setattr(complexes, "edge_intersection", counted)
     assert PolyComplex1D(image.dim, image.vertices, image.segments, image.rays) == image
     assert 0 < calls <= 2 * image.edge_count()
+
+
+def test_validation_makes_one_fraction_call_per_coordinate():
+    # Each coordinate is read once to find the scale; every pair test after
+    # that is on integers.  The rational predicates made 60,434 calls here.
+    image = embedded_image(200)
+    calls = fraction_calls(PolyComplex1D, image.dim, image.vertices, image.segments, image.rays)
+    assert calls <= len(image.vertices) * image.dim, calls
+
+
+# -- the integer predicates against the rational ones ---------------------------------
+
+
+def random_edge(rng: random.Random, dim: int):
+    p = tuple(rng.randint(-3, 3) for _ in range(dim))
+    if rng.random() < 0.5:
+        q = p
+        while q == p:
+            q = tuple(rng.randint(-3, 3) for _ in range(dim))
+        return ("seg", p, q)
+    return ("ray", p, random_direction(rng, dim))
+
+
+def random_direction(rng: random.Random, dim: int):
+    d = (0,) * dim
+    while not any(d):
+        d = tuple(rng.randint(-2, 2) for _ in range(dim))
+    return d
+
+
+def degenerate_pair(rng: random.Random, dim: int):
+    """Two edges on one line or on parallel lines, or a ray through an end of
+    the first edge: collinear overlaps, touching ends, parallel disjoint
+    edges, opposite rays from one base, segments inside rays."""
+    o = tuple(rng.randint(-2, 2) for _ in range(dim))
+    u = random_direction(rng, dim)
+    v = u
+    while ref_parallel(u, v):
+        v = random_direction(rng, dim)
+
+    def along(shift: int):
+        base = vadd(o, vscale(v, shift))
+        t = rng.randint(-3, 3)
+        if rng.random() < 0.5:
+            t2 = rng.choice([x for x in range(-3, 4) if x != t])
+            return ("seg", vadd(base, vscale(u, t)), vadd(base, vscale(u, t2)))
+        return ("ray", vadd(base, vscale(u, t)), vscale(u, rng.choice((-2, -1, 1, 2))))
+
+    a = along(0)
+    if rng.random() < 0.2:  # a ray or a segment through an end of a
+        d = random_direction(rng, dim)
+        start = vsub(a[1], vscale(d, rng.randint(0, 2)))
+        return a, ("ray", start, d) if rng.random() < 0.5 else ("seg", start, vadd(a[1], d))
+    return a, along(rng.choice((0, 0, 0, 1)))
+
+
+def rescaling(rng: random.Random, dim: int):
+    """x -> x / den + c for a random den and c: points get denominators."""
+    den = rng.choice((1, 2, 3, 4, 6, 7, 9, 10))
+    shift = tuple(Fraction(rng.randint(-9, 9), rng.choice((1, 2, 5, 8))) for _ in range(dim))
+    return lambda x: tuple(Fraction(c, den) + s for c, s in zip(x, shift))
+
+
+def moved(move, edge):
+    """The image of an edge; a ray keeps its integer direction."""
+    kind, p, q = edge
+    return (kind, move(p), move(q) if kind == "seg" else q)
+
+
+def on_integers(probes: list, edges):
+    """L, the probe points times L and the edges times L, as the library scales them."""
+    points = probes + [p for _, p, _ in edges] + [q for kind, _, q in edges if kind == "seg"]
+    L, (P,) = complexes._on_integers(points)
+    up = dict(zip(points, P))
+    return L, [up[x] for x in probes], [
+        (kind, up[p], up[q] if kind == "seg" else tuple(L * x for x in q)) for kind, p, q in edges]
+
+
+def test_integer_predicates_match_rational_ones():
+    rng = rng_for("integer-predicates")
+    seen = {"none": 0, "overlap": 0, "point at both ends": 0, "point inside an edge": 0}
+    for case in range(4000):
+        dim = 2 + case % 2
+        pair = degenerate_pair(rng, dim) if case % 4 else (random_edge(rng, dim),
+                                                             random_edge(rng, dim))
+        move = rescaling(rng, dim)
+        ea, eb = (moved(move, e) for e in pair)
+        want = ref_edge_intersection(*ea, *eb)
+        probes = [ea[1], eb[1]] + [e[2] for e in (ea, eb) if e[0] == "seg"]
+        probes += [move(tuple(rng.randint(-3, 3) for _ in range(dim))) for _ in range(2)]
+        if want[0] != "none":
+            probes.append(want[1])
+        L, zprobes, (ia, ib) = on_integers(probes, (ea, eb))
+        got = edge_intersection(*ia, *ib)
+        assert got[0] == want[0], (ea, eb, got, want)
+        if want[0] != "none":
+            assert complexes._unscaled(got[1], got[2] * L) == want[1], (ea, eb, got, want)
+        if want[0] == "point":
+            at_ends = (want[1] in (ea[1:] if ea[0] == "seg" else ea[1:2]),
+                       want[1] in (eb[1:] if eb[0] == "seg" else eb[1:2]))
+            assert got[3:] == at_ends, (ea, eb, got, want)
+            seen["point at both ends" if all(at_ends) else "point inside an edge"] += 1
+        else:
+            seen[want[0]] += 1
+        for x, z in zip(probes, zprobes):
+            for e, ie in ((ea, ia), (eb, ib)):
+                ref = (ref_on_segment if e[0] == "seg" else ref_on_ray)(x, *e[1:])
+                assert on_edge(*ie, z) == ref, (e, x)
+    assert min(seen.values()) > 300, seen
+
+
+def intersect_outcome(run, k1, k2):
+    try:
+        return ("ok", tuple((pt.point, pt.multiplicity) for pt in run(k1, k2)))
+    except NonTransversalError as exc:
+        return ("error", str(exc), exc.point)
+
+
+def ref_intersect_outcome(k1, k2):
+    try:
+        return ("ok", ref_intersect(k1, k2))
+    except NonTransversalError as exc:
+        return ("error", str(exc), exc.point)
+
+
+def plane_pairs(rng: random.Random):
+    """Library curves and small grid complexes, each met by a shifted copy of
+    another or of itself: transversal pairs, vertex hits and overlaps."""
+    library = complex_library(rng, 8)
+    grid = []
+    while len(grid) < 40:
+        fields = random_fields(rng, 2)
+        if all_pairs_verdict(*fields) is None:
+            grid.append(PolyComplex1D(*fields))
+    for pool in (library, grid):
+        for _ in range(120):
+            K1 = rng.choice(pool)
+            K2 = K1 if rng.random() < 0.2 else rng.choice(pool)
+            shift = rng.choice([(0, 0), (Fraction(1, 2), 0)] + [
+                (random_rational(rng, -2, 2), random_rational(rng, -2, 2))] * 3)
+            yield K1, K2.translate(shift)
+
+
+def test_intersections_match_rational_reference():
+    rng = rng_for("integer-intersect")
+    kinds = {}
+    for K1, K2 in plane_pairs(rng):
+        want = ref_intersect_outcome(K1, K2)
+        assert intersect_outcome(complexes.intersect, K1, K2) == want, (K1, K2)
+        kind = "ok" if want[0] == "ok" else want[1].split(": ", 2)[1]
+        kinds[kind] = kinds.get(kind, 0) + 1
+    # Transversal results, vertex hits (condition 2) and overlaps (condition 4) all occur.
+    assert len(kinds) == 3 and min(kinds.values()) > 20, kinds

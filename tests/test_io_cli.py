@@ -84,6 +84,15 @@ class TestRejects:
         assert main(["balance", "--complex", str(tmp_path / "k.json")]) == 65
         assert message in capsys.readouterr().err
 
+    @pytest.mark.parametrize("literal", ["1.5", "1e3", "1_000", " 3/4 "],
+                             ids=["decimal", "exponent", "underscore", "spaces"])
+    def test_loose_rational_literal_exits_65(self, tmp_path, capsys, literal):
+        # Only -?digits(/digits)? is a rational literal.
+        data = {"dim": 2, "vertices": [[literal, "0"], ["1", "1"]], "segments": [[0, 1, 1]]}
+        (tmp_path / "k.json").write_text(json.dumps(data))
+        assert main(["balance", "--complex", str(tmp_path / "k.json")]) == 65
+        assert f"bad coordinate: {literal!r}" in capsys.readouterr().err
+
     @pytest.mark.parametrize("vertices", [[5], 5], ids=["int-vertex", "int-vertices"])
     def test_vertices_not_lists_exit_65(self, tmp_path, capsys, vertices):
         data = {"dim": 2, "vertices": vertices, "segments": [], "rays": []}

@@ -10,9 +10,7 @@ work grows with the number of breakpoints.
 
 from __future__ import annotations
 
-import fractions
 import random
-import sys
 from fractions import Fraction
 
 import pytest
@@ -24,7 +22,7 @@ from tropcurve.plfunction import (Divisor, PLFunction, Profile, _slope, _slope_s
 from tropcurve.randgen import random_curve, random_function, random_rational
 from tropcurve.realization import realize
 
-from conftest import rng_for
+from conftest import fraction_calls, rng_for
 
 # -- reference code -------------------------------------------------------------
 
@@ -47,6 +45,8 @@ def ref_value(p: Profile, t: Fraction) -> Fraction:
 
 def ref_slope_right(p: Profile, t: Fraction) -> int:
     bs = p.breaks
+    if t < bs[0][0]:
+        raise TropError(f"offset {t} before arc start")
     for k in range(len(bs) - 1):
         if bs[k][0] <= t < bs[k + 1][0]:
             return _slope(bs[k], bs[k + 1])
@@ -234,25 +234,6 @@ def sawtooth(n: int):
     c = Curve.build(vertices=["A", "B"], edges=[("e", "A", "B", n - 1)])
     f = PLFunction.from_edge_data(c, {"e": ([(k, k % 2) for k in range(n)], None)})
     return c, f
-
-
-def fraction_calls(op, *args) -> int:
-    """Calls into the ``fractions`` module made by ``op(*args)``."""
-    count = 0
-    target = fractions.__file__
-
-    def hook(frame, event, arg):
-        nonlocal count
-        if event == "call" and frame.f_code.co_filename == target:
-            count += 1
-
-    previous = sys.getprofile()
-    sys.setprofile(hook)
-    try:
-        op(*args)
-    finally:
-        sys.setprofile(previous)
-    return count
 
 
 @pytest.mark.parametrize("name, op, limit", [
