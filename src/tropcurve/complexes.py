@@ -382,9 +382,9 @@ class IntersectionPoint:
 def intersect(k1: PolyComplex1D, k2: PolyComplex1D) -> tuple[IntersectionPoint, ...]:
     """All transversal intersection points of two plane complexes.
 
-    Any point violating transversality (a vertex hit, or dependent
-    directions / overlap) raises NonTransversalError naming the point and
-    the failed condition.  Both canonical forms are tested on the integer
+    Any point violating transversality (a vertex hit, or an overlap along
+    a common line) raises NonTransversalError naming the point and the
+    failed condition.  Both canonical forms are tested on the integer
     points of one common scale.
     """
     if k1.dim != 2 or k2.dim != 2:
@@ -424,15 +424,11 @@ def intersect(k1: PolyComplex1D, k2: PolyComplex1D) -> tuple[IntersectionPoint, 
                         _unscaled(num, den * L), 2,
                         "intersection at a vertex is not two-valent on both sides")
                 db = b_through[key[0]]
-            det = da[0] * db[1] - da[1] * db[0]
-            if det == 0:
-                raise NonTransversalError(_unscaled(num, den * L), 4,
-                                          "direction vectors are linearly dependent")
-            mult = abs(det)
-            if key in found and found[key] != mult:
-                raise NonTransversalError(_unscaled(num, den * L), 2,
-                                          "point lies on more than one edge of a complex")
-            found[key] = mult
+            # da and db are independent: a collinear touch at ends is a line
+            # anchor of both canonical forms, whose rays sort alike, so their
+            # overlap was raised first.  A point on two edges is a through
+            # vertex, met with one direction, so its multiplicity is unique.
+            found[key] = abs(da[0] * db[1] - da[1] * db[0])
     common = lcm(*(den for _, den in found))
     order = sorted(found, key=lambda k: tuple(x * (common // k[1]) for x in k[0]))
     return tuple(IntersectionPoint(_unscaled(num, den * L), found[num, den]) for num, den in order)

@@ -60,7 +60,10 @@ def curve_from_json(text: str) -> Curve:
     vertices = []
     for v in data.get("vertices", []):
         _require(isinstance(v, dict) and "id" in v, "vertex entries need an id")
-        vertices.append((str(v["id"]), bool(v.get("at_infinity", False))))
+        at_infinity = v.get("at_infinity", False)
+        _require(isinstance(at_infinity, bool),
+                 f"vertex {v['id']!r}: at_infinity must be true or false")
+        vertices.append((str(v["id"]), at_infinity))
     edges = []
     for e in data.get("edges", []):
         _require(isinstance(e, dict) and {"id", "u", "v", "length"} <= set(e),
@@ -270,8 +273,8 @@ def embedding_from_json(shape: Curve, target: Curve, text: str) -> Embedding:
         _require(isinstance(entry, (list, tuple)) and len(entry) == 3,
                  f"edge_map[{eid!r}] must be [target edge, start, orientation]")
         tgt, start, orient = entry
-        _require(orient in (1, -1), "orientation must be 1 or -1")
-        emap[str(eid)] = (str(tgt), _rational(start, "start offset"), int(orient))
+        _require(type(orient) is int and orient in (1, -1), "orientation must be 1 or -1")
+        emap[str(eid)] = (str(tgt), _rational(start, "start offset"), orient)
     return Embedding(shape, vmap, emap)
 
 

@@ -4,8 +4,8 @@ A realization maps a curve through a list of rational functions; its image
 is a weighted one-dimensional complex whose edge weights are the gcds of
 the function slopes.  Balanced complexes round-trip back to curves with
 harmonic coordinates, and balanced plane complexes are hypersurfaces of
-tropical polynomials recovered by dual propagation over the complement
-regions.
+tropical polynomials, fitted from the polygon dual to each vertex and
+normalized so the largest coefficient is 0.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from typing import Sequence
 from .complexes import BalanceReport, PolyComplex1D, check_balanced
 from .curve import INF, Curve, PointRef
 from .errors import TropError
-from .geometry import ivec_gcd, primitive_of, vadd, vscale, vsub
+from .geometry import ivec_gcd, parallel, primitive_of, vsub
 from .hypersurface import plane_hypersurface
 from .plfunction import (PLFunction, _isolated_vertices, _slopes_right, _values_at,
                          principal_divisor)
@@ -192,20 +192,10 @@ def check_realization(r: RealizationMap) -> RealizationReport:
             if di != dj:
                 continue
             offset = vsub(r.image.vertices[bj], r.image.vertices[bi])
-            if not _parallel_int(offset, di):
+            if not parallel(offset, di):
                 condition5_free = False
     return RealizationReport(injective, local_isometry, parallel_respected,
                              condition5_free, tuple(factors))
-
-
-def _parallel_int(offset, d) -> bool:
-    if all(x == 0 for x in offset):
-        return True
-    for i in range(len(d)):
-        for j in range(i + 1, len(d)):
-            if offset[i] * d[j] - offset[j] * d[i] != 0:
-                return False
-    return True
 
 
 @dataclass(frozen=True)
@@ -297,11 +287,14 @@ def curve_from_complex(K: PolyComplex1D) -> tuple[Curve, tuple[PLFunction, ...],
 def fit_tropical_polynomial(K: PolyComplex1D) -> TropPoly:
     """Reconstruct a minimal-degree polynomial whose hypersurface is K.
 
-    Walks the complement regions of the plane: crossing an edge of weight w
-    and primitive direction p shifts the exponent by w times the normal
-    into the entered region and adjusts the coefficient by continuity.
-    The result is translated so the Newton polygon touches both axes, and
-    verified against the hypersurface construction before returning.
+    Each vertex is dual to a polygon with edges w * rot90(d): turning
+    counterclockwise around a vertex v across an edge of weight w and
+    primitive direction d adds w * (-d[1], d[0]) to the exponent, and the
+    coefficient follows by continuity at v.  Walking the vertices gives
+    every complement region its term.  Exponents are shifted so the Newton
+    polygon touches both axes, the tropical scalar is fixed by making the
+    largest coefficient 0, and the result is verified against the
+    hypersurface construction before returning.
     """
     if K.dim != 2:
         raise TropError("fit is implemented for plane complexes")
@@ -315,187 +308,63 @@ def fit_tropical_polynomial(K: PolyComplex1D) -> TropPoly:
     if K.edge_count() > 32:
         raise TropError("more than 32 edges; out of the supported desk scale")
 
-    arrangement = _Arrangement(K)
-    terms = arrangement.propagate()
+    terms = _region_terms(K)
     min_x = min(e[0] for e in terms)
     min_y = min(e[1] for e in terms)
-    shifted = {(e[0] - min_x, e[1] - min_y): coef for e, coef in terms.items()}
+    top = max(terms.values())
+    shifted = {(e[0] - min_x, e[1] - min_y): coef - top for e, coef in terms.items()}
     F = TropPoly.of(2, shifted)
     if plane_hypersurface(F).canonical() != K:
         raise TropError("internal error: fitted polynomial fails verification")
     return F
 
 
-class _Arrangement:
-    """Bounded planar arrangement of a complex: faces and K-edge adjacencies."""
+def _region_terms(K: PolyComplex1D) -> dict[tuple[int, int], Fraction]:
+    """Exponent and coefficient of every complement region of a connected complex.
 
-    def __init__(self, K: PolyComplex1D):
-        self.K = K
-        # The two pads grow at different polynomial orders, so any exit
-        # coincidence (a ray hitting a corner or another exit) is a
-        # nontrivial algebraic condition on k with finitely many roots.
-        for k in range(2000):
-            x_pad = Fraction(1 + k)
-            y_pad = Fraction(1 + k) + Fraction(k * k, 7)
-            if self._try_build(x_pad, y_pad):
-                return
-        raise TropError("could not place a clipping box around the complex")
+    The outgoing edges at each vertex (both directions of a segment, and
+    the rays) are sorted counterclockwise.  The sector after edge i -> j at
+    i is the sector before edge j -> i at j, so a walk from vertex 0 reaches
+    every region; balancing closes the turn around each vertex.
+    """
+    rings: list[list[tuple[tuple[int, int], int, int | None]]] = [[] for _ in K.vertices]
+    for i, j, w in K.segments:
+        d, _ = primitive_of(vsub(K.vertices[j], K.vertices[i]))
+        rings[i].append((d, w, j))
+        rings[j].append(((-d[0], -d[1]), w, i))
+    for i, d, w in K.rays:
+        rings[i].append((d, w, None))
+    for ring in rings:
+        ring.sort(key=functools.cmp_to_key(lambda a, b: _angle_cmp(a[0], b[0])))
+    position = {(i, j): k for i, ring in enumerate(rings) for k, (_, _, j) in enumerate(ring)}
+    terms: dict[tuple[int, int], Fraction] = {}
+    seen: set[int] = set()
+    # (vertex, k, exponent, coefficient) of the sector after edge k at the vertex
+    stack = [(0, 0, (0, 0), Fraction(0))]
+    while stack:
+        i, k, e, c = stack.pop()
+        if i in seen:
+            continue
+        seen.add(i)
+        ring, (x, y) = rings[i], K.vertices[i]
+        for _ in ring:
+            terms[e] = c
+            j = ring[k][2]
+            if j is not None:
+                stack.append((j, (position[j, i] - 1) % len(rings[j]), e, c))
+            k = (k + 1) % len(ring)
+            (dx, dy), w, _ = ring[k]
+            c += w * dy * x - w * dx * y  # continuity at (x, y)
+            e = (e[0] - w * dy, e[1] + w * dx)
+    return terms
 
-    def _try_build(self, x_pad: Fraction, y_pad: Fraction) -> bool:
-        K = self.K
-        xs = [v[0] for v in K.vertices]
-        ys = [v[1] for v in K.vertices]
-        x0, x1 = min(xs) - x_pad, max(xs) + x_pad + Fraction(1, 7)
-        y0, y1 = min(ys) - y_pad, max(ys) + y_pad + Fraction(2, 5)
-        corners = [(x0, y0), (x1, y0), (x1, y1), (x0, y1)]
-        nodes: dict[tuple, int] = {}
-        edges: list[tuple[int, int, dict | None]] = []
 
-        def node(p) -> int:
-            if p not in nodes:
-                nodes[p] = len(nodes)
-            return nodes[p]
-
-        boundary_points = {0: set(), 1: set(), 2: set(), 3: set()}
-        for c in corners:
-            node(c)
-        for i, j, w in K.segments:
-            a, b = K.vertices[i], K.vertices[j]
-            prim, _ = primitive_of(vsub(b, a))
-            edges.append((node(a), node(b), {"w": w, "prim": prim}))
-        for i, d, w in K.rays:
-            base = K.vertices[i]
-            exit_t = None
-            for coord, bound, sign in ((0, x0, -1), (0, x1, 1), (1, y0, -1), (1, y1, 1)):
-                if d[coord] * sign > 0:
-                    t = (bound - base[coord]) / d[coord]
-                    if exit_t is None or t < exit_t:
-                        exit_t = t
-            hit = vadd(base, vscale(tuple(Fraction(x) for x in d), exit_t))
-            if hit in corners or hit in nodes:
-                return False  # nudge the box and retry
-            side = (0 if hit[1] == y0 else 2 if hit[1] == y1 else
-                    1 if hit[0] == x1 else 3)
-            boundary_points[side].add(hit)
-            edges.append((node(base), node(hit), {"w": w, "prim": tuple(d)}))
-        # Box boundary subdivided at the ray exits.
-        sides = [
-            (corners[0], corners[1], 0, lambda p: p[0]),
-            (corners[1], corners[2], 1, lambda p: p[1]),
-            (corners[2], corners[3], 2, lambda p: -p[0]),
-            (corners[3], corners[0], 3, lambda p: -p[1]),
-        ]
-        for start, end, side, keyf in sides:
-            pts = [start] + sorted(boundary_points[side], key=keyf) + [end]
-            for a, b in zip(pts, pts[1:]):
-                edges.append((node(a), node(b), None))
-
-        self.points = {idx: p for p, idx in nodes.items()}
-        self.half_edges: list[tuple[int, int]] = []
-        self.edge_info: dict[int, dict | None] = {}
-        adj: dict[int, list[int]] = {}
-        for k, (u, v, info) in enumerate(edges):
-            h1, h2 = 2 * k, 2 * k + 1
-            self.half_edges.extend([(u, v), (v, u)])
-            self.edge_info[k] = info
-            adj.setdefault(u, []).append(h1)
-            adj.setdefault(v, []).append(h2)
-
-        def direction(h: int):
-            u, v = self.half_edges[h]
-            return vsub(self.points[v], self.points[u])
-
-        def angle_cmp(h1: int, h2: int) -> int:
-            d1, d2 = direction(h1), direction(h2)
-            q1, q2 = _quadrant(d1), _quadrant(d2)
-            if q1 != q2:
-                return -1 if q1 < q2 else 1
-            cr = d1[0] * d2[1] - d1[1] * d2[0]
-            return 0 if cr == 0 else (-1 if cr > 0 else 1)
-
-        self.next_half: dict[int, int] = {}
-        order: dict[int, list[int]] = {}
-        for v, hs in adj.items():
-            order[v] = sorted(hs, key=functools.cmp_to_key(angle_cmp))
-        for h in range(len(self.half_edges)):
-            u, v = self.half_edges[h]
-            twin = h ^ 1
-            ring = order[v]
-            pos = ring.index(twin)
-            self.next_half[h] = ring[(pos - 1) % len(ring)]
-
-        # Trace faces.
-        self.face_of: dict[int, int] = {}
-        nfaces = 0
-        for h in range(len(self.half_edges)):
-            if h in self.face_of:
-                continue
-            cur = h
-            while cur not in self.face_of:
-                self.face_of[cur] = nfaces
-                cur = self.next_half[cur]
-            nfaces += 1
-        self.nfaces = nfaces
-        # Base face: left of the bottom box side piece leaving the BL corner.
-        bl = nodes[corners[0]]
-        base_h = None
-        for h in range(len(self.half_edges)):
-            u, v = self.half_edges[h]
-            if u == bl and self.points[v][1] == y0 and self.points[v][0] > x0:
-                base_h = h
-                break
-        self.base_face = self.face_of[base_h]
-        self.k_edges = [(2 * k, self.edge_info[k]) for k in range(len(edges))
-                        if self.edge_info[k] is not None]
-        return True
-
-    def propagate(self) -> dict[tuple[int, int], Fraction]:
-        """Exponent and coefficient per region, spread from the base region."""
-        exps: dict[int, tuple[int, int]] = {self.base_face: (0, 0)}
-        coefs: dict[int, Fraction] = {self.base_face: Fraction(0)}
-        # Adjacency list over K-edges.
-        adjacency = []
-        for h, info in self.k_edges:
-            f1, f2 = self.face_of[h], self.face_of[h ^ 1]
-            u, _ = self.half_edges[h]
-            adjacency.append((f1, f2, h, info))
-        pending = True
-        while pending:
-            pending = False
-            for f1, f2, h, info in adjacency:
-                for a, b, hh in ((f1, f2, h), (f2, f1, h ^ 1)):
-                    if a in exps and b not in exps:
-                        exps[b], coefs[b] = self._cross(a, hh, info, exps, coefs)
-                        pending = True
-        for f1, f2, h, info in adjacency:
-            if f1 not in exps or f2 not in exps:
-                raise TropError("inconsistent propagation: unreachable region")
-            want_e, want_c = self._cross(f1, h, info, exps, coefs)
-            if exps[f2] != want_e or coefs[f2] != want_c:
-                raise TropError("inconsistent propagation (not a hypersurface): "
-                                f"edge through {self.points[self.half_edges[h][0]]} disagrees")
-        terms: dict[tuple[int, int], Fraction] = {}
-        for face, e in exps.items():
-            if e in terms and terms[e] != coefs[face]:
-                raise TropError("inconsistent propagation (not a hypersurface): "
-                                "two regions share an exponent with different offsets")
-            terms[e] = coefs[face]
-        return terms
-
-    def _cross(self, from_face: int, h: int, info: dict, exps, coefs):
-        """Exponent and coefficient of the face left of twin(h), entered across h."""
-        u, v = self.half_edges[h]
-        du = vsub(self.points[v], self.points[u])
-        prim, _ = primitive_of(du)
-        # Normal into the face left of h is rot90(direction); we leave that
-        # face, so the entered face gets minus that normal.
-        normal_in = (prim[1], -prim[0])
-        w = info["w"]
-        e_from = exps[from_face]
-        e_to = (e_from[0] + w * normal_in[0], e_from[1] + w * normal_in[1])
-        x0 = self.points[u]
-        c_to = coefs[from_face] + (e_from[0] - e_to[0]) * x0[0] + (e_from[1] - e_to[1]) * x0[1]
-        return e_to, c_to
+def _angle_cmp(d1, d2) -> int:
+    q1, q2 = _quadrant(d1), _quadrant(d2)
+    if q1 != q2:
+        return -1 if q1 < q2 else 1
+    cr = d1[0] * d2[1] - d1[1] * d2[0]
+    return 0 if cr == 0 else (-1 if cr > 0 else 1)
 
 
 def _quadrant(d) -> int:

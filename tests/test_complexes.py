@@ -27,6 +27,7 @@ from tropcurve.hypersurface import plane_hypersurface
 from tropcurve.plfunction import PLFunction
 from tropcurve.randgen import complex_library, random_plane_poly, random_rational
 from tropcurve.realization import realize
+from tropcurve.semifield import TropPoly
 
 from conftest import fraction_calls, rng_for
 
@@ -489,3 +490,43 @@ def test_intersections_match_rational_reference():
         kinds[kind] = kinds.get(kind, 0) + 1
     # Transversal results, vertex hits (condition 2) and overlaps (condition 4) all occur.
     assert len(kinds) == 3 and min(kinds.values()) > 20, kinds
+
+
+def horizontal_line(w: int = 1) -> PolyComplex1D:
+    """The line y = 0 of weight w; the origin is its canonical anchor."""
+    return PolyComplex1D.of(2, [(0, 0)], [], [[0, (1, 0), w], [0, (-1, 0), w]])
+
+
+# Complexes sharing the line y = 0, or holding a collinear ray or segment that
+# ends at its anchor.  The overlap is found first wherever the shared edge points
+# left, along the anchor's first ray; where it points right, the tripod vertex at
+# the anchor is hit first.  No meeting is ever a single point with dependent
+# directions.
+AT_LINE_ANCHOR = {
+    "same-line": (horizontal_line(2), 4, (-1, 0)),
+    "parallel-pair": (plane_hypersurface(TropPoly.of(2, {(0, 0): 0, (0, 1): 0, (0, 2): -1})),
+                      4, (-1, 0)),
+    "ray-left": (PolyComplex1D.of(2, [(0, 0)], [], [[0, (-1, 0), 1], [0, (0, -1), 1],
+                                                    [0, (1, 1), 1]]), 4, (-1, 0)),
+    "segment-left": (PolyComplex1D.of(2, [(0, 0), (-1, 0)], [(0, 1, 1)],
+                                      [(0, (1, 1), 1), (0, (0, -1), 1),
+                                       (1, (0, 1), 1), (1, (-1, -1), 1)]), 4, (Fraction(-1, 2), 0)),
+    "ray-right": (PolyComplex1D.of(2, [(0, 0)], [], [[0, (1, 0), 1], [0, (0, 1), 1],
+                                                     [0, (-1, -1), 1]]), 2, (0, 0)),
+    "segment-right": (PolyComplex1D.of(2, [(0, 0), (1, 0)], [(0, 1, 1)],
+                                       [(0, (-1, -1), 1), (0, (0, 1), 1),
+                                        (1, (0, -1), 1), (1, (1, 1), 1)]), 2, (0, 0)),
+}
+
+
+@pytest.mark.parametrize("name", list(AT_LINE_ANCHOR))
+def test_collinear_meetings_at_a_line_anchor(name):
+    other, condition, point = AT_LINE_ANCHOR[name]
+    message = {4: "the two edges overlap along a common line",
+               2: "intersection at a vertex is not two-valent on both sides"}[condition]
+    for k1, k2 in ((horizontal_line(), other), (other, horizontal_line())):
+        with pytest.raises(NonTransversalError) as err:
+            complexes.intersect(k1, k2)
+        assert (err.value.condition, err.value.point) == (condition, point)
+        assert str(err.value).endswith(message)
+        assert intersect_outcome(complexes.intersect, k1, k2) == ref_intersect_outcome(k1, k2)

@@ -111,6 +111,15 @@ class TestRejects:
                      "--fn", str(workdir / "x.json")]) == 65
         assert "degree of 'left' must be an integer" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag", ["false", "true", 0, None], ids=["false", "true", "zero", "null"])
+    def test_non_bool_at_infinity_exits_65(self, tmp_path, capsys, flag):
+        bad = tmp_path / "c.json"
+        bad.write_text(json.dumps({"vertices": [{"id": "O"}, {"id": "X", "at_infinity": flag}],
+                                   "edges": [{"id": "r", "u": "O", "v": "X", "length": "inf"}],
+                                   "ray_classes": {"r": "k"}}))
+        assert main(["check-curve", "--curve", str(bad)]) == 65
+        assert "vertex 'X': at_infinity must be true or false" in capsys.readouterr().err
+
     def test_float_length(self):
         text = json.dumps({"vertices": [{"id": "A"}, {"id": "B"}],
                            "edges": [{"id": "e", "u": "A", "v": "B", "length": 1.5}]})
@@ -352,6 +361,23 @@ class TestCli:
                      "--embed-b", str(tmp_path / "eb.json"), "--json"]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert len(payload["edges"]) == 2
+
+    @pytest.mark.parametrize("orient, code", [(1, 0), (True, 65), (1.0, 65), ("1", 65)],
+                             ids=["one", "true", "float", "string"])
+    def test_glue_orientation_is_an_integer(self, tmp_path, capsys, orient, code):
+        for name, (u, v, e) in {"a": ("A", "B", "e"), "b": ("C", "D", "f"),
+                                "shape": ("S", "T", "g")}.items():
+            (tmp_path / f"{name}.json").write_text(tio.curve_to_json(Curve.segment(1, u, v, e)))
+        (tmp_path / "ea.json").write_text(json.dumps(
+            {"vertex_map": {"S": "A", "T": "B"}, "edge_map": {"g": ["e", "0", orient]}}))
+        (tmp_path / "eb.json").write_text(json.dumps(
+            {"vertex_map": {"S": "C", "T": "D"}, "edge_map": {"g": ["f", "0", 1]}}))
+        assert main(["glue", "--a", str(tmp_path / "a.json"), "--b", str(tmp_path / "b.json"),
+                     "--shape", str(tmp_path / "shape.json"),
+                     "--embed-a", str(tmp_path / "ea.json"),
+                     "--embed-b", str(tmp_path / "eb.json"), "--json"]) == code
+        if code == 65:
+            assert "orientation must be 1 or -1" in capsys.readouterr().err
 
     def test_extend_cli(self, workdir, tmp_path, capsys):
         seg = Curve.segment(10)

@@ -12,7 +12,8 @@ from tropcurve.curve import INF, Curve
 from tropcurve.errors import NonTransversalError, TropError
 from tropcurve.hypersurface import plane_hypersurface
 from tropcurve.plfunction import PLFunction, chip_fire
-from tropcurve.randgen import CONIC_POLY, DOUBLE_LINE_POLY, LINE_POLY, complex_library
+from tropcurve.randgen import (CONIC_POLY, DOUBLE_LINE_POLY, LINE_POLY, complex_library,
+                               random_plane_poly)
 from tropcurve.realization import (bezout_check, check_realization, curve_from_complex,
                                    fit_tropical_polynomial, harmonic_balance_report, realize)
 from tropcurve.selftest import suite_complex_round_trip, suite_fit, suite_intersections
@@ -162,6 +163,36 @@ class TestFit:
         F1 = fit_tropical_polynomial(K)
         F2 = fit_tropical_polynomial(K.translate((Fraction(7, 3), -1)))
         assert {e for e, _ in F1.terms} == {e for e, _ in F2.terms}
+
+    def test_normalization(self):
+        # The largest coefficient is 0 and the Newton polygon touches both axes.
+        rng = rng_for("fit-normalization")
+        raw = []
+        while len(raw) < 30:
+            try:
+                K = plane_hypersurface(random_plane_poly(rng))
+            except TropError:
+                continue  # a monomial
+            if K.is_connected():
+                raw.append(K)
+        for K in complex_library(rng_for("library"), 22) + raw:
+            F = fit_tropical_polynomial(K)
+            assert max(c for _, c in F.terms) == 0
+            assert min(e[0] for e, _ in F.terms) == 0 and min(e[1] for e, _ in F.terms) == 0
+            assert plane_hypersurface(F).canonical() == K.canonical()
+
+    @pytest.mark.parametrize("terms, bounded_faces", [
+        ({(1, 0): 0, (0, 1): 0, (1, 1): 0}, 0),                 # ray (-1, -1) from the origin
+        ({(0, 0): -3, (3, 0): -3, (0, 3): -3, (1, 1): 0}, 1),   # the xy region is bounded
+        ({(0, 0): 0, (1, 0): 0, (0, 1): 0, (1, 1): 0}, 0),      # a 4-valent vertex
+    ], ids=["x+y+xy", "bounded-face", "four-valent"])
+    def test_fixed_round_trips(self, terms, bounded_faces):
+        # Each polynomial is already normalized, so the fit returns it.
+        K = plane_hypersurface(TropPoly.of(2, terms))
+        assert K.is_connected() and len(K.segments) - len(K.vertices) + 1 == bounded_faces
+        F = fit_tropical_polynomial(K)
+        assert F == TropPoly.of(2, terms)
+        assert plane_hypersurface(F).canonical() == K.canonical()
 
     def test_rejects_unbalanced(self):
         K = PolyComplex1D.of(2, [(0, 0)], [], [[0, (1, 1), 1]])
