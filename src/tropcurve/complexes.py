@@ -65,10 +65,8 @@ class PolyComplex1D:
     ray directions are primitive integer vectors of length ``dim``.
 
     Every constructor validates all of this except ``_trusted``, which sets
-    the fields as given.  Use it only for a result that is a complex by
-    construction from a complex: ``translate`` (translation keeps every
-    meeting) and ``canonical`` (merging a straight 2-valent vertex or
-    re-anchoring a line touches nothing another edge meets).
+    the fields as given for the three results that are complexes by
+    construction: ``translate``, ``canonical`` and ``plane_hypersurface``.
     """
 
     dim: int
@@ -117,7 +115,17 @@ class PolyComplex1D:
 
     @classmethod
     def _trusted(cls, dim: int, vertices: tuple[Vec, ...], segments: tuple, rays: tuple):
-        """The complex with these fields, unchecked: see the class docstring."""
+        """The complex with these fields, unchecked.
+
+        Use it only for a result that is a complex by construction:
+        ``translate`` (translation keeps every meeting); ``canonical``
+        (merging a straight 2-valent vertex or re-anchoring a line touches
+        nothing another edge meets); ``plane_hypersurface`` (a walk over the
+        cells dual to the regular subdivision of the Newton polygon, exact
+        on one integer scale, the lcm of the coefficients' denominators, so
+        two cells meet only at a vertex of both; its selftest suite rebuilds
+        each result through the validating constructor).
+        """
         k = object.__new__(cls)
         for name, value in (("dim", dim), ("vertices", vertices),
                             ("segments", segments), ("rays", rays)):

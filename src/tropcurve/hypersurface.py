@@ -3,22 +3,30 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Sequence
 
-from .complexes import PolyComplex1D, line_anchor
+from .complexes import PolyComplex1D
 from .errors import TropError
-from .geometry import ivec_gcd, primitive_of, vadd, vscale, vsub
 from .semifield import TropPoly, rat
 
 
 def plane_hypersurface(F: TropPoly, window: Sequence | None = None) -> PolyComplex1D:
     """The locus where at least two terms attain the maximum, with weights.
 
-    Cells come from pairwise term-equality lines restricted by the other
-    terms; the weight of a cell is the lattice length spanned by all
-    exponents that are maximal along it.  A window, when given, must
-    contain every vertex of the result (it only bounds the vertex search;
-    the complex itself is exact).
+    The curve is dual to the regular subdivision of the Newton polygon, and
+    an edge's weight is the lattice length of its dual edge.  The work is on
+    integers: the curve of D·F, D the lcm of the coefficients' denominators,
+    is D times the curve of F.  Collinear exponents p + s·u give parallel
+    lines, one per upper hull edge of the lifted points (s, c), of weight
+    the difference in s.  Otherwise at most two moves from the origin reach
+    a vertex, and a walk visits every vertex: at each, a counterclockwise
+    edge g of the polygon of the terms maximal there leaves along
+    (g[1], -g[0]) / gcd(g) with weight gcd(g), up to where ``_step`` finds
+    a faster term catching up, or as a ray.  A two-dimensional polygon
+    gives a connected curve in which every edge meets a vertex, so the walk
+    reaches every cell.  The result is a complex by duality, built
+    unchecked.  A window, when given, must contain every vertex.
     """
     if F.nvars != 2:
         raise TropError("hypersurface construction implemented for two variables")
@@ -28,41 +36,13 @@ def plane_hypersurface(F: TropPoly, window: Sequence | None = None) -> PolyCompl
     if len(terms) > 32:
         raise TropError("more than 32 terms; out of the supported desk scale")
 
-    cells: dict[tuple, dict] = {}
-    for a_idx in range(len(terms)):
-        for b_idx in range(a_idx + 1, len(terms)):
-            cell = _pair_cell(terms, a_idx, b_idx)
-            if cell is None:
-                continue
-            key, data = cell
-            cells[key] = data  # identical supports collapse onto one key
-
-    vertices: dict[tuple[Fraction, Fraction], int] = {}  # point -> index, in order of first use
-
-    def vid(p) -> int:
-        return vertices.setdefault(p, len(vertices))
-
-    segments = []
-    rays = []
-    for data in cells.values():
-        anchor, direction, lo, hi, weight = (data["anchor"], data["dir"],
-                                             data["lo"], data["hi"], data["weight"])
-        if lo is None and hi is None:
-            base = line_anchor(anchor, direction)
-            rays.append((vid(base), direction, weight))
-            rays.append((vid(base), tuple(-x for x in direction), weight))
-        elif hi is None:
-            base = vadd(anchor, vscale(direction, lo))
-            rays.append((vid(base), direction, weight))
-        elif lo is None:
-            base = vadd(anchor, vscale(direction, hi))
-            rays.append((vid(base), tuple(-x for x in direction), weight))
-        else:
-            p = vadd(anchor, vscale(direction, lo))
-            q = vadd(anchor, vscale(direction, hi))
-            segments.append((vid(p), vid(q), weight))
-
-    out = PolyComplex1D.of(2, list(vertices), segments, rays)
+    ratios = [c.as_integer_ratio() for _, c in terms]
+    D = lcm(*(d for _, d in ratios))
+    T = [(e, n * (D // d)) for (e, _), (n, d) in zip(terms, ratios)]
+    hull = _hull([e for e, _ in T])
+    points, segments, rays = _lines(T, *hull) if len(hull) == 2 else _walk(T)
+    vertices = tuple((Fraction(X, q * D), Fraction(Y, q * D)) for X, Y, q in points)
+    out = PolyComplex1D._trusted(2, vertices, tuple(segments), tuple(rays))
     if window is not None:
         (x0, y0), (x1, y1) = window
         x0, y0, x1, y1 = rat(x0), rat(y0), rat(x1), rat(y1)
@@ -72,81 +52,88 @@ def plane_hypersurface(F: TropPoly, window: Sequence | None = None) -> PolyCompl
     return out
 
 
-def _pair_cell(terms, a_idx: int, b_idx: int):
-    """The closed cell where terms a and b are both maximal, or None."""
-    (ea, ca) = terms[a_idx]
-    (eb, cb) = terms[b_idx]
-    d = (ea[0] - eb[0], ea[1] - eb[1])
-    rhs = cb - ca
-    # A point on the line d . x = rhs and its direction.
-    if d[0] != 0:
-        anchor = (Fraction(rhs, d[0]), Fraction(0))
-    else:
-        anchor = (Fraction(0), Fraction(rhs, d[1]))
-    direction, _ = primitive_of((-d[1], d[0]))
-    lo: Fraction | None = None
-    hi: Fraction | None = None
-    for k_idx, (ek, ck) in enumerate(terms):
-        if k_idx in (a_idx, b_idx):
-            continue
-        # Need ca + ea.x >= ck + ek.x, i.e. (ea-ek).x >= ck - ca on the line.
-        g = (ea[0] - ek[0], ea[1] - ek[1])
-        coef = g[0] * direction[0] + g[1] * direction[1]
-        bound = ck - ca - (g[0] * anchor[0] + g[1] * anchor[1])
-        if coef == 0:
-            if 0 < bound:
-                return None
-            continue
-        t = Fraction(bound, coef)
-        if coef > 0:
-            if lo is None or t > lo:
-                lo = t
+def _lines(T, a, b):
+    """Exponents a + s·u: one line per upper hull edge of (s, c), at its ``line_anchor``."""
+    w = gcd(b[0] - a[0], b[1] - a[1])
+    u = ((b[0] - a[0]) // w, (b[1] - a[1]) // w)
+    lifted = [(((e[0] - a[0]) * u[0] + (e[1] - a[1]) * u[1]) // (u[0] ** 2 + u[1] ** 2), c)
+              for e, c in T]
+    d = max((-u[1], u[0]), (u[1], -u[0]))
+    points, rays = [], []
+    hull = _hull(lifted)
+    cw = hull[:1] + hull[:0:-1]  # clockwise: the upper hull edges first, left to right
+    for (s0, c0), (s1, c1) in zip(cw, cw[1:] + cw[:1]):
+        if s0 < s1:  # an upper hull edge: u·y = (c0 - c1) / (s1 - s0) on its line
+            z, m = c0 - c1, s1 - s0
+            points.append((0, z, m * u[1]) if u[1] else (z, 0, m * u[0]))
+            rays += [(len(points) - 1, d, m), (len(points) - 1, (-d[0], -d[1]), m)]
+    return points, [], rays
+
+
+def _walk(T):
+    """Vertices as reduced (X, Y, q) for (X/q, Y/q), segments and rays of a 2-D support."""
+    P = (0, 0, 1)
+    while len(H := _hull(_top(T, P)[2])) < 3:  # inside a region, then on an edge
+        if len(H) == 1:
+            d = next((e[0] - H[0][0], e[1] - H[0][1]) for e, _ in T if e != H[0])
         else:
-            if hi is None or t < hi:
-                hi = t
-    if lo is not None and hi is not None and lo >= hi:
-        return None  # empty or a single point; points appear as cell endpoints
-    # Canonical support key: orient the direction positively from a line anchor.
-    pos_dir = direction if direction > tuple(-x for x in direction) else tuple(-x for x in direction)
-    flipped = pos_dir != direction
-    base = line_anchor(anchor, pos_dir)
-    shift = _param_of(anchor, pos_dir, base)
-    if flipped:
-        lo, hi = (None if hi is None else -hi), (None if lo is None else -lo)
-    lo = None if lo is None else lo + shift
-    hi = None if hi is None else hi + shift
-    weight = _cell_weight(terms, anchor, direction, lo, hi, shift, pos_dir, base)
-    key = (base, pos_dir, lo, hi)
-    return key, {"anchor": base, "dir": pos_dir, "lo": lo, "hi": hi, "weight": weight}
+            d = (H[1][1] - H[0][1], H[0][0] - H[1][0])
+        P = _step(T, P, d) or _step(T, P, (-d[0], -d[1]))
+    points, index, segments, rays = [P], {P: 0}, [], []
+    for i, P in enumerate(points):  # points grows as the walk finds vertices
+        H = _hull(_top(T, P)[2])
+        for a, b in zip(H, H[1:] + H[:1]):
+            w = gcd(b[0] - a[0], b[1] - a[1])
+            d = ((b[1] - a[1]) // w, (a[0] - b[0]) // w)
+            Q = _step(T, P, d)
+            if Q is None:
+                rays.append((i, d, w))
+                continue
+            j = index.setdefault(Q, len(points))
+            if j == len(points):
+                points.append(Q)
+            if j > i:  # else found from Q already
+                segments.append((i, j, w))
+    return points, segments, rays
 
 
-def _param_of(point, direction, base) -> Fraction:
-    # parameter of `point` on the line base + t * direction
-    diff = vsub(point, base)
-    if direction[0] != 0:
-        return diff[0] / direction[0]
-    return diff[1] / direction[1]
+def _top(T, P):
+    """The values at P (times P's q), their maximum, and the exponents attaining it."""
+    X, Y, q = P
+    vals = [q * c + e[0] * X + e[1] * Y for e, c in T]
+    top = max(vals)
+    return vals, top, [e for (e, _), v in zip(T, vals) if v == top]
 
 
-def _cell_weight(terms, anchor, direction, lo, hi, shift, pos_dir, base) -> int:
-    # Evaluate at a generic interior parameter and span the maximal exponents.
-    if lo is None and hi is None:
-        t = Fraction(0)
-    elif lo is None:
-        t = hi - 1
-    elif hi is None:
-        t = lo + 1
-    else:
-        t = (lo + hi) / 2
-    x = vadd(base, vscale(pos_dir, t))
-    best = None
-    arg = []
-    for ek, ck in terms:
-        v = ck + ek[0] * x[0] + ek[1] * x[1]
-        if best is None or v > best:
-            best, arg = v, [ek]
-        elif v == best:
-            arg.append(ek)
-    lohi = sorted(arg)
-    span = (lohi[-1][0] - lohi[0][0], lohi[-1][1] - lohi[0][1])
-    return ivec_gcd(span)
+def _step(T, P, d):
+    """The first P + t·d, t > 0, where a term rising faster along d catches up, or None."""
+    vals, top, M = _top(T, P)
+    s = max(e[0] * d[0] + e[1] * d[1] for e in M)
+    n, r = 0, 0  # the earliest catch-up so far is at t = n / (q r)
+    for (e, _), v in zip(T, vals):
+        rate = e[0] * d[0] + e[1] * d[1] - s
+        if rate > 0 and (r == 0 or (top - v) * r < n * rate):
+            n, r = top - v, rate
+    if r == 0:
+        return None
+    X, Y, q = P
+    X, Y, q = r * X + n * d[0], r * Y + n * d[1], r * q
+    g = gcd(X, Y, q)
+    return X // g, Y // g, q // g
+
+
+def _hull(points):
+    """The convex hull's corners, counterclockwise from the least point; collinear points dropped."""
+    pts = sorted(points)
+    if len(pts) < 3:
+        return pts
+    corners = []
+    for seq in (pts, pts[::-1]):  # the lower chain, then the upper
+        chain = []
+        for p in seq:
+            while len(chain) > 1 and ((chain[-1][0] - chain[-2][0]) * (p[1] - chain[-2][1])
+                                      - (chain[-1][1] - chain[-2][1]) * (p[0] - chain[-2][0])) <= 0:
+                chain.pop()
+            chain.append(p)
+        corners += chain[:-1]
+    return corners

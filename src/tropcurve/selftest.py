@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
-from .complexes import check_balanced, intersect
+from .complexes import PolyComplex1D, check_balanced, intersect
 from .curve import canonical_model, disjoint_union
 from .errors import TropError
 from .hypersurface import plane_hypersurface
@@ -171,6 +171,7 @@ def suite_hypersurface_oracle(rng: random.Random, cases: int) -> int:
             K = plane_hypersurface(F)
         except TropError:
             continue  # a monomial has no hypersurface
+        check(PolyComplex1D(2, K.vertices, K.segments, K.rays) == K)  # built unchecked
         check(check_balanced(K).balanced)
         argmax_oracle(F, K, GRID + tuple(
             (random_rational(rng, -9, 9, 4), random_rational(rng, -9, 9, 4)) for _ in range(20)))

@@ -312,7 +312,7 @@ def test_trusted_results_pass_full_validation():
     rng = rng_for("complex-trusted")
     for K in trusted_inputs(rng):
         shift = tuple(random_rational(rng) for _ in range(K.dim))
-        for T in (K.canonical(), K.translate(shift), K.translate(shift).canonical()):
+        for T in (K, K.canonical(), K.translate(shift), K.translate(shift).canonical()):
             assert PolyComplex1D(T.dim, T.vertices, T.segments, T.rays) == T
 
 

@@ -3,17 +3,19 @@
 from __future__ import annotations
 
 import collections
+import random
 from fractions import Fraction
 
 import pytest
 
+from tropcurve.complexes import PolyComplex1D, check_balanced
 from tropcurve.errors import TropError
 from tropcurve.hypersurface import plane_hypersurface
 from tropcurve.randgen import CONIC_POLY, DOUBLE_LINE_POLY, LINE_POLY
 from tropcurve.selftest import GRID, argmax_oracle, suite_hypersurface_oracle
 from tropcurve.semifield import TropPoly
 
-from conftest import rng_for
+from conftest import fraction_calls, rng_for
 
 
 def test_line():
@@ -78,3 +80,68 @@ def test_disconnected_hypersurface():
     K = plane_hypersurface(F)
     assert len(K.rays) == 4 and not K.is_connected()
     argmax_oracle(F, K, GRID)
+
+
+# Weighted supports from the pair-scan construction this walk replaced, as
+# canonical (vertices, segments, rays).  Each start is named by what the
+# origin meets: the walk takes two, one or no moves to reach a vertex.
+WALK_CASES = {
+    "origin-in-region": (
+        {(0, 0): 0, (1, 0): 1, (0, 1): Fraction(1, 2), (1, 1): 3, (2, 1): 1},
+        [(Fraction(-5, 2), Fraction(-1, 2)), (-1, -2), (2, -2)],
+        [(0, 1, 1), (1, 2, 1)],
+        [(0, (-1, 0), 1), (0, (0, 1), 1), (1, (0, -1), 1), (2, (0, 1), 1), (2, (1, -1), 1)]),
+    "origin-on-edge": (
+        {(0, 0): 0, (1, 0): 0, (0, 1): -1, (1, 1): Fraction(-5, 2), (2, 2): -7},
+        [(0, 1), (Fraction(3, 2), Fraction(5, 2)), (Fraction(3, 2), 3), (2, Fraction(5, 2))],
+        [(0, 1, 1), (1, 2, 1), (1, 3, 1), (2, 3, 1)],
+        [(0, (-1, 0), 1), (0, (0, -1), 1), (2, (-1, 2), 1), (3, (2, -1), 1)]),
+    "origin-at-vertex": (
+        {(0, 0): 0, (1, 0): 0, (0, 1): 0, (-1, -1): -1, (1, 2): -3},
+        [(-1, 0), (0, -1), (0, 0), (Fraction(3, 2), Fraction(3, 2))],
+        [(0, 1, 1), (0, 2, 1), (1, 2, 1), (2, 3, 1)],
+        [(0, (-2, 1), 1), (1, (1, -2), 1), (3, (-1, 1), 1), (3, (1, 0), 2)]),
+    "middle-exponents-below-hull": (
+        {(0, 0): 0, (2, 0): 0, (0, 2): 0, (1, 0): -1, (1, 1): -5, (2, 2): -4},
+        [(0, 0), (2, 2)],
+        [(0, 1, 2)],
+        [(0, (-1, 0), 2), (0, (0, -1), 2), (1, (0, 1), 2), (1, (1, 0), 2)]),
+}
+
+
+@pytest.mark.parametrize("name", WALK_CASES)
+def test_walk_matches_pair_scan(name):
+    terms, vertices, segments, rays = WALK_CASES[name]
+    F = TropPoly.of(2, terms)
+    _, at_origin = F.eval((0, 0))
+    start = {"origin-in-region": 1, "origin-on-edge": 2}.get(name, 3)
+    assert min(len(at_origin), 3) == start
+    K = plane_hypersurface(F)
+    assert PolyComplex1D(2, K.vertices, K.segments, K.rays) == K
+    assert K.canonical() == PolyComplex1D.of(2, vertices, segments, rays)
+    argmax_oracle(F, K, GRID)
+
+
+def random_poly(n: int) -> TropPoly:
+    rng = random.Random(f"walk:{n}")
+    terms = {}
+    while len(terms) < n:
+        terms[(rng.randint(0, 8), rng.randint(0, 8))] = Fraction(rng.randint(-12, 12),
+                                                                  rng.randint(1, 3))
+    return TropPoly.of(2, terms)
+
+
+def test_thirty_two_terms():
+    F = random_poly(32)
+    K = plane_hypersurface(F)
+    assert PolyComplex1D(2, K.vertices, K.segments, K.rays) == K
+    assert K.is_connected() and check_balanced(K).balanced
+    points = [(Fraction(x, 4), Fraction(y, 4)) for x in range(-40, 41, 3) for y in range(-40, 41, 3)]
+    argmax_oracle(F, K, GRID + tuple(points) + K.vertices)
+
+
+def test_fraction_calls_grow_at_most_quadratically():
+    # One call per coefficient and two per vertex: 22 and 48 here, where the
+    # pair scan this walk replaced made 12,043 and 504,612.
+    small, large = (fraction_calls(plane_hypersurface, random_poly(n)) for n in (8, 32))
+    assert 0 < large <= 16 * small
