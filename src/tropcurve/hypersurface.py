@@ -123,7 +123,7 @@ def _step(T, P, d):
 
 
 def _hull(points):
-    """The convex hull's corners, counterclockwise from the least point; collinear points dropped."""
+    """The hull's corners, counterclockwise from the least point; collinear points dropped."""
     pts = sorted(points)
     if len(pts) < 3:
         return pts

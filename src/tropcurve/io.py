@@ -32,6 +32,22 @@ def _require(cond: bool, message: str):
         raise FileFormatError(message)
 
 
+def _member(data: dict, key: str, kind: type):
+    """data[key], empty when absent, which must be a JSON list (kind list) or object (dict)."""
+    value = data.get(key, kind())
+    if not isinstance(value, kind):
+        raise FileFormatError(f"{key} must be a JSON {'list' if kind is list else 'object'}, "
+                              f"not {type(value).__name__}")
+    return value
+
+
+def _id(x, what: str) -> str:
+    """An id, which must be a JSON string: 1 and "1" are not the same id."""
+    if not isinstance(x, str):
+        raise FileFormatError(f"{what} must be a string, not {type(x).__name__}: {x!r}")
+    return x
+
+
 def _rational(x, what: str) -> Fraction:
     if isinstance(x, (bool, float)):
         raise FileFormatError(f"{what} must be a rational string, not a {type(x).__name__}: {x!r}")
@@ -58,14 +74,14 @@ def curve_from_json(text: str) -> Curve:
     data = _load_json(text)
     _require(isinstance(data, dict), "curve file must be a JSON object")
     vertices = []
-    for v in data.get("vertices", []):
+    for v in _member(data, "vertices", list):
         _require(isinstance(v, dict) and "id" in v, "vertex entries need an id")
         at_infinity = v.get("at_infinity", False)
         _require(isinstance(at_infinity, bool),
                  f"vertex {v['id']!r}: at_infinity must be true or false")
-        vertices.append((str(v["id"]), at_infinity))
+        vertices.append((_id(v["id"], "vertex id"), at_infinity))
     edges = []
-    for e in data.get("edges", []):
+    for e in _member(data, "edges", list):
         _require(isinstance(e, dict) and {"id", "u", "v", "length"} <= set(e),
                  "edge entries need id, u, v, length")
         length = e["length"]
@@ -75,8 +91,9 @@ def curve_from_json(text: str) -> Curve:
             parsed = INF
         else:
             parsed = _rational(length, "edge length")  # NaN-like strings fail here
-        edges.append((str(e["id"]), str(e["u"]), str(e["v"]), parsed))
-    ray_classes = {str(k): str(v) for k, v in data.get("ray_classes", {}).items()}
+        edges.append((_id(e["id"], "edge id"), _id(e["u"], "edge endpoint"),
+                      _id(e["v"], "edge endpoint"), parsed))
+    ray_classes = {k: _id(v, "ray class") for k, v in _member(data, "ray_classes", dict).items()}
     try:
         return Curve.build(vertices=vertices, edges=edges, ray_classes=ray_classes)
     except TropError as exc:
@@ -90,9 +107,9 @@ def parse_point(c: Curve, spec) -> PointRef:
     """A vertex id, ``edge@offset``, or a JSON-ish {"vertex"|"edge","offset"}."""
     if isinstance(spec, dict):
         if "vertex" in spec:
-            return c.pt_vertex(str(spec["vertex"]))
-        return c.pt_on_edge(str(spec["edge"]), _rational(spec["offset"], "offset"))
-    s = str(spec)
+            return c.pt_vertex(_id(spec["vertex"], "vertex id"))
+        return c.pt_on_edge(_id(spec["edge"], "edge id"), _rational(spec["offset"], "offset"))
+    s = _id(spec, "point")
     if "@" in s:
         eid, _, off = s.partition("@")
         return c.pt_on_edge(eid, _rational(off, "offset"))
@@ -109,16 +126,16 @@ def subgraph_from_json(c: Curve, text: str) -> Subgraph:
     data = _load_json(text)
     _require(isinstance(data, dict), "subgraph file must be a JSON object")
     intervals = []
-    for entry in data.get("intervals", []):
+    for entry in _member(data, "intervals", list):
         _require(isinstance(entry, (list, tuple)) and len(entry) == 3,
                  "interval entries are [edge, lo, hi]")
         eid, lo, hi = entry
         hi_val = INF if hi == "inf" else _rational(hi, "interval end")
-        intervals.append((str(eid), _rational(lo, "interval start"), hi_val))
+        intervals.append((_id(eid, "edge id"), _rational(lo, "interval start"), hi_val))
+    vertices = [_id(v, "vertex id") for v in _member(data, "vertices", list)]
+    edges = [_id(e, "edge id") for e in _member(data, "edges", list)]
     try:
-        return make_subgraph(c, vertices=[str(v) for v in data.get("vertices", [])],
-                             edges=[str(e) for e in data.get("edges", [])],
-                             intervals=intervals)
+        return make_subgraph(c, vertices=vertices, edges=edges, intervals=intervals)
     except TropError as exc:
         raise FileFormatError(f"invalid subgraph: {exc}") from exc
 
@@ -148,7 +165,8 @@ def function_from_json(c: Curve, text: str) -> PLFunction:
     if data == "-inf":
         return PLFunction.neg_inf(c)
     _require(isinstance(data, dict), "function file must be '-inf' or an object")
-    iso = data.pop("values_at_vertices", {})
+    iso = _member(data, "values_at_vertices", dict)
+    data.pop("values_at_vertices", None)
     edge_data = {}
     for eid, entry in data.items():
         _require(isinstance(entry, dict) and "breakpoints" in entry,
@@ -161,10 +179,10 @@ def function_from_json(c: Curve, text: str) -> PLFunction:
         tail = entry.get("slope_at_infinity")
         if tail is not None:
             _integer(tail, "slope_at_infinity")
-        edge_data[str(eid)] = (breaks, tail)
+        edge_data[eid] = (breaks, tail)
     try:
         return PLFunction.from_edge_data(c, edge_data,
-                                         {str(k): _rational(v, "vertex value")
+                                         {k: _rational(v, "vertex value")
                                           for k, v in iso.items()})
     except TropError as exc:
         raise FileFormatError(f"invalid function: {exc}") from exc
@@ -214,9 +232,9 @@ def complex_from_json(text: str) -> PolyComplex1D:
     _require(isinstance(raw, list) and all(isinstance(v, list) for v in raw),
              "complex vertices must be a list of coordinate lists")
     vertices = [[_rational(x, "coordinate") for x in v] for v in raw]
+    segments, rays = _member(data, "segments", list), _member(data, "rays", list)
     try:
-        return PolyComplex1D.of(dim, vertices,
-                                data.get("segments", []), data.get("rays", []))
+        return PolyComplex1D.of(dim, vertices, segments, rays)
     except (TropError, TypeError, ValueError) as exc:
         raise FileFormatError(f"invalid complex: {exc}") from exc
 
@@ -238,20 +256,18 @@ def poly_from_text(text: str, nvars: int | None = None) -> TropPoly:
 def morphism_from_json(source: Curve, target: Curve, text: str) -> Morphism:
     data = _load_json(text)
     _require(isinstance(data, dict), "morphism file must be a JSON object")
-    vmap = {str(k): str(v) for k, v in data.get("vertex_map", {}).items()}
+    vmap = {k: _id(v, "vertex id") for k, v in _member(data, "vertex_map", dict).items()}
     emap = {}
-    for eid, entry in data.get("edge_map", {}).items():
+    for eid, entry in _member(data, "edge_map", dict).items():
         _require(isinstance(entry, dict) and ({"edge"} <= set(entry) or {"vertex"} <= set(entry)),
                  f"edge_map[{eid!r}] must be {{'edge': id}} or {{'vertex': id}}")
-        if "edge" in entry:
-            emap[str(eid)] = ("edge", str(entry["edge"]))
-        else:
-            emap[str(eid)] = ("vertex", str(entry["vertex"]))
+        kind = "edge" if "edge" in entry else "vertex"
+        emap[eid] = (kind, _id(entry[kind], f"{kind} id"))
     degrees = {}
-    for eid, d in data.get("degrees", {}).items():
+    for eid, d in _member(data, "degrees", dict).items():
         _require(_integer(d, f"degree of {eid!r}") >= 0,
                  f"degree of {eid!r} must be a nonnegative integer")
-        degrees[str(eid)] = d
+        degrees[eid] = d
     return Morphism(source, target, vmap, emap, degrees)
 
 
@@ -267,14 +283,14 @@ def morphism_to_json(m: Morphism) -> str:
 def embedding_from_json(shape: Curve, target: Curve, text: str) -> Embedding:
     data = _load_json(text)
     _require(isinstance(data, dict), "embedding file must be a JSON object")
-    vmap = {str(k): parse_point(target, v) for k, v in data.get("vertex_map", {}).items()}
+    vmap = {k: parse_point(target, v) for k, v in _member(data, "vertex_map", dict).items()}
     emap = {}
-    for eid, entry in data.get("edge_map", {}).items():
+    for eid, entry in _member(data, "edge_map", dict).items():
         _require(isinstance(entry, (list, tuple)) and len(entry) == 3,
                  f"edge_map[{eid!r}] must be [target edge, start, orientation]")
         tgt, start, orient = entry
         _require(type(orient) is int and orient in (1, -1), "orientation must be 1 or -1")
-        emap[str(eid)] = (str(tgt), _rational(start, "start offset"), orient)
+        emap[eid] = (_id(tgt, "edge id"), _rational(start, "start offset"), orient)
     return Embedding(shape, vmap, emap)
 
 

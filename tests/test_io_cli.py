@@ -120,6 +120,33 @@ class TestRejects:
         assert main(["check-curve", "--curve", str(bad)]) == 65
         assert "vertex 'X': at_infinity must be true or false" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("load, data, message", [
+        ("curve", {"vertices": [{"id": "A"}], "edges": {}}, "edges must be a JSON list, not dict"),
+        ("curve", {"vertices": [{"id": "A"}, {"id": "B"}],
+                   "edges": [{"id": "e", "u": "A", "v": None, "length": "1"}]},
+         "edge endpoint must be a string, not NoneType: None"),
+        ("subgraph", {"vertices": [0]}, "vertex id must be a string, not int: 0"),
+        ("subgraph", {"intervals": [[1, "0", "1"]]}, "edge id must be a string, not int: 1"),
+        ("function", {"values_at_vertices": []}, "values_at_vertices must be a JSON object"),
+        ("morphism", {"edge_map": []}, "edge_map must be a JSON object, not list"),
+        ("morphism", {"vertex_map": {"O": 0}}, "vertex id must be a string, not int: 0"),
+        ("embedding", {"vertex_map": {"O": 0}}, "point must be a string, not int: 0"),
+        ("complex", {"dim": 2, "vertices": [], "rays": {}}, "rays must be a JSON list, not dict"),
+    ], ids=["curve-edges", "curve-null-endpoint", "subgraph-vertex", "subgraph-interval",
+            "function-values", "morphism-edge-map", "morphism-vertex", "embedding-point",
+            "complex-rays"])
+    def test_container_shapes_and_string_ids(self, line, load, data, message):
+        text = json.dumps(data)
+        loaders = {"curve": lambda: tio.curve_from_json(text),
+                   "subgraph": lambda: tio.subgraph_from_json(line, text),
+                   "function": lambda: tio.function_from_json(line, text),
+                   "morphism": lambda: tio.morphism_from_json(line, line, text),
+                   "embedding": lambda: tio.embedding_from_json(line, line, text),
+                   "complex": lambda: tio.complex_from_json(text)}
+        with pytest.raises(FileFormatError) as exc:
+            loaders[load]()
+        assert message in str(exc.value)
+
     def test_float_length(self):
         text = json.dumps({"vertices": [{"id": "A"}, {"id": "B"}],
                            "edges": [{"id": "e", "u": "A", "v": "B", "length": 1.5}]})
