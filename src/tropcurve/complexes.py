@@ -64,9 +64,7 @@ class PolyComplex1D:
     vertex that no edge uses lies on no edge; weights are positive integers;
     ray directions are primitive integer vectors of length ``dim``.
 
-    Every constructor validates all of this except ``_trusted``, which sets
-    the fields as given for the three results that are complexes by
-    construction: ``translate``, ``canonical`` and ``plane_hypersurface``.
+    Every constructor validates all of this except ``_trusted``.
     """
 
     dim: int

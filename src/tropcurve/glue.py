@@ -30,7 +30,7 @@ class Embedding:
         eid, start, orient = self.edge_map[shape_edge]
         return eid, start + orient * t
 
-    def image_interval(self, shape_edge: str, target: Curve):
+    def image_interval(self, shape_edge: str):
         eid, start, orient = self.edge_map[shape_edge]
         length = self.shape.edges[shape_edge].length
         if length == INF:
@@ -156,7 +156,7 @@ def glue(c1: Curve, c2: Curve, emb1: Embedding, emb2: Embedding) -> GlueResult:
             continue
         p1 = emb1.vertex_map[vid]
         p2 = emb2.vertex_map[vid]
-        vertex_alias[_refined_vertex("2", p2, vname2)] = _refined_vertex("1", p1, vname1)
+        vertex_alias[_refined_vertex("2", p2)] = _refined_vertex("1", p1)
     edge_alias: dict[str, tuple[str, int]] = {}
     for eid in shape.edges:
         g1, o1 = _refined_edge("1", emb1, eid, c1)
@@ -210,7 +210,7 @@ def glue(c1: Curve, c2: Curve, emb1: Embedding, emb2: Embedding) -> GlueResult:
 
     glued = Curve(vertices.values(), edges, ray_classes)
 
-    def remap_pieces(raw, alias_v, which):
+    def remap_pieces(raw):
         out = {}
         for eid, pieces in raw.items():
             fixed = []
@@ -231,12 +231,12 @@ def glue(c1: Curve, c2: Curve, emb1: Embedding, emb2: Embedding) -> GlueResult:
 
     vmap1 = {v: name for v, name in vname1.items()}
     vmap2 = {v: vertex_alias.get(name, name) for v, name in vname2.items()}
-    map1 = PointMap(c1, glued, vmap1, remap_pieces(map_pieces1, vertex_alias, "1"))
-    map2 = PointMap(c2, glued, vmap2, remap_pieces(map_pieces2, vertex_alias, "2"))
+    map1 = PointMap(c1, glued, vmap1, remap_pieces(map_pieces1))
+    map2 = PointMap(c2, glued, vmap2, remap_pieces(map_pieces2))
     return GlueResult(glued, map1, map2, shape, emb1, emb2)
 
 
-def _refined_vertex(prefix: str, p: PointRef, vname: Mapping) -> str:
+def _refined_vertex(prefix: str, p: PointRef) -> str:
     if p.kind == "vertex":
         return f"{prefix}:{p.vertex}"
     return f"{prefix}:{p.edge}@{p.offset}"
@@ -259,7 +259,7 @@ def _refine(c: Curve, emb: Embedding, prefix: str):
     """Subdivide c at all embedding cut points; ids get the side prefix."""
     cuts: dict[str, set[Fraction]] = {}
     for eid in emb.shape.edges:
-        tgt, lo, hi = emb.image_interval(eid, c)
+        tgt, lo, hi = emb.image_interval(eid)
         cuts.setdefault(tgt, set()).update({lo} if hi == INF else {lo, hi})
     for p in emb.vertex_map.values():
         if p.kind == "on_edge":

@@ -199,7 +199,6 @@ def weight_check(m: Morphism) -> WeightReport:
     if len(images) != len(m.edge_map) or sorted(images) != sorted(tgt.edges):
         reasons.append("edge map is not a bijection onto the target edges")
     if not reasons:
-        inv_edge = {name: eid for eid, (kind, name) in m.edge_map.items()}
         for e1 in src.ray_classes:
             for e2 in src.ray_classes:
                 same_src = src.ray_classes[e1] == src.ray_classes[e2]

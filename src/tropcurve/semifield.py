@@ -74,23 +74,6 @@ class TropValue:
             raise TropError("zero has no multiplicative inverse")
         return TropValue(-self.coef)
 
-    def pow(self, k: int) -> "TropValue":
-        if self.coef is None:
-            if k <= 0:
-                raise TropError("zero has no multiplicative inverse")
-            return NEG_INF
-        return TropValue(self.coef * k)
-
-    def __le__(self, other: "TropValue") -> bool:
-        if self.coef is None:
-            return True
-        if other.coef is None:
-            return False
-        return self.coef <= other.coef
-
-    def __lt__(self, other: "TropValue") -> bool:
-        return self <= other and self != other
-
     def __str__(self) -> str:
         return "-inf" if self.coef is None else str(self.coef)
 
@@ -232,17 +215,9 @@ class TropPoly:
         e = tuple(int(x) for x in exp)
         return TropPoly(len(e), ((e, rat(coef)),))
 
-    @staticmethod
-    def constant(nvars: int, coef) -> "TropPoly":
-        return TropPoly.monomial(coef, (0,) * nvars)
-
     @property
     def is_neg_inf(self) -> bool:
         return not self.terms
-
-    @property
-    def is_monomial(self) -> bool:
-        return len(self.terms) == 1
 
     def term_map(self) -> dict[tuple[int, ...], Fraction]:
         return dict(self.terms)
@@ -269,23 +244,6 @@ class TropPoly:
                 if e not in out or out[e] < c:
                     out[e] = c
         return TropPoly.of(self.nvars, out)
-
-    def scale(self, coef) -> "TropPoly":
-        t = TropValue.of(coef) if not isinstance(coef, TropValue) else coef
-        if t.is_neg_inf:
-            return TropPoly.zero(self.nvars)
-        return TropPoly.of(self.nvars, {exp: c + t.coef for exp, c in self.terms})
-
-    def pow(self, k: int) -> "TropPoly":
-        if k < 0:
-            if not self.is_monomial:
-                raise TropError("only monomials are invertible")
-            exp, coef = self.terms[0]
-            return TropPoly.monomial(-coef, tuple(-e for e in exp)).pow(-k)
-        out = TropPoly.constant(self.nvars, 0)
-        for _ in range(k):
-            out = out.mul(self)
-        return out
 
     def eval(self, point: Iterable) -> tuple[TropValue, frozenset[tuple[int, ...]]]:
         """Value at a rational point and the set of exponents attaining it."""
