@@ -63,7 +63,7 @@ def _lines(T, a, b):
     hull = _hull(lifted)
     cw = hull[:1] + hull[:0:-1]  # clockwise: the upper hull edges first, left to right
     for (s0, c0), (s1, c1) in zip(cw, cw[1:] + cw[:1]):
-        if s0 < s1:  # an upper hull edge: u·y = (c0 - c1) / (s1 - s0) on its line
+        if s0 < s1:  # an upper hull edge: the line u·x = (c0 - c1) / ((s1 - s0) D)
             z, m = c0 - c1, s1 - s0
             points.append((0, z, m * u[1]) if u[1] else (z, 0, m * u[0]))
             rays += [(len(points) - 1, d, m), (len(points) - 1, (-d[0], -d[1]), m)]

@@ -132,12 +132,19 @@ def random_poly(n: int) -> TropPoly:
 
 
 def test_thirty_two_terms():
-    F = random_poly(32)
-    K = plane_hypersurface(F)
-    assert PolyComplex1D(2, K.vertices, K.segments, K.rays) == K
-    assert K.is_connected() and check_balanced(K).balanced
+    # A strictly concave lift of the 8 x 4 grid of exponents induces a
+    # unimodular triangulation: 42 triangles, 53 inner edges and 20 boundary
+    # edges, so as many vertices, segments and rays, all of weight 1.
+    grid = TropPoly.of(2, {(i, j): -(i * i + i * j + j * j) for i in range(8) for j in range(4)})
     points = [(Fraction(x, 4), Fraction(y, 4)) for x in range(-40, 41, 3) for y in range(-40, 41, 3)]
-    argmax_oracle(F, K, GRID + tuple(points) + K.vertices)
+    for F in (grid, random_poly(32)):
+        K = plane_hypersurface(F)
+        assert PolyComplex1D(2, K.vertices, K.segments, K.rays) == K
+        assert K.is_connected() and check_balanced(K).balanced
+        argmax_oracle(F, K, GRID + tuple(points) + K.vertices)
+    K = plane_hypersurface(grid)
+    assert (len(K.vertices), len(K.segments), len(K.rays)) == (42, 53, 20)
+    assert {w for *_, w in K.segments + K.rays} == {1}
 
 
 def test_fraction_calls_grow_at_most_quadratically():
