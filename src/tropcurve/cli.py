@@ -226,7 +226,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def _cmd_check_curve(args) -> int:
     c = _curve(args.curve)
     payload = {
-        "vertices": sum(1 for v in c.vertices.values() if not v.hidden),
+        "vertices": len(c.vertices),
         "edges": len(c.edges),
         "rays": len(c.ray_classes),
         "ray_classes": len(set(c.ray_classes.values())),

@@ -1,10 +1,10 @@
 """Metric-graph models of tropical curves with points at infinity and ray classes.
 
 A curve is built from a description of vertices, edges with positive
-rational or infinite lengths, and a class label per infinite edge.  Loop
-edges are split internally at a hidden midpoint so that every stored arc
-has distinct endpoints; the hidden vertices never appear in descriptions,
-points, or output.
+rational or infinite lengths, and a class label per infinite edge.  Every
+edge is stored as given and oriented from its u end to its v end; a loop
+is an edge whose two ends meet at one vertex.  Points, profiles and
+directions are all keyed by edge id.
 """
 
 from __future__ import annotations
@@ -42,7 +42,6 @@ def length_str(x) -> str:
 class VertexInfo:
     id: str
     at_infinity: bool = False
-    hidden: bool = False
 
 
 @dataclass(frozen=True)
@@ -59,18 +58,6 @@ class EdgeDesc:
     @property
     def is_loop(self) -> bool:
         return self.u == self.v
-
-
-@dataclass(frozen=True)
-class Arc:
-    """Internal loopless edge, oriented u -> v, carrying user-edge coordinates."""
-
-    id: str
-    u: str
-    v: str
-    length: "Fraction | float"
-    edge: str
-    start: Fraction  # user-edge offset of this arc's offset 0
 
 
 @dataclass(frozen=True)
@@ -111,7 +98,12 @@ class Curve:
             self.edges[e.id] = e
         self.ray_classes: dict[str, str] = dict(ray_classes)
         self._validate()
-        self._build_arcs()
+        self.edges_at: dict[str, list[tuple[str, int]]] = {v: [] for v in self.vertices}
+        for e in self.edges.values():
+            self.edges_at[e.u].append((e.id, +1))
+            self.edges_at[e.v].append((e.id, -1))
+        for ends in self.edges_at.values():
+            ends.sort()
         self._dijkstra_cache: dict[str, dict[str, "Fraction | float"]] = {}
         self._key: tuple | None = None
 
@@ -187,44 +179,14 @@ class Curve:
             if v.at_infinity and incident[v.id] != 1:
                 raise TropError(f"at-infinity vertex {v.id!r} must have valence 1")
 
-    def _build_arcs(self):
-        self.arcs: dict[str, Arc] = {}
-        self.arcs_of_edge: dict[str, tuple[str, ...]] = {}
-        self.hidden_info: dict[str, tuple[str, Fraction]] = {}
-        hidden: dict[str, VertexInfo] = {}
-        for e in self.edges.values():
-            if e.is_loop:
-                mid = f"{e.id}~mid"
-                if mid in self.vertices:
-                    raise TropError(f"vertex id {mid!r} collides with a loop midpoint")
-                hidden[mid] = VertexInfo(mid, hidden=True)
-                half = e.length / 2
-                self.hidden_info[mid] = (e.id, half)
-                a1 = Arc(f"{e.id}~1", e.u, mid, half, e.id, Fraction(0))
-                a2 = Arc(f"{e.id}~2", mid, e.v, half, e.id, half)
-                self.arcs[a1.id] = a1
-                self.arcs[a2.id] = a2
-                self.arcs_of_edge[e.id] = (a1.id, a2.id)
-            else:
-                a = Arc(e.id, e.u, e.v, e.length, e.id, Fraction(0))
-                self.arcs[a.id] = a
-                self.arcs_of_edge[e.id] = (a.id,)
-        self.vertices.update(hidden)
-        self.arcs_at: dict[str, list[tuple[str, int]]] = {v: [] for v in self.vertices}
-        for a in self.arcs.values():
-            self.arcs_at[a.u].append((a.id, +1))
-            self.arcs_at[a.v].append((a.id, -1))
-        for v in self.arcs_at:
-            self.arcs_at[v].sort()
-
     # -- identity ------------------------------------------------------------
 
     def description(self) -> dict:
-        """User-level description (hidden loop midpoints suppressed)."""
+        """The description as plain data, sorted by id."""
         return {
             "vertices": [
                 {"id": v.id, "at_infinity": v.at_infinity}
-                for v in sorted(self.vertices.values(), key=lambda v: v.id) if not v.hidden
+                for v in sorted(self.vertices.values(), key=lambda v: v.id)
             ],
             "edges": [
                 {"id": e.id, "u": e.u, "v": e.v, "length": length_str(e.length)}
@@ -253,8 +215,7 @@ class Curve:
     # -- points ---------------------------------------------------------------
 
     def pt_vertex(self, vid: str) -> PointRef:
-        v = self.vertices.get(vid)
-        if v is None or v.hidden:
+        if vid not in self.vertices:
             raise TropError(f"unknown vertex {vid!r}")
         return PointRef("vertex", vertex=vid)
 
@@ -289,10 +250,9 @@ class Curve:
             return False
 
     def _resolve(self, p: PointRef) -> tuple[str, str, "Fraction | None"]:
-        """Map a point to ("vertex", id, None) or ("arc", arc id, offset)."""
+        """Map a point to ("vertex", id, None) or ("edge", edge id, offset)."""
         if p.kind == "vertex":
-            v = self.vertices.get(p.vertex)
-            if v is None or v.hidden:
+            if p.vertex not in self.vertices:
                 raise TropError(f"point {p} is not on this curve")
             return ("vertex", p.vertex, None)
         e = self.edges.get(p.edge)
@@ -301,30 +261,7 @@ class Curve:
         off = p.offset
         if off is None or off <= 0 or (not e.is_infinite and off >= e.length):
             raise TropError(f"point {p} is not normalized interior")
-        arcs = self.arcs_of_edge[e.id]
-        for aid in arcs:
-            a = self.arcs[aid]
-            hi = INF if a.length == INF else a.start + a.length
-            if a.start < off < hi:
-                return ("arc", aid, off - a.start)
-            if off == a.start:
-                return ("vertex", a.u, None)
-            if off == hi:
-                return ("vertex", a.v, None)
-        raise TropError(f"offset {off} outside edge {e.id!r}")
-
-    def point_from_arc(self, arc_id: str, t: Fraction) -> PointRef:
-        a = self.arcs[arc_id]
-        if t == 0:
-            vid = a.u
-        elif a.length != INF and t == a.length:
-            vid = a.v
-        else:
-            return self.pt_on_edge(a.edge, a.start + t)
-        v = self.vertices[vid]
-        if v.hidden:
-            return PointRef("on_edge", edge=a.edge, offset=a.start + t)
-        return PointRef("vertex", vertex=vid)
+        return ("edge", p.edge, off)
 
     def point_sort_key(self, p: PointRef):
         comp = self.component_index(p)
@@ -335,13 +272,13 @@ class Curve:
     # -- local structure -------------------------------------------------------
 
     def directions_at(self, p: PointRef) -> tuple[str, ...]:
-        """Direction ids at a point: "arc:+" leaves the u end, "arc:-" the v end."""
+        """Direction ids at a point: "edge:+" leaves the u end, "edge:-" the v end.
+
+        A loop gives its vertex both directions.
+        """
         kind, ident, off = self._resolve(p)
         if kind == "vertex":
-            if self.vertices[ident].at_infinity:
-                aid, _ = self.arcs_at[ident][0]
-                return (f"{aid}:-",)
-            return tuple(f"{aid}:{'+' if sign > 0 else '-'}" for aid, sign in self.arcs_at[ident])
+            return tuple(f"{eid}:{'+' if sign > 0 else '-'}" for eid, sign in self.edges_at[ident])
         return (f"{ident}:-", f"{ident}:+")
 
     def valence(self, p: PointRef) -> int:
@@ -358,8 +295,8 @@ class Curve:
                 x = parent[x]
             return x
 
-        for a in self.arcs.values():
-            parent[find(a.u)] = find(a.v)
+        for e in self.edges.values():
+            parent[find(e.u)] = find(e.v)
         groups: dict[str, set[str]] = {}
         for v in self.vertices:
             groups.setdefault(find(v), set()).add(v)
@@ -368,7 +305,7 @@ class Curve:
 
     def component_index(self, p: PointRef) -> int:
         kind, ident, _ = self._resolve(p)
-        vid = ident if kind == "vertex" else self.arcs[ident].u
+        vid = ident if kind == "vertex" else self.edges[ident].u
         for i, comp in enumerate(self.component_sets()):
             if vid in comp:
                 return i
@@ -381,7 +318,7 @@ class Curve:
         """The connected components as curves sharing this curve's ids."""
         out = []
         for comp in self.component_sets():
-            vs = [v for v in self.vertices.values() if v.id in comp and not v.hidden]
+            vs = [v for v in self.vertices.values() if v.id in comp]
             es = [e for e in self.edges.values() if e.u in comp]
             rc = {e.id: self.ray_classes[e.id] for e in es if e.id in self.ray_classes}
             out.append(Curve(vs, es, rc))
@@ -402,12 +339,12 @@ class Curve:
             if u in done:
                 continue
             done.add(u)
-            for aid, sign in self.arcs_at[u]:
-                a = self.arcs[aid]
-                if a.length == INF:
+            for eid, sign in self.edges_at[u]:
+                e = self.edges[eid]
+                if e.is_infinite:
                     continue
-                w = a.v if sign > 0 else a.u
-                nd = d + a.length
+                w = e.v if sign > 0 else e.u
+                nd = d + e.length
                 if nd < dist[w]:
                     dist[w] = nd
                     heapq.heappush(heap, (nd, w))
@@ -419,10 +356,10 @@ class Curve:
         kind, ident, off = self._resolve(p)
         if kind == "vertex":
             return [(ident, Fraction(0))]
-        a = self.arcs[ident]
-        legs = [(a.u, off)]
-        if a.length != INF:
-            legs.append((a.v, a.length - off))
+        e = self.edges[ident]
+        legs = [(e.u, off)]
+        if not e.is_infinite:
+            legs.append((e.v, e.length - off))
         return legs
 
     def distance(self, p: PointRef, q: PointRef) -> "Fraction | float":
@@ -434,10 +371,8 @@ class Curve:
         if self.is_at_infinity(p) or self.is_at_infinity(q):
             return INF
         best: "Fraction | float" = INF
-        if kp == "arc" and kq == "arc" and ip == iq:
+        if kp == "edge" and kq == "edge" and ip == iq:
             best = abs(op_ - oq)
-        elif kp == "arc" and kq == "arc" and self.arcs[ip].edge == self.arcs[iq].edge:
-            pass  # different arcs of one loop; handled through vertices below
         for a_vid, a_leg in self._point_legs(p):
             if a_leg == INF:
                 continue
@@ -488,8 +423,7 @@ def disjoint_union(curves: Sequence[Curve],
     ray_classes: dict[str, str] = {}
     for i, c in enumerate(curves):
         for v in c.vertices.values():
-            if not v.hidden:
-                vertices.append(VertexInfo(f"{i}:{v.id}", v.at_infinity))
+            vertices.append(VertexInfo(f"{i}:{v.id}", v.at_infinity))
         for e in c.edges.values():
             edges.append(EdgeDesc(f"{i}:{e.id}", f"{i}:{e.u}", f"{i}:{e.v}", e.length))
         for eid, label in c.ray_classes.items():
@@ -505,8 +439,8 @@ def canonical_model(c: Curve) -> Curve:
     """
     if not c.is_connected():
         raise TropError("canonical model needs a connected curve")
-    # User-level valences (loops count twice).
-    val: dict[str, int] = {v.id: 0 for v in c.vertices.values() if not v.hidden}
+    # Valences (loops count twice).
+    val: dict[str, int] = {v: 0 for v in c.vertices}
     for e in c.edges.values():
         val[e.u] += 1
         val[e.v] += 1

@@ -42,8 +42,6 @@ class Embedding:
 def validate_embedding(emb: Embedding, target: Curve) -> None:
     shape = emb.shape
     for vid in shape.vertices:
-        if shape.vertices[vid].hidden:
-            continue
         if vid not in emb.vertex_map:
             raise TropError(f"shape vertex {vid!r} is not mapped")
         p = emb.vertex_map[vid]
@@ -152,8 +150,6 @@ def glue(c1: Curve, c2: Curve, emb1: Embedding, emb2: Embedding) -> GlueResult:
     # Identify shape vertices and shape edges across the two refinements.
     vertex_alias: dict[str, str] = {}
     for vid in shape.vertices:
-        if shape.vertices[vid].hidden:
-            continue
         p1 = emb1.vertex_map[vid]
         p2 = emb2.vertex_map[vid]
         vertex_alias[_refined_vertex("2", p2)] = _refined_vertex("1", p1)
@@ -268,8 +264,6 @@ def _refine(c: Curve, emb: Embedding, prefix: str):
     vertices: list[VertexInfo] = []
     vname: dict[str, str] = {}
     for v in c.vertices.values():
-        if v.hidden:
-            continue
         vertices.append(VertexInfo(f"{prefix}:{v.id}", v.at_infinity))
         vname[v.id] = f"{prefix}:{v.id}"
     edges: list[EdgeDesc] = []
@@ -312,7 +306,7 @@ def glue_function(h1: PLFunction, h2: PLFunction, glued: GlueResult) -> PLFuncti
                         f"one side is -inf")
     # Compare along every shape edge and at every shape vertex.
     for vid in glued.shape.vertices:
-        if glued.shape.vertices[vid].hidden or glued.shape.vertices[vid].at_infinity:
+        if glued.shape.vertices[vid].at_infinity:
             continue
         p1, p2 = glued.emb1.vertex_map[vid], glued.emb2.vertex_map[vid]
         if h1.value_at(p1) != h2.value_at(p2):
@@ -336,15 +330,11 @@ def glue_function(h1: PLFunction, h2: PLFunction, glued: GlueResult) -> PLFuncti
                     continue
                 done_edges.add(geid)
                 prof = _slice(edge_profile(h, eid), lo, hi)
-                ge = glued.curve.edges[geid]
                 if orient < 0:
-                    prof = _reverse(prof, ge.length)
-                for aid in glued.curve.arcs_of_edge[geid]:
-                    arc = glued.curve.arcs[aid]
-                    a_hi = INF if arc.length == INF else arc.start + arc.length
-                    profiles[aid] = _slice(prof, arc.start, a_hi)
-    for vid, ends in glued.curve.arcs_at.items():
-        if ends or glued.curve.vertices[vid].hidden:
+                    prof = _reverse(prof, glued.curve.edges[geid].length)
+                profiles[geid] = prof
+    for vid, ends in glued.curve.edges_at.items():
+        if ends:
             continue
         src = vid.split(":", 1)
         h, pm = (h1, glued.map1) if src[0] == "1" else (h2, glued.map2)

@@ -29,7 +29,7 @@ class Morphism:
     @staticmethod
     def identity(c: Curve) -> "Morphism":
         return Morphism(c, c,
-                        {v: v for v in c.vertices if not c.vertices[v].hidden},
+                        {v: v for v in c.vertices},
                         {e: ("edge", e) for e in c.edges},
                         {e: 1 for e in c.edges})
 
@@ -47,11 +47,9 @@ def validate_morphism(m: Morphism) -> MorphismReport:
     if any(e.is_loop for e in src.edges.values()) or any(e.is_loop for e in tgt.edges.values()):
         bad.append("models must be loopless; subdivide loops first")
         return MorphismReport(False, tuple(bad))
-    for vid, info in src.vertices.items():
-        if info.hidden:
-            continue
+    for vid in src.vertices:
         img = m.vertex_map.get(vid)
-        if img is None or img not in tgt.vertices or tgt.vertices[img].hidden:
+        if img is None or img not in tgt.vertices:
             bad.append(f"vertex {vid!r} has no valid image")
     for eid, e in src.edges.items():
         entry = m.edge_map.get(eid)
@@ -191,9 +189,7 @@ def weight_check(m: Morphism) -> WeightReport:
         return WeightReport(False, None, base.violations)
     reasons: list[str] = []
     src, tgt = m.source, m.target
-    src_vs = [v for v in src.vertices.values() if not v.hidden]
-    tgt_vs = [v for v in tgt.vertices.values() if not v.hidden]
-    if sorted(m.vertex_map.values()) != sorted(v.id for v in tgt_vs) or len(src_vs) != len(tgt_vs):
+    if sorted(m.vertex_map.values()) != sorted(tgt.vertices) or len(src.vertices) != len(tgt.vertices):
         reasons.append("vertex map is not a bijection")
     images = [name for kind, name in m.edge_map.values() if kind == "edge"]
     if len(images) != len(m.edge_map) or sorted(images) != sorted(tgt.edges):
@@ -301,17 +297,19 @@ def germ_bump(loc: Localization, germ: Germ) -> PLFunction:
     c = loc.curve
     kind, ident, off = c._resolve(loc.point)
 
-    def leg_base(aid: str, sign: str) -> Fraction:
-        if kind == "arc":
+    def leg_base(eid: str, sign: str) -> Fraction:
+        if kind == "edge":
             return off
-        return Fraction(0) if sign == "+" else c.arcs[aid].length
+        return Fraction(0) if sign == "+" else c.edges[eid].length
 
     rooms = []
     for d in loc.directions:
-        aid, sign = d.rsplit(":", 1)
-        arc = c.arcs[aid]
-        base = leg_base(aid, sign)
-        room = (arc.length - base) if sign == "+" else base
+        eid, sign = d.rsplit(":", 1)
+        e = c.edges[eid]
+        base = leg_base(eid, sign)
+        room = (e.length - base) if sign == "+" else base
+        if kind == "vertex" and e.is_loop:
+            room = e.length / 2  # both legs run along the loop: half each
         rooms.append(Fraction(1) if room == INF else room)
     eps = min(rooms) / 3
     if eps <= 0:
@@ -330,18 +328,18 @@ def germ_bump(loc: Localization, germ: Germ) -> PLFunction:
 
     zero = PLFunction.constant(c, 0)
     profiles = dict(zero.profiles)
-    by_arc: dict[str, list[tuple[str, int]]] = {}
+    by_edge: dict[str, list[tuple[str, int]]] = {}
     for d, slope in zip(loc.directions, germ.slopes):
-        aid, sign = d.rsplit(":", 1)
-        by_arc.setdefault(aid, []).append((sign, slope))
-    for aid, legs in by_arc.items():
-        breaks: dict[Fraction, Fraction] = dict(profiles[aid].breaks)
+        eid, sign = d.rsplit(":", 1)
+        by_edge.setdefault(eid, []).append((sign, slope))
+    for eid, legs in by_edge.items():
+        breaks: dict[Fraction, Fraction] = dict(profiles[eid].breaks)
         for sign, slope in legs:
-            base = leg_base(aid, sign)
+            base = leg_base(eid, sign)
             direction = 1 if sign == "+" else -1
             for dist, val in leg(slope):
                 breaks[base + direction * dist] = val
-        profiles[aid] = _normalize(sorted(breaks.items()), profiles[aid].tail)
+        profiles[eid] = _normalize(sorted(breaks.items()), profiles[eid].tail)
     return PLFunction(c, profiles, dict(zero.isolated))
 
 

@@ -1,7 +1,7 @@
 """Piecewise-linear rational functions on curves, divisors, and chip firing.
 
-Profiles are stored per internal arc as exact rational breakpoints with
-integer slopes; all operations refine breakpoints exactly, so function
+Profiles are stored per edge, in the edge's own coordinates from its u
+end, as exact rational breakpoints with integer slopes; all operations refine breakpoints exactly, so function
 equality is structural equality of normalized profiles.
 """
 
@@ -21,11 +21,11 @@ from .subgraph import Subgraph, SubChart
 
 @dataclass(frozen=True)
 class Profile:
-    """Breakpoints of one arc: ((offset, value), ...) plus a tail slope on rays.
+    """Breakpoints of one edge: ((offset, value), ...) plus a tail slope on rays.
 
-    Offsets strictly increase from 0; finite arcs end at the arc length and
-    have ``tail is None``; infinite arcs carry the integer slope past the
-    last breakpoint.
+    Offsets strictly increase from 0; finite edges end at the edge length
+    and have ``tail is None``; rays carry the integer slope past the last
+    breakpoint.
     """
 
     breaks: tuple[tuple[Fraction, Fraction], ...]
@@ -154,7 +154,7 @@ def _values_at(p: Profile, offsets: Sequence[Fraction]) -> list[Fraction]:
 
 
 def _combine2(p: Profile, q: Profile, op: str) -> Profile:
-    """Exact pointwise max/min/add of two profiles over one arc."""
+    """Exact pointwise max/min/add of two profiles over one edge."""
     offsets = sorted({o for o, _ in p.breaks} | {o for o, _ in q.breaks})
     pv = _values_at(p, offsets)
     qv = _values_at(q, offsets)
@@ -220,18 +220,6 @@ def _reverse(p: Profile, length: Fraction) -> Profile:
     return _normalize([(length - o, v) for o, v in p.breaks], None)
 
 
-def _concat(pieces: Sequence[tuple[Fraction, Profile]]) -> Profile:
-    """Join profiles starting at the given offsets into one profile."""
-    breaks: list[tuple[Fraction, Fraction]] = []
-    tail = None
-    for start, prof in pieces:
-        for o, v in prof.breaks:
-            breaks.append((start + o, v))
-        if prof.tail is not None:
-            tail = prof.tail
-    return _normalize(breaks, tail)
-
-
 class PLFunction:
     """A rational function on a curve: -inf, or integer-sloped exact profiles."""
 
@@ -242,7 +230,7 @@ class PLFunction:
             self.profiles: dict[str, Profile] | None = None
             self.isolated: dict[str, Fraction] = {}
             return
-        self.profiles = {aid: _normalize(p.breaks, p.tail) for aid, p in profiles.items()}
+        self.profiles = {eid: _normalize(p.breaks, p.tail) for eid, p in profiles.items()}
         self.isolated = dict(isolated or {})
         self._validate()
 
@@ -272,11 +260,11 @@ class PLFunction:
     def constant(curve: Curve, value) -> "PLFunction":
         v = rat(value)
         profiles = {}
-        for aid, arc in curve.arcs.items():
-            if arc.length == INF:
-                profiles[aid] = Profile(((Fraction(0), v),), 0)
+        for eid, e in curve.edges.items():
+            if e.is_infinite:
+                profiles[eid] = Profile(((Fraction(0), v),), 0)
             else:
-                profiles[aid] = Profile(((Fraction(0), v), (arc.length, v)), None)
+                profiles[eid] = Profile(((Fraction(0), v), (e.length, v)), None)
         isolated = {vid: v for vid in _isolated_vertices(curve)}
         return PLFunction(curve, profiles, isolated)
 
@@ -299,48 +287,44 @@ class PLFunction:
             if e.is_infinite:
                 if tail is None:
                     raise TropError(f"edge {eid!r} needs a slope at infinity")
-                whole = Profile(tuple(bs), int(tail))
+                profiles[eid] = Profile(tuple(bs), int(tail))
             else:
                 if bs[-1][0] != e.length:
                     raise TropError(f"edge {eid!r} profile must end at the edge length")
                 if tail is not None:
                     raise TropError(f"finite edge {eid!r} cannot have a slope at infinity")
-                whole = Profile(tuple(bs), None)
-            for aid in curve.arcs_of_edge[eid]:
-                arc = curve.arcs[aid]
-                hi = INF if arc.length == INF else arc.start + arc.length
-                profiles[aid] = _slice(whole, arc.start, hi)
-        missing = set(curve.arcs) - set(profiles)
+                profiles[eid] = Profile(tuple(bs), None)
+        missing = set(curve.edges) - set(profiles)
         if missing:
-            raise TropError(f"profiles missing for edges {sorted(curve.arcs[a].edge for a in missing)}")
+            raise TropError(f"profiles missing for edges {sorted(missing)}")
         iso = {vid: rat(v) for vid, v in (isolated or {}).items()}
         return PLFunction(curve, profiles, iso)
 
     def _validate(self):
-        for aid, arc in self.curve.arcs.items():
-            p = self.profiles.get(aid)
+        for eid, e in self.curve.edges.items():
+            p = self.profiles.get(eid)
             if p is None:
-                raise TropError(f"no profile for arc {aid!r}")
+                raise TropError(f"no profile for edge {eid!r}")
             if p.breaks[0][0] != 0:
-                raise TropError(f"profile on {aid!r} must start at 0")
-            if arc.length == INF:
+                raise TropError(f"profile on {eid!r} must start at 0")
+            if e.is_infinite:
                 if p.tail is None:
-                    raise TropError(f"arc {aid!r} needs a tail slope")
+                    raise TropError(f"edge {eid!r} needs a tail slope")
             else:
-                if p.tail is not None or p.breaks[-1][0] != arc.length:
-                    raise TropError(f"profile on {aid!r} must end at the arc length")
+                if p.tail is not None or p.breaks[-1][0] != e.length:
+                    raise TropError(f"profile on {eid!r} must end at the edge length")
             for b0, b1 in zip(p.breaks, p.breaks[1:]):
                 _slope(b0, b1)
         for vid in _isolated_vertices(self.curve):
             if vid not in self.isolated:
                 raise TropError(f"no value for isolated vertex {vid!r}")
         # Continuity at shared vertices.
-        for vid, ends in self.curve.arcs_at.items():
+        for vid, ends in self.curve.edges_at.items():
             if self.curve.vertices[vid].at_infinity or not ends:
                 continue
             vals = set()
-            for aid, sign in ends:
-                p = self.profiles[aid]
+            for eid, sign in ends:
+                p = self.profiles[eid]
                 vals.add(p.breaks[0][1] if sign > 0 else p.breaks[-1][1])
             if len(vals) > 1:
                 raise TropError(f"discontinuous at vertex {vid!r}: values {sorted(vals)}")
@@ -355,7 +339,7 @@ class PLFunction:
         if self.profiles is None:
             return (self.curve.key(), None)
         return (self.curve.key(),
-                tuple(sorted((a, p.breaks, p.tail) for a, p in self.profiles.items())),
+                tuple(sorted((e, p.breaks, p.tail) for e, p in self.profiles.items())),
                 tuple(sorted(self.isolated.items())))
 
     def __eq__(self, other):
@@ -377,11 +361,11 @@ class PLFunction:
         kind, ident, off = self.curve._resolve(p)
         if kind == "vertex":
             info = self.curve.vertices[ident]
-            ends = self.curve.arcs_at[ident]
+            ends = self.curve.edges_at[ident]
             if not ends:
                 return self.isolated[ident]
-            aid, sign = ends[0]
-            prof = self.profiles[aid]
+            eid, sign = ends[0]
+            prof = self.profiles[eid]
             if info.at_infinity:
                 if prof.tail > 0:
                     return INF
@@ -406,8 +390,8 @@ class PLFunction:
             raise TropError("slopes of the zero function are undefined")
         if direction not in self.curve.directions_at(p):
             raise TropError(f"direction {direction!r} invalid at {p}")
-        aid, sign = direction.rsplit(":", 1)
-        prof = self.profiles[aid]
+        eid, sign = direction.rsplit(":", 1)
+        prof = self.profiles[eid]
         kind, ident, off = self.curve._resolve(p)
         if kind == "vertex":
             if self.curve.vertices[ident].at_infinity:
@@ -426,8 +410,8 @@ class PLFunction:
             return other
         if other.profiles is None:
             return self
-        profiles = {aid: _combine2(self.profiles[aid], other.profiles[aid], "max")
-                    for aid in self.profiles}
+        profiles = {eid: _combine2(self.profiles[eid], other.profiles[eid], "max")
+                    for eid in self.profiles}
         iso = {vid: max(v, other.isolated[vid]) for vid, v in self.isolated.items()}
         return PLFunction._trusted(self.curve, profiles, iso)
 
@@ -436,8 +420,8 @@ class PLFunction:
         self._require_same_curve(other)
         if self.profiles is None or other.profiles is None:
             return PLFunction.neg_inf(self.curve)
-        profiles = {aid: _combine2(self.profiles[aid], other.profiles[aid], "add")
-                    for aid in self.profiles}
+        profiles = {eid: _combine2(self.profiles[eid], other.profiles[eid], "add")
+                    for eid in self.profiles}
         iso = {vid: v + other.isolated[vid] for vid, v in self.isolated.items()}
         return PLFunction._trusted(self.curve, profiles, iso)
 
@@ -489,7 +473,7 @@ class PLFunction:
 
 
 def _isolated_vertices(curve: Curve) -> list[str]:
-    return [vid for vid, ends in curve.arcs_at.items() if not ends]
+    return [vid for vid, ends in curve.edges_at.items() if not ends]
 
 
 # -- divisors -----------------------------------------------------------------------
@@ -515,7 +499,7 @@ class Divisor:
         """A divisor taking ``coeffs`` as given, without the point checks.
 
         Only for ``principal_divisor``, whose points come from the curve's own
-        arcs, each once, with nonzero integer coefficients.  Everything else
+        edges, each once, with nonzero integer coefficients.  Everything else
         goes through ``Divisor(...)``.
         """
         d = cls.__new__(cls)
@@ -563,32 +547,28 @@ def principal_divisor(f: PLFunction) -> Divisor:
     """Sum of outgoing slopes at every point, as a divisor.
 
     At a point at infinity the single outgoing slope is the slope toward
-    infinity times minus one.  One slope sweep per arc: each vertex, point
+    infinity times minus one.  One slope sweep per edge: each vertex, point
     at infinity and interior breakpoint is reached exactly once.
     """
     if f.profiles is None:
         raise TropError("the zero function has no principal divisor")
     c = f.curve
-    slopes = {aid: _slopes(prof) for aid, prof in f.profiles.items()}
+    slopes = {eid: _slopes(prof) for eid, prof in f.profiles.items()}
     coeffs: dict[PointRef, int] = {}
-    for vid, ends in c.arcs_at.items():
+    for vid, ends in c.edges_at.items():
         if not ends:
             continue
-        info = c.vertices[vid]
-        if info.at_infinity:
-            aid, _ = ends[0]
-            point, total = c.pt_infinity_of(c.arcs[aid].edge), -slopes[aid][-1]
+        if c.vertices[vid].at_infinity:
+            total = -slopes[ends[0][0]][-1]
         else:
-            total = sum(slopes[aid][0] if sign > 0 else -slopes[aid][-1] for aid, sign in ends)
-            point = (c.pt_vertex(vid) if not info.hidden
-                     else c.pt_on_edge(*c.hidden_info[vid]))
+            total = sum(slopes[eid][0] if sign > 0 else -slopes[eid][-1] for eid, sign in ends)
         if total:
-            coeffs[point] = total
-    for aid, prof in f.profiles.items():
-        s = slopes[aid]
+            coeffs[PointRef("vertex", vertex=vid)] = total
+    for eid, prof in f.profiles.items():
+        s = slopes[eid]
         for k in range(1, len(s)):
             if s[k] != s[k - 1]:
-                coeffs[c.point_from_arc(aid, prof.breaks[k][0])] = s[k] - s[k - 1]
+                coeffs[PointRef("on_edge", edge=eid, offset=prof.breaks[k][0])] = s[k] - s[k - 1]
     return Divisor._trusted(c, coeffs)
 
 
@@ -663,17 +643,17 @@ def chip_fire(c: Curve, g: Subgraph, l) -> PLFunction:
     comp_of = {v: i for i, comp in enumerate(comps) for v in comp}
 
     profiles: dict[str, Profile] = {}
-    for aid, arc in c.arcs.items():
-        if not comp_meets[comp_of[arc.u]]:
-            profiles[aid] = (Profile(((Fraction(0), Fraction(0)),), 0) if arc.length == INF
-                             else Profile(((Fraction(0), Fraction(0)), (arc.length, Fraction(0))), None))
+    for eid, e in c.edges.items():
+        if not comp_meets[comp_of[e.u]]:
+            profiles[eid] = (Profile(((Fraction(0), Fraction(0)),), 0) if e.is_infinite
+                             else Profile(((Fraction(0), Fraction(0)), (e.length, Fraction(0))), None))
             continue
         candidates: list[Profile] = []
-        du, dv = dmap[arc.u], dmap[arc.v]
-        if arc.length == INF:
+        du, dv = dmap[e.u], dmap[e.v]
+        if e.is_infinite:
             if du != INF:
                 candidates.append(Profile(((Fraction(0), du),), 1))
-            for lo, hi in imap.get(aid, ()):
+            for lo, hi in imap.get(eid, ()):
                 if hi == INF:
                     candidates.append(_normalize([(Fraction(0), lo), (lo, Fraction(0))], 0)
                                       if lo > 0 else Profile(((Fraction(0), Fraction(0)),), 0))
@@ -681,12 +661,12 @@ def chip_fire(c: Curve, g: Subgraph, l) -> PLFunction:
                     bs = [(Fraction(0), lo), (lo, Fraction(0)), (hi, Fraction(0))]
                     candidates.append(_normalize([b for b in bs if b[0] >= 0], 1))
         else:
-            L = arc.length
+            L = e.length
             if du != INF:
                 candidates.append(Profile(((Fraction(0), du), (L, du + L)), None))
             if dv != INF:
                 candidates.append(Profile(((Fraction(0), dv + L), (L, dv)), None))
-            for lo, hi in imap.get(aid, ()):
+            for lo, hi in imap.get(eid, ()):
                 bs = [(Fraction(0), lo), (lo, Fraction(0)), (hi, Fraction(0)), (L, L - hi)]
                 bs = [b for b in bs if 0 <= b[0] <= L]
                 candidates.append(_normalize(bs, None))
@@ -694,10 +674,10 @@ def chip_fire(c: Curve, g: Subgraph, l) -> PLFunction:
         for cand in candidates[1:]:
             dist = _combine2(dist, cand, "min")
         if cap != INF:
-            capped = (Profile(((Fraction(0), cap),), 0) if arc.length == INF
-                      else Profile(((Fraction(0), cap), (arc.length, cap)), None))
+            capped = (Profile(((Fraction(0), cap),), 0) if e.is_infinite
+                      else Profile(((Fraction(0), cap), (e.length, cap)), None))
             dist = _combine2(dist, capped, "min")
-        profiles[aid] = _negate(dist)
+        profiles[eid] = _negate(dist)
     isolated = {}
     for vid in _isolated_vertices(c):
         d = dmap[vid]
@@ -710,14 +690,13 @@ def chip_fire(c: Curve, g: Subgraph, l) -> PLFunction:
 
 
 def edge_profile(f: PLFunction, eid: str) -> Profile:
-    """The profile of f on a user edge in edge coordinates."""
+    """The profile of f on an edge, in that edge's coordinates."""
     if f.profiles is None:
         raise TropError("the zero function has no profiles")
-    pieces = []
-    for aid in f.curve.arcs_of_edge[eid]:
-        arc = f.curve.arcs[aid]
-        pieces.append((arc.start, f.profiles[aid]))
-    return _concat(pieces)
+    prof = f.profiles.get(eid)
+    if prof is None:
+        raise TropError(f"unknown edge {eid!r}")
+    return prof
 
 
 def restrict(f: PLFunction, g: Subgraph) -> tuple[PLFunction, ...]:
@@ -754,7 +733,7 @@ def split_components(f: PLFunction) -> tuple[PLFunction, ...]:
         if f.profiles is None:
             out.append(PLFunction.neg_inf(comp))
             continue
-        profiles = {aid: f.profiles[aid] for aid in comp.arcs}
+        profiles = {eid: f.profiles[eid] for eid in comp.edges}
         iso = {vid: f.isolated[vid] for vid in _isolated_vertices(comp)}
         out.append(PLFunction(comp, profiles, iso))
     return tuple(out)
@@ -816,125 +795,75 @@ def extend(f_prime: PLFunction, g: Subgraph, s: int) -> PLFunction:
         label = c.ray_classes[parent_eid]
         class_slopes[label] = f_prime.profiles[sub_eid].tail
 
-    # Value of f_prime at a parent point of g, through the chart.
-    sub_edges_by_parent: dict[str, list[tuple[Fraction, "Fraction | float", str]]] = {}
-    for sub_eid, (parent_eid, start) in chart.edge_chart.items():
-        e = sub.edges[sub_eid]
-        hi = INF if e.is_infinite else start + e.length
-        sub_edges_by_parent.setdefault(parent_eid, []).append((start, hi, sub_eid))
-    sub_vertex_by_parent = {ppoint: svid for svid, ppoint in chart.vertex_points.items()}
+    # f_prime at a parent point that is a vertex of the subgraph curve, else 0.
+    sub_vertex = {ppoint: svid for svid, ppoint in chart.vertex_points.items()}
+    sub_edge = {parent: sub_eid for sub_eid, parent in chart.edge_chart.items()}
 
-    def g_value(parent_eid: str, off) -> Fraction:
-        for lo, hi, sub_eid in sub_edges_by_parent.get(parent_eid, ()):
-            if lo <= off and (hi == INF or off <= hi):
-                prof = edge_profile(f_prime, sub_eid)
-                return prof.value(off - lo)
-        p = c.pt_on_edge(parent_eid, off)
-        svid = sub_vertex_by_parent.get(p)
-        if svid is None:
-            raise TropError(f"point {p} not in the subgraph")
-        return f_prime.value_at(sub.pt_vertex(svid))
-
-    def vertex_value(vid: str) -> Fraction | None:
-        if vid not in g.vertices:
-            return None
-        if vid in c.hidden_info:
-            eid, off = c.hidden_info[vid]
-            return g_value(eid, off)
-        svid = sub_vertex_by_parent.get(PointRef("vertex", vid))
-        return f_prime.value_at(sub.pt_vertex(svid))
+    def height(p: PointRef) -> Fraction:
+        svid = sub_vertex.get(p)
+        return Fraction(0) if svid is None else f_prime.value_at(sub.pt_vertex(svid))
 
     imap = g.interval_map()
     profiles: dict[str, Profile] = {}
-    for aid, arc in c.arcs.items():
-        ivs = imap.get(aid, ())
-        pieces: list[tuple[Fraction, Profile]] = []
+    for eid, e in c.edges.items():
+        ivs = imap.get(eid, ())
+        breaks: list[tuple[Fraction, Fraction]] = []
+        tail = 0 if e.is_infinite else None
         # Interval pieces copy f_prime.
         for lo, hi in ivs:
-            if lo == hi:
-                continue
-            sub_prof = _slice_from_sub(f_prime, chart, arc, lo, hi, sub_edges_by_parent)
-            pieces.append((lo, sub_prof))
+            if lo < hi:
+                piece = f_prime.profiles[sub_edge[eid, lo]]
+                breaks += [(lo + o, v) for o, v in piece.breaks]
+                if hi == INF:
+                    tail = piece.tail
         # Gap pieces descend to zero.
-        gaps = _gaps(arc, ivs)
-        for (c0, c1) in gaps:
-            h0 = _gap_height(c, g, arc, c0, "start", g_value, vertex_value)
-            h1 = _gap_height(c, g, arc, c1, "end", g_value, vertex_value) if c1 != INF else Fraction(0)
-            prof = _descend_profile(c0, c1, h0, h1, rate)
-            if prof is None:
-                raise TropError(f"slope {s} too shallow on edge {arc.edge!r}; use a steeper s")
-            pieces.append((c0, prof))
-        prof = _concat(pieces)
+        for c0, c1 in _gaps(e, ivs):
+            h0 = height(c.pt_on_edge(eid, c0))
+            h1 = Fraction(0) if c1 == INF else height(c.pt_on_edge(eid, c1))
+            gap = _descend(c0, c1, h0, h1, rate)
+            if gap is None:
+                raise TropError(f"slope {s} too shallow on edge {eid!r}; use a steeper s")
+            breaks += gap
+        prof = _normalize(breaks, tail)
         # Class-parallel tails on rays outside g.
-        if arc.length == INF and prof.tail == 0:
-            label = c.ray_classes[arc.edge]
-            sigma = class_slopes.get(label)
+        if e.is_infinite and prof.tail == 0:
+            sigma = class_slopes.get(c.ray_classes[eid])
             tail_in_g = any(hi == INF for _, hi in ivs)
             if sigma and not tail_in_g:
                 start = prof.breaks[-1][0] + 1
                 prof = Profile(prof.breaks + ((start, prof.breaks[-1][1]),), sigma)
-        profiles[aid] = prof
-    isolated = {}
-    for vid in _isolated_vertices(c):
-        v = vertex_value(vid)
-        isolated[vid] = v if v is not None else Fraction(0)
+        profiles[eid] = prof
+    isolated = {vid: height(PointRef("vertex", vertex=vid)) for vid in _isolated_vertices(c)}
     return PLFunction(c, profiles, isolated)
 
 
-def _slice_from_sub(f_prime, chart, arc, lo, hi, sub_edges_by_parent) -> Profile:
-    """Profile of f_prime over a parent arc interval, in interval coordinates."""
-    e_lo = arc.start + lo
-    e_hi = INF if hi == INF else arc.start + hi
-    for start, send, sub_eid in sub_edges_by_parent.get(arc.edge, ()):
-        if start <= e_lo and (send == INF or (e_hi != INF and e_hi <= send) or (e_hi == INF and send == INF)):
-            prof = edge_profile(f_prime, sub_eid)
-            return _slice(prof, e_lo - start, INF if e_hi == INF else e_hi - start)
-    raise TropError("subgraph interval not covered by a subgraph edge")
-
-
-def _gaps(arc, ivs):
+def _gaps(e, ivs):
+    """The pieces of edge e outside the sorted intervals ivs."""
     gaps = []
     pos = Fraction(0)
-    arc_hi = INF if arc.length == INF else arc.length
     for lo, hi in ivs:
         if lo > pos:
             gaps.append((pos, lo))
         if hi == INF:
             return gaps
         pos = max(pos, hi)
-    if arc_hi == INF or pos < arc_hi:
-        gaps.append((pos, arc_hi))
+    if e.is_infinite or pos < e.length:
+        gaps.append((pos, e.length))
     return gaps
 
 
-def _gap_height(c, g, arc, offset, which, g_value, vertex_value) -> Fraction:
-    if which == "start" and offset == 0:
-        v = vertex_value(arc.u)
-        return v if v is not None else Fraction(0)
-    if which == "end" and offset == arc.length:
-        v = vertex_value(arc.v)
-        return v if v is not None else Fraction(0)
-    return g_value(arc.edge, arc.start + offset)
+def _descend(c0, c1, h0: Fraction, h1: Fraction, rate: int) -> list | None:
+    """Breakpoints on [c0, c1] running from h0 to 0 to h1 at slope +-rate.
 
-
-def _descend_profile(c0, c1, h0: Fraction, h1: Fraction, rate: int) -> Profile | None:
-    """Profile on [c0, c1] running from h0 to 0 to h1 at slope +-rate, based at 0."""
-    z0 = Fraction(abs(h0), rate)
-    breaks = [(Fraction(0), h0)]
+    None when the gap is too narrow for that slope.
+    """
+    z0 = c0 + Fraction(abs(h0), rate)
     if c1 == INF:
-        if z0 > 0:
-            breaks.append((z0, Fraction(0)))
-        return _normalize(breaks, 0)
-    width = c1 - c0
-    z1 = width - Fraction(abs(h1), rate)
+        return [(c0, h0), (z0, Fraction(0))]
+    z1 = c1 - Fraction(abs(h1), rate)
     if z0 > z1:
         return None
-    if z0 > 0:
-        breaks.append((z0, Fraction(0)))
-    if z1 < width:
-        breaks.append((z1, Fraction(0)))
-    breaks.append((width, h1))
-    return _normalize(breaks, None)
+    return [(c0, h0), (z0, Fraction(0)), (z1, Fraction(0)), (c1, h1)]
 
 
 # -- disconnectedness witness ---------------------------------------------------------

@@ -89,7 +89,7 @@ def random_curve(rng: random.Random, max_extra: int = 2, max_rays: int = 3,
 def random_point(c: Curve, rng: random.Random, finite: bool = True) -> PointRef:
     choices = []
     for v in c.vertices.values():
-        if v.hidden or (finite and v.at_infinity):
+        if finite and v.at_infinity:
             continue
         choices.append(c.pt_vertex(v.id))
     for e in c.edges.values():
@@ -106,7 +106,7 @@ def random_subgraph(c: Curve, rng: random.Random) -> Subgraph:
         edges = []
         intervals = []
         for v in c.vertices.values():
-            if not v.hidden and not v.at_infinity and rng.random() < 0.3:
+            if not v.at_infinity and rng.random() < 0.3:
                 vertices.append(v.id)
         for e in c.edges.values():
             roll = rng.random()

@@ -28,9 +28,9 @@ from .semifield import TropPoly
 
 @dataclass(frozen=True)
 class Piece:
-    """One affine piece of the realization: a sub-interval of an arc."""
+    """One affine piece of the realization: a sub-interval of an edge."""
 
-    arc: str
+    edge: str
     lo: Fraction
     hi: "Fraction | float"  # INF on ray tails
     slopes: tuple[int, ...]
@@ -95,20 +95,20 @@ def realize(c: Curve, fs: Sequence[PLFunction]) -> RealizationMap:
         seen_points.add(pt)
         skeleton.append((pt, coords))
 
-    for aid, arc in sorted(c.arcs.items()):
-        profs = [f.profiles[aid] for f in fs]
+    for eid, e in sorted(c.edges.items()):
+        profs = [f.profiles[eid] for f in fs]
         offs = sorted({o for p in profs for o, _ in p.breaks})
         values = list(zip(*(_values_at(p, offs) for p in profs)))
         ids = []
         for o, coords in zip(offs, values):
-            pt = c.point_from_arc(aid, o)
+            pt = c.pt_on_edge(eid, o)
             ids.append(vid(coords, pt))
             if pt not in seen_points:
                 seen_points.add(pt)
                 skeleton.append((pt, coords))
         piece_slopes = zip(*(_slopes_right(p, offs[:-1]) for p in profs))
         for k, slopes in enumerate(piece_slopes):
-            pieces.append(Piece(aid, offs[k], offs[k + 1], slopes, values[k]))
+            pieces.append(Piece(eid, offs[k], offs[k + 1], slopes, values[k]))
             if all(s == 0 for s in slopes):
                 continue
             i, j = ids[k], ids[k + 1]
@@ -119,9 +119,9 @@ def realize(c: Curve, fs: Sequence[PLFunction]) -> RealizationMap:
                 seg_weights[key] = math.gcd(seg_weights[key], g)
             else:
                 seg_weights[key] = g
-        if arc.length == INF:
+        if e.is_infinite:
             tails = tuple(p.tail for p in profs)
-            pieces.append(Piece(aid, offs[-1], INF, tails, values[-1]))
+            pieces.append(Piece(eid, offs[-1], INF, tails, values[-1]))
             if any(t != 0 for t in tails):
                 prim, _ = primitive_of(tails)
                 key = (ids[-1], prim)
@@ -151,7 +151,7 @@ class RealizationReport:
     local_isometry: bool
     parallel_respected: bool
     condition5_free: bool
-    expansion_factors: tuple[tuple[str, Fraction, int], ...]  # (arc, lo, gcd)
+    expansion_factors: tuple[tuple[str, Fraction, int], ...]  # (edge, lo, gcd)
 
 
 def check_realization(r: RealizationMap) -> RealizationReport:
@@ -162,7 +162,7 @@ def check_realization(r: RealizationMap) -> RealizationReport:
     local_isometry = True
     for piece in r.pieces:
         g = ivec_gcd(piece.slopes)
-        factors.append((piece.arc, piece.lo, g))
+        factors.append((piece.edge, piece.lo, g))
         if g != 1:
             local_isometry = False
         if g == 0 and (piece.hi == INF or piece.hi > piece.lo):

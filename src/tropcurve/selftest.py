@@ -194,7 +194,7 @@ def suite_canonical_model(rng: random.Random, cases: int) -> int:
         c = random_curve(rng)
         cm = canonical_model(c)
         check(canonical_model(cm) == cm)
-        survivors = [v.id for v in cm.vertices.values() if not v.hidden and v.id in c.vertices]
+        survivors = [v for v in cm.vertices if v in c.vertices]
         for a in survivors:
             for b in survivors:
                 check(cm.distance(cm.pt_vertex(a), cm.pt_vertex(b))

@@ -16,10 +16,12 @@ Interval = tuple[Fraction, "Fraction | float"]  # closed [lo, hi], hi may be INF
 
 @dataclass(frozen=True)
 class Subgraph:
-    """Normalized closed subset: member vertices plus closed arc intervals.
+    """Normalized closed subset: member vertices plus closed edge intervals.
 
-    Intervals are sorted, pairwise disjoint with positive gaps, and merged;
-    an interval touching an arc end implies that end vertex is a member.
+    Intervals are in edge coordinates, sorted, pairwise disjoint with
+    positive gaps, and merged; an interval touching an edge end implies that
+    end vertex is a member.  A single interior point is the interval
+    ``(t, t)``.
     Equality of subgraphs is structural equality of this data.
     """
 
@@ -46,9 +48,9 @@ class Subgraph:
 
     def _items(self):
         items = [("v", vid) for vid in sorted(self.vertices)]
-        for aid, ivs in self.intervals:
+        for eid, ivs in self.intervals:
             for k in range(len(ivs)):
-                items.append(("i", aid, k))
+                items.append(("i", eid, k))
         return items
 
     def _component_partition(self) -> list[list]:
@@ -65,13 +67,13 @@ class Subgraph:
         def union(a, b):
             parent[find(a)] = find(b)
 
-        for aid, ivs in self.intervals:
-            arc = self.curve.arcs[aid]
+        for eid, ivs in self.intervals:
+            e = self.curve.edges[eid]
             for k, (lo, hi) in enumerate(ivs):
                 if lo == 0:
-                    union(index[("i", aid, k)], index[("v", arc.u)])
-                if hi == arc.length:
-                    union(index[("i", aid, k)], index[("v", arc.v)])
+                    union(index[("i", eid, k)], index[("v", e.u)])
+                if hi == e.length:
+                    union(index[("i", eid, k)], index[("v", e.v)])
         groups: dict[int, list] = {}
         for it in items:
             groups.setdefault(find(index[it]), []).append(it)
@@ -87,27 +89,11 @@ class Subgraph:
                 if it[0] == "i":
                     ivs.setdefault(it[1], []).append(imap[it[1]][it[2]])
             out.append(Subgraph(self.curve, vs,
-                                tuple(sorted((a, tuple(sorted(v))) for a, v in ivs.items()))))
+                                tuple(sorted((e, tuple(sorted(v))) for e, v in ivs.items()))))
         return tuple(out)
 
     def component_count(self) -> int:
         return len(self._component_partition())
-
-    # -- user-level view -----------------------------------------------------
-
-    def edge_intervals(self) -> dict[str, list[Interval]]:
-        """Intervals in user-edge coordinates, merged across loop midpoints."""
-        per_edge: dict[str, list[Interval]] = {}
-        for aid, ivs in self.intervals:
-            arc = self.curve.arcs[aid]
-            for lo, hi in ivs:
-                h = INF if hi == INF else arc.start + hi
-                per_edge.setdefault(arc.edge, []).append((arc.start + lo, h))
-        for vid in self.vertices:
-            if vid in self.curve.hidden_info:
-                eid, off = self.curve.hidden_info[vid]
-                per_edge.setdefault(eid, []).append((off, off))
-        return {eid: _merge_intervals(ivs) for eid, ivs in sorted(per_edge.items())}
 
     # -- the subgraph as a curve in its own right ------------------------------
 
@@ -144,14 +130,12 @@ class Subgraph:
             return vid
 
         for vid in sorted(self.vertices):
-            if vid in c.hidden_info:
-                continue  # covered through edge_intervals below
             info = c.vertices[vid]
             if vid not in vertices:
                 vertices[vid] = VertexInfo(vid, at_infinity=info.at_infinity)
                 vertex_points[vid] = c.pt_vertex(vid)
 
-        for eid, ivs in self.edge_intervals().items():
+        for eid, ivs in self.intervals:
             e = c.edges[eid]
             for lo, hi in ivs:
                 if lo == hi:
@@ -178,15 +162,15 @@ class Subgraph:
         dist: dict[str, "Fraction | float"] = {v: INF for v in c.vertices}
         for vid in self.vertices:
             dist[vid] = Fraction(0)
-        for aid, ivs in self.intervals:
-            arc = c.arcs[aid]
+        for eid, ivs in self.intervals:
+            e = c.edges[eid]
             lo0 = ivs[0][0]
-            if lo0 < dist[arc.u]:
-                dist[arc.u] = lo0
-            if arc.length != INF:
-                gap = arc.length - ivs[-1][1]
-                if gap < dist[arc.v]:
-                    dist[arc.v] = gap
+            if lo0 < dist[e.u]:
+                dist[e.u] = lo0
+            if not e.is_infinite:
+                gap = e.length - ivs[-1][1]
+                if gap < dist[e.v]:
+                    dist[e.v] = gap
         heap = [(d, v) for v, d in dist.items() if d != INF]
         heapq.heapify(heap)
         done = set()
@@ -195,12 +179,12 @@ class Subgraph:
             if u in done or d > dist[u]:
                 continue
             done.add(u)
-            for aid, sign in c.arcs_at[u]:
-                arc = c.arcs[aid]
-                if arc.length == INF:
+            for eid, sign in c.edges_at[u]:
+                e = c.edges[eid]
+                if e.is_infinite:
                     continue
-                w = arc.v if sign > 0 else arc.u
-                nd = d + arc.length
+                w = e.v if sign > 0 else e.u
+                nd = d + e.length
                 if nd < dist[w]:
                     dist[w] = nd
                     heapq.heappush(heap, (nd, w))
@@ -243,34 +227,30 @@ def make_subgraph(c: Curve, vertices: Iterable[str] = (), edges: Iterable[str] =
     single point at infinity are rejected.
     """
     vset: set[str] = set()
-    arc_ivs: dict[str, list[Interval]] = {}
+    edge_ivs: dict[str, list[Interval]] = {}
 
-    def add_arc_interval(aid: str, lo: Fraction, hi):
-        arc = c.arcs[aid]
+    def add_interval(e: EdgeDesc, lo: Fraction, hi):
         if lo == hi == 0:
-            vset.add(arc.u)
+            vset.add(e.u)
             return
-        if hi != INF and lo == hi == arc.length:
-            vset.add(arc.v)
+        if hi != INF and lo == hi == e.length:
+            vset.add(e.v)
             return
-        arc_ivs.setdefault(aid, []).append((lo, hi))
+        edge_ivs.setdefault(e.id, []).append((lo, hi))
         if lo == 0:
-            vset.add(arc.u)
-        if hi == arc.length:
-            vset.add(arc.v)
+            vset.add(e.u)
+        if hi == e.length:
+            vset.add(e.v)
 
     for vid in vertices:
-        info = c.vertices.get(vid)
-        if info is None or info.hidden:
+        if vid not in c.vertices:
             raise TropError(f"unknown vertex {vid!r}")
         vset.add(vid)
     for eid in edges:
         e = c.edges.get(eid)
         if e is None:
             raise TropError(f"unknown edge {eid!r}")
-        for aid in c.arcs_of_edge[eid]:
-            arc = c.arcs[aid]
-            add_arc_interval(aid, Fraction(0), arc.length)
+        add_interval(e, Fraction(0), e.length)
     for eid, lo, hi in intervals:
         e = c.edges.get(eid)
         if e is None:
@@ -281,16 +261,9 @@ def make_subgraph(c: Curve, vertices: Iterable[str] = (), edges: Iterable[str] =
             raise TropError(f"invalid interval [{lo},{hi}] on edge {eid!r}")
         if hi == INF and not e.is_infinite:
             raise TropError(f"interval reaches infinity on finite edge {eid!r}")
-        for aid in c.arcs_of_edge[eid]:
-            arc = c.arcs[aid]
-            arc_hi = INF if arc.length == INF else arc.start + arc.length
-            alo = max(lo, arc.start)
-            ahi = min(hi, arc_hi)
-            if alo > ahi:
-                continue
-            add_arc_interval(aid, alo - arc.start, INF if ahi == INF else ahi - arc.start)
+        add_interval(e, lo, hi)
 
-    merged = tuple(sorted((aid, tuple(_merge_intervals(ivs))) for aid, ivs in arc_ivs.items()))
+    merged = tuple(sorted((eid, tuple(_merge_intervals(ivs))) for eid, ivs in edge_ivs.items()))
     g = Subgraph(c, frozenset(vset), merged)
     for comp in g.components():
         items = comp._items()
@@ -302,16 +275,11 @@ def make_subgraph(c: Curve, vertices: Iterable[str] = (), edges: Iterable[str] =
 
 
 def whole_subgraph(c: Curve) -> Subgraph:
-    return make_subgraph(c, vertices=[v.id for v in c.vertices.values() if not v.hidden],
-                         edges=list(c.edges))
+    return make_subgraph(c, vertices=list(c.vertices), edges=list(c.edges))
 
 
 def point_subgraph(c: Curve, p: PointRef) -> Subgraph:
     kind, ident, off = c._resolve(p)
     if kind == "vertex":
-        if ident in c.hidden_info:
-            eid, e_off = c.hidden_info[ident]
-            return make_subgraph(c, intervals=[(eid, e_off, e_off)])
         return make_subgraph(c, vertices=[ident])
-    arc = c.arcs[ident]
-    return make_subgraph(c, intervals=[(arc.edge, arc.start + off, arc.start + off)])
+    return make_subgraph(c, intervals=[(ident, off, off)])

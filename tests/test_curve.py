@@ -32,6 +32,14 @@ class TestBuild:
         assert c == c and c == d and hash(c) == hash(d)
         assert c != Curve.segment(2) and c != "c"
 
+    def test_loop_is_one_edge(self):
+        c = Curve.build(vertices=["P", "l~mid"], edges=[("l", "P", "P", 8), ("s", "P", "l~mid", 1)])
+        assert set(c.vertices) == {"P", "l~mid"}
+        assert c.directions_at(c.pt_vertex("P")) == ("l:-", "l:+", "s:+")
+        assert c.directions_at(c.pt_on_edge("l", 4)) == ("l:-", "l:+")
+        assert c.distance(c.pt_on_edge("l", 1), c.pt_on_edge("l", 7)) == 2
+        assert c.distance(c.pt_vertex("l~mid"), c.pt_on_edge("l", 4)) == 5
+
     def test_parallel_classes_allowed(self):
         both = Curve.build(vertices=["A", "B"],
                            edges=[("l", "A", None, INF), ("m", "A", "B", 1), ("r", "B", None, INF)],
@@ -144,6 +152,16 @@ class TestSubgraph:
     def test_component_count_matches_curve(self, segment3):
         u = disjoint_union([segment3, segment3, segment3])
         assert whole_subgraph(u).component_count() == len(u.component_sets()) == 3
+
+    def test_interval_across_loop_midpoint(self):
+        c = Curve.build(vertices=["P"], edges=[("l", "P", "P", 8)])
+        g = make_subgraph(c, intervals=[("l", 3, 5)])
+        assert g.vertices == frozenset() and g.intervals == (("l", ((3, 5),)),)
+        assert g.component_count() == 1 and g.contains_point(c.pt_on_edge("l", 4))
+        sub, chart = g.as_curve()
+        assert list(sub.edges) == ["l[3,5]"] and chart.edge_chart["l[3,5]"] == ("l", 3)
+        assert g.distance_map() == {"P": 3}
+        assert point_subgraph(c, c.pt_on_edge("l", 4)).intervals == (("l", ((4, 4),)),)
 
     def test_as_curve_chart(self, segment3):
         g = make_subgraph(segment3, intervals=[("e", 1, 2)])

@@ -174,6 +174,17 @@ class TestLocalize:
         rep1 = localization_surjectivity(segment3, segment3.pt_vertex("A"), samples=10)
         assert rep1.all_matched and rep1.rank == 1
 
+    def test_surjectivity_at_loop_vertex(self):
+        c = Curve.build(vertices=["P"], edges=[("l", "P", "P", 1), ("r", "P", None, INF)],
+                        ray_classes={"r": "x"})
+        rep = localization_surjectivity(c, c.pt_vertex("P"), samples=20)
+        assert rep.all_matched and rep.over_rank_rejected and rep.rank == 3
+        loc = localize(c, c.pt_vertex("P"))
+        assert loc.directions == ("l:-", "l:+", "r:+")
+        # Each leg of the loop keeps to its own half, so steep legs cannot meet.
+        germ = Germ.of(0, (-5, 7, 1))
+        assert loc.apply(germ_bump(loc, germ)) == germ
+
     def test_homomorphism_and_harmonicity_random(self):
         assert suite_localization(rng_for("localize-hom"), 60) == 60
 

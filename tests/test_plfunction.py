@@ -267,6 +267,15 @@ class TestRestrictExtend:
             extend(fp, g, -1)
         extend(fp, g, -100)
 
+    def test_loop_gap_runs_through_the_whole_loop(self):
+        c = Curve.build(vertices=["P"], edges=[("l", "P", "P", 8)])
+        g = make_subgraph(c, intervals=[("l", 0, 1)])
+        sub, _ = g.as_curve()
+        fp = PLFunction.from_edge_data(sub, {"l[0,1]": ([(0, 0), (1, 5)], None)})
+        ext = extend(fp, g, -1)
+        assert ext.profiles["l"].breaks == ((0, 0), (1, 5), (6, 0), (8, 0))
+        assert restrict_whole(ext, g)[0] == fp
+
     def test_nonnegative_slope_rejected(self, segment3):
         g = whole_subgraph(segment3)
         fp, _ = restrict_whole(PLFunction.constant(segment3, 0), g)

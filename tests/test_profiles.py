@@ -74,31 +74,28 @@ def ref_principal_divisor(f: PLFunction) -> Divisor:
         if k:
             coeffs[p] = coeffs.get(p, 0) + k
 
-    for vid, ends in c.arcs_at.items():
+    for vid, ends in c.edges_at.items():
         if not ends:
             continue
-        info = c.vertices[vid]
-        if info.at_infinity:
-            aid, _ = ends[0]
-            bump(c.pt_infinity_of(c.arcs[aid].edge), -f.profiles[aid].tail)
+        if c.vertices[vid].at_infinity:
+            eid, _ = ends[0]
+            bump(c.pt_infinity_of(eid), -f.profiles[eid].tail)
             continue
         total = 0
-        for aid, sign in ends:
-            prof = f.profiles[aid]
+        for eid, sign in ends:
+            prof = f.profiles[eid]
             if sign > 0:
                 total += ref_slope_right(prof, Fraction(0))
             elif prof.tail is None:
                 total += -ref_slope_left(prof, prof.breaks[-1][0])
             else:
                 total += -prof.tail
-        point = (c.pt_vertex(vid) if not info.hidden
-                 else c.pt_on_edge(*c.hidden_info[vid]))
-        bump(point, total)
-    for aid, prof in f.profiles.items():
+        bump(c.pt_vertex(vid), total)
+    for eid, prof in f.profiles.items():
         interior = prof.breaks[1:-1] if prof.tail is None else prof.breaks[1:]
         for o, _ in interior:
             change = ref_slope_right(prof, o) - ref_slope_left(prof, o)
-            bump(c.point_from_arc(aid, o), change)
+            bump(c.pt_on_edge(eid, o), change)
     return Divisor(c, coeffs)
 
 
@@ -145,11 +142,10 @@ def curve_with_everything(rng: random.Random) -> Curve:
 
 
 def probe_points(c: Curve, d: Divisor) -> list[PointRef]:
-    """The support, every vertex and point at infinity, every hidden loop
-    midpoint, and the midpoint of every finite edge."""
+    """The support, every vertex and point at infinity, and the midpoint of
+    every finite edge, loops included."""
     points = set(d.coeffs)
-    points |= {c.pt_vertex(v.id) for v in c.vertices.values() if not v.hidden}
-    points |= {c.pt_on_edge(*c.hidden_info[mid]) for mid in c.hidden_info}
+    points |= {c.pt_vertex(v) for v in c.vertices}
     points |= {c.pt_on_edge(e.id, e.length / 2) for e in c.edges.values() if not e.is_infinite}
     return sorted(points, key=c.point_sort_key)
 
@@ -169,7 +165,7 @@ def test_point_queries_match_linear_scans():
 
 def test_divisors_and_harmonicity_match_reference():
     rng = rng_for("profile-divisors")
-    hidden = infinite = 0
+    loop_mids = infinite = 0
     for _ in range(60):
         c = curve_with_everything(rng)
         f = random_function(c, rng)
@@ -179,9 +175,10 @@ def test_divisors_and_harmonicity_match_reference():
         for p in probe_points(c, ref):
             assert _slope_sum(f, p) == ref.coeff(p)
             assert is_harmonic_at(f, p) == (ref.coeff(p) == 0)
-            hidden += p.kind == "on_edge" and c._resolve(p)[0] == "vertex"
+            loop_mids += (p.kind == "on_edge" and c.edges[p.edge].is_loop
+                          and p.offset == c.edges[p.edge].length / 2)
             infinite += c.is_at_infinity(p)
-    assert hidden >= 60 and infinite >= 60
+    assert loop_mids >= 60 and infinite >= 60
 
 
 def test_harmonicity_of_the_zero_function_raises():
