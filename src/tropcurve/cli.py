@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from pathlib import Path
 
@@ -200,6 +201,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = cmd("hypersurface", _cmd_hypersurface, help="plane hypersurface of a polynomial")
     p.add_argument("--poly", required=True)
     p.add_argument("--window", nargs=4, metavar=("X0", "Y0", "X1", "Y1"))
+    p._negative_number_matcher = re.compile(r"^-\d+(/\d+)?$|^-\d*\.\d+$")  # -1/2 is a bound
     p.add_argument("-o", "--out")
 
     p = cmd("intersect", _cmd_intersect, help="transversal intersections of two complexes")
