@@ -17,7 +17,7 @@ from pathlib import Path
 from . import io as tio
 from .complexes import PolyComplex1D, check_balanced, intersect
 from .curve import INF, Curve, canonical_model
-from .errors import FileFormatError, NonTransversalError, TropError
+from .errors import FileFormatError, InternalError, TropError
 from .glue import glue, glue_function
 from .morphism import localize, pullback, validate_morphism, weight_check, weight_from_generators
 from .plfunction import (PLFunction, _slope_sum, chip_fire, disconnection_witness, extend,
@@ -93,9 +93,15 @@ def main(argv=None) -> int:
     except FileFormatError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 65
-    except (TropError, NonTransversalError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    except TropError as exc:
+        if not isinstance(exc, InternalError):
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
+        failure = exc
+    except Exception as exc:  # any other exception is a defect of the program
+        failure = exc
+    print(f"internal error: {type(failure).__name__}: {failure}", file=sys.stderr)
+    return 70
 
 
 def _build_parser() -> argparse.ArgumentParser:

@@ -7,6 +7,10 @@ class TropError(Exception):
     """Base class for all domain errors raised by this package."""
 
 
+class InternalError(TropError):
+    """A check of the program's own results failed: a defect, not bad input."""
+
+
 class FileFormatError(TropError):
     """A file could not be parsed; carries position info when known."""
 

@@ -14,7 +14,7 @@ from operator import itemgetter
 from typing import Iterable, Mapping, Sequence
 
 from .curve import INF, Curve, PointRef
-from .errors import TropError
+from .errors import InternalError, TropError
 from .semifield import TropValue, rat
 from .subgraph import Subgraph, SubChart
 
@@ -920,5 +920,5 @@ def disconnection_witness(c: Curve) -> tuple[PLFunction, WitnessReport] | None:
     s = pseudodirect_tuple(c, parts)
     report = witness_conditions(s, 3, 2, 1)
     if not report.verified:
-        raise TropError("internal error: witness conditions failed on a disconnected curve")
+        raise InternalError("witness conditions failed on a disconnected curve")
     return s, report

@@ -12,7 +12,7 @@ from fractions import Fraction
 
 from .complexes import PolyComplex1D
 from .curve import INF, Curve, PointRef
-from .errors import TropError
+from .errors import InternalError, TropError
 from .hypersurface import plane_hypersurface
 from .plfunction import PLFunction, chip_fire
 from .semifield import Germ, TropPoly
@@ -197,5 +197,5 @@ def random_class_respecting_function(c: Curve, rng: random.Random) -> PLFunction
         f = f.add(other) if rng.random() < 0.5 else f.mul(other)
     ok, _ = f.respects_ray_classes()
     if not ok:
-        raise TropError("internal error: class-respecting generator broke the classes")
+        raise InternalError("class-respecting generator broke the classes")
     return f

@@ -18,7 +18,7 @@ from typing import Sequence
 
 from .complexes import BalanceReport, PolyComplex1D, check_balanced
 from .curve import INF, Curve, PointRef
-from .errors import TropError
+from .errors import InternalError, TropError
 from .geometry import ivec_gcd, parallel, primitive_of, vsub
 from .hypersurface import plane_hypersurface
 from .plfunction import (PLFunction, _isolated_vertices, _slopes_right, _values_at,
@@ -225,7 +225,7 @@ def harmonic_balance_report(r: RealizationMap) -> HarmonicReport:
     injective = not r.merged_vertices and not r.merged_edges
     implication_ok = (not (all_harmonic and injective)) or balance.balanced
     if not implication_ok:
-        raise TropError("internal error: harmonic injective image failed to balance")
+        raise InternalError("harmonic injective image failed to balance")
     return HarmonicReport(all_harmonic, tuple(defects), balance, implication_ok)
 
 
@@ -274,10 +274,10 @@ def curve_from_complex(K: PolyComplex1D) -> tuple[Curve, tuple[PLFunction, ...],
     for f in fs:
         div = principal_divisor(f)
         if any(not c.is_at_infinity(p) for p in div.support()):
-            raise TropError("internal error: rebuilt coordinate is not harmonic")
+            raise InternalError("rebuilt coordinate is not harmonic")
     r = realize(c, fs)
     if r.image.canonical() != K.canonical():
-        raise TropError("internal error: realization does not reproduce the complex")
+        raise InternalError("realization does not reproduce the complex")
     return c, tuple(fs), r
 
 
@@ -315,7 +315,7 @@ def fit_tropical_polynomial(K: PolyComplex1D) -> TropPoly:
     shifted = {(e[0] - min_x, e[1] - min_y): coef - top for e, coef in terms.items()}
     F = TropPoly.of(2, shifted)
     if plane_hypersurface(F).canonical() != K:
-        raise TropError("internal error: fitted polynomial fails verification")
+        raise InternalError("fitted polynomial fails verification")
     return F
 
 

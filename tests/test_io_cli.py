@@ -327,6 +327,21 @@ class TestCli:
         assert main(["plot", "--complex", str(workdir / "line0.json"), "--out", str(csv)]) == 0
         assert csv.read_text().startswith("kind,")
 
+    def test_internal_errors_exit_70(self, workdir, monkeypatch, capsys):
+        from tropcurve import cli, realization
+
+        # A failed self-check of the program's own result.
+        monkeypatch.setattr(realization, "plane_hypersurface",
+                            lambda F: plane_hypersurface(TropPoly.of(2, {(0, 0): 0, (2, 0): 0})))
+        assert main(["fitpoly", "--complex", str(workdir / "line0.json")]) == 70
+        out, err = capsys.readouterr()
+        assert out == "" and err == "internal error: InternalError: fitted polynomial fails verification\n"
+        # Any other exception escaping a command.
+        monkeypatch.setattr(cli, "check_balanced", lambda k: {}["missing"])
+        assert main(["balance", "--complex", str(workdir / "line0.json")]) == 70
+        out, err = capsys.readouterr()
+        assert out == "" and err == "internal error: KeyError: 'missing'\n"
+
     def test_selftest_quick(self, capsys):
         assert main(["selftest", "--quick", "--json"]) == 0
         payload = json.loads(capsys.readouterr().out)
