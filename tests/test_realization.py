@@ -14,8 +14,9 @@ from tropcurve.hypersurface import plane_hypersurface
 from tropcurve.plfunction import PLFunction, chip_fire
 from tropcurve.randgen import (CONIC_POLY, DOUBLE_LINE_POLY, LINE_POLY, complex_library,
                                random_plane_poly)
-from tropcurve.realization import (bezout_check, check_realization, curve_from_complex,
-                                   fit_tropical_polynomial, harmonic_balance_report, realize)
+from tropcurve.realization import (RealizationReport, bezout_check, check_realization,
+                                   curve_from_complex, fit_tropical_polynomial,
+                                   harmonic_balance_report, realize)
 from tropcurve.selftest import suite_complex_round_trip, suite_fit, suite_intersections
 from tropcurve.semifield import TropPoly
 from tropcurve.subgraph import point_subgraph
@@ -82,6 +83,59 @@ class TestRealize:
         hb = harmonic_balance_report(r)
         assert not hb.all_harmonic
         assert any(points for _, points in hb.defects)
+
+
+class TestCheckRealization:
+    """Fixed inputs for each negative branch of check_realization, and an isolated vertex."""
+
+    @staticmethod
+    def two_rays(classes):
+        """Rays p at O and q at A, one unit apart, both realized in direction (1, 0)."""
+        c = Curve.build(vertices=["O", "A"],
+                        edges=[("s", "O", "A", 1), ("p", "O", None, INF), ("q", "A", None, INF)],
+                        ray_classes=classes)
+        f1 = PLFunction.from_edge_data(c, {"s": ([(0, 0), (1, 0)], None),
+                                           "p": ([(0, 0)], 1), "q": ([(0, 0)], 1)})
+        f2 = PLFunction.from_edge_data(c, {"s": ([(0, 0), (1, 1)], None),
+                                           "p": ([(0, 0)], 0), "q": ([(0, 1)], 0)})
+        return realize(c, [f1, f2])
+
+    def test_contracted_piece(self, line):
+        f = PLFunction.from_edge_data(line, {"right": ([(0, 0)], 1), "left": ([(0, 0)], 0)})
+        r = realize(line, [f])
+        assert not r.merged_vertices and not r.merged_edges
+        assert check_realization(r) == RealizationReport(
+            False, False, True, True, (("left", 0, 0), ("right", 0, 1)))
+
+    def test_two_classes_share_a_direction(self):
+        r = self.two_rays({"p": "a", "q": "b"})
+        assert r.image.rays == ((0, (1, 0), 1), (1, (1, 0), 1))
+        assert check_realization(r) == RealizationReport(
+            True, True, False, False, (("p", 0, 1), ("q", 0, 1), ("s", 0, 1)))
+
+    def test_parallel_rays_off_one_line(self):
+        r = self.two_rays({"p": "k", "q": "k"})
+        assert check_realization(r) == RealizationReport(
+            True, True, True, False, (("p", 0, 1), ("q", 0, 1), ("s", 0, 1)))
+
+    def test_isolated_vertex(self):
+        c = Curve.build(vertices=["A", "B", "Z"], edges=[("e", "A", "B", 2)])
+        f = PLFunction.from_edge_data(c, {"e": ([(0, 0), (2, 2)], None)}, isolated={"Z": 5})
+        r = realize(c, [f])
+        assert r.image == PolyComplex1D(1, ((5,), (0,), (2,)), ((1, 2, 1),), ())
+        assert r.skeleton == ((c.pt_vertex("Z"), (5,)), (c.pt_vertex("A"), (0,)),
+                              (c.pt_vertex("B"), (2,)))
+        assert check_realization(r) == RealizationReport(True, True, True, True, (("e", 0, 1),))
+
+    def test_loop_image_has_no_midpoint_vertex(self):
+        c = Curve.build(vertices=["P"], edges=[("l", "P", "P", 8)])
+        x = PLFunction.from_edge_data(c, {"l": ([(0, 0), (1, 1), (3, 1), (5, -1), (7, -1), (8, 0)], None)})
+        y = PLFunction.from_edge_data(c, {"l": ([(0, 0), (1, 0), (3, 2), (5, 2), (7, 0), (8, 0)], None)})
+        r = realize(c, [x, y])
+        assert (0, 2) not in r.image.vertices and len(r.image.vertices) == 5
+        square = PolyComplex1D(2, ((1, 0), (1, 2), (-1, 2), (-1, 0)),
+                               ((0, 1, 1), (1, 2, 1), (2, 3, 1), (0, 3, 1)), ())
+        assert r.image.canonical() == square.canonical()
 
 
 class TestBalance:
