@@ -106,6 +106,7 @@ class Curve:
             ends.sort()
         self._dijkstra_cache: dict[str, dict[str, "Fraction | float"]] = {}
         self._key: tuple | None = None
+        self._components: dict[str, int] | None = None
 
     # -- construction ------------------------------------------------------
 
@@ -286,7 +287,14 @@ class Curve:
 
     # -- components -------------------------------------------------------------
 
-    def component_sets(self) -> tuple[frozenset[str], ...]:
+    def vertex_components(self) -> dict[str, int]:
+        """Vertex id -> index of its component, built once: a curve never changes."""
+        if self._components is None:
+            self._components = self._union_find()
+        return self._components
+
+    def _union_find(self) -> dict[str, int]:
+        """Components numbered in the order of their least vertex id."""
         parent = {v: v for v in self.vertices}
 
         def find(x):
@@ -297,19 +305,22 @@ class Curve:
 
         for e in self.edges.values():
             parent[find(e.u)] = find(e.v)
-        groups: dict[str, set[str]] = {}
+        groups: dict[str, list[str]] = {}
         for v in self.vertices:
-            groups.setdefault(find(v), set()).add(v)
-        comps = sorted(groups.values(), key=lambda s: min(s))
-        return tuple(frozenset(s) for s in comps)
+            groups.setdefault(find(v), []).append(v)
+        comps = sorted(groups.values(), key=min)
+        return {v: i for i, comp in enumerate(comps) for v in comp}
+
+    def component_sets(self) -> tuple[frozenset[str], ...]:
+        index = self.vertex_components()
+        comps: list[set[str]] = [set() for _ in range(max(index.values()) + 1)]
+        for v, i in index.items():
+            comps[i].add(v)
+        return tuple(map(frozenset, comps))
 
     def component_index(self, p: PointRef) -> int:
         kind, ident, _ = self._resolve(p)
-        vid = ident if kind == "vertex" else self.edges[ident].u
-        for i, comp in enumerate(self.component_sets()):
-            if vid in comp:
-                return i
-        raise TropError("point outside all components")
+        return self.vertex_components()[ident if kind == "vertex" else self.edges[ident].u]
 
     def is_connected(self) -> bool:
         return len(self.component_sets()) == 1
@@ -326,13 +337,13 @@ class Curve:
 
     # -- metric -------------------------------------------------------------------
 
-    def _vertex_distances(self, source: str) -> dict[str, "Fraction | float"]:
-        cached = self._dijkstra_cache.get(source)
-        if cached is not None:
-            return cached
+    def distances_from(self, seeds: Mapping[str, Fraction]) -> dict[str, "Fraction | float"]:
+        """Multi-source Dijkstra over finite edges: each vertex's least seed
+        distance plus path length, INF where no seed reaches."""
         dist: dict[str, "Fraction | float"] = {v: INF for v in self.vertices}
-        dist[source] = Fraction(0)
-        heap: list[tuple] = [(Fraction(0), source)]
+        dist.update(seeds)
+        heap = [(d, v) for v, d in seeds.items()]
+        heapq.heapify(heap)
         done = set()
         while heap:
             d, u = heapq.heappop(heap)
@@ -348,7 +359,12 @@ class Curve:
                 if nd < dist[w]:
                     dist[w] = nd
                     heapq.heappush(heap, (nd, w))
-        self._dijkstra_cache[source] = dist
+        return dist
+
+    def _vertex_distances(self, source: str) -> dict[str, "Fraction | float"]:
+        dist = self._dijkstra_cache.get(source)
+        if dist is None:
+            dist = self._dijkstra_cache[source] = self.distances_from({source: Fraction(0)})
         return dist
 
     def _point_legs(self, p: PointRef) -> list[tuple[str, "Fraction | float"]]:

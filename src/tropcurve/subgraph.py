@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping
@@ -159,36 +158,16 @@ class Subgraph:
     def distance_map(self) -> dict[str, "Fraction | float"]:
         """Distance from every curve vertex to this subgraph (INF off-component)."""
         c = self.curve
-        dist: dict[str, "Fraction | float"] = {v: INF for v in c.vertices}
-        for vid in self.vertices:
-            dist[vid] = Fraction(0)
+        seeds: dict[str, Fraction] = {vid: Fraction(0) for vid in self.vertices}
         for eid, ivs in self.intervals:
             e = c.edges[eid]
-            lo0 = ivs[0][0]
-            if lo0 < dist[e.u]:
-                dist[e.u] = lo0
+            ends = [(e.u, ivs[0][0])]
             if not e.is_infinite:
-                gap = e.length - ivs[-1][1]
-                if gap < dist[e.v]:
-                    dist[e.v] = gap
-        heap = [(d, v) for v, d in dist.items() if d != INF]
-        heapq.heapify(heap)
-        done = set()
-        while heap:
-            d, u = heapq.heappop(heap)
-            if u in done or d > dist[u]:
-                continue
-            done.add(u)
-            for eid, sign in c.edges_at[u]:
-                e = c.edges[eid]
-                if e.is_infinite:
-                    continue
-                w = e.v if sign > 0 else e.u
-                nd = d + e.length
-                if nd < dist[w]:
-                    dist[w] = nd
-                    heapq.heappush(heap, (nd, w))
-        return dist
+                ends.append((e.v, e.length - ivs[-1][1]))
+            for vid, d in ends:
+                if d < seeds.get(vid, INF):
+                    seeds[vid] = d
+        return c.distances_from(seeds)
 
 
 @dataclass(frozen=True)

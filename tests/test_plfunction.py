@@ -137,6 +137,24 @@ class TestDivisors:
     def test_degree_zero_and_homomorphism_random(self):
         assert suite_divisors(rng_for("div-zero"), 40) == 40
 
+    def test_support_runs_the_union_find_once(self, monkeypatch):
+        n = 400
+        path = Curve.build(vertices=[f"v{i}" for i in range(n + 1)],
+                           edges=[(f"e{i}", f"v{i}", f"v{i + 1}", 2) for i in range(n)])
+        tents = PLFunction.from_edge_data(
+            path, {f"e{i}": ([(0, 0), (1, 1), (2, 0)], None) for i in range(n)})
+        runs = 0
+        union_find = Curve._union_find
+
+        def counted(curve):
+            nonlocal runs
+            runs += 1
+            return union_find(curve)
+
+        monkeypatch.setattr(Curve, "_union_find", counted)
+        support = principal_divisor(tents).support()
+        assert len(support) == 2 * n + 1 and runs <= 1
+
 
 class TestHarmonic:
     def test_identity_harmonic_at_finite(self, line):
