@@ -10,7 +10,7 @@ from typing import Mapping, Sequence
 
 from .curve import INF, Curve, PointRef
 from .errors import TropError
-from .plfunction import PLFunction, Profile, _isolated_vertices, _normalize, edge_profile
+from .plfunction import PLFunction, Profile, _flat, _isolated_vertices, _normalize, edge_profile
 from .semifield import Germ
 
 
@@ -134,11 +134,7 @@ def pullback(m: Morphism, f_target: PLFunction) -> PLFunction:
     for eid, e in src.edges.items():
         kind, name = m.edge_map[eid]
         if kind == "vertex":
-            val = f_target.value_at(m.target.pt_vertex(name))
-            if e.is_infinite:
-                profiles[eid] = Profile(((Fraction(0), val),), 0)
-            else:
-                profiles[eid] = Profile(((Fraction(0), val), (e.length, val)), None)
+            profiles[eid] = _flat(e, f_target.value_at(m.target.pt_vertex(name)))
             continue
         d = m.degrees[eid]
         prof = edge_profile(f_target, name)

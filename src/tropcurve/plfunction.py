@@ -13,7 +13,7 @@ from fractions import Fraction
 from operator import itemgetter
 from typing import Iterable, Mapping, Sequence
 
-from .curve import INF, Curve, PointRef
+from .curve import INF, Curve, EdgeDesc, PointRef
 from .errors import InternalError, TropError
 from .semifield import TropValue, rat
 from .subgraph import Subgraph, SubChart
@@ -214,6 +214,18 @@ def _slice(p: Profile, a: Fraction, b) -> Profile:
     return _normalize([(Fraction(0), p.value(a))] + inner + [(b - a, p.value(b))], None)
 
 
+def _flat(e: EdgeDesc, v: Fraction) -> Profile:
+    """The constant profile v on edge e."""
+    if e.is_infinite:
+        return Profile(((Fraction(0), v),), 0)
+    return Profile(((Fraction(0), v), (e.length, v)), None)
+
+
+def _is_int(x) -> bool:
+    """An ``int`` that is not a ``bool``: the only accepted slope or multiplicity."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def _reverse(p: Profile, length: Fraction) -> Profile:
     if p.tail is not None:
         raise TropError("cannot reverse an unbounded profile")
@@ -230,7 +242,7 @@ class PLFunction:
             self.profiles: dict[str, Profile] | None = None
             self.isolated: dict[str, Fraction] = {}
             return
-        self.profiles = {eid: _normalize(p.breaks, p.tail) for eid, p in profiles.items()}
+        self.profiles = dict(profiles)
         self.isolated = dict(isolated or {})
         self._validate()
 
@@ -239,9 +251,11 @@ class PLFunction:
                  isolated: dict[str, Fraction]) -> "PLFunction":
         """A function taking normalized, valid profiles as given.
 
-        Only for the kernel results of ``add``, ``mul``, ``inv``, ``pow`` and
-        ``scale``, which are normalized, continuous and integer-sloped by
-        construction from valid operands.  Everything else goes through
+        Only for results that are normalized, continuous and integer-sloped
+        by construction from valid operands: the kernel results of ``add``,
+        ``mul``, ``inv``, ``pow`` and ``scale``, and ``constant``,
+        ``chip_fire``, ``restrict_whole``, ``split_components`` and
+        ``pseudodirect_tuple``.  Everything else goes through
         ``PLFunction(...)``, which normalizes and validates.
         """
         f = cls.__new__(cls)
@@ -259,72 +273,75 @@ class PLFunction:
     @staticmethod
     def constant(curve: Curve, value) -> "PLFunction":
         v = rat(value)
-        profiles = {}
-        for eid, e in curve.edges.items():
-            if e.is_infinite:
-                profiles[eid] = Profile(((Fraction(0), v),), 0)
-            else:
-                profiles[eid] = Profile(((Fraction(0), v), (e.length, v)), None)
-        isolated = {vid: v for vid in _isolated_vertices(curve)}
-        return PLFunction(curve, profiles, isolated)
+        return PLFunction._trusted(curve, {eid: _flat(e, v) for eid, e in curve.edges.items()},
+                                   {vid: v for vid in _isolated_vertices(curve)})
 
     @staticmethod
     def from_edge_data(curve: Curve, data: Mapping[str, tuple], isolated=None) -> "PLFunction":
         """Build from per-edge breakpoint lists in user edge coordinates.
 
         ``data[edge] = (breakpoints, slope_at_infinity?)`` with breakpoints a
-        list of (offset, value) pairs covering the edge.
+        list of (offset, value) pairs covering the edge; ``isolated`` maps
+        each isolated vertex to its value.  Only converts the format:
+        ``PLFunction(...)`` checks the result.
         """
-        profiles: dict[str, Profile] = {}
-        for eid, entry in data.items():
-            e = curve.edges.get(eid)
-            if e is None:
-                raise TropError(f"unknown edge {eid!r}")
-            breaks, tail = entry
-            bs = sorted((rat(o), rat(v)) for o, v in breaks)
-            if not bs or bs[0][0] != 0:
-                raise TropError(f"edge {eid!r} profile must start at offset 0")
-            if e.is_infinite:
-                if tail is None:
-                    raise TropError(f"edge {eid!r} needs a slope at infinity")
-                profiles[eid] = Profile(tuple(bs), int(tail))
-            else:
-                if bs[-1][0] != e.length:
-                    raise TropError(f"edge {eid!r} profile must end at the edge length")
-                if tail is not None:
-                    raise TropError(f"finite edge {eid!r} cannot have a slope at infinity")
-                profiles[eid] = Profile(tuple(bs), None)
-        missing = set(curve.edges) - set(profiles)
-        if missing:
-            raise TropError(f"profiles missing for edges {sorted(missing)}")
+        profiles = {eid: Profile(tuple(sorted((rat(o), rat(v)) for o, v in breaks)), tail)
+                    for eid, (breaks, tail) in data.items()}
         iso = {vid: rat(v) for vid, v in (isolated or {}).items()}
         return PLFunction(curve, profiles, iso)
 
     def _validate(self):
-        for eid, e in self.curve.edges.items():
-            p = self.profiles.get(eid)
-            if p is None:
-                raise TropError(f"no profile for edge {eid!r}")
-            if p.breaks[0][0] != 0:
-                raise TropError(f"profile on {eid!r} must start at 0")
+        """Normalize the profiles; the one home of the Rat(curve) invariants.
+
+        One profile per curve edge and none for another edge, offsets from 0
+        to a finite edge's length, an ``int`` tail on rays only, integer
+        slopes, values for exactly the isolated vertices, and continuity.
+        """
+        c = self.curve
+        profiles = {}
+        for eid, p in self.profiles.items():
+            e = c.edges.get(eid)
+            if e is None:
+                raise TropError(f"unknown edge {eid!r}")
+            if not p.breaks:
+                raise TropError(f"edge {eid!r} profile must start at offset 0")
+            if e.is_infinite and p.tail is not None and not _is_int(p.tail):
+                raise TropError(f"edge {eid!r} slope at infinity must be an integer, "
+                                f"not {type(p.tail).__name__}")
+            q = _normalize(p.breaks, p.tail if e.is_infinite else None)
+            if q.breaks[0][0] != 0:
+                raise TropError(f"edge {eid!r} profile must start at offset 0")
             if e.is_infinite:
                 if p.tail is None:
-                    raise TropError(f"edge {eid!r} needs a tail slope")
+                    raise TropError(f"edge {eid!r} needs a slope at infinity")
             else:
-                if p.tail is not None or p.breaks[-1][0] != e.length:
-                    raise TropError(f"profile on {eid!r} must end at the edge length")
-            for b0, b1 in zip(p.breaks, p.breaks[1:]):
+                if q.breaks[-1][0] != e.length:
+                    raise TropError(f"edge {eid!r} profile must end at the edge length")
+                if p.tail is not None:
+                    raise TropError(f"finite edge {eid!r} cannot have a slope at infinity")
+            for b0, b1 in zip(q.breaks, q.breaks[1:]):
                 _slope(b0, b1)
-        for vid in _isolated_vertices(self.curve):
+            profiles[eid] = q
+        missing = set(c.edges) - set(profiles)
+        if missing:
+            raise TropError(f"profiles missing for edges {sorted(missing)}")
+        self.profiles = profiles
+        for vid in self.isolated:
+            ends = c.edges_at.get(vid)
+            if ends is None:
+                raise TropError(f"value given for unknown vertex {vid!r}")
+            if ends:
+                raise TropError(f"value given for vertex {vid!r}, which is not isolated")
+        for vid in _isolated_vertices(c):
             if vid not in self.isolated:
                 raise TropError(f"no value for isolated vertex {vid!r}")
         # Continuity at shared vertices.
-        for vid, ends in self.curve.edges_at.items():
-            if self.curve.vertices[vid].at_infinity or not ends:
+        for vid, ends in c.edges_at.items():
+            if c.vertices[vid].at_infinity or not ends:
                 continue
             vals = set()
             for eid, sign in ends:
-                p = self.profiles[eid]
+                p = profiles[eid]
                 vals.add(p.breaks[0][1] if sign > 0 else p.breaks[-1][1])
             if len(vals) > 1:
                 raise TropError(f"discontinuous at vertex {vid!r}: values {sorted(vals)}")
@@ -489,7 +506,8 @@ class Divisor:
         for p, k in items:
             if not curve.contains_point(p):
                 raise TropError(f"point {p} is not on the curve")
-            k = int(k)
+            if not _is_int(k):
+                raise TropError(f"coefficient of {p} must be an integer, not {type(k).__name__}")
             if k:
                 acc[p] = acc.get(p, 0) + k
         self.coeffs = {p: k for p, k in acc.items() if k != 0}
@@ -636,17 +654,13 @@ def chip_fire(c: Curve, g: Subgraph, l) -> PLFunction:
         raise TropError("chip firing length must be positive")
     dmap = g.distance_map()
     imap = g.interval_map()
-    comp_meets: dict[int, bool] = {}
-    comps = c.component_sets()
-    for i, comp in enumerate(comps):
-        comp_meets[i] = any(dmap[v] != INF for v in comp)
-    comp_of = {v: i for i, comp in enumerate(comps) for v in comp}
+    comp_of = c.vertex_components()
+    comp_meets = {comp_of[v] for v, d in dmap.items() if d != INF}
 
     profiles: dict[str, Profile] = {}
     for eid, e in c.edges.items():
-        if not comp_meets[comp_of[e.u]]:
-            profiles[eid] = (Profile(((Fraction(0), Fraction(0)),), 0) if e.is_infinite
-                             else Profile(((Fraction(0), Fraction(0)), (e.length, Fraction(0))), None))
+        if comp_of[e.u] not in comp_meets:
+            profiles[eid] = _flat(e, Fraction(0))
             continue
         candidates: list[Profile] = []
         du, dv = dmap[e.u], dmap[e.v]
@@ -656,7 +670,7 @@ def chip_fire(c: Curve, g: Subgraph, l) -> PLFunction:
             for lo, hi in imap.get(eid, ()):
                 if hi == INF:
                     candidates.append(_normalize([(Fraction(0), lo), (lo, Fraction(0))], 0)
-                                      if lo > 0 else Profile(((Fraction(0), Fraction(0)),), 0))
+                                      if lo > 0 else _flat(e, Fraction(0)))
                 else:
                     bs = [(Fraction(0), lo), (lo, Fraction(0)), (hi, Fraction(0))]
                     candidates.append(_normalize([b for b in bs if b[0] >= 0], 1))
@@ -674,16 +688,11 @@ def chip_fire(c: Curve, g: Subgraph, l) -> PLFunction:
         for cand in candidates[1:]:
             dist = _combine2(dist, cand, "min")
         if cap != INF:
-            capped = (Profile(((Fraction(0), cap),), 0) if e.is_infinite
-                      else Profile(((Fraction(0), cap), (e.length, cap)), None))
-            dist = _combine2(dist, capped, "min")
+            dist = _combine2(dist, _flat(e, cap), "min")
         profiles[eid] = _negate(dist)
-    isolated = {}
-    for vid in _isolated_vertices(c):
-        d = dmap[vid]
-        m = Fraction(0) if d == INF else min(d, cap)
-        isolated[vid] = -m if d != INF else Fraction(0)
-    return PLFunction(c, profiles, isolated)
+    isolated = {vid: Fraction(0) if dmap[vid] == INF else -min(dmap[vid], cap)
+                for vid in _isolated_vertices(c)}
+    return PLFunction._trusted(c, profiles, isolated)
 
 
 # -- restriction and extension -------------------------------------------------------
@@ -712,17 +721,13 @@ def restrict_whole(f: PLFunction, g: Subgraph) -> tuple[PLFunction, SubChart]:
     sub, chart = g.as_curve()
     if f.profiles is None:
         return PLFunction.neg_inf(sub), chart
-    data = {}
+    profiles = {}
     for eid, e in sub.edges.items():
         parent_edge, start = chart.edge_chart[eid]
-        whole = edge_profile(f, parent_edge)
         hi = INF if e.is_infinite else start + e.length
-        prof = _slice(whole, start, hi)
-        data[eid] = ((prof.breaks), prof.tail)
-    iso = {}
-    for vid in _isolated_vertices(sub):
-        iso[vid] = f.value_at(chart.vertex_points[vid])
-    return PLFunction.from_edge_data(sub, data, iso), chart
+        profiles[eid] = _slice(edge_profile(f, parent_edge), start, hi)
+    iso = {vid: f.value_at(chart.vertex_points[vid]) for vid in _isolated_vertices(sub)}
+    return PLFunction._trusted(sub, profiles, iso), chart
 
 
 def split_components(f: PLFunction) -> tuple[PLFunction, ...]:
@@ -735,7 +740,7 @@ def split_components(f: PLFunction) -> tuple[PLFunction, ...]:
             continue
         profiles = {eid: f.profiles[eid] for eid in comp.edges}
         iso = {vid: f.isolated[vid] for vid in _isolated_vertices(comp)}
-        out.append(PLFunction(comp, profiles, iso))
+        out.append(PLFunction._trusted(comp, profiles, iso))
     return tuple(out)
 
 
@@ -762,7 +767,7 @@ def pseudodirect_tuple(c: Curve, parts: Sequence[PLFunction]) -> PLFunction:
     for part in parts:
         profiles.update(part.profiles)
         iso.update(part.isolated)
-    return PLFunction(c, profiles, iso)
+    return PLFunction._trusted(c, profiles, iso)
 
 
 def extend(f_prime: PLFunction, g: Subgraph, s: int) -> PLFunction:
@@ -775,8 +780,7 @@ def extend(f_prime: PLFunction, g: Subgraph, s: int) -> PLFunction:
     """
     if f_prime.is_neg_inf:
         raise TropError("cannot extend the zero function")
-    s = int(s)
-    if s >= 0:
+    if not _is_int(s) or s >= 0:
         raise TropError("extension slope must be a negative integer")
     rate = -s
     c = g.curve

@@ -304,6 +304,26 @@ class TestRestrictExtend:
         assert suite_restrict_extend(rng_for("restrict-extend"), 40) == 40
 
 
+@pytest.mark.parametrize("site, value", [
+    ("tail", 1.5), ("tail", True), ("tail", Fraction(1)),
+    ("divisor", 1.7), ("divisor", True), ("divisor", Fraction(2)),
+    ("extend", -1.5), ("extend", True), ("extend", Fraction(-1)),
+], ids=lambda v: v if isinstance(v, str) else repr(v))
+def test_integers_are_not_coerced(site, value, line, segment3):
+    """A float, a Fraction or a bool where an int is due raises instead of truncating."""
+    g = whole_subgraph(segment3)
+    fp, _ = restrict_whole(PLFunction.constant(segment3, 0), g)
+    build = {
+        "tail": lambda k: PLFunction.from_edge_data(line, {"right": ([(0, 0)], k),
+                                                           "left": ([(0, 0)], -1)}),
+        "divisor": lambda k: Divisor(line, {line.pt_vertex("O"): k}),
+        "extend": lambda k: extend(fp, g, k),
+    }[site]
+    build(-1)
+    with pytest.raises(TropError, match="integer"):
+        build(value)
+
+
 class TestRayClasses:
     def test_shared_class_detects_mismatch(self, line):
         u = disjoint_union([line, line], shared_classes={

@@ -17,9 +17,10 @@ import pytest
 
 from tropcurve.curve import INF, Curve, PointRef, disjoint_union
 from tropcurve.errors import TropError
-from tropcurve.plfunction import (Divisor, PLFunction, Profile, _slope, _slope_sum,
-                                  is_harmonic_at, principal_divisor)
-from tropcurve.randgen import random_curve, random_function, random_rational
+from tropcurve.plfunction import (Divisor, PLFunction, Profile, _slope, _slope_sum, chip_fire,
+                                  is_harmonic_at, principal_divisor, pseudodirect_tuple,
+                                  restrict_whole, split_components)
+from tropcurve.randgen import random_curve, random_function, random_rational, random_subgraph
 from tropcurve.realization import realize
 
 from conftest import fraction_calls, rng_for
@@ -188,6 +189,7 @@ def test_harmonicity_of_the_zero_function_raises():
 
 
 def test_kernel_results_equal_their_validated_rebuilds():
+    """Every result built through ``PLFunction._trusted`` passes validation."""
     rng = rng_for("profile-trusted")
     checked = 0
     for _ in range(40):
@@ -196,6 +198,11 @@ def test_kernel_results_equal_their_validated_rebuilds():
         results = [f.add(g), f.mul(g), f.pow(2), f.pow(3), f.scale(random_rational(rng))]
         if not f.is_neg_inf:
             results += [f.inv(), f.pow(-1), f.pow(0)]
+        sub = random_subgraph(c, rng)
+        cap = INF if rng.random() < 0.3 else Fraction(rng.randint(1, 12), rng.randint(1, 3))
+        results += [PLFunction.constant(c, random_rational(rng)), chip_fire(c, sub, cap),
+                    restrict_whole(f, sub)[0], *split_components(f),
+                    pseudodirect_tuple(c, [random_function(comp, rng) for comp in c.components()])]
         for r in results:
             if r.is_neg_inf:
                 continue
@@ -205,7 +212,7 @@ def test_kernel_results_equal_their_validated_rebuilds():
             assert d == Divisor(d.curve, d.coeffs)
             assert all(type(k) is int for k in d.coeffs.values())
             checked += 1
-    assert checked >= 200
+    assert checked >= 400
 
 
 def test_public_constructors_still_validate(segment3):
@@ -216,6 +223,11 @@ def test_public_constructors_still_validate(segment3):
                           "b": Profile(((zero, zero), (one, zero)))})
     with pytest.raises(TropError, match="non-integer slope"):
         PLFunction(segment3, {"e": Profile(((zero, zero), (Fraction(3), one)))})
+    ramp = Profile(((zero, zero), (Fraction(3), Fraction(3))))
+    with pytest.raises(TropError, match="unknown edge 'bogus'"):
+        PLFunction(segment3, {"e": ramp, "bogus": ramp})
+    with pytest.raises(TropError, match="value given for vertex 'A', which is not isolated"):
+        PLFunction(segment3, {"e": ramp}, {"A": one})
     with pytest.raises(TropError, match="not on the curve"):
         Divisor(segment3, {PointRef("vertex", vertex="nowhere"): 1})
     # pow's result skips validation, so its exponent is checked instead.
