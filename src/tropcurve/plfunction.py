@@ -281,11 +281,11 @@ class PLFunction:
         """Build from per-edge breakpoint lists in user edge coordinates.
 
         ``data[edge] = (breakpoints, slope_at_infinity?)`` with breakpoints a
-        list of (offset, value) pairs covering the edge; ``isolated`` maps
-        each isolated vertex to its value.  Only converts the format:
-        ``PLFunction(...)`` checks the result.
+        list of (offset, value) pairs covering the edge, in any order;
+        ``isolated`` maps each isolated vertex to its value.  Only converts
+        the format: ``PLFunction(...)`` sorts and checks the result.
         """
-        profiles = {eid: Profile(tuple(sorted((rat(o), rat(v)) for o, v in breaks)), tail)
+        profiles = {eid: Profile(tuple((rat(o), rat(v)) for o, v in breaks), tail)
                     for eid, (breaks, tail) in data.items()}
         iso = {vid: rat(v) for vid, v in (isolated or {}).items()}
         return PLFunction(curve, profiles, iso)
