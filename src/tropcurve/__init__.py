@@ -22,7 +22,8 @@ from .plfunction import (Divisor, PLFunction, chip_fire, disconnection_witness, 
 from .realization import (BezoutReport, RealizationMap, bezout_check, check_realization,
                           curve_from_complex, fit_tropical_polynomial,
                           harmonic_balance_report, realize)
-from .semifield import NEG_INF, UNIT, Germ, TropPoly, TropValue, germ_generator_report, rat
+from .semifield import (NEG_INF, UNIT, Germ, TropPoly, TropValue, germ_generator_report, integer,
+                        rat)
 from .subgraph import Subgraph, make_subgraph, point_subgraph, whole_subgraph
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -78,6 +78,16 @@ def _length(value: str):
     return INF if value == "inf" else rat(value)
 
 
+def _int_option(value: str) -> int:
+    """An integer option: a ``rat`` literal without ``/``, so ``1_0`` or ``1.5`` is a bad option."""
+    try:
+        if "/" not in value:
+            return rat(value).numerator
+    except TropError:
+        pass
+    raise argparse.ArgumentTypeError(f"invalid int value: {value!r}")
+
+
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     if argv and not argv[0].startswith("-") and argv[0] not in COMMANDS:
@@ -171,7 +181,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--curve", required=True)
     p.add_argument("--subgraph", required=True)
     p.add_argument("--fn", required=True, help="function on the subgraph curve")
-    p.add_argument("--slope", required=True, type=int, help="negative descent slope")
+    p.add_argument("--slope", required=True, type=_int_option, help="negative descent slope")
     p.add_argument("-o", "--out")
 
     p = cmd("glue", _cmd_glue, help="glue two curves along an embedded shape")
@@ -219,7 +229,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--b", required=True)
 
     p = cmd("selftest", _cmd_selftest, help="run the invariant suites")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_int_option, default=0)
     p.add_argument("--quick", action="store_true", help="fewer cases per suite")
 
     p = cmd("plot", _cmd_plot, help="emit SVG (dim 2) or CSV for a complex")

@@ -10,7 +10,7 @@ from typing import Iterable, Sequence
 
 from .errors import NonTransversalError, TropError
 from .geometry import IVec, Vec, dot, edge_intersection, ivec_gcd, on_edge, parallel, vadd, vsub
-from .semifield import rat
+from .semifield import integer, rat
 
 
 def _coerce_point(p: Sequence, dim: int) -> Vec:
@@ -18,12 +18,6 @@ def _coerce_point(p: Sequence, dim: int) -> Vec:
     if len(q) != dim:
         raise TropError(f"point {p} has dimension {len(q)}, expected {dim}")
     return q
-
-
-def _int(x, what: str) -> int:
-    if isinstance(x, bool) or not isinstance(x, int):
-        raise TropError(f"{what} must be an integer, not {type(x).__name__}: {x!r}")
-    return x
 
 
 def _fmt(p: Sequence) -> str:
@@ -105,10 +99,10 @@ class PolyComplex1D:
     def of(dim: int, vertices: Iterable[Sequence], segments: Iterable[Sequence] = (),
            rays: Iterable[Sequence] = ()) -> "PolyComplex1D":
         vs = tuple(_coerce_point(v, dim) for v in vertices)
-        segs = tuple((_int(i, "segment endpoint"), _int(j, "segment endpoint"), _int(w, "weight"))
-                     for i, j, w in segments)
-        rs = tuple((_int(i, "ray base"), tuple(_int(c, "ray direction component") for c in d),
-                    _int(w, "weight")) for i, d, w in rays)
+        segs = tuple((integer(i, "segment endpoint"), integer(j, "segment endpoint"),
+                      integer(w, "weight")) for i, j, w in segments)
+        rs = tuple((integer(i, "ray base"), tuple(integer(c, "ray direction component") for c in d),
+                    integer(w, "weight")) for i, d, w in rays)
         return PolyComplex1D(dim, vs, segs, rs)
 
     @classmethod

@@ -16,7 +16,7 @@ from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
 from .errors import TropError
-from .semifield import rat
+from .semifield import integer, rat
 
 INF = math.inf
 
@@ -24,10 +24,9 @@ Length = "Fraction | float"
 
 
 def parse_length(x) -> "Fraction | float":
-    if x == INF or (isinstance(x, str) and x.strip() == "inf"):
+    """A positive rational, or ``INF`` spelled as ``INF`` or exactly ``"inf"``."""
+    if x == INF or (isinstance(x, str) and x == "inf"):
         return INF
-    if isinstance(x, float):
-        raise TropError(f"float lengths are not accepted: {x!r}")
     value = rat(x)
     if value <= 0:
         raise TropError(f"edge length must be positive, got {value}")
@@ -128,7 +127,10 @@ class Curve:
                 vinfos[v] = VertexInfo(v)
             else:
                 vid, at_inf = v
-                vinfos[vid] = VertexInfo(vid, bool(at_inf))
+                if not isinstance(at_inf, bool):
+                    raise TropError(f"vertex {vid!r}: at_infinity must be True or False, "
+                                    f"not {type(at_inf).__name__}: {at_inf!r}")
+                vinfos[vid] = VertexInfo(vid, at_inf)
         edescs = []
         for e in edges:
             if isinstance(e, EdgeDesc):
@@ -433,7 +435,7 @@ def disjoint_union(curves: Sequence[Curve],
     if shared_classes:
         for new, olds in shared_classes.items():
             for idx, old in olds:
-                relabel[(int(idx), old)] = new
+                relabel[(integer(idx, "component index"), old)] = new
     vertices: list[VertexInfo] = []
     edges: list[EdgeDesc] = []
     ray_classes: dict[str, str] = {}

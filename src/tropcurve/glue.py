@@ -9,7 +9,7 @@ from typing import Mapping
 from .curve import INF, Curve, EdgeDesc, PointRef, VertexInfo
 from .errors import TropError
 from .plfunction import PLFunction, Profile, _reverse, _slice, edge_profile
-from .semifield import rat
+from .semifield import integer, rat
 
 
 @dataclass(frozen=True)
@@ -59,7 +59,7 @@ def validate_embedding(emb: Embedding, target: Curve) -> None:
         te = target.edges.get(tgt)
         if te is None:
             raise TropError(f"unknown target edge {tgt!r}")
-        if orient not in (+1, -1):
+        if integer(orient, "orientation") not in (+1, -1):
             raise TropError("orientation must be +1 or -1")
         start = rat(start)
         if e.is_infinite:

@@ -16,7 +16,7 @@ from .errors import FileFormatError, TropError
 from .glue import Embedding
 from .morphism import Morphism
 from .plfunction import Divisor, PLFunction, edge_profile
-from .semifield import TropPoly, rat
+from .semifield import TropPoly, integer, rat
 from .subgraph import Subgraph, make_subgraph
 
 
@@ -49,18 +49,20 @@ def _id(x, what: str) -> str:
 
 
 def _rational(x, what: str) -> Fraction:
-    if isinstance(x, (bool, float)):
-        raise FileFormatError(f"{what} must be a rational string, not a {type(x).__name__}: {x!r}")
+    """``rat`` decides; a file gets its rejection as a FileFormatError."""
     try:
         return rat(x)
     except TropError as exc:
-        raise FileFormatError(f"bad {what}: {x!r}") from exc
+        if isinstance(x, str):
+            raise FileFormatError(f"bad {what}: {x!r}") from exc
+        raise FileFormatError(f"{what} must be a rational string, not a {type(x).__name__}: {x!r}") from exc
 
 
 def _integer(x, what: str) -> int:
-    if not isinstance(x, int) or isinstance(x, bool):
-        raise FileFormatError(f"{what} must be an integer")
-    return x
+    try:
+        return integer(x, what)
+    except TropError as exc:
+        raise FileFormatError(str(exc)) from exc
 
 
 # -- curves ---------------------------------------------------------------------
@@ -85,14 +87,9 @@ def curve_from_json(text: str) -> Curve:
         _require(isinstance(e, dict) and {"id", "u", "v", "length"} <= set(e),
                  "edge entries need id, u, v, length")
         length = e["length"]
-        if isinstance(length, float):
-            raise FileFormatError(f"edge {e['id']!r}: float lengths are rejected")
-        if isinstance(length, str) and length.strip() == "inf":
-            parsed = INF
-        else:
-            parsed = _rational(length, "edge length")  # NaN-like strings fail here
         edges.append((_id(e["id"], "edge id"), _id(e["u"], "edge endpoint"),
-                      _id(e["v"], "edge endpoint"), parsed))
+                      _id(e["v"], "edge endpoint"),
+                      INF if length == "inf" else _rational(length, "edge length")))
     ray_classes = {k: _id(v, "ray class") for k, v in _member(data, "ray_classes", dict).items()}
     try:
         return Curve.build(vertices=vertices, edges=edges, ray_classes=ray_classes)
@@ -176,10 +173,7 @@ def function_from_json(c: Curve, text: str) -> PLFunction:
                       for o, v in entry["breakpoints"]]
         except (TypeError, ValueError) as exc:
             raise FileFormatError(f"edge {eid!r}: breakpoints are [offset, value] pairs") from exc
-        tail = entry.get("slope_at_infinity")
-        if tail is not None:
-            _integer(tail, "slope_at_infinity")
-        edge_data[eid] = (breaks, tail)
+        edge_data[eid] = (breaks, entry.get("slope_at_infinity"))
     try:
         return PLFunction.from_edge_data(c, edge_data,
                                          {k: _rational(v, "vertex value")

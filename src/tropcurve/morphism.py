@@ -11,7 +11,7 @@ from typing import Mapping, Sequence
 from .curve import INF, Curve, PointRef
 from .errors import TropError
 from .plfunction import PLFunction, Profile, _flat, _isolated_vertices, _normalize, edge_profile
-from .semifield import Germ
+from .semifield import Germ, integer
 
 
 @dataclass(frozen=True)
@@ -54,6 +54,12 @@ def validate_morphism(m: Morphism) -> MorphismReport:
     for eid, e in src.edges.items():
         entry = m.edge_map.get(eid)
         deg = m.degrees.get(eid)
+        if deg is not None:
+            try:
+                integer(deg, f"degree of {eid!r}")
+            except TropError as exc:
+                bad.append(str(exc))
+                continue
         if entry is None or deg is None or deg < 0:
             bad.append(f"edge {eid!r} lacks an image or a nonnegative degree")
             continue

@@ -15,7 +15,7 @@ from typing import Iterable, Mapping, Sequence
 
 from .curve import INF, Curve, EdgeDesc, PointRef
 from .errors import InternalError, TropError
-from .semifield import TropValue, rat
+from .semifield import TropValue, integer, rat
 from .subgraph import Subgraph, SubChart
 
 
@@ -221,11 +221,6 @@ def _flat(e: EdgeDesc, v: Fraction) -> Profile:
     return Profile(((Fraction(0), v), (e.length, v)), None)
 
 
-def _is_int(x) -> bool:
-    """An ``int`` that is not a ``bool``: the only accepted slope or multiplicity."""
-    return isinstance(x, int) and not isinstance(x, bool)
-
-
 def _reverse(p: Profile, length: Fraction) -> Profile:
     if p.tail is not None:
         raise TropError("cannot reverse an unbounded profile")
@@ -305,10 +300,14 @@ class PLFunction:
                 raise TropError(f"unknown edge {eid!r}")
             if not p.breaks:
                 raise TropError(f"edge {eid!r} profile must start at offset 0")
-            if e.is_infinite and p.tail is not None and not _is_int(p.tail):
-                raise TropError(f"edge {eid!r} slope at infinity must be an integer, "
-                                f"not {type(p.tail).__name__}")
-            q = _normalize(p.breaks, p.tail if e.is_infinite else None)
+            breaks = p.breaks
+            for o, v in breaks:  # exact types pass at once; rat decides the rest
+                if type(o) not in (Fraction, int) or type(v) not in (Fraction, int):
+                    breaks = tuple((rat(o), rat(v)) for o, v in breaks)
+                    break
+            if e.is_infinite and p.tail is not None:
+                integer(p.tail, f"edge {eid!r} slope at infinity")
+            q = _normalize(breaks, p.tail if e.is_infinite else None)
             if q.breaks[0][0] != 0:
                 raise TropError(f"edge {eid!r} profile must start at offset 0")
             if e.is_infinite:
@@ -449,8 +448,7 @@ class PLFunction:
                                    {vid: -v for vid, v in self.isolated.items()})
 
     def pow(self, k: int) -> "PLFunction":
-        if not isinstance(k, int):
-            raise TropError(f"exponent must be an integer, not {type(k).__name__}")
+        integer(k, "exponent")
         if self.profiles is None:
             if k <= 0:
                 raise TropError("zero has no multiplicative inverse")
@@ -506,9 +504,7 @@ class Divisor:
         for p, k in items:
             if not curve.contains_point(p):
                 raise TropError(f"point {p} is not on the curve")
-            if not _is_int(k):
-                raise TropError(f"coefficient of {p} must be an integer, not {type(k).__name__}")
-            if k:
+            if integer(k, "divisor coefficient"):
                 acc[p] = acc.get(p, 0) + k
         self.coeffs = {p: k for p, k in acc.items() if k != 0}
 
@@ -780,7 +776,7 @@ def extend(f_prime: PLFunction, g: Subgraph, s: int) -> PLFunction:
     """
     if f_prime.is_neg_inf:
         raise TropError("cannot extend the zero function")
-    if not _is_int(s) or s >= 0:
+    if integer(s, "extension slope") >= 0:
         raise TropError("extension slope must be a negative integer")
     rate = -s
     c = g.curve

@@ -7,6 +7,7 @@ and printed as ``-inf``.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping
@@ -15,28 +16,39 @@ from .errors import TropError
 
 RatLike = "Fraction | int | str"
 
+_INTEGER_LITERAL = re.compile(r"-?[0-9]+")  # an exponent, and the numerator of a rational
+
 
 def rat(x) -> Fraction:
     """Coerce an int, a ``p/q`` string, or a Fraction to an exact rational.
 
     A string is an optional ``-``, ASCII digits, and optionally ``/`` and
     ASCII digits: no spaces, ``+``, decimal point, exponent or ``_``.
-    Floats are rejected: this package never computes with binary floating
-    point.
+    Floats and bools are rejected: this package never computes with binary
+    floating point, and ``True`` is not the number 1.  Together with
+    ``integer`` this is the one place that decides what number a caller's
+    value is.
     """
     if isinstance(x, Fraction):
         return x
-    if isinstance(x, int):
+    if isinstance(x, int) and not isinstance(x, bool):
         return Fraction(x)
     if isinstance(x, str):
-        num, slash, den = x.removeprefix("-").partition("/")
-        if x.isascii() and num.isdigit() and (den.isdigit() or not slash):
+        num, slash, den = x.partition("/")
+        if _INTEGER_LITERAL.fullmatch(num) and (not slash or den.isascii() and den.isdigit()):
             try:
                 return Fraction(x)
             except (ValueError, ZeroDivisionError):  # a zero or overlong denominator
                 pass
         raise TropError(f"not a rational literal: {x!r}")
     raise TropError(f"exact rational required, got {type(x).__name__}: {x!r}")
+
+
+def integer(x, what: str) -> int:
+    """``x`` itself when it is an ``int`` that is not a ``bool``; no other value is an integer."""
+    if isinstance(x, int) and not isinstance(x, bool):
+        return x
+    raise TropError(f"{what} must be an integer, not {type(x).__name__}: {x!r}")
 
 
 @dataclass(frozen=True, order=False)
@@ -103,7 +115,7 @@ class Germ:
 
     @staticmethod
     def of(coef, slopes: Iterable[int]) -> "Germ":
-        sl = tuple(int(s) for s in slopes)
+        sl = tuple(integer(s, "slope") for s in slopes)
         return Germ(len(sl), rat(coef), sl)
 
     @staticmethod
@@ -203,7 +215,8 @@ class TropPoly:
 
     @staticmethod
     def of(nvars: int, terms: Mapping[tuple[int, ...], "RatLike"]) -> "TropPoly":
-        items = tuple(sorted((tuple(int(e) for e in exp), rat(c)) for exp, c in terms.items()))
+        items = tuple(sorted((tuple(integer(e, "exponent") for e in exp), rat(c))
+                             for exp, c in terms.items()))
         return TropPoly(nvars, items)
 
     @staticmethod
@@ -212,7 +225,7 @@ class TropPoly:
 
     @staticmethod
     def monomial(coef, exp: Iterable[int]) -> "TropPoly":
-        e = tuple(int(x) for x in exp)
+        e = tuple(integer(x, "exponent") for x in exp)
         return TropPoly(len(e), ((e, rat(coef)),))
 
     @property
@@ -304,10 +317,10 @@ class TropPoly:
                 coef = rat(head.strip())
             except TropError as exc:
                 raise FileFormatError(str(exc), line=no) from exc
-            try:
-                exp = tuple(int(tok) for tok in tail.split())
-            except ValueError as exc:
-                raise FileFormatError(f"bad exponent list {tail.strip()!r}", line=no) from exc
+            toks = tail.split()
+            if not all(map(_INTEGER_LITERAL.fullmatch, toks)):
+                raise FileFormatError(f"bad exponent list {tail.strip()!r}", line=no)
+            exp = tuple(map(int, toks))
             if nvars is None:
                 nvars = len(exp)
             if len(exp) != nvars:

@@ -62,6 +62,24 @@ class TestRejects:
                      "--fn", str(workdir / "f.json")]) == 65
         assert message in capsys.readouterr().err
 
+    @pytest.mark.parametrize("length", [" inf ", "inf\n", "Inf"], ids=["spaces", "newline", "capital"])
+    def test_inf_has_one_spelling(self, tmp_path, capsys, length):
+        bad = tmp_path / "c.json"
+        bad.write_text(json.dumps({"vertices": [{"id": "A"}],
+                                   "edges": [{"id": "r", "u": "A", "v": "X", "length": length}],
+                                   "ray_classes": {"r": "k"}}))
+        assert main(["check-curve", "--curve", str(bad)]) == 65
+        assert f"bad edge length: {length!r}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("slope", ["-1_0", "-\u0661", "-2/1", "-2.0"],
+                             ids=["underscore", "arabic-digit", "fraction", "decimal"])
+    def test_extend_slope_is_an_integer_literal(self, capsys, slope):
+        with pytest.raises(SystemExit) as exc:
+            main(["extend", "--curve", "c.json", "--subgraph", "g.json", "--fn", "f.json",
+                  f"--slope={slope}"])
+        assert exc.value.code == 2
+        assert f"argument --slope: invalid int value: {slope!r}" in capsys.readouterr().err
+
     def test_bool_length_exits_65(self, tmp_path, capsys):
         bad = tmp_path / "c.json"
         bad.write_text(json.dumps({"vertices": [{"id": "A"}, {"id": "B"}],

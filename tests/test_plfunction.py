@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 
 import pytest
@@ -308,19 +309,55 @@ class TestRestrictExtend:
     ("tail", 1.5), ("tail", True), ("tail", Fraction(1)),
     ("divisor", 1.7), ("divisor", True), ("divisor", Fraction(2)),
     ("extend", -1.5), ("extend", True), ("extend", Fraction(-1)),
+    ("pow", True), ("breakpoint", 1.5), ("breakpoint", True),
+    ("segment", True), ("constant", True), ("scale", True), ("chip_fire", True),
+    ("interval", True), ("complex", True),
+    ("germ", 1.5), ("germ", True), ("poly", 2.7), ("monomial", True), ("exponent_token", "1_0"),
+    ("at_infinity", "false"), pytest.param("length", " inf ", id="length-spaced-inf"),
+    ("degree", 1.0), ("degree", True), ("orientation", True), ("component_index", True),
 ], ids=lambda v: v if isinstance(v, str) else repr(v))
 def test_integers_are_not_coerced(site, value, line, segment3):
-    """A float, a Fraction or a bool where an int is due raises instead of truncating."""
+    """A float, a Fraction, a bool or a loose literal where an exact number
+    is due raises a TropError that names it, instead of loading a coerced value."""
+    from tropcurve.complexes import PolyComplex1D
+    from tropcurve.glue import Embedding, validate_embedding
+    from tropcurve.morphism import Morphism, pullback
+    from tropcurve.plfunction import Profile
+    from tropcurve.semifield import Germ, TropPoly
+
     g = whole_subgraph(segment3)
     fp, _ = restrict_whole(PLFunction.constant(segment3, 0), g)
-    build = {
-        "tail": lambda k: PLFunction.from_edge_data(line, {"right": ([(0, 0)], k),
-                                                           "left": ([(0, 0)], -1)}),
-        "divisor": lambda k: Divisor(line, {line.pt_vertex("O"): k}),
-        "extend": lambda k: extend(fp, g, k),
+    zero = PLFunction.constant(segment3, 0)
+    ends = {"A": segment3.pt_vertex("A"), "B": segment3.pt_vertex("B")}
+    build, good = {
+        "tail": (lambda k: PLFunction.from_edge_data(line, {"right": ([(0, 0)], k),
+                                                            "left": ([(0, 0)], -1)}), -1),
+        "divisor": (lambda k: Divisor(line, {line.pt_vertex("O"): k}), -1),
+        "extend": (lambda k: extend(fp, g, k), -1),
+        "pow": (lambda k: zero.pow(k), 2),
+        "breakpoint": (lambda k: PLFunction(segment3, {"e": Profile(((0, 0), (1, k), (3, k)))}), -1),
+        "segment": (lambda k: Curve.segment(k), 3),
+        "constant": (lambda k: PLFunction.constant(segment3, k), 0),
+        "scale": (lambda k: zero.scale(k), 0),
+        "chip_fire": (lambda k: chip_fire(segment3, g, k), 1),
+        "interval": (lambda k: make_subgraph(segment3, intervals=[("e", k, 2)]), 1),
+        "complex": (lambda k: PolyComplex1D.of(2, [(k, 0), (1, 1)], [(0, 1, 1)]), 0),
+        "germ": (lambda k: Germ.of(0, (k,)), 1),
+        "poly": (lambda k: TropPoly.of(1, {(k,): 0}), 2),
+        "monomial": (lambda k: TropPoly.monomial(0, (k,)), 1),
+        "exponent_token": (lambda k: TropPoly.parse(f"0 : 0\n0 : {k}"), "10"),
+        "at_infinity": (lambda k: Curve.build(vertices=["A", ("Z", k)], edges=[("r", "A", "Z", INF)],
+                                              ray_classes={"r": "k"}), True),
+        "length": (lambda k: Curve.build(vertices=["A"], edges=[("r", "A", None, k)],
+                                         ray_classes={"r": "k"}), "inf"),
+        "degree": (lambda k: pullback(Morphism(segment3, segment3, {"A": "A", "B": "B"},
+                                               {"e": ("edge", "e")}, {"e": k}), zero), 1),
+        "orientation": (lambda k: validate_embedding(
+            Embedding(segment3, ends, {"e": ("e", Fraction(0), k)}), segment3), 1),
+        "component_index": (lambda k: disjoint_union([line, line], {"k": [(k, "left")]}), 1),
     }[site]
-    build(-1)
-    with pytest.raises(TropError, match="integer"):
+    build(good)
+    with pytest.raises(TropError, match=re.escape(repr(value))):
         build(value)
 
 
