@@ -477,27 +477,20 @@ def canonical_model(c: Curve) -> Curve:
         # The doubly infinite line: two points at infinity, finite part all 2-valent.
         keep = set(inf_ids) | {finite_ids[0]}
 
-    # Walk maximal chains between kept vertices through 2-valent ones.
-    # A half-edge (eid, "u") traverses eid from its u endpoint to its v endpoint.
-    ends_at: dict[str, list[tuple[str, str]]] = {v: [] for v in val}
-    for e in c.edges.values():
-        ends_at[e.u].append((e.id, "u"))
-        ends_at[e.v].append((e.id, "v"))
-    for v in ends_at:
-        ends_at[v].sort()
+    # Walk maximal chains between kept vertices through 2-valent ones.  A
+    # half-edge is an entry (eid, sign) of ``c.edges_at``: sign +1 traverses
+    # eid from its u endpoint to its v endpoint, -1 the other way.
+    def traverse(he: tuple[str, int]) -> tuple[str, tuple[str, int]]:
+        eid, sign = he
+        e = c.edges[eid]
+        return (e.v if sign > 0 else e.u), (eid, -sign)
 
-    def traverse(he: tuple[str, str]) -> tuple[str, tuple[str, str]]:
-        e = c.edges[he[0]]
-        arrive_end = "v" if he[1] == "u" else "u"
-        arrive_vertex = e.v if he[1] == "u" else e.u
-        return arrive_vertex, (he[0], arrive_end)
-
-    visited: set[tuple[str, str]] = set()
+    visited: set[tuple[str, int]] = set()
     new_edges = []
     new_classes: dict[str, str] = {}
     # Finite starts first so that infinite chains come out oriented finite -> infinity.
     for start in sorted(keep, key=lambda v: (c.vertices[v].at_infinity, v)):
-        for he in ends_at[start]:
+        for he in c.edges_at[start]:
             if he in visited:
                 continue
             chain = [he[0]]
@@ -505,7 +498,7 @@ def canonical_model(c: Curve) -> Curve:
             here, arrival = traverse(he)
             visited.add(arrival)
             while here not in keep:
-                nxt = [k for k in ends_at[here] if k != arrival]
+                nxt = [k for k in c.edges_at[here] if k != arrival]
                 he = nxt[0]
                 chain.append(he[0])
                 visited.add(he)
