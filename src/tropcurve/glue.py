@@ -76,8 +76,9 @@ def validate_embedding(emb: Embedding, target: Curve) -> None:
         if emb.vertex_map[e.u] != endpoints[0] or emb.vertex_map[e.v] != endpoints[1]:
             raise TropError(f"edge {eid!r} endpoints disagree with the vertex map")
         intervals.append((tgt, lo, hi, eid))
-    # Injectivity: image intervals may meet only at endpoints that are
-    # images of a common shape vertex.
+    # Injectivity.  Two image intervals that only touch meet at the image of
+    # an end of each edge, so an injective vertex map makes that a common
+    # shape vertex; only overlaps are left to check.
     images = list(emb.vertex_map.values())
     if len(set(images)) != len(images):
         raise TropError("vertex map is not injective")
@@ -85,22 +86,8 @@ def validate_embedding(emb: Embedding, target: Curve) -> None:
         for j in range(i + 1, len(intervals)):
             t1, lo1, hi1, e1 = intervals[i]
             t2, lo2, hi2, e2 = intervals[j]
-            if t1 != t2:
-                continue
-            lo, hi = max(lo1, lo2), min(hi1, hi2)
-            if lo > hi:
-                continue
-            if lo < hi:
+            if t1 == t2 and max(lo1, lo2) < min(hi1, hi2):
                 raise TropError(f"images of {e1!r} and {e2!r} overlap on {t1!r}")
-            shared_shape = set(_edge_vertices(emb.shape, e1)) & set(_edge_vertices(emb.shape, e2))
-            meet = target.pt_on_edge(t1, lo)
-            if not any(emb.vertex_map[v] == meet for v in shared_shape):
-                raise TropError(f"images of {e1!r} and {e2!r} touch at a non-shared point")
-
-
-def _edge_vertices(c: Curve, eid: str):
-    e = c.edges[eid]
-    return (e.u, e.v)
 
 
 @dataclass(frozen=True)
@@ -215,11 +202,8 @@ def glue(c1: Curve, c2: Curve, emb1: Embedding, emb2: Embedding) -> GlueResult:
                     target, rel = edge_alias[geid]
                     if rel == 1:
                         fixed.append((lo, hi, target, gstart, orient))
-                    else:
-                        tlen = glued.edges[target].length
-                        if tlen == INF:
-                            raise TropError("cannot reverse an infinite identified edge")
-                        fixed.append((lo, hi, target, tlen - gstart, -orient))
+                    else:  # a finite shape edge: rays map forward on both sides
+                        fixed.append((lo, hi, target, glued.edges[target].length - gstart, -orient))
                 else:
                     fixed.append((lo, hi, geid, gstart, orient))
             out[eid] = tuple(fixed)
@@ -323,16 +307,15 @@ def glue_function(h1: PLFunction, h2: PLFunction, glued: GlueResult) -> PLFuncti
     profiles = {}
     isolated = {}
     done_edges = set()
-    for side, (h, pm) in enumerate(((h1, glued.map1), (h2, glued.map2)), start=1):
+    # Side 1 claims every glued edge it covers, with orientation +1; a side-2
+    # piece that was identified (and perhaps reversed) is already claimed.
+    for h, pm in ((h1, glued.map1), (h2, glued.map2)):
         for eid in h.curve.edges:
-            for lo, hi, geid, gstart, orient in pm.pieces[eid]:
+            for lo, hi, geid, _, _ in pm.pieces[eid]:
                 if geid in done_edges:
                     continue
                 done_edges.add(geid)
-                prof = _slice(edge_profile(h, eid), lo, hi)
-                if orient < 0:
-                    prof = _reverse(prof, glued.curve.edges[geid].length)
-                profiles[geid] = prof
+                profiles[geid] = _slice(edge_profile(h, eid), lo, hi)
     for vid, ends in glued.curve.edges_at.items():
         if ends:
             continue

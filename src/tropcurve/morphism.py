@@ -172,8 +172,6 @@ def compose(outer: Morphism, inner: Morphism) -> Morphism:
             okind, oname = outer.edge_map[name]
             emap[eid] = (okind, oname)
             degs[eid] = inner.degrees[eid] * (outer.degrees[name] if okind == "edge" else 0)
-            if okind == "vertex":
-                emap[eid] = ("vertex", oname)
     return Morphism(inner.source, outer.target, vmap, emap, degs)
 
 

@@ -204,6 +204,38 @@ class TestGlue:
         assert res.curve.distance(ga, gd) == 2
         assert res.map1.point(s1.pt_vertex("B")) == res.map2.point(s2.pt_vertex("C"))
 
+    def test_point_map_inside_cut_edges(self):
+        # Gluing at e@1 cuts e into e[0,1] and e[1,3].
+        s1 = Curve.segment(3, "A", "B", "e")
+        s2 = Curve.segment(1, "C", "D", "f")
+        pt = Curve.build(vertices=["P"])
+        res = glue(s1, s2, Embedding(pt, {"P": s1.pt_on_edge("e", 1)}, {}),
+                   Embedding(pt, {"P": s2.pt_vertex("C")}, {}))
+        g = res.curve
+        assert set(g.edges) == {"1:e[0,1]", "1:e[1,3]", "2:f"}
+        half = Fraction(1, 2)
+        assert res.map1.point(s1.pt_on_edge("e", half)) == g.pt_on_edge("1:e[0,1]", half)
+        assert res.map1.point(s1.pt_on_edge("e", 2)) == g.pt_on_edge("1:e[1,3]", 1)
+        assert res.map1.point(s1.pt_on_edge("e", 1)) == res.map2.point(s2.pt_vertex("C"))
+        assert res.map2.point(s2.pt_on_edge("f", half)) == g.pt_on_edge("2:f", half)
+
+    def test_images_touching_at_a_shared_vertex(self):
+        # The path U - V - W lies along e with V at e@1: the two images meet
+        # only at the image of V, which is allowed.
+        seg = Curve.segment(2, "A", "B", "e")
+        path = Curve.build(vertices=["U", "V", "W"], edges=[("s", "U", "V", 1), ("t", "V", "W", 1)])
+        emb = Embedding(path, {"U": seg.pt_vertex("A"), "V": seg.pt_on_edge("e", 1),
+                               "W": seg.pt_vertex("B")},
+                        {"s": ("e", Fraction(0), 1), "t": ("e", Fraction(1), 1)})
+        assert validate_embedding(emb, seg) is None
+        res = glue(seg, seg, emb, emb)
+        assert res.curve.description() == {
+            "vertices": [{"id": "1:A", "at_infinity": False}, {"id": "1:B", "at_infinity": False},
+                         {"id": "1:e@1", "at_infinity": False}],
+            "edges": [{"id": "1:e[0,1]", "u": "1:A", "v": "1:e@1", "length": "1"},
+                      {"id": "1:e[1,2]", "u": "1:e@1", "v": "1:B", "length": "1"}],
+            "ray_classes": {}}
+
     def test_shared_leg(self, tripod):
         other = Curve.build(vertices=["O2"],
                             edges=[("x", "O2", "X", 1), ("y", "O2", "Y", 1), ("z", "O2", "Z", 1)])

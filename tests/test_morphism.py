@@ -83,6 +83,43 @@ class TestPullback:
     def test_homomorphism_random(self):
         assert suite_pullback(rng_for("pullback-hom"), 40) == 40
 
+    def test_reflection_reverses_the_profile(self, segment3):
+        # A <-> B flips the edge: (m* f)(t) = f(3 - t).
+        flip = Morphism(segment3, segment3, {"A": "B", "B": "A"}, {"e": ("edge", "e")}, {"e": 1})
+        f = PLFunction.from_edge_data(segment3, {"e": ([(0, 0), (1, 2), (3, 0)], None)})
+        back = pullback(flip, f)
+        assert back.profiles["e"].breaks == ((0, 0), (2, 2), (3, 0))
+        for t in (0, Fraction(1, 2), 1, 2, Fraction(5, 2), 3):
+            p, q = segment3.pt_on_edge("e", t), segment3.pt_on_edge("e", 3 - t)
+            assert back.value_at(p) == f.value_at(q)
+
+    def test_composition_with_collapsed_edges(self):
+        # inner collapses e1 and maps e2 onto f; the doubling outer stretches f
+        # onto h, and the collapsing outer sends f to a point.
+        path = Curve.build(vertices=["A", "B", "C"],
+                           edges=[("e1", "A", "B", 1), ("e2", "B", "C", 2)])
+        seg2 = Curve.segment(2, "U", "V", "f")
+        seg4 = Curve.segment(4, "X", "Y", "h")
+        point = Curve.build(vertices=["P"])
+        inner = Morphism(path, seg2, {"A": "U", "B": "U", "C": "V"},
+                         {"e1": ("vertex", "U"), "e2": ("edge", "f")}, {"e1": 0, "e2": 1})
+        double = Morphism(seg2, seg4, {"U": "X", "V": "Y"}, {"f": ("edge", "h")}, {"f": 2})
+        crush = Morphism(seg2, point, {"U": "P", "V": "P"}, {"f": ("vertex", "P")}, {"f": 0})
+        m = compose(double, inner)
+        assert (m.vertex_map, m.edge_map, m.degrees) == (
+            {"A": "X", "B": "X", "C": "Y"},
+            {"e1": ("vertex", "X"), "e2": ("edge", "h")}, {"e1": 0, "e2": 2})
+        c = compose(crush, inner)
+        assert (c.vertex_map, c.edge_map, c.degrees) == (
+            {"A": "P", "B": "P", "C": "P"},
+            {"e1": ("vertex", "P"), "e2": ("vertex", "P")}, {"e1": 0, "e2": 0})
+        h = PLFunction.from_edge_data(seg4, {"h": ([(0, 1), (4, 5)], None)})
+        assert validate_morphism(m).ok and validate_morphism(c).ok
+        assert pullback(m, h) == pullback(inner, pullback(double, h)) == PLFunction.from_edge_data(
+            path, {"e1": ([(0, 1), (1, 1)], None), "e2": ([(0, 1), (2, 5)], None)})
+        k = PLFunction.from_edge_data(point, {}, isolated={"P": Fraction(7)})
+        assert pullback(c, k) == pullback(inner, pullback(crush, k)) == PLFunction.constant(path, 7)
+
     def test_composition_multiplies_degrees(self, line):
         quad = compose(doubling(line), doubling(line))
         assert validate_morphism(quad).ok
@@ -114,6 +151,17 @@ class TestWeights:
         assert weight_from_generators([scaled_fn(line, 2)], "right") == 2
         assert weight_from_generators([identity_fn(line)], "right") == 1
         assert weight_from_generators([scaled_fn(line, 2), scaled_fn(line, 3)], "right") == 1
+
+    def test_weight_from_generators_on_a_finite_edge(self, segment3):
+        def slope(k):
+            return PLFunction.from_edge_data(segment3, {"e": ([(0, 0), (3, 3 * k)], None)})
+
+        assert weight_from_generators([slope(3)], "e") == 3
+        assert weight_from_generators([slope(6), slope(-4)], "e") == 2
+        assert weight_from_generators([slope(3), slope(-2)], "e") == 1
+        with pytest.raises(TropError, match="subdivide"):
+            weight_from_generators([PLFunction.from_edge_data(
+                segment3, {"e": ([(0, 0), (1, 1), (3, 1)], None)})], "e")
 
     def test_level_edge_rejected(self, line):
         with pytest.raises(TropError, match="level edge"):

@@ -475,6 +475,67 @@ class TestGlueFunction:
         with pytest.raises(TropError, match="disagree"):
             glue_function(h1, h2, res)
 
+    def test_edge_mismatch_names_the_first_differing_point(self):
+        from tropcurve.glue import Embedding, glue, glue_function
+
+        # The shape edge runs backwards from e@3 to e@1 on side 1.  Both
+        # functions vanish at its ends, and differ first at shape offset 1/2,
+        # which is e@5/2.
+        c1 = Curve.segment(5, "A", "B", "e")
+        c2 = Curve.segment(2, "C", "D", "f")
+        shape = Curve.segment(2, "U", "V", "s")
+        res = glue(c1, c2,
+                   Embedding(shape, {"U": c1.pt_on_edge("e", 3), "V": c1.pt_on_edge("e", 1)},
+                             {"s": ("e", Fraction(3), -1)}),
+                   Embedding(shape, {"U": c2.pt_vertex("C"), "V": c2.pt_vertex("D")},
+                             {"s": ("f", Fraction(0), 1)}))
+        h1 = PLFunction.constant(c1, 0)
+        h2 = PLFunction.from_edge_data(
+            c2, {"f": ([(0, 0), (Fraction(1, 2), 1), (1, 0), (2, 0)], None)})
+        with pytest.raises(TropError) as err:
+            glue_function(h1, h2, res)
+        assert str(err.value) == "functions disagree on the glued subgraph at e@5/2"
+
+    def test_reversed_shape_edge(self):
+        from tropcurve.glue import Embedding, glue, glue_function
+
+        # e runs A -> B and f runs C -> D; the shape edge maps onto e forwards
+        # and onto f backwards, so A is glued to D and B to C.
+        c1 = Curve.segment(2, "A", "B", "e")
+        c2 = Curve.segment(2, "C", "D", "f")
+        shape = Curve.segment(2, "U", "V", "s")
+        res = glue(c1, c2,
+                   Embedding(shape, {"U": c1.pt_vertex("A"), "V": c1.pt_vertex("B")},
+                             {"s": ("e", Fraction(0), 1)}),
+                   Embedding(shape, {"U": c2.pt_vertex("D"), "V": c2.pt_vertex("C")},
+                             {"s": ("f", Fraction(2), -1)}))
+        g = res.curve
+        assert set(g.edges) == {"1:e"} and set(g.vertices) == {"1:A", "1:B"}
+        assert res.map2.point(c2.pt_vertex("C")) == g.pt_vertex("1:B")
+        assert res.map2.point(c2.pt_on_edge("f", Fraction(1, 2))) == g.pt_on_edge("1:e", Fraction(3, 2))
+        h1 = PLFunction.from_edge_data(c1, {"e": ([(0, 0), (2, 4)], None)})
+        h2 = PLFunction.from_edge_data(c2, {"f": ([(0, 4), (2, 0)], None)})
+        w = glue_function(h1, h2, res)
+        assert w == PLFunction.from_edge_data(g, {"1:e": ([(0, 0), (2, 4)], None)})
+        assert w.value_at(res.map2.point(c2.pt_on_edge("f", Fraction(1, 2)))) == 3
+        with pytest.raises(TropError, match=r"at A \(0 vs 4\)"):
+            glue_function(h1, PLFunction.from_edge_data(c2, {"f": ([(0, 0), (2, 4)], None)}), res)
+
+    def test_isolated_vertices_keep_their_values(self):
+        from tropcurve.glue import Embedding, glue, glue_function
+
+        c1 = Curve.build(vertices=["A", "B", "I"], edges=[("e", "A", "B", 1)])
+        c2 = Curve.build(vertices=["C", "D", "J"], edges=[("f", "C", "D", 1)])
+        pt = Curve.build(vertices=["P"])
+        res = glue(c1, c2, Embedding(pt, {"P": c1.pt_vertex("B")}, {}),
+                   Embedding(pt, {"P": c2.pt_vertex("C")}, {}))
+        h1 = PLFunction.from_edge_data(c1, {"e": ([(0, 0), (1, 1)], None)}, isolated={"I": 7})
+        h2 = PLFunction.from_edge_data(c2, {"f": ([(0, 1), (1, 3)], None)}, isolated={"J": -2})
+        w = glue_function(h1, h2, res)
+        assert w.isolated == {"1:I": 7, "2:J": -2}
+        assert w.value_at(res.map1.point(c1.pt_vertex("I"))) == 7
+        assert w.value_at(res.map2.point(c2.pt_vertex("J"))) == -2
+
     def test_neg_inf_sides(self):
         from tropcurve.glue import glue_function
 
