@@ -55,7 +55,8 @@ def _rational(x, what: str) -> Fraction:
     except TropError as exc:
         if isinstance(x, str):
             raise FileFormatError(f"bad {what}: {x!r}") from exc
-        raise FileFormatError(f"{what} must be a rational string, not a {type(x).__name__}: {x!r}") from exc
+        raise FileFormatError(f"{what} must be a rational string, "
+                              f"not a {type(x).__name__}: {x!r}") from exc
 
 
 def _integer(x, what: str) -> int:

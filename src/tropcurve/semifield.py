@@ -159,6 +159,7 @@ class Germ:
         return Germ(self.n, -self.coef, tuple(-s for s in self.slopes))
 
     def pow(self, k: int) -> "Germ":
+        integer(k, "exponent")
         if self.coef is None:
             if k <= 0:
                 raise TropError("zero has no multiplicative inverse")
@@ -167,7 +168,7 @@ class Germ:
 
     def forget(self, k: int) -> "Germ":
         """Drop slope component k (1-based), landing in the rank n-1 semifield."""
-        if not 1 <= k <= self.n:
+        if not 1 <= integer(k, "component") <= self.n:
             raise TropError(f"component {k} out of range for rank {self.n}")
         if self.coef is None:
             return Germ.zero(self.n - 1)

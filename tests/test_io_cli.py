@@ -62,7 +62,8 @@ class TestRejects:
                      "--fn", str(workdir / "f.json")]) == 65
         assert message in capsys.readouterr().err
 
-    @pytest.mark.parametrize("length", [" inf ", "inf\n", "Inf"], ids=["spaces", "newline", "capital"])
+    @pytest.mark.parametrize("length", [" inf ", "inf\n", "Inf"],
+                             ids=["spaces", "newline", "capital"])
     def test_inf_has_one_spelling(self, tmp_path, capsys, length):
         bad = tmp_path / "c.json"
         bad.write_text(json.dumps({"vertices": [{"id": "A"}],

@@ -312,7 +312,8 @@ class TestRestrictExtend:
     ("pow", True), ("breakpoint", 1.5), ("breakpoint", True),
     ("segment", True), ("constant", True), ("scale", True), ("chip_fire", True),
     ("interval", True), ("complex", True),
-    ("germ", 1.5), ("germ", True), ("poly", 2.7), ("monomial", True), ("exponent_token", "1_0"),
+    ("germ", 1.5), ("germ", True), ("germ_pow", 1.5), ("germ_pow", True), ("germ_forget", True),
+    ("poly", 2.7), ("monomial", True), ("exponent_token", "1_0"),
     ("at_infinity", "false"), pytest.param("length", " inf ", id="length-spaced-inf"),
     ("degree", 1.0), ("degree", True), ("orientation", True), ("component_index", True),
 ], ids=lambda v: v if isinstance(v, str) else repr(v))
@@ -335,7 +336,8 @@ def test_integers_are_not_coerced(site, value, line, segment3):
         "divisor": (lambda k: Divisor(line, {line.pt_vertex("O"): k}), -1),
         "extend": (lambda k: extend(fp, g, k), -1),
         "pow": (lambda k: zero.pow(k), 2),
-        "breakpoint": (lambda k: PLFunction(segment3, {"e": Profile(((0, 0), (1, k), (3, k)))}), -1),
+        "breakpoint": (lambda k: PLFunction(segment3, {"e": Profile(((0, 0), (1, k), (3, k)))}),
+                       -1),
         "segment": (lambda k: Curve.segment(k), 3),
         "constant": (lambda k: PLFunction.constant(segment3, k), 0),
         "scale": (lambda k: zero.scale(k), 0),
@@ -343,11 +345,14 @@ def test_integers_are_not_coerced(site, value, line, segment3):
         "interval": (lambda k: make_subgraph(segment3, intervals=[("e", k, 2)]), 1),
         "complex": (lambda k: PolyComplex1D.of(2, [(k, 0), (1, 1)], [(0, 1, 1)]), 0),
         "germ": (lambda k: Germ.of(0, (k,)), 1),
+        "germ_pow": (lambda k: Germ.of(1, (1, 2)).pow(k), 2),
+        "germ_forget": (lambda k: Germ.of(1, (1, 2)).forget(k), 1),
         "poly": (lambda k: TropPoly.of(1, {(k,): 0}), 2),
         "monomial": (lambda k: TropPoly.monomial(0, (k,)), 1),
         "exponent_token": (lambda k: TropPoly.parse(f"0 : 0\n0 : {k}"), "10"),
-        "at_infinity": (lambda k: Curve.build(vertices=["A", ("Z", k)], edges=[("r", "A", "Z", INF)],
-                                              ray_classes={"r": "k"}), True),
+        "at_infinity": (lambda k: Curve.build(vertices=["A", ("Z", k)],
+                                              edges=[("r", "A", "Z", INF)], ray_classes={"r": "k"}),
+                        True),
         "length": (lambda k: Curve.build(vertices=["A"], edges=[("r", "A", None, k)],
                                          ray_classes={"r": "k"}), "inf"),
         "degree": (lambda k: pullback(Morphism(segment3, segment3, {"A": "A", "B": "B"},
@@ -512,12 +517,13 @@ class TestGlueFunction:
         g = res.curve
         assert set(g.edges) == {"1:e"} and set(g.vertices) == {"1:A", "1:B"}
         assert res.map2.point(c2.pt_vertex("C")) == g.pt_vertex("1:B")
-        assert res.map2.point(c2.pt_on_edge("f", Fraction(1, 2))) == g.pt_on_edge("1:e", Fraction(3, 2))
+        half = c2.pt_on_edge("f", Fraction(1, 2))
+        assert res.map2.point(half) == g.pt_on_edge("1:e", Fraction(3, 2))
         h1 = PLFunction.from_edge_data(c1, {"e": ([(0, 0), (2, 4)], None)})
         h2 = PLFunction.from_edge_data(c2, {"f": ([(0, 4), (2, 0)], None)})
         w = glue_function(h1, h2, res)
         assert w == PLFunction.from_edge_data(g, {"1:e": ([(0, 0), (2, 4)], None)})
-        assert w.value_at(res.map2.point(c2.pt_on_edge("f", Fraction(1, 2)))) == 3
+        assert w.value_at(res.map2.point(half)) == 3
         with pytest.raises(TropError, match=r"at A \(0 vs 4\)"):
             glue_function(h1, PLFunction.from_edge_data(c2, {"f": ([(0, 0), (2, 4)], None)}), res)
 
