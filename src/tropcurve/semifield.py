@@ -319,9 +319,12 @@ class TropPoly:
             except TropError as exc:
                 raise FileFormatError(str(exc), line=no) from exc
             toks = tail.split()
-            if not all(map(_INTEGER_LITERAL.fullmatch, toks)):
-                raise FileFormatError(f"bad exponent list {tail.strip()!r}", line=no)
-            exp = tuple(map(int, toks))
+            try:
+                if not all(map(_INTEGER_LITERAL.fullmatch, toks)):
+                    raise ValueError(tail)
+                exp = tuple(map(int, toks))
+            except ValueError as exc:  # a loose token, or more digits than int() reads
+                raise FileFormatError(f"bad exponent list {tail.strip()!r}", line=no) from exc
             if nvars is None:
                 nvars = len(exp)
             if len(exp) != nvars:

@@ -72,6 +72,11 @@ class TestRejects:
         assert main(["check-curve", "--curve", str(bad)]) == 65
         assert f"bad edge length: {length!r}" in capsys.readouterr().err
 
+    def test_overlong_exponent_exits_65(self, tmp_path, capsys):
+        (tmp_path / "F.txt").write_text("0 : 0 0\n0 : " + "1" * 5000 + " 0\n")
+        assert main(["hypersurface", "--poly", str(tmp_path / "F.txt")]) == 65
+        assert "bad exponent list" in capsys.readouterr().err
+
     @pytest.mark.parametrize("slope", ["-1_0", "-\u0661", "-2/1", "-2.0"],
                              ids=["underscore", "arabic-digit", "fraction", "decimal"])
     def test_extend_slope_is_an_integer_literal(self, capsys, slope):

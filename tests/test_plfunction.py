@@ -7,9 +7,12 @@ from fractions import Fraction
 
 import pytest
 
+from tropcurve.complexes import PolyComplex1D
 from tropcurve.curve import INF, Curve, disjoint_union
 from tropcurve.errors import TropError
-from tropcurve.plfunction import (Divisor, PLFunction, chip_fire, disconnection_witness,
+from tropcurve.glue import Embedding, validate_embedding
+from tropcurve.morphism import Morphism, pullback
+from tropcurve.plfunction import (Divisor, PLFunction, Profile, chip_fire, disconnection_witness,
                                   extend, is_harmonic_at, module_degree, principal_divisor,
                                   pseudodirect_tuple, rd_contains, restrict, restrict_whole,
                                   split_components, witness_conditions)
@@ -17,6 +20,7 @@ from tropcurve.randgen import (random_class_respecting_function, random_curve, r
                                random_rational)
 from tropcurve.selftest import (semifield_laws, suite_chip_fire, suite_disconnection,
                                 suite_divisors, suite_module_degree, suite_restrict_extend)
+from tropcurve.semifield import Germ, TropPoly
 from tropcurve.subgraph import make_subgraph, point_subgraph, whole_subgraph
 
 from conftest import identity_fn, rng_for, scaled_fn
@@ -320,15 +324,9 @@ class TestRestrictExtend:
 def test_integers_are_not_coerced(site, value, line, segment3):
     """A float, a Fraction, a bool or a loose literal where an exact number
     is due raises a TropError that names it, instead of loading a coerced value."""
-    from tropcurve.complexes import PolyComplex1D
-    from tropcurve.glue import Embedding, validate_embedding
-    from tropcurve.morphism import Morphism, pullback
-    from tropcurve.plfunction import Profile
-    from tropcurve.semifield import Germ, TropPoly
-
-    g = whole_subgraph(segment3)
-    fp, _ = restrict_whole(PLFunction.constant(segment3, 0), g)
     zero = PLFunction.constant(segment3, 0)
+    g = whole_subgraph(segment3)
+    fp, _ = restrict_whole(zero, g)
     ends = {"A": segment3.pt_vertex("A"), "B": segment3.pt_vertex("B")}
     build, good = {
         "tail": (lambda k: PLFunction.from_edge_data(line, {"right": ([(0, 0)], k),
