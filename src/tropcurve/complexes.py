@@ -8,6 +8,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Sequence
 
+from .curve import connected_groups
 from .errors import NonTransversalError, TropError
 from .geometry import IVec, Vec, dot, edge_intersection, ivec_gcd, on_edge, parallel, vadd, vsub
 from .semifield import integer, rat
@@ -98,6 +99,7 @@ class PolyComplex1D:
     @staticmethod
     def of(dim: int, vertices: Iterable[Sequence], segments: Iterable[Sequence] = (),
            rays: Iterable[Sequence] = ()) -> "PolyComplex1D":
+        dim = integer(dim, "dimension")
         vs = tuple(_coerce_point(v, dim) for v in vertices)
         segs = tuple((integer(i, "segment endpoint"), integer(j, "segment endpoint"),
                       integer(w, "weight")) for i, j, w in segments)
@@ -134,20 +136,8 @@ class PolyComplex1D:
         return q in P or any(on_edge(*e, q) for e in _int_edges(self, P, L))
 
     def is_connected(self) -> bool:
-        n = len(self.vertices)
-        if n == 0:
-            return True
-        parent = list(range(n))
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        for i, j, _ in self.segments:
-            parent[find(i)] = find(j)
-        return len({find(i) for i in range(n)}) == 1
+        return len(connected_groups(range(len(self.vertices)),
+                                    [(i, j) for i, j, _ in self.segments])) <= 1
 
     def translate(self, offset: Sequence) -> "PolyComplex1D":
         off = _coerce_point(offset, self.dim)

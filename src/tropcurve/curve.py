@@ -37,6 +37,28 @@ def length_str(x) -> str:
     return "inf" if x == INF else str(x)
 
 
+def connected_groups(items: Iterable, links: Iterable[tuple]) -> list[list]:
+    """The classes of ``items`` under the equivalence that ``links`` generate.
+
+    Each class lists its items in the order given, and the classes come in
+    the order of their first item.
+    """
+    parent = {x: x for x in items}
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for a, b in links:
+        parent[find(a)] = find(b)
+    groups: dict = {}
+    for x in parent:
+        groups.setdefault(find(x), []).append(x)
+    return list(groups.values())
+
+
 @dataclass(frozen=True)
 class VertexInfo:
     id: str
@@ -297,20 +319,8 @@ class Curve:
 
     def _union_find(self) -> dict[str, int]:
         """Components numbered in the order of their least vertex id."""
-        parent = {v: v for v in self.vertices}
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        for e in self.edges.values():
-            parent[find(e.u)] = find(e.v)
-        groups: dict[str, list[str]] = {}
-        for v in self.vertices:
-            groups.setdefault(find(v), []).append(v)
-        comps = sorted(groups.values(), key=min)
+        comps = sorted(connected_groups(self.vertices, [(e.u, e.v) for e in self.edges.values()]),
+                       key=min)
         return {v: i for i, comp in enumerate(comps) for v in comp}
 
     def component_sets(self) -> tuple[frozenset[str], ...]:

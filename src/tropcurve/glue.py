@@ -6,10 +6,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping
 
-from .curve import INF, Curve, EdgeDesc, PointRef, VertexInfo
+from .curve import INF, Curve, EdgeDesc, PointRef, VertexInfo, connected_groups
 from .errors import TropError
 from .plfunction import PLFunction, Profile, _reverse, _slice, edge_profile
 from .semifield import integer, rat
+from .subgraph import SubChart, cut
 
 
 @dataclass(frozen=True)
@@ -29,14 +30,6 @@ class Embedding:
     def target_offset(self, shape_edge: str, t: Fraction) -> tuple[str, Fraction]:
         eid, start, orient = self.edge_map[shape_edge]
         return eid, start + orient * t
-
-    def image_interval(self, shape_edge: str):
-        eid, start, orient = self.edge_map[shape_edge]
-        length = self.shape.edges[shape_edge].length
-        if length == INF:
-            return eid, start, INF
-        lo, hi = sorted((start, start + orient * length))
-        return eid, lo, hi
 
 
 def validate_embedding(emb: Embedding, target: Curve) -> None:
@@ -88,6 +81,10 @@ def validate_embedding(emb: Embedding, target: Curve) -> None:
             t2, lo2, hi2, e2 = intervals[j]
             if t1 == t2 and max(lo1, lo2) < min(hi1, hi2):
                 raise TropError(f"images of {e1!r} and {e2!r} overlap on {t1!r}")
+    for vid, p in emb.vertex_map.items():
+        for tgt, lo, hi, eid in intervals:
+            if p.edge == tgt and lo < p.offset < hi:
+                raise TropError(f"image of vertex {vid!r} lies inside the image of edge {eid!r}")
 
 
 @dataclass(frozen=True)
@@ -131,151 +128,87 @@ def glue(c1: Curve, c2: Curve, emb1: Embedding, emb2: Embedding) -> GlueResult:
     validate_embedding(emb2, c2)
     shape = emb1.shape
 
-    refined1, map_pieces1, vname1 = _refine(c1, emb1, "1")
-    refined2, map_pieces2, vname2 = _refine(c2, emb2, "2")
+    sub1, chart1 = _refine(c1, emb1)
+    sub2, chart2 = _refine(c2, emb2)
 
-    # Identify shape vertices and shape edges across the two refinements.
-    vertex_alias: dict[str, str] = {}
-    for vid in shape.vertices:
-        p1 = emb1.vertex_map[vid]
-        p2 = emb2.vertex_map[vid]
-        vertex_alias[_refined_vertex("2", p2)] = _refined_vertex("1", p1)
+    # Identify the images of shape vertices and shape edges across the two cuts.
+    vertex1, edge1 = _shape_images(emb1, chart1)
+    vertex2, edge2 = _shape_images(emb2, chart2)
+    vertex_alias = {f"2:{vertex2[v]}": f"1:{vertex1[v]}" for v in shape.vertices}
     edge_alias: dict[str, tuple[str, int]] = {}
     for eid in shape.edges:
-        g1, o1 = _refined_edge("1", emb1, eid, c1)
-        g2, o2 = _refined_edge("2", emb2, eid, c2)
-        edge_alias[g2] = (g1, o1 * o2)
+        (g1, o1), (g2, o2) = edge1[eid], edge2[eid]
+        edge_alias[f"2:{g2}"] = (f"1:{g1}", o1 * o2)
 
-    vertices: dict[str, VertexInfo] = {}
+    def glued_vertex(k: str, vid: str) -> str:
+        return vertex_alias.get(f"{k}:{vid}", f"{k}:{vid}")
+
+    # Side k's ids get the prefix ``k:``; side 2 drops what side 1 already has.
+    vertices: list[VertexInfo] = []
     edges: list[EdgeDesc] = []
-    ray_classes: dict[str, str] = {}
-    for v in refined1["vertices"]:
-        vertices[v.id] = v
-    for v in refined2["vertices"]:
-        if v.id not in vertex_alias:
-            vertices[v.id] = v
-    for e in refined1["edges"]:
-        edges.append(e)
-    for e in refined2["edges"]:
-        if e.id in edge_alias:
-            continue
-        u = vertex_alias.get(e.u, e.u)
-        v = vertex_alias.get(e.v, e.v)
-        edges.append(EdgeDesc(e.id, u, v, e.length))
+    labels: dict[str, str] = {}
+    for k, sub in (("1", sub1), ("2", sub2)):
+        for v in sub.vertices.values():
+            if f"{k}:{v.id}" not in vertex_alias:
+                vertices.append(VertexInfo(f"{k}:{v.id}", v.at_infinity))
+        for e in sub.edges.values():
+            if f"{k}:{e.id}" not in edge_alias:
+                edges.append(EdgeDesc(f"{k}:{e.id}", glued_vertex(k, e.u), glued_vertex(k, e.v),
+                                      e.length))
+        labels.update({f"{k}:{eid}": f"{k}:{label}" for eid, label in sub.ray_classes.items()})
 
-    # Ray classes: prefixed labels, then merge identified rays' classes.
-    label_parent: dict[str, str] = {}
+    # Identified rays merge their classes under the least label of each group.
+    links = [(labels[g2], labels[g1]) for g2, (g1, _) in edge_alias.items() if g2 in labels]
+    least = {label: min(group) for group in connected_groups(labels.values(), links)
+             for label in group}
+    glued = Curve(vertices, edges,
+                  {eid: least[label] for eid, label in labels.items() if eid not in edge_alias})
 
-    def find(x: str) -> str:
-        while label_parent.setdefault(x, x) != x:
-            label_parent[x] = label_parent[label_parent[x]]
-            x = label_parent[x]
-        return x
+    def point_map(k: str, c: Curve, chart: SubChart) -> PointMap:
+        vertex_map = {v: glued_vertex(k, v) for v in c.vertices}
+        pieces: dict[str, list] = {eid: [] for eid in c.edges}
+        for piece, (eid, lo) in chart.edge_chart.items():
+            length = chart.sub.edges[piece].length
+            hi = INF if length == INF else lo + length
+            geid, orient = edge_alias.get(f"{k}:{piece}", (f"{k}:{piece}", 1))
+            # A reversed finite shape edge: rays map forward on both sides.
+            gstart = Fraction(0) if orient == 1 else glued.edges[geid].length
+            pieces[eid].append((lo, hi, geid, gstart, orient))
+        return PointMap(c, glued, vertex_map, {eid: tuple(p) for eid, p in pieces.items()})
 
-    raw_classes: dict[str, str] = {}
-    raw_classes.update(refined1["ray_classes"])
-    for eid, label in refined2["ray_classes"].items():
-        raw_classes[eid] = label
-    for g2, (g1, _) in edge_alias.items():
-        l1 = raw_classes.get(g1)
-        l2 = raw_classes.get(g2)
-        if l1 and l2:
-            label_parent[find(l2)] = find(l1)
-    merged_labels = {}
-    for label in set(raw_classes.values()):
-        root = find(label)
-        group = [l for l in raw_classes.values() if find(l) == root]
-        merged_labels[label] = min(group)
-    for eid, label in raw_classes.items():
-        if eid in edge_alias:
-            continue
-        ray_classes[eid] = merged_labels[label]
-
-    glued = Curve(vertices.values(), edges, ray_classes)
-
-    def remap_pieces(raw):
-        out = {}
-        for eid, pieces in raw.items():
-            fixed = []
-            for lo, hi, geid, gstart, orient in pieces:
-                if geid in edge_alias:
-                    target, rel = edge_alias[geid]
-                    if rel == 1:
-                        fixed.append((lo, hi, target, gstart, orient))
-                    else:  # a finite shape edge: rays map forward on both sides
-                        fixed.append((lo, hi, target, glued.edges[target].length - gstart, -orient))
-                else:
-                    fixed.append((lo, hi, geid, gstart, orient))
-            out[eid] = tuple(fixed)
-        return out
-
-    vmap1 = {v: name for v, name in vname1.items()}
-    vmap2 = {v: vertex_alias.get(name, name) for v, name in vname2.items()}
-    map1 = PointMap(c1, glued, vmap1, remap_pieces(map_pieces1))
-    map2 = PointMap(c2, glued, vmap2, remap_pieces(map_pieces2))
-    return GlueResult(glued, map1, map2, shape, emb1, emb2)
+    return GlueResult(glued, point_map("1", c1, chart1), point_map("2", c2, chart2),
+                      shape, emb1, emb2)
 
 
-def _refined_vertex(prefix: str, p: PointRef) -> str:
-    if p.kind == "vertex":
-        return f"{prefix}:{p.vertex}"
-    return f"{prefix}:{p.edge}@{p.offset}"
+def _refine(c: Curve, emb: Embedding) -> tuple[Curve, SubChart]:
+    """c cut at the image of every shape vertex.
 
-
-def _refined_edge(prefix: str, emb: Embedding, shape_edge: str, target: Curve) -> tuple[str, int]:
-    tgt, start, orient = emb.edge_map[shape_edge]
-    e = emb.shape.edges[shape_edge]
-    te = target.edges[tgt]
-    if e.is_infinite:
-        lo, hi = start, INF
-    else:
-        lo, hi = sorted((start, start + orient * e.length))
-    full = lo == 0 and ((hi == INF and te.is_infinite) or hi == te.length)
-    name = f"{prefix}:{tgt}" if full else f"{prefix}:{tgt}[{lo},{'inf' if hi == INF else hi}]"
-    return name, orient
-
-
-def _refine(c: Curve, emb: Embedding, prefix: str):
-    """Subdivide c at all embedding cut points; ids get the side prefix."""
+    The image of a shape edge runs between images of shape vertices, so it
+    is one piece of the cut.
+    """
     cuts: dict[str, set[Fraction]] = {}
-    for eid in emb.shape.edges:
-        tgt, lo, hi = emb.image_interval(eid)
-        cuts.setdefault(tgt, set()).update({lo} if hi == INF else {lo, hi})
     for p in emb.vertex_map.values():
         if p.kind == "on_edge":
             cuts.setdefault(p.edge, set()).add(p.offset)
-
-    vertices: list[VertexInfo] = []
-    vname: dict[str, str] = {}
-    for v in c.vertices.values():
-        vertices.append(VertexInfo(f"{prefix}:{v.id}", v.at_infinity))
-        vname[v.id] = f"{prefix}:{v.id}"
-    edges: list[EdgeDesc] = []
-    ray_classes: dict[str, str] = {}
-    pieces: dict[str, tuple] = {}
+    pieces = []
     for eid, e in c.edges.items():
-        offs = sorted(o for o in cuts.get(eid, set()) if 0 < o and (e.is_infinite or o < e.length))
-        stops = [Fraction(0)] + offs + [e.length if not e.is_infinite else INF]
-        plist = []
-        for lo, hi in zip(stops, stops[1:]):
-            if lo == 0 and (hi == e.length or (hi == INF and e.is_infinite)):
-                sub_id = f"{prefix}:{eid}"
-            else:
-                sub_id = f"{prefix}:{eid}[{lo},{'inf' if hi == INF else hi}]"
-            u = f"{prefix}:{e.u}" if lo == 0 else f"{prefix}:{eid}@{lo}"
-            v = (f"{prefix}:{e.v}" if (hi == e.length or hi == INF)
-                 else f"{prefix}:{eid}@{hi}")
-            for name, is_end in ((u, lo == 0), (v, hi == e.length or hi == INF)):
-                if not is_end and all(vv.id != name for vv in vertices):
-                    vertices.append(VertexInfo(name))
-            length = INF if hi == INF else hi - lo
-            edges.append(EdgeDesc(sub_id, u, v, length))
-            plist.append((lo, hi, sub_id, Fraction(0), 1))
-            if hi == INF:
-                ray_classes[sub_id] = f"{prefix}:{c.ray_classes[eid]}"
-        pieces[eid] = tuple(plist)
-    return ({"vertices": vertices, "edges": edges, "ray_classes": ray_classes},
-            pieces, vname)
+        stops = [Fraction(0), *sorted(cuts.get(eid, ())), e.length]
+        pieces += [(eid, lo, hi) for lo, hi in zip(stops, stops[1:])]
+    return cut(c, c.vertices, pieces)
+
+
+def _shape_images(emb: Embedding,
+                  chart: SubChart) -> tuple[dict[str, str], dict[str, tuple[str, int]]]:
+    """The vertex of the cut curve at each shape vertex, and the piece under
+    each shape edge with the edge's orientation."""
+    at = {p: vid for vid, p in chart.vertex_points.items()}
+    piece = {place: pid for pid, place in chart.edge_chart.items()}
+    vertices = {vid: at[emb.vertex_map[vid]] for vid in emb.shape.vertices}
+    edges = {}
+    for eid, e in emb.shape.edges.items():
+        tgt, start, orient = emb.edge_map[eid]
+        edges[eid] = (piece[tgt, start if orient > 0 else start - e.length], orient)
+    return vertices, edges
 
 
 def glue_function(h1: PLFunction, h2: PLFunction, glued: GlueResult) -> PLFunction:
@@ -316,13 +249,13 @@ def glue_function(h1: PLFunction, h2: PLFunction, glued: GlueResult) -> PLFuncti
                     continue
                 done_edges.add(geid)
                 profiles[geid] = _slice(edge_profile(h, eid), lo, hi)
+    # A glued vertex comes from side 1 whenever side 1 has it.
+    source = {name: (h, v) for h, pm in ((h2, glued.map2), (h1, glued.map1))
+              for v, name in pm.vertex_map.items()}
     for vid, ends in glued.curve.edges_at.items():
-        if ends:
-            continue
-        src = vid.split(":", 1)
-        h, pm = (h1, glued.map1) if src[0] == "1" else (h2, glued.map2)
-        back = [k for k, name in pm.vertex_map.items() if name == vid]
-        isolated[vid] = h.value_at(h.curve.pt_vertex(back[0]))
+        if not ends:
+            h, v = source[vid]
+            isolated[vid] = h.value_at(h.curve.pt_vertex(v))
     return PLFunction(glued.curve, profiles, isolated)
 
 
@@ -342,8 +275,4 @@ def _first_difference(p1: Profile, p2: Profile) -> Fraction:
     for o in offs:
         if p1.value(o) != p2.value(o):
             return o
-    for o1, o2 in zip(offs, offs[1:]):
-        mid = (o1 + o2) / 2
-        if p1.value(mid) != p2.value(mid):
-            return mid
     return offs[-1] + 1

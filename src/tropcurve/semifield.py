@@ -120,10 +120,11 @@ class Germ:
 
     @staticmethod
     def zero(n: int) -> "Germ":
-        return Germ(n, None, None)
+        return Germ(integer(n, "germ rank"), None, None)
 
     @staticmethod
     def unit(n: int) -> "Germ":
+        n = integer(n, "germ rank")
         return Germ(n, Fraction(0), (0,) * n)
 
     @property
@@ -218,11 +219,11 @@ class TropPoly:
     def of(nvars: int, terms: Mapping[tuple[int, ...], "RatLike"]) -> "TropPoly":
         items = tuple(sorted((tuple(integer(e, "exponent") for e in exp), rat(c))
                              for exp, c in terms.items()))
-        return TropPoly(nvars, items)
+        return TropPoly(integer(nvars, "variable count"), items)
 
     @staticmethod
     def zero(nvars: int) -> "TropPoly":
-        return TropPoly(nvars, ())
+        return TropPoly(integer(nvars, "variable count"), ())
 
     @staticmethod
     def monomial(coef, exp: Iterable[int]) -> "TropPoly":
@@ -360,7 +361,7 @@ def germ_generator_report(n: int, bound: int = 8) -> GeneratorReport:
     report replays the defining identities exactly and passes only if every
     one holds.
     """
-    if not 1 <= n <= bound:
+    if not 1 <= integer(n, "germ rank") <= bound:
         raise TropError(f"rank must be between 1 and {bound}")
     checks: list[IdentityCheck] = []
 

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping
 
-from .curve import INF, Curve, EdgeDesc, PointRef, VertexInfo
+from .curve import INF, Curve, EdgeDesc, PointRef, VertexInfo, connected_groups
 from .errors import TropError
 from .semifield import rat
 
@@ -53,30 +53,15 @@ class Subgraph:
         return items
 
     def _component_partition(self) -> list[list]:
-        items = self._items()
-        index = {it: n for n, it in enumerate(items)}
-        parent = list(range(len(items)))
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        def union(a, b):
-            parent[find(a)] = find(b)
-
+        links = []
         for eid, ivs in self.intervals:
             e = self.curve.edges[eid]
             for k, (lo, hi) in enumerate(ivs):
                 if lo == 0:
-                    union(index[("i", eid, k)], index[("v", e.u)])
+                    links.append((("i", eid, k), ("v", e.u)))
                 if hi == e.length:
-                    union(index[("i", eid, k)], index[("v", e.v)])
-        groups: dict[int, list] = {}
-        for it in items:
-            groups.setdefault(find(index[it]), []).append(it)
-        return sorted(groups.values(), key=lambda g: g[0])
+                    links.append((("i", eid, k), ("v", e.v)))
+        return sorted(connected_groups(self._items(), links), key=lambda g: g[0])
 
     def components(self) -> tuple["Subgraph", ...]:
         out = []
@@ -97,61 +82,9 @@ class Subgraph:
     # -- the subgraph as a curve in its own right ------------------------------
 
     def as_curve(self) -> tuple[Curve, "SubChart"]:
-        """Build the subgraph as a curve, with a chart back to the parent.
-
-        Cut points inside an edge become vertices named ``edge@offset``;
-        sub-edges keep the parent edge id when they cover it entirely and
-        are named ``edge[lo,hi]`` otherwise.  Rays inherit the parent ray
-        class label.
-        """
-        c = self.curve
-        vertices: dict[str, VertexInfo] = {}
-        vertex_points: dict[str, PointRef] = {}
-        edges: list[EdgeDesc] = []
-        edge_chart: dict[str, tuple[str, Fraction]] = {}
-        ray_classes: dict[str, str] = {}
-
-        def vertex_for(eid: str, off) -> str:
-            e = c.edges[eid]
-            if off == 0:
-                vid = e.u
-            elif off == e.length:
-                vid = e.v
-            else:
-                vid = f"{eid}@{off}"
-            if vid not in vertices:
-                if vid in c.vertices:
-                    vertices[vid] = VertexInfo(vid, at_infinity=c.vertices[vid].at_infinity)
-                    vertex_points[vid] = c.pt_vertex(vid)
-                else:
-                    vertices[vid] = VertexInfo(vid)
-                    vertex_points[vid] = c.pt_on_edge(eid, off)
-            return vid
-
-        for vid in sorted(self.vertices):
-            info = c.vertices[vid]
-            if vid not in vertices:
-                vertices[vid] = VertexInfo(vid, at_infinity=info.at_infinity)
-                vertex_points[vid] = c.pt_vertex(vid)
-
-        for eid, ivs in self.intervals:
-            e = c.edges[eid]
-            for lo, hi in ivs:
-                if lo == hi:
-                    vertex_for(eid, lo)
-                    continue
-                u = vertex_for(eid, lo)
-                v = vertex_for(eid, hi)
-                full = lo == 0 and hi == e.length
-                sub_id = eid if full else f"{eid}[{lo},{'inf' if hi == INF else hi}]"
-                length = INF if hi == INF else hi - lo
-                edges.append(EdgeDesc(sub_id, u, v, length))
-                edge_chart[sub_id] = (eid, lo)
-                if hi == INF:
-                    ray_classes[sub_id] = c.ray_classes[eid]
-
-        sub = Curve(vertices.values(), edges, ray_classes)
-        return sub, SubChart(c, sub, vertex_points, edge_chart)
+        """Build the subgraph as a curve, with a chart back to the parent."""
+        return cut(self.curve, sorted(self.vertices),
+                   [(eid, lo, hi) for eid, ivs in self.intervals for lo, hi in ivs])
 
     # -- metric -----------------------------------------------------------------
 
@@ -184,6 +117,48 @@ class SubChart:
             return self.vertex_points[p.vertex]
         eid, start = self.edge_chart[p.edge]
         return self.parent.pt_on_edge(eid, start + p.offset)
+
+
+def cut(c: Curve, vertices: Iterable[str], pieces: Iterable[tuple]) -> tuple[Curve, SubChart]:
+    """The curve made of some vertices of ``c`` and some pieces of its edges.
+
+    A piece ``(edge, lo, hi)`` is a closed interval in edge coordinates;
+    ``hi`` is ``INF`` on a ray's tail, and ``lo == hi`` is a lone point.
+    A cut point inside an edge becomes a vertex named ``edge@offset``.  A
+    piece keeps the edge id when it covers the whole edge and is named
+    ``edge[lo,hi]`` otherwise; a ray piece inherits the ray class label.
+    No other code names a cut point or a piece.
+    """
+    vertex_points: dict[str, PointRef] = {vid: c.pt_vertex(vid) for vid in vertices}
+    edges: list[EdgeDesc] = []
+    edge_chart: dict[str, tuple[str, Fraction]] = {}
+    ray_classes: dict[str, str] = {}
+
+    def vertex_at(e: EdgeDesc, off) -> str:
+        if off == 0:
+            vid = e.u
+        elif off == e.length:
+            vid = e.v
+        else:
+            vid = f"{e.id}@{off}"
+        if vid not in vertex_points:
+            vertex_points[vid] = c.pt_vertex(vid) if vid in c.vertices else c.pt_on_edge(e.id, off)
+        return vid
+
+    for eid, lo, hi in pieces:
+        e = c.edges[eid]
+        u = vertex_at(e, lo)
+        if lo == hi:
+            continue
+        v = vertex_at(e, hi)
+        sub_id = eid if lo == 0 and hi == e.length else f"{eid}[{lo},{'inf' if hi == INF else hi}]"
+        edges.append(EdgeDesc(sub_id, u, v, INF if hi == INF else hi - lo))
+        edge_chart[sub_id] = (eid, lo)
+        if hi == INF:
+            ray_classes[sub_id] = c.ray_classes[eid]
+
+    sub = Curve([c.vertices.get(vid) or VertexInfo(vid) for vid in vertex_points], edges, ray_classes)
+    return sub, SubChart(c, sub, vertex_points, edge_chart)
 
 
 def _merge_intervals(ivs: Iterable[Interval]) -> list[Interval]:

@@ -530,3 +530,18 @@ def test_collinear_meetings_at_a_line_anchor(name):
         assert (err.value.condition, err.value.point) == (condition, point)
         assert str(err.value).endswith(message)
         assert intersect_outcome(complexes.intersect, k1, k2) == ref_intersect_outcome(k1, k2)
+
+
+TRIPOD_RAYS = [(0, (0, 1), 1), (0, (-1, -1), 1)]
+
+
+@pytest.mark.parametrize("vertices, segments, ray", [
+    ([(0, 0), (1, 0)], [(0, 1, 1)], (1, (1, 0), 1)),
+    ([(0, 0), (1, 0), (2, 0)], [(0, 1, 1), (1, 2, 1)], (2, (1, 0), 1)),
+], ids=["segment-ray", "segments-ray"])
+def test_canonical_merges_segments_into_a_ray(vertices, segments, ray):
+    """A straight 2-valent vertex between a segment and a ray dissolves; the
+    two inputs meet the segment first and the ray first."""
+    K = PolyComplex1D.of(2, vertices, segments, [ray, *TRIPOD_RAYS])
+    assert K.canonical() == PolyComplex1D.of(
+        2, [(0, 0)], [], [(0, (-1, -1), 1), (0, (0, 1), 1), (0, (1, 0), 1)])

@@ -273,6 +273,17 @@ class TestGlue:
         with pytest.raises(TropError, match="overlap"):
             validate_embedding(emb, tripod)
 
+    def test_vertex_image_inside_an_edge_image_rejected(self):
+        # C lands at e@3, inside the image [1,5] of the shape edge A - B.
+        seg = Curve.segment(10, "P", "Q", "e")
+        shape = Curve.build(vertices=["A", "B", "C"], edges=[("s", "A", "B", 4)])
+        emb = Embedding(shape, {"A": seg.pt_on_edge("e", 1), "B": seg.pt_on_edge("e", 5),
+                                "C": seg.pt_on_edge("e", 3)},
+                        {"s": ("e", Fraction(1), 1)})
+        with pytest.raises(TropError) as err:
+            glue(seg, seg, emb, emb)
+        assert str(err.value) == "image of vertex 'C' lies inside the image of edge 's'"
+
     def test_ray_classes_merge(self):
         r1 = Curve.build(vertices=["P"], edges=[("s", "P", "Q", 1), ("rayA", "Q", None, INF)],
                          ray_classes={"rayA": "k1"})

@@ -8,9 +8,9 @@ import pytest
 
 from tropcurve.curve import INF, Curve
 from tropcurve.errors import TropError
-from tropcurve.morphism import (Morphism, compose, germ_bump, localization_surjectivity,
-                                localize, pullback, validate_morphism, weight_check,
-                                weight_from_generators, weighted_local_image)
+from tropcurve.morphism import (Morphism, MorphismReport, compose, germ_bump,
+                                localization_surjectivity, localize, pullback, validate_morphism,
+                                weight_check, weight_from_generators, weighted_local_image)
 from tropcurve.plfunction import PLFunction, chip_fire
 from tropcurve.randgen import random_function
 from tropcurve.selftest import suite_localization, suite_pullback
@@ -62,6 +62,72 @@ class TestValidate:
                      {"left": 1, "right": 1})
         rep = validate_morphism(m)
         assert not rep.ok and any("target classes" in v for v in rep.violations)
+
+
+def _two_rays(classes: dict[str, str]) -> Curve:
+    return Curve.build(vertices=["O"], edges=[("left", "O", None, INF), ("right", "O", None, INF)],
+                       ray_classes=classes)
+
+
+def _violating_morphism(case: str, segment3: Curve, line: Curve) -> Morphism:
+    seg, pt = segment3, Curve.build(vertices=["P", "Q"])
+    ray = Curve.build(vertices=["O"], edges=[("r", "O", None, INF)], ray_classes={"r": "k"})
+    ends = {"A": "A", "B": "B"}
+    whole = {"e": ("edge", "e")}
+    one_class = _two_rays({"left": "k", "right": "k"})
+    both = {"left": ("edge", "left"), "right": ("edge", "right")}
+    at_both = {"O": "O", "left.inf": "left.inf", "right.inf": "right.inf"}
+    return {
+        "loop": lambda: Morphism.identity(Curve.build(vertices=["A"], edges=[("l", "A", "A", 1)])),
+        "vertex": lambda: Morphism(Curve.build(vertices=["A", "B", "X"], edges=[("e", "A", "B", 3)]),
+                                   seg, ends, whole, {"e": 1}),
+        "degree_type": lambda: Morphism(seg, seg, ends, whole, {"e": 1.0}),
+        "no_image": lambda: Morphism(ray, ray, {"O": "O", "r.inf": "r.inf"}, {}, {}),
+        "collapse_degree": lambda: Morphism(seg, pt, {"A": "P", "B": "P"},
+                                            {"e": ("vertex", "P")}, {"e": 1}),
+        "collapse_ends": lambda: Morphism(seg, pt, {"A": "P", "B": "Q"},
+                                          {"e": ("vertex", "P")}, {"e": 0}),
+        "unknown_edge": lambda: Morphism(seg, seg, ends, {"e": ("edge", "g")}, {"e": 1}),
+        "degree_zero": lambda: Morphism(seg, seg, ends, whole, {"e": 0}),
+        "endpoints": lambda: Morphism(seg, seg, {"A": "A", "B": "A"}, whole, {"e": 1}),
+        "ray_to_segment": lambda: Morphism(ray, seg, {"O": "A", "r.inf": "B"},
+                                           {"r": ("edge", "e")}, {"r": 1}),
+        "ray_end": lambda: Morphism(ray, line, {"O": "right.inf", "r.inf": "O"},
+                                    {"r": ("edge", "right")}, {"r": 1}),
+        "segment_to_ray": lambda: Morphism(seg, line, {"A": "O", "B": "right.inf"},
+                                           {"e": ("edge", "right")}, {"e": 1}),
+        "length": lambda: Morphism(Curve.segment(1), seg, ends, whole, {"e": 2}),
+        "class_collapse": lambda: Morphism(one_class, line,
+                                           {"O": "O", "left.inf": "O", "right.inf": "right.inf"},
+                                           {"left": ("vertex", "O"), "right": ("edge", "right")},
+                                           {"left": 0, "right": 1}),
+        "class_targets": lambda: Morphism(one_class, line, at_both, both, {"left": 1, "right": 1}),
+        "class_degrees": lambda: Morphism(one_class, _two_rays({"left": "m", "right": "m"}),
+                                          at_both, both, {"left": 1, "right": 2}),
+    }[case]()
+
+
+@pytest.mark.parametrize("case, violation", [
+    ("loop", "models must be loopless; subdivide loops first"),
+    ("vertex", "vertex 'X' has no valid image"),
+    ("degree_type", "degree of 'e' must be an integer, not float: 1.0"),
+    ("no_image", "edge 'r' lacks an image or a nonnegative degree"),
+    ("collapse_degree", "edge 'e' collapses but has degree 1"),
+    ("collapse_ends", "edge 'e' collapses to 'P' but endpoints map elsewhere"),
+    ("unknown_edge", "edge 'e' maps to unknown edge 'g'"),
+    ("degree_zero", "edge 'e' maps onto an edge but has degree 0"),
+    ("endpoints", "edge 'e': endpoint images 'A','A' do not match 'e' endpoints"),
+    ("ray_to_segment", "ray 'r' maps to a finite edge"),
+    ("ray_end", "ray 'r' must send its point at infinity to the one of 'right'"),
+    ("segment_to_ray", "finite edge 'e' maps onto a ray"),
+    ("length", "edge 'e': target length 3 != 2 * 1"),
+    ("class_collapse", "ray class 'k': some rays collapse and some do not"),
+    ("class_targets", "ray class 'k' maps into several target classes"),
+    ("class_degrees", "ray class 'k' has unequal degrees at infinity [1, 2]"),
+])
+def test_each_violation_is_reported(case, violation, segment3, line):
+    assert validate_morphism(_violating_morphism(case, segment3, line)) == \
+        MorphismReport(False, (violation,))
 
 
 class TestPullback:

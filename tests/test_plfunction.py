@@ -20,7 +20,7 @@ from tropcurve.randgen import (random_class_respecting_function, random_curve, r
                                random_rational)
 from tropcurve.selftest import (semifield_laws, suite_chip_fire, suite_disconnection,
                                 suite_divisors, suite_module_degree, suite_restrict_extend)
-from tropcurve.semifield import Germ, TropPoly
+from tropcurve.semifield import Germ, TropPoly, germ_generator_report
 from tropcurve.subgraph import make_subgraph, point_subgraph, whole_subgraph
 
 from conftest import identity_fn, rng_for, scaled_fn
@@ -320,6 +320,8 @@ class TestRestrictExtend:
     ("poly", 2.7), ("monomial", True), ("exponent_token", "1_0"),
     ("at_infinity", "false"), pytest.param("length", " inf ", id="length-spaced-inf"),
     ("degree", 1.0), ("degree", True), ("orientation", True), ("component_index", True),
+    ("dim", True), ("nvars", True), ("parse_nvars", True), ("germ_zero", True),
+    ("generator_report", True),
 ], ids=lambda v: v if isinstance(v, str) else repr(v))
 def test_integers_are_not_coerced(site, value, line, segment3):
     """A float, a Fraction, a bool or a loose literal where an exact number
@@ -358,6 +360,11 @@ def test_integers_are_not_coerced(site, value, line, segment3):
         "orientation": (lambda k: validate_embedding(
             Embedding(segment3, ends, {"e": ("e", Fraction(0), k)}), segment3), 1),
         "component_index": (lambda k: disjoint_union([line, line], {"k": [(k, "left")]}), 1),
+        "dim": (lambda k: PolyComplex1D.of(k, [(0,)]), 1),
+        "nvars": (lambda k: TropPoly.of(k, {(1,): 0}), 1),
+        "parse_nvars": (lambda k: TropPoly.parse("0 : 1", nvars=k), 1),
+        "germ_zero": (lambda k: Germ.zero(k), 1),
+        "generator_report": (lambda k: germ_generator_report(k), 1),
     }[site]
     build(good)
     with pytest.raises(TropError, match=re.escape(repr(value))):
@@ -498,6 +505,27 @@ class TestGlueFunction:
         with pytest.raises(TropError) as err:
             glue_function(h1, h2, res)
         assert str(err.value) == "functions disagree on the glued subgraph at e@5/2"
+
+    def test_rays_differing_only_at_infinity(self):
+        from tropcurve.glue import Embedding, glue, glue_function
+
+        # The two rays agree at every breakpoint; their slopes at infinity
+        # differ, so the witness lies one past the last breakpoint.
+        r1 = Curve.build(vertices=["Q"], edges=[("rayA", "Q", None, INF)],
+                         ray_classes={"rayA": "k1"})
+        r2 = Curve.build(vertices=["Q2"], edges=[("rayB", "Q2", None, INF)],
+                         ray_classes={"rayB": "k2"})
+        shape = Curve.build(vertices=["W"], edges=[("L", "W", None, INF)], ray_classes={"L": "k"})
+        res = glue(r1, r2,
+                   Embedding(shape, {"W": r1.pt_vertex("Q"), "L.inf": r1.pt_infinity_of("rayA")},
+                             {"L": ("rayA", Fraction(0), 1)}),
+                   Embedding(shape, {"W": r2.pt_vertex("Q2"), "L.inf": r2.pt_infinity_of("rayB")},
+                             {"L": ("rayB", Fraction(0), 1)}))
+        h1 = PLFunction.from_edge_data(r1, {"rayA": ([(0, 0)], -1)})
+        h2 = PLFunction.from_edge_data(r2, {"rayB": ([(0, 0)], -2)})
+        with pytest.raises(TropError) as err:
+            glue_function(h1, h2, res)
+        assert str(err.value) == "functions disagree on the glued subgraph at rayA@1"
 
     def test_reversed_shape_edge(self):
         from tropcurve.glue import Embedding, glue, glue_function
