@@ -34,6 +34,9 @@ class Embedding:
 
 def validate_embedding(emb: Embedding, target: Curve) -> None:
     shape = emb.shape
+    for vid in emb.vertex_map:
+        if vid not in shape.vertices:
+            raise TropError(f"vertex_map key {vid!r} is not a shape vertex")
     for vid in shape.vertices:
         if vid not in emb.vertex_map:
             raise TropError(f"shape vertex {vid!r} is not mapped")

@@ -106,6 +106,7 @@ def parse_point(c: Curve, spec) -> PointRef:
     if isinstance(spec, dict):
         if "vertex" in spec:
             return c.pt_vertex(_id(spec["vertex"], "vertex id"))
+        _require({"edge", "offset"} <= set(spec), "point objects need vertex, or edge and offset")
         return c.pt_on_edge(_id(spec["edge"], "edge id"), _rational(spec["offset"], "offset"))
     s = _id(spec, "point")
     if "@" in s:

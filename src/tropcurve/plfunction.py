@@ -1,8 +1,19 @@
 """Piecewise-linear rational functions on curves, divisors, and chip firing.
 
 Profiles are stored per edge, in the edge's own coordinates from its u
-end, as exact rational breakpoints with integer slopes; all operations refine breakpoints exactly, so function
-equality is structural equality of normalized profiles.
+end, as exact rational breakpoints (``Fraction``s) with integer slopes; all
+operations refine breakpoints exactly, so function equality is structural
+equality of normalized profiles.
+
+The per-edge kernels (max, min, +, normalization, slopes, sampling and
+slicing) decide on one exact integer scale: D, the lcm of the denominators of
+every offset and value of the profile, or of both profiles in a binary
+operation.  Slopes are integers, so every value at a grid offset is an
+integer on that scale; a max/min crossing costs one ``Fraction`` for its
+offset and one for its value.  Only the breakpoints a kernel keeps become
+``Fraction``s.  The worst case is
+pairwise-coprime denominators, which make D their product; the integers
+grow with it, but stay exact.
 """
 
 from __future__ import annotations
@@ -10,6 +21,7 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from operator import itemgetter
 from typing import Iterable, Mapping, Sequence
 
@@ -36,15 +48,15 @@ class Profile:
         if t > bs[-1][0]:
             if self.tail is None:
                 raise TropError(f"offset {t} beyond arc end")
-            return bs[-1][1] + self.tail * (t - bs[-1][0])
+            d, ((o0, v0), (x, _)) = _on_scale((bs[-1], (t, 0)))
+            return Fraction(v0 + self.tail * (x - o0), d)
         k = bisect_right(bs, t, key=itemgetter(0)) - 1
         if k < 0:
             raise TropError(f"offset {t} before arc start")
-        o0, v0 = bs[k]
-        if o0 == t:
-            return v0
-        o1, v1 = bs[k + 1]
-        return v0 + (v1 - v0) * (t - o0) / (o1 - o0)
+        if bs[k][0] == t:
+            return bs[k][1]
+        d, ((o0, v0), (o1, v1), (x, _)) = _on_scale((bs[k], bs[k + 1], (t, 0)))
+        return Fraction(v0 * (o1 - o0) + (v1 - v0) * (x - o0), d * (o1 - o0))
 
     def slope_right(self, t: Fraction) -> int:
         bs = self.breaks
@@ -67,129 +79,160 @@ class Profile:
         raise TropError(f"no piece left of {t}")
 
 
+def _on_scale(breaks: Sequence[tuple]) -> tuple[int, list[tuple[int, int]]]:
+    """(D, breakpoints times D), D the lcm of every offset's and value's denominator.
+
+    Each number is read once with ``as_integer_ratio``, which ``int`` has too.
+    Slopes are integers, so every value at a grid offset is on the grid.
+    """
+    rs = [o.as_integer_ratio() + v.as_integer_ratio() for o, v in breaks]
+    d = 1
+    for _, od, _, vd in rs:
+        d = lcm(d, od, vd)
+    return d, [(on * (d // od), vn * (d // vd)) for on, od, vn, vd in rs]
+
+
+def _grid_slopes(g: Sequence[tuple[int, int]]) -> list[int]:
+    """The slope of each piece between grid breakpoints; a non-integer one raises."""
+    out = []
+    for (o0, v0), (o1, v1) in zip(g, g[1:]):
+        q, r = divmod(v1 - v0, o1 - o0)
+        if r:
+            raise TropError(f"non-integer slope {Fraction(v1 - v0, o1 - o0)}")
+        out.append(q)
+    return out
+
+
 def _slope(b0, b1) -> int:
-    rise, run = b1[1] - b0[1], b1[0] - b0[0]
-    q, r = divmod(rise.numerator * run.denominator, rise.denominator * run.numerator)
-    if r:
-        raise TropError(f"non-integer slope {rise / run}")
-    return q
+    return _grid_slopes(_on_scale((b0, b1))[1])[0]
 
 
 def _slopes(p: Profile) -> list[int]:
     """The slope of each piece left to right, then the tail slope on a ray."""
-    bs = p.breaks
-    out = [_slope(b0, b1) for b0, b1 in zip(bs, bs[1:])]
+    out = _grid_slopes(_on_scale(p.breaks)[1]) if len(p.breaks) > 1 else []
     if p.tail is not None:
         out.append(p.tail)
     return out
 
 
-def _slopes_right(p: Profile, offsets: Sequence[Fraction]) -> list[int]:
-    """Slopes right of sorted offsets in [0, end of the last piece), in one sweep."""
-    bs = p.breaks
-    s = _slopes(p)
-    out = []
-    k = 0
-    for t in offsets:
-        while k + 1 < len(bs) and bs[k + 1][0] <= t:
-            k += 1
-        if k == len(s):
-            raise TropError(f"no piece right of {t}")
-        out.append(s[k])
-    return out
-
-
 def _normalize(breaks: Sequence[tuple[Fraction, Fraction]], tail: int | None) -> Profile:
-    bs = list(breaks)
-    if any(bs[k][0] > bs[k + 1][0] for k in range(len(bs) - 1)):
-        bs.sort()
-    out = [bs[0]]
-    for b in bs[1:]:
-        if b[0] == out[-1][0]:
-            if b[1] != out[-1][1]:
+    """Sort, merge equal offsets and drop breakpoints where the slope does not change.
+
+    Decides on the integer grid of ``_on_scale`` and keeps the given
+    breakpoint objects.
+    """
+    bs = tuple(breaks)
+    if len(bs) == 1 or (len(bs) == 2 and tail is None and bs[0][0] < bs[1][0]):
+        return Profile(bs, tail)
+    pts = list(zip(_on_scale(bs)[1], bs))
+    if any(pts[k][0][0] > pts[k + 1][0][0] for k in range(len(pts) - 1)):
+        pts.sort(key=itemgetter(0))
+    out = [pts[0]]
+    for g, b in pts[1:]:
+        if g[0] == out[-1][0][0]:
+            if g[1] != out[-1][0][1]:
                 raise TropError("conflicting breakpoint values")
             continue
-        out.append(b)
-    # Drop interior breakpoints where the slope does not change (checked by
-    # cross-multiplication; no divisions).
-    slim = [out[0]]
-    for k in range(1, len(out)):
-        while len(slim) >= 2:
-            (o0, v0), (o1, v1) = slim[-2], slim[-1]
-            o2, v2 = out[k]
-            if (v1 - v0) * (o2 - o1) == (v2 - v1) * (o1 - o0):
-                slim.pop()
+        # Drop the last kept point while it lies on the line through its
+        # neighbours (cross-multiplied; no divisions).
+        while len(out) >= 2:
+            (o0, v0), (o1, v1) = out[-2][0], out[-1][0]
+            if (v1 - v0) * (g[0] - o1) == (g[1] - v1) * (o1 - o0):
+                out.pop()
             else:
                 break
-        slim.append(out[k])
-    out = slim
-    while tail is not None and len(out) >= 2:
-        (o0, v0), (o1, v1) = out[-2], out[-1]
+        out.append((g, b))
+    if tail is not None and len(out) >= 2:
+        (o0, v0), (o1, v1) = out[-2][0], out[-1][0]
         if v1 - v0 == tail * (o1 - o0):
             out.pop()
-        else:
-            break
-    return Profile(tuple(out), tail)
+    return Profile(tuple(b for _, b in out), tail)
 
 
-def _values_at(p: Profile, offsets: Sequence[Fraction]) -> list[Fraction]:
-    """Values of a profile at sorted offsets, in one sweep."""
-    bs = p.breaks
-    out = []
-    k = 0
-    for t in offsets:
-        while k + 1 < len(bs) and bs[k + 1][0] <= t:
+def _sweep(g: list[tuple[int, int]], slopes: list, grid: list[int]) -> tuple[list, list]:
+    """Values and right slopes of grid breakpoints g at the sorted grid offsets.
+
+    ``slopes`` holds each piece's slope and then the tail, None on a finite
+    edge, which is the right slope read at its end.
+    """
+    vals, right = [], []
+    k, last = 0, len(g) - 1
+    for t in grid:
+        while k < last and g[k + 1][0] <= t:
             k += 1
-        o0, v0 = bs[k]
-        if t == o0:
-            out.append(v0)
-        elif k + 1 < len(bs):
-            o1, v1 = bs[k + 1]
-            out.append(v0 + (v1 - v0) * (t - o0) / (o1 - o0))
-        elif p.tail is not None:
-            out.append(v0 + p.tail * (t - o0))
-        else:
-            raise TropError(f"offset {t} beyond arc end")
-    return out
+        o0, v0 = g[k]
+        s = slopes[k]
+        vals.append(v0 if t == o0 else v0 + s * (t - o0))
+        right.append(s)
+    return vals, right
+
+
+def _at_offsets(p: Profile, offsets: Sequence) -> tuple[int, list, list[int], list, list]:
+    """(D, p's breakpoints times D, the offsets times D, the values and right slopes there).
+
+    The sorted offsets, inside p's range, ride along as breakpoints of value
+    0, so that they land on the profile's scale.  The right slope at the end
+    of a finite edge is None.
+    """
+    n = len(p.breaks)
+    d, g = _on_scale(p.breaks + tuple((t, 0) for t in offsets))
+    grid = [t for t, _ in g[n:]]
+    vals, right = _sweep(g[:n], _grid_slopes(g[:n]) + [p.tail], grid)
+    return d, g[:n], grid, vals, right
+
+
+def _sample(p: Profile, offsets: Sequence[Fraction]) -> tuple[list[Fraction], list]:
+    """Values and right slopes of a profile at sorted offsets in its range, in one sweep.
+
+    At its own breakpoints the profile's value objects are returned, so equal
+    coordinates from one profile stay one object.
+    """
+    d, g, grid, vals, right = _at_offsets(p, offsets)
+    own = {o: v for (o, _), (_, v) in zip(g, p.breaks)}
+    return [own[t] if t in own else Fraction(v, d) for t, v in zip(grid, vals)], right
 
 
 def _combine2(p: Profile, q: Profile, op: str) -> Profile:
-    """Exact pointwise max/min/add of two profiles over one edge."""
-    offsets = sorted({o for o, _ in p.breaks} | {o for o, _ in q.breaks})
-    pv = _values_at(p, offsets)
-    qv = _values_at(q, offsets)
-    if op == "add":
-        tail = None if p.tail is None else p.tail + q.tail
-        return _normalize([(o, a + b) for o, a, b in zip(offsets, pv, qv)], tail)
-    # max/min: record values and insert crossing points inside cells.
-    pick = max if op == "max" else min
-    pts = []
-    for i, o in enumerate(offsets):
-        pts.append((o, pick(pv[i], qv[i])))
-        if i + 1 < len(offsets):
-            da = pv[i] - qv[i]
-            db = pv[i + 1] - qv[i + 1]
-            if (da > 0 > db) or (da < 0 < db):
-                width = offsets[i + 1] - o
-                t = o + width * da / (da - db)
-                v = pv[i] + (pv[i + 1] - pv[i]) * (t - o) / width
-                pts.append((t, v))
-    tail = None
-    if p.tail is not None:
-        dlast = pv[-1] - qv[-1]
-        dslope = p.tail - q.tail
-        if dslope != 0:
-            t = offsets[-1] - dlast / Fraction(dslope)
-            if t > offsets[-1]:
-                pts.append((t, pv[-1] + p.tail * (t - offsets[-1])))
-        probe = pts[-1][0] + 1
-        fp = pv[-1] + p.tail * (probe - offsets[-1])
-        fq = qv[-1] + q.tail * (probe - offsets[-1])
-        if op == "max":
-            tail = p.tail if fp > fq or (fp == fq and p.tail >= q.tail) else q.tail
+    """Exact pointwise max/min/add of two profiles over one edge.
+
+    Both are swept on one integer grid (``_on_scale`` over the two); in each
+    cell the side on top is decided by (difference, slope difference), and a
+    crossing is inserted only where the two ends have strictly opposite
+    signs, or on a ray's tail.  Only points where the slope changes, and the
+    ends of a finite edge, become ``Fraction``s.
+    """
+    d, g = _on_scale(p.breaks + q.breaks)
+    gp, gq = g[:len(p.breaks)], g[len(p.breaks):]
+    grid = sorted({o for o, _ in g})
+    pv, ps = _sweep(gp, _grid_slopes(gp) + [p.tail], grid)
+    qv, qs = _sweep(gq, _grid_slopes(gq) + [q.tail], grid)
+    n = len(grid)
+    sign = 1 if op == "max" else -1
+    out = []
+    prev = None
+    for i in range(n):
+        a, b, sa, sb = pv[i], qv[i], ps[i], qs[i]
+        if op == "add":
+            v, s = a + b, None if sa is None else sa + sb
+        elif sa is None:  # the end of a finite edge
+            v, s = (a if (a - b) * sign >= 0 else b), None
         else:
-            tail = p.tail if fp < fq or (fp == fq and p.tail <= q.tail) else q.tail
-    return _normalize(pts, tail)
+            diff = (a - b) * sign
+            up = diff > 0 or (diff == 0 and (sa - sb) * sign >= 0)
+            v, s = (a, sa) if up else (b, sb)
+        if i == 0 or s != prev:
+            out.append((Fraction(grid[i], d), Fraction(v, d)))
+        prev = s
+        if op == "add" or sa is None:
+            continue
+        # The far end's sign: the next difference, or on a tail the slope difference.
+        far = (pv[i + 1] - qv[i + 1] if i + 1 < n else sa - sb) * sign
+        if diff > 0 > far or diff < 0 < far:
+            k = sb - sa
+            out.append((Fraction(grid[i] * k + a - b, d * k),
+                        Fraction(a * k + sa * (a - b), d * k)))
+            prev = sb if up else sa
+    return Profile(tuple(out), prev)
 
 
 def _shift(p: Profile, delta: Fraction) -> Profile:
@@ -205,13 +248,19 @@ def _scale_values(p: Profile, k: int) -> Profile:
 
 
 def _slice(p: Profile, a: Fraction, b) -> Profile:
-    """Restrict a profile to [a, b] (b may be INF), re-based at offset 0."""
-    if b == INF:
-        inner = [(o - a, v) for o, v in p.breaks if a < o]
-        head = [(Fraction(0), p.value(a))]
-        return _normalize(head + inner, p.tail if p.tail is not None else None)
-    inner = [(o - a, v) for o, v in p.breaks if a < o < b]
-    return _normalize([(Fraction(0), p.value(a))] + inner + [(b - a, p.value(b))], None)
+    """Restrict a normalized profile to [a, b], a < b (b may be INF), re-based at offset 0.
+
+    The breakpoints inside keep their value objects and stay slope changes,
+    so the result is normalized as built.
+    """
+    d, g, (lo, *hi), (va, *vb), _ = _at_offsets(p, (a,) if b == INF else (a, b))
+    out = [(Fraction(0), Fraction(va, d))]
+    out += [(Fraction(o - lo, d), v) for (o, _), (_, v) in zip(g, p.breaks)
+            if lo < o and (not hi or o < hi[0])]
+    if not hi:
+        return Profile(tuple(out), p.tail)
+    out.append((Fraction(hi[0] - lo, d), Fraction(vb[0], d)))
+    return Profile(tuple(out), None)
 
 
 def _flat(e: EdgeDesc, v: Fraction) -> Profile:
@@ -318,8 +367,7 @@ class PLFunction:
                     raise TropError(f"edge {eid!r} profile must end at the edge length")
                 if p.tail is not None:
                     raise TropError(f"finite edge {eid!r} cannot have a slope at infinity")
-            for b0, b1 in zip(q.breaks, q.breaks[1:]):
-                _slope(b0, b1)
+            _slopes(q)
             profiles[eid] = q
         missing = set(c.edges) - set(profiles)
         if missing:

@@ -21,8 +21,7 @@ from .curve import INF, Curve, PointRef
 from .errors import InternalError, TropError
 from .geometry import ivec_gcd, parallel, primitive_of, vsub
 from .hypersurface import plane_hypersurface
-from .plfunction import (PLFunction, _isolated_vertices, _slopes_right, _values_at,
-                         principal_divisor)
+from .plfunction import PLFunction, _isolated_vertices, _sample, principal_divisor
 from .semifield import TropPoly
 
 
@@ -98,7 +97,8 @@ def realize(c: Curve, fs: Sequence[PLFunction]) -> RealizationMap:
     for eid, e in sorted(c.edges.items()):
         profs = [f.profiles[eid] for f in fs]
         offs = sorted({o for p in profs for o, _ in p.breaks})
-        values = list(zip(*(_values_at(p, offs) for p in profs)))
+        samples = [_sample(p, offs) for p in profs]
+        values = list(zip(*(vals for vals, _ in samples)))
         ids = []
         for o, coords in zip(offs, values):
             pt = c.pt_on_edge(eid, o)
@@ -106,7 +106,7 @@ def realize(c: Curve, fs: Sequence[PLFunction]) -> RealizationMap:
             if pt not in seen_points:
                 seen_points.add(pt)
                 skeleton.append((pt, coords))
-        piece_slopes = zip(*(_slopes_right(p, offs[:-1]) for p in profs))
+        piece_slopes = zip(*(right[:-1] for _, right in samples))
         for k, slopes in enumerate(piece_slopes):
             pieces.append(Piece(eid, offs[k], offs[k + 1], slopes, values[k]))
             if all(s == 0 for s in slopes):

@@ -284,6 +284,18 @@ class TestGlue:
             glue(seg, seg, emb, emb)
         assert str(err.value) == "image of vertex 'C' lies inside the image of edge 's'"
 
+    def test_stray_vertex_map_key_rejected(self):
+        # "stray" is no vertex of the shape; glue used to cut e at its image.
+        s1 = Curve.segment(3, "A", "B", "e")
+        s2 = Curve.segment(1, "C", "D", "f")
+        pt = Curve.build(vertices=["P"])
+        stray = Embedding(pt, {"P": s1.pt_vertex("B"), "stray": s1.pt_on_edge("e", 1)}, {})
+        with pytest.raises(TropError) as err:
+            glue(s1, s2, stray, Embedding(pt, {"P": s2.pt_vertex("C")}, {}))
+        assert str(err.value) == "vertex_map key 'stray' is not a shape vertex"
+        with pytest.raises(TropError, match="'stray' is not a shape vertex"):
+            validate_embedding(stray, s1)
+
     def test_ray_classes_merge(self):
         r1 = Curve.build(vertices=["P"], edges=[("s", "P", "Q", 1), ("rayA", "Q", None, INF)],
                          ray_classes={"rayA": "k1"})

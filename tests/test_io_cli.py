@@ -155,10 +155,14 @@ class TestRejects:
         ("morphism", {"edge_map": []}, "edge_map must be a JSON object, not list"),
         ("morphism", {"vertex_map": {"O": 0}}, "vertex id must be a string, not int: 0"),
         ("embedding", {"vertex_map": {"O": 0}}, "point must be a string, not int: 0"),
+        ("embedding", {"vertex_map": {"O": {"offset": "1"}}},
+         "point objects need vertex, or edge and offset"),
+        ("embedding", {"vertex_map": {"O": {"edge": "right"}}},
+         "point objects need vertex, or edge and offset"),
         ("complex", {"dim": 2, "vertices": [], "rays": {}}, "rays must be a JSON list, not dict"),
     ], ids=["curve-edges", "curve-null-endpoint", "subgraph-vertex", "subgraph-interval",
             "function-values", "morphism-edge-map", "morphism-vertex", "embedding-point",
-            "complex-rays"])
+            "embedding-point-without-edge", "embedding-point-without-offset", "complex-rays"])
     def test_container_shapes_and_string_ids(self, line, load, data, message):
         text = json.dumps(data)
         loaders = {"curve": lambda: tio.curve_from_json(text),

@@ -1,11 +1,14 @@
-"""The profile layer against linear-scan reference code.
+"""The profile layer against linear-scan and ``Fraction`` reference code.
 
 ``ref_value``, ``ref_slope_right``, ``ref_slope_left`` and
 ``ref_principal_divisor`` are the straightforward versions the library used to
 run: one scan of the breakpoint list per query and one query per breakpoint.
-The library now bisects for point queries and sweeps each arc once; these
-tests require the same results and the same error messages, and bound how the
-work grows with the number of breakpoints.
+``ref_slope``, ``ref_normalize``, ``ref_values_at``, ``ref_combine2`` and
+``ref_slice`` are the per-edge kernels as they were when they computed every
+step in ``Fraction``s.  The library now bisects for point queries, sweeps each
+arc once, and decides the kernels on one integer scale per edge; these tests
+require the same results and the same error messages, and bound how the work
+grows with the number of breakpoints.
 """
 
 from __future__ import annotations
@@ -17,9 +20,10 @@ import pytest
 
 from tropcurve.curve import INF, Curve, PointRef, disjoint_union
 from tropcurve.errors import TropError
-from tropcurve.plfunction import (Divisor, PLFunction, Profile, _slope, _slope_sum, chip_fire,
-                                  is_harmonic_at, principal_divisor, pseudodirect_tuple,
-                                  restrict_whole, split_components)
+from tropcurve.plfunction import (Divisor, PLFunction, Profile, _combine2, _normalize, _sample,
+                                  _slice, _slope, _slope_sum, chip_fire, is_harmonic_at,
+                                  principal_divisor, pseudodirect_tuple, restrict_whole,
+                                  split_components)
 from tropcurve.randgen import random_curve, random_function, random_rational, random_subgraph
 from tropcurve.realization import realize
 
@@ -44,13 +48,118 @@ def ref_value(p: Profile, t: Fraction) -> Fraction:
     raise TropError(f"offset {t} before arc start")
 
 
+def ref_slope(b0, b1) -> int:
+    rise, run = b1[1] - b0[1], b1[0] - b0[0]
+    q, r = divmod(rise.numerator * run.denominator, rise.denominator * run.numerator)
+    if r:
+        raise TropError(f"non-integer slope {rise / run}")
+    return q
+
+
+def ref_normalize(breaks, tail: int | None) -> Profile:
+    bs = list(breaks)
+    if any(bs[k][0] > bs[k + 1][0] for k in range(len(bs) - 1)):
+        bs.sort()
+    out = [bs[0]]
+    for b in bs[1:]:
+        if b[0] == out[-1][0]:
+            if b[1] != out[-1][1]:
+                raise TropError("conflicting breakpoint values")
+            continue
+        out.append(b)
+    slim = [out[0]]
+    for k in range(1, len(out)):
+        while len(slim) >= 2:
+            (o0, v0), (o1, v1) = slim[-2], slim[-1]
+            o2, v2 = out[k]
+            if (v1 - v0) * (o2 - o1) == (v2 - v1) * (o1 - o0):
+                slim.pop()
+            else:
+                break
+        slim.append(out[k])
+    out = slim
+    while tail is not None and len(out) >= 2:
+        (o0, v0), (o1, v1) = out[-2], out[-1]
+        if v1 - v0 == tail * (o1 - o0):
+            out.pop()
+        else:
+            break
+    return Profile(tuple(out), tail)
+
+
+def ref_values_at(p: Profile, offsets) -> list[Fraction]:
+    bs = p.breaks
+    out = []
+    k = 0
+    for t in offsets:
+        while k + 1 < len(bs) and bs[k + 1][0] <= t:
+            k += 1
+        o0, v0 = bs[k]
+        if t == o0:
+            out.append(v0)
+        elif k + 1 < len(bs):
+            o1, v1 = bs[k + 1]
+            out.append(v0 + (v1 - v0) * (t - o0) / (o1 - o0))
+        elif p.tail is not None:
+            out.append(v0 + p.tail * (t - o0))
+        else:
+            raise TropError(f"offset {t} beyond arc end")
+    return out
+
+
+def ref_combine2(p: Profile, q: Profile, op: str) -> Profile:
+    offsets = sorted({o for o, _ in p.breaks} | {o for o, _ in q.breaks})
+    pv = ref_values_at(p, offsets)
+    qv = ref_values_at(q, offsets)
+    if op == "add":
+        tail = None if p.tail is None else p.tail + q.tail
+        return ref_normalize([(o, a + b) for o, a, b in zip(offsets, pv, qv)], tail)
+    pick = max if op == "max" else min
+    pts = []
+    for i, o in enumerate(offsets):
+        pts.append((o, pick(pv[i], qv[i])))
+        if i + 1 < len(offsets):
+            da = pv[i] - qv[i]
+            db = pv[i + 1] - qv[i + 1]
+            if (da > 0 > db) or (da < 0 < db):
+                width = offsets[i + 1] - o
+                t = o + width * da / (da - db)
+                v = pv[i] + (pv[i + 1] - pv[i]) * (t - o) / width
+                pts.append((t, v))
+    tail = None
+    if p.tail is not None:
+        dlast = pv[-1] - qv[-1]
+        dslope = p.tail - q.tail
+        if dslope != 0:
+            t = offsets[-1] - dlast / Fraction(dslope)
+            if t > offsets[-1]:
+                pts.append((t, pv[-1] + p.tail * (t - offsets[-1])))
+        probe = pts[-1][0] + 1
+        fp = pv[-1] + p.tail * (probe - offsets[-1])
+        fq = qv[-1] + q.tail * (probe - offsets[-1])
+        if op == "max":
+            tail = p.tail if fp > fq or (fp == fq and p.tail >= q.tail) else q.tail
+        else:
+            tail = p.tail if fp < fq or (fp == fq and p.tail <= q.tail) else q.tail
+    return ref_normalize(pts, tail)
+
+
+def ref_slice(p: Profile, a: Fraction, b) -> Profile:
+    if b == INF:
+        inner = [(o - a, v) for o, v in p.breaks if a < o]
+        return ref_normalize([(Fraction(0), ref_value(p, a))] + inner, p.tail)
+    inner = [(o - a, v) for o, v in p.breaks if a < o < b]
+    return ref_normalize([(Fraction(0), ref_value(p, a))] + inner
+                         + [(b - a, ref_value(p, b))], None)
+
+
 def ref_slope_right(p: Profile, t: Fraction) -> int:
     bs = p.breaks
     if t < bs[0][0]:
         raise TropError(f"offset {t} before arc start")
     for k in range(len(bs) - 1):
         if bs[k][0] <= t < bs[k + 1][0]:
-            return _slope(bs[k], bs[k + 1])
+            return ref_slope(bs[k], bs[k + 1])
     if p.tail is None:
         raise TropError(f"no piece right of {t}")
     return p.tail
@@ -62,7 +171,7 @@ def ref_slope_left(p: Profile, t: Fraction) -> int:
         return p.tail
     for k in range(len(bs) - 1, 0, -1):
         if bs[k - 1][0] < t <= bs[k][0]:
-            return _slope(bs[k - 1], bs[k])
+            return ref_slope(bs[k - 1], bs[k])
     raise TropError(f"no piece left of {t}")
 
 
@@ -133,6 +242,87 @@ def query_offsets(p: Profile) -> list[Fraction]:
                                                             offs[-1] + 5]
 
 
+PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
+
+
+def number(rng: random.Random, style: str, den_pool: list[int]):
+    """A rational for one breakpoint: an ``int`` in the "int" style, a
+    fresh prime denominator in the "prime" style, else a small denominator."""
+    if style == "int":
+        return rng.randint(-6, 6)
+    if style == "prime":
+        return Fraction(rng.randint(-40, 40), den_pool.pop())
+    return Fraction(rng.randint(-12, 12), rng.randint(1, 3))
+
+
+def walk(rng: random.Random, offsets, style: str, den_pool, tail) -> Profile:
+    """An integer-sloped profile through the given offsets."""
+    v = number(rng, style, den_pool)
+    breaks = [(offsets[0], v)]
+    for o0, o1 in zip(offsets, offsets[1:]):
+        v = v + rng.randint(-3, 3) * (o1 - o0)
+        breaks.append((o1, v))
+    return _normalize(breaks, tail)
+
+
+def random_offsets(rng: random.Random, style: str, den_pool, end) -> list:
+    """Strictly increasing offsets from 0, ending at ``end`` unless it is None."""
+    zero = 0 if style == "int" else Fraction(0)
+    offs = [zero]
+    for _ in range(rng.randint(0, 6)):
+        step = number(rng, style, den_pool)
+        offs.append(offs[-1] + abs(step) + (1 if style == "int" else Fraction(1, 5)))
+    if end is not None:
+        offs = [o for o in offs if o < end] + [end]
+    return offs
+
+
+def as_fractions(p: Profile) -> Profile:
+    """The reference kernels divide, and an ``int`` divided by an ``int`` is a
+    float, so they are fed ``Fraction``s; the integer kernels take ``int``s
+    as they are and stay exact."""
+    return Profile(tuple((Fraction(o), Fraction(v)) for o, v in p.breaks), p.tail)
+
+
+def shifted(p: Profile, delta) -> Profile:
+    return Profile(tuple((o, v + delta) for o, v in p.breaks), p.tail)
+
+
+def random_pair(rng: random.Random) -> tuple[Profile, Profile, str]:
+    """Two profiles on one edge, finite or a ray, and how q was drawn from p.
+
+    Styles: small denominators, ``int`` offsets and values, or pairwise
+    coprime prime denominators (one prime per number, so the common scale
+    is large).  Relations: independent, equal, a constant apart, or q moved
+    by a constant so that it meets p exactly at one of p's breakpoints.
+    """
+    style = rng.choice(("small", "int", "prime"))
+    den_pool = list(PRIMES)
+    rng.shuffle(den_pool)
+    ray = rng.random() < 0.5
+    end = None if ray else number(rng, style, den_pool)
+    if end is not None:
+        end = abs(end) + (1 if style == "int" else Fraction(1, 7))
+    tails = (rng.randint(-3, 3), rng.randint(-3, 3)) if ray else (None, None)
+    p = walk(rng, random_offsets(rng, style, den_pool, end), style, den_pool, tails[0])
+    relation = rng.choice(("independent", "equal", "constant", "touch", "touch"))
+    if relation == "equal":
+        return p, p, relation
+    if relation == "constant":
+        return p, shifted(p, rng.choice((-1, 1)) * Fraction(rng.randint(1, 9), rng.randint(1, 4))), \
+            relation
+    if ray and rng.random() < 0.3:
+        tails = (tails[0], tails[0])
+    den_pool = list(PRIMES)
+    rng.shuffle(den_pool)
+    q = walk(rng, random_offsets(rng, style, den_pool, end), style, den_pool, tails[1])
+    if relation == "touch":
+        o = rng.choice(p.breaks)[0]
+        delta = ref_value(as_fractions(p), o) - ref_value(as_fractions(q), o)
+        q = shifted(q, int(delta) if delta.denominator == 1 else delta)
+    return p, q, relation
+
+
 def curve_with_everything(rng: random.Random) -> Curve:
     """A random curve beside a loop with a ray and an isolated vertex."""
     looped = Curve.build(vertices=["P"],
@@ -162,6 +352,91 @@ def test_point_queries_match_linear_scans():
             assert outcome(p.value, t) == outcome(ref_value, p, t)
             assert outcome(p.slope_right, t) == outcome(ref_slope_right, p, t)
             assert outcome(p.slope_left, t) == outcome(ref_slope_left, p, t)
+
+
+def test_combine2_matches_fraction_kernel():
+    rng = rng_for("profile-combine")
+    seen = dict.fromkeys(("equal", "constant", "touch", "int", "prime", "parallel tails",
+                          "tail crossing", "crossing at a breakpoint"), 0)
+    for _ in range(3000):
+        p, q, relation = random_pair(rng)
+        fp, fq = as_fractions(p), as_fractions(q)
+        seen[relation] = seen.get(relation, 0) + 1
+        seen["int"] += type(p.breaks[-1][0]) is int
+        seen["prime"] += max(o.denominator for o, _ in p.breaks) > 3
+        if p.tail is not None and p.tail == q.tail and p != q:
+            seen["parallel tails"] += 1
+        offsets = {o for o, _ in p.breaks} | {o for o, _ in q.breaks}
+        for op in ("add", "max", "min"):
+            got, want = _combine2(p, q, op), ref_combine2(fp, fq, op)
+            assert got == want, (p, q, op)
+            assert all(type(x) is Fraction for b in got.breaks for x in b)
+            if op == "max":
+                seen["tail crossing"] += p.tail is not None and got.breaks[-1][0] > max(offsets)
+                seen["crossing at a breakpoint"] += any(
+                    o in offsets and ref_value(fp, o) == ref_value(fq, o)
+                    and ref_slope_right(fp, o) != ref_slope_right(fq, o)
+                    for o, _ in got.breaks if p.tail is not None or o < max(offsets))
+    assert min(seen.values()) >= 100, seen
+
+
+def test_normalize_matches_fraction_kernel():
+    """Unsorted lists with repeated, conflicting and collinear breakpoints."""
+    rng = rng_for("profile-normalize")
+    errors = dropped = 0
+    for _ in range(2000):
+        p = random_profile(rng) if rng.random() < 0.5 else random_pair(rng)[0]
+        bs = list(p.breaks)
+        for _ in range(rng.randint(0, 3)):
+            (o0, v0), (o1, v1) = rng.choice(list(zip(bs, bs[1:])) or [(bs[0], bs[0])])
+            bs.append((Fraction(o0 + o1) / 2, Fraction(v0 + v1) / 2))
+        if rng.random() < 0.3:
+            bs.append(rng.choice(bs))
+        if rng.random() < 0.1:
+            o, v = rng.choice(bs)
+            bs.append((o, v + 1))
+        if p.tail is not None and rng.random() < 0.3:
+            o, v = bs[-1] if rng.random() < 0.5 else max(bs)
+            bs.append((o + 2, v + 2 * p.tail))
+        rng.shuffle(bs)
+        got, want = outcome(_normalize, bs, p.tail), outcome(ref_normalize, bs, p.tail)
+        assert got == want, bs
+        if got[0] == "ok":
+            ids = {id(b) for b in bs}
+            assert all(id(b) in ids for b in got[1].breaks)
+            dropped += len(got[1].breaks) < len(set(bs))
+        errors += got[0] == "error"
+    assert errors >= 100 and dropped >= 500
+
+
+def test_slope_matches_fraction_kernel():
+    rng = rng_for("profile-slope")
+    bad = 0
+    for _ in range(2000):
+        p = random_profile(rng)
+        for b0, b1 in zip(p.breaks, p.breaks[1:]):
+            assert outcome(_slope, b0, b1) == outcome(ref_slope, b0, b1)
+            bad += outcome(_slope, b0, b1)[0] == "error"
+    ints = ((0, 1), (3, 7))
+    assert _slope(*ints) == 2 and ref_slope(*ints) == 2
+    assert bad >= 100
+
+
+def test_slice_and_sample_match_fraction_kernels():
+    rng = rng_for("profile-slice")
+    for _ in range(1500):
+        p, q, _ = random_pair(rng)
+        offs = sorted({o for o, _ in p.breaks} | {o for o, _ in q.breaks})
+        cuts = sorted(set(offs + [Fraction(a + b) / 2 for a, b in zip(offs, offs[1:])]))
+        if p.tail is not None:
+            cuts.append(offs[-1] + Fraction(5, 3))
+        vals, right = _sample(p, cuts)
+        assert vals == ref_values_at(as_fractions(p), cuts)
+        assert right[:-1] == [ref_slope_right(p, t) for t in cuts[:-1]]
+        assert right[-1] == (p.tail if p.tail is not None else None)
+        a = rng.choice(cuts[:-1])
+        b = rng.choice([t for t in cuts if t > a] + ([INF] if p.tail is not None else []))
+        assert _slice(p, a, b) == ref_slice(as_fractions(p), a, b), (p, a, b)
 
 
 def test_divisors_and_harmonicity_match_reference():
@@ -243,6 +518,23 @@ def sawtooth(n: int):
     c = Curve.build(vertices=["A", "B"], edges=[("e", "A", "B", n - 1)])
     f = PLFunction.from_edge_data(c, {"e": ([(k, k % 2) for k in range(n)], None)})
     return c, f
+
+
+@pytest.mark.parametrize("op", ["add", "mul"])
+@pytest.mark.parametrize("shape", ["monotone", "mirrored"])
+def test_kernel_work_per_output_breakpoint(op, shape):
+    """On one integer scale a kernel reads each input number once and builds
+    one ``Fraction`` per output number: a few calls into ``fractions`` per
+    output breakpoint (per input breakpoint where the output is shorter),
+    where cell-by-cell ``Fraction`` arithmetic made about a hundred.
+    "mirrored" crosses the sawtooth inside every cell."""
+    n = 1600
+    c, f = sawtooth(n)
+    heights = [2 * k + k % 2 for k in range(n)] if shape == "monotone" else \
+        [1 - k % 2 for k in range(n)]
+    g = PLFunction.from_edge_data(c, {"e": (list(zip(range(n), heights)), None)})
+    out = len(getattr(f, op)(g).profiles["e"].breaks)
+    assert fraction_calls(getattr(f, op), g) <= 8 * max(out, n)
 
 
 @pytest.mark.parametrize("name, op, limit", [
