@@ -24,8 +24,12 @@ Length = "Fraction | float"
 
 
 def parse_length(x) -> "Fraction | float":
-    """A positive rational, or ``INF`` spelled as ``INF`` or exactly ``"inf"``."""
-    if x == INF or (isinstance(x, str) and x == "inf"):
+    """A positive rational, or ``INF`` spelled as an infinite float or exactly ``"inf"``.
+
+    Every edge length passes through here, so a length is a positive
+    ``Fraction`` or the ``INF`` object itself.
+    """
+    if isinstance(x, float) and x == INF or isinstance(x, str) and x == "inf":
         return INF
     value = rat(x)
     if value <= 0:
@@ -34,7 +38,8 @@ def parse_length(x) -> "Fraction | float":
 
 
 def length_str(x) -> str:
-    return "inf" if x == INF else str(x)
+    """An edge length as text; ``parse_length`` made an infinite one the ``INF`` object."""
+    return "inf" if x is INF else str(x)
 
 
 def connected_groups(items: Iterable, links: Iterable[tuple]) -> list[list]:
@@ -72,9 +77,14 @@ class EdgeDesc:
     v: str
     length: "Fraction | float"
 
+    def __post_init__(self):
+        length = parse_length(self.length)
+        if length is not self.length:
+            object.__setattr__(self, "length", length)
+
     @property
     def is_infinite(self) -> bool:
-        return self.length == INF
+        return self.length is INF
 
     @property
     def is_loop(self) -> bool:
@@ -155,20 +165,13 @@ class Curve:
                 vinfos[vid] = VertexInfo(vid, at_inf)
         edescs = []
         for e in edges:
-            if isinstance(e, EdgeDesc):
-                eid, u, v, length = e.id, e.u, e.v, e.length
-            else:
+            if not isinstance(e, EdgeDesc):
                 eid, u, v, length = e
-            length = parse_length(length)
-            if v is None:
-                v = f"{eid}.inf"
-            for end in (u, v):
+                e = EdgeDesc(eid, u, f"{eid}.inf" if v is None else v, length)
+            for end in (e.u, e.v):
                 if end not in vinfos:
-                    if length == INF and end == v:
-                        vinfos[end] = VertexInfo(end, at_infinity=True)
-                    else:
-                        vinfos[end] = VertexInfo(end)
-            edescs.append(EdgeDesc(eid, u, v, length))
+                    vinfos[end] = VertexInfo(end, at_infinity=e.is_infinite and end == e.v)
+            edescs.append(e)
         return Curve(vinfos.values(), edescs, ray_classes or {})
 
     def _validate(self):

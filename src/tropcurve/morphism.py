@@ -119,11 +119,15 @@ def validate_morphism(m: Morphism) -> MorphismReport:
     return MorphismReport(not bad, tuple(bad))
 
 
-def _edge_orientation(m: Morphism, eid: str) -> bool:
-    """True when the edge maps forward (u to u-endpoint of the image)."""
-    e = m.source.edges[eid]
+def _source_breaks(m: Morphism, eid: str, breaks) -> list[tuple[Fraction, object]]:
+    """Pairs (offset, value) along the image of a mapped edge, with each
+    offset moved to the source edge: o / d, or (L - o) / d when the edge
+    maps onto its image reversed.  A ray always maps forward."""
+    d = m.degrees[eid]
     te = m.target.edges[m.edge_map[eid][1]]
-    return m.vertex_map[e.u] == te.u
+    if m.vertex_map[m.source.edges[eid].u] == te.u:
+        return [(o / d, v) for o, v in breaks]
+    return [((te.length - o) / d, v) for o, v in breaks]
 
 
 def pullback(m: Morphism, f_target: PLFunction) -> PLFunction:
@@ -142,16 +146,9 @@ def pullback(m: Morphism, f_target: PLFunction) -> PLFunction:
         if kind == "vertex":
             profiles[eid] = _flat(e, f_target.value_at(m.target.pt_vertex(name)))
             continue
-        d = m.degrees[eid]
         prof = edge_profile(f_target, name)
-        if _edge_orientation(m, eid):
-            breaks = [(o / d, v) for o, v in prof.breaks]
-            tail = None if prof.tail is None else prof.tail * d
-            profiles[eid] = _normalize(breaks, tail)
-        else:
-            te = m.target.edges[name]
-            breaks = [((te.length - o) / d, v) for o, v in prof.breaks]
-            profiles[eid] = _normalize(breaks, None)
+        tail = None if prof.tail is None else prof.tail * m.degrees[eid]
+        profiles[eid] = _normalize(_source_breaks(m, eid, prof.breaks), tail)
     isolated = {vid: f_target.value_at(m.target.pt_vertex(m.vertex_map[vid]))
                 for vid in _isolated_vertices(src)}
     return PLFunction(src, profiles, isolated)
@@ -296,6 +293,9 @@ def germ_bump(loc: Localization, germ: Germ) -> PLFunction:
         raise TropError(f"germ rank {germ.n} != point valence {loc.rank}")
     c = loc.curve
     kind, ident, off = c._resolve(loc.point)
+    zero = PLFunction.constant(c, 0)
+    if not loc.directions:  # an isolated vertex: the germ is its value
+        return PLFunction(c, dict(zero.profiles), {**zero.isolated, ident: germ.coef})
 
     def leg_base(eid: str, sign: str) -> Fraction:
         if kind == "edge":
@@ -326,7 +326,6 @@ def germ_bump(loc: Localization, germ: Germ) -> PLFunction:
             pts.append((eps + abs(v1) / rate, Fraction(0)))
         return pts
 
-    zero = PLFunction.constant(c, 0)
     profiles = dict(zero.profiles)
     by_edge: dict[str, list[tuple[str, int]]] = {}
     for d, slope in zip(loc.directions, germ.slopes):
@@ -343,100 +342,89 @@ def germ_bump(loc: Localization, germ: Germ) -> PLFunction:
     return PLFunction(c, profiles, dict(zero.isolated))
 
 
+def _unit_bumps(loc: Localization) -> list[tuple[Germ, PLFunction]]:
+    """The unit germ and the unit-slope germs e_1 ... e_n at the point, each
+    with its bump function."""
+    n = loc.rank
+    germs = [Germ.unit(n)] + [Germ.of(0, [int(i == k) for i in range(n)]) for k in range(n)]
+    return [(g, germ_bump(loc, g)) for g in germs]
+
+
 @dataclass(frozen=True)
 class SurjectivityReport:
     point: PointRef
     rank: int
-    samples: int
+    generators: tuple[Germ, ...]  # the germs whose bumps were checked
     all_matched: bool
     over_rank_rejected: bool
 
 
-def localization_surjectivity(c: Curve, x: PointRef, samples: int = 25,
-                              seed: int = 0) -> SurjectivityReport:
-    """Sample germs, build bump preimages, and confirm they localize back.
+def localization_surjectivity(c: Curve, x: PointRef) -> SurjectivityReport:
+    """Certify that localization at x is onto the germs of the point's valence.
 
-    Also confirms structurally that no direction order longer than the
-    valence exists at the point.
+    Every nonzero germ is a constant times a product of powers of the
+    unit-slope germs e_1 ... e_n.  Localization is a T-algebra homomorphism,
+    and the inverse of a function localizes to the inverse germ, so its image
+    is all germs once the bumps of the unit germ and of e_1 ... e_n localize
+    back to those germs: n + 1 exact checks.  Also confirms structurally
+    that no direction order longer than the valence exists at the point.
     """
-    import random
-
     loc = localize(c, x)
-    rng = random.Random(seed)
-    matched = True
-    for _ in range(samples):
-        coef = Fraction(rng.randint(-12, 12), rng.randint(1, 6))
-        slopes = tuple(rng.randint(-5, 5) for _ in range(loc.rank))
-        germ = Germ(loc.rank, coef, slopes)
-        f = germ_bump(loc, germ)
-        if loc.apply(f) != germ:
-            matched = False
-            break
+    bumps = _unit_bumps(loc)
+    matched = all(loc.apply(f) == g for g, f in bumps)
     over = False
     try:
         localize(c, x, direction_order=tuple(loc.directions) + ("extra:+",))
     except TropError:
         over = True
-    return SurjectivityReport(x, loc.rank, samples, matched, over)
+    return SurjectivityReport(x, loc.rank, tuple(g for g, _ in bumps), matched, over)
 
 
 @dataclass(frozen=True)
 class LatticeReport:
-    """Slope sublattice of pulled-back germs at the preimage of a point."""
+    """Slope lattice of pulled-back germs at the preimage of a point."""
 
     point: PointRef
     preimage: PointRef
     direction_weights: tuple[tuple[str, int], ...]  # target direction -> weight
+    generators: tuple[Germ, ...]  # the target germs whose bumps were pulled back
     verified: bool
-    samples: int
 
 
-def weighted_local_image(m: Morphism, x: PointRef, samples: int = 12,
-                         seed: int = 0) -> LatticeReport:
-    """Weights per direction at x; pulled-back germ slopes land in w_i Z.
+def weighted_local_image(m: Morphism, x: PointRef) -> LatticeReport:
+    """Weights per direction at x, certified on the unit bumps at x.
 
-    Verified against sampled pullbacks of random functions on the target.
+    Pulls back the bump of the unit germ and of each unit-slope germ e_i at
+    x, and checks that its germ at the preimage, in the matching direction
+    order, is exactly the unit germ or w_i e_i'.  Since localization at x is
+    onto, the pulled-back slope vectors are then exactly the lattice of the
+    w_i Z.
     """
-    from .randgen import random_function
-    import random
-
     wc = weight_check(m)
     if not wc.is_weight:
         raise TropError(f"not a weight: {wc.reasons[0] if wc.reasons else 'invalid'}")
     tgt, src = m.target, m.source
-    if tgt.is_at_infinity(x):
-        raise TropError("localize at a finite point")
+    tloc = localize(tgt, x)
     inv_edge = {name: eid for eid, (kind, name) in m.edge_map.items()}
     inv_vertex = {w: v for v, w in m.vertex_map.items()}
-    tdirs = tgt.directions_at(x)
-    weights = tuple((d, m.degrees[inv_edge[d.rsplit(':', 1)[0]]]) for d in tdirs)
+    weights = tuple(m.degrees[inv_edge[d.rsplit(":", 1)[0]]] for d in tloc.directions)
     # Preimage point and matching source direction order.
     kind, ident, off = tgt._resolve(x)
     if kind == "vertex":
         pre = src.pt_vertex(inv_vertex[ident])
     else:
         eid = inv_edge[ident]
-        d = m.degrees[eid]
-        if _edge_orientation(m, eid):
-            pre = src.pt_on_edge(eid, off / d)
-        else:
-            pre = src.pt_on_edge(eid, (src.edges[eid].length - off / d))
+        pre = src.pt_on_edge(eid, _source_breaks(m, eid, [(off, None)])[0][0])
     sdirs = []
-    for tdir in tdirs:
+    for tdir in tloc.directions:
         te, sign = tdir.rsplit(":", 1)
         se = inv_edge[te]
-        forward = _edge_orientation(m, se)
-        ssign = sign if forward else ("+" if sign == "-" else "-")
-        sdirs.append(f"{se}:{ssign}")
-    loc = localize(src, pre, sdirs)
-    rng = random.Random(seed)
-    verified = True
-    for _ in range(samples):
-        f = random_function(tgt, rng)
-        if f.is_neg_inf:
-            continue
-        germ = loc.apply(pullback(m, f))
-        for (tdir, w), slope in zip(weights, germ.slopes):
-            if slope % w != 0:
-                verified = False
-    return LatticeReport(x, pre, weights, verified, samples)
+        forward = m.vertex_map[src.edges[se].u] == tgt.edges[te].u
+        sdirs.append(f"{se}:{sign if forward else ('+' if sign == '-' else '-')}")
+    sloc = localize(src, pre, sdirs)
+    bumps = _unit_bumps(tloc)
+    verified = all(sloc.apply(pullback(m, f))
+                   == Germ(g.n, g.coef, tuple(w * s for w, s in zip(weights, g.slopes)))
+                   for g, f in bumps)
+    return LatticeReport(x, pre, tuple(zip(tloc.directions, weights)),
+                         tuple(g for g, _ in bumps), verified)

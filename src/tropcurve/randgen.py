@@ -1,8 +1,9 @@
 """Seeded random instances for sampled verification.
 
 Germs, curves, subgraphs, functions, plane polynomials and libraries of
-connected plane curves; every sampled check in the package and its tests
-draws from here.
+connected plane curves; every sampled check in ``selftest`` and the tests
+draws from here.  The library itself decides by exact equality and does
+not import this module.
 """
 
 from __future__ import annotations

@@ -41,7 +41,11 @@ def rat(x) -> Fraction:
             except (ValueError, ZeroDivisionError):  # a zero or overlong denominator
                 pass
         raise TropError(f"not a rational literal: {x!r}")
-    raise TropError(f"exact rational required, got {type(x).__name__}: {x!r}")
+    raise _inexact(x)
+
+
+def _inexact(x) -> TropError:
+    return TropError(f"exact rational required, got {type(x).__name__}: {x!r}")
 
 
 def integer(x, what: str) -> int:
@@ -51,11 +55,23 @@ def integer(x, what: str) -> int:
     raise TropError(f"{what} must be an integer, not {type(x).__name__}: {x!r}")
 
 
+# The raw constructors test their fields' types directly, with no call per
+# term: ``type(x) in _EXACT`` admits the values ``rat`` returns or passes
+# through, and ``_INT.issuperset(map(type, xs))`` holds when every x is an
+# ``int`` (the type of ``True`` is ``bool``).
+_EXACT = (Fraction, int)
+_INT = frozenset((int,))
+
+
 @dataclass(frozen=True, order=False)
 class TropValue:
     """An element of the max-plus semifield: a rational, or -inf."""
 
     coef: Fraction | None = None
+
+    def __post_init__(self):
+        if self.coef is not None and type(self.coef) not in _EXACT:
+            raise _inexact(self.coef)
 
     @staticmethod
     def of(x) -> "TropValue":
@@ -110,8 +126,15 @@ class Germ:
     def __post_init__(self):
         if (self.coef is None) != (self.slopes is None):
             raise TropError("germ must be zero in both fields or neither")
-        if self.slopes is not None and len(self.slopes) != self.n:
-            raise TropError(f"germ over rank {self.n} needs {self.n} slopes, got {len(self.slopes)}")
+        if type(self.n) is not int:
+            raise TropError(f"germ rank must be an integer, not {type(self.n).__name__}: {self.n!r}")
+        if self.slopes is not None:
+            if len(self.slopes) != self.n:
+                raise TropError(f"germ over rank {self.n} needs {self.n} slopes, got {len(self.slopes)}")
+            if type(self.coef) not in _EXACT:
+                raise _inexact(self.coef)
+            if not _INT.issuperset(map(type, self.slopes)):
+                raise TropError(f"germ slopes must be integers, got {self.slopes!r}")
 
     @staticmethod
     def of(coef, slopes: Iterable[int]) -> "Germ":
@@ -205,10 +228,17 @@ class TropPoly:
     terms: tuple[tuple[tuple[int, ...], Fraction], ...]
 
     def __post_init__(self):
+        if type(self.nvars) is not int:
+            raise TropError(f"variable count must be an integer, not {type(self.nvars).__name__}: "
+                            f"{self.nvars!r}")
         seen = set()
         for exp, coef in self.terms:
             if len(exp) != self.nvars:
                 raise TropError(f"exponent {exp} has wrong arity for {self.nvars} variables")
+            if not _INT.issuperset(map(type, exp)):
+                raise TropError(f"exponents must be integers, got {exp!r}")
+            if type(coef) not in _EXACT:
+                raise _inexact(coef)
             if exp in seen:
                 raise TropError(f"duplicate exponent {exp}")
             seen.add(exp)

@@ -127,9 +127,12 @@ def cut(c: Curve, vertices: Iterable[str], pieces: Iterable[tuple]) -> tuple[Cur
     A cut point inside an edge becomes a vertex named ``edge@offset``.  A
     piece keeps the edge id when it covers the whole edge and is named
     ``edge[lo,hi]`` otherwise; a ray piece inherits the ray class label.
-    No other code names a cut point or a piece.
+    When the parent already has a vertex or an edge of that name, primes
+    (``'``) are appended until the name is free: the chart, not the name,
+    says where a point lies.  No other code names a cut point or a piece.
     """
     vertex_points: dict[str, PointRef] = {vid: c.pt_vertex(vid) for vid in vertices}
+    cut_names: dict[str, str] = {}  # generated name -> the name it was given
     edges: list[EdgeDesc] = []
     edge_chart: dict[str, tuple[str, Fraction]] = {}
     ray_classes: dict[str, str] = {}
@@ -140,9 +143,17 @@ def cut(c: Curve, vertices: Iterable[str], pieces: Iterable[tuple]) -> tuple[Cur
         elif off == e.length:
             vid = e.v
         else:
-            vid = f"{e.id}@{off}"
+            name = f"{e.id}@{off}"
+            vid = cut_names.get(name)
+            if vid is None:
+                vid = name
+                while vid in c.vertices:
+                    vid += "'"
+                cut_names[name] = vid
+                vertex_points[vid] = c.pt_on_edge(e.id, off)
+            return vid
         if vid not in vertex_points:
-            vertex_points[vid] = c.pt_vertex(vid) if vid in c.vertices else c.pt_on_edge(e.id, off)
+            vertex_points[vid] = c.pt_vertex(vid)
         return vid
 
     for eid, lo, hi in pieces:
@@ -151,10 +162,16 @@ def cut(c: Curve, vertices: Iterable[str], pieces: Iterable[tuple]) -> tuple[Cur
         if lo == hi:
             continue
         v = vertex_at(e, hi)
-        sub_id = eid if lo == 0 and hi == e.length else f"{eid}[{lo},{'inf' if hi == INF else hi}]"
-        edges.append(EdgeDesc(sub_id, u, v, INF if hi == INF else hi - lo))
+        tail = hi == INF
+        if lo == 0 and hi == e.length:
+            sub_id = eid
+        else:
+            sub_id = f"{eid}[{lo},{'inf' if tail else hi}]"
+            while sub_id in c.edges:
+                sub_id += "'"
+        edges.append(EdgeDesc(sub_id, u, v, INF if tail else hi - lo))
         edge_chart[sub_id] = (eid, lo)
-        if hi == INF:
+        if tail:
             ray_classes[sub_id] = c.ray_classes[eid]
 
     sub = Curve([c.vertices.get(vid) or VertexInfo(vid) for vid in vertex_points], edges, ray_classes)

@@ -6,13 +6,13 @@ from fractions import Fraction
 
 import pytest
 
-from tropcurve.curve import INF, Curve, canonical_model, disjoint_union
+from tropcurve.curve import INF, Curve, EdgeDesc, VertexInfo, canonical_model, disjoint_union
 from tropcurve.errors import TropError
 from tropcurve.glue import Embedding, glue, validate_embedding
 from tropcurve.selftest import suite_canonical_model, suite_metric
 from tropcurve.subgraph import make_subgraph, point_subgraph, whole_subgraph
 
-from conftest import rng_for
+from conftest import fraction_calls, rng_for
 
 
 class TestBuild:
@@ -59,6 +59,24 @@ class TestBuild:
             Curve.build(vertices=["A", ("Z", True), "B"],
                         edges=[("e", "A", "Z", INF), ("f", "Z", "B", INF)],
                         ray_classes={"e": "k", "f": "k"})
+
+    @pytest.mark.parametrize("length, message", [
+        (1.5, "exact rational required, got float: 1.5"),
+        (True, "exact rational required, got bool: True"),
+        (Fraction(-1), "edge length must be positive, got -1"),
+        (0, "edge length must be positive, got 0"),
+        (-INF, "exact rational required, got float: -inf"),
+    ])
+    def test_raw_constructor_checks_lengths(self, length, message):
+        with pytest.raises(TropError) as err:
+            Curve([VertexInfo("A"), VertexInfo("B")], [EdgeDesc("e", "A", "B", length)], {})
+        assert str(err.value) == message
+
+    def test_lengths_are_decided_once(self):
+        finite, ray = EdgeDesc("e", "A", "B", "3/2"), EdgeDesc("r", "A", "R", float("inf"))
+        assert finite.length == Fraction(3, 2) and type(finite.length) is Fraction
+        assert ray.length is INF and ray.is_infinite and not finite.is_infinite
+        assert fraction_calls(lambda: finite.is_infinite) == 0
 
 
 class TestCanonicalModel:
@@ -168,6 +186,21 @@ class TestSubgraph:
         sub, chart = g.as_curve()
         p = chart.parent_point(sub.pt_on_edge("e[1,2]", Fraction(1, 2)))
         assert p == segment3.pt_on_edge("e", Fraction(3, 2))
+
+    def test_cut_point_named_like_a_parent_vertex(self):
+        c = Curve.build(vertices=["A", "B", "e@1"],
+                        edges=[("e", "A", "B", 3), ("f", "B", "e@1", 1)])
+        sub, chart = make_subgraph(c, intervals=[("e", 1, 2)]).as_curve()
+        assert {v: chart.parent_point(sub.pt_vertex(v)) for v in sub.vertices} == {
+            "e@1'": c.pt_on_edge("e", 1), "e@2": c.pt_on_edge("e", 2)}
+        assert sub.edges["e[1,2]"].u == "e@1'"
+
+    def test_piece_named_like_a_parent_edge(self):
+        c = Curve.build(vertices=["A", "B", "C", "D"],
+                        edges=[("e", "A", "B", 3), ("e[1,2]", "C", "D", 1)])
+        sub, chart = make_subgraph(c, edges=["e[1,2]"], intervals=[("e", 1, 2)]).as_curve()
+        assert chart.edge_chart == {"e[1,2]'": ("e", 1), "e[1,2]": ("e[1,2]", 0)}
+        assert sub.edges["e[1,2]'"].length == 1
 
 
 class TestDisjointUnion:

@@ -330,6 +330,21 @@ class TestCli:
                      "-o", str(workdir / "part")]) == 0
         assert (workdir / "part.0.curve.json").exists()
 
+    def test_restrict_writes_primed_ids_that_read_back(self, tmp_path, capsys):
+        # The parent has a vertex named like the cut point e@1.
+        c = Curve.build(vertices=["A", "B", "e@1"],
+                        edges=[("e", "A", "B", 3), ("f", "B", "e@1", 1)])
+        f = PLFunction.from_edge_data(c, {"e": ([(0, 0), (3, 3)], None),
+                                          "f": ([(0, 3), (1, 10)], None)})
+        (tmp_path / "c.json").write_text(tio.curve_to_json(c))
+        (tmp_path / "f.json").write_text(tio.function_to_json(f))
+        (tmp_path / "sub.json").write_text(json.dumps({"intervals": [["e", "1", "1"]]}))
+        assert main(["restrict", "--curve", str(tmp_path / "c.json"), "--fn", str(tmp_path / "f.json"),
+                     "--subgraph", str(tmp_path / "sub.json"), "-o", str(tmp_path / "part")]) == 0
+        sub = tio.curve_from_json((tmp_path / "part.0.curve.json").read_text())
+        part = tio.function_from_json(sub, (tmp_path / "part.0.fn.json").read_text())
+        assert list(sub.vertices) == ["e@1'"] and part.value_at(sub.pt_vertex("e@1'")) == 1
+
     def test_canonical(self, workdir, capsys):
         assert main(["canonical", "--curve", str(workdir / "line.json"), "--json"]) == 0
 

@@ -1,0 +1,33 @@
+"""Rules that hold for the library source as a whole."""
+
+from __future__ import annotations
+
+import ast
+from pathlib import Path
+
+import tropcurve
+
+SRC = Path(tropcurve.__file__).resolve().parent
+
+
+def _imported_names(node: ast.AST) -> list[str]:
+    """Dotted names an import statement reads, with ``from`` imports as module.name."""
+    if isinstance(node, ast.Import):
+        return [alias.name for alias in node.names]
+    if isinstance(node, ast.ImportFrom):
+        base = node.module or ""
+        return [base] + [f"{base}.{alias.name}".lstrip(".") for alias in node.names]
+    return []
+
+
+def test_only_the_generators_import_randomness():
+    # ast.walk reaches imports inside function bodies too.  A library
+    # function decides by exact equality; sampled checks live in the test
+    # data generator and the self-test that draws from it.
+    importers = set()
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            for name in _imported_names(node):
+                if {"random", "randgen"} & set(name.split(".")):
+                    importers.add(path.name)
+    assert importers == {"randgen.py", "selftest.py"}

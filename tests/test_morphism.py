@@ -6,13 +6,14 @@ from fractions import Fraction
 
 import pytest
 
+from tropcurve import morphism
 from tropcurve.curve import INF, Curve
 from tropcurve.errors import TropError
 from tropcurve.morphism import (Morphism, MorphismReport, compose, germ_bump,
                                 localization_surjectivity, localize, pullback, validate_morphism,
                                 weight_check, weight_from_generators, weighted_local_image)
 from tropcurve.plfunction import PLFunction, chip_fire
-from tropcurve.randgen import random_function
+from tropcurve.randgen import random_curve, random_function, random_germ, random_point
 from tropcurve.selftest import suite_localization, suite_pullback
 from tropcurve.semifield import Germ
 from tropcurve.subgraph import point_subgraph
@@ -283,15 +284,15 @@ class TestLocalize:
         assert loc2.apply(germ_bump(loc2, germ2)) == germ2
 
     def test_surjectivity_reports(self, tripod, segment3):
-        rep = localization_surjectivity(tripod, tripod.pt_vertex("O"), samples=20)
+        rep = localization_surjectivity(tripod, tripod.pt_vertex("O"))
         assert rep.all_matched and rep.over_rank_rejected and rep.rank == 3
-        rep1 = localization_surjectivity(segment3, segment3.pt_vertex("A"), samples=10)
+        rep1 = localization_surjectivity(segment3, segment3.pt_vertex("A"))
         assert rep1.all_matched and rep1.rank == 1
 
     def test_surjectivity_at_loop_vertex(self):
         c = Curve.build(vertices=["P"], edges=[("l", "P", "P", 1), ("r", "P", None, INF)],
                         ray_classes={"r": "x"})
-        rep = localization_surjectivity(c, c.pt_vertex("P"), samples=20)
+        rep = localization_surjectivity(c, c.pt_vertex("P"))
         assert rep.all_matched and rep.over_rank_rejected and rep.rank == 3
         loc = localize(c, c.pt_vertex("P"))
         assert loc.directions == ("l:-", "l:+", "r:+")
@@ -299,17 +300,24 @@ class TestLocalize:
         germ = Germ.of(0, (-5, 7, 1))
         assert loc.apply(germ_bump(loc, germ)) == germ
 
+    def test_bump_at_an_isolated_vertex(self):
+        c = Curve.build(vertices=["P", "Q"], edges=[("e", "Q", None, INF)], ray_classes={"e": "k"})
+        loc = localize(c, c.pt_vertex("P"))
+        assert loc.apply(germ_bump(loc, Germ.of(3, ()))) == Germ.of(3, ())
+        rep = localization_surjectivity(c, c.pt_vertex("P"))
+        assert rep.all_matched and rep.rank == 0 and rep.generators == (Germ.unit(0),)
+
     def test_homomorphism_and_harmonicity_random(self):
         assert suite_localization(rng_for("localize-hom"), 60) == 60
 
 
 class TestWeightedLocalImage:
     def test_doubling_even_lattice(self, line):
-        rep = weighted_local_image(doubling(line), line.pt_on_edge("right", 2), samples=10)
+        rep = weighted_local_image(doubling(line), line.pt_on_edge("right", 2))
         assert rep.verified and all(w == 2 for _, w in rep.direction_weights)
 
     def test_identity_full_lattice(self, tripod):
-        rep = weighted_local_image(Morphism.identity(tripod), tripod.pt_vertex("O"), samples=6)
+        rep = weighted_local_image(Morphism.identity(tripod), tripod.pt_vertex("O"))
         assert rep.verified and all(w == 1 for _, w in rep.direction_weights)
 
     def test_mixed_weights(self):
@@ -321,7 +329,7 @@ class TestWeightedLocalImage:
         m = Morphism(src, tgt, {"A": "X", "B": "Y", "C": "Z"},
                      {"e1": ("edge", "f1"), "e2": ("edge", "f2")}, {"e1": 1, "e2": 3})
         assert validate_morphism(m).ok
-        rep = weighted_local_image(m, tgt.pt_vertex("Y"), samples=10)
+        rep = weighted_local_image(m, tgt.pt_vertex("Y"))
         assert rep.verified and sorted(w for _, w in rep.direction_weights) == [1, 3]
 
     def test_requires_weight(self, line):
@@ -332,3 +340,111 @@ class TestWeightedLocalImage:
                         {"e1": ("edge", "f"), "e2": ("edge", "f")}, {"e1": 1, "e2": 1})
         with pytest.raises(TropError, match="not a weight"):
             weighted_local_image(fold, seg.pt_vertex("U"))
+        with pytest.raises(TropError, match="point at infinity"):
+            weighted_local_image(doubling(line), line.pt_infinity_of("right"))
+
+    def test_reversed_edge_and_interior_point(self):
+        # e1 runs onto f2 backwards, and e2 onto f1 backwards with degree 3.
+        src = Curve.build(vertices=["A", "B", "C"],
+                          edges=[("e1", "A", "B", 3), ("e2", "B", "C", 1)])
+        tgt = Curve.build(vertices=["X", "Y", "Z"],
+                          edges=[("f1", "X", "Y", 3), ("f2", "Y", "Z", 3)])
+        m = Morphism(src, tgt, {"A": "Z", "B": "Y", "C": "X"},
+                     {"e1": ("edge", "f2"), "e2": ("edge", "f1")}, {"e1": 1, "e2": 3})
+        rep = weighted_local_image(m, tgt.pt_on_edge("f1", 1))
+        assert rep.verified and rep.preimage == src.pt_on_edge("e2", Fraction(2, 3))
+        assert rep.direction_weights == (("f1:-", 3), ("f1:+", 3))
+        rep = weighted_local_image(m, tgt.pt_on_edge("f2", 2))
+        assert rep.verified and rep.preimage == src.pt_on_edge("e1", 1)
+
+    def test_reports_list_the_unit_generators(self, line):
+        rep = weighted_local_image(doubling(line), line.pt_vertex("O"))
+        assert rep.generators == (Germ.of(0, (0, 0)), Germ.of(0, (1, 0)), Germ.of(0, (0, 1)))
+        rep = localization_surjectivity(line, line.pt_on_edge("right", 1))
+        assert rep.generators == (Germ.of(0, (0, 0)), Germ.of(0, (1, 0)), Germ.of(0, (0, 1)))
+
+
+def _random_weight(rng) -> Morphism:
+    """A weight onto a random loopless curve: each edge stretched by its own
+    degree (one per ray class), and about half of the finite edges reversed."""
+    tgt = random_curve(rng)
+    while any(e.is_loop for e in tgt.edges.values()):
+        tgt = random_curve(rng)
+    class_degree = {label: rng.randint(1, 3) for label in sorted(set(tgt.ray_classes.values()))}
+    degrees, edges = {}, []
+    for e in tgt.edges.values():
+        if e.is_infinite:
+            degrees[e.id] = class_degree[tgt.ray_classes[e.id]]
+            edges.append((e.id, e.u, e.v, INF))
+        else:
+            degrees[e.id] = rng.randint(1, 3)
+            u, v = (e.v, e.u) if rng.random() < 0.5 else (e.u, e.v)
+            edges.append((e.id, u, v, e.length / degrees[e.id]))
+    src = Curve.build(vertices=[(v.id, v.at_infinity) for v in tgt.vertices.values()],
+                      edges=edges, ray_classes=tgt.ray_classes)
+    return Morphism(src, tgt, {v: v for v in tgt.vertices},
+                    {e: ("edge", e) for e in tgt.edges}, degrees)
+
+
+class TestCertificatesAgainstSamples:
+    """Random instances of what the two certificates prove: random germs
+    localize back, and pulled-back germs are the target germs with each
+    slope times its weight."""
+
+    def test_random_germs_localize_back(self):
+        rng = rng_for("bump-random-germs")
+        for _ in range(60):
+            c = random_curve(rng)
+            x = random_point(c, rng)
+            loc = localize(c, x)
+            assert localization_surjectivity(c, x).all_matched
+            for _ in range(4):
+                germ = random_germ(rng, loc.rank)
+                assert loc.apply(germ_bump(loc, germ)) == germ
+
+    def test_pulled_back_germs_are_the_weighted_germs(self):
+        rng = rng_for("weighted-image-random")
+        for _ in range(40):
+            m = _random_weight(rng)
+            x = random_point(m.target, rng)
+            rep = weighted_local_image(m, x)
+            assert rep.verified
+            tloc = localize(m.target, x)
+            flip = {"+": "-", "-": "+"}
+            sdirs = []
+            for d in tloc.directions:
+                eid, sign = d.split(":")
+                forward = m.source.edges[eid].u == m.target.edges[eid].u
+                sdirs.append(f"{eid}:{sign if forward else flip[sign]}")
+            sloc = localize(m.source, rep.preimage, sdirs)
+            weights = [w for _, w in rep.direction_weights]
+            for _ in range(4):
+                f = random_function(m.target, rng)
+                germ = tloc.apply(f)
+                pulled = sloc.apply(pullback(m, f))
+                assert pulled.coef == germ.coef
+                assert pulled.slopes == tuple(w * s for w, s in zip(weights, germ.slopes))
+                assert all(s % w == 0 for w, s in zip(weights, pulled.slopes))
+
+
+class TestPlantedBugs:
+    def test_wrong_slope_on_one_bump_leg(self, tripod, monkeypatch):
+        real = morphism.germ_bump
+
+        def bent(loc, germ):  # doubles the slope of the last leg
+            return real(loc, Germ(germ.n, germ.coef, germ.slopes[:-1] + (2 * germ.slopes[-1],)))
+
+        monkeypatch.setattr(morphism, "germ_bump", bent)
+        # Only the last generator, e_3, has a nonzero slope on the last leg.
+        assert not localization_surjectivity(tripod, tripod.pt_vertex("O")).all_matched
+
+    def test_dropped_degree_in_pullback(self, line, monkeypatch):
+        real = morphism.pullback
+
+        def degree_one(m, f):
+            return real(Morphism(m.source, m.target, m.vertex_map, m.edge_map,
+                                 {eid: 1 for eid in m.degrees}), f)
+
+        monkeypatch.setattr(morphism, "pullback", degree_one)
+        assert not weighted_local_image(doubling(line), line.pt_on_edge("right", 2)).verified
+        assert not weighted_local_image(doubling(line), line.pt_vertex("O")).verified

@@ -100,6 +100,30 @@ class TestGerm:
     def test_forget_orders_commute(self, g, j, k):
         forget_laws(g, g, j, k)
 
+    def test_raw_constructor_rejects_floats_and_bools(self):
+        for bad in (lambda: Germ(1, Fraction(0), (1.5,)), lambda: Germ(1, 0.5, (1,)),
+                    lambda: Germ(1, True, (1,)), lambda: Germ(1, 0, (True,)),
+                    lambda: Germ(True, 0, (1,))):
+            with pytest.raises(TropError):
+                bad()
+        assert Germ(2, 3, (1, -1)) == Germ.of(3, (1, -1))  # an int value from an int profile
+
+
+class TestRawConstructors:
+    @pytest.mark.parametrize("make", [
+        lambda: TropValue(0.5), lambda: TropValue(True),
+        lambda: TropPoly(1, (((1.0,), Fraction(1)),)), lambda: TropPoly(1, (((True,), Fraction(1)),)),
+        lambda: TropPoly(1, (((1,), 1.5),)), lambda: TropPoly(1, (((1,), False),)),
+        lambda: TropPoly(True, ()),
+    ])
+    def test_floats_and_bools_rejected(self, make):
+        with pytest.raises(TropError):
+            make()
+
+    def test_exact_ints_accepted(self):
+        assert TropValue(3) == TropValue.of(3)
+        assert TropPoly(1, (((0,), 2), ((1,), Fraction(1, 2)))).eval([1])[0] == TropValue.of(2)
+
 
 class TestTropPoly:
     def test_eval_argmax(self):
