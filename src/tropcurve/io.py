@@ -102,17 +102,30 @@ def curve_from_json(text: str) -> Curve:
 
 
 def parse_point(c: Curve, spec) -> PointRef:
-    """A vertex id, ``edge@offset``, or a JSON-ish {"vertex"|"edge","offset"}."""
+    """A vertex id, ``edge@offset``, or a JSON-ish {"vertex"|"edge","offset"}.
+
+    A string that names a vertex and also reads as a different point
+    ``edge@offset`` of the curve is rejected; one that names only one of
+    them keeps that meaning.
+    """
     if isinstance(spec, dict):
         if "vertex" in spec:
             return c.pt_vertex(_id(spec["vertex"], "vertex id"))
         _require({"edge", "offset"} <= set(spec), "point objects need vertex, or edge and offset")
         return c.pt_on_edge(_id(spec["edge"], "edge id"), _rational(spec["offset"], "offset"))
     s = _id(spec, "point")
-    if "@" in s:
-        eid, _, off = s.partition("@")
+    if "@" not in s:
+        return c.pt_vertex(s)
+    eid, _, off = s.partition("@")
+    if s not in c.vertices:
         return c.pt_on_edge(eid, _rational(off, "offset"))
-    return c.pt_vertex(s)
+    try:
+        p = c.pt_on_edge(eid, rat(off))
+    except TropError:
+        return c.pt_vertex(s)
+    _require(p == c.pt_vertex(s),
+             f"point {s!r} is ambiguous: vertex {s!r}, or offset {off} on edge {eid!r}")
+    return p
 
 
 def point_to_json(p: PointRef):

@@ -356,7 +356,6 @@ class SurjectivityReport:
     rank: int
     generators: tuple[Germ, ...]  # the germs whose bumps were checked
     all_matched: bool
-    over_rank_rejected: bool
 
 
 def localization_surjectivity(c: Curve, x: PointRef) -> SurjectivityReport:
@@ -366,18 +365,12 @@ def localization_surjectivity(c: Curve, x: PointRef) -> SurjectivityReport:
     unit-slope germs e_1 ... e_n.  Localization is a T-algebra homomorphism,
     and the inverse of a function localizes to the inverse germ, so its image
     is all germs once the bumps of the unit germ and of e_1 ... e_n localize
-    back to those germs: n + 1 exact checks.  Also confirms structurally
-    that no direction order longer than the valence exists at the point.
+    back to those germs: n + 1 exact checks.
     """
     loc = localize(c, x)
     bumps = _unit_bumps(loc)
     matched = all(loc.apply(f) == g for g, f in bumps)
-    over = False
-    try:
-        localize(c, x, direction_order=tuple(loc.directions) + ("extra:+",))
-    except TropError:
-        over = True
-    return SurjectivityReport(x, loc.rank, tuple(g for g, _ in bumps), matched, over)
+    return SurjectivityReport(x, loc.rank, tuple(g for g, _ in bumps), matched)
 
 
 @dataclass(frozen=True)

@@ -14,6 +14,11 @@ offset and one for its value.  Only the breakpoints a kernel keeps become
 ``Fraction``s.  The worst case is
 pairwise-coprime denominators, which make D their product; the integers
 grow with it, but stay exact.
+
+Chip firing and extension build each edge in one pass on such a scale:
+2D for chip firing, where the tent peaks between sources are integers, and
+D times the slope for extension, where the gap corners are.  Both share
+``_kept``, the collinear-drop loop of ``_normalize``.
 """
 
 from __future__ import annotations
@@ -21,6 +26,7 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 from math import lcm
 from operator import itemgetter
 from typing import Iterable, Mapping, Sequence
@@ -124,29 +130,41 @@ def _normalize(breaks: Sequence[tuple[Fraction, Fraction]], tail: int | None) ->
     bs = tuple(breaks)
     if len(bs) == 1 or (len(bs) == 2 and tail is None and bs[0][0] < bs[1][0]):
         return Profile(bs, tail)
-    pts = list(zip(_on_scale(bs)[1], bs))
-    if any(pts[k][0][0] > pts[k + 1][0][0] for k in range(len(pts) - 1)):
-        pts.sort(key=itemgetter(0))
-    out = [pts[0]]
-    for g, b in pts[1:]:
-        if g[0] == out[-1][0][0]:
-            if g[1] != out[-1][0][1]:
+    g = _on_scale(bs)[1]
+    if any(g[k][0] > g[k + 1][0] for k in range(len(g) - 1)):
+        order = sorted(range(len(g)), key=g.__getitem__)
+        g, bs = [g[k] for k in order], [bs[k] for k in order]
+    return Profile(tuple(bs[k] for k in _kept(g, tail)), tail)
+
+
+def _kept(g: Sequence[tuple[int, int]], tail: int | None) -> list[int]:
+    """Indices of the grid points g, sorted by offset, that a normalized profile keeps.
+
+    Equal offsets merge (different values there raise); a point on the line
+    through its neighbours is dropped (cross-multiplied; no divisions), and
+    so is a last point that the tail slope continues.
+    """
+    keep = [0]
+    o1, v1 = g[0]
+    for k in range(1, len(g)):
+        o2, v2 = g[k]
+        if o2 == o1:
+            if v2 != v1:
                 raise TropError("conflicting breakpoint values")
             continue
-        # Drop the last kept point while it lies on the line through its
-        # neighbours (cross-multiplied; no divisions).
-        while len(out) >= 2:
-            (o0, v0), (o1, v1) = out[-2][0], out[-1][0]
-            if (v1 - v0) * (g[0] - o1) == (g[1] - v1) * (o1 - o0):
-                out.pop()
-            else:
+        while len(keep) >= 2:
+            o0, v0 = g[keep[-2]]
+            if (v1 - v0) * (o2 - o1) != (v2 - v1) * (o1 - o0):
                 break
-        out.append((g, b))
-    if tail is not None and len(out) >= 2:
-        (o0, v0), (o1, v1) = out[-2][0], out[-1][0]
+            keep.pop()
+            o1, v1 = o0, v0
+        keep.append(k)
+        o1, v1 = o2, v2
+    if tail is not None and len(keep) >= 2:
+        (o0, v0), (o1, v1) = g[keep[-2]], g[keep[-1]]
         if v1 - v0 == tail * (o1 - o0):
-            out.pop()
-    return Profile(tuple(b for _, b in out), tail)
+            keep.pop()
+    return keep
 
 
 def _sweep(g: list[tuple[int, int]], slopes: list, grid: list[int]) -> tuple[list, list]:
@@ -253,7 +271,7 @@ def _slice(p: Profile, a: Fraction, b) -> Profile:
     The breakpoints inside keep their value objects and stay slope changes,
     so the result is normalized as built.
     """
-    d, g, (lo, *hi), (va, *vb), _ = _at_offsets(p, (a,) if b == INF else (a, b))
+    d, g, (lo, *hi), (va, *vb), _ = _at_offsets(p, (a,) if b is INF else (a, b))
     out = [(Fraction(0), Fraction(va, d))]
     out += [(Fraction(o - lo, d), v) for (o, _), (_, v) in zip(g, p.breaks)
             if lo < o and (not hi or o < hi[0])]
@@ -694,49 +712,67 @@ def chip_fire(c: Curve, g: Subgraph, l) -> PLFunction:
     if g.is_empty():
         raise TropError("chip firing needs a nonempty subgraph")
     cap = INF if l == INF else rat(l)
-    if cap != INF and cap <= 0:
+    if cap is not INF and cap <= 0:
         raise TropError("chip firing length must be positive")
     dmap = g.distance_map()
     imap = g.interval_map()
     comp_of = c.vertex_components()
-    comp_meets = {comp_of[v] for v, d in dmap.items() if d != INF}
-
-    profiles: dict[str, Profile] = {}
-    for eid, e in c.edges.items():
-        if comp_of[e.u] not in comp_meets:
-            profiles[eid] = _flat(e, Fraction(0))
-            continue
-        candidates: list[Profile] = []
-        du, dv = dmap[e.u], dmap[e.v]
-        if e.is_infinite:
-            if du != INF:
-                candidates.append(Profile(((Fraction(0), du),), 1))
-            for lo, hi in imap.get(eid, ()):
-                if hi == INF:
-                    candidates.append(_normalize([(Fraction(0), lo), (lo, Fraction(0))], 0)
-                                      if lo > 0 else _flat(e, Fraction(0)))
-                else:
-                    bs = [(Fraction(0), lo), (lo, Fraction(0)), (hi, Fraction(0))]
-                    candidates.append(_normalize([b for b in bs if b[0] >= 0], 1))
-        else:
-            L = e.length
-            if du != INF:
-                candidates.append(Profile(((Fraction(0), du), (L, du + L)), None))
-            if dv != INF:
-                candidates.append(Profile(((Fraction(0), dv + L), (L, dv)), None))
-            for lo, hi in imap.get(eid, ()):
-                bs = [(Fraction(0), lo), (lo, Fraction(0)), (hi, Fraction(0)), (L, L - hi)]
-                bs = [b for b in bs if 0 <= b[0] <= L]
-                candidates.append(_normalize(bs, None))
-        dist = candidates[0]
-        for cand in candidates[1:]:
-            dist = _combine2(dist, cand, "min")
-        if cap != INF:
-            dist = _combine2(dist, _flat(e, cap), "min")
-        profiles[eid] = _negate(dist)
-    isolated = {vid: Fraction(0) if dmap[vid] == INF else -min(dmap[vid], cap)
+    comp_meets = {comp_of[v] for v, d in dmap.items() if d is not INF}
+    profiles = {eid: _fired(e, dmap[e.u], dmap[e.v], imap.get(eid, ()), cap)
+                if comp_of[e.u] in comp_meets else _flat(e, Fraction(0))
+                for eid, e in c.edges.items()}
+    isolated = {vid: Fraction(0) if dmap[vid] is INF else -min(dmap[vid], cap)
                 for vid in _isolated_vertices(c)}
     return PLFunction._trusted(c, profiles, isolated)
+
+
+def _fired(e: EdgeDesc, du, dv, ivs, cap) -> Profile:
+    """-min(dist, cap) on one edge, dist the distance to the nearest source on the edge's line.
+
+    The sources are the point -du (the u end's distance to the subgraph),
+    the subgraph's intervals on the edge and, on a finite edge, the point
+    L + dv.  Between two sources dist is a tent, so the corners are the edge
+    ends, the source ends, the tent peaks and the cap crossings.  On the
+    scale 2D, D the lcm of every denominator, each corner is an integer
+    (the 2 makes the peaks integers); only the kept corners become
+    ``Fraction``s.
+    """
+    given = [du, INF if e.is_infinite else dv, cap, e.length] + [x for iv in ivs for x in iv]
+    rs = [x.as_integer_ratio() for x in given if x is not INF]
+    s = 2 * lcm(*(d for _, d in rs))
+    it = iter([n * (s // d) for n, d in rs])
+    du, dv, cap, end, *ends = [None if x is INF else next(it) for x in given]
+    it = iter(ends)
+    srcs = [] if du is None else [(-du, -du)]
+    srcs += zip(it, it)
+    if dv is not None:
+        srcs.append((end + dv, end + dv))
+    xs = {0} if end is None else {0, end}
+    # Each gap runs from a source's right end b to the next source's left end
+    # a; None is an unbounded side.
+    for b, a in zip([None] + [b for _, b in srcs], [a for a, _ in srcs] + [None]):
+        if a is not None:
+            xs.update((a,) if cap is None else (a, a - cap))
+        if b is not None:
+            xs.update((b,) if cap is None else (b, b + cap))
+            if a is not None:
+                xs.add((a + b) // 2)
+    pts = []
+    k, n = 0, len(srcs)
+    for x in sorted(x for x in xs if x >= 0 and (end is None or x <= end)):
+        while k < n and srcs[k][0] <= x:
+            k += 1
+        near = [] if cap is None else [cap]
+        if k:
+            b = srcs[k - 1][1]
+            near.append(0 if b is None or x <= b else x - b)
+        if k < n:
+            near.append(srcs[k][0] - x)
+        pts.append((x, -min(near)))
+    # A ray's tail is flat past a cap or a source reaching infinity; else -dist falls.
+    tail = None if end is not None else 0 if cap is not None or srcs[-1][1] is None else -1
+    kept = [pts[k] for k in _kept(pts, tail)]
+    return Profile(tuple((Fraction(x, s), Fraction(v, s)) for x, v in kept), tail)
 
 
 # -- restriction and extension -------------------------------------------------------
@@ -843,75 +879,79 @@ def extend(f_prime: PLFunction, g: Subgraph, s: int) -> PLFunction:
         label = c.ray_classes[parent_eid]
         class_slopes[label] = f_prime.profiles[sub_eid].tail
 
-    # f_prime at a parent point that is a vertex of the subgraph curve, else 0.
-    sub_vertex = {ppoint: svid for svid, ppoint in chart.vertex_points.items()}
+    # f_prime at each parent vertex and each cut point of the subgraph curve;
+    # every other point of the parent gets 0.
+    heights = {p.vertex if p.kind == "vertex" else (p.edge, p.offset):
+               f_prime.value_at(PointRef("vertex", vertex=svid))
+               for svid, p in chart.vertex_points.items()}
     sub_edge = {parent: sub_eid for sub_eid, parent in chart.edge_chart.items()}
-
-    def height(p: PointRef) -> Fraction:
-        svid = sub_vertex.get(p)
-        return Fraction(0) if svid is None else f_prime.value_at(sub.pt_vertex(svid))
 
     imap = g.interval_map()
     profiles: dict[str, Profile] = {}
     for eid, e in c.edges.items():
         ivs = imap.get(eid, ())
-        breaks: list[tuple[Fraction, Fraction]] = []
         tail = 0 if e.is_infinite else None
-        # Interval pieces copy f_prime.
+        # Interval pieces copy f_prime; gap pieces descend to zero.  All on
+        # one scale: rate times the lcm of every denominator, where each gap
+        # corner c0, c0 + |h0|/rate, c1 - |h1|/rate, c1 is an integer.
+        pieces, pairs = [], []
         for lo, hi in ivs:
             if lo < hi:
                 piece = f_prime.profiles[sub_edge[eid, lo]]
-                breaks += [(lo + o, v) for o, v in piece.breaks]
-                if hi == INF:
+                pieces.append(len(piece.breaks))
+                pairs += ((lo, 0),) + piece.breaks
+                if hi is INF:
                     tail = piece.tail
-        # Gap pieces descend to zero.
-        for c0, c1 in _gaps(e, ivs):
-            h0 = height(c.pt_on_edge(eid, c0))
-            h1 = Fraction(0) if c1 == INF else height(c.pt_on_edge(eid, c1))
-            gap = _descend(c0, c1, h0, h1, rate)
-            if gap is None:
-                raise TropError(f"slope {s} too shallow on edge {eid!r}; use a steeper s")
-            breaks += gap
-        prof = _normalize(breaks, tail)
+        gaps = _gaps(e, ivs)
+        for c0, c1 in gaps:
+            pairs.append((c0, heights.get(e.u if c0 == 0 else (eid, c0), 0)))
+            if c1 is not INF:
+                pairs.append((c1, heights.get(e.v if c1 == e.length else (eid, c1), 0)))
+        d, grid = _on_scale(pairs)
+        it = iter(grid)
+        pts = []
+        for n in pieces:
+            lo = next(it)[0]
+            pts += [((lo + o) * rate, v * rate) for o, v in islice(it, n)]
+        for _, c1 in gaps:
+            c0, h0 = next(it)
+            z0 = c0 * rate + abs(h0)
+            pts += [(c0 * rate, h0 * rate), (z0, 0)]
+            if c1 is not INF:
+                c1, h1 = next(it)
+                z1 = c1 * rate - abs(h1)
+                if z0 > z1:
+                    raise TropError(f"slope {s} too shallow on edge {eid!r}; use a steeper s")
+                pts += [(z1, 0), (c1 * rate, h1 * rate)]
+        pts.sort()
+        d *= rate
+        prof = Profile(tuple((Fraction(o, d), Fraction(v, d))
+                             for o, v in (pts[k] for k in _kept(pts, tail))), tail)
         # Class-parallel tails on rays outside g.
         if e.is_infinite and prof.tail == 0:
             sigma = class_slopes.get(c.ray_classes[eid])
-            tail_in_g = any(hi == INF for _, hi in ivs)
+            tail_in_g = any(hi is INF for _, hi in ivs)
             if sigma and not tail_in_g:
                 start = prof.breaks[-1][0] + 1
                 prof = Profile(prof.breaks + ((start, prof.breaks[-1][1]),), sigma)
         profiles[eid] = prof
-    isolated = {vid: height(PointRef("vertex", vertex=vid)) for vid in _isolated_vertices(c)}
+    isolated = {vid: heights.get(vid, Fraction(0)) for vid in _isolated_vertices(c)}
     return PLFunction(c, profiles, isolated)
 
 
 def _gaps(e, ivs):
-    """The pieces of edge e outside the sorted intervals ivs."""
+    """The pieces of edge e outside the sorted intervals ivs; the ``int`` 0 is the edge's start."""
     gaps = []
-    pos = Fraction(0)
+    pos = 0
     for lo, hi in ivs:
         if lo > pos:
             gaps.append((pos, lo))
-        if hi == INF:
+        if hi is INF:
             return gaps
         pos = max(pos, hi)
     if e.is_infinite or pos < e.length:
         gaps.append((pos, e.length))
     return gaps
-
-
-def _descend(c0, c1, h0: Fraction, h1: Fraction, rate: int) -> list | None:
-    """Breakpoints on [c0, c1] running from h0 to 0 to h1 at slope +-rate.
-
-    None when the gap is too narrow for that slope.
-    """
-    z0 = c0 + Fraction(abs(h0), rate)
-    if c1 == INF:
-        return [(c0, h0), (z0, Fraction(0))]
-    z1 = c1 - Fraction(abs(h1), rate)
-    if z0 > z1:
-        return None
-    return [(c0, h0), (z0, Fraction(0)), (z1, Fraction(0)), (c1, h1)]
 
 
 # -- disconnectedness witness ---------------------------------------------------------

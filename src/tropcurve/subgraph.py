@@ -82,9 +82,18 @@ class Subgraph:
     # -- the subgraph as a curve in its own right ------------------------------
 
     def as_curve(self) -> tuple[Curve, "SubChart"]:
-        """Build the subgraph as a curve, with a chart back to the parent."""
-        return cut(self.curve, sorted(self.vertices),
-                   [(eid, lo, hi) for eid, ivs in self.intervals for lo, hi in ivs])
+        """The subgraph as a curve, with a chart back to the parent.
+
+        The subgraph is cut once: every call returns the same curve and
+        chart, which callers share and must not change.  They are kept
+        outside the dataclass fields, so equality, hash and repr ignore them.
+        """
+        made = self.__dict__.get("_cut")
+        if made is None:
+            made = cut(self.curve, sorted(self.vertices),
+                       [(eid, lo, hi) for eid, ivs in self.intervals for lo, hi in ivs])
+            object.__setattr__(self, "_cut", made)
+        return made
 
     # -- metric -----------------------------------------------------------------
 

@@ -345,6 +345,27 @@ class TestCli:
         part = tio.function_from_json(sub, (tmp_path / "part.0.fn.json").read_text())
         assert list(sub.vertices) == ["e@1'"] and part.value_at(sub.pt_vertex("e@1'")) == 1
 
+    def test_a_point_name_that_reads_two_ways_is_rejected(self, tmp_path, capsys):
+        # "e@1" is a vertex and offset 1 on edge e; "x@2" is a vertex, and no edge is x.
+        c = Curve.build(vertices=["A", "e@1", "x@2"],
+                        edges=[("e", "A", "e@1", 3), ("f", "e@1", "x@2", 1)])
+        assert tio.parse_point(c, "x@2") == c.pt_vertex("x@2")
+        assert tio.parse_point(c, "e@2") == c.pt_on_edge("e", 2)
+        assert tio.parse_point(c, "e@3") == c.pt_vertex("e@1")
+        with pytest.raises(FileFormatError,
+                           match="point 'e@1' is ambiguous: vertex 'e@1', or offset 1 on edge 'e'"):
+            tio.parse_point(c, "e@1")
+        # Both readings of "e@0" are the vertex itself.
+        named = Curve.build(vertices=["e@0"], edges=[("e", "e@0", "B", 1)])
+        assert tio.parse_point(named, "e@0") == named.pt_vertex("e@0")
+        f = PLFunction.from_edge_data(c, {"e": ([(0, 0), (3, 3)], None), "f": ([(0, 3), (1, 3)], None)})
+        (tmp_path / "c.json").write_text(tio.curve_to_json(c))
+        (tmp_path / "f.json").write_text(tio.function_to_json(f))
+        args = ["harmonic", "--curve", str(tmp_path / "c.json"), "--fn", str(tmp_path / "f.json")]
+        assert main(args + ["--point", "e@1"]) == 65
+        assert main(args + ["--point", "x@2"]) == 0
+        assert capsys.readouterr().out == "harmonic at x@2: True (coefficient 0)\n"
+
     def test_canonical(self, workdir, capsys):
         assert main(["canonical", "--curve", str(workdir / "line.json"), "--json"]) == 0
 

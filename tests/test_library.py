@@ -31,3 +31,25 @@ def test_only_the_generators_import_randomness():
                 if {"random", "randgen"} & set(name.split(".")):
                     importers.add(path.name)
     assert importers == {"randgen.py", "selftest.py"}
+
+
+def _is_inf(node: ast.AST) -> bool:
+    """``INF`` or ``-INF``."""
+    if isinstance(node, ast.UnaryOp):
+        node = node.operand
+    return isinstance(node, ast.Name) and node.id == "INF"
+
+
+def test_plfunction_tells_infinity_by_identity():
+    # Edge lengths, subgraph interval ends and distances hold the INF object
+    # itself, so plfunction.py asks ``is INF``; ``==`` would send a Fraction
+    # through its float comparison.  Only chip_fire's length, a value the
+    # caller passes in, is decided with ``==``.
+    path = SRC / "plfunction.py"
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, ast.Compare) \
+                and any(isinstance(op, (ast.Eq, ast.NotEq)) for op in node.ops) \
+                and any(_is_inf(x) for x in (node.left, *node.comparators)):
+            found.append(ast.unparse(node))
+    assert found == ["l == INF"]

