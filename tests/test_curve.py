@@ -187,6 +187,22 @@ class TestSubgraph:
         p = chart.parent_point(sub.pt_on_edge("e[1,2]", Fraction(1, 2)))
         assert p == segment3.pt_on_edge("e", Fraction(3, 2))
 
+    def test_a_subgraph_is_cut_once(self, segment3, monkeypatch):
+        from tropcurve import subgraph
+        from tropcurve.plfunction import PLFunction, extend, restrict_whole
+        cuts = []
+        real_cut = subgraph.cut
+        monkeypatch.setattr(subgraph, "cut", lambda *a: cuts.append(a) or real_cut(*a))
+        g = make_subgraph(segment3, intervals=[("e", 1, 2)])
+        twin = make_subgraph(segment3, intervals=[("e", 1, 2)])
+        f = PLFunction.from_edge_data(segment3, {"e": ([(0, 0), (3, 3)], None)})
+        first, _ = restrict_whole(f, g)
+        again, chart = restrict_whole(extend(first, g, -2), g)
+        assert again == first and len(cuts) == 1
+        assert again.curve is first.curve is g.as_curve()[0] and chart is g.as_curve()[1]
+        # The cut is not part of the subgraph's value.
+        assert g == twin and hash(g) == hash(twin) and repr(g) == repr(twin)
+
     def test_cut_point_named_like_a_parent_vertex(self):
         c = Curve.build(vertices=["A", "B", "e@1"],
                         edges=[("e", "A", "B", 3), ("f", "B", "e@1", 1)])
