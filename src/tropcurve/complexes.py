@@ -10,8 +10,9 @@ from typing import Iterable, Sequence
 
 from .curve import connected_groups
 from .errors import NonTransversalError, TropError
-from .geometry import IVec, Vec, dot, edge_intersection, ivec_gcd, on_edge, parallel, vadd, vsub
-from .semifield import integer, rat
+from .geometry import (IVec, Vec, dot, edge_intersection, ivec_gcd, on_edge, parallel, primitive,
+                       vadd, vsub)
+from .semifield import _EXACT, _INT, _inexact, integer, rat
 
 
 def _coerce_point(p: Sequence, dim: int) -> Vec:
@@ -59,7 +60,10 @@ class PolyComplex1D:
     vertex that no edge uses lies on no edge; weights are positive integers;
     ray directions are primitive integer vectors of length ``dim``.
 
-    Every constructor validates all of this except ``_trusted``.
+    Every constructor validates all of this except ``_trusted``, and the
+    fields' types too: ``dim`` is a positive ``int``, coordinates are
+    ``Fraction``s or ``int``s, and indices, weights and direction components
+    are ``int``s; a ``bool`` or a float is none of these.
     """
 
     dim: int
@@ -68,9 +72,13 @@ class PolyComplex1D:
     rays: tuple[tuple[int, IVec, int], ...]
 
     def __post_init__(self):
+        if type(self.dim) is not int or self.dim < 1:
+            raise TropError(f"dimension must be a positive integer, got {self.dim!r}")
         for v in self.vertices:
             if len(v) != self.dim:
                 raise TropError(f"vertex {v} has wrong dimension")
+            if not _EXACT.issuperset(map(type, v)):
+                raise _inexact(next(x for x in v if type(x) not in _EXACT))
         L, (P,) = _on_integers(self.vertices)
         seen = set()
         for v, p in zip(self.vertices, P):
@@ -79,6 +87,8 @@ class PolyComplex1D:
             seen.add(p)
         nv = len(self.vertices)
         for i, j, w in self.segments:
+            if not _INT.issuperset(map(type, (i, j, w))):
+                raise TropError(f"segment fields must be integers, got {(i, j, w)!r}")
             if not (0 <= i < nv and 0 <= j < nv):
                 raise TropError("segment endpoint index out of range")
             if i == j:
@@ -86,6 +96,8 @@ class PolyComplex1D:
             if w <= 0:
                 raise TropError("weights must be positive")
         for i, d, w in self.rays:
+            if type(i) is not int or type(w) is not int or not _INT.issuperset(map(type, d)):
+                raise TropError(f"ray fields must be integers, got {(i, d, w)!r}")
             if not 0 <= i < nv:
                 raise TropError("ray base index out of range")
             if len(d) != self.dim:
@@ -112,13 +124,16 @@ class PolyComplex1D:
         """The complex with these fields, unchecked.
 
         Use it only for a result that is a complex by construction:
-        ``translate`` (translation keeps every meeting); ``canonical``
-        (merging a straight 2-valent vertex or re-anchoring a line touches
-        nothing another edge meets); ``plane_hypersurface`` (a walk over the
-        cells dual to the regular subdivision of the Newton polygon, exact
-        on one integer scale, the lcm of the coefficients' denominators, so
-        two cells meet only at a vertex of both; its selftest suite rebuilds
-        each result through the validating constructor).
+        ``translate`` (translation keeps every meeting); ``canonical`` (the
+        one edge of a chain through straight vertices covers the points its
+        edges covered, and it meets another chain's edge only at a kept
+        vertex, an end of both; a line's chain meets no other chain, so its
+        anchor is an end of its two rays and of nothing else);
+        ``plane_hypersurface`` (a walk over the cells dual to the regular
+        subdivision of the Newton polygon, exact on one integer scale, the
+        lcm of the coefficients' denominators, so two cells meet only at a
+        vertex of both; its selftest suite rebuilds each result through the
+        validating constructor).
         """
         k = object.__new__(cls)
         for name, value in (("dim", dim), ("vertices", vertices),
@@ -183,107 +198,95 @@ class PolyComplex1D:
     # -- canonical form --------------------------------------------------
 
     def canonical(self) -> "PolyComplex1D":
-        """Dissolve straight 2-valent vertices, re-anchor full lines, sort.
+        """Dissolve straight vertices, re-anchor full lines, sort.
 
-        Two complexes with the same weighted support have equal canonical
-        forms, which makes support equality a structural comparison.  The
-        work runs on the vertices times the scale of ``_on_integers``; a
-        vertex that survives keeps its original coordinates.
+        Each chain of edges through straight vertices (``_straight``) becomes
+        one segment or one ray, and a chain with a ray at each end becomes a
+        line: two opposite rays from its ``line_anchor``.  Two complexes with
+        the same weighted support have equal canonical forms, which makes
+        support equality a structural comparison.  The work runs on the
+        vertices times the scale of ``_on_integers``; a vertex that survives
+        keeps its original coordinates.
         """
         L, (P,) = _on_integers(self.vertices)
-        used = set()
-        for i, j, _ in self.segments:
-            used.update((i, j))
-        for i, _, _ in self.rays:
-            used.add(i)
-        isolated = [P[i] for i in range(len(P)) if i not in used]
+        straight = _straight(self, P)
+        # Edges as (end, far end or None for a ray, weight); rays after segments.
+        nseg = len(self.segments)
+        edges = list(self.segments) + [(i, None, w) for i, _, w in self.rays]
+        at: list[list[int]] = [[] for _ in P]
+        for e, (i, j, _) in enumerate(edges):
+            at[i].append(e)
+            if j is not None:
+                at[j].append(e)
+        done = [False] * len(edges)
 
-        # Mutable edge soup: ("seg", p, q, w) / ("ray", base, d, w) / ("line", base, d, w).
-        edges = ([("seg", P[i], P[j], w) for i, j, w in self.segments]
-                 + [("ray", P[i], d, w) for i, d, w in self.rays])
-        changed = True
-        while changed:
-            changed = False
-            incident: dict[IVec, list[int]] = {}
-            for idx, e in enumerate(edges):
-                if e[0] == "seg":
-                    incident.setdefault(e[1], []).append(idx)
-                    incident.setdefault(e[2], []).append(idx)
-                elif e[0] == "ray":
-                    incident.setdefault(e[1], []).append(idx)
-            for v, idxs in incident.items():
-                if len(idxs) != 2:
-                    continue
-                e1, e2 = edges[idxs[0]], edges[idxs[1]]
-                if e1[3] != e2[3]:
-                    continue
-                d1 = self._dir_away(e1, v)
-                d2 = self._dir_away(e2, v)
-                if d1 is None or d2 is None:
-                    continue
-                if not (parallel(d1, d2) and dot(d1, d2) < 0):
-                    continue
-                for idx in sorted(idxs, reverse=True):
-                    edges.pop(idx)
-                edges.append(self._merge_at(e1, e2, v))
-                changed = True
-                break
+        def walk(v: int, e: int) -> tuple[int | None, int]:
+            """From vertex v along edge e through straight vertices: the
+            chain's far vertex, or None past a ray, and its last edge."""
+            while True:
+                done[e] = True
+                i, j, _ = edges[e]
+                if j is None:
+                    return None, e
+                v = j if i == v else i
+                if v not in straight:
+                    return v, e
+                a, b = at[v]
+                e = b if a == e else a
 
-        segs = []
-        rays = []
-        for e in edges:
-            if e[0] == "seg":
-                a, b = sorted((e[1], e[2]))
-                segs.append((a, b, e[3]))
-            elif e[0] == "ray":
-                rays.append((e[1], e[2], e[3]))
-            else:  # full line through base with primitive direction d
-                base, dpos, w = e[1], e[2], e[3]
-                anchor = line_anchor(base, dpos)  # may leave the lattice: Fractions
-                dneg = tuple(-x for x in dpos)
-                if dneg < dpos:
-                    dpos, dneg = dneg, dpos
-                rays.append((anchor, dpos, w))
-                rays.append((anchor, dneg, w))
+        segs, rays = [], []
+        for v, es in enumerate(at):
+            if v in straight:
+                continue
+            for e in es:
+                if not done[e]:
+                    u, last = walk(v, e)
+                    w = edges[e][2]
+                    if u is None:
+                        rays.append((P[v], self.rays[last - nseg][1], w))
+                    else:
+                        segs.append((min(P[v], P[u]), max(P[v], P[u]), w))
+        # What is left are lines: chains whose every vertex is straight.
+        for e, (v, d, w) in enumerate(self.rays, nseg):
+            if not done[e]:
+                a, b = at[v]
+                walk(v, b if a == e else a)
+                anchor = line_anchor(P[v], d)  # may leave the lattice: Fractions
+                rays += [(anchor, d, w), (anchor, tuple(-x for x in d), w)]
 
         points = sorted({p for a, b, _ in segs for p in (a, b)}
                         | {base for base, _, _ in rays}
-                        | set(isolated))
+                        | {P[i] for i, es in enumerate(at) if not es})
         remap = {p: i for i, p in enumerate(points)}
-        seg_idx = sorted((min(remap[a], remap[b]), max(remap[a], remap[b]), w) for a, b, w in segs)
+        seg_idx = sorted((remap[a], remap[b], w) for a, b, w in segs)
         ray_idx = sorted((remap[base], d, w) for base, d, w in rays)
         original = dict(zip(P, self.vertices))
         vertices = tuple(original[p] if p in original else _unscaled(p, L) for p in points)
         return PolyComplex1D._trusted(self.dim, vertices, tuple(seg_idx), tuple(ray_idx))
 
-    @staticmethod
-    def _dir_away(edge, v: IVec):
-        if edge[0] == "seg":
-            if edge[1] == v:
-                return vsub(edge[2], edge[1])
-            if edge[2] == v:
-                return vsub(edge[1], edge[2])
-            return None
-        if edge[0] == "ray" and edge[1] == v:
-            return edge[2]
-        return None
 
-    @staticmethod
-    def _merge_at(e1, e2, v: IVec):
-        # Merge two collinear equal-weight edges meeting at v into one edge.
-        w = e1[3]
-        if e1[0] == "seg" and e2[0] == "seg":
-            a = e1[1] if e1[2] == v else e1[2]
-            b = e2[1] if e2[2] == v else e2[2]
-            return ("seg", a, b, w)
-        if e1[0] == "seg" and e2[0] == "ray":
-            a = e1[1] if e1[2] == v else e1[2]
-            return ("ray", a, e2[2], w)
-        if e1[0] == "ray" and e2[0] == "seg":
-            b = e2[1] if e2[2] == v else e2[2]
-            return ("ray", b, e1[2], w)
-        # ray + ray in opposite directions: a full line, re-anchored later.
-        return ("line", v, e1[2], w)
+def _straight(k: PolyComplex1D, P: Sequence[IVec]) -> dict[int, IVec]:
+    """The straight vertices of k: two edges of one weight w leave each in
+    opposite directions.  Maps each one's index to w times the primitive
+    direction of its first edge; P holds the vertices on the scale of
+    ``_on_integers``.
+
+    Merging the two edges at a straight vertex leaves every other vertex's
+    directions and weights as they were, so straightness is decided once.
+    """
+    ends: dict[int, list[tuple[IVec, int]]] = {}
+    for i, j, w in k.segments:
+        ends.setdefault(i, []).append((vsub(P[j], P[i]), w))
+        ends.setdefault(j, []).append((vsub(P[i], P[j]), w))
+    for i, d, w in k.rays:
+        ends.setdefault(i, []).append((d, w))
+    out = {}
+    for i, two in ends.items():
+        if len(two) == 2:
+            (d1, w1), (d2, w2) = two
+            if w1 == w2 and parallel(d1, d2) and dot(d1, d2) < 0:
+                out[i] = primitive(d1, w1)
+    return out
 
 
 def _box(kind: str, p: Sequence, q: Sequence) -> tuple:
@@ -351,7 +354,7 @@ def check_balanced(complex_: PolyComplex1D) -> BalanceReport:
     _, (P,) = _on_integers(complex_.vertices)
     sums = [[0] * complex_.dim for _ in P]
     for i, j, w in complex_.segments:
-        d = _primitive(vsub(P[j], P[i]), w)
+        d = primitive(vsub(P[j], P[i]), w)
         for k in range(complex_.dim):
             sums[i][k] += d[k]
             sums[j][k] -= d[k]
@@ -382,8 +385,8 @@ def intersect(k1: PolyComplex1D, k2: PolyComplex1D) -> tuple[IntersectionPoint, 
     a = k1.canonical()
     b = k2.canonical()
     L, (A, B) = _on_integers(a.vertices, b.vertices)
-    a_through = _through_vertices(a, A)
-    b_through = _through_vertices(b, B)
+    a_through = {A[i]: d for i, d in _straight(a, A).items()}
+    b_through = {B[i]: d for i, d in _straight(b, B).items()}
     b_edges = _plane_edges(b, B, L)
     found: dict[tuple, int] = {}  # (num, den) in lowest terms -> multiplicity
     for ea, sa, box in _plane_edges(a, A, L):
@@ -416,7 +419,7 @@ def intersect(k1: PolyComplex1D, k2: PolyComplex1D) -> tuple[IntersectionPoint, 
                 db = b_through[key[0]]
             # da and db are independent: a collinear touch at ends is a line
             # anchor of both canonical forms, whose rays sort alike, so their
-            # overlap was raised first.  A point on two edges is a through
+            # overlap was raised first.  A point on two edges is a straight
             # vertex, met with one direction, so its multiplicity is unique.
             found[key] = abs(da[0] * db[1] - da[1] * db[0])
     common = lcm(*(den for _, den in found))
@@ -427,35 +430,5 @@ def intersect(k1: PolyComplex1D, k2: PolyComplex1D) -> tuple[IntersectionPoint, 
 def _plane_edges(k: PolyComplex1D, P: Sequence[IVec], L: int) -> list[tuple]:
     """(edge, weight times primitive direction, box) per edge of ``_int_edges(k, P, L)``."""
     weights = [w for *_, w in k.segments] + [w for *_, w in k.rays]
-    return [(e, _primitive(vsub(e[2], e[1]) if e[0] == "seg" else e[2], w), _box(*e))
+    return [(e, primitive(vsub(e[2], e[1]) if e[0] == "seg" else e[2], w), _box(*e))
             for e, w in zip(_int_edges(k, P, L), weights)]
-
-
-def _through_vertices(k: PolyComplex1D, P: Sequence[IVec]) -> dict[IVec, IVec]:
-    """Vertices that are straight 2-valent points: equal weights, opposite
-    collinear directions.  Such points are interior points of the support
-    (line anchors, for instance), so meetings there stay transversal.
-
-    Keys and directions are integer vectors, the vertices being P."""
-    incident: dict[int, list[tuple[IVec, int]]] = {}
-    for i, j, w in k.segments:
-        incident.setdefault(i, []).append((vsub(P[j], P[i]), w))
-        incident.setdefault(j, []).append((vsub(P[i], P[j]), w))
-    for i, d, w in k.rays:
-        incident.setdefault(i, []).append((d, w))
-    out: dict[IVec, IVec] = {}
-    for i, ends in incident.items():
-        if len(ends) != 2:
-            continue
-        (d1, w1), (d2, w2) = ends
-        if w1 != w2:
-            continue
-        if parallel(d1, d2) and dot(d1, d2) < 0:
-            out[P[i]] = _primitive(d1, w1)
-    return out
-
-
-def _primitive(d: IVec, w: int = 1) -> IVec:
-    """w times the primitive integer vector along the nonzero integer vector d."""
-    g = ivec_gcd(d)
-    return tuple(w * x // g for x in d)

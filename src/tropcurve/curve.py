@@ -20,8 +20,6 @@ from .semifield import integer, rat
 
 INF = math.inf
 
-Length = "Fraction | float"
-
 
 def parse_length(x) -> "Fraction | float":
     """A positive rational, or ``INF`` spelled as an infinite float or exactly ``"inf"``.

@@ -1,8 +1,9 @@
 """Exact geometry helpers for one-dimensional complexes in Q^n.
 
-The predicates ``parallel``, ``on_edge`` and ``edge_intersection`` take
-integer coordinates: ``complexes`` multiplies rational points by one positive
-lcm of their denominators, which keeps order, equality and collinearity.
+The predicates ``parallel``, ``on_edge`` and ``edge_intersection``, and
+``primitive``, take integer coordinates: ``complexes`` multiplies rational
+points by one positive lcm of their denominators, which keeps order, equality
+and collinearity.
 """
 
 from __future__ import annotations
@@ -10,8 +11,6 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd
 from typing import Sequence
-
-from .errors import TropError
 
 Vec = tuple[Fraction, ...]
 IVec = tuple[int, ...]
@@ -49,20 +48,10 @@ def parallel(a: Sequence, b: Sequence) -> bool:
     return _minor(a, b) is None
 
 
-def primitive_of(d: Sequence) -> tuple[IVec, Fraction]:
-    """Write a nonzero rational vector as (lattice length) * (primitive integer vector)."""
-    fr = [Fraction(x) for x in d]
-    if all(x == 0 for x in fr):
-        raise TropError("zero vector has no direction")
-    denom = 1
-    for x in fr:
-        denom = denom * x.denominator // gcd(denom, x.denominator)
-    ints = [int(x * denom) for x in fr]
-    g = 0
-    for v in ints:
-        g = gcd(g, abs(v))
-    prim = tuple(v // g for v in ints)
-    return prim, Fraction(g, denom)
+def primitive(d: Sequence[int], w: int = 1) -> IVec:
+    """w times the primitive integer vector along the nonzero integer vector d."""
+    g = ivec_gcd(d)
+    return tuple(w * x // g for x in d)
 
 
 def ivec_gcd(d: Sequence[int]) -> int:

@@ -932,7 +932,7 @@ def extend(f_prime: PLFunction, g: Subgraph, s: int) -> PLFunction:
             sigma = class_slopes.get(c.ray_classes[eid])
             tail_in_g = any(hi is INF for _, hi in ivs)
             if sigma and not tail_in_g:
-                start = prof.breaks[-1][0] + 1
+                start = Fraction(pts[-1][0] + d, d)  # past the last corner, kept or not
                 prof = Profile(prof.breaks + ((start, prof.breaks[-1][1]),), sigma)
         profiles[eid] = prof
     isolated = {vid: heights.get(vid, Fraction(0)) for vid in _isolated_vertices(c)}

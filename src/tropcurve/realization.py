@@ -16,10 +16,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .complexes import BalanceReport, PolyComplex1D, check_balanced
+from .complexes import BalanceReport, PolyComplex1D, _on_integers, check_balanced
 from .curve import INF, Curve, PointRef
 from .errors import InternalError, TropError
-from .geometry import ivec_gcd, parallel, primitive_of, vsub
+from .geometry import ivec_gcd, parallel, primitive, vsub
 from .hypersurface import plane_hypersurface
 from .plfunction import PLFunction, _isolated_vertices, _sample, principal_divisor
 from .semifield import TropPoly
@@ -123,8 +123,7 @@ def realize(c: Curve, fs: Sequence[PLFunction]) -> RealizationMap:
             tails = tuple(p.tail for p in profs)
             pieces.append(Piece(eid, offs[-1], INF, tails, values[-1]))
             if any(t != 0 for t in tails):
-                prim, _ = primitive_of(tails)
-                key = (ids[-1], prim)
+                key = (ids[-1], primitive(tails))
                 g = ivec_gcd(tails)
                 if key in ray_weights:
                     merged_edges = True
@@ -172,7 +171,7 @@ def check_realization(r: RealizationMap) -> RealizationReport:
     class_dirs: dict[str, set] = {}
     for eid, label in c.ray_classes.items():
         tails = tuple(f.profiles[eid].tail for f in r.functions)
-        d = primitive_of(tails)[0] if any(t != 0 for t in tails) else None
+        d = primitive(tails) if any(t != 0 for t in tails) else None
         class_dirs.setdefault(label, set()).add(d)
     parallel_respected = all(len(dirs) == 1 for dirs in class_dirs.values())
     labels = sorted(class_dirs)
@@ -245,10 +244,9 @@ def curve_from_complex(K: PolyComplex1D) -> tuple[Curve, tuple[PLFunction, ...],
     vertices = [f"v{i}" for i in range(len(K.vertices))]
     edges = []
     ray_classes = {}
+    L, (P,) = _on_integers(K.vertices)
     for k, (i, j, w) in enumerate(K.segments):
-        d = vsub(K.vertices[j], K.vertices[i])
-        _, lat = primitive_of(d)
-        edges.append((f"s{k}", f"v{i}", f"v{j}", lat / w))
+        edges.append((f"s{k}", f"v{i}", f"v{j}", Fraction(ivec_gcd(vsub(P[j], P[i])), L * w)))
     for k, (i, d, w) in enumerate(K.rays):
         rid = f"r{k}"
         edges.append((rid, f"v{i}", None, INF))
@@ -328,8 +326,9 @@ def _region_terms(K: PolyComplex1D) -> dict[tuple[int, int], Fraction]:
     every region; balancing closes the turn around each vertex.
     """
     rings: list[list[tuple[tuple[int, int], int, int | None]]] = [[] for _ in K.vertices]
+    _, (P,) = _on_integers(K.vertices)
     for i, j, w in K.segments:
-        d, _ = primitive_of(vsub(K.vertices[j], K.vertices[i]))
+        d = primitive(vsub(P[j], P[i]))
         rings[i].append((d, w, j))
         rings[j].append(((-d[0], -d[1]), w, i))
     for i, d, w in K.rays:

@@ -59,7 +59,7 @@ def integer(x, what: str) -> int:
 # term: ``type(x) in _EXACT`` admits the values ``rat`` returns or passes
 # through, and ``_INT.issuperset(map(type, xs))`` holds when every x is an
 # ``int`` (the type of ``True`` is ``bool``).
-_EXACT = (Fraction, int)
+_EXACT = frozenset((Fraction, int))
 _INT = frozenset((int,))
 
 

@@ -22,7 +22,7 @@ from tropcurve.cli import main
 from tropcurve.complexes import PolyComplex1D
 from tropcurve.curve import Curve
 from tropcurve.errors import NonTransversalError, TropError
-from tropcurve.geometry import dot, edge_intersection, on_edge, primitive_of, vadd, vscale, vsub
+from tropcurve.geometry import dot, edge_intersection, on_edge, vadd, vscale, vsub
 from tropcurve.hypersurface import plane_hypersurface
 from tropcurve.plfunction import PLFunction
 from tropcurve.randgen import complex_library, random_plane_poly, random_rational
@@ -170,12 +170,94 @@ def ref_through_vertices(k: PolyComplex1D) -> dict:
             continue
         (d1, w1), (d2, w2) = ends
         if w1 == w2 and ref_parallel(d1, d2) and dot(d1, d2) < 0:
-            out[k.vertices[i]] = tuple(w1 * x for x in primitive_of(d1)[0])
+            out[k.vertices[i]] = tuple(w1 * x for x in ref_primitive(d1))
     return out
 
 
+def ref_primitive(d) -> tuple[int, ...]:
+    """The primitive integer vector along a nonzero rational vector."""
+    fr = [Fraction(x) for x in d]
+    denom = 1
+    for x in fr:
+        denom = denom * x.denominator // gcd(denom, x.denominator)
+    ints = [int(x * denom) for x in fr]
+    g = 0
+    for v in ints:
+        g = gcd(g, abs(v))
+    return tuple(v // g for v in ints)
+
+
 def ref_slope_vector(kind, p, q, w):
-    return tuple(w * x for x in primitive_of(vsub(q, p) if kind == "seg" else q)[0])
+    return tuple(w * x for x in ref_primitive(vsub(q, p) if kind == "seg" else q))
+
+
+def ref_canonical(k: PolyComplex1D) -> PolyComplex1D:
+    """The fixpoint loop ``canonical`` ran before its chain walk, in Fractions:
+    merge the two edges at one straight 2-valent vertex, rebuild the
+    incidence map, and repeat until no vertex merges; then re-anchor lines."""
+    V = [tuple(Fraction(x) for x in v) for v in k.vertices]
+    used = {x for i, j, _ in k.segments for x in (i, j)} | {i for i, _, _ in k.rays}
+    isolated = [V[i] for i in range(len(V)) if i not in used]
+    # ("seg", p, q, w) / ("ray", base, d, w) / ("line", base, d, w)
+    edges = ([("seg", V[i], V[j], w) for i, j, w in k.segments]
+             + [("ray", V[i], d, w) for i, d, w in k.rays])
+    changed = True
+    while changed:
+        changed = False
+        incident = {}
+        for idx, e in enumerate(edges):
+            if e[0] == "seg":
+                incident.setdefault(e[1], []).append(idx)
+                incident.setdefault(e[2], []).append(idx)
+            elif e[0] == "ray":
+                incident.setdefault(e[1], []).append(idx)
+        for v, idxs in incident.items():
+            if len(idxs) != 2:
+                continue
+            e1, e2 = edges[idxs[0]], edges[idxs[1]]
+            if e1[3] != e2[3]:
+                continue
+            d1, d2 = ref_dir_away(e1, v), ref_dir_away(e2, v)
+            if not (ref_parallel(d1, d2) and dot(d1, d2) < 0):
+                continue
+            for idx in sorted(idxs, reverse=True):
+                edges.pop(idx)
+            edges.append(ref_merge_at(e1, e2, v))
+            changed = True
+            break
+    segs, rays = [], []
+    for kind, p, q, w in edges:
+        if kind == "seg":
+            segs.append((min(p, q), max(p, q), w))
+        elif kind == "ray":
+            rays.append((p, q, w))
+        else:  # the line through p along q, anchored where its first moving coordinate is 0
+            t = next(x / y for x, y in zip(p, q) if y != 0)
+            anchor = tuple(x - y * t for x, y in zip(p, q))
+            rays += [(anchor, q, w), (anchor, tuple(-y for y in q), w)]
+    points = sorted({p for a, b, _ in segs for p in (a, b)} | {p for p, _, _ in rays}
+                    | set(isolated))
+    remap = {p: i for i, p in enumerate(points)}
+    return PolyComplex1D(k.dim, tuple(points),
+                         tuple(sorted((remap[a], remap[b], w) for a, b, w in segs)),
+                         tuple(sorted((remap[p], d, w) for p, d, w in rays)))
+
+
+def ref_dir_away(edge, v):
+    if edge[0] == "seg":
+        return vsub(edge[2], edge[1]) if edge[1] == v else vsub(edge[1], edge[2])
+    return edge[2]
+
+
+def ref_merge_at(e1, e2, v):
+    """One edge for two collinear equal-weight edges meeting at v."""
+    far = [e[1] if e[2] == v else e[2] for e in (e1, e2) if e[0] == "seg"]
+    directions = [e[2] for e in (e1, e2) if e[0] == "ray"]
+    if len(far) == 2:
+        return ("seg", *far, e1[3])
+    if far:
+        return ("ray", far[0], directions[0], e1[3])
+    return ("line", v, directions[0], e1[3])
 
 
 def _fmt(p) -> str:
@@ -345,6 +427,33 @@ def test_validation_makes_one_fraction_call_per_coordinate():
     image = embedded_image(200)
     calls = fraction_calls(PolyComplex1D, image.dim, image.vertices, image.segments, image.rays)
     assert calls <= len(image.vertices) * image.dim, calls
+
+
+SEGMENT = ((0, 0), (1, 0))
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: PolyComplex1D(2, ((Fraction(1, 2), 0.5),), (), ()), "got float: 0.5"),
+    (lambda: PolyComplex1D(2, ((0, True),), (), ()), "got bool: True"),
+    (lambda: PolyComplex1D(2, SEGMENT, ((0, 1, 1.0),), ()), "segment fields must be integers"),
+    (lambda: PolyComplex1D(2, SEGMENT, ((0, 1, True),), ()), "segment fields must be integers"),
+    (lambda: PolyComplex1D(2, SEGMENT, ((0.0, 1, 1),), ()), "segment fields must be integers"),
+    (lambda: PolyComplex1D(2, SEGMENT, (), ((0, (1, 0), 2.0),)), "ray fields must be integers"),
+    (lambda: PolyComplex1D(2, SEGMENT, (), ((0, (1, 0), True),)), "ray fields must be integers"),
+    (lambda: PolyComplex1D(2, SEGMENT, (), ((0, (True, 0), 1),)), "ray fields must be integers"),
+    (lambda: PolyComplex1D(0, (), (), ()), "dimension must be a positive integer"),
+    (lambda: PolyComplex1D(True, ((0,),), (), ()), "dimension must be a positive integer"),
+    (lambda: PolyComplex1D.of(0, []), "dimension must be a positive integer"),
+], ids=["float-coordinate", "bool-coordinate", "float-weight", "bool-weight", "float-index",
+        "float-ray-weight", "bool-ray-weight", "bool-direction", "dim-0", "bool-dim", "of-dim-0"])
+def test_raw_fields_must_be_exact(make, message):
+    with pytest.raises(TropError, match=message):
+        make()
+
+
+def test_raw_fields_take_exact_ints():
+    K = PolyComplex1D(2, ((0, 0), (Fraction(1, 2), 1)), ((0, 1, 2),), ((0, (-1, 0), 1),))
+    assert K == PolyComplex1D.of(2, [(0, 0), ("1/2", 1)], [(0, 1, 2)], [(0, (-1, 0), 1)])
 
 
 # -- the integer predicates against the rational ones ---------------------------------
@@ -545,3 +654,65 @@ def test_canonical_merges_segments_into_a_ray(vertices, segments, ray):
     K = PolyComplex1D.of(2, vertices, segments, [ray, *TRIPOD_RAYS])
     assert K.canonical() == PolyComplex1D.of(
         2, [(0, 0)], [], [(0, (-1, -1), 1), (0, (0, 1), 1), (0, (1, 0), 1)])
+
+
+def subdivided(rng: random.Random, K: PolyComplex1D) -> PolyComplex1D:
+    """K's support with rays split at a point, segments split at their
+    midpoints, unused vertices off the support, reversed segments and
+    shuffled indices."""
+    vertices, segments, rays = list(K.vertices), list(K.segments), []
+    for i, d, w in K.rays:
+        while rng.random() < 0.4:
+            t = random_rational(rng, 1, 4, 3)
+            vertices.append(tuple(x + t * y for x, y in zip(vertices[i], d)))
+            segments.append((i, len(vertices) - 1, w))
+            i = len(vertices) - 1
+        rays.append((i, d, w))
+    for _ in range(rng.randint(0, 4) if segments else 0):
+        k = rng.randrange(len(segments))
+        i, j, w = segments[k]
+        vertices.append(tuple((x + y) / 2 for x, y in zip(vertices[i], vertices[j])))
+        segments[k:k + 1] = [(i, len(vertices) - 1, w), (len(vertices) - 1, j, w)]
+    for _ in range(rng.randint(0, 2)):
+        p = tuple(random_rational(rng) for _ in range(K.dim))
+        if not K.contains(p) and p not in vertices:
+            vertices.append(p)
+    order = rng.sample(range(len(vertices)), len(vertices))
+    new = {old: k for k, old in enumerate(order)}
+    segments = [(new[j], new[i], w) if rng.random() < 0.5 else (new[i], new[j], w)
+                for i, j, w in segments]
+    rays = [(new[i], d, w) for i, d, w in rays]
+    rng.shuffle(segments)
+    rng.shuffle(rays)
+    return PolyComplex1D(K.dim, tuple(vertices[k] for k in order), tuple(segments), tuple(rays))
+
+
+def has_line(K: PolyComplex1D) -> bool:
+    return any((i, tuple(-x for x in d), w) in K.rays for i, d, w in K.rays)
+
+
+def test_canonical_matches_the_fixpoint_loop():
+    """Subdivided hypersurfaces, some translated to add denominators, and
+    small grid complexes in dimensions 2 and 3: the chain walk gives every
+    field the fixpoint loop gives."""
+    rng = rng_for("canonical-walk")
+    draws = lines = 0
+    while draws < 2000:
+        if draws % 4 == 3:
+            fields = random_fields(rng, 2 + draws % 8 // 4)
+            if all_pairs_verdict(*fields) is not None:
+                continue
+            K = PolyComplex1D(*fields)
+        else:
+            try:
+                K = plane_hypersurface(random_plane_poly(rng))
+            except TropError:
+                continue  # a monomial has no hypersurface
+            if rng.random() < 0.5:
+                K = K.translate(tuple(random_rational(rng) for _ in range(2)))
+        K = subdivided(rng, K)
+        want = ref_canonical(K)
+        assert K.canonical() == want, K
+        draws += 1
+        lines += has_line(want)
+    assert lines >= 300, lines

@@ -53,3 +53,23 @@ def test_plfunction_tells_infinity_by_identity():
                 and any(_is_inf(x) for x in (node.left, *node.comparators)):
             found.append(ast.unparse(node))
     assert found == ["l == INF"]
+
+
+def test_every_imported_name_is_used():
+    # A name a module imports and never reads is left over from deleted code.
+    # __init__.py imports to re-export, so it is not checked.
+    unused = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(), str(path))
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    name = alias.asname or alias.name.split(".")[0]
+                    if name not in read:
+                        unused.append(f"{path.name}: {name}")
+    assert unused == []

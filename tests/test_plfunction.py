@@ -282,6 +282,20 @@ class TestRestrictExtend:
         assert ext.slope_at_infinity("r2") == 3
         assert ext.respects_ray_classes()[0]
 
+    def test_parallel_ray_tail_starts_past_the_subgraph(self):
+        # The tail slope of a[1,inf] is carried to b, whose piece [0, 2] in g
+        # is flat: the tail may start only past b@2.
+        c = Curve.build(vertices=["O"], edges=[("a", "O", None, INF), ("b", "O", None, INF)],
+                        ray_classes={"a": "k", "b": "k"})
+        g = make_subgraph(c, intervals=[("a", 1, INF), ("b", 0, 2)])
+        sub, _ = g.as_curve()
+        fp = PLFunction.from_edge_data(sub, {"a[1,inf]": ([(0, 0)], -1),
+                                             "b[0,2]": ([(0, 0), (2, 0)], None)})
+        ext = extend(fp, g, -1)
+        assert ext.value_at(c.pt_on_edge("b", 2)) == 0
+        assert ext.slope_at_infinity("b") == -1
+        assert restrict_whole(ext, g)[0] == fp
+
     def test_too_shallow_slope(self):
         seg = Curve.segment(2)
         g = make_subgraph(seg, intervals=[("e", Fraction(1, 2), 1)])

@@ -331,7 +331,7 @@ def ref_extend(f_prime: PLFunction, g: Subgraph, s: int) -> PLFunction:
         if e.is_infinite and prof.tail == 0:
             sigma = class_slopes.get(c.ray_classes[eid])
             if sigma and not any(hi == INF for _, hi in ivs):
-                start = prof.breaks[-1][0] + 1
+                start = max(o for o, _ in breaks) + 1
                 prof = Profile(prof.breaks + ((start, prof.breaks[-1][1]),), sigma)
         profiles[eid] = prof
     isolated = {vid: height(PointRef("vertex", vertex=vid)) for vid in _isolated_vertices(c)}
@@ -651,8 +651,9 @@ def test_chip_fire_matches_the_fold():
 
 def test_extend_matches_the_gap_descent():
     """Restrictions of random functions and random functions on the
-    subgraph curve, extended at slopes -1 ... -1024: equal results, and the
-    same error text where a slope is too shallow or a ray class is broken."""
+    subgraph curve, extended at slopes -1 ... -1024: equal results, each
+    restricting back to the input, and the same error text where a slope is
+    too shallow or a ray class is broken."""
     rng = rng_for("profile-extend")
     outcomes: dict[str, int] = {}
     shallow = draws = 0
@@ -670,6 +671,7 @@ def test_extend_matches_the_gap_descent():
             assert got == want, (c, g, f_prime.profiles, s)
             if got[0] == "ok":
                 assert got[1].isolated == want[1].isolated
+                assert restrict_whole(got[1], g)[0] == f_prime, (c, g, f_prime.profiles, s)
             outcomes[got[0]] = outcomes.get(got[0], 0) + 1
             shallow += got[0] == "error" and "too shallow" in got[1]
     assert outcomes["ok"] >= 1000 and shallow >= 300, (outcomes, shallow)
