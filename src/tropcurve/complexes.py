@@ -206,8 +206,11 @@ class PolyComplex1D:
         the same weighted support have equal canonical forms, which makes
         support equality a structural comparison.  The work runs on the
         vertices times the scale of ``_on_integers``; a vertex that survives
-        keeps its original coordinates.
+        keeps its original coordinates.  It is built once and kept outside the
+        fields, like ``Subgraph.as_curve``'s cut; a canonical form is its own.
         """
+        if "_canonical" in self.__dict__:
+            return self.__dict__["_canonical"]
         L, (P,) = _on_integers(self.vertices)
         straight = _straight(self, P)
         # Edges as (end, far end or None for a ray, weight); rays after segments.
@@ -262,7 +265,9 @@ class PolyComplex1D:
         ray_idx = sorted((remap[base], d, w) for base, d, w in rays)
         original = dict(zip(P, self.vertices))
         vertices = tuple(original[p] if p in original else _unscaled(p, L) for p in points)
-        return PolyComplex1D._trusted(self.dim, vertices, tuple(seg_idx), tuple(ray_idx))
+        made = PolyComplex1D._trusted(self.dim, vertices, tuple(seg_idx), tuple(ray_idx))
+        made.__dict__["_canonical"] = self.__dict__["_canonical"] = made
+        return made
 
 
 def _straight(k: PolyComplex1D, P: Sequence[IVec]) -> dict[int, IVec]:

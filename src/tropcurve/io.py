@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 
 from .complexes import PolyComplex1D
 from .curve import INF, Curve, PointRef
@@ -25,6 +26,23 @@ def _load_json(text: str):
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise FileFormatError(exc.msg, line=exc.lineno, column=exc.colno) from exc
+
+
+_SCALARS = {str: encode_basestring_ascii, int: int.__repr__,  # json's text for each exact type
+            bool: {True: "true", False: "false"}.get, type(None): {None: "null"}.get}
+
+
+def _dumps(x, pad: str = "\n") -> str:
+    """``json.dumps(x, indent=2)`` byte for byte, in one call per container; ``indent``
+    would pick the pure-Python encoder, which enters a frame per value."""
+    if not isinstance(x, (dict, list, tuple)) or not x:
+        return json.dumps(x)
+    inner, is_dict = pad + "  ", isinstance(x, dict)
+    keys = [(encode_basestring_ascii(k) if type(k) is str else json.dumps({k: 0})[1:-4]) + ": "
+            for k in x] if is_dict else [""] * len(x)
+    body = [k + (_SCALARS[type(v)](v) if type(v) in _SCALARS else _dumps(v, inner))
+            for k, v in zip(keys, x.values() if is_dict else x)]
+    return "[{"[is_dict] + inner + ("," + inner).join(body) + pad + "]}"[is_dict]
 
 
 def _require(cond: bool, message: str):
@@ -70,7 +88,7 @@ def _integer(x, what: str) -> int:
 
 
 def curve_to_json(c: Curve) -> str:
-    return json.dumps(c.description(), indent=2) + "\n"
+    return _dumps(c.description()) + "\n"
 
 
 def curve_from_json(text: str) -> Curve:
@@ -169,7 +187,7 @@ def function_to_json(f: PLFunction) -> str:
     iso = {vid: str(v) for vid, v in sorted(f.isolated.items())}
     if iso:
         data["values_at_vertices"] = iso
-    return json.dumps(data, indent=2) + "\n"
+    return _dumps(data) + "\n"
 
 
 def function_from_json(c: Curve, text: str) -> PLFunction:
@@ -201,7 +219,7 @@ def function_from_json(c: Curve, text: str) -> PLFunction:
 
 
 def divisor_to_json(d: Divisor) -> str:
-    return json.dumps([[point_to_json(p), k] for p, k in d.items()], indent=2) + "\n"
+    return _dumps([[point_to_json(p), k] for p, k in d.items()]) + "\n"
 
 
 def divisor_from_json(c: Curve, text: str) -> Divisor:
@@ -229,7 +247,7 @@ def complex_to_json(k: PolyComplex1D) -> str:
         "segments": [[i, j, w] for i, j, w in k.segments],
         "rays": [[i, list(d), w] for i, d, w in k.rays],
     }
-    return json.dumps(data, indent=2) + "\n"
+    return _dumps(data) + "\n"
 
 
 def complex_from_json(text: str) -> PolyComplex1D:
@@ -286,7 +304,7 @@ def morphism_to_json(m: Morphism) -> str:
         "edge_map": {eid: {kind: name} for eid, (kind, name) in sorted(m.edge_map.items())},
         "degrees": dict(sorted(m.degrees.items())),
     }
-    return json.dumps(data, indent=2) + "\n"
+    return _dumps(data) + "\n"
 
 
 def embedding_from_json(shape: Curve, target: Curve, text: str) -> Embedding:

@@ -1,24 +1,13 @@
 """Piecewise-linear rational functions on curves, divisors, and chip firing.
 
-Profiles are stored per edge, in the edge's own coordinates from its u
-end, as exact rational breakpoints (``Fraction``s) with integer slopes; all
-operations refine breakpoints exactly, so function equality is structural
-equality of normalized profiles.
-
-The per-edge kernels (max, min, +, normalization, slopes, sampling and
-slicing) decide on one exact integer scale: D, the lcm of the denominators of
-every offset and value of the profile, or of both profiles in a binary
-operation.  Slopes are integers, so every value at a grid offset is an
-integer on that scale; a max/min crossing costs one ``Fraction`` for its
-offset and one for its value.  Only the breakpoints a kernel keeps become
-``Fraction``s.  The worst case is
-pairwise-coprime denominators, which make D their product; the integers
-grow with it, but stay exact.
-
-Chip firing and extension build each edge in one pass on such a scale:
-2D for chip firing, where the tent peaks between sources are integers, and
-D times the slope for extension, where the gap corners are.  Both share
-``_kept``, the collinear-drop loop of ``_normalize``.
+Each edge carries a ``Profile`` in the edge's own coordinates from its u
+end, stored on its own integer grid: the least common denominator D of its
+offsets and values, the pairs times D, and integer slopes.  Every kernel
+reads and writes grids (a binary one on the lcm of the two scales, refined
+by the slope difference at a max/min crossing) and reduces its result to
+the least D, so function equality compares integers and the integers do
+not grow from one operation to the next.  ``Fraction``s are built only when
+``Profile.breaks``, a value or a divisor's offset is read.
 """
 
 from __future__ import annotations
@@ -26,8 +15,8 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import islice
-from math import lcm
+from itertools import chain
+from math import gcd, lcm
 from operator import itemgetter
 from typing import Iterable, Mapping, Sequence
 
@@ -37,65 +26,123 @@ from .semifield import TropValue, integer, rat
 from .subgraph import Subgraph, SubChart
 
 
-@dataclass(frozen=True)
 class Profile:
     """Breakpoints of one edge: ((offset, value), ...) plus a tail slope on rays.
 
     Offsets strictly increase from 0; finite edges end at the edge length
     and have ``tail is None``; rays carry the integer slope past the last
-    breakpoint.
+    breakpoint.  ``grid`` (the least D and the pairs times D) and ``slopes``
+    (right slopes, None at a finite end) are worked out on first use.
     """
 
-    breaks: tuple[tuple[Fraction, Fraction], ...]
-    tail: int | None = None
+    __slots__ = ("_breaks", "grid", "slopes", "tail")
+
+    def __init__(self, breaks: tuple, tail: int | None = None):
+        self._breaks, self.tail = breaks, tail
+
+    def __getattr__(self, name):  # only the unset lazy slots come here
+        if name not in ("grid", "slopes"):
+            raise AttributeError(name)
+        setattr(self, name, _on_scale(self._breaks) if name == "grid"
+                else _grid_slopes(self.grid[1]) + [self.tail])
+        return object.__getattribute__(self, name)
+
+    @property
+    def breaks(self) -> tuple[tuple[Fraction, Fraction], ...]:
+        """The breakpoints as given, or as ``Fraction``s built from the grid on first read."""
+        if self._breaks is None:
+            d, g = self.grid
+            self._breaks = tuple([(Fraction(o, d), Fraction(v, d)) for o, v in g])
+        return self._breaks
+
+    def __eq__(self, other):
+        return isinstance(other, Profile) and self.grid == other.grid and self.tail == other.tail
+
+    def __hash__(self):
+        return hash((self.grid, self.tail))
+
+    def __repr__(self):
+        return f"Profile({self.breaks!r}, {self.tail!r})"
 
     def value(self, t: Fraction) -> Fraction:
-        bs = self.breaks
-        if t > bs[-1][0]:
+        d, g = self.grid
+        x, m = _place(d, t)
+        o1, v1 = g[-1]
+        if x > o1 * m:
             if self.tail is None:
                 raise TropError(f"offset {t} beyond arc end")
-            d, ((o0, v0), (x, _)) = _on_scale((bs[-1], (t, 0)))
-            return Fraction(v0 + self.tail * (x - o0), d)
-        k = bisect_right(bs, t, key=itemgetter(0)) - 1
+            return Fraction(v1 * m + self.tail * (x - o1 * m), d * m)
+        k = bisect_right(g, x // m, key=itemgetter(0)) - 1
         if k < 0:
             raise TropError(f"offset {t} before arc start")
-        if bs[k][0] == t:
-            return bs[k][1]
-        d, ((o0, v0), (o1, v1), (x, _)) = _on_scale((bs[k], bs[k + 1], (t, 0)))
-        return Fraction(v0 * (o1 - o0) + (v1 - v0) * (x - o0), d * (o1 - o0))
+        o0, v0 = g[k]
+        if o0 * m == x:
+            return Fraction(v0, d)
+        o1, v1 = g[k + 1]
+        return Fraction(v0 * m * (o1 - o0) + (v1 - v0) * (x - o0 * m), d * m * (o1 - o0))
 
     def slope_right(self, t: Fraction) -> int:
-        bs = self.breaks
-        k = bisect_right(bs, t, key=itemgetter(0)) - 1
+        d, g = self.grid
+        x, m = _place(d, t)
+        k = bisect_right(g, x // m, key=itemgetter(0)) - 1
         if k < 0:
             raise TropError(f"offset {t} before arc start")
-        if k < len(bs) - 1:
-            return _slope(bs[k], bs[k + 1])
+        if k < len(g) - 1:
+            return _grid_slopes(g[k:k + 2])[0]
         if self.tail is None:
             raise TropError(f"no piece right of {t}")
         return self.tail
 
     def slope_left(self, t: Fraction) -> int:
-        bs = self.breaks
-        if self.tail is not None and t > bs[-1][0]:
+        d, g = self.grid
+        x, m = _place(d, t)
+        if self.tail is not None and x > g[-1][0] * m:
             return self.tail
-        k = bisect_left(bs, t, key=itemgetter(0))
-        if 0 < k < len(bs):
-            return _slope(bs[k - 1], bs[k])
+        k = bisect_left(g, -(-x // m), key=itemgetter(0))
+        if 0 < k < len(g):
+            return _grid_slopes(g[k - 1:k + 1])[0]
         raise TropError(f"no piece left of {t}")
 
 
-def _on_scale(breaks: Sequence[tuple]) -> tuple[int, list[tuple[int, int]]]:
+def _gridded(d: int, g: Sequence[tuple[int, int]], tail: int | None,
+             breaks: tuple | None = None) -> Profile:
+    """The profile of the pairs g on scale d, reduced so that gcd(D, every number) = 1."""
+    r = gcd(d, *chain.from_iterable(g))
+    p = Profile.__new__(Profile)
+    p._breaks, p.tail = breaks, tail
+    p.grid = d // r, tuple([(o // r, v // r) for o, v in g] if r > 1 else g)
+    return p
+
+
+def _place(d: int, t) -> tuple[int, int]:
+    """(x, m) with t = x / (d·m), m the least such factor."""
+    n, q = t.as_integer_ratio()
+    return n * (d // gcd(d, q)), q // gcd(d, q)
+
+
+def _on_scale(breaks: Sequence[tuple]) -> tuple[int, tuple[tuple[int, int], ...]]:
     """(D, breakpoints times D), D the lcm of every offset's and value's denominator.
 
-    Each number is read once with ``as_integer_ratio``, which ``int`` has too.
-    Slopes are integers, so every value at a grid offset is on the grid.
+    The way in from given numbers: each is read once with
+    ``as_integer_ratio``, which ``int`` has too.
     """
     rs = [o.as_integer_ratio() + v.as_integer_ratio() for o, v in breaks]
     d = 1
     for _, od, _, vd in rs:
         d = lcm(d, od, vd)
-    return d, [(on * (d // od), vn * (d // vd)) for on, od, vn, vd in rs]
+    return d, tuple([(on * (d // od), vn * (d // vd)) for on, od, vn, vd in rs])
+
+
+def _times(g: Sequence[tuple[int, int]], m: int) -> Sequence[tuple[int, int]]:
+    return g if m == 1 else [(o * m, v * m) for o, v in g]
+
+
+def _with(p: Profile, xs: Sequence) -> tuple[int, Sequence[tuple[int, int]], list[int]]:
+    """(D, p's grid pairs times D, the rationals xs times D) on their common scale D."""
+    d, g = p.grid
+    rs = [x.as_integer_ratio() for x in xs]
+    e = lcm(d, *[q for _, q in rs])
+    return e, _times(g, e // d), [n * (e // q) for n, q in rs]
 
 
 def _grid_slopes(g: Sequence[tuple[int, int]]) -> list[int]:
@@ -109,18 +156,6 @@ def _grid_slopes(g: Sequence[tuple[int, int]]) -> list[int]:
     return out
 
 
-def _slope(b0, b1) -> int:
-    return _grid_slopes(_on_scale((b0, b1))[1])[0]
-
-
-def _slopes(p: Profile) -> list[int]:
-    """The slope of each piece left to right, then the tail slope on a ray."""
-    out = _grid_slopes(_on_scale(p.breaks)[1]) if len(p.breaks) > 1 else []
-    if p.tail is not None:
-        out.append(p.tail)
-    return out
-
-
 def _normalize(breaks: Sequence[tuple[Fraction, Fraction]], tail: int | None) -> Profile:
     """Sort, merge equal offsets and drop breakpoints where the slope does not change.
 
@@ -128,13 +163,11 @@ def _normalize(breaks: Sequence[tuple[Fraction, Fraction]], tail: int | None) ->
     breakpoint objects.
     """
     bs = tuple(breaks)
-    if len(bs) == 1 or (len(bs) == 2 and tail is None and bs[0][0] < bs[1][0]):
-        return Profile(bs, tail)
-    g = _on_scale(bs)[1]
-    if any(g[k][0] > g[k + 1][0] for k in range(len(g) - 1)):
-        order = sorted(range(len(g)), key=g.__getitem__)
-        g, bs = [g[k] for k in order], [bs[k] for k in order]
-    return Profile(tuple(bs[k] for k in _kept(g, tail)), tail)
+    d, g = _on_scale(bs)
+    order = sorted(range(len(g)), key=g.__getitem__)
+    g, bs = [g[k] for k in order], [bs[k] for k in order]
+    keep = _kept(g, tail)
+    return _gridded(d, [g[k] for k in keep], tail, tuple([bs[k] for k in keep]))
 
 
 def _kept(g: Sequence[tuple[int, int]], tail: int | None) -> list[int]:
@@ -185,27 +218,14 @@ def _sweep(g: list[tuple[int, int]], slopes: list, grid: list[int]) -> tuple[lis
     return vals, right
 
 
-def _at_offsets(p: Profile, offsets: Sequence) -> tuple[int, list, list[int], list, list]:
-    """(D, p's breakpoints times D, the offsets times D, the values and right slopes there).
-
-    The sorted offsets, inside p's range, ride along as breakpoints of value
-    0, so that they land on the profile's scale.  The right slope at the end
-    of a finite edge is None.
-    """
-    n = len(p.breaks)
-    d, g = _on_scale(p.breaks + tuple((t, 0) for t in offsets))
-    grid = [t for t, _ in g[n:]]
-    vals, right = _sweep(g[:n], _grid_slopes(g[:n]) + [p.tail], grid)
-    return d, g[:n], grid, vals, right
-
-
 def _sample(p: Profile, offsets: Sequence[Fraction]) -> tuple[list[Fraction], list]:
     """Values and right slopes of a profile at sorted offsets in its range, in one sweep.
 
-    At its own breakpoints the profile's value objects are returned, so equal
+    At its own breakpoints the objects of ``breaks`` are returned, so equal
     coordinates from one profile stay one object.
     """
-    d, g, grid, vals, right = _at_offsets(p, offsets)
+    d, g, grid = _with(p, offsets)
+    vals, right = _sweep(g, p.slopes, grid)
     own = {o: v for (o, _), (_, v) in zip(g, p.breaks)}
     return [own[t] if t in own else Fraction(v, d) for t, v in zip(grid, vals)], right
 
@@ -213,20 +233,21 @@ def _sample(p: Profile, offsets: Sequence[Fraction]) -> tuple[list[Fraction], li
 def _combine2(p: Profile, q: Profile, op: str) -> Profile:
     """Exact pointwise max/min/add of two profiles over one edge.
 
-    Both are swept on one integer grid (``_on_scale`` over the two); in each
-    cell the side on top is decided by (difference, slope difference), and a
-    crossing is inserted only where the two ends have strictly opposite
-    signs, or on a ray's tail.  Only points where the slope changes, and the
-    ends of a finite edge, become ``Fraction``s.
+    Both are swept on the lcm of their scales; in each cell the side on top
+    is decided by (difference, slope difference), and a crossing is
+    inserted only where the two ends have strictly opposite signs, or on a
+    ray's tail.  A crossing lies on the scale times the slope difference,
+    so the result's scale is refined by their lcm, then reduced.
     """
-    d, g = _on_scale(p.breaks + q.breaks)
-    gp, gq = g[:len(p.breaks)], g[len(p.breaks):]
-    grid = sorted({o for o, _ in g})
-    pv, ps = _sweep(gp, _grid_slopes(gp) + [p.tail], grid)
-    qv, qs = _sweep(gq, _grid_slopes(gq) + [q.tail], grid)
+    (dp, gp), (dq, gq) = p.grid, q.grid
+    d = lcm(dp, dq)
+    gp, gq = _times(gp, d // dp), _times(gq, d // dq)
+    grid = sorted({o for o, _ in gp} | {o for o, _ in gq})
+    pv, ps = _sweep(gp, p.slopes, grid)
+    qv, qs = _sweep(gq, q.slopes, grid)
     n = len(grid)
     sign = 1 if op == "max" else -1
-    out = []
+    out, cross = [], {}
     prev = None
     for i in range(n):
         a, b, sa, sb = pv[i], qv[i], ps[i], qs[i]
@@ -239,46 +260,41 @@ def _combine2(p: Profile, q: Profile, op: str) -> Profile:
             up = diff > 0 or (diff == 0 and (sa - sb) * sign >= 0)
             v, s = (a, sa) if up else (b, sb)
         if i == 0 or s != prev:
-            out.append((Fraction(grid[i], d), Fraction(v, d)))
+            out.append((grid[i], v))
         prev = s
         if op == "add" or sa is None:
             continue
         # The far end's sign: the next difference, or on a tail the slope difference.
         far = (pv[i + 1] - qv[i + 1] if i + 1 < n else sa - sb) * sign
         if diff > 0 > far or diff < 0 < far:
-            k = sb - sa
-            out.append((Fraction(grid[i] * k + a - b, d * k),
-                        Fraction(a * k + sa * (a - b), d * k)))
+            cross[len(out)] = k = sb - sa
+            out.append((grid[i] * k + a - b, a * k + sa * (a - b)))
             prev = sb if up else sa
-    return Profile(tuple(out), prev)
+    if cross:
+        m = lcm(*cross.values())
+        d, out = d * m, [(o * (m // cross.get(i, 1)), v * (m // cross.get(i, 1)))
+                         for i, (o, v) in enumerate(out)]
+    return _gridded(d, out, prev)
 
 
-def _shift(p: Profile, delta: Fraction) -> Profile:
-    return Profile(tuple((o, v + delta) for o, v in p.breaks), p.tail)
-
-
-def _negate(p: Profile) -> Profile:
-    return Profile(tuple((o, -v) for o, v in p.breaks), None if p.tail is None else -p.tail)
-
-
-def _scale_values(p: Profile, k: int) -> Profile:
-    return _normalize([(o, v * k) for o, v in p.breaks], None if p.tail is None else p.tail * k)
+def _affine(p: Profile, k: int, delta: Fraction | int = 0) -> Profile:
+    """The values times k plus delta; k = 0 flattens the profile, so it is normalized again."""
+    d, g, (n,) = _with(p, (delta,))
+    g, tail = [(o, v * k + n) for o, v in g], None if p.tail is None else p.tail * k
+    return _gridded(d, [g[i] for i in _kept(g, tail)] if k == 0 else g, tail)
 
 
 def _slice(p: Profile, a: Fraction, b) -> Profile:
     """Restrict a normalized profile to [a, b], a < b (b may be INF), re-based at offset 0.
 
-    The breakpoints inside keep their value objects and stay slope changes,
-    so the result is normalized as built.
+    The breakpoints inside stay slope changes, so the result is normalized
+    as built.
     """
-    d, g, (lo, *hi), (va, *vb), _ = _at_offsets(p, (a,) if b is INF else (a, b))
-    out = [(Fraction(0), Fraction(va, d))]
-    out += [(Fraction(o - lo, d), v) for (o, _), (_, v) in zip(g, p.breaks)
-            if lo < o and (not hi or o < hi[0])]
-    if not hi:
-        return Profile(tuple(out), p.tail)
-    out.append((Fraction(hi[0] - lo, d), Fraction(vb[0], d)))
-    return Profile(tuple(out), None)
+    d, g, (lo, *hi) = _with(p, (a,) if b is INF else (a, b))
+    (va, *vb), _ = _sweep(g, p.slopes, [lo, *hi])
+    out = [(0, va)] + [(o - lo, v) for o, v in g if lo < o and (not hi or o < hi[0])]
+    end = [(hi[0] - lo, vb[0])] if hi else []
+    return _gridded(d, out + end, None if hi else p.tail)
 
 
 def _flat(e: EdgeDesc, v: Fraction) -> Profile:
@@ -291,7 +307,8 @@ def _flat(e: EdgeDesc, v: Fraction) -> Profile:
 def _reverse(p: Profile, length: Fraction) -> Profile:
     if p.tail is not None:
         raise TropError("cannot reverse an unbounded profile")
-    return _normalize([(length - o, v) for o, v in p.breaks], None)
+    d, g, (end,) = _with(p, (length,))
+    return _gridded(d, [(end - o, v) for o, v in reversed(g)], None)
 
 
 class PLFunction:
@@ -365,27 +382,30 @@ class PLFunction:
             e = c.edges.get(eid)
             if e is None:
                 raise TropError(f"unknown edge {eid!r}")
-            if not p.breaks:
-                raise TropError(f"edge {eid!r} profile must start at offset 0")
-            breaks = p.breaks
-            for o, v in breaks:  # exact types pass at once; rat decides the rest
-                if type(o) not in (Fraction, int) or type(v) not in (Fraction, int):
-                    breaks = tuple((rat(o), rat(v)) for o, v in breaks)
-                    break
-            if e.is_infinite and p.tail is not None:
-                integer(p.tail, f"edge {eid!r} slope at infinity")
-            q = _normalize(breaks, p.tail if e.is_infinite else None)
-            if q.breaks[0][0] != 0:
+            breaks = p._breaks  # None when a kernel built p: normalized on its grid
+            if breaks is not None:
+                if not breaks:
+                    raise TropError(f"edge {eid!r} profile must start at offset 0")
+                for o, v in breaks:  # exact types pass at once; rat decides the rest
+                    if type(o) not in (Fraction, int) or type(v) not in (Fraction, int):
+                        breaks = tuple((rat(o), rat(v)) for o, v in breaks)
+                        break
+                if e.is_infinite and p.tail is not None:
+                    integer(p.tail, f"edge {eid!r} slope at infinity")
+            q = p if breaks is None else _normalize(breaks, p.tail if e.is_infinite else None)
+            d, g = q.grid
+            if g[0][0] != 0:
                 raise TropError(f"edge {eid!r} profile must start at offset 0")
             if e.is_infinite:
                 if p.tail is None:
                     raise TropError(f"edge {eid!r} needs a slope at infinity")
             else:
-                if q.breaks[-1][0] != e.length:
+                n, m = e.length.as_integer_ratio()
+                if g[-1][0] * m != n * d:
                     raise TropError(f"edge {eid!r} profile must end at the edge length")
                 if p.tail is not None:
                     raise TropError(f"finite edge {eid!r} cannot have a slope at infinity")
-            _slopes(q)
+            q.slopes
             profiles[eid] = q
         missing = set(c.edges) - set(profiles)
         if missing:
@@ -406,9 +426,11 @@ class PLFunction:
                 continue
             vals = set()
             for eid, sign in ends:
-                p = profiles[eid]
-                vals.add(p.breaks[0][1] if sign > 0 else p.breaks[-1][1])
+                d, g = profiles[eid].grid
+                v = g[0 if sign > 0 else -1][1]
+                vals.add((v // gcd(v, d), d // gcd(v, d)))
             if len(vals) > 1:
+                vals = {profiles[eid].breaks[0 if sign > 0 else -1][1] for eid, sign in ends}
                 raise TropError(f"discontinuous at vertex {vid!r}: values {sorted(vals)}")
 
     # -- identity ------------------------------------------------------------
@@ -421,7 +443,7 @@ class PLFunction:
         if self.profiles is None:
             return (self.curve.key(), None)
         return (self.curve.key(),
-                tuple(sorted((e, p.breaks, p.tail) for e, p in self.profiles.items())),
+                tuple(sorted([(e, p.grid, p.tail) for e, p in self.profiles.items()])),
                 tuple(sorted(self.isolated.items())))
 
     def __eq__(self, other):
@@ -448,13 +470,10 @@ class PLFunction:
                 return self.isolated[ident]
             eid, sign = ends[0]
             prof = self.profiles[eid]
-            if info.at_infinity:
-                if prof.tail > 0:
-                    return INF
-                if prof.tail < 0:
-                    return -INF
-                return prof.breaks[-1][1]
-            return prof.breaks[0][1] if sign > 0 else prof.breaks[-1][1]
+            if info.at_infinity and prof.tail:
+                return INF if prof.tail > 0 else -INF
+            d, g = prof.grid
+            return Fraction(g[0 if sign > 0 and not info.at_infinity else -1][1], d)
         return self.profiles[ident].value(off)
 
     def slope_at_infinity(self, edge: str) -> int:
@@ -478,9 +497,7 @@ class PLFunction:
         if kind == "vertex":
             if self.curve.vertices[ident].at_infinity:
                 return -prof.tail
-            if sign == "+":
-                return prof.slope_right(Fraction(0))
-            return -prof.slope_left(prof.breaks[-1][0]) if prof.tail is None else -prof.tail
+            return prof.slopes[0] if sign == "+" else -prof.slopes[-2]
         return prof.slope_right(off) if sign == "+" else -prof.slope_left(off)
 
     # -- semifield operations ----------------------------------------------------
@@ -510,7 +527,8 @@ class PLFunction:
     def inv(self) -> "PLFunction":
         if self.profiles is None:
             raise TropError("zero has no multiplicative inverse")
-        return PLFunction._trusted(self.curve, {a: _negate(p) for a, p in self.profiles.items()},
+        return PLFunction._trusted(self.curve,
+                                   {a: _affine(p, -1) for a, p in self.profiles.items()},
                                    {vid: -v for vid, v in self.isolated.items()})
 
     def pow(self, k: int) -> "PLFunction":
@@ -520,7 +538,7 @@ class PLFunction:
                 raise TropError("zero has no multiplicative inverse")
             return self
         return PLFunction._trusted(self.curve,
-                                   {a: _scale_values(p, k) for a, p in self.profiles.items()},
+                                   {a: _affine(p, k) for a, p in self.profiles.items()},
                                    {vid: v * k for vid, v in self.isolated.items()})
 
     def scale(self, t) -> "PLFunction":
@@ -529,7 +547,7 @@ class PLFunction:
         if tv.is_neg_inf or self.profiles is None:
             return PLFunction.neg_inf(self.curve)
         return PLFunction._trusted(self.curve,
-                                   {a: _shift(p, tv.coef) for a, p in self.profiles.items()},
+                                   {a: _affine(p, 1, tv.coef) for a, p in self.profiles.items()},
                                    {vid: v + tv.coef for vid, v in self.isolated.items()})
 
     # -- ray classes -----------------------------------------------------------------
@@ -632,23 +650,23 @@ def principal_divisor(f: PLFunction) -> Divisor:
     """
     if f.profiles is None:
         raise TropError("the zero function has no principal divisor")
-    c = f.curve
-    slopes = {eid: _slopes(prof) for eid, prof in f.profiles.items()}
+    c, ps = f.curve, f.profiles
     coeffs: dict[PointRef, int] = {}
     for vid, ends in c.edges_at.items():
         if not ends:
             continue
         if c.vertices[vid].at_infinity:
-            total = -slopes[ends[0][0]][-1]
+            total = -ps[ends[0][0]].tail
         else:
-            total = sum(slopes[eid][0] if sign > 0 else -slopes[eid][-1] for eid, sign in ends)
+            total = sum([ps[eid].slopes[0] if sign > 0 else -ps[eid].slopes[-2]
+                         for eid, sign in ends])
         if total:
             coeffs[PointRef("vertex", vertex=vid)] = total
-    for eid, prof in f.profiles.items():
-        s = slopes[eid]
-        for k in range(1, len(s)):
+    for eid, prof in ps.items():
+        s, (d, g) = prof.slopes, prof.grid
+        for k in range(1, len(s) - (prof.tail is None)):
             if s[k] != s[k - 1]:
-                coeffs[PointRef("on_edge", edge=eid, offset=prof.breaks[k][0])] = s[k] - s[k - 1]
+                coeffs[PointRef("on_edge", edge=eid, offset=Fraction(g[k][0], d))] = s[k] - s[k - 1]
     return Divisor._trusted(c, coeffs)
 
 
@@ -771,8 +789,7 @@ def _fired(e: EdgeDesc, du, dv, ivs, cap) -> Profile:
         pts.append((x, -min(near)))
     # A ray's tail is flat past a cap or a source reaching infinity; else -dist falls.
     tail = None if end is not None else 0 if cap is not None or srcs[-1][1] is None else -1
-    kept = [pts[k] for k in _kept(pts, tail)]
-    return Profile(tuple((Fraction(x, s), Fraction(v, s)) for x, v in kept), tail)
+    return _gridded(s, [pts[k] for k in _kept(pts, tail)], tail)
 
 
 # -- restriction and extension -------------------------------------------------------
@@ -898,8 +915,8 @@ def extend(f_prime: PLFunction, g: Subgraph, s: int) -> PLFunction:
         for lo, hi in ivs:
             if lo < hi:
                 piece = f_prime.profiles[sub_edge[eid, lo]]
-                pieces.append(len(piece.breaks))
-                pairs += ((lo, 0),) + piece.breaks
+                pieces.append(piece.grid)
+                pairs.append((lo, 0))
                 if hi is INF:
                     tail = piece.tail
         gaps = _gaps(e, ivs)
@@ -907,12 +924,13 @@ def extend(f_prime: PLFunction, g: Subgraph, s: int) -> PLFunction:
             pairs.append((c0, heights.get(e.u if c0 == 0 else (eid, c0), 0)))
             if c1 is not INF:
                 pairs.append((c1, heights.get(e.v if c1 == e.length else (eid, c1), 0)))
-        d, grid = _on_scale(pairs)
-        it = iter(grid)
+        d0, grid = _on_scale(pairs)
+        d = lcm(d0, *[dp for dp, _ in pieces])
+        it = iter(_times(grid, d // d0))
         pts = []
-        for n in pieces:
-            lo = next(it)[0]
-            pts += [((lo + o) * rate, v * rate) for o, v in islice(it, n)]
+        for dp, gp in pieces:
+            lo, k = next(it)[0], d // dp
+            pts += [((lo + o * k) * rate, v * k * rate) for o, v in gp]
         for _, c1 in gaps:
             c0, h0 = next(it)
             z0 = c0 * rate + abs(h0)
@@ -925,16 +943,15 @@ def extend(f_prime: PLFunction, g: Subgraph, s: int) -> PLFunction:
                 pts += [(z1, 0), (c1 * rate, h1 * rate)]
         pts.sort()
         d *= rate
-        prof = Profile(tuple((Fraction(o, d), Fraction(v, d))
-                             for o, v in (pts[k] for k in _kept(pts, tail))), tail)
+        kept = [pts[k] for k in _kept(pts, tail)]
         # Class-parallel tails on rays outside g.
-        if e.is_infinite and prof.tail == 0:
+        if e.is_infinite and tail == 0:
             sigma = class_slopes.get(c.ray_classes[eid])
             tail_in_g = any(hi is INF for _, hi in ivs)
             if sigma and not tail_in_g:
-                start = Fraction(pts[-1][0] + d, d)  # past the last corner, kept or not
-                prof = Profile(prof.breaks + ((start, prof.breaks[-1][1]),), sigma)
-        profiles[eid] = prof
+                kept.append((pts[-1][0] + d, kept[-1][1]))  # past the last corner, kept or not
+                tail = sigma
+        profiles[eid] = _gridded(d, kept, tail)
     isolated = {vid: heights.get(vid, Fraction(0)) for vid in _isolated_vertices(c)}
     return PLFunction(c, profiles, isolated)
 

@@ -10,6 +10,8 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from tropcurve import io as tio
 from tropcurve import selftest
@@ -47,6 +49,35 @@ class TestRoundTrips:
         m = Morphism.identity(line)
         back = tio.morphism_from_json(line, line, tio.morphism_to_json(m))
         assert back.vertex_map == m.vertex_map and back.degrees == m.degrees
+
+
+json_scalars = st.one_of(st.none(), st.booleans(), st.integers(-2 ** 80, 2 ** 80),
+                         st.floats(), st.text())
+json_keys = st.one_of(st.text(), st.integers(-2 ** 70, 2 ** 70), st.booleans(), st.none(),
+                      st.floats())
+json_data = st.recursive(
+    json_scalars,
+    lambda kids: st.one_of(st.lists(kids, max_size=5), st.lists(kids, max_size=5).map(tuple),
+                           st.dictionaries(json_keys, kids, max_size=5)),
+    max_leaves=40)
+
+
+@given(json_data)
+@example({"é \"q\"\n": [[], {}, (), None, True, 10 ** 30, ("a", -1.5)], 2: {"": ["\u2028"]}})
+@example([[["1/2", "-3"], ["7", "0"]], {"slope_at_infinity": -2, "breakpoints": [["0", "1"]]}])
+def test_dumps_matches_json_indent(x):
+    """The writers' encoder gives ``json.dumps(x, indent=2)`` byte for byte:
+    tuples as lists, ``json``'s key coercion and ``ensure_ascii`` escapes."""
+    assert tio._dumps(x) == json.dumps(x, indent=2)
+
+
+@pytest.mark.parametrize("x", [{(1, 2): 3}, [{"a": {(1,): 2}}], [object()], {"a": Fraction(1)}])
+def test_dumps_rejects_as_json_does(x):
+    with pytest.raises(TypeError) as want:
+        json.dumps(x, indent=2)
+    with pytest.raises(TypeError) as got:
+        tio._dumps(x)
+    assert str(got.value) == str(want.value)
 
 
 class TestRejects:

@@ -55,6 +55,19 @@ def test_plfunction_tells_infinity_by_identity():
     assert found == ["l == INF"]
 
 
+def test_io_writes_json_without_indent():
+    # json.dumps(..., indent=...) runs the pure-Python encoder, a generator
+    # frame per value; the writers go through io._dumps, which gives the
+    # same bytes.
+    path = SRC / "io.py"
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, ast.Call) and ast.unparse(node.func) == "json.dumps" \
+                and any(k.arg == "indent" for k in node.keywords):
+            found.append(ast.unparse(node))
+    assert found == []
+
+
 def test_every_imported_name_is_used():
     # A name a module imports and never reads is left over from deleted code.
     # __init__.py imports to re-export, so it is not checked.

@@ -8,23 +8,25 @@ run: one scan of the breakpoint list per query and one query per breakpoint.
 step in ``Fraction``s.  ``ref_chip_fire`` folds one distance profile per
 source through ``_combine2`` and ``ref_extend`` descends each gap in
 ``Fraction``s, as the two constructions did before they were built in one
-integer pass per edge.  The library now bisects for point queries, sweeps each
-arc once, and decides the kernels on one integer scale per edge; these tests
-require the same results and the same error messages, and bound how the work
-grows with the number of breakpoints.
+integer pass per edge.  The library now stores each profile on its own
+integer grid, bisects it for point queries and sweeps each arc once; these
+tests require the same results and the same error messages, and bound how the
+work grows with the number of breakpoints.
 """
 
 from __future__ import annotations
 
 import random
 from fractions import Fraction
+from math import floor, lcm
 
 import pytest
 
 from tropcurve.curve import INF, Curve, PointRef, disjoint_union
 from tropcurve.errors import TropError
-from tropcurve.plfunction import (Divisor, PLFunction, Profile, _combine2, _isolated_vertices,
-                                  _normalize, _sample, _slice, _slope, _slope_sum, chip_fire,
+from tropcurve.plfunction import (Divisor, PLFunction, Profile, _affine, _combine2,
+                                  _isolated_vertices, _normalize, _sample, _slice, _slope_sum,
+                                  chip_fire,
                                   extend, is_harmonic_at, principal_divisor, pseudodirect_tuple,
                                   restrict_whole, split_components)
 from tropcurve.randgen import random_curve, random_function, random_rational, random_subgraph
@@ -538,16 +540,21 @@ def test_normalize_matches_fraction_kernel():
     assert errors >= 100 and dropped >= 500
 
 
+def piece_slope(b0, b1) -> int:
+    """The slope of the one piece of a two-point profile, read off its grid."""
+    return Profile((b0, b1)).slope_right(b0[0])
+
+
 def test_slope_matches_fraction_kernel():
     rng = rng_for("profile-slope")
     bad = 0
     for _ in range(2000):
         p = random_profile(rng)
         for b0, b1 in zip(p.breaks, p.breaks[1:]):
-            assert outcome(_slope, b0, b1) == outcome(ref_slope, b0, b1)
-            bad += outcome(_slope, b0, b1)[0] == "error"
+            assert outcome(piece_slope, b0, b1) == outcome(ref_slope, b0, b1)
+            bad += outcome(piece_slope, b0, b1)[0] == "error"
     ints = ((0, 1), (3, 7))
-    assert _slope(*ints) == 2 and ref_slope(*ints) == 2
+    assert piece_slope(*ints) == 2 and ref_slope(*ints) == 2
     assert bad >= 100
 
 
@@ -730,6 +737,70 @@ def test_public_constructors_still_validate(segment3):
         PLFunction.from_edge_data(segment3, {"e": ([(0, 0), (3, 3)], None)}).pow(Fraction(1, 2))
 
 
+# -- the grid -------------------------------------------------------------------------
+
+
+def test_grid_and_fraction_profiles_are_one_value():
+    """The kernels' results, built on grids, against the same functions given
+    in ``Fraction``s through the reference kernels: equal, with equal hashes
+    and keys, profile by profile too.  A kernel's result holds no
+    ``Fraction``s until its breakpoints are read."""
+    rng = rng_for("profile-grid-identity")
+    for _ in range(60):
+        c = curve_with_everything(rng) if rng.random() < 0.5 else random_curve(rng)
+        f, g = random_function(c, rng), random_function(c, rng)
+        for op, got in (("max", f.add(g)), ("add", f.mul(g)), ("min", f.inv().add(g.inv()).inv())):
+            assert all(p._breaks is None for p in got.profiles.values())
+            want = PLFunction(c, {eid: ref_combine2(as_fractions(f.profiles[eid]),
+                                                    as_fractions(g.profiles[eid]), op)
+                                  for eid in c.edges}, got.isolated)
+            assert got == want and hash(got) == hash(want) and got._key() == want._key()
+            for eid, p in got.profiles.items():
+                assert p == want.profiles[eid] and hash(p) == hash(want.profiles[eid])
+
+
+def prime_operand(rng: random.Random, end: Fraction, prime: int) -> Profile:
+    """An integer-sloped profile on [0, end] whose inner offsets and first
+    value have the denominator prime."""
+    top = floor(end * prime)
+    offsets = [Fraction(0)] + sorted(Fraction(k, prime)
+                                     for k in rng.sample(range(1, top), min(3, top - 1))) + [end]
+    v = Fraction(rng.randint(-40, 40), prime)
+    breaks = [(offsets[0], v)]
+    for o0, o1 in zip(offsets, offsets[1:]):
+        v += rng.randint(-3, 3) * (o1 - o0)
+        breaks.append((o1, v))
+    return _normalize(breaks, None)
+
+
+def test_scale_stays_least_along_a_chain():
+    """50 chained add, mul, inv and slice steps, each operand on one fresh
+    prime denominator, so that max crossings refine the scale: after every
+    step D is the lcm of the denominators of the breakpoints, so the
+    integers never carry a factor from an earlier step."""
+    rng = rng_for("profile-grid-chain")
+    crossings = 0
+    for _ in range(20):
+        p = ref = prime_operand(rng, Fraction(64), 2)
+        for _ in range(50):
+            end, prime = p.breaks[-1][0], rng.choice(PRIMES)
+            step = rng.choice(("add", "mul", "inv", "slice") if end > 8 else ("add", "mul", "inv"))
+            if step == "inv":
+                p, ref = _affine(p, -1), Profile(tuple((o, -v) for o, v in ref.breaks))
+            elif step == "slice":
+                a, b = Fraction(rng.randint(0, 4), prime), end - Fraction(rng.randint(0, 4), prime)
+                p, ref = _slice(p, a, b), ref_slice(ref, a, b)
+            else:
+                q = prime_operand(rng, end, prime)
+                op = "max" if step == "add" else "add"
+                offsets = {o for o, _ in p.breaks} | {o for o, _ in q.breaks}
+                p, ref = _combine2(p, q, op), ref_combine2(ref, q, op)
+                crossings += any(o not in offsets for o, _ in p.breaks)
+            assert p == ref
+            assert p.grid[0] == lcm(*(x.denominator for b in p.breaks for x in b))
+    assert crossings >= 100, crossings
+
+
 # -- scaling without timing -----------------------------------------------------------
 
 
@@ -743,10 +814,10 @@ def sawtooth(n: int):
 @pytest.mark.parametrize("op", ["add", "mul"])
 @pytest.mark.parametrize("shape", ["monotone", "mirrored"])
 def test_kernel_work_per_output_breakpoint(op, shape):
-    """On one integer scale a kernel reads each input number once and builds
-    one ``Fraction`` per output number: a few calls into ``fractions`` per
-    output breakpoint (per input breakpoint where the output is shorter),
-    where cell-by-cell ``Fraction`` arithmetic made about a hundred.
+    """A kernel reads its operands' grids and builds no ``Fraction``; the
+    bound is a few calls into ``fractions`` per output breakpoint (per input
+    breakpoint where the output is shorter), where cell-by-cell ``Fraction``
+    arithmetic made about a hundred.
     "mirrored" crosses the sawtooth inside every cell."""
     n = 1600
     c, f = sawtooth(n)

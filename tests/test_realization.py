@@ -3,10 +3,12 @@
 from __future__ import annotations
 
 import collections
+import sys
 from fractions import Fraction
 
 import pytest
 
+from tropcurve import complexes
 from tropcurve.complexes import PolyComplex1D, check_balanced, intersect
 from tropcurve.curve import INF, Curve
 from tropcurve.errors import NonTransversalError, TropError
@@ -320,3 +322,43 @@ class TestPerturbedHarmonicFamilies:
             r2 = realize(c, scaled)
             hb = harmonic_balance_report(r2)
             assert hb.all_harmonic and hb.balance.balanced
+
+
+def concave_poly(exponents, nudge) -> TropPoly:
+    """-(i^2 + j^2) + nudge at each exponent: every term is a vertex of the lift."""
+    return TropPoly.of(2, {(i, j): -(i * i + j * j) + nudge for i, j in exponents})
+
+
+def test_canonical_is_built_once_per_complex(monkeypatch):
+    """A pair as the plane-curves benchmark runs it: K1's form is built by the
+    canonical step and reused by intersect, fit and curve_from_complex, so
+    only K2's translate, the fitted hypersurface and the realized image add
+    one each: 4 computations, where building the form on every call made 7."""
+    built = 0
+    straight = complexes._straight
+
+    def counted(k, P):
+        nonlocal built
+        built += sys._getframe(1).f_code.co_name == "canonical"
+        return straight(k, P)
+
+    monkeypatch.setattr(complexes, "_straight", counted)
+    K1 = plane_hypersurface(concave_poly([(0, 0), (1, 0), (0, 1), (2, 1), (1, 2)], 0))
+    K2 = plane_hypersurface(concave_poly([(0, 0), (2, 0), (0, 2), (1, 1), (3, 2)],
+                                         Fraction(1, 24)))
+    K1c = K1.canonical()
+    assert built == 1
+    assert intersect(K1c, K2.translate((Fraction(1, 101), Fraction(1, 101 ** 2))))
+    fit_tropical_polynomial(K1)
+    curve_from_complex(K1)
+    assert built == 4
+
+
+def test_a_canonical_form_is_its_own():
+    for K in complex_library(rng_for("canonical-own"), 12):
+        form = K.canonical()
+        assert K.canonical() is form and form.canonical() is form
+        # The stored form is not a field: equality, hash and repr ignore it.
+        fresh = PolyComplex1D(K.dim, K.vertices, K.segments, K.rays)
+        assert fresh == K and hash(fresh) == hash(K) and repr(fresh) == repr(K)
+        assert fresh.canonical() == form
