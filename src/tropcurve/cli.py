@@ -19,6 +19,7 @@ from .complexes import PolyComplex1D, check_balanced, intersect
 from .curve import INF, Curve, canonical_model
 from .errors import FileFormatError, InternalError, TropError
 from .glue import glue, glue_function
+from .hypersurface import plane_hypersurface
 from .morphism import localize, pullback, validate_morphism, weight_check, weight_from_generators
 from .plfunction import (PLFunction, _slope_sum, chip_fire, disconnection_witness, extend,
                          module_degree, principal_divisor, restrict_whole, split_components)
@@ -69,7 +70,7 @@ def _write(path: str | None, text: str, json_mode: bool, payload=None):
 
 def _emit(payload, text: str, json_mode: bool):
     if json_mode:
-        print(json.dumps(payload, indent=2, default=str))
+        print(tio._dumps(payload))
     else:
         print(text)
 
@@ -370,7 +371,7 @@ def _cmd_restrict(args) -> int:
     else:
         payload = [{"curve": part.curve.description(),
                     "fn": json.loads(tio.function_to_json(part))} for part in parts]
-        _emit(payload, json.dumps(payload, indent=2, default=str), args.json)
+        _emit(payload, tio._dumps(payload), args.json)
     return 0
 
 
@@ -472,7 +473,7 @@ def _cmd_ingest(args) -> int:
             written.append(path)
         _emit({"written": written}, "wrote " + ", ".join(written), args.json)
     else:
-        _emit(payload, json.dumps(payload, indent=2, default=str), args.json)
+        _emit(payload, tio._dumps(payload), args.json)
     return 0
 
 
@@ -491,8 +492,6 @@ def _cmd_hypersurface(args) -> int:
     if args.window:
         x0, y0, x1, y1 = (rat(v) for v in args.window)
         window = ((x0, y0), (x1, y1))
-    from .hypersurface import plane_hypersurface
-
     k = plane_hypersurface(F, window=window)
     _write(args.out, tio.complex_to_json(k), args.json,
            payload=json.loads(tio.complex_to_json(k)))
@@ -524,9 +523,9 @@ def _cmd_selftest(args) -> int:
     results = run_all(seed=args.seed, quick=args.quick)
     ok = all(r.passed for r in results)
     if args.json:
-        print(json.dumps([{"suite": r.name, "cases": r.cases, "passed": r.passed,
+        print(tio._dumps([{"suite": r.name, "cases": r.cases, "passed": r.passed,
                            "detail": r.detail} | ({} if r.passed else {"seed": args.seed})
-                          for r in results], indent=2))
+                          for r in results]))
     else:
         for r in results:
             if r.passed:

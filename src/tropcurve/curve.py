@@ -403,12 +403,8 @@ class Curve:
         if kp == "edge" and kq == "edge" and ip == iq:
             best = abs(op_ - oq)
         for a_vid, a_leg in self._point_legs(p):
-            if a_leg == INF:
-                continue
             dmap = self._vertex_distances(a_vid)
             for b_vid, b_leg in self._point_legs(q):
-                if b_leg == INF:
-                    continue
                 total = a_leg + dmap[b_vid] + b_leg
                 if total < best:
                     best = total
@@ -517,7 +513,7 @@ def canonical_model(c: Curve) -> Curve:
                 visited.add(arrival)
             total: "Fraction | float" = Fraction(0)
             for ce in chain:
-                total = INF if (c.edges[ce].length == INF or total == INF) else total + c.edges[ce].length
+                total = INF if (c.edges[ce].length is INF or total is INF) else total + c.edges[ce].length
             new_id = min(chain)
             new_edges.append((new_id, start, here, total))
             ray_edges = [ce for ce in chain if ce in c.ray_classes]

@@ -104,7 +104,7 @@ class PointMap:
         if p.kind == "vertex":
             return self.glued.pt_vertex(self.vertex_map[p.vertex])
         for lo, hi, geid, gstart, orient in self.pieces[p.edge]:
-            if lo <= p.offset and (hi == INF or p.offset <= hi):
+            if lo <= p.offset and (hi is INF or p.offset <= hi):
                 return self.glued.pt_on_edge(geid, gstart + orient * (p.offset - lo))
         raise TropError(f"point {p} not covered by the glue map")
 
@@ -172,7 +172,7 @@ def glue(c1: Curve, c2: Curve, emb1: Embedding, emb2: Embedding) -> GlueResult:
         pieces: dict[str, list] = {eid: [] for eid in c.edges}
         for piece, (eid, lo) in chart.edge_chart.items():
             length = chart.sub.edges[piece].length
-            hi = INF if length == INF else lo + length
+            hi = INF if length is INF else lo + length
             geid, orient = edge_alias.get(f"{k}:{piece}", (f"{k}:{piece}", 1))
             # A reversed finite shape edge: rays map forward on both sides.
             gstart = Fraction(0) if orient == 1 else glued.edges[geid].length
@@ -274,7 +274,7 @@ def _pullback_shape_profile(h: PLFunction, emb: Embedding, shape_edge: str) -> P
 
 
 def _first_difference(p1: Profile, p2: Profile) -> Fraction:
-    offs = sorted({o for o, _ in p1.breaks} | {o for o, _ in p2.breaks})
+    offs = sorted({Fraction(o, d) for d, g in (p1.grid, p2.grid) for o, _ in g})
     for o in offs:
         if p1.value(o) != p2.value(o):
             return o

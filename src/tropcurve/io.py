@@ -10,6 +10,7 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
+from math import gcd
 
 from .complexes import PolyComplex1D
 from .curve import INF, Curve, PointRef
@@ -180,7 +181,8 @@ def function_to_json(f: PLFunction) -> str:
     for eid in sorted(f.curve.edges):
         e = f.curve.edges[eid]
         prof = edge_profile(f, eid)
-        entry: dict = {"breakpoints": [[str(o), str(v)] for o, v in prof.breaks]}
+        d, g = prof.grid
+        entry: dict = {"breakpoints": [[_ratio(o, d), _ratio(v, d)] for o, v in g]}
         if e.is_infinite:
             entry["slope_at_infinity"] = prof.tail
         data[eid] = entry
@@ -188,6 +190,12 @@ def function_to_json(f: PLFunction) -> str:
     if iso:
         data["values_at_vertices"] = iso
     return _dumps(data) + "\n"
+
+
+def _ratio(n: int, d: int) -> str:
+    """``str(Fraction(n, d))`` for d > 0, from the pair reduced by its gcd."""
+    r = gcd(n, d)
+    return str(n // r) if r == d else f"{n // r}/{d // r}"
 
 
 def function_from_json(c: Curve, text: str) -> PLFunction:
@@ -324,6 +332,7 @@ def embedding_from_json(shape: Curve, target: Curve, text: str) -> Embedding:
 # -- plots ------------------------------------------------------------------------------
 
 SVG_PRECISION = 6  # decimal places; fixed so identical inputs give identical bytes
+SVG_WIDTH = 640  # pixels
 
 
 def _decimal(x: Fraction) -> str:
@@ -336,7 +345,7 @@ def _decimal(x: Fraction) -> str:
     return f"{sign}{whole}.{frac:0{SVG_PRECISION}d}"
 
 
-def complex_to_svg(k: PolyComplex1D, width: int = 640) -> str:
+def complex_to_svg(k: PolyComplex1D) -> str:
     """Deterministic SVG for a plane complex.
 
     Rays are truncated at a length derived from the vertex bounding box;
@@ -384,7 +393,7 @@ def complex_to_svg(k: PolyComplex1D, width: int = 640) -> str:
         return _decimal(y0 + y1 - y)  # flip so the y axis points up
 
     out = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{SVG_WIDTH}" '
         f'viewBox="{_decimal(x0)} {_decimal(y0)} {_decimal(x1 - x0)} {_decimal(y1 - y0)}">',
         f'<g stroke="black" stroke-width="{_decimal((x1 - x0) / 200)}" fill="none">',
     ]

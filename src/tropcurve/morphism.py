@@ -10,7 +10,8 @@ from typing import Mapping, Sequence
 
 from .curve import INF, Curve, PointRef
 from .errors import TropError
-from .plfunction import PLFunction, Profile, _flat, _isolated_vertices, _normalize, edge_profile
+from .plfunction import (PLFunction, Profile, _flat, _gridded, _isolated_vertices, _normalize,
+                         _reverse, edge_profile)
 from .semifield import Germ, integer
 
 
@@ -119,19 +120,10 @@ def validate_morphism(m: Morphism) -> MorphismReport:
     return MorphismReport(not bad, tuple(bad))
 
 
-def _source_breaks(m: Morphism, eid: str, breaks) -> list[tuple[Fraction, object]]:
-    """Pairs (offset, value) along the image of a mapped edge, with each
-    offset moved to the source edge: o / d, or (L - o) / d when the edge
-    maps onto its image reversed.  A ray always maps forward."""
-    d = m.degrees[eid]
-    te = m.target.edges[m.edge_map[eid][1]]
-    if m.vertex_map[m.source.edges[eid].u] == te.u:
-        return [(o / d, v) for o, v in breaks]
-    return [((te.length - o) / d, v) for o, v in breaks]
-
-
 def pullback(m: Morphism, f_target: PLFunction) -> PLFunction:
-    """Compose a function on the target with the morphism, exactly."""
+    """Compose a function on the target with the morphism, exactly: along an edge
+    of degree k the image's grid (D, pairs), reversed first if the edge maps
+    reversed (a ray never does), pulls back to (D·k, (offset, value·k) pairs)."""
     report = validate_morphism(m)
     if not report.ok:
         raise TropError(f"invalid morphism: {report.violations[0]}")
@@ -146,9 +138,12 @@ def pullback(m: Morphism, f_target: PLFunction) -> PLFunction:
         if kind == "vertex":
             profiles[eid] = _flat(e, f_target.value_at(m.target.pt_vertex(name)))
             continue
-        prof = edge_profile(f_target, name)
-        tail = None if prof.tail is None else prof.tail * m.degrees[eid]
-        profiles[eid] = _normalize(_source_breaks(m, eid, prof.breaks), tail)
+        prof, k, te = edge_profile(f_target, name), m.degrees[eid], m.target.edges[name]
+        if m.vertex_map[e.u] != te.u:
+            prof = _reverse(prof, te.length)
+        d, g = prof.grid
+        profiles[eid] = _gridded(d * k, [(o, v * k) for o, v in g],
+                                 None if prof.tail is None else prof.tail * k)
     isolated = {vid: f_target.value_at(m.target.pt_vertex(m.vertex_map[vid]))
                 for vid in _isolated_vertices(src)}
     return PLFunction(src, profiles, isolated)
@@ -224,13 +219,13 @@ def weight_from_generators(gens: Sequence[PLFunction], edge: str) -> int:
             raise TropError("the zero function has no slopes")
         prof = edge_profile(g, edge)
         if e.is_infinite:
-            if len(prof.breaks) > 1:
+            if len(prof.grid[1]) > 1:
                 raise TropError(f"generator is not affine on {edge!r}; subdivide first")
             slopes.append(prof.tail)
         else:
-            if len(prof.breaks) > 2:
+            if len(prof.grid[1]) > 2:
                 raise TropError(f"generator is not affine on {edge!r}; subdivide first")
-            slopes.append(prof.slope_right(Fraction(0)))
+            slopes.append(prof.slopes[0])
     g0 = 0
     for s in slopes:
         g0 = gcd(g0, abs(s))
@@ -406,8 +401,9 @@ def weighted_local_image(m: Morphism, x: PointRef) -> LatticeReport:
     if kind == "vertex":
         pre = src.pt_vertex(inv_vertex[ident])
     else:
-        eid = inv_edge[ident]
-        pre = src.pt_on_edge(eid, _source_breaks(m, eid, [(off, None)])[0][0])
+        eid, te = inv_edge[ident], tgt.edges[ident]
+        forward = m.vertex_map[src.edges[eid].u] == te.u
+        pre = src.pt_on_edge(eid, (off if forward else te.length - off) / m.degrees[eid])
     sdirs = []
     for tdir in tloc.directions:
         te, sign = tdir.rsplit(":", 1)

@@ -3,11 +3,12 @@
 Each edge carries a ``Profile`` in the edge's own coordinates from its u
 end, stored on its own integer grid: the least common denominator D of its
 offsets and values, the pairs times D, and integer slopes.  Every kernel
-reads and writes grids (a binary one on the lcm of the two scales, refined
-by the slope difference at a max/min crossing) and reduces its result to
-the least D, so function equality compares integers and the integers do
-not grow from one operation to the next.  ``Fraction``s are built only when
-``Profile.breaks``, a value or a divisor's offset is read.
+and every reader in the library (``realize``, ``pullback``, the function
+writer) works on grids; a binary kernel sweeps the lcm of the two scales,
+refined by the slope difference at a max/min crossing, and every result is
+reduced to the least D, so function equality compares integers and the
+integers do not grow from one operation to the next.  ``Fraction``s are
+built only where a value, a divisor's offset or an image point is handed out.
 """
 
 from __future__ import annotations
@@ -27,12 +28,14 @@ from .subgraph import Subgraph, SubChart
 
 
 class Profile:
-    """Breakpoints of one edge: ((offset, value), ...) plus a tail slope on rays.
+    """The function on one edge: its grid, plus a tail slope on rays.
 
-    Offsets strictly increase from 0; finite edges end at the edge length
-    and have ``tail is None``; rays carry the integer slope past the last
-    breakpoint.  ``grid`` (the least D and the pairs times D) and ``slopes``
-    (right slopes, None at a finite end) are worked out on first use.
+    ``grid`` is (D, ((offset, value) times D, ...)) with D the least common
+    denominator; offsets strictly increase from 0, finite edges end at the
+    edge length and have ``tail is None``, and rays carry the integer slope
+    past the last breakpoint.  ``slopes`` holds the right slopes, None at a
+    finite end.  A profile is built from given breakpoints, whose grid is
+    worked out on first use, or from a grid by ``_gridded``.
     """
 
     __slots__ = ("_breaks", "grid", "slopes", "tail")
@@ -49,7 +52,8 @@ class Profile:
 
     @property
     def breaks(self) -> tuple[tuple[Fraction, Fraction], ...]:
-        """The breakpoints as given, or as ``Fraction``s built from the grid on first read."""
+        """The breakpoints as given, else as ``Fraction``s from the grid: a view for tests,
+        ``repr`` and error messages; the library reads ``grid``."""
         if self._breaks is None:
             d, g = self.grid
             self._breaks = tuple([(Fraction(o, d), Fraction(v, d)) for o, v in g])
@@ -104,12 +108,11 @@ class Profile:
         raise TropError(f"no piece left of {t}")
 
 
-def _gridded(d: int, g: Sequence[tuple[int, int]], tail: int | None,
-             breaks: tuple | None = None) -> Profile:
+def _gridded(d: int, g: Sequence[tuple[int, int]], tail: int | None) -> Profile:
     """The profile of the pairs g on scale d, reduced so that gcd(D, every number) = 1."""
     r = gcd(d, *chain.from_iterable(g))
     p = Profile.__new__(Profile)
-    p._breaks, p.tail = breaks, tail
+    p._breaks, p.tail = None, tail
     p.grid = d // r, tuple([(o // r, v // r) for o, v in g] if r > 1 else g)
     return p
 
@@ -157,17 +160,11 @@ def _grid_slopes(g: Sequence[tuple[int, int]]) -> list[int]:
 
 
 def _normalize(breaks: Sequence[tuple[Fraction, Fraction]], tail: int | None) -> Profile:
-    """Sort, merge equal offsets and drop breakpoints where the slope does not change.
-
-    Decides on the integer grid of ``_on_scale`` and keeps the given
-    breakpoint objects.
-    """
-    bs = tuple(breaks)
-    d, g = _on_scale(bs)
-    order = sorted(range(len(g)), key=g.__getitem__)
-    g, bs = [g[k] for k in order], [bs[k] for k in order]
-    keep = _kept(g, tail)
-    return _gridded(d, [g[k] for k in keep], tail, tuple([bs[k] for k in keep]))
+    """Sort, merge equal offsets and drop breakpoints where the slope does not change,
+    on the integer grid of ``_on_scale``."""
+    d, g = _on_scale(breaks)
+    g = sorted(g)
+    return _gridded(d, [g[k] for k in _kept(g, tail)], tail)
 
 
 def _kept(g: Sequence[tuple[int, int]], tail: int | None) -> list[int]:
@@ -216,18 +213,6 @@ def _sweep(g: list[tuple[int, int]], slopes: list, grid: list[int]) -> tuple[lis
         vals.append(v0 if t == o0 else v0 + s * (t - o0))
         right.append(s)
     return vals, right
-
-
-def _sample(p: Profile, offsets: Sequence[Fraction]) -> tuple[list[Fraction], list]:
-    """Values and right slopes of a profile at sorted offsets in its range, in one sweep.
-
-    At its own breakpoints the objects of ``breaks`` are returned, so equal
-    coordinates from one profile stay one object.
-    """
-    d, g, grid = _with(p, offsets)
-    vals, right = _sweep(g, p.slopes, grid)
-    own = {o: v for (o, _), (_, v) in zip(g, p.breaks)}
-    return [own[t] if t in own else Fraction(v, d) for t, v in zip(grid, vals)], right
 
 
 def _combine2(p: Profile, q: Profile, op: str) -> Profile:

@@ -19,6 +19,8 @@ from .plfunction import PLFunction, chip_fire
 from .semifield import Germ, TropPoly
 from .subgraph import Subgraph, make_subgraph, point_subgraph
 
+MAX_EXTRA_EDGES = 2  # a random curve's edges beyond its spanning tree, at most
+MAX_RAYS = 3
 LINE_POLY = TropPoly.of(2, {(0, 0): 0, (1, 0): 0, (0, 1): 0})
 DOUBLE_LINE_POLY = TropPoly.of(2, {(0, 0): 0, (2, 0): 0})
 CONIC_POLY = TropPoly.of(2, {(0, 0): 0, (1, 0): 1, (0, 1): 1, (1, 1): 3, (2, 0): 1, (0, 2): 1})
@@ -57,8 +59,7 @@ def complex_library(rng: random.Random, size: int) -> list[PolyComplex1D]:
     return out
 
 
-def random_curve(rng: random.Random, max_extra: int = 2, max_rays: int = 3,
-                 share_ray_classes: bool = True) -> Curve:
+def random_curve(rng: random.Random, share_ray_classes: bool = True) -> Curve:
     """A small random connected curve: a tree plus extra edges plus rays."""
     n = rng.randint(1, 4)
     vertices = [f"v{i}" for i in range(n)]
@@ -69,14 +70,14 @@ def random_curve(rng: random.Random, max_extra: int = 2, max_rays: int = 3,
         edges.append((f"e{counter}", vertices[j], vertices[i],
                       Fraction(rng.randint(1, 6), rng.randint(1, 3))))
         counter += 1
-    for _ in range(rng.randint(0, max_extra)):
+    for _ in range(rng.randint(0, MAX_EXTRA_EDGES)):
         i, j = rng.randrange(n), rng.randrange(n)
         edges.append((f"e{counter}", vertices[i], vertices[j],
                       Fraction(rng.randint(1, 6), rng.randint(1, 3))))
         counter += 1
     ray_classes = {}
     labels = ["p", "q", "r"]
-    for k in range(rng.randint(0, max_rays)):
+    for k in range(rng.randint(0, MAX_RAYS)):
         base = vertices[rng.randrange(n)]
         rid = f"L{k}"
         edges.append((rid, base, None, INF))
@@ -187,7 +188,7 @@ def random_class_respecting_function(c: Curve, rng: random.Random) -> PLFunction
         # A bounded subgraph: every slope at infinity is zero.
         for _ in range(30):
             g = random_subgraph(c, rng)
-            if all(hi != INF for _, ivs in g.intervals for _, hi in ivs) \
+            if all(hi is not INF for _, ivs in g.intervals for _, hi in ivs) \
                     and not any(c.vertices[v].at_infinity for v in g.vertices):
                 return chip_fire(c, g, Fraction(rng.randint(1, 4)))
         return PLFunction.constant(c, 0)

@@ -16,12 +16,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .complexes import BalanceReport, PolyComplex1D, _on_integers, check_balanced
+from .complexes import BalanceReport, PolyComplex1D, _on_integers, check_balanced, intersect
 from .curve import INF, Curve, PointRef
 from .errors import InternalError, TropError
 from .geometry import ivec_gcd, parallel, primitive, vsub
 from .hypersurface import plane_hypersurface
-from .plfunction import PLFunction, _isolated_vertices, _sample, principal_divisor
+from .plfunction import PLFunction, _isolated_vertices, _sweep, _times, principal_divisor
 from .semifield import TropPoly
 
 
@@ -66,21 +66,22 @@ def realize(c: Curve, fs: Sequence[PLFunction]) -> RealizationMap:
             raise TropError(f"coordinate function breaks ray class {witness[0]!r}")
     n = len(fs)
     vertices: list[tuple[Fraction, ...]] = []
-    vertex_ids: dict[tuple[Fraction, ...], int] = {}
+    vertex_ids: dict[tuple[tuple[int, int], ...], int] = {}  # coordinates as reduced (n, d)
+    skeleton: list[tuple[PointRef, tuple[Fraction, ...]]] = []
+    seen: set[str] = set()  # curve vertices already on the skeleton
     merged_vertices = False
 
-    skeleton: list[tuple[PointRef, tuple[Fraction, ...]]] = []
-    seen_points = set()
-
-    def vid(coords: tuple[Fraction, ...], pt: PointRef) -> int:
+    def place(pt: PointRef, key: tuple, coords: tuple | None = None) -> int:
+        """The image vertex of a point met for the first time; a point already there merges."""
         nonlocal merged_vertices
-        if coords in vertex_ids:
-            if pt not in seen_points:
-                merged_vertices = True
-            return vertex_ids[coords]
-        vertex_ids[coords] = len(vertices)
-        vertices.append(coords)
-        return vertex_ids[coords]
+        i = vertex_ids.get(key)
+        if i is None:
+            i = vertex_ids[key] = len(vertices)
+            vertices.append(coords or tuple([Fraction(a, b) for a, b in key]))
+        else:
+            merged_vertices = True
+        skeleton.append((pt, vertices[i]))
+        return i
 
     seg_weights: dict[tuple[int, int], int] = {}
     ray_weights: dict[tuple[int, tuple[int, ...]], int] = {}
@@ -89,47 +90,45 @@ def realize(c: Curve, fs: Sequence[PLFunction]) -> RealizationMap:
 
     for vid_iso in _isolated_vertices(c):
         coords = tuple(f.isolated[vid_iso] for f in fs)
-        pt = c.pt_vertex(vid_iso)
-        vid(coords, pt)
-        seen_points.add(pt)
-        skeleton.append((pt, coords))
+        place(c.pt_vertex(vid_iso), tuple([x.as_integer_ratio() for x in coords]), coords)
 
     for eid, e in sorted(c.edges.items()):
         profs = [f.profiles[eid] for f in fs]
-        offs = sorted({o for p in profs for o, _ in p.breaks})
-        samples = [_sample(p, offs) for p in profs]
-        values = list(zip(*(vals for vals, _ in samples)))
+        # One sweep per profile on the lcm D of their scales.
+        d = math.lcm(*[p.grid[0] for p in profs])
+        gs = [_times(p.grid[1], d // p.grid[0]) for p in profs]
+        grid = sorted({o for g in gs for o, _ in g})
+        sweeps = [_sweep(g, p.slopes, grid) for g, p in zip(gs, profs)]
+        offs = [Fraction(o, d) for o in grid]
+        last = None if e.is_infinite else len(grid) - 1
         ids = []
-        for o, coords in zip(offs, values):
-            pt = c.pt_on_edge(eid, o)
-            ids.append(vid(coords, pt))
-            if pt not in seen_points:
-                seen_points.add(pt)
-                skeleton.append((pt, coords))
-        piece_slopes = zip(*(right[:-1] for _, right in samples))
+        for k, values in enumerate(zip(*[vals for vals, _ in sweeps])):
+            key = tuple([(v // math.gcd(v, d), d // math.gcd(v, d)) for v in values])
+            if k == 0 or k == last:
+                end = e.u if k == 0 else e.v
+                if end in seen:
+                    ids.append(vertex_ids[key])
+                    continue
+                seen.add(end)
+                pt = c.pt_vertex(end)
+            else:
+                pt = PointRef("on_edge", edge=eid, offset=offs[k])
+            ids.append(place(pt, key))
+        piece_slopes = zip(*(right[:-1] for _, right in sweeps))
         for k, slopes in enumerate(piece_slopes):
-            pieces.append(Piece(eid, offs[k], offs[k + 1], slopes, values[k]))
+            pieces.append(Piece(eid, offs[k], offs[k + 1], slopes, vertices[ids[k]]))
             if all(s == 0 for s in slopes):
                 continue
-            i, j = ids[k], ids[k + 1]
-            key = (min(i, j), max(i, j))
-            g = ivec_gcd(slopes)
-            if key in seg_weights:
-                merged_edges = True
-                seg_weights[key] = math.gcd(seg_weights[key], g)
-            else:
-                seg_weights[key] = g
+            key = (min(ids[k], ids[k + 1]), max(ids[k], ids[k + 1]))
+            merged_edges |= key in seg_weights
+            seg_weights[key] = math.gcd(seg_weights.get(key, 0), ivec_gcd(slopes))
         if e.is_infinite:
             tails = tuple(p.tail for p in profs)
-            pieces.append(Piece(eid, offs[-1], INF, tails, values[-1]))
+            pieces.append(Piece(eid, offs[-1], INF, tails, vertices[ids[-1]]))
             if any(t != 0 for t in tails):
                 key = (ids[-1], primitive(tails))
-                g = ivec_gcd(tails)
-                if key in ray_weights:
-                    merged_edges = True
-                    ray_weights[key] = math.gcd(ray_weights[key], g)
-                else:
-                    ray_weights[key] = g
+                merged_edges |= key in ray_weights
+                ray_weights[key] = math.gcd(ray_weights.get(key, 0), ivec_gcd(tails))
 
     try:
         image = PolyComplex1D(
@@ -164,7 +163,7 @@ def check_realization(r: RealizationMap) -> RealizationReport:
         factors.append((piece.edge, piece.lo, g))
         if g != 1:
             local_isometry = False
-        if g == 0 and (piece.hi == INF or piece.hi > piece.lo):
+        if g == 0 and (piece.hi is INF or piece.hi > piece.lo):
             injective = False
 
     # Ray classes of the source against image ray directions.
@@ -389,8 +388,6 @@ class BezoutReport:
 
 def bezout_check(K1: PolyComplex1D, K2: PolyComplex1D) -> BezoutReport:
     """Sum of transversal intersection multiplicities against the degree bound."""
-    from .complexes import intersect
-
     points = intersect(K1, K2)
     d1 = fit_tropical_polynomial(K1).degree()
     d2 = fit_tropical_polynomial(K2).degree()

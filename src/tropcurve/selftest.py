@@ -123,7 +123,7 @@ def suite_function_axioms(rng: random.Random, cases: int) -> int:
             if len(pool) == 9:
                 break
             f = random_function(c, rng)
-            if sum(len(p.breaks) for p in f.profiles.values()) <= 10:
+            if sum(len(p.grid[1]) for p in f.profiles.values()) <= 10:
                 pool.append(f)
         if len(pool) >= 6:
             pools.append((c, pool))

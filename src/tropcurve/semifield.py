@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping
 
-from .errors import TropError
+from .errors import FileFormatError, TropError
 
 RatLike = "Fraction | int | str"
 
@@ -332,8 +332,6 @@ class TropPoly:
 
     @staticmethod
     def parse(text: str, nvars: int | None = None) -> "TropPoly":
-        from .errors import FileFormatError
-
         stripped = [(i + 1, line.strip()) for i, line in enumerate(text.splitlines())]
         stripped = [(no, line) for no, line in stripped if line]
         if len(stripped) == 1 and stripped[0][1] == "-inf":

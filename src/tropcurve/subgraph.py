@@ -171,7 +171,7 @@ def cut(c: Curve, vertices: Iterable[str], pieces: Iterable[tuple]) -> tuple[Cur
         if lo == hi:
             continue
         v = vertex_at(e, hi)
-        tail = hi == INF
+        tail = hi is INF
         if lo == 0 and hi == e.length:
             sub_id = eid
         else:
@@ -213,7 +213,7 @@ def make_subgraph(c: Curve, vertices: Iterable[str] = (), edges: Iterable[str] =
         if lo == hi == 0:
             vset.add(e.u)
             return
-        if hi != INF and lo == hi == e.length:
+        if hi is not INF and lo == hi == e.length:
             vset.add(e.v)
             return
         edge_ivs.setdefault(e.id, []).append((lo, hi))
@@ -237,9 +237,9 @@ def make_subgraph(c: Curve, vertices: Iterable[str] = (), edges: Iterable[str] =
             raise TropError(f"unknown edge {eid!r}")
         lo = rat(lo)
         hi = INF if hi == INF or (isinstance(hi, str) and hi == "inf") else rat(hi)
-        if lo < 0 or lo > hi or (hi != INF and hi > e.length):
+        if lo < 0 or lo > hi or (hi is not INF and hi > e.length):
             raise TropError(f"invalid interval [{lo},{hi}] on edge {eid!r}")
-        if hi == INF and not e.is_infinite:
+        if hi is INF and not e.is_infinite:
             raise TropError(f"interval reaches infinity on finite edge {eid!r}")
         add_interval(e, lo, hi)
 

@@ -71,6 +71,19 @@ def test_dumps_matches_json_indent(x):
     assert tio._dumps(x) == json.dumps(x, indent=2)
 
 
+@given(st.integers(-10 ** 20, 10 ** 20), st.integers(1, 10 ** 9), st.integers(1, 60))
+@example(0, 1, 1)
+@example(0, 7, 5)
+@example(-12, 4, 1)
+@example(9, 1, 1)
+@example(-9, 1, 3)
+@example(-6, 9, 3)
+def test_ratio_is_str_of_fraction(n, d, k):
+    """The function writer's ``"n/d"`` for the pair (n·k, d·k), which the
+    factor k leaves unreduced, is ``str(Fraction(n, d))``."""
+    assert tio._ratio(n * k, d * k) == str(Fraction(n, d))
+
+
 @pytest.mark.parametrize("x", [{(1, 2): 3}, [{"a": {(1,): 2}}], [object()], {"a": Fraction(1)}])
 def test_dumps_rejects_as_json_does(x):
     with pytest.raises(TypeError) as want:

@@ -41,31 +41,51 @@ def _is_inf(node: ast.AST) -> bool:
 
 
 def test_plfunction_tells_infinity_by_identity():
-    # Edge lengths, subgraph interval ends and distances hold the INF object
-    # itself, so plfunction.py asks ``is INF``; ``==`` would send a Fraction
-    # through its float comparison.  Only chip_fire's length, a value the
-    # caller passes in, is decided with ``==``.
-    path = SRC / "plfunction.py"
+    # Edge lengths, subgraph interval ends, distances and piece ends hold the
+    # INF object itself, so the library asks ``is INF``; ``==`` would send a
+    # Fraction through its float comparison.  Only values a caller passes in
+    # (an edge length or interval end as given, chip_fire's length) and a
+    # float sum (germ_bump's room on a ray) are decided with ``==``.
     found = []
-    for node in ast.walk(ast.parse(path.read_text(), str(path))):
-        if isinstance(node, ast.Compare) \
-                and any(isinstance(op, (ast.Eq, ast.NotEq)) for op in node.ops) \
-                and any(_is_inf(x) for x in (node.left, *node.comparators)):
-            found.append(ast.unparse(node))
-    assert found == ["l == INF"]
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Compare) \
+                    and any(isinstance(op, (ast.Eq, ast.NotEq)) for op in node.ops) \
+                    and any(_is_inf(x) for x in (node.left, *node.comparators)):
+                found.append(f"{path.name}: {ast.unparse(node)}")
+    assert sorted(found) == ["curve.py: x == INF", "morphism.py: room == INF",
+                             "plfunction.py: l == INF", "subgraph.py: hi == INF"]
 
 
 def test_io_writes_json_without_indent():
     # json.dumps(..., indent=...) runs the pure-Python encoder, a generator
-    # frame per value; the writers go through io._dumps, which gives the
-    # same bytes.
-    path = SRC / "io.py"
+    # frame per value; the writers and the command line go through
+    # io._dumps, which gives the same bytes.
     found = []
-    for node in ast.walk(ast.parse(path.read_text(), str(path))):
-        if isinstance(node, ast.Call) and ast.unparse(node.func) == "json.dumps" \
-                and any(k.arg == "indent" for k in node.keywords):
-            found.append(ast.unparse(node))
+    for path in (SRC / "io.py", SRC / "cli.py"):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Call) and ast.unparse(node.func) == "json.dumps" \
+                    and any(k.arg in ("indent", "default") for k in node.keywords):
+                found.append(f"{path.name}: {ast.unparse(node)}")
     assert found == []
+
+
+def _breaks_readers(path: Path) -> set[str]:
+    """The top-level functions and classes of a module that read ``.breaks``."""
+    tree = ast.parse(path.read_text(), str(path))
+    return {getattr(top, "name", "<module>") for top in tree.body for node in ast.walk(top)
+            if isinstance(node, ast.Attribute) and node.attr == "breaks"}
+
+
+def test_profile_readers_read_the_grid():
+    # Profile.breaks builds Fractions from the grid; it is a view for tests,
+    # repr and error messages.  realize, pullback, the function writer, the
+    # glue check and the self-test read Profile.grid; germ_bump still edits
+    # a breakpoint list.
+    readers = {name: _breaks_readers(SRC / name)
+               for name in ("realization.py", "io.py", "glue.py", "selftest.py", "morphism.py")}
+    assert readers == {"realization.py": set(), "io.py": set(), "glue.py": set(),
+                       "selftest.py": set(), "morphism.py": {"germ_bump"}}
 
 
 def test_every_imported_name_is_used():

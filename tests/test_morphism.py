@@ -12,7 +12,7 @@ from tropcurve.errors import TropError
 from tropcurve.morphism import (Morphism, MorphismReport, compose, germ_bump,
                                 localization_surjectivity, localize, pullback, validate_morphism,
                                 weight_check, weight_from_generators, weighted_local_image)
-from tropcurve.plfunction import PLFunction, chip_fire
+from tropcurve.plfunction import PLFunction, _flat, _isolated_vertices, _normalize, chip_fire
 from tropcurve.randgen import random_curve, random_function, random_germ, random_point
 from tropcurve.selftest import suite_localization, suite_pullback
 from tropcurve.semifield import Germ
@@ -384,6 +384,43 @@ def _random_weight(rng) -> Morphism:
                       edges=edges, ray_classes=tgt.ray_classes)
     return Morphism(src, tgt, {v: v for v in tgt.vertices},
                     {e: ("edge", e) for e in tgt.edges}, degrees)
+
+
+def ref_pullback(m: Morphism, f: PLFunction) -> PLFunction:
+    """``pullback`` as it was when it moved each of ``Profile.breaks`` to the
+    source edge in ``Fraction``s, o / k or (L - o) / k on a reversed edge,
+    and normalized the list."""
+    if f.is_neg_inf:
+        return PLFunction.neg_inf(m.source)
+    profiles = {}
+    for eid, e in m.source.edges.items():
+        kind, name = m.edge_map[eid]
+        if kind == "vertex":
+            profiles[eid] = _flat(e, f.value_at(m.target.pt_vertex(name)))
+            continue
+        prof, k, te = f.profiles[name], m.degrees[eid], m.target.edges[name]
+        if m.vertex_map[e.u] == te.u:
+            breaks = [(o / k, v) for o, v in prof.breaks]
+        else:
+            breaks = [((te.length - o) / k, v) for o, v in prof.breaks]
+        profiles[eid] = _normalize(breaks, None if prof.tail is None else prof.tail * k)
+    isolated = {vid: f.value_at(m.target.pt_vertex(m.vertex_map[vid]))
+                for vid in _isolated_vertices(m.source)}
+    return PLFunction(m.source, profiles, isolated)
+
+
+def test_pullback_matches_the_fraction_reading():
+    rng = rng_for("pullback-reference")
+    reversed_edges = stretched = 0
+    for _ in range(200):
+        m = _random_weight(rng)
+        f = random_function(m.target, rng, allow_neg_inf=True)
+        got, want = pullback(m, f), ref_pullback(m, f)
+        assert got == want and got.isolated == want.isolated, (m, f.profiles)
+        if not f.is_neg_inf:
+            reversed_edges += sum(m.source.edges[eid].u != e.u for eid, e in m.target.edges.items())
+            stretched += sum(k > 1 for k in m.degrees.values())
+    assert reversed_edges >= 100 and stretched >= 100, (reversed_edges, stretched)
 
 
 class TestCertificatesAgainstSamples:

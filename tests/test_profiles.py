@@ -8,7 +8,9 @@ run: one scan of the breakpoint list per query and one query per breakpoint.
 step in ``Fraction``s.  ``ref_chip_fire`` folds one distance profile per
 source through ``_combine2`` and ``ref_extend`` descends each gap in
 ``Fraction``s, as the two constructions did before they were built in one
-integer pass per edge.  The library now stores each profile on its own
+integer pass per edge.  ``ref_realize`` samples every arc through
+``Profile.breaks`` in ``Fraction``s, as ``realize`` did before it swept the
+grids.  The library now stores each profile on its own
 integer grid, bisects it for point queries and sweeps each arc once; these
 tests require the same results and the same error messages, and bound how the
 work grows with the number of breakpoints.
@@ -18,19 +20,21 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from math import floor, lcm
+from math import floor, gcd, lcm
 
 import pytest
 
+from tropcurve.complexes import PolyComplex1D
 from tropcurve.curve import INF, Curve, PointRef, disjoint_union
 from tropcurve.errors import TropError
+from tropcurve.geometry import ivec_gcd, primitive
 from tropcurve.plfunction import (Divisor, PLFunction, Profile, _affine, _combine2,
-                                  _isolated_vertices, _normalize, _sample, _slice, _slope_sum,
-                                  chip_fire,
-                                  extend, is_harmonic_at, principal_divisor, pseudodirect_tuple,
-                                  restrict_whole, split_components)
-from tropcurve.randgen import random_curve, random_function, random_rational, random_subgraph
-from tropcurve.realization import realize
+                                  _isolated_vertices, _normalize, _slice, _slope_sum, _sweep, _with,
+                                  chip_fire, extend, is_harmonic_at, principal_divisor,
+                                  pseudodirect_tuple, restrict_whole, split_components)
+from tropcurve.randgen import (random_class_respecting_function, random_curve, random_function,
+                               random_rational, random_subgraph)
+from tropcurve.realization import Piece, RealizationMap, realize
 from tropcurve.subgraph import Subgraph, make_subgraph
 
 from conftest import fraction_calls, rng_for
@@ -340,6 +344,69 @@ def ref_extend(f_prime: PLFunction, g: Subgraph, s: int) -> PLFunction:
     return PLFunction(c, profiles, isolated)
 
 
+def ref_realize(c: Curve, fs) -> RealizationMap:
+    """``realize`` as it was when it read ``Profile.breaks``: offsets and values
+    in ``Fraction``s, vertices keyed by ``Fraction`` tuples, every point
+    through ``pt_on_edge`` and a set of the points met."""
+    for f in fs:
+        ok, witness = f.respects_ray_classes()
+        if not ok:
+            raise TropError(f"coordinate function breaks ray class {witness[0]!r}")
+    vertices, vertex_ids, skeleton, seen_points = [], {}, [], set()
+    merged_vertices = merged_edges = False
+
+    def vid(coords, pt) -> int:
+        nonlocal merged_vertices
+        if coords in vertex_ids:
+            if pt not in seen_points:
+                merged_vertices = True
+            return vertex_ids[coords]
+        vertex_ids[coords] = len(vertices)
+        vertices.append(coords)
+        return vertex_ids[coords]
+
+    seg_weights, ray_weights, pieces = {}, {}, []
+    for vid_iso in _isolated_vertices(c):
+        coords = tuple(f.isolated[vid_iso] for f in fs)
+        pt = c.pt_vertex(vid_iso)
+        vid(coords, pt)
+        seen_points.add(pt)
+        skeleton.append((pt, coords))
+    for eid, e in sorted(c.edges.items()):
+        profs = [f.profiles[eid] for f in fs]
+        offs = sorted({o for p in profs for o, _ in p.breaks})
+        values = list(zip(*(ref_values_at(p, offs) for p in profs)))
+        ids = []
+        for o, coords in zip(offs, values):
+            pt = c.pt_on_edge(eid, o)
+            ids.append(vid(coords, pt))
+            if pt not in seen_points:
+                seen_points.add(pt)
+                skeleton.append((pt, coords))
+        for k in range(len(offs) - 1):
+            slopes = tuple(ref_slope_right(p, offs[k]) for p in profs)
+            pieces.append(Piece(eid, offs[k], offs[k + 1], slopes, values[k]))
+            if any(slopes):
+                key = tuple(sorted((ids[k], ids[k + 1])))
+                merged_edges |= key in seg_weights
+                seg_weights[key] = gcd(seg_weights.get(key, 0), ivec_gcd(slopes))
+        if e.is_infinite:
+            tails = tuple(p.tail for p in profs)
+            pieces.append(Piece(eid, offs[-1], INF, tails, values[-1]))
+            if any(tails):
+                key = (ids[-1], primitive(tails))
+                merged_edges |= key in ray_weights
+                ray_weights[key] = gcd(ray_weights.get(key, 0), ivec_gcd(tails))
+    try:
+        image = PolyComplex1D(len(fs), tuple(vertices),
+                              tuple(sorted((i, j, w) for (i, j), w in seg_weights.items())),
+                              tuple(sorted((b, d, w) for (b, d), w in ray_weights.items())))
+    except TropError as exc:
+        raise TropError(f"image is not an embedded complex: {exc}") from exc
+    return RealizationMap(c, tuple(fs), image, tuple(pieces), tuple(skeleton),
+                          merged_vertices, merged_edges)
+
+
 # -- inputs -----------------------------------------------------------------------
 
 
@@ -419,8 +486,8 @@ def shifted(p: Profile, delta) -> Profile:
     return Profile(tuple((o, v + delta) for o, v in p.breaks), p.tail)
 
 
-def random_pair(rng: random.Random) -> tuple[Profile, Profile, str]:
-    """Two profiles on one edge, finite or a ray, and how q was drawn from p.
+def random_pair(rng: random.Random) -> tuple[Profile, Profile, str, str]:
+    """Two profiles on one edge, finite or a ray, how q was drawn from p, and the style.
 
     Styles: small denominators, ``int`` offsets and values, or pairwise
     coprime prime denominators (one prime per number, so the common scale
@@ -438,10 +505,10 @@ def random_pair(rng: random.Random) -> tuple[Profile, Profile, str]:
     p = walk(rng, random_offsets(rng, style, den_pool, end), style, den_pool, tails[0])
     relation = rng.choice(("independent", "equal", "constant", "touch", "touch"))
     if relation == "equal":
-        return p, p, relation
+        return p, p, relation, style
     if relation == "constant":
         return p, shifted(p, rng.choice((-1, 1)) * Fraction(rng.randint(1, 9), rng.randint(1, 4))), \
-            relation
+            relation, style
     if ray and rng.random() < 0.3:
         tails = (tails[0], tails[0])
     den_pool = list(PRIMES)
@@ -451,7 +518,7 @@ def random_pair(rng: random.Random) -> tuple[Profile, Profile, str]:
         o = rng.choice(p.breaks)[0]
         delta = ref_value(as_fractions(p), o) - ref_value(as_fractions(q), o)
         q = shifted(q, int(delta) if delta.denominator == 1 else delta)
-    return p, q, relation
+    return p, q, relation, style
 
 
 def curve_with_everything(rng: random.Random) -> Curve:
@@ -490,10 +557,10 @@ def test_combine2_matches_fraction_kernel():
     seen = dict.fromkeys(("equal", "constant", "touch", "int", "prime", "parallel tails",
                           "tail crossing", "crossing at a breakpoint"), 0)
     for _ in range(3000):
-        p, q, relation = random_pair(rng)
+        p, q, relation, style = random_pair(rng)
         fp, fq = as_fractions(p), as_fractions(q)
         seen[relation] = seen.get(relation, 0) + 1
-        seen["int"] += type(p.breaks[-1][0]) is int
+        seen["int"] += style == "int"
         seen["prime"] += max(o.denominator for o, _ in p.breaks) > 3
         if p.tail is not None and p.tail == q.tail and p != q:
             seen["parallel tails"] += 1
@@ -533,8 +600,6 @@ def test_normalize_matches_fraction_kernel():
         got, want = outcome(_normalize, bs, p.tail), outcome(ref_normalize, bs, p.tail)
         assert got == want, bs
         if got[0] == "ok":
-            ids = {id(b) for b in bs}
-            assert all(id(b) in ids for b in got[1].breaks)
             dropped += len(got[1].breaks) < len(set(bs))
         errors += got[0] == "error"
     assert errors >= 100 and dropped >= 500
@@ -561,13 +626,14 @@ def test_slope_matches_fraction_kernel():
 def test_slice_and_sample_match_fraction_kernels():
     rng = rng_for("profile-slice")
     for _ in range(1500):
-        p, q, _ = random_pair(rng)
+        p, q, *_ = random_pair(rng)
         offs = sorted({o for o, _ in p.breaks} | {o for o, _ in q.breaks})
         cuts = sorted(set(offs + [Fraction(a + b) / 2 for a, b in zip(offs, offs[1:])]))
         if p.tail is not None:
             cuts.append(offs[-1] + Fraction(5, 3))
-        vals, right = _sample(p, cuts)
-        assert vals == ref_values_at(as_fractions(p), cuts)
+        d, g, grid = _with(p, cuts)
+        vals, right = _sweep(g, p.slopes, grid)
+        assert [Fraction(v, d) for v in vals] == ref_values_at(as_fractions(p), cuts)
         assert right[:-1] == [ref_slope_right(p, t) for t in cuts[:-1]]
         assert right[-1] == (p.tail if p.tail is not None else None)
         a = rng.choice(cuts[:-1])
@@ -682,6 +748,36 @@ def test_extend_matches_the_gap_descent():
             outcomes[got[0]] = outcomes.get(got[0], 0) + 1
             shallow += got[0] == "error" and "too shallow" in got[1]
     assert outcomes["ok"] >= 1000 and shallow >= 300, (outcomes, shallow)
+
+
+def test_realize_matches_the_fraction_reading():
+    """Curves with loops, rays and isolated vertices under two or three
+    class-respecting functions, often constant on whole components so that
+    distinct points share an image point: the same image, pieces, skeleton
+    and merge flags, and the same error where the image does not embed."""
+    rng = rng_for("profile-realize")
+    seen = dict.fromkeys(("ok", "error", "isolated", "loop", "ray", "merged vertices",
+                          "merged edges"), 0)
+    while seen["ok"] < 200:
+        c = drawn_curve(rng)
+        fs = [random_class_respecting_function(c, rng) for _ in range(rng.randint(2, 3))]
+        got, want = outcome(realize, c, fs), outcome(ref_realize, c, fs)
+        seen[got[0]] += 1
+        assert got[0] == want[0], c
+        if got[0] == "error":
+            assert got == want
+            continue
+        got, want = got[1], want[1]
+        assert got.image == want.image, c
+        assert got.pieces == want.pieces and got.skeleton == want.skeleton
+        assert (got.merged_vertices, got.merged_edges) == (want.merged_vertices,
+                                                            want.merged_edges)
+        seen["isolated"] += bool(_isolated_vertices(c))
+        seen["loop"] += any(e.is_loop for e in c.edges.values())
+        seen["ray"] += any(e.is_infinite for e in c.edges.values())
+        seen["merged vertices"] += got.merged_vertices
+        seen["merged edges"] += got.merged_edges
+    assert min(seen.values()) >= 50, seen
 
 
 def test_harmonicity_of_the_zero_function_raises():
