@@ -5,14 +5,13 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 from typing import Iterable, Sequence
 
 from .curve import connected_groups
 from .errors import NonTransversalError, TropError
-from .geometry import (IVec, Vec, dot, edge_intersection, ivec_gcd, on_edge, parallel, primitive,
-                       vadd, vsub)
-from .semifield import _EXACT, _INT, _inexact, integer, rat
+from .geometry import IVec, Vec, dot, edge_intersection, on_edge, parallel, primitive, vadd, vsub
+from .semifield import _EXACT, _INT, _inexact, common_scale, integer, least_scale, on_scale, rat
 
 
 def _coerce_point(p: Sequence, dim: int) -> Vec:
@@ -24,18 +23,6 @@ def _coerce_point(p: Sequence, dim: int) -> Vec:
 
 def _fmt(p: Sequence) -> str:
     return "(" + ", ".join(str(x) for x in p) + ")"
-
-
-def _on_integers(*groups: Sequence[Sequence]) -> tuple[int, list[list[IVec]]]:
-    """One scale L > 0, the lcm of every coordinate's denominator, and each
-    group of rational points multiplied by it.
-
-    Multiplying by L keeps order, equality and collinearity, so every
-    predicate in this module decides exactly on the integer points.
-    """
-    ratios = [[[x.as_integer_ratio() for x in p] for p in g] for g in groups]
-    L = lcm(*(d for g in ratios for p in g for _, d in p))
-    return L, [[tuple(n * (L // d) for n, d in p) for p in g] for g in ratios]
 
 
 def _unscaled(num: Sequence[int], den: int) -> Vec:
@@ -79,7 +66,7 @@ class PolyComplex1D:
                 raise TropError(f"vertex {v} has wrong dimension")
             if not _EXACT.issuperset(map(type, v)):
                 raise _inexact(next(x for x in v if type(x) not in _EXACT))
-        L, (P,) = _on_integers(self.vertices)
+        L, P = on_scale(self.vertices)
         seen = set()
         for v, p in zip(self.vertices, P):
             if p in seen:
@@ -104,7 +91,7 @@ class PolyComplex1D:
                 raise TropError(f"ray direction {d} has dimension {len(d)}, expected {self.dim}")
             if w <= 0:
                 raise TropError("weights must be positive")
-            if ivec_gcd(d) != 1:
+            if gcd(*d) != 1:
                 raise TropError(f"ray direction {d} is not primitive")
         self._check_complex_property(P, L)
 
@@ -147,7 +134,7 @@ class PolyComplex1D:
         return len(self.segments) + len(self.rays)
 
     def contains(self, p: Sequence) -> bool:
-        L, (P, (q,)) = _on_integers(self.vertices, [_coerce_point(p, self.dim)])
+        L, (*P, q) = on_scale((*self.vertices, _coerce_point(p, self.dim)))
         return q in P or any(on_edge(*e, q) for e in _int_edges(self, P, L))
 
     def is_connected(self) -> bool:
@@ -162,10 +149,11 @@ class PolyComplex1D:
     def _check_complex_property(self, P: Sequence[IVec], L: int):
         """Edges meet only at shared endpoints; unused vertices lie on no edge.
 
-        P holds the vertices times the scale L of ``_on_integers``.  Only
-        pairs whose boxes meet are tested exactly, edge pairs first and then
-        unused vertices, each in sorted index order, so the first error is
-        the one an all-pairs loop over the same order would raise.
+        P holds the vertices times their least common denominator L
+        (``on_scale``).  Only pairs whose boxes meet are tested exactly, edge
+        pairs first and then unused vertices, each in sorted index order, so
+        the first error is the one an all-pairs loop over the same order
+        would raise.
         """
         edges = _int_edges(self, P, L)
         if not edges:
@@ -205,13 +193,13 @@ class PolyComplex1D:
         line: two opposite rays from its ``line_anchor``.  Two complexes with
         the same weighted support have equal canonical forms, which makes
         support equality a structural comparison.  The work runs on the
-        vertices times the scale of ``_on_integers``; a vertex that survives
+        vertices times their scale (``on_scale``); a vertex that survives
         keeps its original coordinates.  It is built once and kept outside the
         fields, like ``Subgraph.as_curve``'s cut; a canonical form is its own.
         """
         if "_canonical" in self.__dict__:
             return self.__dict__["_canonical"]
-        L, (P,) = _on_integers(self.vertices)
+        L, P = on_scale(self.vertices)
         straight = _straight(self, P)
         # Edges as (end, far end or None for a ray, weight); rays after segments.
         nseg = len(self.segments)
@@ -273,8 +261,8 @@ class PolyComplex1D:
 def _straight(k: PolyComplex1D, P: Sequence[IVec]) -> dict[int, IVec]:
     """The straight vertices of k: two edges of one weight w leave each in
     opposite directions.  Maps each one's index to w times the primitive
-    direction of its first edge; P holds the vertices on the scale of
-    ``_on_integers``.
+    direction of its first edge; P holds the vertices on their scale
+    (``on_scale``).
 
     Merging the two edges at a straight vertex leaves every other vertex's
     directions and weights as they were, so straightness is decided once.
@@ -356,7 +344,7 @@ class BalanceReport:
 
 def check_balanced(complex_: PolyComplex1D) -> BalanceReport:
     """Sum weight * primitive outgoing direction at every vertex, exactly."""
-    _, (P,) = _on_integers(complex_.vertices)
+    _, P = on_scale(complex_.vertices)
     sums = [[0] * complex_.dim for _ in P]
     for i, j, w in complex_.segments:
         d = primitive(vsub(P[j], P[i]), w)
@@ -389,11 +377,11 @@ def intersect(k1: PolyComplex1D, k2: PolyComplex1D) -> tuple[IntersectionPoint, 
         raise TropError("plane intersection requires dimension 2")
     a = k1.canonical()
     b = k2.canonical()
-    L, (A, B) = _on_integers(a.vertices, b.vertices)
+    L, (A, B) = common_scale(on_scale(a.vertices), on_scale(b.vertices))
     a_through = {A[i]: d for i, d in _straight(a, A).items()}
     b_through = {B[i]: d for i, d in _straight(b, B).items()}
     b_edges = _plane_edges(b, B, L)
-    found: dict[tuple, int] = {}  # (num, den) in lowest terms -> multiplicity
+    found: dict[tuple, int] = {}  # (den, (num,)) in least terms -> multiplicity
     for ea, sa, box in _plane_edges(a, A, L):
         for eb, sb, other in b_edges:
             if not _boxes_meet(box, other):
@@ -405,31 +393,31 @@ def intersect(k1: PolyComplex1D, k2: PolyComplex1D) -> tuple[IntersectionPoint, 
                 raise NonTransversalError(_unscaled(res[1], res[2] * L), 4,
                                           "the two edges overlap along a common line")
             _, num, den, at_end_a, at_end_b = res
-            g = gcd(den, *num)
-            key = (tuple(x // g for x in num), den // g)
+            key = least_scale(den, (num,))
             # A vertex met by an edge of a complex is an endpoint of that edge,
-            # and an integer point, key[0].
+            # and an integer point, whose key is (1, (point,)).
+            point = key[1][0]
             da, db = sa, sb
             if at_end_a:
-                if key[0] not in a_through:
+                if point not in a_through:
                     raise NonTransversalError(
                         _unscaled(num, den * L), 2,
                         "intersection at a vertex is not two-valent on both sides")
-                da = a_through[key[0]]
+                da = a_through[point]
             if at_end_b:
-                if key[0] not in b_through:
+                if point not in b_through:
                     raise NonTransversalError(
                         _unscaled(num, den * L), 2,
                         "intersection at a vertex is not two-valent on both sides")
-                db = b_through[key[0]]
+                db = b_through[point]
             # da and db are independent: a collinear touch at ends is a line
             # anchor of both canonical forms, whose rays sort alike, so their
             # overlap was raised first.  A point on two edges is a straight
             # vertex, met with one direction, so its multiplicity is unique.
             found[key] = abs(da[0] * db[1] - da[1] * db[0])
-    common = lcm(*(den for _, den in found))
-    order = sorted(found, key=lambda k: tuple(x * (common // k[1]) for x in k[0]))
-    return tuple(IntersectionPoint(_unscaled(num, den * L), found[num, den]) for num, den in order)
+    _, rows = common_scale(*found)  # the points on one scale, which sorts them
+    return tuple(IntersectionPoint(_unscaled(num, den * L), found[den, (num,)])
+                 for _, (den, (num,)) in sorted(zip(rows, found)))
 
 
 def _plane_edges(k: PolyComplex1D, P: Sequence[IVec], L: int) -> list[tuple]:

@@ -1,9 +1,9 @@
 """Exact geometry helpers for one-dimensional complexes in Q^n.
 
 The predicates ``parallel``, ``on_edge`` and ``edge_intersection``, and
-``primitive``, take integer coordinates: ``complexes`` multiplies rational
-points by one positive lcm of their denominators, which keeps order, equality
-and collinearity.
+``primitive``, take integer coordinates: ``complexes`` puts rational points on
+their least common denominator with ``semifield.on_scale``, a positive factor
+that keeps order, equality and collinearity.
 """
 
 from __future__ import annotations
@@ -50,15 +50,8 @@ def parallel(a: Sequence, b: Sequence) -> bool:
 
 def primitive(d: Sequence[int], w: int = 1) -> IVec:
     """w times the primitive integer vector along the nonzero integer vector d."""
-    g = ivec_gcd(d)
+    g = gcd(*d)
     return tuple(w * x // g for x in d)
-
-
-def ivec_gcd(d: Sequence[int]) -> int:
-    g = 0
-    for v in d:
-        g = gcd(g, abs(v))
-    return g
 
 
 def on_edge(kind: str, p0: IVec, p1: IVec, x: IVec) -> bool:

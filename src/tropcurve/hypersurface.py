@@ -3,12 +3,12 @@
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 from typing import Sequence
 
 from .complexes import PolyComplex1D
 from .errors import TropError
-from .semifield import TropPoly, rat
+from .semifield import TropPoly, least_scale, on_scale, rat
 
 
 def plane_hypersurface(F: TropPoly, window: Sequence | None = None) -> PolyComplex1D:
@@ -36,9 +36,9 @@ def plane_hypersurface(F: TropPoly, window: Sequence | None = None) -> PolyCompl
     if len(terms) > 32:
         raise TropError("more than 32 terms; out of the supported desk scale")
 
-    ratios = [c.as_integer_ratio() for _, c in terms]
-    D = lcm(*(d for _, d in ratios))
-    T = [(e, n * (D // d)) for (e, _), (n, d) in zip(terms, ratios)]
+    exps, coefs = zip(*terms)
+    D, (scaled,) = on_scale((coefs,))
+    T = list(zip(exps, scaled))
     hull = _hull([e for e, _ in T])
     points, segments, rays = _lines(T, *hull) if len(hull) == 2 else _walk(T)
     vertices = tuple((Fraction(X, q * D), Fraction(Y, q * D)) for X, Y, q in points)
@@ -117,9 +117,8 @@ def _step(T, P, d):
     if r == 0:
         return None
     X, Y, q = P
-    X, Y, q = r * X + n * d[0], r * Y + n * d[1], r * q
-    g = gcd(X, Y, q)
-    return X // g, Y // g, q // g
+    q, ((X, Y),) = least_scale(r * q, ((r * X + n * d[0], r * Y + n * d[1]),))
+    return X, Y, q
 
 
 def _hull(points):

@@ -10,7 +10,6 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
-from math import gcd
 
 from .complexes import PolyComplex1D
 from .curve import INF, Curve, PointRef
@@ -18,7 +17,7 @@ from .errors import FileFormatError, TropError
 from .glue import Embedding
 from .morphism import Morphism
 from .plfunction import Divisor, PLFunction, edge_profile
-from .semifield import TropPoly, integer, rat
+from .semifield import TropPoly, integer, rat, ratio_str
 from .subgraph import Subgraph, make_subgraph
 
 
@@ -182,7 +181,7 @@ def function_to_json(f: PLFunction) -> str:
         e = f.curve.edges[eid]
         prof = edge_profile(f, eid)
         d, g = prof.grid
-        entry: dict = {"breakpoints": [[_ratio(o, d), _ratio(v, d)] for o, v in g]}
+        entry: dict = {"breakpoints": [[ratio_str(o, d), ratio_str(v, d)] for o, v in g]}
         if e.is_infinite:
             entry["slope_at_infinity"] = prof.tail
         data[eid] = entry
@@ -190,12 +189,6 @@ def function_to_json(f: PLFunction) -> str:
     if iso:
         data["values_at_vertices"] = iso
     return _dumps(data) + "\n"
-
-
-def _ratio(n: int, d: int) -> str:
-    """``str(Fraction(n, d))`` for d > 0, from the pair reduced by its gcd."""
-    r = gcd(n, d)
-    return str(n // r) if r == d else f"{n // r}/{d // r}"
 
 
 def function_from_json(c: Curve, text: str) -> PLFunction:

@@ -2,17 +2,16 @@
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from fractions import Fraction
+from itertools import chain
 from math import gcd
 from typing import Mapping, Sequence
 
-from .curve import INF, Curve, PointRef
+from .curve import Curve, PointRef
 from .errors import TropError
-from .plfunction import (PLFunction, Profile, _flat, _gridded, _isolated_vertices, _normalize,
-                         _reverse, edge_profile)
-from .semifield import Germ, integer
+from .plfunction import (PLFunction, Profile, _flat, _gridded, _isolated_vertices, _kept, _reverse,
+                         edge_profile)
+from .semifield import Germ, common_scale, integer, on_scale
 
 
 @dataclass(frozen=True)
@@ -226,9 +225,7 @@ def weight_from_generators(gens: Sequence[PLFunction], edge: str) -> int:
             if len(prof.grid[1]) > 2:
                 raise TropError(f"generator is not affine on {edge!r}; subdivide first")
             slopes.append(prof.slopes[0])
-    g0 = 0
-    for s in slopes:
-        g0 = gcd(g0, abs(s))
+    g0 = gcd(*slopes)
     if g0 == 0:
         raise TropError("weight undetermined on level edge: all slopes are zero")
     return g0
@@ -279,8 +276,13 @@ def localize(c: Curve, x: PointRef, direction_order: Sequence[str] | None = None
 def germ_bump(loc: Localization, germ: Germ) -> PLFunction:
     """A function whose germ at the localization point is the given germ.
 
-    Takes the germ value at the point, runs with the germ slopes for a
-    small exact radius, returns to zero, and is zero elsewhere.
+    Takes the germ value at the point, runs with the germ slopes for eps,
+    returns to zero within another eps, and is zero elsewhere; eps is a
+    third of the least room along a direction (half of a loop at its
+    vertex, 1 along a ray).  The legs are written on the scale S = 6D, D
+    the least common denominator of the germ value, the point's offset and
+    the edges' lengths, where each room and eps are integers; a leg
+    returning with slope r lives on the scale S·r.
     """
     if germ.is_neg_inf:
         return PLFunction.neg_inf(loc.curve)
@@ -292,48 +294,34 @@ def germ_bump(loc: Localization, germ: Germ) -> PLFunction:
     if not loc.directions:  # an isolated vertex: the germ is its value
         return PLFunction(c, dict(zero.profiles), {**zero.isolated, ident: germ.coef})
 
-    def leg_base(eid: str, sign: str) -> Fraction:
-        if kind == "edge":
-            return off
-        return Fraction(0) if sign == "+" else c.edges[eid].length
-
-    rooms = []
-    for d in loc.directions:
-        eid, sign = d.rsplit(":", 1)
-        e = c.edges[eid]
-        base = leg_base(eid, sign)
-        room = (e.length - base) if sign == "+" else base
+    dirs = [(*d.rsplit(":", 1), slope) for d, slope in zip(loc.directions, germ.slopes)]
+    edges = [c.edges[eid] for eid, _, _ in dirs]
+    d, (row,) = on_scale(([germ.coef, off if kind == "edge" else 0]
+                          + [0 if e.is_infinite else e.length for e in edges],))
+    S = 6 * d
+    a, at, *lengths = [6 * x for x in row]
+    legs, parts = [], {}  # parts: per edge, its zero ends on S, then its legs
+    for (eid, sign, slope), e, n in zip(dirs, edges, lengths):
+        base = at if kind == "edge" else 0 if sign == "+" else n
         if kind == "vertex" and e.is_loop:
-            room = e.length / 2  # both legs run along the loop: half each
-        rooms.append(Fraction(1) if room == INF else room)
-    eps = min(rooms) / 3
-    if eps <= 0:
-        raise TropError("no room for a bump at this point")
-    a = germ.coef
-
-    def leg(slope: int) -> list[tuple[Fraction, Fraction]]:
-        # Breakpoints as distance from the point: germ slope for eps, then
-        # an integer return slope back to zero within another eps.
+            room = n // 2  # both legs run along the loop: half each
+        else:
+            room = base if sign == "-" else S if e.is_infinite else n - base
+        legs.append((eid, 1 if sign == "+" else -1, slope, base, room))
+        parts.setdefault(eid, [(S, ((0, 0),) if e.is_infinite else ((0, 0), (n, 0)))])
+    eps = min([room for *_, room in legs]) // 3
+    for eid, step, slope, base, _ in legs:
         v1 = a + slope * eps
-        pts = [(Fraction(0), a), (eps, v1)]
-        if v1 != 0:
-            rate = math.ceil(abs(v1) / eps)
-            pts.append((eps + abs(v1) / rate, Fraction(0)))
-        return pts
-
+        rate = -(-abs(v1) // eps) if v1 else 1  # the least integer return slope
+        far = (base + step * eps) * rate
+        back = ((far + step * abs(v1), 0),) if v1 else ()
+        parts[eid].append((S * rate, ((base * rate, a * rate), (far, v1 * rate)) + back))
     profiles = dict(zero.profiles)
-    by_edge: dict[str, list[tuple[str, int]]] = {}
-    for d, slope in zip(loc.directions, germ.slopes):
-        eid, sign = d.rsplit(":", 1)
-        by_edge.setdefault(eid, []).append((sign, slope))
-    for eid, legs in by_edge.items():
-        breaks: dict[Fraction, Fraction] = dict(profiles[eid].breaks)
-        for sign, slope in legs:
-            base = leg_base(eid, sign)
-            direction = 1 if sign == "+" else -1
-            for dist, val in leg(slope):
-                breaks[base + direction * dist] = val
-        profiles[eid] = _normalize(sorted(breaks.items()), profiles[eid].tail)
+    for eid, scaled in parts.items():
+        D, rows = common_scale(*scaled)
+        g = sorted(dict(chain.from_iterable(rows)).items())  # a leg's start overwrites an end
+        tail = profiles[eid].tail
+        profiles[eid] = _gridded(D, [g[k] for k in _kept(g, tail)], tail)
     return PLFunction(c, profiles, dict(zero.isolated))
 
 

@@ -1,12 +1,13 @@
 """Piecewise-linear rational functions on curves, divisors, and chip firing.
 
 Each edge carries a ``Profile`` in the edge's own coordinates from its u
-end, stored on its own integer grid: the least common denominator D of its
-offsets and values, the pairs times D, and integer slopes.  Every kernel
-and every reader in the library (``realize``, ``pullback``, the function
-writer) works on grids; a binary kernel sweeps the lcm of the two scales,
-refined by the slope difference at a max/min crossing, and every result is
-reduced to the least D, so function equality compares integers and the
+end, stored on its own integer grid (``semifield.on_scale``): the least
+common denominator D of its offsets and values, the pairs times D, and
+integer slopes.  Every kernel and every reader in the library (``realize``,
+``pullback``, ``germ_bump``, the function writer) works on grids; a binary
+kernel sweeps the lcm of the two scales (``common_scale``), refined by the
+slope difference at a max/min crossing, and every result is reduced to the
+least D (``least_scale``), so function equality compares integers and the
 integers do not grow from one operation to the next.  ``Fraction``s are
 built only where a value, a divisor's offset or an image point is handed out.
 """
@@ -16,14 +17,13 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain
-from math import gcd, lcm
+from math import lcm
 from operator import itemgetter
 from typing import Iterable, Mapping, Sequence
 
 from .curve import INF, Curve, EdgeDesc, PointRef
 from .errors import InternalError, TropError
-from .semifield import TropValue, integer, rat
+from .semifield import TropValue, common_scale, integer, least_scale, on_scale, rat, ratio_str
 from .subgraph import Subgraph, SubChart
 
 
@@ -46,7 +46,7 @@ class Profile:
     def __getattr__(self, name):  # only the unset lazy slots come here
         if name not in ("grid", "slopes"):
             raise AttributeError(name)
-        setattr(self, name, _on_scale(self._breaks) if name == "grid"
+        setattr(self, name, on_scale(self._breaks) if name == "grid"
                 else _grid_slopes(self.grid[1]) + [self.tail])
         return object.__getattribute__(self, name)
 
@@ -109,43 +109,17 @@ class Profile:
 
 
 def _gridded(d: int, g: Sequence[tuple[int, int]], tail: int | None) -> Profile:
-    """The profile of the pairs g on scale d, reduced so that gcd(D, every number) = 1."""
-    r = gcd(d, *chain.from_iterable(g))
+    """The profile of the pairs g on scale d, in least terms."""
     p = Profile.__new__(Profile)
     p._breaks, p.tail = None, tail
-    p.grid = d // r, tuple([(o // r, v // r) for o, v in g] if r > 1 else g)
+    p.grid = least_scale(d, g)
     return p
 
 
 def _place(d: int, t) -> tuple[int, int]:
     """(x, m) with t = x / (d·m), m the least such factor."""
-    n, q = t.as_integer_ratio()
-    return n * (d // gcd(d, q)), q // gcd(d, q)
-
-
-def _on_scale(breaks: Sequence[tuple]) -> tuple[int, tuple[tuple[int, int], ...]]:
-    """(D, breakpoints times D), D the lcm of every offset's and value's denominator.
-
-    The way in from given numbers: each is read once with
-    ``as_integer_ratio``, which ``int`` has too.
-    """
-    rs = [o.as_integer_ratio() + v.as_integer_ratio() for o, v in breaks]
-    d = 1
-    for _, od, _, vd in rs:
-        d = lcm(d, od, vd)
-    return d, tuple([(on * (d // od), vn * (d // vd)) for on, od, vn, vd in rs])
-
-
-def _times(g: Sequence[tuple[int, int]], m: int) -> Sequence[tuple[int, int]]:
-    return g if m == 1 else [(o * m, v * m) for o, v in g]
-
-
-def _with(p: Profile, xs: Sequence) -> tuple[int, Sequence[tuple[int, int]], list[int]]:
-    """(D, p's grid pairs times D, the rationals xs times D) on their common scale D."""
-    d, g = p.grid
-    rs = [x.as_integer_ratio() for x in xs]
-    e = lcm(d, *[q for _, q in rs])
-    return e, _times(g, e // d), [n * (e // q) for n, q in rs]
+    e, (_, ((x,),)) = common_scale((d, ()), on_scale(((t,),)))
+    return x, e // d
 
 
 def _grid_slopes(g: Sequence[tuple[int, int]]) -> list[int]:
@@ -161,8 +135,8 @@ def _grid_slopes(g: Sequence[tuple[int, int]]) -> list[int]:
 
 def _normalize(breaks: Sequence[tuple[Fraction, Fraction]], tail: int | None) -> Profile:
     """Sort, merge equal offsets and drop breakpoints where the slope does not change,
-    on the integer grid of ``_on_scale``."""
-    d, g = _on_scale(breaks)
+    on the integer grid of ``on_scale``."""
+    d, g = on_scale(breaks)
     g = sorted(g)
     return _gridded(d, [g[k] for k in _kept(g, tail)], tail)
 
@@ -224,9 +198,7 @@ def _combine2(p: Profile, q: Profile, op: str) -> Profile:
     ray's tail.  A crossing lies on the scale times the slope difference,
     so the result's scale is refined by their lcm, then reduced.
     """
-    (dp, gp), (dq, gq) = p.grid, q.grid
-    d = lcm(dp, dq)
-    gp, gq = _times(gp, d // dp), _times(gq, d // dq)
+    d, (gp, gq) = common_scale(p.grid, q.grid)
     grid = sorted({o for o, _ in gp} | {o for o, _ in gq})
     pv, ps = _sweep(gp, p.slopes, grid)
     qv, qs = _sweep(gq, q.slopes, grid)
@@ -264,7 +236,9 @@ def _combine2(p: Profile, q: Profile, op: str) -> Profile:
 
 def _affine(p: Profile, k: int, delta: Fraction | int = 0) -> Profile:
     """The values times k plus delta; k = 0 flattens the profile, so it is normalized again."""
-    d, g, (n,) = _with(p, (delta,))
+    (d, g), n = p.grid, 0
+    if delta:
+        d, (g, ((n,),)) = common_scale(p.grid, on_scale(((delta,),)))
     g, tail = [(o, v * k + n) for o, v in g], None if p.tail is None else p.tail * k
     return _gridded(d, [g[i] for i in _kept(g, tail)] if k == 0 else g, tail)
 
@@ -275,7 +249,7 @@ def _slice(p: Profile, a: Fraction, b) -> Profile:
     The breakpoints inside stay slope changes, so the result is normalized
     as built.
     """
-    d, g, (lo, *hi) = _with(p, (a,) if b is INF else (a, b))
+    d, (g, ((lo, *hi),)) = common_scale(p.grid, on_scale(((a,) if b is INF else (a, b),)))
     (va, *vb), _ = _sweep(g, p.slopes, [lo, *hi])
     out = [(0, va)] + [(o - lo, v) for o, v in g if lo < o and (not hi or o < hi[0])]
     end = [(hi[0] - lo, vb[0])] if hi else []
@@ -292,7 +266,7 @@ def _flat(e: EdgeDesc, v: Fraction) -> Profile:
 def _reverse(p: Profile, length: Fraction) -> Profile:
     if p.tail is not None:
         raise TropError("cannot reverse an unbounded profile")
-    d, g, (end,) = _with(p, (length,))
+    d, (g, ((end,),)) = common_scale(p.grid, on_scale(((length,),)))
     return _gridded(d, [(end - o, v) for o, v in reversed(g)], None)
 
 
@@ -362,6 +336,9 @@ class PLFunction:
         slopes, values for exactly the isolated vertices, and continuity.
         """
         c = self.curve
+        finite = {eid: e.length for eid, e in c.edges.items() if e.length is not INF}
+        L, (lengths,) = on_scale((list(finite.values()),))
+        length = dict(zip(finite, lengths))  # edge id -> length times L
         profiles = {}
         for eid, p in self.profiles.items():
             e = c.edges.get(eid)
@@ -385,8 +362,7 @@ class PLFunction:
                 if p.tail is None:
                     raise TropError(f"edge {eid!r} needs a slope at infinity")
             else:
-                n, m = e.length.as_integer_ratio()
-                if g[-1][0] * m != n * d:
+                if g[-1][0] * L != length[eid] * d:
                     raise TropError(f"edge {eid!r} profile must end at the edge length")
                 if p.tail is not None:
                     raise TropError(f"finite edge {eid!r} cannot have a slope at infinity")
@@ -405,18 +381,20 @@ class PLFunction:
         for vid in _isolated_vertices(c):
             if vid not in self.isolated:
                 raise TropError(f"no value for isolated vertex {vid!r}")
-        # Continuity at shared vertices.
+        # Continuity at shared vertices: each end's value v / d is the first one's.
         for vid, ends in c.edges_at.items():
             if c.vertices[vid].at_infinity or not ends:
                 continue
-            vals = set()
+            vals = []
             for eid, sign in ends:
                 d, g = profiles[eid].grid
-                v = g[0 if sign > 0 else -1][1]
-                vals.add((v // gcd(v, d), d // gcd(v, d)))
-            if len(vals) > 1:
-                vals = {profiles[eid].breaks[0 if sign > 0 else -1][1] for eid, sign in ends}
-                raise TropError(f"discontinuous at vertex {vid!r}: values {sorted(vals)}")
+                vals.append((d, g[0 if sign > 0 else -1][1]))
+            d0, v0 = vals[0]
+            for d, v in vals:
+                if v * d0 != v0 * d:
+                    D, rows = common_scale(*[(d, ((v,),)) for d, v in vals])
+                    shown = ", ".join([ratio_str(v, D) for ((v,),) in sorted(set(rows))])
+                    raise TropError(f"discontinuous at vertex {vid!r}: values [{shown}]")
 
     # -- identity ------------------------------------------------------------
 
@@ -741,10 +719,9 @@ def _fired(e: EdgeDesc, du, dv, ivs, cap) -> Profile:
     ``Fraction``s.
     """
     given = [du, INF if e.is_infinite else dv, cap, e.length] + [x for iv in ivs for x in iv]
-    rs = [x.as_integer_ratio() for x in given if x is not INF]
-    s = 2 * lcm(*(d for _, d in rs))
-    it = iter([n * (s // d) for n, d in rs])
-    du, dv, cap, end, *ends = [None if x is INF else next(it) for x in given]
+    d, (finite,) = on_scale(([x for x in given if x is not INF],))
+    it = iter(finite)
+    du, dv, cap, end, *ends = [None if x is INF else 2 * next(it) for x in given]
     it = iter(ends)
     srcs = [] if du is None else [(-du, -du)]
     srcs += zip(it, it)
@@ -774,7 +751,7 @@ def _fired(e: EdgeDesc, du, dv, ivs, cap) -> Profile:
         pts.append((x, -min(near)))
     # A ray's tail is flat past a cap or a source reaching infinity; else -dist falls.
     tail = None if end is not None else 0 if cap is not None or srcs[-1][1] is None else -1
-    return _gridded(s, [pts[k] for k in _kept(pts, tail)], tail)
+    return _gridded(2 * d, [pts[k] for k in _kept(pts, tail)], tail)
 
 
 # -- restriction and extension -------------------------------------------------------
@@ -909,13 +886,12 @@ def extend(f_prime: PLFunction, g: Subgraph, s: int) -> PLFunction:
             pairs.append((c0, heights.get(e.u if c0 == 0 else (eid, c0), 0)))
             if c1 is not INF:
                 pairs.append((c1, heights.get(e.v if c1 == e.length else (eid, c1), 0)))
-        d0, grid = _on_scale(pairs)
-        d = lcm(d0, *[dp for dp, _ in pieces])
-        it = iter(_times(grid, d // d0))
+        d, (grid, *grids) = common_scale(on_scale(pairs), *pieces)
+        it = iter(grid)
         pts = []
-        for dp, gp in pieces:
-            lo, k = next(it)[0], d // dp
-            pts += [((lo + o * k) * rate, v * k * rate) for o, v in gp]
+        for gp in grids:
+            lo = next(it)[0]
+            pts += [((lo + o) * rate, v * rate) for o, v in gp]
         for _, c1 in gaps:
             c0, h0 = next(it)
             z0 = c0 * rate + abs(h0)

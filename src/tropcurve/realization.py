@@ -16,13 +16,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .complexes import BalanceReport, PolyComplex1D, _on_integers, check_balanced, intersect
+from .complexes import BalanceReport, PolyComplex1D, check_balanced, intersect
 from .curve import INF, Curve, PointRef
 from .errors import InternalError, TropError
-from .geometry import ivec_gcd, parallel, primitive, vsub
+from .geometry import parallel, primitive, vsub
 from .hypersurface import plane_hypersurface
-from .plfunction import PLFunction, _isolated_vertices, _sweep, _times, principal_divisor
-from .semifield import TropPoly
+from .plfunction import PLFunction, _isolated_vertices, _sweep, principal_divisor
+from .semifield import TropPoly, common_scale, least_scale, on_scale
 
 
 @dataclass(frozen=True)
@@ -66,7 +66,7 @@ def realize(c: Curve, fs: Sequence[PLFunction]) -> RealizationMap:
             raise TropError(f"coordinate function breaks ray class {witness[0]!r}")
     n = len(fs)
     vertices: list[tuple[Fraction, ...]] = []
-    vertex_ids: dict[tuple[tuple[int, int], ...], int] = {}  # coordinates as reduced (n, d)
+    vertex_ids: dict[tuple, int] = {}  # coordinates in least terms (``least_scale``)
     skeleton: list[tuple[PointRef, tuple[Fraction, ...]]] = []
     seen: set[str] = set()  # curve vertices already on the skeleton
     merged_vertices = False
@@ -77,7 +77,8 @@ def realize(c: Curve, fs: Sequence[PLFunction]) -> RealizationMap:
         i = vertex_ids.get(key)
         if i is None:
             i = vertex_ids[key] = len(vertices)
-            vertices.append(coords or tuple([Fraction(a, b) for a, b in key]))
+            d, (row,) = key
+            vertices.append(coords or tuple([Fraction(x, d) for x in row]))
         else:
             merged_vertices = True
         skeleton.append((pt, vertices[i]))
@@ -90,20 +91,19 @@ def realize(c: Curve, fs: Sequence[PLFunction]) -> RealizationMap:
 
     for vid_iso in _isolated_vertices(c):
         coords = tuple(f.isolated[vid_iso] for f in fs)
-        place(c.pt_vertex(vid_iso), tuple([x.as_integer_ratio() for x in coords]), coords)
+        place(c.pt_vertex(vid_iso), on_scale((coords,)), coords)
 
     for eid, e in sorted(c.edges.items()):
         profs = [f.profiles[eid] for f in fs]
         # One sweep per profile on the lcm D of their scales.
-        d = math.lcm(*[p.grid[0] for p in profs])
-        gs = [_times(p.grid[1], d // p.grid[0]) for p in profs]
+        d, gs = common_scale(*[p.grid for p in profs])
         grid = sorted({o for g in gs for o, _ in g})
         sweeps = [_sweep(g, p.slopes, grid) for g, p in zip(gs, profs)]
         offs = [Fraction(o, d) for o in grid]
         last = None if e.is_infinite else len(grid) - 1
         ids = []
         for k, values in enumerate(zip(*[vals for vals, _ in sweeps])):
-            key = tuple([(v // math.gcd(v, d), d // math.gcd(v, d)) for v in values])
+            key = least_scale(d, (values,))
             if k == 0 or k == last:
                 end = e.u if k == 0 else e.v
                 if end in seen:
@@ -121,14 +121,14 @@ def realize(c: Curve, fs: Sequence[PLFunction]) -> RealizationMap:
                 continue
             key = (min(ids[k], ids[k + 1]), max(ids[k], ids[k + 1]))
             merged_edges |= key in seg_weights
-            seg_weights[key] = math.gcd(seg_weights.get(key, 0), ivec_gcd(slopes))
+            seg_weights[key] = math.gcd(seg_weights.get(key, 0), *slopes)
         if e.is_infinite:
             tails = tuple(p.tail for p in profs)
             pieces.append(Piece(eid, offs[-1], INF, tails, vertices[ids[-1]]))
             if any(t != 0 for t in tails):
                 key = (ids[-1], primitive(tails))
                 merged_edges |= key in ray_weights
-                ray_weights[key] = math.gcd(ray_weights.get(key, 0), ivec_gcd(tails))
+                ray_weights[key] = math.gcd(ray_weights.get(key, 0), *tails)
 
     try:
         image = PolyComplex1D(
@@ -159,7 +159,7 @@ def check_realization(r: RealizationMap) -> RealizationReport:
     factors = []
     local_isometry = True
     for piece in r.pieces:
-        g = ivec_gcd(piece.slopes)
+        g = math.gcd(*piece.slopes)
         factors.append((piece.edge, piece.lo, g))
         if g != 1:
             local_isometry = False
@@ -243,9 +243,9 @@ def curve_from_complex(K: PolyComplex1D) -> tuple[Curve, tuple[PLFunction, ...],
     vertices = [f"v{i}" for i in range(len(K.vertices))]
     edges = []
     ray_classes = {}
-    L, (P,) = _on_integers(K.vertices)
+    L, P = on_scale(K.vertices)
     for k, (i, j, w) in enumerate(K.segments):
-        edges.append((f"s{k}", f"v{i}", f"v{j}", Fraction(ivec_gcd(vsub(P[j], P[i])), L * w)))
+        edges.append((f"s{k}", f"v{i}", f"v{j}", Fraction(math.gcd(*vsub(P[j], P[i])), L * w)))
     for k, (i, d, w) in enumerate(K.rays):
         rid = f"r{k}"
         edges.append((rid, f"v{i}", None, INF))
@@ -325,7 +325,7 @@ def _region_terms(K: PolyComplex1D) -> dict[tuple[int, int], Fraction]:
     every region; balancing closes the turn around each vertex.
     """
     rings: list[list[tuple[tuple[int, int], int, int | None]]] = [[] for _ in K.vertices]
-    _, (P,) = _on_integers(K.vertices)
+    _, P = on_scale(K.vertices)
     for i, j, w in K.segments:
         d = primitive(vsub(P[j], P[i]))
         rings[i].append((d, w, j))

@@ -10,7 +10,9 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping
+from itertools import chain
+from math import gcd, lcm
+from typing import Iterable, Mapping, Sequence
 
 from .errors import FileFormatError, TropError
 
@@ -53,6 +55,63 @@ def integer(x, what: str) -> int:
     if isinstance(x, int) and not isinstance(x, bool):
         return x
     raise TropError(f"{what} must be an integer, not {type(x).__name__}: {x!r}")
+
+
+# The integer scale.  A scaled value (D, rows) stands for rows / D: D > 0,
+# rows a tuple of equal-width tuples of ints.  Profiles, complexes and
+# hypersurfaces decide rationals exactly on such values through the three
+# operations below, which take whole rows per call.  Rows of pairs, a
+# profile's grid, are the hot case; other widths go through a flat list.
+
+
+def on_scale(rows: Sequence[Sequence]) -> tuple[int, tuple[tuple[int, ...], ...]]:
+    """(D, rows times D), D the least common denominator of every number in rows.
+
+    The numbers are ``Fraction``s or ``int``s, each read once with
+    ``as_integer_ratio``.
+    """
+    ratios = [x.as_integer_ratio() for row in rows for x in row]
+    if not ratios:
+        return 1, tuple(map(tuple, rows))
+    d = 1
+    for _, q in ratios:
+        if d % q:
+            d = lcm(d, q)
+    flat = iter([n * (d // q) for n, q in ratios])
+    return d, tuple(zip(*[flat] * len(rows[0])))
+
+
+def common_scale(*scaled: tuple[int, Sequence[Sequence[int]]]) -> tuple[int, list]:
+    """(D, [rows times D / d for each scaled value (d, rows)]), D the lcm of their scales."""
+    D = 1
+    for d, _ in scaled:
+        D = lcm(D, d)
+    out = []
+    for d, rows in scaled:
+        if d != D and rows and rows[0]:
+            m = D // d
+            rows = ([(a * m, b * m) for a, b in rows] if len(rows[0]) == 2
+                    else zip(*[iter([x * m for row in rows for x in row])] * len(rows[0])))
+        out.append(tuple(rows))
+    return D, out
+
+
+def least_scale(d: int, rows: Sequence[Sequence[int]]) -> tuple[int, tuple[tuple[int, ...], ...]]:
+    """The scaled value (d, rows) in least terms: both divided by gcd(d, every number).
+
+    Equal rational rows have equal least forms, so a least form is a key.
+    """
+    r = gcd(d, *chain.from_iterable(rows))
+    if r == 1 or not rows or not rows[0]:
+        return d // r, tuple(rows)
+    return d // r, tuple([(a // r, b // r) for a, b in rows] if len(rows[0]) == 2
+                         else zip(*[iter([x // r for row in rows for x in row])] * len(rows[0])))
+
+
+def ratio_str(n: int, d: int) -> str:
+    """``str(Fraction(n, d))`` for d > 0, from the pair reduced by its gcd."""
+    r = gcd(n, d)
+    return str(n // r) if r == d else f"{n // r}/{d // r}"
 
 
 # The raw constructors test their fields' types directly, with no call per

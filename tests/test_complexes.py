@@ -27,7 +27,7 @@ from tropcurve.hypersurface import plane_hypersurface
 from tropcurve.plfunction import PLFunction
 from tropcurve.randgen import complex_library, random_plane_poly, random_rational
 from tropcurve.realization import realize
-from tropcurve.semifield import TropPoly
+from tropcurve.semifield import TropPoly, on_scale
 
 from conftest import fraction_calls, rng_for
 
@@ -518,7 +518,7 @@ def moved(move, edge):
 def on_integers(probes: list, edges):
     """L, the probe points times L and the edges times L, as the library scales them."""
     points = probes + [p for _, p, _ in edges] + [q for kind, _, q in edges if kind == "seg"]
-    L, (P,) = complexes._on_integers(points)
+    L, P = on_scale(points)
     up = dict(zip(points, P))
     return L, [up[x] for x in probes], [
         (kind, up[p], up[q] if kind == "seg" else tuple(L * x for x in q)) for kind, p, q in edges]

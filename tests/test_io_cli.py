@@ -21,7 +21,7 @@ from tropcurve.errors import FileFormatError
 from tropcurve.hypersurface import plane_hypersurface
 from tropcurve.plfunction import PLFunction, principal_divisor
 from tropcurve.randgen import LINE_POLY
-from tropcurve.semifield import TropPoly
+from tropcurve.semifield import TropPoly, ratio_str
 
 from conftest import identity_fn, rng_for, scaled_fn
 
@@ -81,7 +81,7 @@ def test_dumps_matches_json_indent(x):
 def test_ratio_is_str_of_fraction(n, d, k):
     """The function writer's ``"n/d"`` for the pair (n·k, d·k), which the
     factor k leaves unreduced, is ``str(Fraction(n, d))``."""
-    assert tio._ratio(n * k, d * k) == str(Fraction(n, d))
+    assert ratio_str(n * k, d * k) == str(Fraction(n, d))
 
 
 @pytest.mark.parametrize("x", [{(1, 2): 3}, [{"a": {(1,): 2}}], [object()], {"a": Fraction(1)}])
@@ -105,6 +105,22 @@ class TestRejects:
         assert main(["div", "--curve", str(workdir / "line.json"),
                      "--fn", str(workdir / "f.json")]) == 65
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("start, ends, shown", [("0", ("1", "2"), "[1, 2]"),
+                                                    ("1/2", ("3/2", "-1/2"), "[-1/2, 3/2]")],
+                             ids=["integers", "fractions"])
+    def test_discontinuity_shows_the_values(self, tmp_path, capsys, start, ends, shown):
+        # Two parallel unit edges A-B whose functions agree at A and not at B.
+        (tmp_path / "c.json").write_text(json.dumps({
+            "vertices": [{"id": "A"}, {"id": "B"}],
+            "edges": [{"id": "e", "u": "A", "v": "B", "length": "1"},
+                      {"id": "f", "u": "A", "v": "B", "length": "1"}]}))
+        (tmp_path / "f.json").write_text(json.dumps(
+            {eid: {"breakpoints": [["0", start], ["1", end]]} for eid, end in zip("ef", ends)}))
+        assert main(["div", "--curve", str(tmp_path / "c.json"),
+                     "--fn", str(tmp_path / "f.json")]) == 65
+        assert capsys.readouterr().err == (f"error: invalid function: discontinuous at vertex 'B': "
+                                           f"values {shown}\n")
 
     @pytest.mark.parametrize("length", [" inf ", "inf\n", "Inf"],
                              ids=["spaces", "newline", "capital"])

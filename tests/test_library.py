@@ -44,8 +44,8 @@ def test_plfunction_tells_infinity_by_identity():
     # Edge lengths, subgraph interval ends, distances and piece ends hold the
     # INF object itself, so the library asks ``is INF``; ``==`` would send a
     # Fraction through its float comparison.  Only values a caller passes in
-    # (an edge length or interval end as given, chip_fire's length) and a
-    # float sum (germ_bump's room on a ray) are decided with ``==``.
+    # (an edge length or interval end as given, chip_fire's length) are
+    # decided with ``==``.
     found = []
     for path in sorted(SRC.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(), str(path))):
@@ -53,8 +53,8 @@ def test_plfunction_tells_infinity_by_identity():
                     and any(isinstance(op, (ast.Eq, ast.NotEq)) for op in node.ops) \
                     and any(_is_inf(x) for x in (node.left, *node.comparators)):
                 found.append(f"{path.name}: {ast.unparse(node)}")
-    assert sorted(found) == ["curve.py: x == INF", "morphism.py: room == INF",
-                             "plfunction.py: l == INF", "subgraph.py: hi == INF"]
+    assert sorted(found) == ["curve.py: x == INF", "plfunction.py: l == INF",
+                             "subgraph.py: hi == INF"]
 
 
 def test_io_writes_json_without_indent():
@@ -79,13 +79,35 @@ def _breaks_readers(path: Path) -> set[str]:
 
 def test_profile_readers_read_the_grid():
     # Profile.breaks builds Fractions from the grid; it is a view for tests,
-    # repr and error messages.  realize, pullback, the function writer, the
-    # glue check and the self-test read Profile.grid; germ_bump still edits
-    # a breakpoint list.
+    # repr and error messages.  realize, pullback, germ_bump, the function
+    # writer, the glue check and the self-test read Profile.grid.
     readers = {name: _breaks_readers(SRC / name)
                for name in ("realization.py", "io.py", "glue.py", "selftest.py", "morphism.py")}
     assert readers == {"realization.py": set(), "io.py": set(), "glue.py": set(),
-                       "selftest.py": set(), "morphism.py": {"germ_bump"}}
+                       "selftest.py": set(), "morphism.py": set()}
+
+
+def _scale_calls(name: str) -> list[str]:
+    """``module: enclosing top-level function`` for each call of ``name`` in src/."""
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        for top in ast.parse(path.read_text(), str(path)).body:
+            for node in ast.walk(top):
+                if isinstance(node, ast.Call) and (
+                        isinstance(node.func, ast.Name) and node.func.id == name
+                        or isinstance(node.func, ast.Attribute) and node.func.attr == name):
+                    found.append(f"{path.name}: {getattr(top, 'name', '<module>')}")
+    return found
+
+
+def test_the_integer_scale_has_one_home():
+    # Rationals go onto an integer scale, and scales onto their lcm, only
+    # through semifield's on_scale, common_scale and least_scale.  The one
+    # other lcm is _combine2's crossing refinement, an lcm of slope
+    # differences rather than of denominators.
+    assert {f for f in _scale_calls("as_integer_ratio") if not f.startswith("semifield.py")} == set()
+    assert {f for f in _scale_calls("lcm")
+            if not f.startswith("semifield.py")} == {"plfunction.py: _combine2"}
 
 
 def test_every_imported_name_is_used():

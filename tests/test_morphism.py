@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -9,7 +10,7 @@ import pytest
 from tropcurve import morphism
 from tropcurve.curve import INF, Curve
 from tropcurve.errors import TropError
-from tropcurve.morphism import (Morphism, MorphismReport, compose, germ_bump,
+from tropcurve.morphism import (Localization, Morphism, MorphismReport, compose, germ_bump,
                                 localization_surjectivity, localize, pullback, validate_morphism,
                                 weight_check, weight_from_generators, weighted_local_image)
 from tropcurve.plfunction import PLFunction, _flat, _isolated_vertices, _normalize, chip_fire
@@ -18,7 +19,7 @@ from tropcurve.selftest import suite_localization, suite_pullback
 from tropcurve.semifield import Germ
 from tropcurve.subgraph import point_subgraph
 
-from conftest import identity_fn, rng_for, scaled_fn
+from conftest import fraction_calls, identity_fn, rng_for, scaled_fn
 
 
 def doubling(line: Curve) -> Morphism:
@@ -421,6 +422,92 @@ def test_pullback_matches_the_fraction_reading():
             reversed_edges += sum(m.source.edges[eid].u != e.u for eid, e in m.target.edges.items())
             stretched += sum(k > 1 for k in m.degrees.values())
     assert reversed_edges >= 100 and stretched >= 100, (reversed_edges, stretched)
+
+
+def ref_germ_bump(loc: Localization, germ: Germ) -> PLFunction:
+    """``germ_bump`` as it was when it edited a dict of ``Fraction``
+    breakpoints per edge, built each leg in ``Fraction`` arithmetic and
+    normalized the list."""
+    if germ.is_neg_inf:
+        return PLFunction.neg_inf(loc.curve)
+    if germ.n != loc.rank:
+        raise TropError(f"germ rank {germ.n} != point valence {loc.rank}")
+    c = loc.curve
+    kind, ident, off = c._resolve(loc.point)
+    zero = PLFunction.constant(c, 0)
+    if not loc.directions:
+        return PLFunction(c, dict(zero.profiles), {**zero.isolated, ident: germ.coef})
+
+    def leg_base(eid: str, sign: str) -> Fraction:
+        if kind == "edge":
+            return off
+        return Fraction(0) if sign == "+" else c.edges[eid].length
+
+    rooms = []
+    for d in loc.directions:
+        eid, sign = d.rsplit(":", 1)
+        e = c.edges[eid]
+        base = leg_base(eid, sign)
+        room = (e.length - base) if sign == "+" else base
+        if kind == "vertex" and e.is_loop:
+            room = e.length / 2
+        rooms.append(Fraction(1) if room == INF else room)
+    eps = min(rooms) / 3
+    a = germ.coef
+
+    def leg(slope: int) -> list[tuple[Fraction, Fraction]]:
+        v1 = a + slope * eps
+        pts = [(Fraction(0), a), (eps, v1)]
+        if v1 != 0:
+            rate = math.ceil(abs(v1) / eps)
+            pts.append((eps + abs(v1) / rate, Fraction(0)))
+        return pts
+
+    profiles = dict(zero.profiles)
+    by_edge: dict[str, list[tuple[str, int]]] = {}
+    for d, slope in zip(loc.directions, germ.slopes):
+        eid, sign = d.rsplit(":", 1)
+        by_edge.setdefault(eid, []).append((sign, slope))
+    for eid, legs in by_edge.items():
+        breaks: dict[Fraction, Fraction] = dict(profiles[eid].breaks)
+        for sign, slope in legs:
+            base = leg_base(eid, sign)
+            direction = 1 if sign == "+" else -1
+            for dist, val in leg(slope):
+                breaks[base + direction * dist] = val
+        profiles[eid] = _normalize(sorted(breaks.items()), profiles[eid].tail)
+    return PLFunction(c, profiles, dict(zero.isolated))
+
+
+class TestGermBumpOnTheGrid:
+    def test_matches_the_fraction_construction(self):
+        rng = rng_for("germ-bump-grid")
+        seen = {"loop vertex": 0, "ray": 0, "interior": 0, "isolated": 0, "zero germ": 0}
+        for _ in range(400):
+            c = random_curve(rng)
+            x = random_point(c, rng)
+            dirs = list(c.directions_at(x))
+            rng.shuffle(dirs)
+            loc = localize(c, x, dirs)
+            for _ in range(3):
+                germ = random_germ(rng, loc.rank)
+                got, want = germ_bump(loc, germ), ref_germ_bump(loc, germ)
+                assert got == want and got.isolated == want.isolated, (c, x, germ)
+                assert germ.is_neg_inf or loc.apply(got) == germ
+                seen["zero germ"] += germ.is_neg_inf
+            edges = [c.edges[d.rsplit(":", 1)[0]] for d in dirs]
+            seen["loop vertex"] += x.kind == "vertex" and any(e.is_loop for e in edges)
+            seen["ray"] += any(e.is_infinite for e in edges)
+            seen["interior"] += x.kind == "on_edge"
+            seen["isolated"] += not dirs
+        assert min(seen.values()) >= 10, seen
+
+    def test_unit_bumps_build_few_fractions(self, tripod):
+        # The unit germ and e1, e2, e3 at the centre of a tripod of unit edges:
+        # 1,298 fractions calls when the legs were built in Fraction
+        # arithmetic, 48 on CPython 3.11 on the grid.
+        loc = localize(tripod, tripod.pt_vertex("O"))
+        assert fraction_calls(morphism._unit_bumps, loc) <= 60
 
 
 class TestCertificatesAgainstSamples:

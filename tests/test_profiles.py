@@ -27,14 +27,15 @@ import pytest
 from tropcurve.complexes import PolyComplex1D
 from tropcurve.curve import INF, Curve, PointRef, disjoint_union
 from tropcurve.errors import TropError
-from tropcurve.geometry import ivec_gcd, primitive
+from tropcurve.geometry import primitive
 from tropcurve.plfunction import (Divisor, PLFunction, Profile, _affine, _combine2,
-                                  _isolated_vertices, _normalize, _slice, _slope_sum, _sweep, _with,
+                                  _isolated_vertices, _normalize, _slice, _slope_sum, _sweep,
                                   chip_fire, extend, is_harmonic_at, principal_divisor,
                                   pseudodirect_tuple, restrict_whole, split_components)
 from tropcurve.randgen import (random_class_respecting_function, random_curve, random_function,
                                random_rational, random_subgraph)
 from tropcurve.realization import Piece, RealizationMap, realize
+from tropcurve.semifield import common_scale, on_scale
 from tropcurve.subgraph import Subgraph, make_subgraph
 
 from conftest import fraction_calls, rng_for
@@ -389,14 +390,14 @@ def ref_realize(c: Curve, fs) -> RealizationMap:
             if any(slopes):
                 key = tuple(sorted((ids[k], ids[k + 1])))
                 merged_edges |= key in seg_weights
-                seg_weights[key] = gcd(seg_weights.get(key, 0), ivec_gcd(slopes))
+                seg_weights[key] = gcd(seg_weights.get(key, 0), *slopes)
         if e.is_infinite:
             tails = tuple(p.tail for p in profs)
             pieces.append(Piece(eid, offs[-1], INF, tails, values[-1]))
             if any(tails):
                 key = (ids[-1], primitive(tails))
                 merged_edges |= key in ray_weights
-                ray_weights[key] = gcd(ray_weights.get(key, 0), ivec_gcd(tails))
+                ray_weights[key] = gcd(ray_weights.get(key, 0), *tails)
     try:
         image = PolyComplex1D(len(fs), tuple(vertices),
                               tuple(sorted((i, j, w) for (i, j), w in seg_weights.items())),
@@ -631,7 +632,7 @@ def test_slice_and_sample_match_fraction_kernels():
         cuts = sorted(set(offs + [Fraction(a + b) / 2 for a, b in zip(offs, offs[1:])]))
         if p.tail is not None:
             cuts.append(offs[-1] + Fraction(5, 3))
-        d, g, grid = _with(p, cuts)
+        d, (g, (grid,)) = common_scale(p.grid, on_scale((cuts,)))
         vals, right = _sweep(g, p.slopes, grid)
         assert [Fraction(v, d) for v in vals] == ref_values_at(as_fractions(p), cuts)
         assert right[:-1] == [ref_slope_right(p, t) for t in cuts[:-1]]

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from math import gcd, lcm
 
 import pytest
 from hypothesis import given
@@ -11,8 +12,8 @@ from hypothesis import strategies as st
 
 from tropcurve.errors import TropError
 from tropcurve.selftest import collapse_laws, forget_laws, semifield_laws, suite_germ_axioms
-from tropcurve.semifield import (NEG_INF, UNIT, Germ, TropPoly, TropValue,
-                                 germ_generator_report, rat)
+from tropcurve.semifield import (NEG_INF, UNIT, Germ, TropPoly, TropValue, common_scale,
+                                 germ_generator_report, least_scale, on_scale, rat)
 
 rationals = st.fractions(max_denominator=40)
 trop_values = st.one_of(st.just(NEG_INF), rationals.map(TropValue))
@@ -192,3 +193,70 @@ class TestGeneratorIdentities:
         with pytest.raises(TropError):
             germ_generator_report(0)
         assert germ_generator_report(12, bound=16).ok
+
+
+# -- the integer scale --------------------------------------------------------
+
+# ints, zero, negatives, small fractions and fractions over large primes,
+# whose lcm is their product
+scale_numbers = st.one_of(
+    st.integers(-10 ** 6, 10 ** 6), st.just(0), st.just(Fraction(0)),
+    st.fractions(max_denominator=60),
+    st.builds(Fraction, st.integers(-10 ** 12, 10 ** 12),
+              st.sampled_from([1_000_000_007, 998_244_353, 2 ** 61 - 1])))
+# equal-width rows, possibly none and possibly of width 0
+scale_rows = st.integers(0, 4).flatmap(
+    lambda w: st.lists(st.tuples(*[scale_numbers] * w), max_size=6).map(tuple))
+
+
+def _numbers(rows):
+    return [x for row in rows for x in row]
+
+
+def _same_shape(got, rows):
+    assert type(got) is tuple and len(got) == len(rows)
+    assert all(type(g) is tuple and len(g) == len(r) for g, r in zip(got, rows))
+    assert all(type(n) is int for n in _numbers(got))
+
+
+class TestIntegerScale:
+    @given(scale_rows)
+    def test_on_scale_is_least_and_exact(self, rows):
+        d, got = on_scale(rows)
+        _same_shape(got, rows)
+        assert [Fraction(n, d) for n in _numbers(got)] == [Fraction(x) for x in _numbers(rows)]
+        assert d == lcm(*[Fraction(x).denominator for x in _numbers(rows)])
+        assert gcd(d, *_numbers(got)) == 1
+
+    @given(st.lists(st.tuples(scale_rows, st.integers(1, 50)), max_size=4))
+    def test_common_scale_is_the_lcm(self, drawn):
+        # Each row set on its least scale, then times k: not every input is least.
+        scaled = []
+        for rows, k in drawn:
+            d, got = on_scale(rows)
+            scaled.append((d * k, tuple(tuple(n * k for n in row) for row in got)))
+        D, outs = common_scale(*scaled)
+        assert D == lcm(*[d for d, _ in scaled])
+        assert len(outs) == len(scaled)
+        for (d, rows), got in zip(scaled, outs):
+            _same_shape(got, rows)
+            assert [Fraction(n, D) for n in _numbers(got)] == [Fraction(n, d) for n in _numbers(rows)]
+
+    @given(scale_rows, st.integers(1, 10 ** 6))
+    def test_least_scale_gives_least_terms(self, rows, k):
+        d, least = on_scale(rows)
+        bigger = tuple(tuple(n * k for n in row) for row in least)
+        got_d, got = least_scale(d * k, bigger)
+        _same_shape(got, rows)
+        assert (got_d, got) == (d, least)
+        assert gcd(got_d, *_numbers(got)) == 1
+        assert [Fraction(n, got_d) for n in _numbers(got)] == [Fraction(x) for x in _numbers(rows)]
+
+    def test_examples(self):
+        assert on_scale(()) == (1, ())
+        assert on_scale(((), ())) == (1, ((), ()))
+        assert on_scale(((Fraction(1, 2), 3), (Fraction(-2, 3), 0))) == (6, ((3, 18), (-4, 0)))
+        assert common_scale((2, ((1,),)), (3, ((1, 2),)), (6, ())) == (6, [((3,),), ((2, 4),), ()])
+        assert common_scale() == (1, [])
+        assert least_scale(12, ((4, -8), (0, 6))) == (6, ((2, -4), (0, 3)))
+        assert least_scale(5, ((0,),)) == (1, ((0,),))
