@@ -23,7 +23,7 @@ from typing import Iterable, Mapping, Sequence
 
 from .curve import INF, Curve, EdgeDesc, PointRef
 from .errors import InternalError, TropError
-from .semifield import TropValue, common_scale, integer, least_scale, on_scale, rat, ratio_str
+from .semifield import TropValue, common_scale, integer, least_scale, on_scale, place, rat, ratio_str
 from .subgraph import Subgraph, SubChart
 
 
@@ -70,7 +70,7 @@ class Profile:
 
     def value(self, t: Fraction) -> Fraction:
         d, g = self.grid
-        x, m = _place(d, t)
+        x, m = place(d, t)
         o1, v1 = g[-1]
         if x > o1 * m:
             if self.tail is None:
@@ -87,7 +87,7 @@ class Profile:
 
     def slope_right(self, t: Fraction) -> int:
         d, g = self.grid
-        x, m = _place(d, t)
+        x, m = place(d, t)
         k = bisect_right(g, x // m, key=itemgetter(0)) - 1
         if k < 0:
             raise TropError(f"offset {t} before arc start")
@@ -99,7 +99,7 @@ class Profile:
 
     def slope_left(self, t: Fraction) -> int:
         d, g = self.grid
-        x, m = _place(d, t)
+        x, m = place(d, t)
         if self.tail is not None and x > g[-1][0] * m:
             return self.tail
         k = bisect_left(g, -(-x // m), key=itemgetter(0))
@@ -114,12 +114,6 @@ def _gridded(d: int, g: Sequence[tuple[int, int]], tail: int | None) -> Profile:
     p._breaks, p.tail = None, tail
     p.grid = least_scale(d, g)
     return p
-
-
-def _place(d: int, t) -> tuple[int, int]:
-    """(x, m) with t = x / (d·m), m the least such factor."""
-    e, (_, ((x,),)) = common_scale((d, ()), on_scale(((t,),)))
-    return x, e // d
 
 
 def _grid_slopes(g: Sequence[tuple[int, int]]) -> list[int]:
@@ -236,11 +230,10 @@ def _combine2(p: Profile, q: Profile, op: str) -> Profile:
 
 def _affine(p: Profile, k: int, delta: Fraction | int = 0) -> Profile:
     """The values times k plus delta; k = 0 flattens the profile, so it is normalized again."""
-    (d, g), n = p.grid, 0
-    if delta:
-        d, (g, ((n,),)) = common_scale(p.grid, on_scale(((delta,),)))
-    g, tail = [(o, v * k + n) for o, v in g], None if p.tail is None else p.tail * k
-    return _gridded(d, [g[i] for i in _kept(g, tail)] if k == 0 else g, tail)
+    d, g = p.grid
+    n, m = place(d, delta)
+    g, tail = [(o * m, v * k * m + n) for o, v in g], None if p.tail is None else p.tail * k
+    return _gridded(d * m, [g[i] for i in _kept(g, tail)] if k == 0 else g, tail)
 
 
 def _slice(p: Profile, a: Fraction, b) -> Profile:
@@ -266,8 +259,9 @@ def _flat(e: EdgeDesc, v: Fraction) -> Profile:
 def _reverse(p: Profile, length: Fraction) -> Profile:
     if p.tail is not None:
         raise TropError("cannot reverse an unbounded profile")
-    d, (g, ((end,),)) = common_scale(p.grid, on_scale(((length,),)))
-    return _gridded(d, [(end - o, v) for o, v in reversed(g)], None)
+    d, g = p.grid
+    end, m = place(d, length)
+    return _gridded(d * m, [(end - o * m, v * m) for o, v in reversed(g)], None)
 
 
 class PLFunction:

@@ -60,8 +60,8 @@ def integer(x, what: str) -> int:
 # The integer scale.  A scaled value (D, rows) stands for rows / D: D > 0,
 # rows a tuple of equal-width tuples of ints.  Profiles, complexes and
 # hypersurfaces decide rationals exactly on such values through the three
-# operations below, which take whole rows per call.  Rows of pairs, a
-# profile's grid, are the hot case; other widths go through a flat list.
+# operations below, which take whole rows per call, and ``place`` puts one
+# number on a given scale.
 
 
 def on_scale(rows: Sequence[Sequence]) -> tuple[int, tuple[tuple[int, ...], ...]]:
@@ -90,8 +90,7 @@ def common_scale(*scaled: tuple[int, Sequence[Sequence[int]]]) -> tuple[int, lis
     for d, rows in scaled:
         if d != D and rows and rows[0]:
             m = D // d
-            rows = ([(a * m, b * m) for a, b in rows] if len(rows[0]) == 2
-                    else zip(*[iter([x * m for row in rows for x in row])] * len(rows[0])))
+            rows = zip(*[iter([x * m for row in rows for x in row])] * len(rows[0]))
         out.append(tuple(rows))
     return D, out
 
@@ -104,8 +103,14 @@ def least_scale(d: int, rows: Sequence[Sequence[int]]) -> tuple[int, tuple[tuple
     r = gcd(d, *chain.from_iterable(rows))
     if r == 1 or not rows or not rows[0]:
         return d // r, tuple(rows)
-    return d // r, tuple([(a // r, b // r) for a, b in rows] if len(rows[0]) == 2
-                         else zip(*[iter([x // r for row in rows for x in row])] * len(rows[0])))
+    return d // r, tuple(zip(*[iter([x // r for row in rows for x in row])] * len(rows[0])))
+
+
+def place(d: int, t) -> tuple[int, int]:
+    """(x, m) with t = x / (d·m), m the least such factor: t on the scale d refined by m."""
+    n, q = t.as_integer_ratio()
+    r = gcd(d, q)
+    return n * (d // r), q // r
 
 
 def ratio_str(n: int, d: int) -> str:

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from tropcurve.errors import TropError
 from tropcurve.selftest import collapse_laws, forget_laws, semifield_laws, suite_germ_axioms
 from tropcurve.semifield import (NEG_INF, UNIT, Germ, TropPoly, TropValue, common_scale,
-                                 germ_generator_report, least_scale, on_scale, rat)
+                                 germ_generator_report, least_scale, on_scale, place, rat)
 
 rationals = st.fractions(max_denominator=40)
 trop_values = st.one_of(st.just(NEG_INF), rationals.map(TropValue))
@@ -252,7 +252,15 @@ class TestIntegerScale:
         assert gcd(got_d, *_numbers(got)) == 1
         assert [Fraction(n, got_d) for n in _numbers(got)] == [Fraction(x) for x in _numbers(rows)]
 
+    @given(st.integers(1, 10 ** 6), scale_numbers)
+    def test_place_refines_the_scale_least(self, d, t):
+        x, m = place(d, t)
+        assert Fraction(x, d * m) == t
+        assert m == lcm(d, Fraction(t).denominator) // d
+
     def test_examples(self):
+        assert place(4, Fraction(1, 6)) == (2, 3)
+        assert place(6, 0) == (0, 1)
         assert on_scale(()) == (1, ())
         assert on_scale(((), ())) == (1, ((), ()))
         assert on_scale(((Fraction(1, 2), 3), (Fraction(-2, 3), 0))) == (6, ((3, 18), (-4, 0)))
