@@ -149,6 +149,17 @@ class TestSubgraph:
         with pytest.raises(TropError, match="point at infinity"):
             make_subgraph(line, vertices=["right.inf"])
 
+    def test_point_at_infinity_needs_its_tail(self, line):
+        lone = "subgraph component is a single point at infinity: 'right.inf'"
+        with pytest.raises(TropError) as exc:
+            make_subgraph(line, vertices=["right.inf"])
+        assert str(exc.value) == lone
+        g = make_subgraph(line, vertices=["right.inf"], intervals=[("right", 2, INF)])
+        assert g.vertices == {"right.inf"} and g.component_count() == 1
+        with pytest.raises(TropError) as exc:
+            make_subgraph(line, vertices=["right.inf"], intervals=[("right", 1, 2)])
+        assert str(exc.value) == lone
+
     def test_ray_tail_keeps_infinity(self, line):
         g = make_subgraph(line, intervals=[("right", 2, INF)])
         assert g.contains_point(line.pt_infinity_of("right"))
