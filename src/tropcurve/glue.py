@@ -8,7 +8,7 @@ from typing import Mapping
 
 from .curve import INF, Curve, EdgeDesc, PointRef, VertexInfo, connected_groups
 from .errors import TropError
-from .plfunction import PLFunction, Profile, _reverse, _slice, edge_profile
+from .plfunction import PLFunction, Profile, _pull, edge_profile
 from .semifield import integer, rat
 from .subgraph import SubChart, cut
 
@@ -233,8 +233,9 @@ def glue_function(h1: PLFunction, h2: PLFunction, glued: GlueResult) -> PLFuncti
             raise TropError(f"functions disagree on the glued subgraph at {p1} "
                             f"({h1.value_at(p1)} vs {h2.value_at(p2)})")
     for eid, e in glued.shape.edges.items():
-        s1 = _pullback_shape_profile(h1, glued.emb1, eid)
-        s2 = _pullback_shape_profile(h2, glued.emb2, eid)
+        s1, s2 = [_pull(edge_profile(h, tgt), start, e.length, orient)
+                  for h, (tgt, start, orient) in ((h1, glued.emb1.edge_map[eid]),
+                                                  (h2, glued.emb2.edge_map[eid]))]
         if s1 != s2:
             off = _first_difference(s1, s2)
             tgt, toff = glued.emb1.target_offset(eid, off)
@@ -247,11 +248,11 @@ def glue_function(h1: PLFunction, h2: PLFunction, glued: GlueResult) -> PLFuncti
     # piece that was identified (and perhaps reversed) is already claimed.
     for h, pm in ((h1, glued.map1), (h2, glued.map2)):
         for eid in h.curve.edges:
-            for lo, hi, geid, _, _ in pm.pieces[eid]:
+            for lo, _, geid, _, _ in pm.pieces[eid]:
                 if geid in done_edges:
                     continue
                 done_edges.add(geid)
-                profiles[geid] = _slice(edge_profile(h, eid), lo, hi)
+                profiles[geid] = _pull(edge_profile(h, eid), lo, glued.curve.edges[geid].length)
     # A glued vertex comes from side 1 whenever side 1 has it.
     source = {name: (h, v) for h, pm in ((h2, glued.map2), (h1, glued.map1))
               for v, name in pm.vertex_map.items()}
@@ -260,17 +261,6 @@ def glue_function(h1: PLFunction, h2: PLFunction, glued: GlueResult) -> PLFuncti
             h, v = source[vid]
             isolated[vid] = h.value_at(h.curve.pt_vertex(v))
     return PLFunction(glued.curve, profiles, isolated)
-
-
-def _pullback_shape_profile(h: PLFunction, emb: Embedding, shape_edge: str) -> Profile:
-    tgt, start, orient = emb.edge_map[shape_edge]
-    e = emb.shape.edges[shape_edge]
-    whole = edge_profile(h, tgt)
-    if e.is_infinite:
-        return _slice(whole, start, INF)
-    if orient > 0:
-        return _slice(whole, start, start + e.length)
-    return _reverse(_slice(whole, start - e.length, start), e.length)
 
 
 def _first_difference(p1: Profile, p2: Profile) -> Fraction:

@@ -9,7 +9,7 @@ from typing import Mapping, Sequence
 
 from .curve import Curve, PointRef
 from .errors import TropError
-from .plfunction import (PLFunction, Profile, _flat, _gridded, _isolated_vertices, _kept, _reverse,
+from .plfunction import (PLFunction, Profile, _flat, _gridded, _isolated_vertices, _kept, _pull,
                          edge_profile)
 from .semifield import Germ, common_scale, integer, on_scale
 
@@ -120,9 +120,9 @@ def validate_morphism(m: Morphism) -> MorphismReport:
 
 
 def pullback(m: Morphism, f_target: PLFunction) -> PLFunction:
-    """Compose a function on the target with the morphism, exactly: along an edge
-    of degree k the image's grid (D, pairs), reversed first if the edge maps
-    reversed (a ray never does), pulls back to (D·k, (offset, value·k) pairs)."""
+    """Compose a function on the target with the morphism, exactly: an edge of
+    degree k reads its image's profile with ``_pull`` from the image of its u
+    end, forward or reversed (a ray never maps reversed)."""
     report = validate_morphism(m)
     if not report.ok:
         raise TropError(f"invalid morphism: {report.violations[0]}")
@@ -138,11 +138,10 @@ def pullback(m: Morphism, f_target: PLFunction) -> PLFunction:
             profiles[eid] = _flat(e, f_target.value_at(m.target.pt_vertex(name)))
             continue
         prof, k, te = edge_profile(f_target, name), m.degrees[eid], m.target.edges[name]
-        if m.vertex_map[e.u] != te.u:
-            prof = _reverse(prof, te.length)
-        d, g = prof.grid
-        profiles[eid] = _gridded(d * k, [(o, v * k) for o, v in g],
-                                 None if prof.tail is None else prof.tail * k)
+        if m.vertex_map[e.u] == te.u:
+            profiles[eid] = _pull(prof, 0, e.length, 1, k)
+        else:
+            profiles[eid] = _pull(prof, te.length, e.length, -1, k)
     isolated = {vid: f_target.value_at(m.target.pt_vertex(m.vertex_map[vid]))
                 for vid in _isolated_vertices(src)}
     return PLFunction(src, profiles, isolated)

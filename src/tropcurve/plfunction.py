@@ -236,32 +236,32 @@ def _affine(p: Profile, k: int, delta: Fraction | int = 0) -> Profile:
     return _gridded(d * m, [g[i] for i in _kept(g, tail)] if k == 0 else g, tail)
 
 
-def _slice(p: Profile, a: Fraction, b) -> Profile:
-    """Restrict a normalized profile to [a, b], a < b (b may be INF), re-based at offset 0.
+def _pull(p: Profile, start, length, orient: int = 1, k: int = 1) -> Profile:
+    """The profile x -> p(start + orient·k·x) on [0, length]; ``length`` is INF
+    only on a ray read forward.
 
+    The window is put on p's grid, scale D: an offset t in it becomes
+    (t - start)·orient on the scale D·k, so each value is taken times k.
     The breakpoints inside stay slope changes, so the result is normalized
     as built.
     """
-    d, (g, ((lo, *hi),)) = common_scale(p.grid, on_scale(((a,) if b is INF else (a, b),)))
-    (va, *vb), _ = _sweep(g, p.slopes, [lo, *hi])
-    out = [(0, va)] + [(o - lo, v) for o, v in g if lo < o and (not hi or o < hi[0])]
-    end = [(hi[0] - lo, vb[0])] if hi else []
-    return _gridded(d, out + end, None if hi else p.tail)
+    ray = length is INF
+    if ray and orient < 0:
+        raise TropError("cannot reverse an unbounded profile")
+    d, (g, ((a, *w),)) = common_scale(p.grid, on_scale(((start,) if ray else (start, length),)))
+    lo, *hi = [a] if ray else sorted((a, a + orient * k * w[0]))
+    vals, _ = _sweep(g, p.slopes, [lo, *hi])
+    pts = [(lo, vals[0])] + [(o, v) for o, v in g if lo < o and (ray or o < hi[0])]
+    pts += zip(hi, vals[1:])
+    return _gridded(d * k, [((o - a) * orient, v * k) for o, v in pts[::orient]],
+                    p.tail * k if ray else None)
 
 
 def _flat(e: EdgeDesc, v: Fraction) -> Profile:
     """The constant profile v on edge e."""
-    if e.is_infinite:
-        return Profile(((Fraction(0), v),), 0)
-    return Profile(((Fraction(0), v), (e.length, v)), None)
-
-
-def _reverse(p: Profile, length: Fraction) -> Profile:
-    if p.tail is not None:
-        raise TropError("cannot reverse an unbounded profile")
-    d, g = p.grid
-    end, m = place(d, length)
-    return _gridded(d * m, [(end - o * m, v * m) for o, v in reversed(g)], None)
+    ray = e.is_infinite
+    d, ((n, *end),) = on_scale(((v,) if ray else (v, e.length),))
+    return _gridded(d, [(0, n)] + [(x, n) for x in end], 0 if ray else None)
 
 
 class PLFunction:
@@ -777,8 +777,7 @@ def restrict_whole(f: PLFunction, g: Subgraph) -> tuple[PLFunction, SubChart]:
     profiles = {}
     for eid, e in sub.edges.items():
         parent_edge, start = chart.edge_chart[eid]
-        hi = INF if e.is_infinite else start + e.length
-        profiles[eid] = _slice(edge_profile(f, parent_edge), start, hi)
+        profiles[eid] = _pull(edge_profile(f, parent_edge), start, e.length)
     iso = {vid: f.value_at(chart.vertex_points[vid]) for vid in _isolated_vertices(sub)}
     return PLFunction._trusted(sub, profiles, iso), chart
 

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping
 
-from .curve import INF, Curve, EdgeDesc, PointRef, VertexInfo, connected_groups
+from .curve import INF, Curve, EdgeDesc, PointRef, VertexInfo
 from .errors import TropError
 from .semifield import rat
 
@@ -45,39 +45,9 @@ class Subgraph:
 
     # -- components --------------------------------------------------------
 
-    def _items(self):
-        items = [("v", vid) for vid in sorted(self.vertices)]
-        for eid, ivs in self.intervals:
-            for k in range(len(ivs)):
-                items.append(("i", eid, k))
-        return items
-
-    def _component_partition(self) -> list[list]:
-        links = []
-        for eid, ivs in self.intervals:
-            e = self.curve.edges[eid]
-            for k, (lo, hi) in enumerate(ivs):
-                if lo == 0:
-                    links.append((("i", eid, k), ("v", e.u)))
-                if hi == e.length:
-                    links.append((("i", eid, k), ("v", e.v)))
-        return sorted(connected_groups(self._items(), links), key=lambda g: g[0])
-
-    def components(self) -> tuple["Subgraph", ...]:
-        out = []
-        imap = self.interval_map()
-        for group in self._component_partition():
-            vs = frozenset(it[1] for it in group if it[0] == "v")
-            ivs: dict[str, list[Interval]] = {}
-            for it in group:
-                if it[0] == "i":
-                    ivs.setdefault(it[1], []).append(imap[it[1]][it[2]])
-            out.append(Subgraph(self.curve, vs,
-                                tuple(sorted((e, tuple(sorted(v))) for e, v in ivs.items()))))
-        return tuple(out)
-
     def component_count(self) -> int:
-        return len(self._component_partition())
+        """The number of components, counted on the cut curve."""
+        return 0 if self.is_empty() else len(self.as_curve()[0].component_sets())
 
     # -- the subgraph as a curve in its own right ------------------------------
 
@@ -243,15 +213,14 @@ def make_subgraph(c: Curve, vertices: Iterable[str] = (), edges: Iterable[str] =
             raise TropError(f"interval reaches infinity on finite edge {eid!r}")
         add_interval(e, lo, hi)
 
-    merged = tuple(sorted((eid, tuple(_merge_intervals(ivs))) for eid, ivs in edge_ivs.items()))
-    g = Subgraph(c, frozenset(vset), merged)
-    for comp in g.components():
-        items = comp._items()
-        if len(items) == 1 and items[0][0] == "v":
-            vid = items[0][1]
-            if c.vertices[vid].at_infinity:
+    # A point at infinity is alone in its component unless its ray's tail is in.
+    for vid in sorted(vset):
+        if c.vertices[vid].at_infinity:
+            ((eid, _),) = c.edges_at[vid]
+            if not any(hi is INF for _, hi in edge_ivs.get(eid, ())):
                 raise TropError(f"subgraph component is a single point at infinity: {vid!r}")
-    return g
+    merged = tuple(sorted((eid, tuple(_merge_intervals(ivs))) for eid, ivs in edge_ivs.items()))
+    return Subgraph(c, frozenset(vset), merged)
 
 
 def whole_subgraph(c: Curve) -> Subgraph:

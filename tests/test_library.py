@@ -110,6 +110,26 @@ def test_the_integer_scale_has_one_home():
             if not f.startswith("semifield.py")} == {"plfunction.py: _combine2"}
 
 
+def test_edge_maps_read_profiles_through_pull():
+    # Restriction, pullback and gluing each read a profile along an edge map
+    # with plfunction._pull, which puts the start and the length on the
+    # profile's grid; none of them adds an edge length to an offset itself.
+    found, pulls = [], set()
+    for name, func in (("plfunction.py", "restrict_whole"), ("morphism.py", "pullback"),
+                       ("glue.py", "glue_function")):
+        (top,) = [top for top in ast.parse((SRC / name).read_text()).body
+                  if isinstance(top, ast.FunctionDef) and top.name == func]
+        for node in ast.walk(top):
+            if isinstance(node, ast.BinOp) and isinstance(node.op, (ast.Add, ast.Sub)) \
+                    and any(isinstance(x, ast.Attribute) and x.attr == "length"
+                            for x in (node.left, node.right)):
+                found.append(f"{func}: {ast.unparse(node)}")
+            if isinstance(node, ast.Call) and ast.unparse(node.func) == "_pull":
+                pulls.add(func)
+    assert found == []
+    assert pulls == {"restrict_whole", "pullback", "glue_function"}
+
+
 def test_every_imported_name_is_used():
     # A name a module imports and never reads is left over from deleted code.
     # __init__.py imports to re-export, so it is not checked.

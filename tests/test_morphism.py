@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from tropcurve import morphism
+from tropcurve import morphism, plfunction
 from tropcurve.curve import INF, Curve
 from tropcurve.errors import TropError
 from tropcurve.morphism import (Localization, Morphism, MorphismReport, compose, germ_bump,
@@ -408,6 +408,21 @@ def ref_pullback(m: Morphism, f: PLFunction) -> PLFunction:
     isolated = {vid: f.value_at(m.target.pt_vertex(m.vertex_map[vid]))
                 for vid in _isolated_vertices(m.source)}
     return PLFunction(m.source, profiles, isolated)
+
+
+def test_flat_edges_are_built_on_their_grid(tripod, segment3, monkeypatch):
+    # The untouched edges of a bump and a collapsed edge's pullback are
+    # constants built on their grid, so validating them normalizes nothing.
+    calls = []
+    normalize = plfunction._normalize
+    monkeypatch.setattr(plfunction, "_normalize",
+                        lambda *args: calls.append(args) or normalize(*args))
+    assert localization_surjectivity(tripod, tripod.pt_on_edge("a", Fraction(1, 2))).all_matched
+    pt_curve = Curve.build(vertices=["P"])
+    m = Morphism(segment3, pt_curve, {"A": "P", "B": "P"}, {"e": ("vertex", "P")}, {"e": 0})
+    f = PLFunction.from_edge_data(pt_curve, {}, isolated={"P": Fraction(5)})
+    assert pullback(m, f) == PLFunction.constant(segment3, 5)
+    assert calls == []
 
 
 def test_pullback_matches_the_fraction_reading():

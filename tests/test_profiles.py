@@ -29,7 +29,7 @@ from tropcurve.curve import INF, Curve, PointRef, disjoint_union
 from tropcurve.errors import TropError
 from tropcurve.geometry import primitive
 from tropcurve.plfunction import (Divisor, PLFunction, Profile, _affine, _combine2,
-                                  _isolated_vertices, _normalize, _slice, _slope_sum, _sweep,
+                                  _isolated_vertices, _normalize, _pull, _slope_sum, _sweep,
                                   chip_fire, extend, is_harmonic_at, principal_divisor,
                                   pseudodirect_tuple, restrict_whole, split_components)
 from tropcurve.randgen import (random_class_respecting_function, random_curve, random_function,
@@ -162,6 +162,19 @@ def ref_slice(p: Profile, a: Fraction, b) -> Profile:
     inner = [(o - a, v) for o, v in p.breaks if a < o < b]
     return ref_normalize([(Fraction(0), ref_value(p, a))] + inner
                          + [(b - a, ref_value(p, b))], None)
+
+
+def ref_pull(p: Profile, start: Fraction, length, orient: int, k: int) -> Profile:
+    """x -> p(start + orient·k·x): ``ref_slice`` of the window, reversed when
+    orient is -1, then its offsets divided by k."""
+    if length == INF:
+        s = ref_slice(p, start, INF)
+    else:
+        s = ref_slice(p, *sorted((start, start + orient * k * length)))
+    bs = s.breaks
+    if orient < 0:
+        bs = [(bs[-1][0] - o, v) for o, v in reversed(bs)]
+    return ref_normalize([(o / k, v) for o, v in bs], None if s.tail is None else s.tail * k)
 
 
 def ref_slope_right(p: Profile, t: Fraction) -> int:
@@ -639,7 +652,48 @@ def test_slice_and_sample_match_fraction_kernels():
         assert right[-1] == (p.tail if p.tail is not None else None)
         a = rng.choice(cuts[:-1])
         b = rng.choice([t for t in cuts if t > a] + ([INF] if p.tail is not None else []))
-        assert _slice(p, a, b) == ref_slice(as_fractions(p), a, b), (p, a, b)
+        length = INF if b is INF else b - a
+        assert _pull(p, a, length) == ref_slice(as_fractions(p), a, b), (p, a, b)
+
+
+COPRIME = (53, 59, 61, 67)  # prime to every denominator random_pair draws
+
+
+def test_pull_matches_the_fraction_reading():
+    """Windows read forward or reversed, stretched by k, against ``ref_pull``;
+    windows end at breakpoints, midpoints, the edge's ends, beyond the last
+    breakpoint of a ray, and at points whose denominator is a prime that no
+    breakpoint has."""
+    rng = rng_for("profile-pull")
+    seen = {"ray": 0, "reversed": 0, "at 0": 0, "at end": 0, "coprime": 0, 1: 0, 2: 0, 3: 0}
+    for _ in range(1200):
+        p, *_ = random_pair(rng)
+        offs = sorted(o for o, _ in p.breaks)
+        cuts = set(offs + [Fraction(a + b) / 2 for a, b in zip(offs, offs[1:])])
+        q = rng.choice(COPRIME)
+        cuts |= {Fraction(rng.randint(0, int(offs[-1] * q)), q) for _ in range(2)}
+        if p.tail is not None:
+            cuts.add(offs[-1] + Fraction(5, 3))
+        cuts = sorted(cuts)
+        orient, k = rng.choice((1, -1)), rng.choice((1, 2, 3))
+        a = rng.choice(cuts[:-1])
+        if p.tail is not None and orient > 0 and rng.random() < 0.5:
+            b, start, length = INF, a, INF
+        else:
+            b = rng.choice([t for t in cuts if t > a])
+            start, length = (a if orient > 0 else b), (b - a) / k
+        got = _pull(p, start, length, orient, k)
+        want = ref_pull(as_fractions(p), start, length, orient, k)
+        assert got == want, (p, start, length, orient, k)
+        seen["ray"] += b is INF
+        seen["reversed"] += orient < 0
+        seen["at 0"] += a == 0
+        seen["at end"] += p.tail is None and b == offs[-1]
+        seen["coprime"] += any(x != INF and x.denominator % q == 0 for x in (a, b))
+        seen[k] += 1
+    assert min(seen.values()) >= 100, seen
+    with pytest.raises(TropError, match="cannot reverse an unbounded profile"):
+        _pull(Profile(((0, 0),), 1), 0, INF, -1)
 
 
 def test_divisors_and_harmonicity_match_reference():
@@ -886,7 +940,7 @@ def test_scale_stays_least_along_a_chain():
                 p, ref = _affine(p, -1), Profile(tuple((o, -v) for o, v in ref.breaks))
             elif step == "slice":
                 a, b = Fraction(rng.randint(0, 4), prime), end - Fraction(rng.randint(0, 4), prime)
-                p, ref = _slice(p, a, b), ref_slice(ref, a, b)
+                p, ref = _pull(p, a, b - a), ref_slice(ref, a, b)
             else:
                 q = prime_operand(rng, end, prime)
                 op = "max" if step == "add" else "add"
