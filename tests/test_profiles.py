@@ -681,7 +681,7 @@ def test_pull_matches_the_fraction_reading():
             b, start, length = INF, a, INF
         else:
             b = rng.choice([t for t in cuts if t > a])
-            start, length = (a if orient > 0 else b), (b - a) / k
+            start, length = (a if orient > 0 else b), Fraction(b - a) / k
         got = _pull(p, start, length, orient, k)
         want = ref_pull(as_fractions(p), start, length, orient, k)
         assert got == want, (p, start, length, orient, k)
