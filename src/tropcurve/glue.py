@@ -233,9 +233,9 @@ def glue_function(h1: PLFunction, h2: PLFunction, glued: GlueResult) -> PLFuncti
             raise TropError(f"functions disagree on the glued subgraph at {p1} "
                             f"({h1.value_at(p1)} vs {h2.value_at(p2)})")
     for eid, e in glued.shape.edges.items():
-        s1, s2 = [_pull(edge_profile(h, tgt), start, e.length, orient)
-                  for h, (tgt, start, orient) in ((h1, glued.emb1.edge_map[eid]),
-                                                  (h2, glued.emb2.edge_map[eid]))]
+        (t1, a1, o1), (t2, a2, o2) = glued.emb1.edge_map[eid], glued.emb2.edge_map[eid]
+        s1 = _pull(edge_profile(h1, t1), a1, e.length, o1)
+        s2 = _pull(edge_profile(h2, t2), a2, e.length, o2)
         if s1 != s2:
             off = _first_difference(s1, s2)
             tgt, toff = glued.emb1.target_offset(eid, off)
