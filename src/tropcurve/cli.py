@@ -16,7 +16,7 @@ from pathlib import Path
 
 from . import io as tio
 from .complexes import PolyComplex1D, check_balanced, intersect
-from .curve import INF, Curve, canonical_model
+from .curve import Curve, canonical_model
 from .errors import FileFormatError, InternalError, TropError
 from .glue import glue, glue_function
 from .hypersurface import plane_hypersurface
@@ -73,10 +73,6 @@ def _emit(payload, text: str, json_mode: bool):
         print(tio._dumps(payload))
     else:
         print(text)
-
-
-def _length(value: str):
-    return INF if value == "inf" else rat(value)
 
 
 def _int_option(value: str) -> int:
@@ -265,7 +261,7 @@ def _cmd_canonical(args) -> int:
 def _cmd_chipfire(args) -> int:
     c = _curve(args.curve)
     g = tio.subgraph_from_json(c, _read(args.subgraph))
-    f = chip_fire(c, g, _length(args.length))
+    f = chip_fire(c, g, args.length)
     _write(args.out, tio.function_to_json(f), args.json)
     return 0
 

@@ -260,7 +260,7 @@ def glue_function(h1: PLFunction, h2: PLFunction, glued: GlueResult) -> PLFuncti
         if not ends:
             h, v = source[vid]
             isolated[vid] = h.value_at(h.curve.pt_vertex(v))
-    return PLFunction(glued.curve, profiles, isolated)
+    return PLFunction._trusted(glued.curve, profiles, isolated)
 
 
 def _first_difference(p1: Profile, p2: Profile) -> Fraction:

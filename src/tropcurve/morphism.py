@@ -51,6 +51,8 @@ def validate_morphism(m: Morphism) -> MorphismReport:
         img = m.vertex_map.get(vid)
         if img is None or img not in tgt.vertices:
             bad.append(f"vertex {vid!r} has no valid image")
+        elif tgt.vertices[img].at_infinity and not src.edges_at[vid]:
+            bad.append(f"vertex {vid!r} maps to the point at infinity {img!r}")
     for eid, e in src.edges.items():
         entry = m.edge_map.get(eid)
         deg = m.degrees.get(eid)
@@ -70,6 +72,8 @@ def validate_morphism(m: Morphism) -> MorphismReport:
                 bad.append(f"edge {eid!r} collapses but has degree {deg}")
             if fu != name or fv != name:
                 bad.append(f"edge {eid!r} collapses to {name!r} but endpoints map elsewhere")
+            elif name in tgt.vertices and tgt.vertices[name].at_infinity:
+                bad.append(f"edge {eid!r} collapses onto the point at infinity {name!r}")
             continue
         te = tgt.edges.get(name)
         if te is None:
@@ -144,7 +148,7 @@ def pullback(m: Morphism, f_target: PLFunction) -> PLFunction:
             profiles[eid] = _pull(prof, te.length, e.length, -1, k)
     isolated = {vid: f_target.value_at(m.target.pt_vertex(m.vertex_map[vid]))
                 for vid in _isolated_vertices(src)}
-    return PLFunction(src, profiles, isolated)
+    return PLFunction._trusted(src, profiles, isolated)
 
 
 def compose(outer: Morphism, inner: Morphism) -> Morphism:
@@ -291,7 +295,7 @@ def germ_bump(loc: Localization, germ: Germ) -> PLFunction:
     kind, ident, off = c._resolve(loc.point)
     zero = PLFunction.constant(c, 0)
     if not loc.directions:  # an isolated vertex: the germ is its value
-        return PLFunction(c, dict(zero.profiles), {**zero.isolated, ident: germ.coef})
+        return PLFunction._trusted(c, zero.profiles, {**zero.isolated, ident: germ.coef})
 
     dirs = [(*d.rsplit(":", 1), slope) for d, slope in zip(loc.directions, germ.slopes)]
     edges = [c.edges[eid] for eid, _, _ in dirs]
@@ -321,7 +325,7 @@ def germ_bump(loc: Localization, germ: Germ) -> PLFunction:
         g = sorted(dict(chain.from_iterable(rows)).items())  # a leg's start overwrites an end
         tail = profiles[eid].tail
         profiles[eid] = _gridded(D, [g[k] for k in _kept(g, tail)], tail)
-    return PLFunction(c, profiles, dict(zero.isolated))
+    return PLFunction._trusted(c, profiles, zero.isolated)
 
 
 def _unit_bumps(loc: Localization) -> list[tuple[Germ, PLFunction]]:

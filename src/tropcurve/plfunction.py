@@ -52,8 +52,8 @@ class Profile:
 
     @property
     def breaks(self) -> tuple[tuple[Fraction, Fraction], ...]:
-        """The breakpoints as given, else as ``Fraction``s from the grid: a view for tests,
-        ``repr`` and error messages; the library reads ``grid``."""
+        """The breakpoints as given, else as ``Fraction``s from the grid: what ``PLFunction(...)``
+        normalizes, and a view for tests, ``repr`` and error messages; the kernels read ``grid``."""
         if self._breaks is None:
             d, g = self.grid
             self._breaks = tuple([(Fraction(o, d), Fraction(v, d)) for o, v in g])
@@ -283,12 +283,11 @@ class PLFunction:
                  isolated: dict[str, Fraction]) -> "PLFunction":
         """A function taking normalized, valid profiles as given.
 
-        Only for results that are normalized, continuous and integer-sloped
-        by construction from valid operands: the kernel results of ``add``,
-        ``mul``, ``inv``, ``pow`` and ``scale``, and ``constant``,
-        ``chip_fire``, ``restrict_whole``, ``split_components`` and
-        ``pseudodirect_tuple``.  Everything else goes through
-        ``PLFunction(...)``, which normalizes and validates.
+        Every function the library builds comes through here: its operations
+        and pullbacks are homomorphisms into Rat(curve), so a result built
+        from valid operands is normalized, continuous and integer-sloped by
+        construction.  Data from outside the library enters through
+        ``PLFunction(...)``, which normalizes every profile and validates.
         """
         f = cls.__new__(cls)
         f.curve = curve
@@ -338,17 +337,16 @@ class PLFunction:
             e = c.edges.get(eid)
             if e is None:
                 raise TropError(f"unknown edge {eid!r}")
-            breaks = p._breaks  # None when a kernel built p: normalized on its grid
-            if breaks is not None:
-                if not breaks:
-                    raise TropError(f"edge {eid!r} profile must start at offset 0")
-                for o, v in breaks:  # exact types pass at once; rat decides the rest
-                    if type(o) not in (Fraction, int) or type(v) not in (Fraction, int):
-                        breaks = tuple((rat(o), rat(v)) for o, v in breaks)
-                        break
-                if e.is_infinite and p.tail is not None:
-                    integer(p.tail, f"edge {eid!r} slope at infinity")
-            q = p if breaks is None else _normalize(breaks, p.tail if e.is_infinite else None)
+            breaks = p.breaks
+            if not breaks:
+                raise TropError(f"edge {eid!r} profile must start at offset 0")
+            for o, v in breaks:  # exact types pass at once; rat decides the rest
+                if type(o) not in (Fraction, int) or type(v) not in (Fraction, int):
+                    breaks = tuple((rat(o), rat(v)) for o, v in breaks)
+                    break
+            if e.is_infinite and p.tail is not None:
+                integer(p.tail, f"edge {eid!r} slope at infinity")
+            q = _normalize(breaks, p.tail if e.is_infinite else None)
             d, g = q.grid
             if g[0][0] != 0:
                 raise TropError(f"edge {eid!r} profile must start at offset 0")
@@ -553,9 +551,10 @@ class Divisor:
     def _trusted(cls, curve: Curve, coeffs: dict[PointRef, int]) -> "Divisor":
         """A divisor taking ``coeffs`` as given, without the point checks.
 
-        Only for ``principal_divisor``, whose points come from the curve's own
-        edges, each once, with nonzero integer coefficients.  Everything else
-        goes through ``Divisor(...)``.
+        Every divisor the library builds comes through here: its points come
+        from the curve or from a valid divisor, each once, with nonzero
+        integer coefficients.  Data from outside the library enters through
+        ``Divisor(...)``, which checks every point and coefficient.
         """
         d = cls.__new__(cls)
         d.curve = curve
@@ -580,10 +579,10 @@ class Divisor:
         acc = dict(self.coeffs)
         for p, k in other.coeffs.items():
             acc[p] = acc.get(p, 0) + k
-        return Divisor(self.curve, acc)
+        return Divisor._trusted(self.curve, {p: k for p, k in acc.items() if k})
 
     def neg(self) -> "Divisor":
-        return Divisor(self.curve, {p: -k for p, k in self.coeffs.items()})
+        return Divisor._trusted(self.curve, {p: -k for p, k in self.coeffs.items()})
 
     def items(self) -> list[tuple[PointRef, int]]:
         return [(p, self.coeffs[p]) for p in self.support()]
@@ -678,15 +677,15 @@ def module_degree(gens: Sequence[PLFunction]) -> int | None:
 
 
 def chip_fire(c: Curve, g: Subgraph, l) -> PLFunction:
-    """The function x -> -min(dist(g, x), l), built exactly.
+    """The function x -> -min(dist(g, x), l), built exactly; l is positive, ``INF`` or ``"inf"``.
 
     Components not meeting g get the constant zero.
     """
+    cap = INF if l == INF or l == "inf" else rat(l)
     if g.curve != c:
         raise TropError("subgraph belongs to a different curve")
     if g.is_empty():
         raise TropError("chip firing needs a nonempty subgraph")
-    cap = INF if l == INF else rat(l)
     if cap is not INF and cap <= 0:
         raise TropError("chip firing length must be positive")
     dmap = g.distance_map()
@@ -907,7 +906,7 @@ def extend(f_prime: PLFunction, g: Subgraph, s: int) -> PLFunction:
                 tail = sigma
         profiles[eid] = _gridded(d, kept, tail)
     isolated = {vid: heights.get(vid, Fraction(0)) for vid in _isolated_vertices(c)}
-    return PLFunction(c, profiles, isolated)
+    return PLFunction._trusted(c, profiles, isolated)
 
 
 def _gaps(e, ivs):

@@ -9,6 +9,7 @@ import sys
 import pytest
 
 from tropcurve.curve import Curve
+from tropcurve.morphism import Morphism
 from tropcurve.plfunction import PLFunction
 
 
@@ -36,6 +37,14 @@ def identity_fn(line: Curve) -> PLFunction:
 
 def scaled_fn(line: Curve, k: int) -> PLFunction:
     return PLFunction.from_edge_data(line, {"right": ([(0, 0)], k), "left": ([(0, 0)], -k)})
+
+
+def doubling(line: Curve) -> Morphism:
+    """The line onto itself with degree 2 on both rays."""
+    return Morphism(line, line,
+                    {"O": "O", "left.inf": "left.inf", "right.inf": "right.inf"},
+                    {"left": ("edge", "left"), "right": ("edge", "right")},
+                    {"left": 2, "right": 2})
 
 
 def rng_for(name: str) -> random.Random:

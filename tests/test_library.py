@@ -87,16 +87,20 @@ def test_profile_readers_read_the_grid():
                        "selftest.py": set(), "morphism.py": set()}
 
 
-def _scale_calls(name: str) -> list[str]:
-    """``module: enclosing top-level function`` for each call of ``name`` in src/."""
+def _callers(name: str) -> list[str]:
+    """``module: enclosing function`` for each call of ``name`` in src/; a
+    method is named ``Class.method``."""
     found = []
     for path in sorted(SRC.glob("*.py")):
         for top in ast.parse(path.read_text(), str(path)).body:
-            for node in ast.walk(top):
-                if isinstance(node, ast.Call) and (
-                        isinstance(node.func, ast.Name) and node.func.id == name
-                        or isinstance(node.func, ast.Attribute) and node.func.attr == name):
-                    found.append(f"{path.name}: {getattr(top, 'name', '<module>')}")
+            scopes = ([(f"{top.name}.{getattr(item, 'name', '<body>')}", item) for item in top.body]
+                      if isinstance(top, ast.ClassDef) else [(getattr(top, "name", "<module>"), top)])
+            for scope, tree in scopes:
+                for node in ast.walk(tree):
+                    if isinstance(node, ast.Call) and (
+                            isinstance(node.func, ast.Name) and node.func.id == name
+                            or isinstance(node.func, ast.Attribute) and node.func.attr == name):
+                        found.append(f"{path.name}: {scope}")
     return found
 
 
@@ -105,9 +109,19 @@ def test_the_integer_scale_has_one_home():
     # through semifield's on_scale, common_scale and least_scale.  The one
     # other lcm is _combine2's crossing refinement, an lcm of slope
     # differences rather than of denominators.
-    assert {f for f in _scale_calls("as_integer_ratio") if not f.startswith("semifield.py")} == set()
-    assert {f for f in _scale_calls("lcm")
+    assert {f for f in _callers("as_integer_ratio") if not f.startswith("semifield.py")} == set()
+    assert {f for f in _callers("lcm")
             if not f.startswith("semifield.py")} == {"plfunction.py: _combine2"}
+
+
+def test_library_results_are_built_trusted():
+    # The semifield operations and pullbacks map Rat(curve) into itself, so
+    # every function and divisor the library builds goes through _trusted.
+    # The validating constructors take only data from outside: -inf, edge
+    # data and a divisor file.
+    assert sorted(_callers("PLFunction")) == ["plfunction.py: PLFunction.from_edge_data",
+                                              "plfunction.py: PLFunction.neg_inf"]
+    assert _callers("Divisor") == ["io.py: divisor_from_json"]
 
 
 def test_edge_maps_read_profiles_through_pull():

@@ -10,23 +10,17 @@ import pytest
 from tropcurve import morphism, plfunction
 from tropcurve.curve import INF, Curve
 from tropcurve.errors import TropError
-from tropcurve.morphism import (Localization, Morphism, MorphismReport, compose, germ_bump,
-                                localization_surjectivity, localize, pullback, validate_morphism,
-                                weight_check, weight_from_generators, weighted_local_image)
+from tropcurve.morphism import (Localization, Morphism, MorphismReport, WeightReport, compose,
+                                germ_bump, localization_surjectivity, localize, pullback,
+                                validate_morphism, weight_check, weight_from_generators,
+                                weighted_local_image)
 from tropcurve.plfunction import PLFunction, _flat, _isolated_vertices, _normalize, chip_fire
 from tropcurve.randgen import random_curve, random_function, random_germ, random_point
 from tropcurve.selftest import suite_localization, suite_pullback
 from tropcurve.semifield import Germ
 from tropcurve.subgraph import point_subgraph
 
-from conftest import fraction_calls, identity_fn, rng_for, scaled_fn
-
-
-def doubling(line: Curve) -> Morphism:
-    return Morphism(line, line,
-                    {"O": "O", "left.inf": "left.inf", "right.inf": "right.inf"},
-                    {"left": ("edge", "left"), "right": ("edge", "right")},
-                    {"left": 2, "right": 2})
+from conftest import doubling, fraction_calls, identity_fn, rng_for, scaled_fn
 
 
 class TestValidate:
@@ -106,6 +100,10 @@ def _violating_morphism(case: str, segment3: Curve, line: Curve) -> Morphism:
         "class_targets": lambda: Morphism(one_class, line, at_both, both, {"left": 1, "right": 1}),
         "class_degrees": lambda: Morphism(one_class, _two_rays({"left": "m", "right": "m"}),
                                           at_both, both, {"left": 1, "right": 2}),
+        "collapse_to_infinity": lambda: Morphism(seg, ray, {"A": "r.inf", "B": "r.inf"},
+                                                 {"e": ("vertex", "r.inf")}, {"e": 0}),
+        "isolated_to_infinity": lambda: Morphism(Curve.build(vertices=["A"]), ray,
+                                                 {"A": "r.inf"}, {}, {}),
     }[case]()
 
 
@@ -126,6 +124,8 @@ def _violating_morphism(case: str, segment3: Curve, line: Curve) -> Morphism:
     ("class_collapse", "ray class 'k': some rays collapse and some do not"),
     ("class_targets", "ray class 'k' maps into several target classes"),
     ("class_degrees", "ray class 'k' has unequal degrees at infinity [1, 2]"),
+    ("collapse_to_infinity", "edge 'e' collapses onto the point at infinity 'r.inf'"),
+    ("isolated_to_infinity", "vertex 'A' maps to the point at infinity 'r.inf'"),
 ])
 def test_each_violation_is_reported(case, violation, segment3, line):
     assert validate_morphism(_violating_morphism(case, segment3, line)) == \
@@ -214,6 +214,24 @@ class TestWeights:
         assert validate_morphism(fold).ok
         wc = weight_check(fold)
         assert not wc.is_weight
+
+    def test_invalid_morphism_is_no_weight(self, segment3):
+        m = Morphism(segment3, segment3, {"A": "A", "B": "B"}, {"e": ("edge", "e")}, {"e": 0})
+        assert weight_check(m) == WeightReport(
+            False, None, ("edge 'e' maps onto an edge but has degree 0",))
+
+    def test_rays_parallel_on_one_side_only(self):
+        # A valid bijection sending rays of two source classes into one target class.
+        def rays(classes):
+            return Curve.build(vertices=["O"], edges=[("a", "O", None, INF), ("b", "O", None, INF)],
+                               ray_classes=classes)
+
+        src, tgt = rays({"a": "k", "b": "m"}), rays({"a": "n", "b": "n"})
+        m = Morphism(src, tgt, {v: v for v in src.vertices}, {e: ("edge", e) for e in src.edges},
+                     {"a": 1, "b": 1})
+        assert validate_morphism(m).ok
+        assert weight_check(m) == WeightReport(False, None, (
+            "rays 'a','b': parallel on one side only", "rays 'b','a': parallel on one side only"))
 
     def test_weight_from_generators(self, line):
         assert weight_from_generators([scaled_fn(line, 2)], "right") == 2
@@ -412,7 +430,8 @@ def ref_pullback(m: Morphism, f: PLFunction) -> PLFunction:
 
 def test_flat_edges_are_built_on_their_grid(tripod, segment3, monkeypatch):
     # The untouched edges of a bump and a collapsed edge's pullback are
-    # constants built on their grid, so validating them normalizes nothing.
+    # constants built on their grid, and both results are built trusted, so
+    # nothing is normalized.
     calls = []
     normalize = plfunction._normalize
     monkeypatch.setattr(plfunction, "_normalize",

@@ -98,6 +98,13 @@ class TestChipFire:
     def test_bounds_random(self):
         assert suite_chip_fire(rng_for("cf-bounds"), 30) == 30
 
+    def test_inf_spelled_as_text(self, tripod):
+        g = point_subgraph(tripod, tripod.pt_vertex("O"))
+        assert chip_fire(tripod, g, "inf") == chip_fire(tripod, g, INF)
+        for bad in ("Inf", " inf "):
+            with pytest.raises(TropError, match=re.escape(f"not a rational literal: {bad!r}")):
+                chip_fire(tripod, g, bad)
+
 
 class TestOutgoingSlope:
     def test_at_infinity_negated(self, line):

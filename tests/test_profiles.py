@@ -18,27 +18,32 @@ work grows with the number of breakpoints.
 
 from __future__ import annotations
 
+import json
 import random
 from fractions import Fraction
 from math import floor, gcd, lcm
+from pathlib import Path
 
 import pytest
 
+from tropcurve import io as tio
 from tropcurve.complexes import PolyComplex1D
 from tropcurve.curve import INF, Curve, PointRef, disjoint_union
 from tropcurve.errors import TropError
 from tropcurve.geometry import primitive
+from tropcurve.glue import GlueResult, glue, glue_function
+from tropcurve.morphism import Morphism, germ_bump, localize, pullback
 from tropcurve.plfunction import (Divisor, PLFunction, Profile, _affine, _combine2,
                                   _isolated_vertices, _normalize, _pull, _slope_sum, _sweep,
                                   chip_fire, extend, is_harmonic_at, principal_divisor,
                                   pseudodirect_tuple, restrict_whole, split_components)
 from tropcurve.randgen import (random_class_respecting_function, random_curve, random_function,
-                               random_rational, random_subgraph)
+                               random_germ, random_point, random_rational, random_subgraph)
 from tropcurve.realization import Piece, RealizationMap, realize
 from tropcurve.semifield import common_scale, on_scale
 from tropcurve.subgraph import Subgraph, make_subgraph
 
-from conftest import fraction_calls, rng_for
+from conftest import doubling, fraction_calls, rng_for
 
 # -- reference code -------------------------------------------------------------
 
@@ -841,31 +846,86 @@ def test_harmonicity_of_the_zero_function_raises():
         is_harmonic_at(PLFunction.neg_inf(c), c.pt_vertex("1:P"))
 
 
+def golden_glue(name: str) -> tuple[GlueResult, PLFunction, PLFunction]:
+    """The glue result and the two functions of a golden ``glue --fn-a --fn-b`` case."""
+    case = Path(__file__).resolve().parent / "golden" / name
+    argv = json.loads((case / "argv.json").read_text())
+    path = dict(zip(argv[1::2], argv[2::2]))
+
+    def read(flag):
+        return (case / "in" / path[flag]).read_text()
+
+    c1, c2, shape = (tio.curve_from_json(read(flag)) for flag in ("--a", "--b", "--shape"))
+    res = glue(c1, c2, tio.embedding_from_json(shape, c1, read("--embed-a")),
+               tio.embedding_from_json(shape, c2, read("--embed-b")))
+    return res, tio.function_from_json(c1, read("--fn-a")), tio.function_from_json(c2, read("--fn-b"))
+
+
+def fixed_morphisms() -> list[Morphism]:
+    """The degree-2 map of the line onto itself, a fold of a two-edge path
+    onto a segment, and a segment collapsed to a point."""
+    seg3, point = Curve.segment(3), Curve.build(vertices=["P"])
+    path = Curve.build(vertices=["A", "B", "C"], edges=[("e1", "A", "B", 1), ("e2", "B", "C", 1)])
+    seg1 = Curve.segment(1, "U", "V", "f")
+    return [doubling(Curve.doubly_infinite_line()),
+            Morphism(path, seg1, {"A": "U", "B": "V", "C": "U"},
+                     {"e1": ("edge", "f"), "e2": ("edge", "f")}, {"e1": 1, "e2": 1}),
+            Morphism(seg3, point, {"A": "P", "B": "P"}, {"e": ("vertex", "P")}, {"e": 0})]
+
+
 def test_kernel_results_equal_their_validated_rebuilds():
-    """Every result built through ``PLFunction._trusted`` passes validation."""
+    """Every result built through ``PLFunction._trusted`` or ``Divisor._trusted``
+    equals its rebuild through ``PLFunction(...)`` or ``Divisor(...)``, which
+    normalizes every profile and checks every point, so a trusted result is
+    valid and normalized."""
     rng = rng_for("profile-trusted")
-    checked = 0
+    glued = [golden_glue(name) for name in ("glue-with-functions", "glue-reversed-edge")]
+    morphisms = fixed_morphisms()
+    seen: dict[str, int] = {}
     for _ in range(40):
         c = curve_with_everything(rng) if rng.random() < 0.5 else random_curve(rng)
         f, g = (random_function(c, rng, allow_neg_inf=True) for _ in range(2))
-        results = [f.add(g), f.mul(g), f.pow(2), f.pow(3), f.scale(random_rational(rng))]
+        results = [("add", f.add(g)), ("mul", f.mul(g)), ("pow", f.pow(2)), ("pow", f.pow(3)),
+                   ("scale", f.scale(random_rational(rng)))]
         if not f.is_neg_inf:
-            results += [f.inv(), f.pow(-1), f.pow(0)]
+            results += [("inv", f.inv()), ("pow", f.pow(-1)), ("pow", f.pow(0))]
         sub = random_subgraph(c, rng)
         cap = INF if rng.random() < 0.3 else Fraction(rng.randint(1, 12), rng.randint(1, 3))
-        results += [PLFunction.constant(c, random_rational(rng)), chip_fire(c, sub, cap),
-                    restrict_whole(f, sub)[0], *split_components(f),
-                    pseudodirect_tuple(c, [random_function(comp, rng) for comp in c.components()])]
-        for r in results:
+        results += [("constant", PLFunction.constant(c, random_rational(rng))),
+                    ("chip_fire", chip_fire(c, sub, cap)), ("restrict", restrict_whole(f, sub)[0]),
+                    *[("split", part) for part in split_components(f)],
+                    ("pseudodirect", pseudodirect_tuple(c, [random_function(comp, rng)
+                                                            for comp in c.components()]))]
+        if not any(e.is_loop for e in c.edges.values()):
+            results.append(("pullback", pullback(Morphism.identity(c), f)))
+        results += [("pullback", pullback(m, random_function(m.target, rng))) for m in morphisms]
+        points = [random_point(c, rng)] + [c.pt_vertex(v) for v in _isolated_vertices(c)[:1]]
+        for loc in [localize(c, x) for x in points]:
+            results.append(("germ_bump", germ_bump(loc, random_germ(rng, loc.rank))))
+        fp = restrict_whole(random_class_respecting_function(c, rng), sub)[0]
+        if not fp.is_neg_inf:
+            results += [("extend", r) for kind, r in (outcome(extend, fp, sub, s)
+                                                      for s in (-8, -64, -1024, -2 ** 18))
+                        if kind == "ok"]
+        res, h1, h2 = rng.choice(glued)
+        k, t = rng.randint(1, 3), random_rational(rng)
+        results.append(("glue", glue_function(h1.pow(k).scale(t), h2.pow(k).scale(t), res)))
+        divisors = []
+        for name, r in results:
             if r.is_neg_inf:
                 continue
             rebuilt = PLFunction(r.curve, r.profiles, r.isolated)
-            assert r == rebuilt and r.isolated == rebuilt.isolated
+            assert r == rebuilt and r.isolated == rebuilt.isolated, name
             d = principal_divisor(r)
-            assert d == Divisor(d.curve, d.coeffs)
-            assert all(type(k) is int for k in d.coeffs.values())
-            checked += 1
-    assert checked >= 400
+            divisors += [("principal", d), ("neg", d.neg()), ("add", d.add(d.neg()))]
+            if r.curve == c and not f.is_neg_inf:
+                divisors.append(("add", d.add(principal_divisor(f))))
+            seen[name] = seen.get(name, 0) + 1
+        for name, d in divisors:
+            assert d == Divisor(d.curve, d.coeffs), name
+            assert all(type(k) is int and k for k in d.coeffs.values()), name
+            seen[f"Divisor.{name}"] = seen.get(f"Divisor.{name}", 0) + 1
+    assert min(seen.values()) >= 30 and len(seen) == 17, seen
 
 
 def test_public_constructors_still_validate(segment3):
