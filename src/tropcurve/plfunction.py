@@ -275,7 +275,7 @@ class PLFunction:
             self.isolated: dict[str, Fraction] = {}
             return
         self.profiles = dict(profiles)
-        self.isolated = dict(isolated or {})
+        self.isolated = {vid: rat(v) for vid, v in (isolated or {}).items()}
         self._validate()
 
     @classmethod
@@ -318,8 +318,7 @@ class PLFunction:
         """
         profiles = {eid: Profile(tuple((rat(o), rat(v)) for o, v in breaks), tail)
                     for eid, (breaks, tail) in data.items()}
-        iso = {vid: rat(v) for vid, v in (isolated or {}).items()}
-        return PLFunction(curve, profiles, iso)
+        return PLFunction(curve, profiles, isolated)
 
     def _validate(self):
         """Normalize the profiles; the one home of the Rat(curve) invariants.

@@ -334,7 +334,7 @@ class TestRestrictExtend:
     ("tail", 1.5), ("tail", True), ("tail", Fraction(1)),
     ("divisor", 1.7), ("divisor", True), ("divisor", Fraction(2)),
     ("extend", -1.5), ("extend", True), ("extend", Fraction(-1)),
-    ("pow", True), ("breakpoint", 1.5), ("breakpoint", True),
+    ("pow", True), ("breakpoint", 1.5), ("breakpoint", True), ("isolated", 1.5), ("isolated", True),
     ("segment", True), ("constant", True), ("scale", True), ("chip_fire", True),
     ("interval", True), ("complex", True),
     ("germ", 1.5), ("germ", True), ("germ_pow", 1.5), ("germ_pow", True), ("germ_forget", True),
@@ -359,6 +359,7 @@ def test_integers_are_not_coerced(site, value, line, segment3):
         "pow": (lambda k: zero.pow(k), 2),
         "breakpoint": (lambda k: PLFunction(segment3, {"e": Profile(((0, 0), (1, k), (3, k)))}),
                        -1),
+        "isolated": (lambda k: PLFunction(Curve.build(vertices=["Z"]), {}, {"Z": k}), -1),
         "segment": (lambda k: Curve.segment(k), 3),
         "constant": (lambda k: PLFunction.constant(segment3, k), 0),
         "scale": (lambda k: zero.scale(k), 0),
