@@ -16,7 +16,7 @@ from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
 from .errors import TropError
-from .semifield import integer, rat
+from .semifield import common_scale, integer, on_scale, rat
 
 INF = math.inf
 
@@ -104,6 +104,14 @@ class PointRef:
     edge: str | None = None
     offset: Fraction | None = None
 
+    _hash = None  # not a field: the hash, kept once worked out
+
+    def __hash__(self):  # the offset's exact text hashes faster than the Fraction does
+        h = self._hash
+        if h is None:
+            h = self.__dict__["_hash"] = hash((self.kind, self.vertex, self.edge, str(self.offset)))
+        return h
+
     def __str__(self) -> str:
         if self.kind == "vertex":
             return self.vertex
@@ -133,9 +141,10 @@ class Curve:
             self.edges_at[e.v].append((e.id, -1))
         for ends in self.edges_at.values():
             ends.sort()
-        self._dijkstra_cache: dict[str, dict[str, "Fraction | float"]] = {}
+        self._dijkstra_cache: dict[str, dict[str, int]] = {}
         self._key: tuple | None = None
         self._components: dict[str, int] | None = None
+        self._scale: tuple[int, dict[str, int]] | None = None
 
     # -- construction ------------------------------------------------------
 
@@ -350,65 +359,79 @@ class Curve:
 
     # -- metric -------------------------------------------------------------------
 
-    def distances_from(self, seeds: Mapping[str, Fraction]) -> dict[str, "Fraction | float"]:
-        """Multi-source Dijkstra over finite edges: each vertex's least seed
-        distance plus path length, INF where no seed reaches."""
-        dist: dict[str, "Fraction | float"] = {v: INF for v in self.vertices}
-        dist.update(seeds)
+    def _length_scale(self) -> tuple[int, dict[str, int]]:
+        """(L, finite edge id -> its length times L), L the lcm of the finite
+        lengths' denominators; built once on first use: a curve never changes."""
+        if self._scale is None:
+            finite = {eid: e.length for eid, e in self.edges.items() if e.length is not INF}
+            L, (lengths,) = on_scale((list(finite.values()),))
+            self._scale = L, dict(zip(finite, lengths))
+        return self._scale
+
+    def _dijkstra(self, seeds: Mapping[str, int], m: int = 1) -> dict[str, int]:
+        """Multi-source Dijkstra over finite edges on the integer scale L·m:
+        each reached vertex's least seed plus path length; a vertex that no
+        seed reaches has no entry."""
+        _, lengths = self._length_scale()
+        dist = dict(seeds)
         heap = [(d, v) for v, d in seeds.items()]
         heapq.heapify(heap)
-        done = set()
         while heap:
             d, u = heapq.heappop(heap)
-            if u in done:
+            if d > dist[u]:
                 continue
-            done.add(u)
             for eid, sign in self.edges_at[u]:
-                e = self.edges[eid]
-                if e.is_infinite:
+                n = lengths.get(eid)
+                if n is None:  # a ray
                     continue
-                w = e.v if sign > 0 else e.u
-                nd = d + e.length
-                if nd < dist[w]:
+                w = self.edges[eid].v if sign > 0 else self.edges[eid].u
+                nd = d + n * m
+                if w not in dist or nd < dist[w]:
                     dist[w] = nd
                     heapq.heappush(heap, (nd, w))
         return dist
 
-    def _vertex_distances(self, source: str) -> dict[str, "Fraction | float"]:
+    def distances_from(self, seeds: Mapping[str, Fraction]) -> dict[str, "Fraction | float"]:
+        """Multi-source Dijkstra over finite edges: each vertex's least seed
+        distance plus path length, INF where no seed reaches.  It runs on the
+        lcm D of L and the seeds' denominators."""
+        L, _ = self._length_scale()
+        D, (_, (row,)) = common_scale((L, ()), on_scale((list(seeds.values()),)))
+        dist = self._dijkstra(dict(zip(seeds, row)), D // L)
+        return {v: Fraction(dist[v], D) if v in dist else INF for v in self.vertices}
+
+    def _vertex_distances(self, source: str) -> dict[str, int]:
+        """Distances from one vertex on the scale L, worked out once per vertex."""
         dist = self._dijkstra_cache.get(source)
         if dist is None:
-            dist = self._dijkstra_cache[source] = self.distances_from({source: Fraction(0)})
+            dist = self._dijkstra_cache[source] = self._dijkstra({source: 0})
         return dist
 
-    def _point_legs(self, p: PointRef) -> list[tuple[str, "Fraction | float"]]:
-        """(vertex, leg length) pairs from a point to the nearest vertices."""
-        kind, ident, off = self._resolve(p)
-        if kind == "vertex":
-            return [(ident, Fraction(0))]
-        e = self.edges[ident]
-        legs = [(e.u, off)]
-        if not e.is_infinite:
-            legs.append((e.v, e.length - off))
-        return legs
-
     def distance(self, p: PointRef, q: PointRef) -> "Fraction | float":
-        """Shortest-path length; infinite across components or to infinity points."""
+        """Shortest-path length; infinite across components or to infinity points.
+        Legs and vertex distances are integers on the lcm D of L and the offsets' denominators."""
         kp, ip, op_ = self._resolve(p)
         kq, iq, oq = self._resolve(q)
         if (kp, ip, op_) == (kq, iq, oq):
             return Fraction(0)
         if self.is_at_infinity(p) or self.is_at_infinity(q):
             return INF
-        best: "Fraction | float" = INF
-        if kp == "edge" and kq == "edge" and ip == iq:
-            best = abs(op_ - oq)
-        for a_vid, a_leg in self._point_legs(p):
-            dmap = self._vertex_distances(a_vid)
-            for b_vid, b_leg in self._point_legs(q):
-                total = a_leg + dmap[b_vid] + b_leg
-                if total < best:
-                    best = total
-        return best
+        L, lengths = self._length_scale()
+        D, (_, (row,)) = common_scale((L, ()), on_scale(([x for x in (op_, oq) if x is not None],)))
+        m, it = D // L, iter(row)
+
+        def legs(kind: str, ident: str) -> list[tuple[str, int]]:
+            if kind == "vertex":
+                return [(ident, 0)]
+            e, off = self.edges[ident], next(it)
+            return [(e.u, off)] + ([(e.v, lengths[ident] * m - off)] if ident in lengths else [])
+
+        ps, qs = legs(kp, ip), legs(kq, iq)
+        totals = [a + dist[v] * m + b for u, a in ps for dist in [self._vertex_distances(u)]
+                  for v, b in qs if v in dist]
+        if kp == kq == "edge" and ip == iq:
+            totals.append(abs(ps[0][1] - qs[0][1]))
+        return Fraction(min(totals), D) if totals else INF
 
     # -- convenience builders ------------------------------------------------------
 
@@ -511,9 +534,8 @@ def canonical_model(c: Curve) -> Curve:
                 visited.add(he)
                 here, arrival = traverse(he)
                 visited.add(arrival)
-            total: "Fraction | float" = Fraction(0)
-            for ce in chain:
-                total = INF if (c.edges[ce].length is INF or total is INF) else total + c.edges[ce].length
+            infinite = any(c.edges[ce].is_infinite for ce in chain)
+            total = INF if infinite else sum(c.edges[ce].length for ce in chain)
             new_id = min(chain)
             new_edges.append((new_id, start, here, total))
             ray_edges = [ce for ce in chain if ce in c.ray_classes]

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, combinations
 from math import gcd
 from typing import Mapping, Sequence
 
@@ -53,6 +53,7 @@ def validate_morphism(m: Morphism) -> MorphismReport:
             bad.append(f"vertex {vid!r} has no valid image")
         elif tgt.vertices[img].at_infinity and not src.edges_at[vid]:
             bad.append(f"vertex {vid!r} maps to the point at infinity {img!r}")
+    (src_scale, src_lengths), (tgt_scale, tgt_lengths) = src._length_scale(), tgt._length_scale()
     for eid, e in src.edges.items():
         entry = m.edge_map.get(eid)
         deg = m.degrees.get(eid)
@@ -94,7 +95,7 @@ def validate_morphism(m: Morphism) -> MorphismReport:
         else:
             if te.is_infinite:
                 bad.append(f"finite edge {eid!r} maps onto a ray")
-            elif te.length != deg * e.length:
+            elif tgt_lengths[name] * src_scale != deg * src_lengths[eid] * tgt_scale:
                 bad.append(f"edge {eid!r}: target length {te.length} != "
                            f"{deg} * {e.length}")
     # Ray-class law: within a source class all rays collapse, or all map to
@@ -189,15 +190,11 @@ def weight_check(m: Morphism) -> WeightReport:
     if len(images) != len(m.edge_map) or sorted(images) != sorted(tgt.edges):
         reasons.append("edge map is not a bijection onto the target edges")
     if not reasons:
-        for e1 in src.ray_classes:
-            for e2 in src.ray_classes:
-                same_src = src.ray_classes[e1] == src.ray_classes[e2]
-                same_tgt = (tgt.ray_classes[m.edge_map[e1][1]]
-                            == tgt.ray_classes[m.edge_map[e2][1]])
-                if same_src != same_tgt:
-                    reasons.append(f"rays {e1!r},{e2!r}: parallel on one side only")
-        if reasons:
-            reasons = sorted(set(reasons))
+        for e1, e2 in combinations(sorted(src.ray_classes), 2):
+            same_src = src.ray_classes[e1] == src.ray_classes[e2]
+            same_tgt = tgt.ray_classes[m.edge_map[e1][1]] == tgt.ray_classes[m.edge_map[e2][1]]
+            if same_src != same_tgt:
+                reasons.append(f"rays {e1!r},{e2!r}: parallel on one side only")
     if reasons:
         return WeightReport(False, None, tuple(reasons))
     inv_edge = {name: eid for eid, (kind, name) in m.edge_map.items()}

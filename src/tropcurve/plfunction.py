@@ -678,7 +678,8 @@ def module_degree(gens: Sequence[PLFunction]) -> int | None:
 def chip_fire(c: Curve, g: Subgraph, l) -> PLFunction:
     """The function x -> -min(dist(g, x), l), built exactly; l is positive, ``INF`` or ``"inf"``.
 
-    Components not meeting g get the constant zero.
+    Components not meeting g get the constant zero.  Distances, interval ends and edge lengths
+    come on the subgraph's integer scale D (``Subgraph._scaled``), refined by the cap's.
     """
     cap = INF if l == INF or l == "inf" else rat(l)
     if g.curve != c:
@@ -687,38 +688,36 @@ def chip_fire(c: Curve, g: Subgraph, l) -> PLFunction:
         raise TropError("chip firing needs a nonempty subgraph")
     if cap is not INF and cap <= 0:
         raise TropError("chip firing length must be positive")
-    dmap = g.distance_map()
-    imap = g.interval_map()
+    D, m, imap = g._scaled()
+    _, dist = g._distances()
+    cap, k = (None, 1) if cap is INF else place(D, cap)
+    _, lengths = c._length_scale()
     comp_of = c.vertex_components()
-    comp_meets = {comp_of[v] for v, d in dmap.items() if d is not INF}
-    profiles = {eid: _fired(e, dmap[e.u], dmap[e.v], imap.get(eid, ()), cap)
+    comp_meets = {comp_of[v] for v in dist}
+    profiles = {eid: _fired(D, k, cap, dist[e.u], imap.get(eid, ()),
+                            None if e.is_infinite else (dist[e.v], lengths[eid] * m))
                 if comp_of[e.u] in comp_meets else _flat(e, Fraction(0))
                 for eid, e in c.edges.items()}
-    isolated = {vid: Fraction(0) if dmap[vid] is INF else -min(dmap[vid], cap)
-                for vid in _isolated_vertices(c)}
-    return PLFunction._trusted(c, profiles, isolated)
+    # An isolated vertex is at distance 0 from g, or in a component g misses.
+    return PLFunction._trusted(c, profiles, {vid: Fraction(0) for vid in _isolated_vertices(c)})
 
 
-def _fired(e: EdgeDesc, du, dv, ivs, cap) -> Profile:
+def _fired(d: int, r: int, cap: int | None, du: int, ivs, far: tuple[int, int] | None) -> Profile:
     """-min(dist, cap) on one edge, dist the distance to the nearest source on the edge's line.
 
-    The sources are the point -du (the u end's distance to the subgraph),
-    the subgraph's intervals on the edge and, on a finite edge, the point
-    L + dv.  Between two sources dist is a tent, so the corners are the edge
-    ends, the source ends, the tent peaks and the cap crossings.  On the
-    scale 2D, D the lcm of every denominator, each corner is an integer
-    (the 2 makes the peaks integers); only the kept corners become
-    ``Fraction``s.
+    The cap is an integer on the scale d·r (None for no cap), the rest on the
+    scale d: the sources are the point -du (du the u end's distance to the
+    subgraph), its intervals ivs on the edge (None at infinity) and, on a
+    finite edge with far = (dv, length), the point length + dv.  Between two
+    sources dist is a tent, so the corners are the edge ends, the source ends,
+    the tent peaks and the cap crossings, integers on the scale 2dr.
     """
-    given = [du, INF if e.is_infinite else dv, cap, e.length] + [x for iv in ivs for x in iv]
-    d, (finite,) = on_scale(([x for x in given if x is not INF],))
-    it = iter(finite)
-    du, dv, cap, end, *ends = [None if x is INF else 2 * next(it) for x in given]
-    it = iter(ends)
-    srcs = [] if du is None else [(-du, -du)]
-    srcs += zip(it, it)
-    if dv is not None:
-        srcs.append((end + dv, end + dv))
+    t = 2 * r
+    srcs = [(-t * du, -t * du)] + [(t * lo, None if hi is None else t * hi) for lo, hi in ivs]
+    end = None if far is None else t * far[1]
+    if far is not None:
+        srcs.append((end + t * far[0],) * 2)
+    cap = None if cap is None else 2 * cap
     xs = {0} if end is None else {0, end}
     # Each gap runs from a source's right end b to the next source's left end
     # a; None is an unbounded side.
@@ -743,7 +742,7 @@ def _fired(e: EdgeDesc, du, dv, ivs, cap) -> Profile:
         pts.append((x, -min(near)))
     # A ray's tail is flat past a cap or a source reaching infinity; else -dist falls.
     tail = None if end is not None else 0 if cap is not None or srcs[-1][1] is None else -1
-    return _gridded(2 * d, [pts[k] for k in _kept(pts, tail)], tail)
+    return _gridded(t * d, [pts[k] for k in _kept(pts, tail)], tail)
 
 
 # -- restriction and extension -------------------------------------------------------
@@ -843,83 +842,97 @@ def extend(f_prime: PLFunction, g: Subgraph, s: int) -> PLFunction:
         raise TropError(f"function violates the subgraph ray classes: {witness}")
 
     # Slope at infinity required on each ray class of the parent curve.
-    class_slopes: dict[str, int] = {}
-    for sub_eid in sub.ray_classes:
-        parent_eid, _ = chart.edge_chart[sub_eid]
-        label = c.ray_classes[parent_eid]
-        class_slopes[label] = f_prime.profiles[sub_eid].tail
+    class_slopes = {c.ray_classes[chart.edge_chart[sub_eid][0]]: f_prime.profiles[sub_eid].tail
+                    for sub_eid in sub.ray_classes}
 
-    # f_prime at each parent vertex and each cut point of the subgraph curve;
-    # every other point of the parent gets 0.
-    heights = {p.vertex if p.kind == "vertex" else (p.edge, p.offset):
-               f_prime.value_at(PointRef("vertex", vertex=svid))
-               for svid, p in chart.vertex_points.items()}
-    sub_edge = {parent: sub_eid for sub_eid, parent in chart.edge_chart.items()}
+    # Everything is read on the subgraph's scale D (``Subgraph._scaled``),
+    # refined per edge by the scales of f_prime's pieces and of its heights at
+    # the gap corners: the edge's ends and its lone points (isolated in sub).
+    D, m, imap = g._scaled()
+    _, lengths = c._length_scale()
+    tops = {vid: _grid_value(f_prime, vid) for vid in c.vertices}
+    lone = {(p.edge, place(D, p.offset)[0]): _grid_value(f_prime, svid)
+            for svid in _isolated_vertices(sub)
+            if (p := chart.vertex_points[svid]).kind == "on_edge"}
+    names: dict[str, list[str]] = {}  # parent edge -> its pieces in sub, in interval order
+    for sub_eid, (eid, _) in chart.edge_chart.items():
+        names.setdefault(eid, []).append(sub_eid)
 
-    imap = g.interval_map()
     profiles: dict[str, Profile] = {}
     for eid, e in c.edges.items():
         ivs = imap.get(eid, ())
         tail = 0 if e.is_infinite else None
         # Interval pieces copy f_prime; gap pieces descend to zero.  All on
-        # one scale: rate times the lcm of every denominator, where each gap
-        # corner c0, c0 + |h0|/rate, c1 - |h1|/rate, c1 is an integer.
-        pieces, pairs = [], []
+        # one scale, rate times S, where each gap corner c0, c0 + |h0|/rate,
+        # c1 - |h1|/rate, c1 is an integer.
+        parts, it = [tops[e.u], tops[e.v]], iter(names.get(eid, ()))
         for lo, hi in ivs:
-            if lo < hi:
-                piece = f_prime.profiles[sub_edge[eid, lo]]
-                pieces.append(piece.grid)
-                pairs.append((lo, 0))
-                if hi is INF:
+            if lo == hi:
+                parts.append(lone[eid, lo])
+            else:
+                piece = f_prime.profiles[next(it)]
+                parts.append(piece.grid)
+                if hi is None:
                     tail = piece.tail
-        gaps = _gaps(e, ivs)
-        for c0, c1 in gaps:
-            pairs.append((c0, heights.get(e.u if c0 == 0 else (eid, c0), 0)))
-            if c1 is not INF:
-                pairs.append((c1, heights.get(e.v if c1 == e.length else (eid, c1), 0)))
-        d, (grid, *grids) = common_scale(on_scale(pairs), *pieces)
-        it = iter(grid)
+        S, (_, ((hu,),), ((hv,),), *parts) = common_scale((D, ()), *parts)
+        r = S // D
+        end = None if e.is_infinite else lengths[eid] * m * r
+        ivs = [(lo * r, None if hi is None else hi * r) for lo, hi in ivs]
+        height = {0: hu, end: hv}
         pts = []
-        for gp in grids:
-            lo = next(it)[0]
-            pts += [((lo + o) * rate, v * rate) for o, v in gp]
-        for _, c1 in gaps:
-            c0, h0 = next(it)
+        for (lo, hi), part in zip(ivs, parts):
+            if lo == hi:
+                height[lo] = part[0][0]
+            else:
+                height[lo], height[hi] = part[0][1], part[-1][1]
+                pts += [((lo + o) * rate, v * rate) for o, v in part]
+        for c0, c1 in _gaps(end, ivs):
+            h0 = height[c0]
             z0 = c0 * rate + abs(h0)
             pts += [(c0 * rate, h0 * rate), (z0, 0)]
-            if c1 is not INF:
-                c1, h1 = next(it)
+            if c1 is not None:
+                h1 = height[c1]
                 z1 = c1 * rate - abs(h1)
                 if z0 > z1:
                     raise TropError(f"slope {s} too shallow on edge {eid!r}; use a steeper s")
                 pts += [(z1, 0), (c1 * rate, h1 * rate)]
         pts.sort()
-        d *= rate
+        d = S * rate
         kept = [pts[k] for k in _kept(pts, tail)]
         # Class-parallel tails on rays outside g.
         if e.is_infinite and tail == 0:
             sigma = class_slopes.get(c.ray_classes[eid])
-            tail_in_g = any(hi is INF for _, hi in ivs)
-            if sigma and not tail_in_g:
+            if sigma and not any(hi is None for _, hi in ivs):  # the tail is outside g
                 kept.append((pts[-1][0] + d, kept[-1][1]))  # past the last corner, kept or not
                 tail = sigma
         profiles[eid] = _gridded(d, kept, tail)
-    isolated = {vid: heights.get(vid, Fraction(0)) for vid in _isolated_vertices(c)}
+    isolated = {vid: f_prime.isolated.get(vid, Fraction(0)) for vid in _isolated_vertices(c)}
     return PLFunction._trusted(c, profiles, isolated)
 
 
-def _gaps(e, ivs):
-    """The pieces of edge e outside the sorted intervals ivs; the ``int`` 0 is the edge's start."""
+def _grid_value(f: PLFunction, vid: str) -> tuple[int, tuple[tuple[int]]]:
+    """f at a vertex as the scaled value (d, ((value times d,),)); 0 off f's curve."""
+    ends = f.curve.edges_at.get(vid)
+    if not ends:
+        return (1, ((0,),)) if ends is None else on_scale(((f.isolated[vid],),))
+    eid, sign = ends[0]
+    d, g = f.profiles[eid].grid
+    return d, ((g[0 if sign > 0 else -1][1],),)
+
+
+def _gaps(end: int | None, ivs) -> list[tuple[int, int | None]]:
+    """The pieces (c0, c1) outside the sorted intervals ivs of an edge of length
+    ``end``, all integers on one scale, with None for infinity."""
     gaps = []
     pos = 0
     for lo, hi in ivs:
         if lo > pos:
             gaps.append((pos, lo))
-        if hi is INF:
+        if hi is None:
             return gaps
-        pos = max(pos, hi)
-    if e.is_infinite or pos < e.length:
-        gaps.append((pos, e.length))
+        pos = hi
+    if end is None or pos < end:
+        gaps.append((pos, end))
     return gaps
 
 

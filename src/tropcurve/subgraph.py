@@ -8,7 +8,7 @@ from typing import Iterable, Mapping
 
 from .curve import INF, Curve, EdgeDesc, PointRef, VertexInfo
 from .errors import TropError
-from .semifield import rat
+from .semifield import common_scale, on_scale, rat
 
 Interval = tuple[Fraction, "Fraction | float"]  # closed [lo, hi], hi may be INF
 
@@ -57,6 +57,8 @@ class Subgraph:
         The subgraph is cut once: every call returns the same curve and
         chart, which callers share and must not change.  They are kept
         outside the dataclass fields, so equality, hash and repr ignore them.
+        The chart lists one piece per interval of positive length, in the
+        order of ``intervals``.
         """
         made = self.__dict__.get("_cut")
         if made is None:
@@ -67,19 +69,44 @@ class Subgraph:
 
     # -- metric -----------------------------------------------------------------
 
+    def _scaled(self) -> tuple[int, int, dict[str, tuple[tuple[int, int | None], ...]]]:
+        """(D, D // L, edge id -> its intervals times D), None for an end at infinity.
+
+        D is the lcm of the curve's length scale L and the interval ends'
+        denominators: the one scale that ``chip_fire`` and ``extend`` read.
+        Worked out once and kept outside the dataclass fields, as the cut is.
+        """
+        made = self.__dict__.get("_scale")
+        if made is None:
+            L, _ = self.curve._length_scale()
+            ends = [x for _, ivs in self.intervals for iv in ivs for x in iv if x is not INF]
+            D, (_, (row,)) = common_scale((L, ()), on_scale((ends,)))
+            it = iter(row)
+            made = D, D // L, {eid: tuple([(next(it), None if hi is INF else next(it))
+                                           for _, hi in ivs])
+                               for eid, ivs in self.intervals}
+            object.__setattr__(self, "_scale", made)
+        return made
+
+    def _distances(self) -> tuple[int, dict[str, int]]:
+        """(D, vertex id -> its distance to this subgraph times D), from ``_scaled``;
+        a vertex off the subgraph's components has no entry."""
+        D, m, ivmap = self._scaled()
+        c = self.curve
+        _, lengths = c._length_scale()
+        seeds = dict.fromkeys(self.vertices, 0)
+        for eid, ivs in ivmap.items():
+            e = c.edges[eid]
+            far = [] if e.is_infinite else [(e.v, lengths[eid] * m - ivs[-1][1])]
+            for vid, d in [(e.u, ivs[0][0]), *far]:
+                if vid not in seeds or d < seeds[vid]:
+                    seeds[vid] = d
+        return D, c._dijkstra(seeds, m)
+
     def distance_map(self) -> dict[str, "Fraction | float"]:
         """Distance from every curve vertex to this subgraph (INF off-component)."""
-        c = self.curve
-        seeds: dict[str, Fraction] = {vid: Fraction(0) for vid in self.vertices}
-        for eid, ivs in self.intervals:
-            e = c.edges[eid]
-            ends = [(e.u, ivs[0][0])]
-            if not e.is_infinite:
-                ends.append((e.v, e.length - ivs[-1][1]))
-            for vid, d in ends:
-                if d < seeds.get(vid, INF):
-                    seeds[vid] = d
-        return c.distances_from(seeds)
+        D, dist = self._distances()
+        return {v: Fraction(dist[v], D) if v in dist else INF for v in self.curve.vertices}
 
 
 @dataclass(frozen=True)

@@ -32,6 +32,13 @@ class TestBuild:
         assert c == c and c == d and hash(c) == hash(d)
         assert c != Curve.segment(2) and c != "c"
 
+    def test_a_point_keeps_its_hash(self, segment3):
+        p, q = segment3.pt_on_edge("e", Fraction(1, 2)), segment3.pt_on_edge("e", Fraction(1, 2))
+        assert fraction_calls(hash, p) == 1 and fraction_calls(hash, p) == 0
+        assert hash(p) == hash(q) == hash(segment3.pt_on_edge("e", Fraction(2, 4)))
+        assert p == q and repr(p) == repr(q) == ("PointRef(kind='on_edge', vertex=None, edge='e', "
+                                                 "offset=Fraction(1, 2))")
+
     def test_loop_is_one_edge(self):
         c = Curve.build(vertices=["P", "l~mid"], edges=[("l", "P", "P", 8), ("s", "P", "l~mid", 1)])
         assert set(c.vertices) == {"P", "l~mid"}
@@ -59,6 +66,9 @@ class TestBuild:
             Curve.build(vertices=["A", ("Z", True), "B"],
                         edges=[("e", "A", "Z", INF), ("f", "Z", "B", INF)],
                         ray_classes={"e": "k", "f": "k"})
+        with pytest.raises(TropError) as err:  # a ray between two finite vertices
+            Curve.build(vertices=["A", "B"], edges=[("r", "A", "B", INF)], ray_classes={"r": "k"})
+        assert str(err.value) == "infinite edge 'r' needs exactly one endpoint at infinity"
 
     @pytest.mark.parametrize("length, message", [
         (1.5, "exact rational required, got float: 1.5"),
@@ -132,6 +142,23 @@ class TestValenceDistance:
 
     def test_metric_properties(self):
         assert suite_metric(rng_for("metric"), 30) == 30
+
+    def test_length_scale_is_worked_out_on_first_use(self):
+        c = Curve.build(vertices=["A", "B"], edges=[("e", "A", "B", Fraction(3, 2)),
+                                                   ("l", "A", "A", Fraction(2, 5)),
+                                                   ("r", "B", None, INF)], ray_classes={"r": "x"})
+        assert c._scale is None and c == c and c.description() and c._scale is None
+        assert c._length_scale() == (10, {"e": 15, "l": 4})
+        assert c._length_scale() is c._length_scale()
+        assert c.distance(c.pt_vertex("A"), c.pt_on_edge("r", Fraction(1, 3))) == Fraction(11, 6)
+        assert c._dijkstra_cache == {"A": {"A": 0, "B": 15}}
+
+    def test_distances_at_the_boundary(self):
+        c = disjoint_union([Curve.segment(Fraction(1, 2)), Curve.doubly_infinite_line()])
+        dist = c.distances_from({"0:A": Fraction(1, 3)})
+        assert dist == {"0:A": Fraction(1, 3), "0:B": Fraction(5, 6), "1:O": INF,
+                        "1:left.inf": INF, "1:right.inf": INF}
+        assert all(d is INF or type(d) is Fraction for d in dist.values())
 
 
 class TestSubgraph:
@@ -209,6 +236,15 @@ class TestSubgraph:
         assert again == first and len(cuts) == 1
         assert again.curve is first.curve is g.as_curve()[0] and chart is g.as_curve()[1]
         # The cut is not part of the subgraph's value.
+        assert g == twin and hash(g) == hash(twin) and repr(g) == repr(twin)
+
+    def test_the_scaled_intervals_are_not_part_of_the_value(self, segment3):
+        g = make_subgraph(segment3, intervals=[("e", Fraction(1, 2), Fraction(4, 3))])
+        twin = make_subgraph(segment3, intervals=[("e", Fraction(1, 2), Fraction(4, 3))])
+        assert "_scale" not in g.__dict__
+        assert g._scaled() == (6, 6, {"e": ((3, 8),)}) and g._scaled() is g._scaled()
+        assert g.distance_map() == {"A": Fraction(1, 2), "B": Fraction(5, 3)}
+        assert "_scale" in g.__dict__ and "_scale" not in twin.__dict__
         assert g == twin and hash(g) == hash(twin) and repr(g) == repr(twin)
 
     def test_cut_point_named_like_a_parent_vertex(self):

@@ -3,9 +3,17 @@
 from __future__ import annotations
 
 import ast
+import fractions
+import sys
+from fractions import Fraction
 from pathlib import Path
 
 import tropcurve
+from tropcurve import curve, plfunction
+from tropcurve.plfunction import chip_fire, extend, restrict_whole
+from tropcurve.randgen import random_class_respecting_function, random_curve, random_subgraph
+
+from conftest import rng_for
 
 SRC = Path(tropcurve.__file__).resolve().parent
 
@@ -55,6 +63,67 @@ def test_plfunction_tells_infinity_by_identity():
                 found.append(f"{path.name}: {ast.unparse(node)}")
     assert sorted(found) == ["curve.py: x == INF", "plfunction.py: l == INF",
                              "subgraph.py: hi == INF"]
+
+
+def _is_inf_or_default_inf(node: ast.AST) -> bool:
+    """``INF``, ``-INF`` or a ``.get(key, INF)`` call."""
+    return _is_inf(node) or (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                             and node.func.attr == "get" and len(node.args) == 2
+                             and _is_inf(node.args[1]))
+
+
+def test_no_order_comparison_reads_infinity():
+    # Distances, interval ends and gap corners are integers on one scale per
+    # curve or subgraph, with None or a missing entry for infinity; ordering
+    # a number against the float INF would send a Fraction through its float
+    # comparison.
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Compare) \
+                    and any(isinstance(op, (ast.Lt, ast.LtE, ast.Gt, ast.GtE)) for op in node.ops) \
+                    and any(map(_is_inf_or_default_inf, (node.left, *node.comparators))):
+                found.append(f"{path.name}:{node.lineno}: {ast.unparse(node)}")
+    assert found == []
+
+
+def test_the_integer_metric_enters_no_fractions_frame():
+    # Dijkstra, the chip-firing profile and the extension's gaps run on the
+    # integer scales of the curve and the subgraph; Fractions are built only
+    # at the public boundary.
+    watched = {curve.Curve._dijkstra.__code__: "_dijkstra",
+               plfunction._fired.__code__: "_fired", plfunction._gaps.__code__: "_gaps"}
+    entered = dict.fromkeys(watched.values(), 0)
+    inside = set()
+
+    def hook(frame, event, arg):
+        if event != "call":
+            return
+        code = frame.f_code
+        if code in watched:
+            entered[watched[code]] += 1
+        elif code.co_filename == fractions.__file__:
+            f = frame.f_back
+            while f is not None:
+                if f.f_code in watched:
+                    inside.add(watched[f.f_code])
+                f = f.f_back
+
+    rng = rng_for("integer-metric")
+    for _ in range(60):
+        c = random_curve(rng)
+        g = random_subgraph(c, rng)
+        f_prime = restrict_whole(random_class_respecting_function(c, rng), g)[0]
+        length = rng.choice([curve.INF, rng.randint(1, 5), Fraction(rng.randint(1, 20), 7)])
+        sys.setprofile(hook)
+        try:
+            chip_fire(c, g, length)
+            extend(f_prime, g, -1024)
+            c.distance(c.pt_vertex("v0"), c.pt_on_edge("e0", c.edges["e0"].length / 3)
+                       if "e0" in c.edges else c.pt_vertex("v0"))
+        finally:
+            sys.setprofile(None)
+    assert inside == set() and min(entered.values()) >= 60, (inside, entered)
 
 
 def test_io_writes_json_without_indent():

@@ -13,11 +13,15 @@ integer pass per edge.  ``ref_realize`` samples every arc through
 grids.  The library now stores each profile on its own
 integer grid, bisects it for point queries and sweeps each arc once; these
 tests require the same results and the same error messages, and bound how the
-work grows with the number of breakpoints.
+work grows with the number of breakpoints.  ``ref_distances_from`` is the
+curve's Dijkstra as it ran in ``Fraction``s against the float ``INF``, before
+the curve had one integer length scale; ``ref_distance_map``,
+``ref_distance`` and ``ref_chip_fire`` read their distances from it.
 """
 
 from __future__ import annotations
 
+import heapq
 import json
 import random
 from fractions import Fraction
@@ -238,6 +242,69 @@ def ref_principal_divisor(f: PLFunction) -> Divisor:
     return Divisor(c, coeffs)
 
 
+def ref_distances_from(c: Curve, seeds) -> dict:
+    """Multi-source Dijkstra over finite edges in ``Fraction``s: each vertex's
+    least seed distance plus path length, INF where no seed reaches."""
+    dist = {v: INF for v in c.vertices}
+    dist.update(seeds)
+    heap = [(d, v) for v, d in seeds.items()]
+    heapq.heapify(heap)
+    done = set()
+    while heap:
+        d, u = heapq.heappop(heap)
+        if u in done:
+            continue
+        done.add(u)
+        for eid, sign in c.edges_at[u]:
+            e = c.edges[eid]
+            if e.is_infinite:
+                continue
+            w = e.v if sign > 0 else e.u
+            nd = d + e.length
+            if nd < dist[w]:
+                dist[w] = nd
+                heapq.heappush(heap, (nd, w))
+    return dist
+
+
+def ref_distance_map(g: Subgraph) -> dict:
+    """Each vertex's distance to g: the members and the outer ends of each
+    edge's intervals seed ``ref_distances_from``."""
+    c = g.curve
+    seeds = {vid: Fraction(0) for vid in g.vertices}
+    for eid, ivs in g.intervals:
+        e = c.edges[eid]
+        ends = [(e.u, ivs[0][0])]
+        if not e.is_infinite:
+            ends.append((e.v, e.length - ivs[-1][1]))
+        for vid, d in ends:
+            if d < seeds.get(vid, INF):
+                seeds[vid] = d
+    return ref_distances_from(c, seeds)
+
+
+def ref_distance(c: Curve, p: PointRef, q: PointRef):
+    """The shortest path from p to q along their common edge or through the
+    nearest vertices of each, with a ``ref_distances_from`` per vertex of p."""
+    if p == q:
+        return Fraction(0)
+    if c.is_at_infinity(p) or c.is_at_infinity(q):
+        return INF
+
+    def legs(x: PointRef) -> list:
+        if x.kind == "vertex":
+            return [(x.vertex, Fraction(0))]
+        e = c.edges[x.edge]
+        return [(e.u, x.offset)] + ([] if e.is_infinite else [(e.v, e.length - x.offset)])
+
+    best = abs(p.offset - q.offset) if p.kind == q.kind == "on_edge" and p.edge == q.edge else INF
+    for a, a_leg in legs(p):
+        dmap = ref_distances_from(c, {a: Fraction(0)})
+        for b, b_leg in legs(q):
+            best = min(best, a_leg + dmap[b] + b_leg)
+    return best
+
+
 def ref_chip_fire(c: Curve, g: Subgraph, l) -> PLFunction:
     """x -> -min(dist(g, x), l): per edge, the min of one distance profile per
     end and per subgraph interval, capped by the flat l, then negated.  The
@@ -250,7 +317,7 @@ def ref_chip_fire(c: Curve, g: Subgraph, l) -> PLFunction:
     cap = INF if l == INF else Fraction(l)
     if cap != INF and cap <= 0:
         raise TropError("chip firing length must be positive")
-    dmap = g.distance_map()
+    dmap = ref_distance_map(g)
     comp_of = c.vertex_components()
     comp_meets = {comp_of[v] for v, d in dmap.items() if d != INF}
     zero = Fraction(0)
@@ -753,6 +820,64 @@ def drawn_cap(rng: random.Random):
 
 def drawn_curve(rng: random.Random) -> Curve:
     return curve_with_everything(rng) if rng.random() < 0.4 else random_curve(rng)
+
+
+def coprime_curve(rng: random.Random) -> Curve:
+    """Two random curves beside a loop with a ray and an isolated vertex, each
+    of the at most 11 finite lengths drawn again over its own prime, so that
+    the denominators are pairwise coprime."""
+    c = disjoint_union([random_curve(rng), curve_with_everything(rng)])
+    primes = iter(rng.sample(PRIMES, sum(not e.is_infinite for e in c.edges.values())))
+    edges = [(e.id, e.u, e.v, e.length if e.is_infinite else Fraction(rng.randint(1, 6 * p), p))
+             for e, p in ((e, 0 if e.is_infinite else next(primes)) for e in c.edges.values())]
+    return Curve.build(vertices=[(v.id, v.at_infinity) for v in c.vertices.values()],
+                       edges=edges, ray_classes=c.ray_classes)
+
+
+def drawn_point(c: Curve, rng: random.Random) -> PointRef:
+    """A vertex, a point at infinity, or a point inside an edge at a prime denominator."""
+    if rng.random() < 0.3:
+        return c.pt_vertex(rng.choice(list(c.vertices)))
+    e = rng.choice(list(c.edges.values()))
+    q = rng.choice(PRIMES)
+    t = (Fraction(rng.randint(1, 8 * q), q) if e.is_infinite
+         else e.length * Fraction(rng.randint(1, q - 1), q))
+    return c.pt_on_edge(e.id, t)
+
+
+def test_the_integer_metric_matches_the_fraction_dijkstra():
+    """distances_from, distance_map and distance against the Fraction
+    Dijkstra, on curves of several components with loops, rays and isolated
+    vertices whose length denominators are pairwise coprime primes."""
+    rng = rng_for("profile-metric")
+    seen = dict.fromkeys(("unreached", "finite distance", "infinite distance", "same edge",
+                          "subgraph", "loop", "ray"), 0)
+    for _ in range(300):
+        c = coprime_curve(rng)
+        finite = [v for v, info in c.vertices.items() if not info.at_infinity]
+        seeds = {v: Fraction(rng.randint(0, 40), rng.choice(PRIMES))
+                 for v in rng.sample(finite, rng.randint(1, 3))}
+        got, want = c.distances_from(seeds), ref_distances_from(c, seeds)
+        assert list(got.items()) == list(want.items()), (c, seeds)
+        assert all(d is INF or type(d) is Fraction for d in got.values())
+        seen["unreached"] += INF in got.values()
+        g = drawn_subgraph(c, rng)
+        if g is not None:
+            got, want = g.distance_map(), ref_distance_map(g)
+            assert list(got.items()) == list(want.items()), (c, g)
+            seen["subgraph"] += 1
+        for _ in range(4):
+            p, q = drawn_point(c, rng), drawn_point(c, rng)
+            got = c.distance(p, q)
+            assert got == ref_distance(c, p, q) == c.distance(q, p), (c, p, q)
+            assert got is INF or type(got) is Fraction
+            seen["infinite distance" if got is INF else "finite distance"] += 1
+            seen["same edge"] += p.kind == q.kind == "on_edge" and p.edge == q.edge
+            for x in (p, q):
+                e = c.edges.get(x.edge)
+                seen["loop"] += e is not None and e.is_loop
+                seen["ray"] += e is not None and e.is_infinite
+    assert min(seen.values()) >= 30, seen
 
 
 def test_chip_fire_matches_the_fold():
