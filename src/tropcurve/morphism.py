@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from itertools import chain, combinations
 from math import gcd
 from typing import Mapping, Sequence
@@ -41,12 +42,32 @@ class MorphismReport:
 
 
 def validate_morphism(m: Morphism) -> MorphismReport:
-    """Check endpoint compatibility, the metric law, and the ray-class law."""
+    """Check endpoint compatibility, the metric law, and the ray-class law,
+    once per morphism: the report and each edge's placement are kept outside
+    the dataclass fields, as ``Subgraph.as_curve`` keeps its cut, so equality
+    and repr ignore them.  The maps must not change after the first call."""
+    if "_checked" not in m.__dict__:
+        object.__setattr__(m, "_checked", _check(m))
+    return m._checked[0]
+
+
+def _places(m: Morphism) -> dict[str, tuple[str, Fraction, int, int] | str]:
+    """Each source edge's kept placement: (target edge, start offset,
+    orientation, degree), an ``Embedding.edge_map`` entry with its degree, or
+    the vertex it collapses to.  An invalid morphism raises."""
+    report = validate_morphism(m)
+    if not report.ok:
+        raise TropError(f"invalid morphism: {report.violations[0]}")
+    return m._checked[1]
+
+
+def _check(m: Morphism) -> tuple[MorphismReport, dict]:
+    """The body of ``validate_morphism``: its report and the placements."""
     bad: list[str] = []
+    places: dict[str, tuple[str, Fraction, int, int] | str] = {}
     src, tgt = m.source, m.target
     if any(e.is_loop for e in src.edges.values()) or any(e.is_loop for e in tgt.edges.values()):
-        bad.append("models must be loopless; subdivide loops first")
-        return MorphismReport(False, tuple(bad))
+        return MorphismReport(False, ("models must be loopless; subdivide loops first",)), places
     for vid in src.vertices:
         img = m.vertex_map.get(vid)
         if img is None or img not in tgt.vertices:
@@ -75,6 +96,7 @@ def validate_morphism(m: Morphism) -> MorphismReport:
                 bad.append(f"edge {eid!r} collapses to {name!r} but endpoints map elsewhere")
             elif name in tgt.vertices and tgt.vertices[name].at_infinity:
                 bad.append(f"edge {eid!r} collapses onto the point at infinity {name!r}")
+            places[eid] = name
             continue
         te = tgt.edges.get(name)
         if te is None:
@@ -87,6 +109,7 @@ def validate_morphism(m: Morphism) -> MorphismReport:
             bad.append(f"edge {eid!r}: endpoint images {fu!r},{fv!r} "
                        f"do not match {name!r} endpoints")
             continue
+        places[eid] = (name, 0, 1, deg) if fu == te.u else (name, te.length, -1, deg)
         if e.is_infinite:
             if not te.is_infinite:
                 bad.append(f"ray {eid!r} maps to a finite edge")
@@ -104,33 +127,25 @@ def validate_morphism(m: Morphism) -> MorphismReport:
     for eid, label in src.ray_classes.items():
         by_class.setdefault(label, []).append(eid)
     for label, members in sorted(by_class.items()):
-        images = []
-        for eid in members:
-            entry = m.edge_map.get(eid)
-            if entry is None:
-                continue
-            images.append((eid, entry, m.degrees.get(eid)))
-        kinds = {entry[0] for _, entry, _ in images}
+        images = [(entry, m.degrees.get(eid)) for eid in members
+                  if (entry := m.edge_map.get(eid)) is not None]
+        kinds = {entry[0] for entry, _ in images}
         if len(kinds) > 1:
             bad.append(f"ray class {label!r}: some rays collapse and some do not")
-            continue
-        if kinds == {"edge"}:
-            target_labels = {m.target.ray_classes.get(entry[1]) for _, entry, _ in images}
-            degs = {deg for _, _, deg in images}
-            if len(target_labels) > 1:
+        elif kinds == {"edge"}:
+            if len({tgt.ray_classes.get(entry[1]) for entry, _ in images}) > 1:
                 bad.append(f"ray class {label!r} maps into several target classes")
+            degs = {deg for _, deg in images}
             if len(degs) > 1:
                 bad.append(f"ray class {label!r} has unequal degrees at infinity {sorted(degs)}")
-    return MorphismReport(not bad, tuple(bad))
+    return MorphismReport(not bad, tuple(bad)), places
 
 
 def pullback(m: Morphism, f_target: PLFunction) -> PLFunction:
-    """Compose a function on the target with the morphism, exactly: an edge of
-    degree k reads its image's profile with ``_pull`` from the image of its u
-    end, forward or reversed (a ray never maps reversed)."""
-    report = validate_morphism(m)
-    if not report.ok:
-        raise TropError(f"invalid morphism: {report.violations[0]}")
+    """Compose a function on the target with the morphism, exactly: each edge
+    reads its image's profile with ``_pull`` at its kept placement, as
+    ``glue_function`` reads an embedding's (a ray never maps reversed)."""
+    places = _places(m)
     if f_target.curve != m.target:
         raise TropError("function does not live on the morphism target")
     if f_target.is_neg_inf:
@@ -138,35 +153,31 @@ def pullback(m: Morphism, f_target: PLFunction) -> PLFunction:
     src = m.source
     profiles: dict[str, Profile] = {}
     for eid, e in src.edges.items():
-        kind, name = m.edge_map[eid]
-        if kind == "vertex":
-            profiles[eid] = _flat(e, f_target.value_at(m.target.pt_vertex(name)))
-            continue
-        prof, k, te = edge_profile(f_target, name), m.degrees[eid], m.target.edges[name]
-        if m.vertex_map[e.u] == te.u:
-            profiles[eid] = _pull(prof, 0, e.length, 1, k)
+        p = places[eid]
+        if isinstance(p, str):
+            profiles[eid] = _flat(e, f_target.value_at(m.target.pt_vertex(p)))
         else:
-            profiles[eid] = _pull(prof, te.length, e.length, -1, k)
+            t, start, orient, k = p
+            profiles[eid] = _pull(edge_profile(f_target, t), start, e.length, orient, k)
     isolated = {vid: f_target.value_at(m.target.pt_vertex(m.vertex_map[vid]))
                 for vid in _isolated_vertices(src)}
     return PLFunction._trusted(src, profiles, isolated)
 
 
 def compose(outer: Morphism, inner: Morphism) -> Morphism:
-    """outer after inner; edge degrees multiply along uncollapsed chains."""
+    """outer after inner, both valid; edge degrees multiply along uncollapsed chains."""
     if inner.target != outer.source:
         raise TropError("morphisms do not compose")
-    vmap = {v: outer.vertex_map[w] for v, w in inner.vertex_map.items()}
-    emap = {}
-    degs = {}
-    for eid, (kind, name) in inner.edge_map.items():
-        if kind == "vertex":
-            emap[eid] = ("vertex", outer.vertex_map[name])
-            degs[eid] = 0
+    inner_places, outer_places = _places(inner), _places(outer)
+    vmap = {v: outer.vertex_map[inner.vertex_map[v]] for v in inner.source.vertices}
+    emap, degs = {}, {}
+    for eid, p in inner_places.items():
+        if isinstance(p, str):
+            emap[eid], degs[eid] = ("vertex", outer.vertex_map[p]), 0
+        elif isinstance(q := outer_places[p[0]], str):
+            emap[eid], degs[eid] = ("vertex", q), 0
         else:
-            okind, oname = outer.edge_map[name]
-            emap[eid] = (okind, oname)
-            degs[eid] = inner.degrees[eid] * (outer.degrees[name] if okind == "edge" else 0)
+            emap[eid], degs[eid] = ("edge", q[0]), p[3] * q[3]
     return Morphism(inner.source, outer.target, vmap, emap, degs)
 
 
@@ -197,9 +208,7 @@ def weight_check(m: Morphism) -> WeightReport:
                 reasons.append(f"rays {e1!r},{e2!r}: parallel on one side only")
     if reasons:
         return WeightReport(False, None, tuple(reasons))
-    inv_edge = {name: eid for eid, (kind, name) in m.edge_map.items()}
-    weights = tuple(sorted((te, m.degrees[inv_edge[te]]) for te in tgt.edges))
-    return WeightReport(True, weights, ())
+    return WeightReport(True, tuple(sorted((t, k) for t, _, _, k in _places(m).values())), ())
 
 
 def weight_from_generators(gens: Sequence[PLFunction], edge: str) -> int:
@@ -217,14 +226,9 @@ def weight_from_generators(gens: Sequence[PLFunction], edge: str) -> int:
         if g.is_neg_inf:
             raise TropError("the zero function has no slopes")
         prof = edge_profile(g, edge)
-        if e.is_infinite:
-            if len(prof.grid[1]) > 1:
-                raise TropError(f"generator is not affine on {edge!r}; subdivide first")
-            slopes.append(prof.tail)
-        else:
-            if len(prof.grid[1]) > 2:
-                raise TropError(f"generator is not affine on {edge!r}; subdivide first")
-            slopes.append(prof.slopes[0])
+        if len(prof.grid[1]) > (1 if e.is_infinite else 2):
+            raise TropError(f"generator is not affine on {edge!r}; subdivide first")
+        slopes.append(prof.tail if e.is_infinite else prof.slopes[0])
     g0 = gcd(*slopes)
     if g0 == 0:
         raise TropError("weight undetermined on level edge: all slopes are zero")
@@ -379,25 +383,20 @@ def weighted_local_image(m: Morphism, x: PointRef) -> LatticeReport:
     wc = weight_check(m)
     if not wc.is_weight:
         raise TropError(f"not a weight: {wc.reasons[0] if wc.reasons else 'invalid'}")
-    tgt, src = m.target, m.source
+    tgt, src, places = m.target, m.source, _places(m)
     tloc = localize(tgt, x)
-    inv_edge = {name: eid for eid, (kind, name) in m.edge_map.items()}
-    inv_vertex = {w: v for v, w in m.vertex_map.items()}
-    weights = tuple(m.degrees[inv_edge[d.rsplit(":", 1)[0]]] for d in tloc.directions)
+    over = {t: (eid, start, orient, k) for eid, (t, start, orient, k) in places.items()}
+    weights = tuple(over[d.rsplit(":", 1)[0]][3] for d in tloc.directions)
     # Preimage point and matching source direction order.
     kind, ident, off = tgt._resolve(x)
     if kind == "vertex":
-        pre = src.pt_vertex(inv_vertex[ident])
+        pre = src.pt_vertex(next(v for v, w in m.vertex_map.items() if w == ident))
     else:
-        eid, te = inv_edge[ident], tgt.edges[ident]
-        forward = m.vertex_map[src.edges[eid].u] == te.u
-        pre = src.pt_on_edge(eid, (off if forward else te.length - off) / m.degrees[eid])
-    sdirs = []
-    for tdir in tloc.directions:
-        te, sign = tdir.rsplit(":", 1)
-        se = inv_edge[te]
-        forward = m.vertex_map[src.edges[se].u] == tgt.edges[te].u
-        sdirs.append(f"{se}:{sign if forward else ('+' if sign == '-' else '-')}")
+        eid, start, orient, k = over[ident]
+        pre = src.pt_on_edge(eid, (off - start) * orient / k)
+    flip = {"+": "-", "-": "+"}
+    sdirs = [f"{over[te][0]}:{sign if over[te][2] > 0 else flip[sign]}"
+             for te, sign in (d.rsplit(":", 1) for d in tloc.directions)]
     sloc = localize(src, pre, sdirs)
     bumps = _unit_bumps(tloc)
     verified = all(sloc.apply(pullback(m, f))

@@ -195,6 +195,17 @@ class TestPullback:
         f4 = pullback(quad, identity_fn(line))
         assert f4 == scaled_fn(line, 4)
 
+    def test_composition_rejects_an_invalid_operand(self, segment3):
+        ends, whole, ok = {"A": "A", "B": "B"}, {"e": ("edge", "e")}, Morphism.identity(segment3)
+        for bad, violation in [
+                (Morphism(segment3, segment3, ends, {"e": ("edge", "g")}, {"e": 1}),
+                 "edge 'e' maps to unknown edge 'g'"),
+                (Morphism(segment3, segment3, {"A": "A", "B": "Z"}, whole, {"e": 1}),
+                 "vertex 'B' has no valid image")]:
+            for outer, inner in ((ok, bad), (bad, ok)):
+                with pytest.raises(TropError, match=f"^invalid morphism: {violation}$"):
+                    compose(outer, inner)
+
 
 class TestWeights:
     def test_doubling_is_weight_two(self, line):
@@ -456,6 +467,47 @@ def test_pullback_matches_the_fraction_reading():
             reversed_edges += sum(m.source.edges[eid].u != e.u for eid, e in m.target.edges.items())
             stretched += sum(k > 1 for k in m.degrees.values())
     assert reversed_edges >= 100 and stretched >= 100, (reversed_edges, stretched)
+
+
+def test_identity_laws_on_random_morphisms():
+    rng = rng_for("compose-identity")
+    for _ in range(60):
+        m = _random_weight(rng)
+        f = random_function(m.target, rng, allow_neg_inf=True)
+        want = pullback(m, f)
+        for c in (compose(m, Morphism.identity(m.source)), compose(Morphism.identity(m.target), m)):
+            assert (c.source, c.target) == (m.source, m.target)
+            assert (c.vertex_map, c.edge_map, c.degrees) == (m.vertex_map, m.edge_map, m.degrees)
+            assert validate_morphism(c).ok
+            got = pullback(c, f)
+            assert got == want and got.isolated == want.isolated
+
+
+def test_a_morphism_is_validated_once(monkeypatch):
+    calls = []
+    check = morphism._check
+    monkeypatch.setattr(morphism, "_check", lambda m: calls.append(m) or check(m))
+    src = Curve.build(vertices=["A", "B", "C"], edges=[("e1", "A", "B", 3), ("e2", "B", "C", 1)])
+    tgt = Curve.build(vertices=["X", "Y", "Z"], edges=[("f1", "X", "Y", 3), ("f2", "Y", "Z", 3)])
+
+    def reversing():  # e1 onto f2 and e2 onto f1, both backwards
+        return Morphism(src, tgt, {"A": "Z", "B": "Y", "C": "X"},
+                        {"e1": ("edge", "f2"), "e2": ("edge", "f1")}, {"e1": 1, "e2": 3})
+
+    m, f = reversing(), random_function(tgt, rng_for("validated-once"))
+    assert validate_morphism(m).ok
+    assert pullback(m, f) == pullback(m, f)
+    assert weight_check(m).is_weight
+    assert weighted_local_image(m, tgt.pt_on_edge("f1", 1)).verified
+    assert len(calls) == 1 and calls[0] is m
+    # The kept check is outside the fields: equality and repr are as before.
+    assert m == reversing() and repr(m) == repr(reversing())
+    # An invalid morphism keeps its report as well.
+    bad = Morphism(src, tgt, m.vertex_map, m.edge_map, {"e1": 1, "e2": 1})
+    for _ in range(2):
+        with pytest.raises(TropError, match="invalid morphism: edge 'e2': target length"):
+            pullback(bad, f)
+    assert not weight_check(bad).is_weight and len(calls) == 2 and calls[-1] is bad
 
 
 def ref_germ_bump(loc: Localization, germ: Germ) -> PLFunction:
