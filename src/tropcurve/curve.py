@@ -16,7 +16,7 @@ from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
 from .errors import TropError
-from .semifield import common_scale, integer, on_scale, rat
+from .semifield import common_scale, integer, on_scale, rat, ratio, ratio_str
 
 INF = math.inf
 
@@ -89,28 +89,55 @@ class EdgeDesc:
         return self.u == self.v
 
 
-@dataclass(frozen=True)
 class PointRef:
     """A point of a curve: a vertex, or an interior offset along an edge.
 
     Offsets are measured from the edge's u endpoint.  Construct through
     the Curve methods so that references are normalized (offsets 0 and
     full-length fold to the endpoint vertices, infinite ends fold to the
-    at-infinity vertex).
+    at-infinity vertex).  An edge point compares and hashes on its offset
+    in least terms, the integers n and d > 0; ``offset`` is n / d as a
+    ``Fraction``, built on first read when the point was made from the pair.
     """
 
-    kind: str  # "vertex" | "on_edge"
-    vertex: str | None = None
-    edge: str | None = None
-    offset: Fraction | None = None
+    __slots__ = ("kind", "vertex", "edge", "_n", "_d", "_offset", "_hash")
 
-    _hash = None  # not a field: the hash, kept once worked out
+    def __init__(self, kind: str, vertex: str | None = None, edge: str | None = None,
+                 offset: "Fraction | None" = None):
+        self.kind, self.vertex, self.edge, self._offset, self._hash = kind, vertex, edge, offset, None
+        self._n, self._d = (None, None) if offset is None else ratio(offset)
 
-    def __hash__(self):  # the offset's exact text hashes faster than the Fraction does
+    @classmethod
+    def _on_edge(cls, edge: str, n: int, d: int) -> "PointRef":
+        """The point n / d along an edge, d > 0, with the offset left unbuilt."""
+        p = cls.__new__(cls)
+        r = math.gcd(n, d)
+        p.kind, p.vertex, p.edge, p._n, p._d, p._offset, p._hash = \
+            "on_edge", None, edge, n // r, d // r, None, None
+        return p
+
+    @property
+    def offset(self) -> "Fraction | None":
+        off = self._offset
+        if off is None and self._d is not None:
+            off = self._offset = Fraction(self._n, self._d)
+        return off
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.vertex == other.vertex and self.edge == other.edge and self._n == other._n
+                and self._d == other._d and self.kind == other.kind)
+
+    def __hash__(self):  # worked out once, with no container built
         h = self._hash
         if h is None:
-            h = self.__dict__["_hash"] = hash((self.kind, self.vertex, self.edge, str(self.offset)))
+            h = self._hash = hash(self.vertex) ^ hash(self.edge) ^ hash(self._n) ^ hash(self._d) * 7
         return h
+
+    def __repr__(self) -> str:
+        return (f"PointRef(kind={self.kind!r}, vertex={self.vertex!r}, edge={self.edge!r}, "
+                f"offset={self.offset!r})")
 
     def __str__(self) -> str:
         if self.kind == "vertex":
@@ -258,14 +285,19 @@ class Curve:
         e = self.edges.get(edge)
         if e is None:
             raise TropError(f"unknown edge {edge!r}")
-        off = rat(offset)
-        if off < 0 or (not e.is_infinite and off > e.length):
-            raise TropError(f"offset {off} outside edge {edge!r}")
-        if off == 0:
+        n, d = ratio(offset)
+        L, lengths = self._length_scale()
+        end = lengths.get(edge)  # the length times L; None on a ray
+        if n < 0 or end is not None and n * L > end * d:
+            raise TropError(f"offset {ratio_str(n, d)} outside edge {edge!r}")
+        if n == 0:
             return self.pt_vertex(e.u)
-        if not e.is_infinite and off == e.length:
+        if end is not None and n * L == end * d:
             return self.pt_vertex(e.v)
-        return PointRef("on_edge", edge=edge, offset=off)
+        p = PointRef._on_edge(edge, n, d)
+        if isinstance(offset, Fraction):  # keep the caller's Fraction as the offset
+            p._offset = offset
+        return p
 
     def pt_infinity_of(self, edge: str) -> PointRef:
         e = self.edges.get(edge)
@@ -290,13 +322,14 @@ class Curve:
             if p.vertex not in self.vertices:
                 raise TropError(f"point {p} is not on this curve")
             return ("vertex", p.vertex, None)
-        e = self.edges.get(p.edge)
-        if e is None:
+        if p.edge not in self.edges:
             raise TropError(f"point {p} is not on this curve")
-        off = p.offset
-        if off is None or off <= 0 or (not e.is_infinite and off >= e.length):
+        n, d = p._n, p._d
+        L, lengths = self._length_scale()
+        end = lengths.get(p.edge)  # the length times L; None on a ray
+        if d is None or n <= 0 or end is not None and n * L >= end * d:
             raise TropError(f"point {p} is not normalized interior")
-        return ("edge", p.edge, off)
+        return ("edge", p.edge, p.offset)
 
     def point_sort_key(self, p: PointRef):
         comp = self.component_index(p)
@@ -313,7 +346,7 @@ class Curve:
         """
         kind, ident, off = self._resolve(p)
         if kind == "vertex":
-            return tuple(f"{eid}:{'+' if sign > 0 else '-'}" for eid, sign in self.edges_at[ident])
+            return tuple([f"{eid}:{'+' if sign > 0 else '-'}" for eid, sign in self.edges_at[ident]])
         return (f"{ident}:-", f"{ident}:+")
 
     def valence(self, p: PointRef) -> int:

@@ -24,10 +24,6 @@ def vadd(a: Sequence, b: Sequence) -> Vec:
     return tuple(x + y for x, y in zip(a, b))
 
 
-def vscale(a: Sequence, t) -> Vec:
-    return tuple(x * t for x in a)
-
-
 def dot(a: Sequence, b: Sequence):
     return sum((x * y for x, y in zip(a, b)), 0)
 

@@ -9,7 +9,7 @@ from typing import Mapping
 from .curve import INF, Curve, EdgeDesc, PointRef, VertexInfo, connected_groups
 from .errors import TropError
 from .plfunction import PLFunction, Profile, _pull, edge_profile
-from .semifield import integer, rat
+from .semifield import common_scale, integer, on_scale, rat
 from .subgraph import SubChart, cut
 
 
@@ -189,15 +189,18 @@ def _refine(c: Curve, emb: Embedding) -> tuple[Curve, SubChart]:
     The image of a shape edge runs between images of shape vertices, so it
     is one piece of the cut.
     """
-    cuts: dict[str, set[Fraction]] = {}
-    for p in emb.vertex_map.values():
-        if p.kind == "on_edge":
-            cuts.setdefault(p.edge, set()).add(p.offset)
+    points = [p for p in emb.vertex_map.values() if p.kind == "on_edge"]
+    L, lengths = c._length_scale()
+    D, (_, (row,)) = common_scale((L, ()), on_scale(([p.offset for p in points],)))
+    cuts: dict[str, set[int]] = {}  # edge id -> its cut offsets times D
+    for p, x in zip(points, row):
+        cuts.setdefault(p.edge, set()).add(x)
     pieces = []
-    for eid, e in c.edges.items():
-        stops = [Fraction(0), *sorted(cuts.get(eid, ())), e.length]
+    for eid in c.edges:
+        end = lengths.get(eid)
+        stops = [0, *sorted(cuts.get(eid, ())), None if end is None else end * (D // L)]
         pieces += [(eid, lo, hi) for lo, hi in zip(stops, stops[1:])]
-    return cut(c, c.vertices, pieces)
+    return cut(c, c.vertices, D, pieces)
 
 
 def _shape_images(emb: Embedding,

@@ -16,8 +16,8 @@ from .curve import INF, Curve, PointRef
 from .errors import FileFormatError, TropError
 from .glue import Embedding
 from .morphism import Morphism
-from .plfunction import Divisor, PLFunction, edge_profile
-from .semifield import TropPoly, integer, rat, ratio_str
+from .plfunction import Divisor, PLFunction, _gridded, edge_profile
+from .semifield import TropPoly, integer, rat, ratio, ratio_str, ratios_on_scale
 from .subgraph import Subgraph, make_subgraph
 
 
@@ -66,15 +66,19 @@ def _id(x, what: str) -> str:
     return x
 
 
-def _rational(x, what: str) -> Fraction:
-    """``rat`` decides; a file gets its rejection as a FileFormatError."""
+def _ratio(x, what: str) -> tuple[int, int]:
+    """``ratio`` decides; a file gets its rejection as a FileFormatError."""
     try:
-        return rat(x)
+        return ratio(x)
     except TropError as exc:
         if isinstance(x, str):
             raise FileFormatError(f"bad {what}: {x!r}") from exc
         raise FileFormatError(f"{what} must be a rational string, "
                               f"not a {type(x).__name__}: {x!r}") from exc
+
+
+def _rational(x, what: str) -> Fraction:
+    return Fraction(*_ratio(x, what))
 
 
 def _integer(x, what: str) -> int:
@@ -202,12 +206,14 @@ def function_from_json(c: Curve, text: str) -> PLFunction:
     for eid, entry in data.items():
         _require(isinstance(entry, dict) and "breakpoints" in entry,
                  f"edge {eid!r} needs a breakpoints list")
+        ratios = []  # offset, value, offset, ...: each edge goes onto its grid from these
         try:
-            breaks = [(_rational(o, "offset"), _rational(v, "value"))
-                      for o, v in entry["breakpoints"]]
+            for o, v in entry["breakpoints"]:
+                ratios.append(_ratio(o, "offset"))
+                ratios.append(_ratio(v, "value"))
         except (TypeError, ValueError) as exc:
             raise FileFormatError(f"edge {eid!r}: breakpoints are [offset, value] pairs") from exc
-        edge_data[eid] = (breaks, entry.get("slope_at_infinity"))
+        edge_data[eid] = _gridded(*ratios_on_scale(ratios, 2), entry.get("slope_at_infinity"))
     try:
         return PLFunction.from_edge_data(c, edge_data,
                                          {k: _rational(v, "vertex value")

@@ -68,6 +68,10 @@ def _check(m: Morphism) -> tuple[MorphismReport, dict]:
     src, tgt = m.source, m.target
     if any(e.is_loop for e in src.edges.values()) or any(e.is_loop for e in tgt.edges.values()):
         return MorphismReport(False, ("models must be loopless; subdivide loops first",)), places
+    for what, given, known, kind in (("vertex_map", m.vertex_map, src.vertices, "vertex"),
+                                     ("edge_map", m.edge_map, src.edges, "edge"),
+                                     ("degrees", m.degrees, src.edges, "edge")):
+        bad += [f"{what} key {k!r} is not a source {kind}" for k in given if k not in known]
     for vid in src.vertices:
         img = m.vertex_map.get(vid)
         if img is None or img not in tgt.vertices:

@@ -8,8 +8,10 @@ integer slopes.  Every kernel and every reader in the library (``realize``,
 kernel sweeps the lcm of the two scales (``common_scale``), refined by the
 slope difference at a max/min crossing, and every result is reduced to the
 least D (``least_scale``), so function equality compares integers and the
-integers do not grow from one operation to the next.  ``Fraction``s are
-built only where a value, a divisor's offset or an image point is handed out.
+integers do not grow from one operation to the next.  A function file is
+read straight onto grids, and a principal divisor's points are made from grid
+pairs.  ``Fraction``s are built only where a value or an image point is
+handed out, or a point's offset is read.
 """
 
 from __future__ import annotations
@@ -17,13 +19,14 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from operator import itemgetter
 from typing import Iterable, Mapping, Sequence
 
 from .curve import INF, Curve, EdgeDesc, PointRef
 from .errors import InternalError, TropError
-from .semifield import TropValue, common_scale, integer, least_scale, on_scale, place, rat, ratio_str
+from .semifield import (TropValue, common_scale, integer, least_scale, on_scale, place, rat, ratio,
+                        ratio_str, ratios_on_scale)
 from .subgraph import Subgraph, SubChart
 
 
@@ -35,7 +38,8 @@ class Profile:
     edge length and have ``tail is None``, and rays carry the integer slope
     past the last breakpoint.  ``slopes`` holds the right slopes, None at a
     finite end.  A profile is built from given breakpoints, whose grid is
-    worked out on first use, or from a grid by ``_gridded``.
+    worked out on first use, or from a grid by ``_gridded``; ``_breaks`` is
+    None exactly for the second kind.
     """
 
     __slots__ = ("_breaks", "grid", "slopes", "tail")
@@ -52,11 +56,11 @@ class Profile:
 
     @property
     def breaks(self) -> tuple[tuple[Fraction, Fraction], ...]:
-        """The breakpoints as given, else as ``Fraction``s from the grid: what ``PLFunction(...)``
-        normalizes, and a view for tests, ``repr`` and error messages; the kernels read ``grid``."""
+        """The breakpoints as given, else as ``Fraction``s from the grid, built on each read:
+        a view for tests, ``repr`` and error messages; the library reads ``grid``."""
         if self._breaks is None:
             d, g = self.grid
-            self._breaks = tuple([(Fraction(o, d), Fraction(v, d)) for o, v in g])
+            return tuple([(Fraction(o, d), Fraction(v, d)) for o, v in g])
         return self._breaks
 
     def __eq__(self, other):
@@ -128,11 +132,26 @@ def _grid_slopes(g: Sequence[tuple[int, int]]) -> list[int]:
 
 
 def _normalize(breaks: Sequence[tuple[Fraction, Fraction]], tail: int | None) -> Profile:
-    """Sort, merge equal offsets and drop breakpoints where the slope does not change,
-    on the integer grid of ``on_scale``."""
-    d, g = on_scale(breaks)
+    """``_normal`` of exact breakpoints, on the integer grid of ``on_scale``; the
+    tests' reference kernels build their results with it."""
+    return _normal(*on_scale(breaks), tail)
+
+
+def _normal(d: int, g: Sequence[tuple[int, int]], tail: int | None) -> Profile:
+    """The breakpoints g / d sorted, with equal offsets merged and the breakpoints
+    where the slope does not change dropped."""
     g = sorted(g)
     return _gridded(d, [g[k] for k in _kept(g, tail)], tail)
+
+
+def _read(breaks: Iterable[tuple], tail) -> Profile:
+    """The (offset, value) pairs, each number read by ``ratio``, as a profile on
+    their grid; ``PLFunction(...)`` normalizes it."""
+    ratios = []
+    for o, v in breaks:
+        ratios.append(ratio(o))
+        ratios.append(ratio(v))
+    return _gridded(*ratios_on_scale(ratios, 2), tail)
 
 
 def _kept(g: Sequence[tuple[int, int]], tail: int | None) -> list[int]:
@@ -308,16 +327,23 @@ class PLFunction:
                                    {vid: v for vid in _isolated_vertices(curve)})
 
     @staticmethod
-    def from_edge_data(curve: Curve, data: Mapping[str, tuple], isolated=None) -> "PLFunction":
+    def from_edge_data(curve: Curve, data: Mapping[str, "tuple | Profile"],
+                       isolated=None) -> "PLFunction":
         """Build from per-edge breakpoint lists in user edge coordinates.
 
         ``data[edge] = (breakpoints, slope_at_infinity?)`` with breakpoints a
-        list of (offset, value) pairs covering the edge, in any order;
-        ``isolated`` maps each isolated vertex to its value.  Only converts
-        the format: ``PLFunction(...)`` sorts and checks the result.
+        list of (offset, value) pairs covering the edge, in any order, or a
+        ``Profile``, taken as it is (the function-file reader builds them on
+        their grids); ``isolated`` maps each isolated vertex to its value.
+        Only converts the format: ``PLFunction(...)`` sorts and checks the result.
         """
-        profiles = {eid: Profile(tuple((rat(o), rat(v)) for o, v in breaks), tail)
-                    for eid, (breaks, tail) in data.items()}
+        profiles = {}
+        for eid, entry in data.items():
+            if isinstance(entry, Profile):
+                profiles[eid] = entry
+            else:
+                breaks, tail = entry
+                profiles[eid] = _read(breaks, tail)
         return PLFunction(curve, profiles, isolated)
 
     def _validate(self):
@@ -328,24 +354,20 @@ class PLFunction:
         slopes, values for exactly the isolated vertices, and continuity.
         """
         c = self.curve
-        finite = {eid: e.length for eid, e in c.edges.items() if e.length is not INF}
-        L, (lengths,) = on_scale((list(finite.values()),))
-        length = dict(zip(finite, lengths))  # edge id -> length times L
+        L, length = c._length_scale()  # finite edge id -> length times L
         profiles = {}
         for eid, p in self.profiles.items():
             e = c.edges.get(eid)
             if e is None:
                 raise TropError(f"unknown edge {eid!r}")
-            breaks = p.breaks
-            if not breaks:
+            if p._breaks is not None:  # given as numbers: ratio decides each one
+                p = _read(p._breaks, p.tail)
+            d, g = p.grid
+            if not g:
                 raise TropError(f"edge {eid!r} profile must start at offset 0")
-            for o, v in breaks:  # exact types pass at once; rat decides the rest
-                if type(o) not in (Fraction, int) or type(v) not in (Fraction, int):
-                    breaks = tuple((rat(o), rat(v)) for o, v in breaks)
-                    break
             if e.is_infinite and p.tail is not None:
                 integer(p.tail, f"edge {eid!r} slope at infinity")
-            q = _normalize(breaks, p.tail if e.is_infinite else None)
+            q = _normal(d, g, p.tail if e.is_infinite else None)
             d, g = q.grid
             if g[0][0] != 0:
                 raise TropError(f"edge {eid!r} profile must start at offset 0")
@@ -600,13 +622,21 @@ def principal_divisor(f: PLFunction) -> Divisor:
     """Sum of outgoing slopes at every point, as a divisor.
 
     At a point at infinity the single outgoing slope is the slope toward
-    infinity times minus one.  One slope sweep per edge: each vertex, point
-    at infinity and interior breakpoint is reached exactly once.
+    infinity times minus one.
     """
     if f.profiles is None:
         raise TropError("the zero function has no principal divisor")
+    return Divisor._trusted(f.curve, _orders(f, f.curve.pt_vertex, PointRef._on_edge))
+
+
+def _orders(f: PLFunction, at_vertex, on_edge) -> dict:
+    """The nonzero coefficients of the principal divisor of f, keyed by
+    ``at_vertex(vertex id)`` and, at the breakpoint o / d of an edge's grid,
+    ``on_edge(edge id, o, d)``.  One slope sweep per edge: each vertex, point
+    at infinity and interior breakpoint is reached exactly once.
+    """
     c, ps = f.curve, f.profiles
-    coeffs: dict[PointRef, int] = {}
+    coeffs = {}
     for vid, ends in c.edges_at.items():
         if not ends:
             continue
@@ -616,13 +646,13 @@ def principal_divisor(f: PLFunction) -> Divisor:
             total = sum([ps[eid].slopes[0] if sign > 0 else -ps[eid].slopes[-2]
                          for eid, sign in ends])
         if total:
-            coeffs[PointRef("vertex", vertex=vid)] = total
+            coeffs[at_vertex(vid)] = total
     for eid, prof in ps.items():
         s, (d, g) = prof.slopes, prof.grid
         for k in range(1, len(s) - (prof.tail is None)):
             if s[k] != s[k - 1]:
-                coeffs[PointRef("on_edge", edge=eid, offset=Fraction(g[k][0], d))] = s[k] - s[k - 1]
-    return Divisor._trusted(c, coeffs)
+                coeffs[on_edge(eid, g[k][0], d)] = s[k] - s[k - 1]
+    return coeffs
 
 
 def _slope_sum(f: PLFunction, p: PointRef) -> int:
@@ -664,12 +694,20 @@ def module_degree(gens: Sequence[PLFunction]) -> int | None:
             finite.append(g)
     if not finite:
         return None
-    divisors = [principal_divisor(g) for g in finite]
-    poles = {p for d in divisors for p, k in d.coeffs.items() if k < 0}
-    total = 0
-    for p in poles:
-        total += min(d.coeff(p) for d in divisors)
-    return -total
+    # Keyed by a vertex's id (``str`` returns it) or ``_least`` of an edge point.  At
+    # a pole the least coefficient is negative, so only negative ones count.
+    poles: dict = {}
+    for g in finite:
+        for key, k in _orders(g, str, _least).items():
+            if k < poles.get(key, 0):
+                poles[key] = k
+    return -sum(poles.values())
+
+
+def _least(eid: str, o: int, d: int) -> tuple[str, int, int]:
+    """A key for the point o / d along an edge: the edge and the pair in least terms."""
+    r = gcd(o, d)
+    return eid, o // r, d // r
 
 
 # -- chip firing ------------------------------------------------------------------

@@ -112,7 +112,7 @@ def realize(c: Curve, fs: Sequence[PLFunction]) -> RealizationMap:
                 seen.add(end)
                 pt = c.pt_vertex(end)
             else:
-                pt = PointRef("on_edge", edge=eid, offset=offs[k])
+                pt = PointRef._on_edge(eid, grid[k], d)
             ids.append(place(pt, key))
         piece_slopes = zip(*(right[:-1] for _, right in sweeps))
         for k, slopes in enumerate(piece_slopes):
@@ -123,7 +123,7 @@ def realize(c: Curve, fs: Sequence[PLFunction]) -> RealizationMap:
             merged_edges |= key in seg_weights
             seg_weights[key] = math.gcd(seg_weights.get(key, 0), *slopes)
         if e.is_infinite:
-            tails = tuple(p.tail for p in profs)
+            tails = tuple([p.tail for p in profs])
             pieces.append(Piece(eid, offs[-1], INF, tails, vertices[ids[-1]]))
             if any(t != 0 for t in tails):
                 key = (ids[-1], primitive(tails))

@@ -21,29 +21,37 @@ RatLike = "Fraction | int | str"
 _INTEGER_LITERAL = re.compile(r"-?[0-9]+")  # an exponent, and the numerator of a rational
 
 
-def rat(x) -> Fraction:
-    """Coerce an int, a ``p/q`` string, or a Fraction to an exact rational.
+def ratio(x) -> tuple[int, int]:
+    """The rational that ``x`` is, as ``(n, d)`` in least terms with d > 0.
 
-    A string is an optional ``-``, ASCII digits, and optionally ``/`` and
-    ASCII digits: no spaces, ``+``, decimal point, exponent or ``_``.
-    Floats and bools are rejected: this package never computes with binary
-    floating point, and ``True`` is not the number 1.  Together with
-    ``integer`` this is the one place that decides what number a caller's
-    value is.
+    ``x`` is an int, a Fraction, or a string: an optional ``-``, ASCII digits,
+    and optionally ``/`` and ASCII digits, with no spaces, ``+``, decimal
+    point, exponent or ``_``.  A string is read to its two integers with no
+    ``Fraction`` built.  Floats and bools are rejected: this package never
+    computes with binary floating point, and ``True`` is not the number 1.
+    Together with ``integer`` this is the one place that decides what number
+    a caller's value is; ``rat`` is the same rule with a ``Fraction`` result.
     """
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, int) and not isinstance(x, bool):
-        return Fraction(x)
     if isinstance(x, str):
         num, slash, den = x.partition("/")
         if _INTEGER_LITERAL.fullmatch(num) and (not slash or den.isascii() and den.isdigit()):
             try:
-                return Fraction(x)
-            except (ValueError, ZeroDivisionError):  # a zero or overlong denominator
+                n, d = int(num), int(den) if slash else 1
+            except ValueError:  # more digits than int() reads
                 pass
+            else:
+                if d:
+                    r = gcd(n, d)
+                    return (n, d) if r == 1 else (n // r, d // r)
         raise TropError(f"not a rational literal: {x!r}")
+    if isinstance(x, (int, Fraction)) and not isinstance(x, bool):
+        return x.as_integer_ratio()
     raise _inexact(x)
+
+
+def rat(x) -> Fraction:
+    """``ratio(x)`` as a ``Fraction``: an int, a ``p/q`` string, or a Fraction itself."""
+    return x if isinstance(x, Fraction) else Fraction(*ratio(x))
 
 
 def _inexact(x) -> TropError:
@@ -59,9 +67,13 @@ def integer(x, what: str) -> int:
 
 # The integer scale.  A scaled value (D, rows) stands for rows / D: D > 0,
 # rows a tuple of equal-width tuples of ints.  Profiles, complexes and
-# hypersurfaces decide rationals exactly on such values through the three
-# operations below, which take whole rows per call, and ``place`` puts one
-# number on a given scale.
+# hypersurfaces decide rationals exactly on such values through ``on_scale``
+# (``ratios_on_scale`` for numbers already read by ``ratio``),
+# ``common_scale`` and ``least_scale``, which take whole rows per call, and
+# ``place`` puts one number on a given scale.  Their rows are built from
+# lists, ``tuple([*zip(...)])``: a tuple built from an iterator of unknown
+# length is allocated at a guess and shrunk, so its memory ends on the free
+# list of another tuple size, which only a full collection empties.
 
 
 def on_scale(rows: Sequence[Sequence]) -> tuple[int, tuple[tuple[int, ...], ...]]:
@@ -72,13 +84,20 @@ def on_scale(rows: Sequence[Sequence]) -> tuple[int, tuple[tuple[int, ...], ...]
     """
     ratios = [x.as_integer_ratio() for row in rows for x in row]
     if not ratios:
-        return 1, tuple(map(tuple, rows))
+        return 1, tuple([tuple(row) for row in rows])
+    return ratios_on_scale(ratios, len(rows[0]))
+
+
+def ratios_on_scale(ratios: Sequence[tuple[int, int]],
+                    width: int) -> tuple[int, tuple[tuple[int, ...], ...]]:
+    """``on_scale`` of rows given as the flat list of their numbers' ratios (n, d),
+    d > 0 and in least terms as ``ratio`` returns them, ``width`` to a row."""
     d = 1
     for _, q in ratios:
         if d % q:
             d = lcm(d, q)
     flat = iter([n * (d // q) for n, q in ratios])
-    return d, tuple(zip(*[flat] * len(rows[0])))
+    return d, tuple([*zip(*[flat] * width)])
 
 
 def common_scale(*scaled: tuple[int, Sequence[Sequence[int]]]) -> tuple[int, list]:
@@ -90,7 +109,7 @@ def common_scale(*scaled: tuple[int, Sequence[Sequence[int]]]) -> tuple[int, lis
     for d, rows in scaled:
         if d != D and rows and rows[0]:
             m = D // d
-            rows = zip(*[iter([x * m for row in rows for x in row])] * len(rows[0]))
+            rows = [*zip(*[iter([x * m for row in rows for x in row])] * len(rows[0]))]
         out.append(tuple(rows))
     return D, out
 
@@ -103,7 +122,7 @@ def least_scale(d: int, rows: Sequence[Sequence[int]]) -> tuple[int, tuple[tuple
     r = gcd(d, *chain.from_iterable(rows))
     if r == 1 or not rows or not rows[0]:
         return d // r, tuple(rows)
-    return d // r, tuple(zip(*[iter([x // r for row in rows for x in row])] * len(rows[0])))
+    return d // r, tuple([*zip(*[iter([x // r for row in rows for x in row])] * len(rows[0]))])
 
 
 def place(d: int, t) -> tuple[int, int]:

@@ -8,7 +8,7 @@ from typing import Iterable, Mapping
 
 from .curve import INF, Curve, EdgeDesc, PointRef, VertexInfo
 from .errors import TropError
-from .semifield import common_scale, on_scale, rat
+from .semifield import common_scale, on_scale, rat, ratio_str
 
 Interval = tuple[Fraction, "Fraction | float"]  # closed [lo, hi], hi may be INF
 
@@ -62,8 +62,9 @@ class Subgraph:
         """
         made = self.__dict__.get("_cut")
         if made is None:
-            made = cut(self.curve, sorted(self.vertices),
-                       [(eid, lo, hi) for eid, ivs in self.intervals for lo, hi in ivs])
+            D, _, imap = self._scaled()
+            made = cut(self.curve, sorted(self.vertices), D,
+                       [(eid, lo, hi) for eid, ivs in imap.items() for lo, hi in ivs])
             object.__setattr__(self, "_cut", made)
         return made
 
@@ -125,38 +126,43 @@ class SubChart:
         return self.parent.pt_on_edge(eid, start + p.offset)
 
 
-def cut(c: Curve, vertices: Iterable[str], pieces: Iterable[tuple]) -> tuple[Curve, SubChart]:
+def cut(c: Curve, vertices: Iterable[str], D: int,
+        pieces: Iterable[tuple[str, int, int | None]]) -> tuple[Curve, SubChart]:
     """The curve made of some vertices of ``c`` and some pieces of its edges.
 
-    A piece ``(edge, lo, hi)`` is a closed interval in edge coordinates;
-    ``hi`` is ``INF`` on a ray's tail, and ``lo == hi`` is a lone point.
-    A cut point inside an edge becomes a vertex named ``edge@offset``.  A
-    piece keeps the edge id when it covers the whole edge and is named
-    ``edge[lo,hi]`` otherwise; a ray piece inherits the ray class label.
-    When the parent already has a vertex or an edge of that name, primes
-    (``'``) are appended until the name is free: the chart, not the name,
-    says where a point lies.  No other code names a cut point or a piece.
+    A piece ``(edge, lo, hi)`` is a closed interval in edge coordinates, its
+    ends integers on the scale D, a multiple of the curve's length scale
+    (``Curve._length_scale``); ``hi`` is None on a ray's tail, and ``lo ==
+    hi`` is a lone point.  A cut point inside an edge becomes a vertex named
+    ``edge@offset``.  A piece keeps the edge id when it covers the whole edge
+    and is named ``edge[lo,hi]`` otherwise; a ray piece inherits the ray
+    class label.  When the parent already has a vertex or an edge of that
+    name, primes (``'``) are appended until the name is free: the chart, not
+    the name, says where a point lies.  No other code names a cut point or a
+    piece.
     """
+    L, lengths = c._length_scale()
+    ends = {eid: n * (D // L) for eid, n in lengths.items()}  # each finite edge's end on D
     vertex_points: dict[str, PointRef] = {vid: c.pt_vertex(vid) for vid in vertices}
     cut_names: dict[str, str] = {}  # generated name -> the name it was given
     edges: list[EdgeDesc] = []
     edge_chart: dict[str, tuple[str, Fraction]] = {}
     ray_classes: dict[str, str] = {}
 
-    def vertex_at(e: EdgeDesc, off) -> str:
-        if off == 0:
+    def vertex_at(e: EdgeDesc, x: int | None) -> str:
+        if x == 0:
             vid = e.u
-        elif off == e.length:
+        elif x is None or x == ends.get(e.id):
             vid = e.v
         else:
-            name = f"{e.id}@{off}"
+            name = f"{e.id}@{ratio_str(x, D)}"
             vid = cut_names.get(name)
             if vid is None:
                 vid = name
                 while vid in c.vertices:
                     vid += "'"
                 cut_names[name] = vid
-                vertex_points[vid] = c.pt_on_edge(e.id, off)
+                vertex_points[vid] = PointRef._on_edge(e.id, x, D)
             return vid
         if vid not in vertex_points:
             vertex_points[vid] = c.pt_vertex(vid)
@@ -168,15 +174,15 @@ def cut(c: Curve, vertices: Iterable[str], pieces: Iterable[tuple]) -> tuple[Cur
         if lo == hi:
             continue
         v = vertex_at(e, hi)
-        tail = hi is INF
-        if lo == 0 and hi == e.length:
+        tail = hi is None
+        if lo == 0 and hi == ends.get(eid):
             sub_id = eid
         else:
-            sub_id = f"{eid}[{lo},{'inf' if tail else hi}]"
+            sub_id = f"{eid}[{ratio_str(lo, D)},{'inf' if tail else ratio_str(hi, D)}]"
             while sub_id in c.edges:
                 sub_id += "'"
-        edges.append(EdgeDesc(sub_id, u, v, INF if tail else hi - lo))
-        edge_chart[sub_id] = (eid, lo)
+        edges.append(EdgeDesc(sub_id, u, v, INF if tail else Fraction(hi - lo, D)))
+        edge_chart[sub_id] = (eid, Fraction(lo, D))
         if tail:
             ray_classes[sub_id] = c.ray_classes[eid]
 

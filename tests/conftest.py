@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import fractions
 import random
+import re
 import sys
+from fractions import Fraction
 
 import pytest
 
@@ -68,3 +70,23 @@ def fraction_calls(op, *args) -> int:
     finally:
         sys.setprofile(previous)
     return count
+
+
+# The README's grammar, read the way rat read it before the pair reader: a
+# match of the whole pattern, then Fraction(str), whose failure (a zero
+# denominator, more digits than int() reads) is a rejection too.
+LITERAL = re.compile(r"-?[0-9]+(/[0-9]+)?")
+
+
+def ref_literal(s: str) -> Fraction | None:
+    if not LITERAL.fullmatch(s):
+        return None
+    try:
+        return Fraction(s)
+    except (ValueError, ZeroDivisionError):
+        return None
+
+
+# Strings that the grammar accepts or rejects for a reason of its own.
+LOOSE = ["1.5", "1e3", "1_000", "+3", " 3/4 ", "3/4 ", "1/0", "-0", "-0/7", "007/014", "3/",
+         "/3", "--1", "1/-2", "", "-", "٣", "1/²", "9" * 4301, "1/" + "9" * 4301, "9" * 4300]

@@ -22,7 +22,7 @@ from tropcurve.cli import main
 from tropcurve.complexes import PolyComplex1D
 from tropcurve.curve import Curve
 from tropcurve.errors import NonTransversalError, TropError
-from tropcurve.geometry import dot, edge_intersection, on_edge, vadd, vscale, vsub
+from tropcurve.geometry import dot, edge_intersection, on_edge, vadd, vsub
 from tropcurve.hypersurface import plane_hypersurface
 from tropcurve.plfunction import PLFunction
 from tropcurve.randgen import complex_library, random_plane_poly, random_rational
@@ -32,6 +32,10 @@ from tropcurve.semifield import TropPoly, on_scale
 from conftest import fraction_calls, rng_for
 
 # -- reference code -------------------------------------------------------------------
+
+
+def vscale(a, t) -> tuple:
+    return tuple(x * t for x in a)
 
 
 def ref_parallel(a, b) -> bool:

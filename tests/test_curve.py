@@ -5,8 +5,11 @@ from __future__ import annotations
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from tropcurve.curve import INF, Curve, EdgeDesc, VertexInfo, canonical_model, disjoint_union
+from tropcurve.curve import (INF, Curve, EdgeDesc, PointRef, VertexInfo, canonical_model,
+                             disjoint_union)
 from tropcurve.errors import TropError
 from tropcurve.glue import Embedding, glue, validate_embedding
 from tropcurve.selftest import suite_canonical_model, suite_metric
@@ -34,10 +37,27 @@ class TestBuild:
 
     def test_a_point_keeps_its_hash(self, segment3):
         p, q = segment3.pt_on_edge("e", Fraction(1, 2)), segment3.pt_on_edge("e", Fraction(1, 2))
-        assert fraction_calls(hash, p) == 1 and fraction_calls(hash, p) == 0
+        assert fraction_calls(hash, p) == 0 and fraction_calls(hash, p) == 0
         assert hash(p) == hash(q) == hash(segment3.pt_on_edge("e", Fraction(2, 4)))
         assert p == q and repr(p) == repr(q) == ("PointRef(kind='on_edge', vertex=None, edge='e', "
                                                  "offset=Fraction(1, 2))")
+
+    @given(st.fractions(min_value=0, max_value=20).filter(lambda x: 0 < x < 20),
+           st.integers(1, 10 ** 6))
+    def test_a_point_is_its_reduced_pair(self, t, k):
+        # A point made from a Fraction and one made from an unreduced grid
+        # pair are one value: equal, with one hash, text and repr.
+        c = Curve.segment(20)
+        given_, on_grid = PointRef("on_edge", edge="e", offset=t), PointRef._on_edge(
+            "e", t.numerator * k, t.denominator * k)
+        assert given_ == on_grid == c.pt_on_edge("e", t) == c.pt_on_edge("e", str(t))
+        assert hash(given_) == hash(on_grid) == hash(c.pt_on_edge("e", str(t)))
+        assert str(given_) == str(on_grid) == f"e@{t}"
+        assert repr(given_) == repr(on_grid) == (f"PointRef(kind='on_edge', vertex=None, edge='e', "
+                                                 f"offset={t!r})")
+        assert on_grid.offset == t and type(on_grid.offset) is Fraction
+        assert given_ != PointRef._on_edge("e", t.numerator * k + 1, t.denominator * k)
+        assert given_ != PointRef("on_edge", edge="f", offset=t) and given_ != str(given_)
 
     def test_loop_is_one_edge(self):
         c = Curve.build(vertices=["P", "l~mid"], edges=[("l", "P", "P", 8), ("s", "P", "l~mid", 1)])

@@ -19,11 +19,11 @@ from tropcurve.cli import main
 from tropcurve.curve import Curve
 from tropcurve.errors import FileFormatError
 from tropcurve.hypersurface import plane_hypersurface
-from tropcurve.plfunction import PLFunction, principal_divisor
+from tropcurve.plfunction import PLFunction, module_degree, principal_divisor
 from tropcurve.randgen import LINE_POLY
 from tropcurve.semifield import TropPoly, ratio_str
 
-from conftest import identity_fn, rng_for, scaled_fn
+from conftest import LOOSE, fraction_calls, identity_fn, ref_literal, rng_for, scaled_fn
 
 
 class TestRoundTrips:
@@ -91,6 +91,22 @@ def test_dumps_rejects_as_json_does(x):
     with pytest.raises(TypeError) as got:
         tio._dumps(x)
     assert str(got.value) == str(want.value)
+
+
+def test_reading_a_function_file_builds_no_fraction():
+    # Each number is read to an integer pair and each edge goes onto its
+    # grid, so reading 101 breakpoints enters no fractions frame; nor does
+    # the principal divisor of the result, or its module degree.  The
+    # curve's length scale is worked out once per curve, before.
+    c = Curve.segment(50)
+    rows = [[ratio_str(k, 2), ratio_str(k % 2, 2)] for k in range(101)]
+    text = json.dumps({"e": {"breakpoints": rows}})
+    c._length_scale()
+    assert fraction_calls(tio.function_from_json, c, text) == 0
+    f = tio.function_from_json(c, text)
+    assert len(f.profiles["e"].grid[1]) == 101 and f.profiles["e"]._breaks is None
+    assert fraction_calls(principal_divisor, f) == 0 and fraction_calls(module_degree, [f, f]) == 0
+    assert principal_divisor(f).degree() == 0 and module_degree([f]) == 100  # 50 peaks of -2
 
 
 class TestRejects:
@@ -250,6 +266,25 @@ class TestRejects:
     def test_json_error_carries_position(self):
         with pytest.raises(FileFormatError, match="line 1"):
             tio.curve_from_json("{nope}")
+
+    @given(st.one_of(st.text(alphabet="0123456789-/+._e x٣", max_size=8), st.sampled_from(LOOSE),
+                     st.floats(allow_nan=False), st.booleans(), st.none(),
+                     st.lists(st.integers(), max_size=1), st.integers(-99, 99)),
+           st.sampled_from(["offset", "value"]))
+    def test_breakpoint_numbers_keep_their_messages(self, x, where):
+        # A breakpoint number is read once, to a pair; its rejection reads as
+        # it did when rat decided, for a string and for any other JSON value.
+        row = [x, "0"] if where == "offset" else ["0", x]
+        text = json.dumps({"e": {"breakpoints": [row, ["0", "0"], ["3", "0"]]}})
+        with pytest.raises(FileFormatError) as exc:
+            tio.function_from_json(Curve.segment(3), text)
+            raise FileFormatError("invalid function: read")  # a number that reads
+        if isinstance(x, str) and ref_literal(x) is not None or type(x) is int:
+            assert str(exc.value).startswith("invalid function: ")
+        else:
+            assert str(exc.value) == (
+                f"bad {where}: {x!r}" if isinstance(x, str) else
+                f"{where} must be a rational string, not a {type(x).__name__}: {x!r}")
 
 
 class TestPlots:

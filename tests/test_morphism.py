@@ -104,6 +104,9 @@ def _violating_morphism(case: str, segment3: Curve, line: Curve) -> Morphism:
                                                  {"e": ("vertex", "r.inf")}, {"e": 0}),
         "isolated_to_infinity": lambda: Morphism(Curve.build(vertices=["A"]), ray,
                                                  {"A": "r.inf"}, {}, {}),
+        "stray_vertex": lambda: Morphism(seg, seg, {**ends, "Q": "Z"}, whole, {"e": 1}),
+        "stray_edge": lambda: Morphism(seg, seg, ends, {**whole, "x": ("edge", "nope")}, {"e": 1}),
+        "stray_degree": lambda: Morphism(seg, seg, ends, whole, {"e": 1, "x": 7}),
     }[case]()
 
 
@@ -126,6 +129,9 @@ def _violating_morphism(case: str, segment3: Curve, line: Curve) -> Morphism:
     ("class_degrees", "ray class 'k' has unequal degrees at infinity [1, 2]"),
     ("collapse_to_infinity", "edge 'e' collapses onto the point at infinity 'r.inf'"),
     ("isolated_to_infinity", "vertex 'A' maps to the point at infinity 'r.inf'"),
+    ("stray_vertex", "vertex_map key 'Q' is not a source vertex"),
+    ("stray_edge", "edge_map key 'x' is not a source edge"),
+    ("stray_degree", "degrees key 'x' is not a source edge"),
 ])
 def test_each_violation_is_reported(case, violation, segment3, line):
     assert validate_morphism(_violating_morphism(case, segment3, line)) == \

@@ -13,7 +13,10 @@ from hypothesis import strategies as st
 from tropcurve.errors import TropError
 from tropcurve.selftest import collapse_laws, forget_laws, semifield_laws, suite_germ_axioms
 from tropcurve.semifield import (NEG_INF, UNIT, Germ, TropPoly, TropValue, common_scale,
-                                 germ_generator_report, least_scale, on_scale, place, rat)
+                                 germ_generator_report, least_scale, on_scale, place, rat, ratio,
+                                 ratios_on_scale)
+
+from conftest import LITERAL, LOOSE, ref_literal
 
 rationals = st.fractions(max_denominator=40)
 trop_values = st.one_of(st.just(NEG_INF), rationals.map(TropValue))
@@ -54,6 +57,55 @@ class TestTropValue:
     @given(trop_values, trop_values, trop_values)
     def test_semifield_axioms(self, a, b, c):
         semifield_laws(a, b, c, UNIT)
+
+
+# -- the literal grammar ----------------------------------------------------------
+
+# ratio and rat against conftest's ref_literal, the reading rat had before
+# ratio: one grammar, the same values and the same messages.
+
+
+def _outcome(read, x):
+    try:
+        return read(x)
+    except TropError as exc:
+        return str(exc)
+
+
+def _check_literal(s: str):
+    want = ref_literal(s)
+    pair, value = _outcome(ratio, s), _outcome(rat, s)
+    if want is None:
+        assert pair == value == f"not a rational literal: {s!r}"
+    else:
+        assert pair == want.as_integer_ratio() and type(value) is Fraction and value == want
+
+
+class TestLiterals:
+    @given(st.one_of(st.text(alphabet="0123456789-/+._e x٣²", max_size=10),
+                     st.from_regex(LITERAL, fullmatch=True)))
+    def test_pair_reader_and_rat_are_one_grammar(self, s):
+        _check_literal(s)
+
+    @pytest.mark.parametrize("s", LOOSE, ids=range(len(LOOSE)))
+    def test_named_forms(self, s):
+        _check_literal(s)
+        assert (ref_literal(s) is None) == (s not in ("-0", "-0/7", "007/014", "9" * 4300))
+
+    @given(st.one_of(st.integers(-10 ** 30, 10 ** 30), st.fractions(), st.floats(allow_nan=False),
+                     st.booleans(), st.none(), st.just(Fraction(7, 3))))
+    def test_numbers_are_read_alike(self, x):
+        pair, value = _outcome(ratio, x), _outcome(rat, x)
+        if isinstance(x, (int, Fraction)) and not isinstance(x, bool):
+            assert pair == (Fraction(x).numerator, Fraction(x).denominator) and value == x
+        else:
+            assert pair == value == f"exact rational required, got {type(x).__name__}: {x!r}"
+
+    @given(st.lists(st.fractions(max_denominator=10 ** 6), min_size=1, max_size=12))
+    def test_ratios_go_on_the_scale_of_on_scale(self, xs):
+        xs = xs[:len(xs) // 2 * 2] or xs * 2
+        rows = tuple(zip(xs[::2], xs[1::2]))
+        assert ratios_on_scale([ratio(x) for x in xs], 2) == on_scale(rows)
 
 
 class TestGerm:
