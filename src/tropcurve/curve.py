@@ -16,7 +16,7 @@ from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
 from .errors import TropError
-from .semifield import common_scale, integer, on_scale, rat, ratio, ratio_str
+from .semifield import common_scale, integer, on_scale, ratio, ratio_str
 
 INF = math.inf
 
@@ -29,10 +29,10 @@ def parse_length(x) -> "Fraction | float":
     """
     if isinstance(x, float) and x == INF or isinstance(x, str) and x == "inf":
         return INF
-    value = rat(x)
-    if value <= 0:
-        raise TropError(f"edge length must be positive, got {value}")
-    return value
+    n, d = ratio(x)
+    if n <= 0:
+        raise TropError(f"edge length must be positive, got {ratio_str(n, d)}")
+    return x if isinstance(x, Fraction) else Fraction(n, d)
 
 
 def length_str(x) -> str:

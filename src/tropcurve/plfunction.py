@@ -1,17 +1,19 @@
 """Piecewise-linear rational functions on curves, divisors, and chip firing.
 
 Each edge carries a ``Profile`` in the edge's own coordinates from its u
-end, stored on its own integer grid (``semifield.on_scale``): the least
-common denominator D of its offsets and values, the pairs times D, and
-integer slopes.  Every kernel and every reader in the library (``realize``,
-``pullback``, ``germ_bump``, the function writer) works on grids; a binary
-kernel sweeps the lcm of the two scales (``common_scale``), refined by the
-slope difference at a max/min crossing, and every result is reduced to the
-least D (``least_scale``), so function equality compares integers and the
-integers do not grow from one operation to the next.  A function file is
-read straight onto grids, and a principal divisor's points are made from grid
-pairs.  ``Fraction``s are built only where a value or an image point is
-handed out, or a point's offset is read.
+end, stored on its own integer grid: the least common denominator D of its
+offsets and values, the pairs times D, and integer slopes.
+``Profile(breaks, tail)`` reads each number through ``ratio`` when it is
+built, onto its grid (``semifield.ratios_on_scale``).  Every kernel and
+every reader in the library (``realize``, ``pullback``, ``germ_bump``, the
+function writer) works on grids; a binary kernel sweeps the lcm of the two
+scales (``common_scale``), refined by the slope difference at a max/min
+crossing, and every result is reduced to the least D (``least_scale``), so
+function equality compares integers and the integers do not grow from one
+operation to the next.  A function file is read straight onto grids, and a
+principal divisor's points are made from grid pairs.  ``Fraction``s are
+built only where a value or an image point is handed out, or a point's
+offset is read.
 """
 
 from __future__ import annotations
@@ -37,31 +39,32 @@ class Profile:
     denominator; offsets strictly increase from 0, finite edges end at the
     edge length and have ``tail is None``, and rays carry the integer slope
     past the last breakpoint.  ``slopes`` holds the right slopes, None at a
-    finite end.  A profile is built from given breakpoints, whose grid is
-    worked out on first use, or from a grid by ``_gridded``; ``_breaks`` is
-    None exactly for the second kind.
+    finite end.  ``Profile(breaks, tail)`` reads each number of the (offset,
+    value) pairs through ``ratio`` when it is built, for ``PLFunction(...)``
+    to normalize; the library builds its profiles from grids by ``_gridded``.
     """
 
-    __slots__ = ("_breaks", "grid", "slopes", "tail")
+    __slots__ = ("grid", "slopes", "tail")
 
-    def __init__(self, breaks: tuple, tail: int | None = None):
-        self._breaks, self.tail = breaks, tail
+    def __init__(self, breaks: Iterable[tuple], tail: int | None = None):
+        ratios = []
+        for o, v in breaks:
+            ratios.append(ratio(o))
+            ratios.append(ratio(v))
+        self.grid, self.tail = ratios_on_scale(ratios, 2), tail
 
-    def __getattr__(self, name):  # only the unset lazy slots come here
-        if name not in ("grid", "slopes"):
+    def __getattr__(self, name):  # only the unset lazy slot comes here
+        if name != "slopes":
             raise AttributeError(name)
-        setattr(self, name, on_scale(self._breaks) if name == "grid"
-                else _grid_slopes(self.grid[1]) + [self.tail])
-        return object.__getattribute__(self, name)
+        self.slopes = _grid_slopes(self.grid[1]) + [self.tail]
+        return self.slopes
 
     @property
     def breaks(self) -> tuple[tuple[Fraction, Fraction], ...]:
-        """The breakpoints as given, else as ``Fraction``s from the grid, built on each read:
-        a view for tests, ``repr`` and error messages; the library reads ``grid``."""
-        if self._breaks is None:
-            d, g = self.grid
-            return tuple([(Fraction(o, d), Fraction(v, d)) for o, v in g])
-        return self._breaks
+        """The breakpoints as ``Fraction``s from the grid, built on each read: a
+        view for tests, ``repr`` and error messages; the library reads ``grid``."""
+        d, g = self.grid
+        return tuple([(Fraction(o, d), Fraction(v, d)) for o, v in g])
 
     def __eq__(self, other):
         return isinstance(other, Profile) and self.grid == other.grid and self.tail == other.tail
@@ -115,7 +118,7 @@ class Profile:
 def _gridded(d: int, g: Sequence[tuple[int, int]], tail: int | None) -> Profile:
     """The profile of the pairs g on scale d, in least terms."""
     p = Profile.__new__(Profile)
-    p._breaks, p.tail = None, tail
+    p.tail = tail
     p.grid = least_scale(d, g)
     return p
 
@@ -131,27 +134,11 @@ def _grid_slopes(g: Sequence[tuple[int, int]]) -> list[int]:
     return out
 
 
-def _normalize(breaks: Sequence[tuple[Fraction, Fraction]], tail: int | None) -> Profile:
-    """``_normal`` of exact breakpoints, on the integer grid of ``on_scale``; the
-    tests' reference kernels build their results with it."""
-    return _normal(*on_scale(breaks), tail)
-
-
 def _normal(d: int, g: Sequence[tuple[int, int]], tail: int | None) -> Profile:
     """The breakpoints g / d sorted, with equal offsets merged and the breakpoints
     where the slope does not change dropped."""
     g = sorted(g)
     return _gridded(d, [g[k] for k in _kept(g, tail)], tail)
-
-
-def _read(breaks: Iterable[tuple], tail) -> Profile:
-    """The (offset, value) pairs, each number read by ``ratio``, as a profile on
-    their grid; ``PLFunction(...)`` normalizes it."""
-    ratios = []
-    for o, v in breaks:
-        ratios.append(ratio(o))
-        ratios.append(ratio(v))
-    return _gridded(*ratios_on_scale(ratios, 2), tail)
 
 
 def _kept(g: Sequence[tuple[int, int]], tail: int | None) -> list[int]:
@@ -343,7 +330,7 @@ class PLFunction:
                 profiles[eid] = entry
             else:
                 breaks, tail = entry
-                profiles[eid] = _read(breaks, tail)
+                profiles[eid] = Profile(breaks, tail)
         return PLFunction(curve, profiles, isolated)
 
     def _validate(self):
@@ -360,8 +347,6 @@ class PLFunction:
             e = c.edges.get(eid)
             if e is None:
                 raise TropError(f"unknown edge {eid!r}")
-            if p._breaks is not None:  # given as numbers: ratio decides each one
-                p = _read(p._breaks, p.tail)
             d, g = p.grid
             if not g:
                 raise TropError(f"edge {eid!r} profile must start at offset 0")

@@ -72,6 +72,12 @@ def fraction_calls(op, *args) -> int:
     return count
 
 
+def on_integer_grid(p) -> bool:
+    """Whether every number of the profile's grid, its scale too, is an ``int``."""
+    d, g = p.grid
+    return type(d) is int and all(type(x) is int for row in g for x in row)
+
+
 # The README's grammar, read the way rat read it before the pair reader: a
 # match of the whole pattern, then Fraction(str), whose failure (a zero
 # denominator, more digits than int() reads) is a rejection too.

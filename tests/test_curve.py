@@ -9,7 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from tropcurve.curve import (INF, Curve, EdgeDesc, PointRef, VertexInfo, canonical_model,
-                             disjoint_union)
+                             disjoint_union, parse_length)
 from tropcurve.errors import TropError
 from tropcurve.glue import Embedding, glue, validate_embedding
 from tropcurve.selftest import suite_canonical_model, suite_metric
@@ -95,6 +95,9 @@ class TestBuild:
         (True, "exact rational required, got bool: True"),
         (Fraction(-1), "edge length must be positive, got -1"),
         (0, "edge length must be positive, got 0"),
+        ("-3/2", "edge length must be positive, got -3/2"),
+        (Fraction(-3, 2), "edge length must be positive, got -3/2"),
+        ("abc", "not a rational literal: 'abc'"),
         (-INF, "exact rational required, got float: -inf"),
     ])
     def test_raw_constructor_checks_lengths(self, length, message):
@@ -107,6 +110,10 @@ class TestBuild:
         assert finite.length == Fraction(3, 2) and type(finite.length) is Fraction
         assert ray.length is INF and ray.is_infinite and not finite.is_infinite
         assert fraction_calls(lambda: finite.is_infinite) == 0
+        # The sign is read from the integer numerator, and a Fraction is
+        # handed back itself: one fractions call, its as_integer_ratio.
+        x = Fraction(7, 3)
+        assert parse_length(x) is x and fraction_calls(parse_length, x) == 1
 
 
 class TestCanonicalModel:

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import ast
 import fractions
+import importlib
+import inspect
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -16,6 +18,7 @@ from tropcurve.randgen import random_class_respecting_function, random_curve, ra
 from conftest import rng_for
 
 SRC = Path(tropcurve.__file__).resolve().parent
+TESTS = Path(__file__).resolve().parent
 
 
 def _imported_names(node: ast.AST) -> list[str]:
@@ -231,3 +234,44 @@ def test_every_imported_name_is_used():
                     if name not in read:
                         unused.append(f"{path.name}: {name}")
     assert unused == []
+
+
+def _imported(module: str, name: str):
+    """What ``from module import name`` binds: a submodule, else an attribute."""
+    try:
+        return importlib.import_module(f"{module}.{name}")
+    except ModuleNotFoundError:
+        return getattr(importlib.import_module(module), name)
+
+
+def test_tests_patch_only_names_the_library_reads():
+    # A monkeypatch on a name that its module never reads changes nothing,
+    # so the test around it cannot fail.  For each monkeypatch.setattr of a
+    # tropcurve module, that module must load the name; for a tropcurve
+    # class, the class's module must read it as an attribute.
+    seen, unread = [], []
+    for path in sorted(TESTS.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        names = {alias.asname or alias.name: _imported(node.module, alias.name)
+                 for node in ast.walk(tree)
+                 if isinstance(node, ast.ImportFrom) and node.module
+                 and node.module.split(".")[0] == "tropcurve" for alias in node.names}
+        for node in ast.walk(tree):
+            if not (isinstance(node, ast.Call) and ast.unparse(node.func) == "monkeypatch.setattr"
+                    and isinstance(node.args[0], ast.Name) and node.args[0].id in names
+                    and isinstance(node.args[1], ast.Constant)):
+                continue
+            target, name = names[node.args[0].id], node.args[1].value
+            if inspect.ismodule(target):
+                source, kind, field = target, ast.Name, "id"
+            elif inspect.isclass(target):
+                source, kind, field = sys.modules[target.__module__], ast.Attribute, "attr"
+            else:
+                continue
+            where = f"{path.name}: {node.args[0].id}.{name}"
+            seen.append(where)
+            if not any(isinstance(n, kind) and getattr(n, field) == name
+                       and isinstance(n.ctx, ast.Load)
+                       for n in ast.walk(ast.parse(Path(source.__file__).read_text()))):
+                unread.append(where)
+    assert unread == [] and len(seen) >= 11, (unread, seen)

@@ -14,13 +14,14 @@ from tropcurve.morphism import (Localization, Morphism, MorphismReport, WeightRe
                                 germ_bump, localization_surjectivity, localize, pullback,
                                 validate_morphism, weight_check, weight_from_generators,
                                 weighted_local_image)
-from tropcurve.plfunction import PLFunction, _flat, _isolated_vertices, _normalize, chip_fire
+from tropcurve.plfunction import PLFunction, _flat, _isolated_vertices, chip_fire
 from tropcurve.randgen import random_curve, random_function, random_germ, random_point
 from tropcurve.selftest import suite_localization, suite_pullback
 from tropcurve.semifield import Germ
 from tropcurve.subgraph import point_subgraph
 
 from conftest import doubling, fraction_calls, identity_fn, rng_for, scaled_fn
+from test_profiles import _normalize
 
 
 class TestValidate:
@@ -450,9 +451,8 @@ def test_flat_edges_are_built_on_their_grid(tripod, segment3, monkeypatch):
     # constants built on their grid, and both results are built trusted, so
     # nothing is normalized.
     calls = []
-    normalize = plfunction._normalize
-    monkeypatch.setattr(plfunction, "_normalize",
-                        lambda *args: calls.append(args) or normalize(*args))
+    normal = plfunction._normal
+    monkeypatch.setattr(plfunction, "_normal", lambda *args: calls.append(args) or normal(*args))
     assert localization_surjectivity(tripod, tripod.pt_on_edge("a", Fraction(1, 2))).all_matched
     pt_curve = Curve.build(vertices=["P"])
     m = Morphism(segment3, pt_curve, {"A": "P", "B": "P"}, {"e": ("vertex", "P")}, {"e": 0})

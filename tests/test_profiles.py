@@ -38,7 +38,7 @@ from tropcurve.geometry import primitive
 from tropcurve.glue import GlueResult, glue, glue_function
 from tropcurve.morphism import Morphism, germ_bump, localize, pullback
 from tropcurve.plfunction import (Divisor, PLFunction, Profile, _affine, _combine2,
-                                  _isolated_vertices, _normalize, _pull, _slope_sum, _sweep,
+                                  _isolated_vertices, _normal, _pull, _slope_sum, _sweep,
                                   chip_fire, extend, is_harmonic_at, principal_divisor,
                                   pseudodirect_tuple, restrict_whole, split_components)
 from tropcurve.randgen import (random_class_respecting_function, random_curve, random_function,
@@ -47,7 +47,7 @@ from tropcurve.realization import Piece, RealizationMap, realize
 from tropcurve.semifield import common_scale, on_scale
 from tropcurve.subgraph import Subgraph, make_subgraph
 
-from conftest import doubling, fraction_calls, rng_for
+from conftest import doubling, fraction_calls, on_integer_grid, rng_for
 
 # -- reference code -------------------------------------------------------------
 
@@ -105,6 +105,12 @@ def ref_normalize(breaks, tail: int | None) -> Profile:
         else:
             break
     return Profile(tuple(out), tail)
+
+
+def _normalize(breaks, tail: int | None) -> Profile:
+    """The library's normalization, ``_normal``, of exact breakpoints put on
+    their grid by ``on_scale``: the kernel ``ref_normalize`` is checked against."""
+    return _normal(*on_scale(breaks), tail)
 
 
 def ref_values_at(p: Profile, offsets) -> list[Fraction]:
@@ -1053,6 +1059,30 @@ def test_kernel_results_equal_their_validated_rebuilds():
     assert min(seen.values()) >= 30 and len(seen) == 17, seen
 
 
+def test_a_raw_profile_reads_each_number_when_built():
+    # Profile(breaks, tail) reads each offset and value through ratio, as
+    # from_edge_data does: a float or a bool is refused with ratio's message,
+    # a literal string is read onto the grid, and any other string is a
+    # TropError.  The breakpoints it shows are Fractions from that grid.
+    with pytest.raises(TropError, match=r"^exact rational required, got float: 0\.5$"):
+        Profile(((0, 0.5), (1, 1.5)))
+    with pytest.raises(TropError, match="^exact rational required, got bool: True$"):
+        Profile(((0, 0), (True, 1)))
+    with pytest.raises(TropError, match="^exact rational required, got bool: False$"):
+        Profile(((0, False),), 1)
+    with pytest.raises(TropError, match="^not a rational literal: 'x'$"):
+        Profile(((0, "x"),))
+    breaks = (("0", "3/4"), ("1/2", "-1/4"))
+    p = Profile(breaks)
+    assert p.grid == (4, ((0, 3), (2, -1))) and on_integer_grid(p)
+    assert p == Profile(((0, Fraction(3, 4)), (Fraction(1, 2), Fraction(-1, 4))))
+    assert p == PLFunction.from_edge_data(Curve.segment(Fraction(1, 2)),
+                                          {"e": (breaks, None)}).profiles["e"]
+    assert repr(p) == ("Profile(((Fraction(0, 1), Fraction(3, 4)), "
+                       "(Fraction(1, 2), Fraction(-1, 4))), None)")
+    assert repr(Profile(((0, 1),), -2)) == "Profile(((Fraction(0, 1), Fraction(1, 1)),), -2)"
+
+
 def test_public_constructors_still_validate(segment3):
     path = Curve.build(vertices=["A"], edges=[("a", "A", "B", 1), ("b", "B", "C", 1)])
     zero, one = Fraction(0), Fraction(1)
@@ -1086,7 +1116,7 @@ def test_grid_and_fraction_profiles_are_one_value():
         c = curve_with_everything(rng) if rng.random() < 0.5 else random_curve(rng)
         f, g = random_function(c, rng), random_function(c, rng)
         for op, got in (("max", f.add(g)), ("add", f.mul(g)), ("min", f.inv().add(g.inv()).inv())):
-            assert all(p._breaks is None for p in got.profiles.values())
+            assert all(map(on_integer_grid, got.profiles.values()))
             want = PLFunction(c, {eid: ref_combine2(as_fractions(f.profiles[eid]),
                                                     as_fractions(g.profiles[eid]), op)
                                   for eid in c.edges}, got.isolated)
