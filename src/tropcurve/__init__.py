@@ -10,7 +10,7 @@ from .complexes import (BalanceReport, IntersectionPoint, PolyComplex1D, check_b
                         intersect)
 from .curve import INF, Curve, PointRef, canonical_model, disjoint_union
 from .errors import FileFormatError, NonTransversalError, TropError
-from .glue import Embedding, GlueResult, glue, glue_function
+from .glue import GlueResult, glue, glue_function
 from .hypersurface import plane_hypersurface
 from .morphism import (LatticeReport, Localization, Morphism, compose, germ_bump, localize,
                        localization_surjectivity, pullback, validate_morphism, weight_check,
@@ -24,6 +24,6 @@ from .realization import (BezoutReport, RealizationMap, bezout_check, check_real
                           harmonic_balance_report, realize)
 from .semifield import (NEG_INF, UNIT, Germ, TropPoly, TropValue, germ_generator_report, integer,
                         rat)
-from .subgraph import Subgraph, make_subgraph, point_subgraph, whole_subgraph
+from .subgraph import Embedding, Subgraph, make_subgraph, point_subgraph, whole_subgraph
 
 __all__ = [name for name in dir() if not name.startswith("_")]

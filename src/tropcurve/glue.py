@@ -8,28 +8,9 @@ from typing import Mapping
 
 from .curve import INF, Curve, EdgeDesc, PointRef, VertexInfo, connected_groups
 from .errors import TropError
-from .plfunction import PLFunction, Profile, _pull, edge_profile
+from .plfunction import PLFunction, Profile, _along, _pull, edge_profile
 from .semifield import common_scale, integer, on_scale, rat
-from .subgraph import SubChart, cut
-
-
-@dataclass(frozen=True)
-class Embedding:
-    """An injective local isometry of a shape curve into a target curve.
-
-    Every shape edge maps onto an interval of a single target edge:
-    ``edge_map[shape edge] = (target edge, start offset, orientation)`` with
-    orientation +1 or -1; infinite shape edges map with orientation +1 onto
-    the tail ``[start, inf]`` of an infinite target edge.
-    """
-
-    shape: Curve
-    vertex_map: Mapping[str, PointRef]
-    edge_map: Mapping[str, tuple[str, Fraction, int]]
-
-    def target_offset(self, shape_edge: str, t: Fraction) -> tuple[str, Fraction]:
-        eid, start, orient = self.edge_map[shape_edge]
-        return eid, start + orient * t
+from .subgraph import Embedding, cut
 
 
 def validate_embedding(emb: Embedding, target: Curve) -> None:
@@ -167,11 +148,11 @@ def glue(c1: Curve, c2: Curve, emb1: Embedding, emb2: Embedding) -> GlueResult:
     glued = Curve(vertices, edges,
                   {eid: least[label] for eid, label in labels.items() if eid not in edge_alias})
 
-    def point_map(k: str, c: Curve, chart: SubChart) -> PointMap:
+    def point_map(k: str, c: Curve, chart: Embedding) -> PointMap:
         vertex_map = {v: glued_vertex(k, v) for v in c.vertices}
         pieces: dict[str, list] = {eid: [] for eid in c.edges}
-        for piece, (eid, lo) in chart.edge_chart.items():
-            length = chart.sub.edges[piece].length
+        for piece, (eid, lo, _) in chart.edge_map.items():
+            length = chart.shape.edges[piece].length
             hi = INF if length is INF else lo + length
             geid, orient = edge_alias.get(f"{k}:{piece}", (f"{k}:{piece}", 1))
             # A reversed finite shape edge: rays map forward on both sides.
@@ -183,7 +164,7 @@ def glue(c1: Curve, c2: Curve, emb1: Embedding, emb2: Embedding) -> GlueResult:
                       shape, emb1, emb2)
 
 
-def _refine(c: Curve, emb: Embedding) -> tuple[Curve, SubChart]:
+def _refine(c: Curve, emb: Embedding) -> tuple[Curve, Embedding]:
     """c cut at the image of every shape vertex.
 
     The image of a shape edge runs between images of shape vertices, so it
@@ -204,11 +185,11 @@ def _refine(c: Curve, emb: Embedding) -> tuple[Curve, SubChart]:
 
 
 def _shape_images(emb: Embedding,
-                  chart: SubChart) -> tuple[dict[str, str], dict[str, tuple[str, int]]]:
+                  chart: Embedding) -> tuple[dict[str, str], dict[str, tuple[str, int]]]:
     """The vertex of the cut curve at each shape vertex, and the piece under
     each shape edge with the edge's orientation."""
-    at = {p: vid for vid, p in chart.vertex_points.items()}
-    piece = {place: pid for pid, place in chart.edge_chart.items()}
+    at = {p: vid for vid, p in chart.vertex_map.items()}
+    piece = {(eid, lo): pid for pid, (eid, lo, _) in chart.edge_map.items()}
     vertices = {vid: at[emb.vertex_map[vid]] for vid in emb.shape.vertices}
     edges = {}
     for eid, e in emb.shape.edges.items():
@@ -227,21 +208,22 @@ def glue_function(h1: PLFunction, h2: PLFunction, glued: GlueResult) -> PLFuncti
         witness = next(iter(glued.emb1.vertex_map.values()))
         raise TropError(f"functions disagree on the glued subgraph at {witness}: "
                         f"one side is -inf")
-    # Compare along every shape edge and at every shape vertex.
-    for vid in glued.shape.vertices:
-        if glued.shape.vertices[vid].at_infinity:
+    # Read both sides along their embeddings; compare at every shape vertex,
+    # then along every shape edge.
+    shape = glued.shape
+    s1 = _along(h1, shape, glued.emb1.edge_map, glued.emb1.vertex_map.get)
+    s2 = _along(h2, shape, glued.emb2.edge_map, glued.emb2.vertex_map.get)
+    for vid, info in shape.vertices.items():
+        if info.at_infinity:
             continue
-        p1, p2 = glued.emb1.vertex_map[vid], glued.emb2.vertex_map[vid]
-        if h1.value_at(p1) != h2.value_at(p2):
-            raise TropError(f"functions disagree on the glued subgraph at {p1} "
-                            f"({h1.value_at(p1)} vs {h2.value_at(p2)})")
-    for eid, e in glued.shape.edges.items():
-        (t1, a1, o1), (t2, a2, o2) = glued.emb1.edge_map[eid], glued.emb2.edge_map[eid]
-        s1 = _pull(edge_profile(h1, t1), a1, e.length, o1)
-        s2 = _pull(edge_profile(h2, t2), a2, e.length, o2)
-        if s1 != s2:
-            off = _first_difference(s1, s2)
-            tgt, toff = glued.emb1.target_offset(eid, off)
+        v1, v2 = s1.value_at(shape.pt_vertex(vid)), s2.value_at(shape.pt_vertex(vid))
+        if v1 != v2:
+            raise TropError(f"functions disagree on the glued subgraph at "
+                            f"{glued.emb1.vertex_map[vid]} ({v1} vs {v2})")
+    for eid in shape.edges:
+        p1, p2 = s1.profiles[eid], s2.profiles[eid]
+        if p1 != p2:
+            tgt, toff = glued.emb1.target_offset(eid, _first_difference(p1, p2))
             raise TropError(f"functions disagree on the glued subgraph at "
                             f"{glued.map1.source.pt_on_edge(tgt, toff)}")
     profiles = {}

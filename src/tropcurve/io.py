@@ -14,11 +14,10 @@ from json.encoder import encode_basestring_ascii
 from .complexes import PolyComplex1D
 from .curve import INF, Curve, PointRef
 from .errors import FileFormatError, TropError
-from .glue import Embedding
 from .morphism import Morphism
 from .plfunction import Divisor, PLFunction, _gridded, edge_profile
 from .semifield import TropPoly, integer, rat, ratio, ratio_str, ratios_on_scale
-from .subgraph import Subgraph, make_subgraph
+from .subgraph import Embedding, Subgraph, make_subgraph
 
 
 def _load_json(text: str):

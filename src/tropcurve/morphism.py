@@ -10,8 +10,7 @@ from typing import Mapping, Sequence
 
 from .curve import Curve, PointRef
 from .errors import TropError
-from .plfunction import (PLFunction, Profile, _flat, _gridded, _isolated_vertices, _kept, _pull,
-                         edge_profile)
+from .plfunction import PLFunction, _along, _gridded, _kept, edge_profile
 from .semifield import Germ, common_scale, integer, on_scale
 
 
@@ -146,26 +145,13 @@ def _check(m: Morphism) -> tuple[MorphismReport, dict]:
 
 
 def pullback(m: Morphism, f_target: PLFunction) -> PLFunction:
-    """Compose a function on the target with the morphism, exactly: each edge
-    reads its image's profile with ``_pull`` at its kept placement, as
-    ``glue_function`` reads an embedding's (a ray never maps reversed)."""
+    """Compose a function on the target with the morphism, exactly: f_target
+    read along the kept placements by ``_along``, as a restriction is read
+    along its chart (a ray never maps reversed)."""
     places = _places(m)
     if f_target.curve != m.target:
         raise TropError("function does not live on the morphism target")
-    if f_target.is_neg_inf:
-        return PLFunction.neg_inf(m.source)
-    src = m.source
-    profiles: dict[str, Profile] = {}
-    for eid, e in src.edges.items():
-        p = places[eid]
-        if isinstance(p, str):
-            profiles[eid] = _flat(e, f_target.value_at(m.target.pt_vertex(p)))
-        else:
-            t, start, orient, k = p
-            profiles[eid] = _pull(edge_profile(f_target, t), start, e.length, orient, k)
-    isolated = {vid: f_target.value_at(m.target.pt_vertex(m.vertex_map[vid]))
-                for vid in _isolated_vertices(src)}
-    return PLFunction._trusted(src, profiles, isolated)
+    return _along(f_target, m.source, places, lambda v: m.target.pt_vertex(m.vertex_map[v]))
 
 
 def compose(outer: Morphism, inner: Morphism) -> Morphism:

@@ -13,7 +13,7 @@ function equality compares integers and the integers do not grow from one
 operation to the next.  A function file is read straight onto grids, and a
 principal divisor's points are made from grid pairs.  ``Fraction``s are
 built only where a value or an image point is handed out, or a point's
-offset is read.
+offset is read.  ``_along`` reads a function along any map into its curve.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from .curve import INF, Curve, EdgeDesc, PointRef
 from .errors import InternalError, TropError
 from .semifield import (TropValue, common_scale, integer, least_scale, on_scale, place, rat, ratio,
                         ratio_str, ratios_on_scale)
-from .subgraph import Subgraph, SubChart
+from .subgraph import Embedding, Subgraph
 
 
 class Profile:
@@ -48,9 +48,12 @@ class Profile:
 
     def __init__(self, breaks: Iterable[tuple], tail: int | None = None):
         ratios = []
-        for o, v in breaks:
-            ratios.append(ratio(o))
-            ratios.append(ratio(v))
+        try:
+            for o, v in breaks:
+                ratios.append(ratio(o))
+                ratios.append(ratio(v))
+        except (TypeError, ValueError):
+            raise _NotPairs("breakpoints are (offset, value) pairs") from None
         self.grid, self.tail = ratios_on_scale(ratios, 2), tail
 
     def __getattr__(self, name):  # only the unset lazy slot comes here
@@ -113,6 +116,10 @@ class Profile:
         if 0 < k < len(g):
             return _grid_slopes(g[k - 1:k + 1])[0]
         raise TropError(f"no piece left of {t}")
+
+
+class _NotPairs(TropError):
+    """Breakpoints that are not (offset, value) pairs; ``from_edge_data`` names their edge."""
 
 
 def _gridded(d: int, g: Sequence[tuple[int, int]], tail: int | None) -> Profile:
@@ -329,8 +336,12 @@ class PLFunction:
             if isinstance(entry, Profile):
                 profiles[eid] = entry
             else:
-                breaks, tail = entry
-                profiles[eid] = Profile(breaks, tail)
+                try:
+                    breaks, tail = entry
+                    profiles[eid] = Profile(breaks, tail)
+                except (TypeError, ValueError, _NotPairs):
+                    raise TropError(f"edge {eid!r}: data is (breakpoints, tail), "
+                                    f"the breakpoints (offset, value) pairs") from None
         return PLFunction(curve, profiles, isolated)
 
     def _validate(self):
@@ -787,19 +798,31 @@ def restrict(f: PLFunction, g: Subgraph) -> tuple[PLFunction, ...]:
     return split_components(whole)
 
 
-def restrict_whole(f: PLFunction, g: Subgraph) -> tuple[PLFunction, SubChart]:
-    """Restriction of f to g as a single function on the subgraph curve."""
+def restrict_whole(f: PLFunction, g: Subgraph) -> tuple[PLFunction, Embedding]:
+    """Restriction of f to g on the subgraph curve, read along g's chart, and the chart."""
     if f.curve != g.curve:
         raise TropError("function and subgraph on different curves")
     sub, chart = g.as_curve()
+    return _along(f, sub, chart.edge_map, chart.vertex_map.get), chart
+
+
+def _along(f: PLFunction, source: Curve, places: Mapping[str, "tuple | str"], at) -> PLFunction:
+    """f∘φ for a map φ of ``source`` into f's curve: ``places[edge]`` is a source
+    edge's ``(target edge, start, orientation[, degree])``, read by ``_pull``, or
+    the target vertex it collapses to, and ``at(vertex)`` is an isolated source
+    vertex's image.  Restriction, pullback and gluing all read functions here."""
     if f.profiles is None:
-        return PLFunction.neg_inf(sub), chart
+        return PLFunction.neg_inf(source)
     profiles = {}
-    for eid, e in sub.edges.items():
-        parent_edge, start = chart.edge_chart[eid]
-        profiles[eid] = _pull(edge_profile(f, parent_edge), start, e.length)
-    iso = {vid: f.value_at(chart.vertex_points[vid]) for vid in _isolated_vertices(sub)}
-    return PLFunction._trusted(sub, profiles, iso), chart
+    for eid, e in source.edges.items():
+        p = places[eid]
+        if isinstance(p, str):
+            profiles[eid] = _flat(e, f.value_at(f.curve.pt_vertex(p)))
+        else:
+            t, start, *rest = p
+            profiles[eid] = _pull(edge_profile(f, t), start, e.length, *rest)
+    isolated = {vid: f.value_at(at(vid)) for vid in _isolated_vertices(source)}
+    return PLFunction._trusted(source, profiles, isolated)
 
 
 def split_components(f: PLFunction) -> tuple[PLFunction, ...]:
@@ -865,7 +888,7 @@ def extend(f_prime: PLFunction, g: Subgraph, s: int) -> PLFunction:
         raise TropError(f"function violates the subgraph ray classes: {witness}")
 
     # Slope at infinity required on each ray class of the parent curve.
-    class_slopes = {c.ray_classes[chart.edge_chart[sub_eid][0]]: f_prime.profiles[sub_eid].tail
+    class_slopes = {c.ray_classes[chart.edge_map[sub_eid][0]]: f_prime.profiles[sub_eid].tail
                     for sub_eid in sub.ray_classes}
 
     # Everything is read on the subgraph's scale D (``Subgraph._scaled``),
@@ -876,9 +899,9 @@ def extend(f_prime: PLFunction, g: Subgraph, s: int) -> PLFunction:
     tops = {vid: _grid_value(f_prime, vid) for vid in c.vertices}
     lone = {(p.edge, place(D, p.offset)[0]): _grid_value(f_prime, svid)
             for svid in _isolated_vertices(sub)
-            if (p := chart.vertex_points[svid]).kind == "on_edge"}
+            if (p := chart.vertex_map[svid]).kind == "on_edge"}
     names: dict[str, list[str]] = {}  # parent edge -> its pieces in sub, in interval order
-    for sub_eid, (eid, _) in chart.edge_chart.items():
+    for sub_eid, (eid, _, _) in chart.edge_map.items():
         names.setdefault(eid, []).append(sub_eid)
 
     profiles: dict[str, Profile] = {}

@@ -305,27 +305,28 @@ def fit_tropical_polynomial(K: PolyComplex1D) -> TropPoly:
     if K.edge_count() > 32:
         raise TropError("more than 32 edges; out of the supported desk scale")
 
-    terms = _region_terms(K)
+    L, terms = _region_terms(K)
     min_x = min(e[0] for e in terms)
     min_y = min(e[1] for e in terms)
     top = max(terms.values())
-    shifted = {(e[0] - min_x, e[1] - min_y): coef - top for e, coef in terms.items()}
+    shifted = {(e[0] - min_x, e[1] - min_y): Fraction(coef - top, L) for e, coef in terms.items()}
     F = TropPoly.of(2, shifted)
     if plane_hypersurface(F).canonical() != K:
         raise InternalError("fitted polynomial fails verification")
     return F
 
 
-def _region_terms(K: PolyComplex1D) -> dict[tuple[int, int], Fraction]:
-    """Exponent and coefficient of every complement region of a connected complex.
+def _region_terms(K: PolyComplex1D) -> tuple[int, dict[tuple[int, int], int]]:
+    """(L, exponent -> coefficient times L) of every region of a connected complex.
 
     The outgoing edges at each vertex (both directions of a segment, and
     the rays) are sorted counterclockwise.  The sector after edge i -> j at
     i is the sector before edge j -> i at j, so a walk from vertex 0 reaches
-    every region; balancing closes the turn around each vertex.
+    every region; balancing closes the turn around each vertex.  The walk
+    reads the vertices times their scale L, so every coefficient is an integer.
     """
     rings: list[list[tuple[tuple[int, int], int, int | None]]] = [[] for _ in K.vertices]
-    _, P = on_scale(K.vertices)
+    L, P = on_scale(K.vertices)
     for i, j, w in K.segments:
         d = primitive(vsub(P[j], P[i]))
         rings[i].append((d, w, j))
@@ -335,16 +336,16 @@ def _region_terms(K: PolyComplex1D) -> dict[tuple[int, int], Fraction]:
     for ring in rings:
         ring.sort(key=functools.cmp_to_key(lambda a, b: _angle_cmp(a[0], b[0])))
     position = {(i, j): k for i, ring in enumerate(rings) for k, (_, _, j) in enumerate(ring)}
-    terms: dict[tuple[int, int], Fraction] = {}
+    terms: dict[tuple[int, int], int] = {}
     seen: set[int] = set()
-    # (vertex, k, exponent, coefficient) of the sector after edge k at the vertex
-    stack = [(0, 0, (0, 0), Fraction(0))]
+    # (vertex, k, exponent, coefficient times L) of the sector after edge k at the vertex
+    stack = [(0, 0, (0, 0), 0)]
     while stack:
         i, k, e, c = stack.pop()
         if i in seen:
             continue
         seen.add(i)
-        ring, (x, y) = rings[i], K.vertices[i]
+        ring, (x, y) = rings[i], P[i]
         for _ in ring:
             terms[e] = c
             j = ring[k][2]
@@ -354,7 +355,7 @@ def _region_terms(K: PolyComplex1D) -> dict[tuple[int, int], Fraction]:
             (dx, dy), w, _ = ring[k]
             c += w * dy * x - w * dx * y  # continuity at (x, y)
             e = (e[0] - w * dy, e[1] + w * dx)
-    return terms
+    return L, terms
 
 
 def _angle_cmp(d1, d2) -> int:

@@ -1,4 +1,5 @@
-"""Closed subsets of a curve with finitely many components."""
+"""Closed subsets of a curve with finitely many components, and ``Embedding``,
+one curve placed edge by edge in another: a subgraph's chart is one."""
 
 from __future__ import annotations
 
@@ -11,6 +12,26 @@ from .errors import TropError
 from .semifield import common_scale, on_scale, rat, ratio_str
 
 Interval = tuple[Fraction, "Fraction | float"]  # closed [lo, hi], hi may be INF
+
+
+@dataclass(frozen=True)
+class Embedding:
+    """An injective local isometry of a shape curve into a target curve.
+
+    Every shape edge maps onto an interval of a single target edge:
+    ``edge_map[shape edge] = (target edge, start offset, orientation)`` with
+    orientation +1 or -1; infinite shape edges map with orientation +1 onto
+    the tail ``[start, inf]`` of an infinite target edge.  A subgraph's chart
+    is one, and ``plfunction._along`` reads a function through any of them.
+    """
+
+    shape: Curve
+    vertex_map: Mapping[str, PointRef]
+    edge_map: Mapping[str, tuple[str, Fraction, int]]
+
+    def target_offset(self, shape_edge: str, t: Fraction) -> tuple[str, Fraction]:
+        eid, start, orient = self.edge_map[shape_edge]
+        return eid, start + orient * t
 
 
 @dataclass(frozen=True)
@@ -51,14 +72,15 @@ class Subgraph:
 
     # -- the subgraph as a curve in its own right ------------------------------
 
-    def as_curve(self) -> tuple[Curve, "SubChart"]:
-        """The subgraph as a curve, with a chart back to the parent.
+    def as_curve(self) -> tuple[Curve, Embedding]:
+        """The subgraph as a curve, with its chart: the ``Embedding`` of that
+        curve into the parent.
 
         The subgraph is cut once: every call returns the same curve and
         chart, which callers share and must not change.  They are kept
         outside the dataclass fields, so equality, hash and repr ignore them.
-        The chart lists one piece per interval of positive length, in the
-        order of ``intervals``.
+        The chart's ``edge_map`` lists one piece per interval of positive
+        length, in the order of ``intervals``, each read forward.
         """
         made = self.__dict__.get("_cut")
         if made is None:
@@ -110,24 +132,8 @@ class Subgraph:
         return {v: Fraction(dist[v], D) if v in dist else INF for v in self.curve.vertices}
 
 
-@dataclass(frozen=True)
-class SubChart:
-    """Coordinates of a subgraph-as-curve inside its parent curve."""
-
-    parent: Curve
-    sub: Curve
-    vertex_points: Mapping[str, PointRef]
-    edge_chart: Mapping[str, tuple[str, Fraction]]  # sub edge -> (parent edge, parent offset of 0)
-
-    def parent_point(self, p: PointRef) -> PointRef:
-        if p.kind == "vertex":
-            return self.vertex_points[p.vertex]
-        eid, start = self.edge_chart[p.edge]
-        return self.parent.pt_on_edge(eid, start + p.offset)
-
-
 def cut(c: Curve, vertices: Iterable[str], D: int,
-        pieces: Iterable[tuple[str, int, int | None]]) -> tuple[Curve, SubChart]:
+        pieces: Iterable[tuple[str, int, int | None]]) -> tuple[Curve, Embedding]:
     """The curve made of some vertices of ``c`` and some pieces of its edges.
 
     A piece ``(edge, lo, hi)`` is a closed interval in edge coordinates, its
@@ -139,14 +145,14 @@ def cut(c: Curve, vertices: Iterable[str], D: int,
     class label.  When the parent already has a vertex or an edge of that
     name, primes (``'``) are appended until the name is free: the chart, not
     the name, says where a point lies.  No other code names a cut point or a
-    piece.
+    piece.  The chart maps each piece forward from its start.
     """
     L, lengths = c._length_scale()
     ends = {eid: n * (D // L) for eid, n in lengths.items()}  # each finite edge's end on D
-    vertex_points: dict[str, PointRef] = {vid: c.pt_vertex(vid) for vid in vertices}
+    vertex_map: dict[str, PointRef] = {vid: c.pt_vertex(vid) for vid in vertices}
     cut_names: dict[str, str] = {}  # generated name -> the name it was given
     edges: list[EdgeDesc] = []
-    edge_chart: dict[str, tuple[str, Fraction]] = {}
+    edge_map: dict[str, tuple[str, Fraction, int]] = {}
     ray_classes: dict[str, str] = {}
 
     def vertex_at(e: EdgeDesc, x: int | None) -> str:
@@ -162,10 +168,10 @@ def cut(c: Curve, vertices: Iterable[str], D: int,
                 while vid in c.vertices:
                     vid += "'"
                 cut_names[name] = vid
-                vertex_points[vid] = PointRef._on_edge(e.id, x, D)
+                vertex_map[vid] = PointRef._on_edge(e.id, x, D)
             return vid
-        if vid not in vertex_points:
-            vertex_points[vid] = c.pt_vertex(vid)
+        if vid not in vertex_map:
+            vertex_map[vid] = c.pt_vertex(vid)
         return vid
 
     for eid, lo, hi in pieces:
@@ -182,12 +188,12 @@ def cut(c: Curve, vertices: Iterable[str], D: int,
             while sub_id in c.edges:
                 sub_id += "'"
         edges.append(EdgeDesc(sub_id, u, v, INF if tail else Fraction(hi - lo, D)))
-        edge_chart[sub_id] = (eid, Fraction(lo, D))
+        edge_map[sub_id] = (eid, Fraction(lo, D), 1)
         if tail:
             ray_classes[sub_id] = c.ray_classes[eid]
 
-    sub = Curve([c.vertices.get(vid) or VertexInfo(vid) for vid in vertex_points], edges, ray_classes)
-    return sub, SubChart(c, sub, vertex_points, edge_chart)
+    sub = Curve([c.vertices.get(vid) or VertexInfo(vid) for vid in vertex_map], edges, ray_classes)
+    return sub, Embedding(sub, vertex_map, edge_map)
 
 
 def _merge_intervals(ivs: Iterable[Interval]) -> list[Interval]:

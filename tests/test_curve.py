@@ -11,7 +11,8 @@ from hypothesis import strategies as st
 from tropcurve.curve import (INF, Curve, EdgeDesc, PointRef, VertexInfo, canonical_model,
                              disjoint_union, parse_length)
 from tropcurve.errors import TropError
-from tropcurve.glue import Embedding, glue, validate_embedding
+from tropcurve.glue import Embedding, glue, glue_function, validate_embedding
+from tropcurve.randgen import random_curve, random_function, random_point, random_subgraph
 from tropcurve.selftest import suite_canonical_model, suite_metric
 from tropcurve.subgraph import make_subgraph, point_subgraph, whole_subgraph
 
@@ -239,15 +240,18 @@ class TestSubgraph:
         assert g.vertices == frozenset() and g.intervals == (("l", ((3, 5),)),)
         assert g.component_count() == 1 and g.contains_point(c.pt_on_edge("l", 4))
         sub, chart = g.as_curve()
-        assert list(sub.edges) == ["l[3,5]"] and chart.edge_chart["l[3,5]"] == ("l", 3)
+        assert list(sub.edges) == ["l[3,5]"] and chart.edge_map["l[3,5]"] == ("l", 3, 1)
         assert g.distance_map() == {"P": 3}
         assert point_subgraph(c, c.pt_on_edge("l", 4)).intervals == (("l", ((4, 4),)),)
 
     def test_as_curve_chart(self, segment3):
         g = make_subgraph(segment3, intervals=[("e", 1, 2)])
         sub, chart = g.as_curve()
-        p = chart.parent_point(sub.pt_on_edge("e[1,2]", Fraction(1, 2)))
+        p = segment3.pt_on_edge(*chart.target_offset("e[1,2]", Fraction(1, 2)))
         assert p == segment3.pt_on_edge("e", Fraction(3, 2))
+        assert chart.shape is sub and chart.edge_map == {"e[1,2]": ("e", 1, 1)}
+        assert chart.vertex_map == {"e@1": segment3.pt_on_edge("e", 1),
+                                    "e@2": segment3.pt_on_edge("e", 2)}
 
     def test_a_subgraph_is_cut_once(self, segment3, monkeypatch):
         from tropcurve import subgraph
@@ -278,15 +282,14 @@ class TestSubgraph:
         c = Curve.build(vertices=["A", "B", "e@1"],
                         edges=[("e", "A", "B", 3), ("f", "B", "e@1", 1)])
         sub, chart = make_subgraph(c, intervals=[("e", 1, 2)]).as_curve()
-        assert {v: chart.parent_point(sub.pt_vertex(v)) for v in sub.vertices} == {
-            "e@1'": c.pt_on_edge("e", 1), "e@2": c.pt_on_edge("e", 2)}
+        assert chart.vertex_map == {"e@1'": c.pt_on_edge("e", 1), "e@2": c.pt_on_edge("e", 2)}
         assert sub.edges["e[1,2]"].u == "e@1'"
 
     def test_piece_named_like_a_parent_edge(self):
         c = Curve.build(vertices=["A", "B", "C", "D"],
                         edges=[("e", "A", "B", 3), ("e[1,2]", "C", "D", 1)])
         sub, chart = make_subgraph(c, edges=["e[1,2]"], intervals=[("e", 1, 2)]).as_curve()
-        assert chart.edge_chart == {"e[1,2]'": ("e", 1), "e[1,2]": ("e[1,2]", 0)}
+        assert chart.edge_map == {"e[1,2]'": ("e", 1, 1), "e[1,2]": ("e[1,2]", 0, 1)}
         assert sub.edges["e[1,2]'"].length == 1
 
 
@@ -428,3 +431,29 @@ class TestGlue:
                    Embedding(shp, {"W": r2.pt_vertex("Q2"), "L.inf": r2.pt_infinity_of("rayB")},
                              {"L": ("rayB", Fraction(0), 1)}))
         assert len(set(res.curve.description()["ray_classes"].values())) == 1
+
+    def test_a_subgraph_chart_is_an_embedding(self):
+        # A subgraph's chart is an Embedding of its cut curve: it validates,
+        # and gluing a curve to itself along it welds a function with itself,
+        # which the glued curve reads back through both point maps.  Charts of
+        # cuts that keep a whole loop are skipped: an embedding's shape is loopless.
+        rng = rng_for("chart-embedding")
+        draws, kept = 300, 0
+        for _ in range(draws):
+            c = random_curve(rng)
+            sub, chart = random_subgraph(c, rng).as_curve()
+            if any(e.is_loop for e in sub.edges.values()):
+                continue
+            kept += 1
+            assert validate_embedding(chart, c) is None
+            res = glue(c, c, chart, chart)
+            f = random_function(c, rng)
+            welded = glue_function(f, f, res)
+            for _ in range(4):
+                p = random_point(c, rng, finite=False)
+                assert welded.value_at(res.map1.point(p)) == f.value_at(p), (c, chart, p)
+                assert welded.value_at(res.map2.point(p)) == f.value_at(p), (c, chart, p)
+            with pytest.raises(TropError, match="functions disagree on the glued subgraph"):
+                glue_function(f, f.scale(1), res)
+        print(f"{draws - kept} of {draws} cuts kept a loop and were skipped")
+        assert kept >= 200, f"only {kept} of {draws} cuts were loopless"

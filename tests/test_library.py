@@ -197,23 +197,32 @@ def test_library_results_are_built_trusted():
 
 
 def test_edge_maps_read_profiles_through_pull():
-    # Restriction, pullback and gluing each read a profile along an edge map
-    # with plfunction._pull, which puts the start and the length on the
-    # profile's grid; none of them adds an edge length to an offset itself.
-    found, pulls = [], set()
+    # Restriction, pullback and gluing each read a function along an edge map
+    # with plfunction._along, whose _pull puts the start and the length on the
+    # profile's grid.  The one other _pull is glue_function's weld, after its
+    # two _along reads; none of them adds an edge length to an offset itself.
+    tops = {}
     for name, func in (("plfunction.py", "restrict_whole"), ("morphism.py", "pullback"),
-                       ("glue.py", "glue_function")):
-        (top,) = [top for top in ast.parse((SRC / name).read_text()).body
-                  if isinstance(top, ast.FunctionDef) and top.name == func]
+                       ("glue.py", "glue_function"), ("plfunction.py", "_along")):
+        (tops[func],) = [top for top in ast.parse((SRC / name).read_text()).body
+                         if isinstance(top, ast.FunctionDef) and top.name == func]
+    found, calls = [], {}
+    for func, top in tops.items():
         for node in ast.walk(top):
             if isinstance(node, ast.BinOp) and isinstance(node.op, (ast.Add, ast.Sub)) \
                     and any(isinstance(x, ast.Attribute) and x.attr == "length"
                             for x in (node.left, node.right)):
                 found.append(f"{func}: {ast.unparse(node)}")
-            if isinstance(node, ast.Call) and ast.unparse(node.func) == "_pull":
-                pulls.add(func)
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
+                calls.setdefault((func, node.func.id), []).append(node.lineno)
     assert found == []
-    assert pulls == {"restrict_whole", "pullback", "glue_function"}
+    assert {func for func, callee in calls if callee == "_along"} == {
+        "restrict_whole", "pullback", "glue_function"}
+    assert sorted(_callers("_pull")) == ["glue.py: glue_function", "plfunction.py: _along"]
+    (weld,) = calls["glue_function", "_pull"]
+    assert len(calls["glue_function", "_along"]) == 2 and weld > max(calls["glue_function", "_along"])
+    assert not [node for func in ("restrict_whole", "pullback") for node in ast.walk(tops[func])
+                if isinstance(node, (ast.For, ast.comprehension))]
 
 
 def test_every_imported_name_is_used():

@@ -384,10 +384,10 @@ def ref_extend(f_prime: PLFunction, g: Subgraph, s: int) -> PLFunction:
     ok, witness = f_prime.respects_ray_classes()
     if not ok:
         raise TropError(f"function violates the subgraph ray classes: {witness}")
-    class_slopes = {c.ray_classes[chart.edge_chart[sub_eid][0]]: f_prime.profiles[sub_eid].tail
+    class_slopes = {c.ray_classes[chart.edge_map[sub_eid][0]]: f_prime.profiles[sub_eid].tail
                     for sub_eid in sub.ray_classes}
-    sub_vertex = {ppoint: svid for svid, ppoint in chart.vertex_points.items()}
-    sub_edge = {parent: sub_eid for sub_eid, parent in chart.edge_chart.items()}
+    sub_vertex = {ppoint: svid for svid, ppoint in chart.vertex_map.items()}
+    sub_edge = {(eid, start): sub_eid for sub_eid, (eid, start, _) in chart.edge_map.items()}
 
     def height(p: PointRef) -> Fraction:
         svid = sub_vertex.get(p)
@@ -1081,6 +1081,21 @@ def test_a_raw_profile_reads_each_number_when_built():
     assert repr(p) == ("Profile(((Fraction(0, 1), Fraction(3, 4)), "
                        "(Fraction(1, 2), Fraction(-1, 4))), None)")
     assert repr(Profile(((0, 1),), -2)) == "Profile(((Fraction(0, 1), Fraction(1, 1)),), -2)"
+
+
+def test_malformed_edge_data_names_its_edge():
+    # An entry that is not (breakpoints, tail), or a breakpoint that is not
+    # an (offset, value) pair, is a TropError naming the edge, not Python's
+    # unpacking error; a raw Profile refuses a non-pair as a TropError too.
+    seg = Curve.segment(3)
+    named = r"^edge 'e': data is \(breakpoints, tail\), the breakpoints \(offset, value\) pairs$"
+    for entry in ([(0, 0), (3, 0)], ([(0,)], None), ([(0, 0, 0)], None), 5):
+        with pytest.raises(TropError, match=named):
+            PLFunction.from_edge_data(seg, {"e": entry})
+    with pytest.raises(TropError, match=r"^breakpoints are \(offset, value\) pairs$"):
+        Profile(((0,),))
+    with pytest.raises(TropError, match="^not a rational literal: 'x'$"):
+        PLFunction.from_edge_data(seg, {"e": ([(0, "x")], None)})
 
 
 def test_public_constructors_still_validate(segment3):

@@ -16,14 +16,14 @@ from tropcurve.hypersurface import plane_hypersurface
 from tropcurve.plfunction import PLFunction, chip_fire
 from tropcurve.randgen import (CONIC_POLY, DOUBLE_LINE_POLY, LINE_POLY, complex_library,
                                random_plane_poly)
-from tropcurve.realization import (RealizationReport, bezout_check, check_realization,
-                                   curve_from_complex, fit_tropical_polynomial,
+from tropcurve.realization import (RealizationReport, _region_terms, bezout_check,
+                                   check_realization, curve_from_complex, fit_tropical_polynomial,
                                    harmonic_balance_report, realize)
 from tropcurve.selftest import suite_complex_round_trip, suite_fit, suite_intersections
-from tropcurve.semifield import TropPoly
+from tropcurve.semifield import TropPoly, on_scale
 from tropcurve.subgraph import point_subgraph
 
-from conftest import identity_fn, rng_for, scaled_fn
+from conftest import fraction_calls, identity_fn, rng_for, scaled_fn
 
 
 class TestRealize:
@@ -219,6 +219,19 @@ class TestFit:
         F1 = fit_tropical_polynomial(K)
         F2 = fit_tropical_polynomial(K.translate((Fraction(7, 3), -1)))
         assert {e for e, _ in F1.terms} == {e for e, _ in F2.terms}
+
+    def test_regions_are_walked_on_the_integer_scale(self):
+        # _region_terms reads the vertices onto their scale once (on_scale)
+        # and walks every region in integers times that scale: it makes no
+        # fractions call beyond that read.
+        K = plane_hypersurface(CONIC_POLY).translate((Fraction(7, 3), Fraction(-1, 2))).canonical()
+        assert any(type(x) is Fraction for v in K.vertices for x in v)
+        assert fraction_calls(_region_terms, K) == fraction_calls(on_scale, K.vertices) > 0
+        L, terms = _region_terms(K)
+        assert L == 6 and all(type(c) is int for c in terms.values())
+        top = max(terms.values())
+        assert sorted(c for _, c in fit_tropical_polynomial(K).terms) == sorted(
+            Fraction(c - top, L) for c in terms.values())
 
     def test_normalization(self):
         # The largest coefficient is 0 and the Newton polygon touches both axes.
