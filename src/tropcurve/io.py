@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
+from itertools import chain
 from json.encoder import encode_basestring_ascii
 
 from .complexes import PolyComplex1D
@@ -16,7 +17,7 @@ from .curve import INF, Curve, PointRef
 from .errors import FileFormatError, TropError
 from .morphism import Morphism
 from .plfunction import Divisor, PLFunction, _gridded, edge_profile
-from .semifield import TropPoly, integer, rat, ratio, ratio_str, ratios_on_scale
+from .semifield import TropPoly, integer, rat, ratio, ratio_pairs, ratio_str, ratios_on_scale
 from .subgraph import Embedding, Subgraph, make_subgraph
 
 
@@ -176,22 +177,53 @@ def subgraph_from_json(c: Curve, text: str) -> Subgraph:
 # -- functions -----------------------------------------------------------------------
 
 
+_ISOLATED = "values_at_vertices"  # the function file's key for the isolated vertices' values
+
+
 def function_to_json(f: PLFunction) -> str:
+    """The bytes of ``json.dumps(data, indent=2)``, written as text from each edge's
+    grid: one ``ratio_str`` per number, edge ids through ``json``'s string encoder."""
     if f.is_neg_inf:
         return json.dumps("-inf") + "\n"
-    data: dict = {}
+    if f.isolated and _ISOLATED in f.curve.edges:
+        raise TropError(f"edge {_ISOLATED!r} clashes with the key of the isolated vertices' "
+                        f"values: this function has no function file")
+    entries = []
     for eid in sorted(f.curve.edges):
-        e = f.curve.edges[eid]
         prof = edge_profile(f, eid)
         d, g = prof.grid
-        entry: dict = {"breakpoints": [[ratio_str(o, d), ratio_str(v, d)] for o, v in g]}
-        if e.is_infinite:
-            entry["slope_at_infinity"] = prof.tail
-        data[eid] = entry
-    iso = {vid: str(v) for vid, v in sorted(f.isolated.items())}
-    if iso:
-        data["values_at_vertices"] = iso
-    return _dumps(data) + "\n"
+        pairs = ",\n      ".join([f'[\n        "{ratio_str(o, d)}",\n'
+                                  f'        "{ratio_str(v, d)}"\n      ]' for o, v in g])
+        tail = f',\n    "slope_at_infinity": {prof.tail}' if f.curve.edges[eid].is_infinite else ""
+        entries.append(f'{encode_basestring_ascii(eid)}: {{\n    "breakpoints": [\n      {pairs}\n'
+                       f'    ]{tail}\n  }}')
+    if f.isolated:
+        iso = {vid: str(v) for vid, v in sorted(f.isolated.items())}
+        entries.append(f'"{_ISOLATED}": ' + _dumps(iso, "\n  "))
+    return "{\n  " + ",\n  ".join(entries) + "\n}\n"  # a curve has an edge or an isolated vertex
+
+
+def _breakpoint_ratios(eid: str, breakpoints) -> list[tuple[int, int]]:
+    """offset, value, offset, ...: the numbers of an edge's breakpoints as (n, d) pairs.
+
+    [offset, value] lists are read in one pass by ``ratio_pairs``.  Any other
+    shape, or a number it rejects, is read one number at a time, so a file is
+    rejected at its first bad number with that number's message.
+    """
+    if type(breakpoints) is list and {*map(type, breakpoints)} == {list} \
+            and {*map(len, breakpoints)} == {2}:
+        try:
+            return ratio_pairs([*chain.from_iterable(breakpoints)])
+        except TropError:
+            pass
+    ratios = []
+    try:
+        for o, v in breakpoints:
+            ratios.append(_ratio(o, "offset"))
+            ratios.append(_ratio(v, "value"))
+    except (TypeError, ValueError) as exc:
+        raise FileFormatError(f"edge {eid!r}: breakpoints are [offset, value] pairs") from exc
+    return ratios
 
 
 def function_from_json(c: Curve, text: str) -> PLFunction:
@@ -199,19 +231,15 @@ def function_from_json(c: Curve, text: str) -> PLFunction:
     if data == "-inf":
         return PLFunction.neg_inf(c)
     _require(isinstance(data, dict), "function file must be '-inf' or an object")
-    iso = _member(data, "values_at_vertices", dict)
-    data.pop("values_at_vertices", None)
+    iso = {}
+    if _ISOLATED not in c.edges:  # an edge of that name keeps its own entry
+        iso = _member(data, _ISOLATED, dict)
+        data.pop(_ISOLATED, None)
     edge_data = {}
     for eid, entry in data.items():
         _require(isinstance(entry, dict) and "breakpoints" in entry,
                  f"edge {eid!r} needs a breakpoints list")
-        ratios = []  # offset, value, offset, ...: each edge goes onto its grid from these
-        try:
-            for o, v in entry["breakpoints"]:
-                ratios.append(_ratio(o, "offset"))
-                ratios.append(_ratio(v, "value"))
-        except (TypeError, ValueError) as exc:
-            raise FileFormatError(f"edge {eid!r}: breakpoints are [offset, value] pairs") from exc
+        ratios = _breakpoint_ratios(eid, entry["breakpoints"])  # each edge goes onto its grid
         edge_data[eid] = _gridded(*ratios_on_scale(ratios, 2), entry.get("slope_at_infinity"))
     try:
         return PLFunction.from_edge_data(c, edge_data,

@@ -4,13 +4,13 @@ Each edge carries a ``Profile`` in the edge's own coordinates from its u
 end, stored on its own integer grid: the least common denominator D of its
 offsets and values, the pairs times D, and integer slopes.
 ``Profile(breaks, tail)`` reads each number through ``ratio`` when it is
-built, onto its grid (``semifield.ratios_on_scale``).  Every kernel and
-every reader in the library (``realize``, ``pullback``, ``germ_bump``, the
-function writer) works on grids; a binary kernel sweeps the lcm of the two
-scales (``common_scale``), refined by the slope difference at a max/min
-crossing, and every result is reduced to the least D (``least_scale``), so
-function equality compares integers and the integers do not grow from one
-operation to the next.  A function file is read straight onto grids, and a
+built, onto its grid (``semifield.ratios_on_scale``), and its tail through
+``integer``.  Every kernel and every reader in the library (``realize``,
+``pullback``, ``germ_bump``, the function writer) works on grids; a binary
+kernel sweeps the lcm of the two scales (``common_scale``), refined by the
+slope difference at a max/min crossing, and every result is reduced to the
+least D (``least_scale``), so function equality compares integers and the
+integers do not grow from one operation to the next.  A function file is read straight onto grids, and a
 principal divisor's points are made from grid pairs.  ``Fraction``s are
 built only where a value or an image point is handed out, or a point's
 offset is read.  ``_along`` reads a function along any map into its curve.
@@ -40,8 +40,9 @@ class Profile:
     edge length and have ``tail is None``, and rays carry the integer slope
     past the last breakpoint.  ``slopes`` holds the right slopes, None at a
     finite end.  ``Profile(breaks, tail)`` reads each number of the (offset,
-    value) pairs through ``ratio`` when it is built, for ``PLFunction(...)``
-    to normalize; the library builds its profiles from grids by ``_gridded``.
+    value) pairs through ``ratio`` and a tail through ``integer`` when it is
+    built, for ``PLFunction(...)`` to normalize; the library builds its
+    profiles from grids by ``_gridded``.
     """
 
     __slots__ = ("grid", "slopes", "tail")
@@ -54,6 +55,11 @@ class Profile:
                 ratios.append(ratio(v))
         except (TypeError, ValueError):
             raise _NotPairs("breakpoints are (offset, value) pairs") from None
+        if tail is not None and type(tail) is not int:  # an int is read with no call
+            try:
+                integer(tail, "slope at infinity")
+            except TropError as exc:
+                raise _NotATail(str(exc)) from None
         self.grid, self.tail = ratios_on_scale(ratios, 2), tail
 
     def __getattr__(self, name):  # only the unset lazy slot comes here
@@ -120,6 +126,10 @@ class Profile:
 
 class _NotPairs(TropError):
     """Breakpoints that are not (offset, value) pairs; ``from_edge_data`` names their edge."""
+
+
+class _NotATail(TropError):
+    """A tail that is not an integer; ``from_edge_data`` names its edge."""
 
 
 def _gridded(d: int, g: Sequence[tuple[int, int]], tail: int | None) -> Profile:
@@ -342,6 +352,8 @@ class PLFunction:
                 except (TypeError, ValueError, _NotPairs):
                     raise TropError(f"edge {eid!r}: data is (breakpoints, tail), "
                                     f"the breakpoints (offset, value) pairs") from None
+                except _NotATail as exc:
+                    raise TropError(f"edge {eid!r} {exc}") from None
         return PLFunction(curve, profiles, isolated)
 
     def _validate(self):

@@ -13,6 +13,7 @@ tests verify.
 
 from __future__ import annotations
 
+import json
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -378,24 +379,31 @@ def suite_disconnection(rng: random.Random, cases: int) -> int:
     return cases
 
 
+def _as_json_dumps(text: str) -> str:
+    """text, checked to be the bytes ``json.dumps(..., indent=2)`` gives for what it holds."""
+    check(text == json.dumps(json.loads(text), indent=2) + "\n", "not json.dumps's bytes: {!r}",
+          text)
+    return text
+
+
 def suite_formats(rng: random.Random, cases: int) -> int:
     from . import io as tio
 
     for _ in range(cases):
         c = random_curve(rng)
-        check(tio.curve_from_json(tio.curve_to_json(c)) == c)
+        check(tio.curve_from_json(_as_json_dumps(tio.curve_to_json(c))) == c)
         f = random_function(c, rng, allow_neg_inf=True)
-        check(tio.function_from_json(c, tio.function_to_json(f)) == f)
+        check(tio.function_from_json(c, _as_json_dumps(tio.function_to_json(f))) == f)
         if not f.is_neg_inf:
             d = principal_divisor(f)
-            check(tio.divisor_from_json(c, tio.divisor_to_json(d)) == d)
+            check(tio.divisor_from_json(c, _as_json_dumps(tio.divisor_to_json(d))) == d)
         F = random_plane_poly(rng)
         check(tio.poly_from_text(tio.poly_to_text(F), nvars=2) == F)
         try:
             K = plane_hypersurface(F)
         except TropError:
             continue  # a monomial has no hypersurface
-        check(tio.complex_from_json(tio.complex_to_json(K)) == K)
+        check(tio.complex_from_json(_as_json_dumps(tio.complex_to_json(K))) == K)
     return cases
 
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain
+from itertools import chain, repeat
 from math import gcd, lcm
 from typing import Iterable, Mapping, Sequence
 
@@ -18,35 +18,65 @@ from .errors import FileFormatError, TropError
 
 RatLike = "Fraction | int | str"
 
-_INTEGER_LITERAL = re.compile(r"-?[0-9]+")  # an exponent, and the numerator of a rational
+# The one grammar of a literal: an exponent is an integer, and a rational is
+# an integer over an optional nonzero denominator, all in ASCII digits.
+_INTEGER = r"-?[0-9]+"
+_RATIONAL = rf"{_INTEGER}(?:/0*[1-9][0-9]*)?"
+_INTEGER_LITERAL = re.compile(_INTEGER)
+_RATIONAL_LITERAL = re.compile(_RATIONAL)
+_RATIONAL_LINES = re.compile(rf"(?:{_RATIONAL}\n)*")  # each literal followed by a newline
+_STR = frozenset((str,))
 
 
 def ratio(x) -> tuple[int, int]:
     """The rational that ``x`` is, as ``(n, d)`` in least terms with d > 0.
 
     ``x`` is an int, a Fraction, or a string: an optional ``-``, ASCII digits,
-    and optionally ``/`` and ASCII digits, with no spaces, ``+``, decimal
-    point, exponent or ``_``.  A string is read to its two integers with no
-    ``Fraction`` built.  Floats and bools are rejected: this package never
-    computes with binary floating point, and ``True`` is not the number 1.
-    Together with ``integer`` this is the one place that decides what number
-    a caller's value is; ``rat`` is the same rule with a ``Fraction`` result.
+    and optionally ``/`` and ASCII digits that are not all 0, with no spaces,
+    ``+``, decimal point, exponent or ``_`` (the pattern ``_RATIONAL``).  A
+    string is read to its two integers with no ``Fraction`` built.  Floats
+    and bools are rejected: this package never computes with binary floating
+    point, and ``True`` is not the number 1.  Together with ``integer`` this
+    is the one place that decides what number a caller's value is; ``rat`` is
+    the same rule with a ``Fraction`` result, and ``ratio_pairs`` reads many
+    strings at once under the same pattern.
     """
     if isinstance(x, str):
-        num, slash, den = x.partition("/")
-        if _INTEGER_LITERAL.fullmatch(num) and (not slash or den.isascii() and den.isdigit()):
+        if _RATIONAL_LITERAL.fullmatch(x):
+            num, slash, den = x.partition("/")
             try:
                 n, d = int(num), int(den) if slash else 1
             except ValueError:  # more digits than int() reads
                 pass
             else:
-                if d:
-                    r = gcd(n, d)
-                    return (n, d) if r == 1 else (n // r, d // r)
+                r = gcd(n, d)
+                return (n, d) if r == 1 else (n // r, d // r)
         raise TropError(f"not a rational literal: {x!r}")
     if isinstance(x, (int, Fraction)) and not isinstance(x, bool):
         return x.as_integer_ratio()
     raise _inexact(x)
+
+
+def ratio_pairs(xs: Sequence) -> list[tuple[int, int]]:
+    """``[ratio(x) for x in xs]`` up to least terms: each (n, d) has d > 0 but
+    may share a factor, as in ``"2/4"``.
+
+    When every x is a string they are read in one pass: one match of
+    ``ratio``'s grammar over their join decides them all, and ``int`` reads
+    the digits with no Python call per number.  Any other list, JSON ints
+    among its strings say, is read by ``ratio`` number by number.  A value
+    that ``ratio`` rejects raises ``TropError``; which one, and ``ratio``'s
+    message for it, is for the caller to find by reading them one at a time.
+    """
+    if not _STR.issuperset(map(type, xs)):
+        return [ratio(x) for x in xs]
+    text = "\n".join([*xs, ""])
+    if _RATIONAL_LINES.fullmatch(text) and text.count("\n") == len(xs):  # no x holds a newline
+        try:
+            return [(int(n), int(d) if s else 1) for n, s, d in map(str.partition, xs, repeat("/"))]
+        except ValueError:  # more digits than int() reads
+            pass
+    raise TropError("not rational literals")
 
 
 def rat(x) -> Fraction:
@@ -68,9 +98,13 @@ def integer(x, what: str) -> int:
 # The integer scale.  A scaled value (D, rows) stands for rows / D: D > 0,
 # rows a tuple of equal-width tuples of ints.  Profiles, complexes and
 # hypersurfaces decide rationals exactly on such values through ``on_scale``
-# (``ratios_on_scale`` for numbers already read by ``ratio``),
-# ``common_scale`` and ``least_scale``, which take whole rows per call, and
-# ``place`` puts one number on a given scale.  Their rows are built from
+# (``ratios_on_scale`` for numbers already read by ``ratio`` or
+# ``ratio_pairs``), ``common_scale`` and ``least_scale``, which take whole
+# rows per call, and ``place`` puts one number on a given scale.  A function
+# file goes to and from grids with no ``Fraction``: its writer formats each
+# edge's grid as text, one ``ratio_str`` per number, and its reader reads an
+# edge's numbers in one pass with ``ratio_pairs``, under ``ratio``'s one
+# grammar, onto a grid that ``least_scale`` reduces.  Rows are built from
 # lists, ``tuple([*zip(...)])``: a tuple built from an iterator of unknown
 # length is allocated at a guess and shrunk, so its memory ends on the free
 # list of another tuple size, which only a full collection empties.
@@ -91,7 +125,8 @@ def on_scale(rows: Sequence[Sequence]) -> tuple[int, tuple[tuple[int, ...], ...]
 def ratios_on_scale(ratios: Sequence[tuple[int, int]],
                     width: int) -> tuple[int, tuple[tuple[int, ...], ...]]:
     """``on_scale`` of rows given as the flat list of their numbers' ratios (n, d),
-    d > 0 and in least terms as ``ratio`` returns them, ``width`` to a row."""
+    d > 0, ``width`` to a row.  D is least when the pairs are in least terms, as
+    ``ratio`` returns them; from ``ratio_pairs`` it may be a multiple of the least."""
     d = 1
     for _, q in ratios:
         if d % q:

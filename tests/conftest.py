@@ -95,4 +95,5 @@ def ref_literal(s: str) -> Fraction | None:
 
 # Strings that the grammar accepts or rejects for a reason of its own.
 LOOSE = ["1.5", "1e3", "1_000", "+3", " 3/4 ", "3/4 ", "1/0", "-0", "-0/7", "007/014", "3/",
-         "/3", "--1", "1/-2", "", "-", "٣", "1/²", "9" * 4301, "1/" + "9" * 4301, "9" * 4300]
+         "/3", "--1", "1/-2", "", "-", "٣", "1/²", "9" * 4301, "1/" + "9" * 4301, "9" * 4300,
+         " 3", "3\n", "1\n2", "1/0\n2"]

@@ -6,8 +6,10 @@ import json
 import os
 import subprocess
 import sys
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import example, given
@@ -17,14 +19,14 @@ from tropcurve import io as tio
 from tropcurve import selftest
 from tropcurve.cli import main
 from tropcurve.curve import Curve
-from tropcurve.errors import FileFormatError
+from tropcurve.errors import FileFormatError, TropError
 from tropcurve.hypersurface import plane_hypersurface
-from tropcurve.plfunction import PLFunction, module_degree, principal_divisor
-from tropcurve.randgen import LINE_POLY
+from tropcurve.plfunction import PLFunction, edge_profile, module_degree, principal_divisor
+from tropcurve.randgen import LINE_POLY, random_curve, random_function
 from tropcurve.semifield import TropPoly, ratio_str
 
-from conftest import (LOOSE, fraction_calls, identity_fn, on_integer_grid, ref_literal, rng_for,
-                      scaled_fn)
+from conftest import (LITERAL, LOOSE, fraction_calls, identity_fn, on_integer_grid, ref_literal,
+                      rng_for, scaled_fn)
 
 
 class TestRoundTrips:
@@ -85,6 +87,67 @@ def test_ratio_is_str_of_fraction(n, d, k):
     assert ratio_str(n * k, d * k) == str(Fraction(n, d))
 
 
+ESCAPED_IDS = ["é", 'a"b', "\\"]
+
+
+def _with_escaped_ids(c: Curve, rng) -> Curve:
+    """c with each edge id led by one that JSON escapes, and half the time an isolated vertex."""
+    data = c.description()
+    rename = {e["id"]: rng.choice(ESCAPED_IDS) + e["id"] for e in data["edges"]}
+    for e in data["edges"]:
+        e["id"] = rename[e["id"]]
+    data["ray_classes"] = {rename[k]: v for k, v in data["ray_classes"].items()}
+    if rng.random() < 0.5:
+        data["vertices"].append({"id": rng.choice(ESCAPED_IDS) + " alone"})
+    return tio.curve_from_json(json.dumps(data))
+
+
+def _dumped_function(f: PLFunction) -> str:
+    """The function file as ``json.dumps(..., indent=2)`` writes it, built from each
+    edge's ``Fraction`` breakpoints, apart from the writer's grid text."""
+    if f.is_neg_inf:
+        return json.dumps("-inf", indent=2) + "\n"
+    data = {}
+    for eid in sorted(f.curve.edges):
+        prof = edge_profile(f, eid)
+        data[eid] = {"breakpoints": [[str(o), str(v)] for o, v in prof.breaks]}
+        if f.curve.edges[eid].is_infinite:
+            data[eid]["slope_at_infinity"] = prof.tail
+    if f.isolated:
+        data["values_at_vertices"] = {vid: str(v) for vid, v in sorted(f.isolated.items())}
+    return json.dumps(data, indent=2) + "\n"
+
+
+def test_function_writer_gives_the_bytes_of_json_dumps():
+    # The writer formats each edge's grid as text; on random functions, -inf,
+    # rays, isolated vertices and ids that JSON escapes among them, its bytes
+    # are json.dumps(indent=2)'s, and the file reads back to the function.
+    rng = rng_for("function-writer-bytes")
+    seen = Counter()
+    for k in range(150):
+        c = _with_escaped_ids(random_curve(rng), rng)
+        f = PLFunction.neg_inf(c) if k == 0 else random_function(c, rng, allow_neg_inf=True)
+        text = tio.function_to_json(f)
+        assert text == _dumped_function(f)
+        assert tio.function_from_json(c, text) == f
+        seen.update({"-inf": f.is_neg_inf, "isolated": bool(f.isolated),
+                     "ray": not f.is_neg_inf and any(e.is_infinite for e in c.edges.values()),
+                     "fraction": "/" in text, "escaped": "\\" in text})
+    assert all(seen[kind] for kind in ("-inf", "isolated", "ray", "fraction", "escaped")), seen
+
+
+def test_an_edge_named_values_at_vertices():
+    # An edge of that name keeps its entry when read.  With isolated vertices
+    # as well, the file would need the key twice, so the writer refuses.
+    c = Curve.build(vertices=["a", "b"], edges=[("values_at_vertices", "a", "b", "2")])
+    f = PLFunction.from_edge_data(c, {"values_at_vertices": ([("0", "1"), ("2", "3")], None)})
+    assert tio.function_from_json(c, tio.function_to_json(f)) == f
+    c = Curve.build(vertices=["a", "b", "z"], edges=[("values_at_vertices", "a", "b", "2")])
+    with pytest.raises(TropError, match="^edge 'values_at_vertices' clashes with the key of the "
+                                        "isolated vertices' values"):
+        tio.function_to_json(PLFunction.constant(c, 1))
+
+
 @pytest.mark.parametrize("x", [{(1, 2): 3}, [{"a": {(1,): 2}}], [object()], {"a": Fraction(1)}])
 def test_dumps_rejects_as_json_does(x):
     with pytest.raises(TypeError) as want:
@@ -108,6 +171,45 @@ def test_reading_a_function_file_builds_no_fraction():
     assert len(f.profiles["e"].grid[1]) == 101 and on_integer_grid(f.profiles["e"])
     assert fraction_calls(principal_divisor, f) == 0 and fraction_calls(module_degree, [f, f]) == 0
     assert principal_divisor(f).degree() == 0 and module_degree([f]) == 100  # 50 peaks of -2
+
+
+# The breakpoint numbers of TestLiterals in test_semifield, and every kind of JSON value.
+NUMBERS = st.one_of(st.text(alphabet="0123456789-/+._e x٣²", max_size=10),
+                    st.from_regex(LITERAL, fullmatch=True), st.sampled_from(LOOSE),
+                    st.floats(allow_nan=False), st.booleans(), st.none(),
+                    st.lists(st.integers(), max_size=1), st.integers(-99, 99),
+                    st.integers(-10 ** 30, 10 ** 30))
+
+
+def _check_breakpoint_number(x, where: str):
+    # A breakpoint number is read once, to a pair; its rejection reads as it
+    # did when rat decided, for a string and for any other JSON value, and a
+    # file is read as number by number.
+    row = [x, "0"] if where == "offset" else ["0", x]
+    text = json.dumps({"e": {"breakpoints": [row, ["0", "0"], ["3", "0"]]}})
+    with pytest.raises(FileFormatError) as exc:
+        tio.function_from_json(Curve.segment(3), text)
+        raise FileFormatError("invalid function: read")  # a number that reads
+    if isinstance(x, str) and ref_literal(x) is not None or type(x) is int:
+        assert str(exc.value).startswith("invalid function: ")
+    else:
+        assert str(exc.value) == (
+            f"bad {where}: {x!r}" if isinstance(x, str) else
+            f"{where} must be a rational string, not a {type(x).__name__}: {x!r}")
+    assert _read(text) == _read_number_by_number(text)
+
+
+def _read(text: str):
+    try:
+        return tio.function_from_json(Curve.segment(3), text)
+    except FileFormatError as exc:
+        return str(exc)
+
+
+def _read_number_by_number(text: str):
+    """``_read`` with every number read alone by ``ratio``, the reference reading."""
+    with mock.patch.object(tio, "ratio_pairs", side_effect=TropError):
+        return _read(text)
 
 
 class TestRejects:
@@ -268,24 +370,23 @@ class TestRejects:
         with pytest.raises(FileFormatError, match="line 1"):
             tio.curve_from_json("{nope}")
 
-    @given(st.one_of(st.text(alphabet="0123456789-/+._e x٣", max_size=8), st.sampled_from(LOOSE),
-                     st.floats(allow_nan=False), st.booleans(), st.none(),
-                     st.lists(st.integers(), max_size=1), st.integers(-99, 99)),
-           st.sampled_from(["offset", "value"]))
+    @given(NUMBERS, st.sampled_from(["offset", "value"]))
     def test_breakpoint_numbers_keep_their_messages(self, x, where):
-        # A breakpoint number is read once, to a pair; its rejection reads as
-        # it did when rat decided, for a string and for any other JSON value.
-        row = [x, "0"] if where == "offset" else ["0", x]
-        text = json.dumps({"e": {"breakpoints": [row, ["0", "0"], ["3", "0"]]}})
-        with pytest.raises(FileFormatError) as exc:
-            tio.function_from_json(Curve.segment(3), text)
-            raise FileFormatError("invalid function: read")  # a number that reads
-        if isinstance(x, str) and ref_literal(x) is not None or type(x) is int:
-            assert str(exc.value).startswith("invalid function: ")
-        else:
-            assert str(exc.value) == (
-                f"bad {where}: {x!r}" if isinstance(x, str) else
-                f"{where} must be a rational string, not a {type(x).__name__}: {x!r}")
+        _check_breakpoint_number(x, where)
+
+    @pytest.mark.parametrize("x", [*LOOSE, 7, -10 ** 30, True, 1.5, None],
+                             ids=[*map(str, range(len(LOOSE))), "int", "big-int", "bool",
+                                  "float", "null"])
+    @pytest.mark.parametrize("where", ["offset", "value"])
+    def test_named_breakpoint_numbers_keep_their_messages(self, x, where):
+        _check_breakpoint_number(x, where)
+
+    @given(st.lists(st.lists(NUMBERS, min_size=2, max_size=2), min_size=1, max_size=4))
+    def test_a_file_reads_as_number_by_number(self, rows):
+        # Each edge is read in one pass; a file is accepted as it is read one
+        # number at a time, or rejected at its first bad number with its message.
+        text = json.dumps({"e": {"breakpoints": [["0", "0"], *rows]}})
+        assert _read(text) == _read_number_by_number(text)
 
 
 class TestPlots:

@@ -37,7 +37,7 @@ from tropcurve.errors import TropError
 from tropcurve.geometry import primitive
 from tropcurve.glue import GlueResult, glue, glue_function
 from tropcurve.morphism import Morphism, germ_bump, localize, pullback
-from tropcurve.plfunction import (Divisor, PLFunction, Profile, _affine, _combine2,
+from tropcurve.plfunction import (Divisor, PLFunction, Profile, _affine, _combine2, _gridded,
                                   _isolated_vertices, _normal, _pull, _slope_sum, _sweep,
                                   chip_fire, extend, is_harmonic_at, principal_divisor,
                                   pseudodirect_tuple, restrict_whole, split_components)
@@ -1096,6 +1096,24 @@ def test_malformed_edge_data_names_its_edge():
         Profile(((0,),))
     with pytest.raises(TropError, match="^not a rational literal: 'x'$"):
         PLFunction.from_edge_data(seg, {"e": ([(0, "x")], None)})
+
+
+def test_a_profile_reads_its_tail():
+    # The tail is read with integer when the profile is built, so a float or
+    # bool tail is refused there rather than compared as an int; from_edge_data
+    # names the edge, as PLFunction(...) does for a ray's tail.
+    for tail, shown in ((1.0, "float: 1.0"), (True, "bool: True"), ("1", "str: '1'")):
+        with pytest.raises(TropError) as exc:
+            Profile(((0, 0),), tail)
+        assert str(exc.value) == f"slope at infinity must be an integer, not {shown}"
+    assert Profile(((0, 0),), 1).tail == 1 and Profile(((0, 0),), None).tail is None
+    line = Curve.doubly_infinite_line()
+    with pytest.raises(TropError) as exc:
+        PLFunction.from_edge_data(line, {"left": ([(0, 0)], 1.0), "right": ([(0, 0)], 0)})
+    assert str(exc.value) == "edge 'left' slope at infinity must be an integer, not float: 1.0"
+    with pytest.raises(TropError) as raw:
+        PLFunction(line, {"left": _gridded(1, ((0, 0),), 1.0), "right": Profile(((0, 0),), 0)})
+    assert str(raw.value) == str(exc.value)
 
 
 def test_public_constructors_still_validate(segment3):

@@ -14,7 +14,7 @@ from tropcurve.errors import TropError
 from tropcurve.selftest import collapse_laws, forget_laws, semifield_laws, suite_germ_axioms
 from tropcurve.semifield import (NEG_INF, UNIT, Germ, TropPoly, TropValue, common_scale,
                                  germ_generator_report, least_scale, on_scale, place, rat, ratio,
-                                 ratios_on_scale)
+                                 ratio_pairs, ratios_on_scale)
 
 from conftest import LITERAL, LOOSE, ref_literal
 
@@ -61,8 +61,8 @@ class TestTropValue:
 
 # -- the literal grammar ----------------------------------------------------------
 
-# ratio and rat against conftest's ref_literal, the reading rat had before
-# ratio: one grammar, the same values and the same messages.
+# ratio, rat and ratio_pairs against conftest's ref_literal, the reading rat
+# had before ratio: one grammar, the same values and the same messages.
 
 
 def _outcome(read, x):
@@ -73,12 +73,17 @@ def _outcome(read, x):
 
 
 def _check_literal(s: str):
+    # ratio_pairs reads s among other strings in one pass, to a pair up to
+    # least terms, and rejects it as ratio does.
     want = ref_literal(s)
     pair, value = _outcome(ratio, s), _outcome(rat, s)
+    pairs = _outcome(ratio_pairs, ["1/2", s, "-3"])
     if want is None:
         assert pair == value == f"not a rational literal: {s!r}"
+        assert pairs == "not rational literals"
     else:
         assert pair == want.as_integer_ratio() and type(value) is Fraction and value == want
+        assert [Fraction(*p) for p in pairs] == [Fraction(1, 2), want, -3]
 
 
 class TestLiterals:
