@@ -188,6 +188,9 @@ def function_to_json(f: PLFunction) -> str:
     if f.isolated and _ISOLATED in f.curve.edges:
         raise TropError(f"edge {_ISOLATED!r} clashes with the key of the isolated vertices' "
                         f"values: this function has no function file")
+    for eid in f.curve.edges:
+        if not isinstance(eid, str):
+            raise TropError(f"edge id {eid!r} is not a string: this function has no function file")
     entries = []
     for eid in sorted(f.curve.edges):
         prof = edge_profile(f, eid)
@@ -207,8 +210,9 @@ def _breakpoint_ratios(eid: str, breakpoints) -> list[tuple[int, int]]:
     """offset, value, offset, ...: the numbers of an edge's breakpoints as (n, d) pairs.
 
     [offset, value] lists are read in one pass by ``ratio_pairs``.  Any other
-    shape, or a number it rejects, is read one number at a time, so a file is
-    rejected at its first bad number with that number's message.
+    shape, or a value it rejects (a JSON int, say), is read one number at a
+    time, so a file is rejected at its first bad number with that number's
+    message.
     """
     if type(breakpoints) is list and {*map(type, breakpoints)} == {list} \
             and {*map(len, breakpoints)} == {2}:

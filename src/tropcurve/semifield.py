@@ -24,8 +24,6 @@ _INTEGER = r"-?[0-9]+"
 _RATIONAL = rf"{_INTEGER}(?:/0*[1-9][0-9]*)?"
 _INTEGER_LITERAL = re.compile(_INTEGER)
 _RATIONAL_LITERAL = re.compile(_RATIONAL)
-_RATIONAL_LINES = re.compile(rf"(?:{_RATIONAL}\n)*")  # each literal followed by a newline
-_STR = frozenset((str,))
 
 
 def ratio(x) -> tuple[int, int]:
@@ -57,25 +55,20 @@ def ratio(x) -> tuple[int, int]:
     raise _inexact(x)
 
 
-def ratio_pairs(xs: Sequence) -> list[tuple[int, int]]:
-    """``[ratio(x) for x in xs]`` up to least terms: each (n, d) has d > 0 but
-    may share a factor, as in ``"2/4"``.
+def ratio_pairs(xs: Sequence[str]) -> list[tuple[int, int]]:
+    """``[ratio(x) for x in xs]`` for a list of strings, up to least terms: each
+    (n, d) has d > 0 but may share a factor, as in ``"2/4"``.
 
-    When every x is a string they are read in one pass: one match of
-    ``ratio``'s grammar over their join decides them all, and ``int`` reads
-    the digits with no Python call per number.  Any other list, JSON ints
-    among its strings say, is read by ``ratio`` number by number.  A value
-    that ``ratio`` rejects raises ``TropError``; which one, and ``ratio``'s
+    ``ratio``'s pattern decides every string, and ``int`` reads the digits,
+    with no Python call per number.  A value that ``ratio`` rejects, or one
+    that is not a string, raises ``TropError``; which one, and ``ratio``'s
     message for it, is for the caller to find by reading them one at a time.
     """
-    if not _STR.issuperset(map(type, xs)):
-        return [ratio(x) for x in xs]
-    text = "\n".join([*xs, ""])
-    if _RATIONAL_LINES.fullmatch(text) and text.count("\n") == len(xs):  # no x holds a newline
-        try:
+    try:
+        if all(map(_RATIONAL_LITERAL.fullmatch, xs)):
             return [(int(n), int(d) if s else 1) for n, s, d in map(str.partition, xs, repeat("/"))]
-        except ValueError:  # more digits than int() reads
-            pass
+    except (TypeError, ValueError):  # not a string, or more digits than int() reads
+        pass
     raise TropError("not rational literals")
 
 

@@ -148,6 +148,14 @@ def test_an_edge_named_values_at_vertices():
         tio.function_to_json(PLFunction.constant(c, 1))
 
 
+def test_a_non_string_edge_id_has_no_function_file():
+    # A curve built in Python may name an edge 3, which no file can name.
+    c = Curve.build(vertices=["a", "b"], edges=[(3, "a", "b", 1)])
+    with pytest.raises(TropError, match="^edge id 3 is not a string: this function has no "
+                                        "function file$"):
+        tio.function_to_json(PLFunction.constant(c, 1))
+
+
 @pytest.mark.parametrize("x", [{(1, 2): 3}, [{"a": {(1,): 2}}], [object()], {"a": Fraction(1)}])
 def test_dumps_rejects_as_json_does(x):
     with pytest.raises(TypeError) as want:

@@ -92,6 +92,13 @@ class TestLiterals:
     def test_pair_reader_and_rat_are_one_grammar(self, s):
         _check_literal(s)
 
+    @pytest.mark.parametrize("xs", [["1", 1], [Fraction(1, 2)], ["1/2", None], [b"1"]],
+                             ids=["int", "fraction", "null", "bytes"])
+    def test_pair_reader_takes_strings_only(self, xs):
+        # Other values are for the caller to read one at a time with ratio.
+        with pytest.raises(TropError, match="^not rational literals$"):
+            ratio_pairs(xs)
+
     @pytest.mark.parametrize("s", LOOSE, ids=range(len(LOOSE)))
     def test_named_forms(self, s):
         _check_literal(s)
