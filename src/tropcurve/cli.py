@@ -18,7 +18,7 @@ from . import io as tio
 from .complexes import PolyComplex1D, check_balanced, intersect
 from .curve import Curve, canonical_model
 from .errors import FileFormatError, InternalError, TropError
-from .glue import glue, glue_function
+from .gluing import glue, glue_function
 from .hypersurface import plane_hypersurface
 from .morphism import localize, pullback, validate_morphism, weight_check, weight_from_generators
 from .plfunction import (PLFunction, _slope_sum, chip_fire, disconnection_witness, extend,

@@ -40,6 +40,10 @@ def length_str(x) -> str:
     return "inf" if x is INF else str(x)
 
 
+def _not_a_string(what: str, x) -> TropError:
+    return TropError(f"{what} must be a string, not {type(x).__name__}: {x!r}")
+
+
 def connected_groups(items: Iterable, links: Iterable[tuple]) -> list[list]:
     """The classes of ``items`` under the equivalence that ``links`` generate.
 
@@ -151,21 +155,10 @@ class Curve:
     def __init__(self, vertices: Iterable[VertexInfo], edges: Iterable[EdgeDesc],
                  ray_classes: Mapping[str, str]):
         self.vertices: dict[str, VertexInfo] = {}
-        for v in vertices:
-            if v.id in self.vertices:
-                raise TropError(f"duplicate vertex id {v.id!r}")
-            self.vertices[v.id] = v
         self.edges: dict[str, EdgeDesc] = {}
-        for e in edges:
-            if e.id in self.edges:
-                raise TropError(f"duplicate edge id {e.id!r}")
-            self.edges[e.id] = e
         self.ray_classes: dict[str, str] = dict(ray_classes)
-        self._validate()
-        self.edges_at: dict[str, list[tuple[str, int]]] = {v: [] for v in self.vertices}
-        for e in self.edges.values():
-            self.edges_at[e.u].append((e.id, +1))
-            self.edges_at[e.v].append((e.id, -1))
+        self.edges_at: dict[str, list[tuple[str, int]]] = {}
+        self._validate(vertices, edges)
         for ends in self.edges_at.values():
             ends.sort()
         self._dijkstra_cache: dict[str, dict[str, int]] = {}
@@ -183,41 +176,61 @@ class Curve:
         Vertices are ``id`` strings or ``(id, at_infinity)`` pairs; edges are
         ``(id, u, v, length)`` with length a rational, one of its string
         forms, or ``inf``.  An undeclared endpoint of an infinite edge is
-        created as its point at infinity.
+        created as its point at infinity.  A malformed entry raises a
+        ``TropError`` naming it; ``Curve(...)`` checks everything else.
         """
         vinfos: dict[str, VertexInfo] = {}
         for v in vertices:
-            if isinstance(v, VertexInfo):
-                vinfos[v.id] = v
-            elif isinstance(v, str):
-                vinfos[v] = VertexInfo(v)
-            else:
-                vid, at_inf = v
-                if not isinstance(at_inf, bool):
-                    raise TropError(f"vertex {vid!r}: at_infinity must be True or False, "
-                                    f"not {type(at_inf).__name__}: {at_inf!r}")
+            try:
+                vid, at_inf = (v, False) if isinstance(v, str) else v
                 vinfos[vid] = VertexInfo(vid, at_inf)
+            except (TypeError, ValueError) as exc:
+                raise TropError(f"malformed vertex entry {v!r}: a vertex is an id or an "
+                                f"(id, at_infinity) pair") from exc
         edescs = []
-        for e in edges:
-            if not isinstance(e, EdgeDesc):
-                eid, u, v, length = e
+        for entry in edges:
+            try:
+                eid, u, v, length = entry
                 e = EdgeDesc(eid, u, f"{eid}.inf" if v is None else v, length)
-            for end in (e.u, e.v):
-                if end not in vinfos:
-                    vinfos[end] = VertexInfo(end, at_infinity=e.is_infinite and end == e.v)
+                for end in (e.u, e.v):
+                    if end not in vinfos:
+                        vinfos[end] = VertexInfo(end, at_infinity=e.is_infinite and end == e.v)
+            except (TypeError, ValueError) as exc:
+                raise TropError(f"malformed edge entry {entry!r}: "
+                                "an edge is (id, u, v, length)") from exc
             edescs.append(e)
         return Curve(vinfos.values(), edescs, ray_classes or {})
 
-    def _validate(self):
+    def _validate(self, vertices: Iterable[VertexInfo], edges: Iterable[EdgeDesc]):
+        """Take the vertices and edges in, and each edge end into ``edges_at``,
+        checking every invariant of a curve: the one place that does.  Ids,
+        endpoints and ray class labels are strings, as every file names them; a
+        ray class key names a ray, so it is one too."""
+        for v in vertices:
+            if not isinstance(v.id, str):
+                raise _not_a_string("vertex id", v.id)
+            if type(v.at_infinity) is not bool:
+                raise TropError(f"vertex {v.id!r}: at_infinity must be True or False, "
+                                f"not {type(v.at_infinity).__name__}: {v.at_infinity!r}")
+            if v.id in self.vertices:
+                raise TropError(f"duplicate vertex id {v.id!r}")
+            self.vertices[v.id] = v
+            self.edges_at[v.id] = []
+        for e in edges:
+            if not isinstance(e.id, str):
+                raise _not_a_string("edge id", e.id)
+            if e.id in self.edges:
+                raise TropError(f"duplicate edge id {e.id!r}")
+            self.edges[e.id] = e
         if not self.vertices:
             raise TropError("empty curve")
-        incident: dict[str, int] = {v: 0 for v in self.vertices}
         for e in self.edges.values():
-            for end in (e.u, e.v):
+            for end, sign in ((e.u, +1), (e.v, -1)):
+                if not isinstance(end, str):
+                    raise _not_a_string("edge endpoint", end)
                 if end not in self.vertices:
                     raise TropError(f"edge {e.id!r} references unknown vertex {end!r}")
-            incident[e.u] += 1
-            incident[e.v] += 1
+                self.edges_at[end].append((e.id, sign))
             u_inf = self.vertices[e.u].at_infinity
             v_inf = self.vertices[e.v].at_infinity
             if e.is_infinite:
@@ -234,11 +247,13 @@ class Curve:
             else:
                 if u_inf or v_inf:
                     raise TropError(f"finite edge {e.id!r} touches a point at infinity")
-        for eid in self.ray_classes:
+        for eid, label in self.ray_classes.items():
             if eid not in self.edges or not self.edges[eid].is_infinite:
                 raise TropError(f"ray class given for non-ray edge {eid!r}")
+            if not isinstance(label, str):
+                raise _not_a_string(f"ray class of {eid!r}", label)
         for v in self.vertices.values():
-            if v.at_infinity and incident[v.id] != 1:
+            if v.at_infinity and len(self.edges_at[v.id]) != 1:
                 raise TropError(f"at-infinity vertex {v.id!r} must have valence 1")
 
     # -- identity ------------------------------------------------------------
@@ -423,15 +438,6 @@ class Curve:
                     dist[w] = nd
                     heapq.heappush(heap, (nd, w))
         return dist
-
-    def distances_from(self, seeds: Mapping[str, Fraction]) -> dict[str, "Fraction | float"]:
-        """Multi-source Dijkstra over finite edges: each vertex's least seed
-        distance plus path length, INF where no seed reaches.  It runs on the
-        lcm D of L and the seeds' denominators."""
-        L, _ = self._length_scale()
-        D, (_, (row,)) = common_scale((L, ()), on_scale((list(seeds.values()),)))
-        dist = self._dijkstra(dict(zip(seeds, row)), D // L)
-        return {v: Fraction(dist[v], D) if v in dist else INF for v in self.vertices}
 
     def _vertex_distances(self, source: str) -> dict[str, int]:
         """Distances from one vertex on the scale L, worked out once per vertex."""

@@ -26,6 +26,8 @@ def _load_json(text: str):
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise FileFormatError(exc.msg, line=exc.lineno, column=exc.colno) from exc
+    except ValueError as exc:  # an integer of more digits than int() reads
+        raise FileFormatError(str(exc)) from exc
 
 
 _SCALARS = {str: encode_basestring_ascii, int: int.__repr__,  # json's text for each exact type
@@ -188,9 +190,6 @@ def function_to_json(f: PLFunction) -> str:
     if f.isolated and _ISOLATED in f.curve.edges:
         raise TropError(f"edge {_ISOLATED!r} clashes with the key of the isolated vertices' "
                         f"values: this function has no function file")
-    for eid in f.curve.edges:
-        if not isinstance(eid, str):
-            raise TropError(f"edge id {eid!r} is not a string: this function has no function file")
     entries = []
     for eid in sorted(f.curve.edges):
         prof = edge_profile(f, eid)
@@ -334,15 +333,6 @@ def morphism_from_json(source: Curve, target: Curve, text: str) -> Morphism:
                  f"degree of {eid!r} must be a nonnegative integer")
         degrees[eid] = d
     return Morphism(source, target, vmap, emap, degrees)
-
-
-def morphism_to_json(m: Morphism) -> str:
-    data = {
-        "vertex_map": dict(sorted(m.vertex_map.items())),
-        "edge_map": {eid: {kind: name} for eid, (kind, name) in sorted(m.edge_map.items())},
-        "degrees": dict(sorted(m.degrees.items())),
-    }
-    return _dumps(data) + "\n"
 
 
 def embedding_from_json(shape: Curve, target: Curve, text: str) -> Embedding:

@@ -316,11 +316,6 @@ class Germ:
             raise TropError("slope sum undefined at zero")
         return sum(self.slopes)
 
-    def to_trop(self) -> TropValue:
-        if self.n != 0:
-            raise TropError(f"rank {self.n} germ is not a scalar")
-        return NEG_INF if self.coef is None else TropValue(self.coef)
-
     def __str__(self) -> str:
         if self.coef is None:
             return "-inf"

@@ -64,12 +64,6 @@ class Subgraph:
                 return True
         return False
 
-    # -- components --------------------------------------------------------
-
-    def component_count(self) -> int:
-        """The number of components, counted on the cut curve."""
-        return 0 if self.is_empty() else len(self.as_curve()[0].component_sets())
-
     # -- the subgraph as a curve in its own right ------------------------------
 
     def as_curve(self) -> tuple[Curve, Embedding]:

@@ -15,7 +15,7 @@ from fractions import Fraction
 from tropcurve.complexes import intersect
 from tropcurve.curve import Curve, disjoint_union
 from tropcurve.errors import TropError
-from tropcurve.glue import Embedding, glue, glue_function
+from tropcurve.gluing import Embedding, glue, glue_function
 from tropcurve.hypersurface import plane_hypersurface
 from tropcurve.morphism import Morphism, pullback, weight_check, weight_from_generators
 from tropcurve.plfunction import PLFunction, module_degree, principal_divisor, pseudodirect_tuple

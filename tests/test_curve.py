@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from tropcurve.curve import (INF, Curve, EdgeDesc, PointRef, VertexInfo, canonical_model,
                              disjoint_union, parse_length)
 from tropcurve.errors import TropError
-from tropcurve.glue import Embedding, glue, glue_function, validate_embedding
+from tropcurve.gluing import Embedding, glue, glue_function, validate_embedding
 from tropcurve.randgen import random_curve, random_function, random_point, random_subgraph
 from tropcurve.selftest import suite_canonical_model, suite_metric
 from tropcurve.subgraph import make_subgraph, point_subgraph, whole_subgraph
@@ -106,6 +106,48 @@ class TestBuild:
             Curve([VertexInfo("A"), VertexInfo("B")], [EdgeDesc("e", "A", "B", length)], {})
         assert str(err.value) == message
 
+    @pytest.mark.parametrize("make, message", [
+        (lambda: Curve.build(vertices=[1]),
+         "malformed vertex entry 1: a vertex is an id or an (id, at_infinity) pair"),
+        (lambda: Curve.build(vertices=[None]),
+         "malformed vertex entry None: a vertex is an id or an (id, at_infinity) pair"),
+        (lambda: Curve.build(vertices=[("a",)]),
+         "malformed vertex entry ('a',): a vertex is an id or an (id, at_infinity) pair"),
+        (lambda: Curve.build(vertices=[(["a"], False)]),
+         "malformed vertex entry (['a'], False): a vertex is an id or an (id, at_infinity) pair"),
+        (lambda: Curve.build(vertices=[(1, False)]), "vertex id must be a string, not int: 1"),
+        (lambda: Curve.build(vertices=[("a", 1)]),
+         "vertex 'a': at_infinity must be True or False, not int: 1"),
+        # No file can name an edge 3, so no function on such a curve could be written.
+        (lambda: Curve.build(vertices=["a", "b"], edges=[(3, "a", "b", 1)]),
+         "edge id must be a string, not int: 3"),
+        (lambda: Curve.build(vertices=["a", "b"], edges=[("e", "a", 2, 1)]),
+         "vertex id must be a string, not int: 2"),
+        (lambda: Curve.build(vertices=["a", "b"], edges=[("e", "a", ["b"], 1)]),
+         "malformed edge entry ('e', 'a', ['b'], 1): an edge is (id, u, v, length)"),
+        (lambda: Curve.build(vertices=["a", "b"], edges=[("e", "a")]),
+         "malformed edge entry ('e', 'a'): an edge is (id, u, v, length)"),
+        (lambda: Curve.build(vertices=["a"], edges=[("r", "a", None, INF)],
+                             ray_classes={"r": 5}),
+         "ray class of 'r' must be a string, not int: 5"),
+        (lambda: Curve.build(vertices=["a"], edges=[("r", "a", None, INF)],
+                             ray_classes={"r": "k", 3: "k"}),
+         "ray class given for non-ray edge 3"),
+        (lambda: Curve([VertexInfo(3)], [], {}), "vertex id must be a string, not int: 3"),
+        (lambda: Curve([VertexInfo("a")], [EdgeDesc("e", "a", ["b"], 1)], {}),
+         "edge endpoint must be a string, not list: ['b']"),
+        (lambda: Curve([VertexInfo("a", "yes")], [], {}),
+         "vertex 'a': at_infinity must be True or False, not str: 'yes'"),
+    ], ids=["vertex-int", "vertex-none", "vertex-one-tuple", "vertex-list-id", "vertex-int-id",
+            "vertex-int-flag", "edge-int-id", "edge-int-endpoint", "edge-list-endpoint",
+            "edge-short", "ray-class-int-label", "ray-class-int-key", "raw-int-vertex-id",
+            "raw-list-endpoint", "raw-str-flag"])
+    def test_malformed_entries_raise_trop_error(self, make, message):
+        # Curve._validate checks every id and flag; Curve.build only converts entries.
+        with pytest.raises(TropError) as err:
+            make()
+        assert str(err.value) == message
+
     def test_lengths_are_decided_once(self):
         finite, ray = EdgeDesc("e", "A", "B", "3/2"), EdgeDesc("r", "A", "R", float("inf"))
         assert finite.length == Fraction(3, 2) and type(finite.length) is Fraction
@@ -183,8 +225,8 @@ class TestValenceDistance:
 
     def test_distances_at_the_boundary(self):
         c = disjoint_union([Curve.segment(Fraction(1, 2)), Curve.doubly_infinite_line()])
-        dist = c.distances_from({"0:A": Fraction(1, 3)})
-        assert dist == {"0:A": Fraction(1, 3), "0:B": Fraction(5, 6), "1:O": INF,
+        dist = point_subgraph(c, c.pt_on_edge("0:e", Fraction(1, 3))).distance_map()
+        assert dist == {"0:A": Fraction(1, 3), "0:B": Fraction(1, 6), "1:O": INF,
                         "1:left.inf": INF, "1:right.inf": INF}
         assert all(d is INF or type(d) is Fraction for d in dist.values())
 
@@ -192,11 +234,11 @@ class TestValenceDistance:
 class TestSubgraph:
     def test_whole_curve(self, segment3):
         g = whole_subgraph(segment3)
-        assert g.component_count() == 1
+        assert g.as_curve()[0].is_connected()
 
     def test_single_point(self, segment3):
         g = point_subgraph(segment3, segment3.pt_on_edge("e", 1))
-        assert g.component_count() == 1
+        assert g.as_curve()[0].is_connected()
         assert g.contains_point(segment3.pt_on_edge("e", 1))
         assert not g.contains_point(segment3.pt_vertex("A"))
 
@@ -207,7 +249,7 @@ class TestSubgraph:
             make_subgraph(line, vertices=["right.inf"])
         assert str(exc.value) == lone
         g = make_subgraph(line, vertices=["right.inf"], intervals=[("right", 2, INF)])
-        assert g.vertices == {"right.inf"} and g.component_count() == 1
+        assert g.vertices == {"right.inf"} and g.as_curve()[0].is_connected()
         with pytest.raises(TropError) as exc:
             make_subgraph(line, vertices=["right.inf"], intervals=[("right", 1, 2)])
         assert str(exc.value) == lone
@@ -232,13 +274,13 @@ class TestSubgraph:
 
     def test_component_count_matches_curve(self, segment3):
         u = disjoint_union([segment3, segment3, segment3])
-        assert whole_subgraph(u).component_count() == len(u.component_sets()) == 3
+        assert len(whole_subgraph(u).as_curve()[0].component_sets()) == len(u.component_sets()) == 3
 
     def test_interval_across_loop_midpoint(self):
         c = Curve.build(vertices=["P"], edges=[("l", "P", "P", 8)])
         g = make_subgraph(c, intervals=[("l", 3, 5)])
         assert g.vertices == frozenset() and g.intervals == (("l", ((3, 5),)),)
-        assert g.component_count() == 1 and g.contains_point(c.pt_on_edge("l", 4))
+        assert g.as_curve()[0].is_connected() and g.contains_point(c.pt_on_edge("l", 4))
         sub, chart = g.as_curve()
         assert list(sub.edges) == ["l[3,5]"] and chart.edge_map["l[3,5]"] == ("l", 3, 1)
         assert g.distance_map() == {"P": 3}

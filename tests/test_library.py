@@ -6,6 +6,7 @@ import ast
 import fractions
 import importlib
 import inspect
+import re
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -154,8 +155,8 @@ def test_profile_readers_read_the_grid():
     # repr and error messages.  realize, pullback, germ_bump, the function
     # writer, the glue check and the self-test read Profile.grid.
     readers = {name: _breaks_readers(SRC / name)
-               for name in ("realization.py", "io.py", "glue.py", "selftest.py", "morphism.py")}
-    assert readers == {"realization.py": set(), "io.py": set(), "glue.py": set(),
+               for name in ("realization.py", "io.py", "gluing.py", "selftest.py", "morphism.py")}
+    assert readers == {"realization.py": set(), "io.py": set(), "gluing.py": set(),
                        "selftest.py": set(), "morphism.py": set()}
 
 
@@ -203,7 +204,7 @@ def test_edge_maps_read_profiles_through_pull():
     # two _along reads; none of them adds an edge length to an offset itself.
     tops = {}
     for name, func in (("plfunction.py", "restrict_whole"), ("morphism.py", "pullback"),
-                       ("glue.py", "glue_function"), ("plfunction.py", "_along")):
+                       ("gluing.py", "glue_function"), ("plfunction.py", "_along")):
         (tops[func],) = [top for top in ast.parse((SRC / name).read_text()).body
                          if isinstance(top, ast.FunctionDef) and top.name == func]
     found, calls = [], {}
@@ -218,7 +219,7 @@ def test_edge_maps_read_profiles_through_pull():
     assert found == []
     assert {func for func, callee in calls if callee == "_along"} == {
         "restrict_whole", "pullback", "glue_function"}
-    assert sorted(_callers("_pull")) == ["glue.py: glue_function", "plfunction.py: _along"]
+    assert sorted(_callers("_pull")) == ["gluing.py: glue_function", "plfunction.py: _along"]
     (weld,) = calls["glue_function", "_pull"]
     assert len(calls["glue_function", "_along"]) == 2 and weld > max(calls["glue_function", "_along"])
     assert not [node for func in ("restrict_whole", "pullback") for node in ast.walk(tops[func])
@@ -284,3 +285,36 @@ def test_tests_patch_only_names_the_library_reads():
                        for n in ast.walk(ast.parse(Path(source.__file__).read_text()))):
                 unread.append(where)
     assert unread == [] and len(seen) >= 11, (unread, seen)
+
+
+def test_the_public_names_are_the_ones_documented_and_tested():
+    # Each name in __all__ earns its place: the README names it and some
+    # test other than this file's uses it.  No submodule is exported, and
+    # __init__ imports no name it does not export.
+    readme = (TESTS.parent / "README.md").read_text()
+    tests = "\n".join(p.read_text() for p in sorted(TESTS.glob("*.py"))
+                      if p.name != Path(__file__).name)
+    assert len(set(tropcurve.__all__)) == len(tropcurve.__all__)
+    assert [n for n in tropcurve.__all__ if inspect.ismodule(getattr(tropcurve, n))] == []
+    assert [n for n in tropcurve.__all__ if f"`{n}`" not in readme] == []
+    assert [n for n in tropcurve.__all__ if not re.search(rf"\b{n}\b", tests)] == []
+    tree = ast.parse((SRC / "__init__.py").read_text())
+    imported = [a.asname or a.name for node in tree.body if isinstance(node, ast.ImportFrom)
+                for a in node.names]
+    assert sorted(imported) == sorted(tropcurve.__all__)
+
+
+def test_each_module_is_the_package_attribute_of_its_name():
+    # ``import tropcurve.<module> as m`` binds the module, not a function of that name.
+    stems = [p.stem for p in sorted(SRC.glob("*.py")) if p.stem != "__init__"]
+    assert "gluing" in stems and len(stems) >= 15
+    for stem in stems:
+        assert importlib.import_module(f"tropcurve.{stem}") is getattr(tropcurve, stem), stem
+
+
+def test_the_readme_library_example_runs(capsys):
+    # The README's one ```python block, run as written: each print's comment is what it prints.
+    (block,) = re.findall(r"```python\n(.*?)```", (TESTS.parent / "README.md").read_text(), re.S)
+    exec(compile(block, "README.md", "exec"), {})
+    shown = [line.split("#")[1].strip() for line in block.splitlines() if line.startswith("print(")]
+    assert capsys.readouterr().out.splitlines() == shown and len(shown) == 4

@@ -10,7 +10,7 @@ import pytest
 from tropcurve.complexes import PolyComplex1D
 from tropcurve.curve import INF, Curve, disjoint_union
 from tropcurve.errors import TropError
-from tropcurve.glue import Embedding, validate_embedding
+from tropcurve.gluing import Embedding, validate_embedding
 from tropcurve.morphism import Morphism, pullback
 from tropcurve.plfunction import (Divisor, PLFunction, Profile, chip_fire, disconnection_witness,
                                   extend, is_harmonic_at, module_degree, principal_divisor,
@@ -471,7 +471,7 @@ class TestDisconnectionWitness:
 
 class TestGlueFunction:
     def _welded_segments(self):
-        from tropcurve.glue import Embedding, glue
+        from tropcurve.gluing import Embedding, glue
 
         s1 = Curve.segment(1, "A", "B", "e")
         s2 = Curve.segment(1, "C", "D", "f")
@@ -482,7 +482,7 @@ class TestGlueFunction:
         return s1, s2, res
 
     def test_tent_weld(self):
-        from tropcurve.glue import glue_function
+        from tropcurve.gluing import glue_function
 
         s1, s2, res = self._welded_segments()
         h1 = PLFunction.from_edge_data(s1, {"e": ([(0, -1), (1, 0)], None)})
@@ -492,14 +492,14 @@ class TestGlueFunction:
         assert w.value_at(res.map1.point(s1.pt_vertex("A"))) == -1
 
     def test_constant_weld(self):
-        from tropcurve.glue import glue_function
+        from tropcurve.gluing import glue_function
 
         s1, s2, res = self._welded_segments()
         w = glue_function(PLFunction.constant(s1, 3), PLFunction.constant(s2, 3), res)
         assert w == PLFunction.constant(res.curve, 3)
 
     def test_mismatch_names_witness(self):
-        from tropcurve.glue import glue_function
+        from tropcurve.gluing import glue_function
 
         s1, s2, res = self._welded_segments()
         h1 = PLFunction.from_edge_data(s1, {"e": ([(0, 0), (1, 0)], None)})
@@ -508,7 +508,7 @@ class TestGlueFunction:
             glue_function(h1, h2, res)
 
     def test_edge_mismatch_names_the_first_differing_point(self):
-        from tropcurve.glue import Embedding, glue, glue_function
+        from tropcurve.gluing import Embedding, glue, glue_function
 
         # The shape edge runs backwards from e@3 to e@1 on side 1.  Both
         # functions vanish at its ends, and differ first at shape offset 1/2,
@@ -529,7 +529,7 @@ class TestGlueFunction:
         assert str(err.value) == "functions disagree on the glued subgraph at e@5/2"
 
     def test_rays_differing_only_at_infinity(self):
-        from tropcurve.glue import Embedding, glue, glue_function
+        from tropcurve.gluing import Embedding, glue, glue_function
 
         # The two rays agree at every breakpoint; their slopes at infinity
         # differ, so the witness lies one past the last breakpoint.
@@ -550,7 +550,7 @@ class TestGlueFunction:
         assert str(err.value) == "functions disagree on the glued subgraph at rayA@1"
 
     def test_reversed_shape_edge(self):
-        from tropcurve.glue import Embedding, glue, glue_function
+        from tropcurve.gluing import Embedding, glue, glue_function
 
         # e runs A -> B and f runs C -> D; the shape edge maps onto e forwards
         # and onto f backwards, so A is glued to D and B to C.
@@ -576,7 +576,7 @@ class TestGlueFunction:
             glue_function(h1, PLFunction.from_edge_data(c2, {"f": ([(0, 0), (2, 4)], None)}), res)
 
     def test_isolated_vertices_keep_their_values(self):
-        from tropcurve.glue import Embedding, glue, glue_function
+        from tropcurve.gluing import Embedding, glue, glue_function
 
         c1 = Curve.build(vertices=["A", "B", "I"], edges=[("e", "A", "B", 1)])
         c2 = Curve.build(vertices=["C", "D", "J"], edges=[("f", "C", "D", 1)])
@@ -591,7 +591,7 @@ class TestGlueFunction:
         assert w.value_at(res.map2.point(c2.pt_vertex("J"))) == -2
 
     def test_neg_inf_sides(self):
-        from tropcurve.glue import glue_function
+        from tropcurve.gluing import glue_function
 
         s1, s2, res = self._welded_segments()
         assert glue_function(PLFunction.neg_inf(s1), PLFunction.neg_inf(s2), res).is_neg_inf
@@ -599,7 +599,7 @@ class TestGlueFunction:
             glue_function(PLFunction.neg_inf(s1), PLFunction.constant(s2, 0), res)
 
     def test_welding_preserves_ray_classes(self):
-        from tropcurve.glue import Embedding, glue, glue_function
+        from tropcurve.gluing import Embedding, glue, glue_function
 
         r1 = Curve.build(vertices=["P"],
                          edges=[("s", "P", "Q", 1), ("rayA", "Q", None, INF)],

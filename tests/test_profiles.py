@@ -35,7 +35,7 @@ from tropcurve.complexes import PolyComplex1D
 from tropcurve.curve import INF, Curve, PointRef, disjoint_union
 from tropcurve.errors import TropError
 from tropcurve.geometry import primitive
-from tropcurve.glue import GlueResult, glue, glue_function
+from tropcurve.gluing import GlueResult, glue, glue_function
 from tropcurve.morphism import Morphism, germ_bump, localize, pullback
 from tropcurve.plfunction import (Divisor, PLFunction, Profile, _affine, _combine2, _gridded,
                                   _isolated_vertices, _normal, _pull, _slope_sum, _sweep,
@@ -852,18 +852,20 @@ def drawn_point(c: Curve, rng: random.Random) -> PointRef:
 
 
 def test_the_integer_metric_matches_the_fraction_dijkstra():
-    """distances_from, distance_map and distance against the Fraction
-    Dijkstra, on curves of several components with loops, rays and isolated
-    vertices whose length denominators are pairwise coprime primes."""
+    """distance_map and distance against the Fraction Dijkstra, on curves of
+    several components with loops, rays and isolated vertices whose length
+    denominators are pairwise coprime primes.  A subgraph of some vertices
+    seeds the integer Dijkstra at 0 on the curve's scale L, a drawn one at
+    its interval ends on the lcm of L and their prime denominators."""
     rng = rng_for("profile-metric")
     seen = dict.fromkeys(("unreached", "finite distance", "infinite distance", "same edge",
                           "subgraph", "loop", "ray"), 0)
     for _ in range(300):
         c = coprime_curve(rng)
         finite = [v for v, info in c.vertices.items() if not info.at_infinity]
-        seeds = {v: Fraction(rng.randint(0, 40), rng.choice(PRIMES))
-                 for v in rng.sample(finite, rng.randint(1, 3))}
-        got, want = c.distances_from(seeds), ref_distances_from(c, seeds)
+        seeds = rng.sample(finite, rng.randint(1, 3))
+        got = make_subgraph(c, vertices=seeds).distance_map()
+        want = ref_distances_from(c, dict.fromkeys(seeds, Fraction(0)))
         assert list(got.items()) == list(want.items()), (c, seeds)
         assert all(d is INF or type(d) is Fraction for d in got.values())
         seen["unreached"] += INF in got.values()
