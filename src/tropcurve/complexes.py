@@ -120,7 +120,9 @@ class PolyComplex1D:
         subdivision of the Newton polygon, exact on one integer scale, the
         lcm of the coefficients' denominators, so two cells meet only at a
         vertex of both; its selftest suite rebuilds each result through the
-        validating constructor).
+        validating constructor); ``realize`` (distinct vertex keys, positive
+        gcd weights and ``primitive`` ray directions by construction; it runs
+        ``_check_complex_property`` itself, on its integer keys).
         """
         k = object.__new__(cls)
         for name, value in (("dim", dim), ("vertices", vertices),
@@ -153,11 +155,16 @@ class PolyComplex1D:
         (``on_scale``).  Only pairs whose boxes meet are tested exactly, edge
         pairs first and then unused vertices, each in sorted index order, so
         the first error is the one an all-pairs loop over the same order
-        would raise.
+        would raise.  Two edges with a common endpoint v overlap exactly when
+        they leave v along the same primitive direction; otherwise they lie on
+        two lines through v, or on one line on either side of it, and meet
+        only at v.  So such a pair is decided by that direction test, and only
+        the other pairs go to ``edge_intersection``.
         """
         edges = _int_edges(self, P, L)
         if not edges:
             return
+        ends = [(p, q) if kind == "seg" else (p,) for kind, p, q in edges]
         used = {x for i, j, _ in self.segments for x in (i, j)} | {i for i, _, _ in self.rays}
         loose = [v for v in range(len(P)) if v not in used]
         boxes = [_box(*e) for e in edges]
@@ -171,6 +178,13 @@ class PolyComplex1D:
             elif a < n:
                 hits.append((loose[b - n], a))
         for a, b in sorted(pairs):
+            ea, eb = ends[a], ends[b]
+            v = ea[0] if ea[0] in eb else ea[-1] if ea[-1] in eb else None
+            if v is not None:
+                da, db = _away(edges[a], v), _away(edges[b], v)
+                if parallel(da, db) and dot(da, db) > 0:
+                    raise TropError(f"edges {a} and {b} overlap: not a complex")
+                continue
             res = edge_intersection(*edges[a], *edges[b])
             if res[0] == "none":
                 continue
@@ -280,6 +294,12 @@ def _straight(k: PolyComplex1D, P: Sequence[IVec]) -> dict[int, IVec]:
             if w1 == w2 and parallel(d1, d2) and dot(d1, d2) < 0:
                 out[i] = primitive(d1, w1)
     return out
+
+
+def _away(edge: tuple, v: IVec) -> IVec:
+    """The direction in which an edge of ``_int_edges`` leaves its endpoint v."""
+    kind, p, q = edge
+    return q if kind == "ray" else vsub(q, p) if p == v else vsub(p, q)
 
 
 def _box(kind: str, p: Sequence, q: Sequence) -> tuple:

@@ -179,11 +179,13 @@ class Curve:
         created as its point at infinity.  A malformed entry raises a
         ``TropError`` naming it; ``Curve(...)`` checks everything else.
         """
-        vinfos: dict[str, VertexInfo] = {}
+        vinfos: list[VertexInfo] = []  # every entry, so that Curve(...) sees a repeated id
+        known: set[str] = set()
         for v in vertices:
             try:
                 vid, at_inf = (v, False) if isinstance(v, str) else v
-                vinfos[vid] = VertexInfo(vid, at_inf)
+                known.add(vid)
+                vinfos.append(VertexInfo(vid, at_inf))
             except (TypeError, ValueError) as exc:
                 raise TropError(f"malformed vertex entry {v!r}: a vertex is an id or an "
                                 f"(id, at_infinity) pair") from exc
@@ -193,13 +195,14 @@ class Curve:
                 eid, u, v, length = entry
                 e = EdgeDesc(eid, u, f"{eid}.inf" if v is None else v, length)
                 for end in (e.u, e.v):
-                    if end not in vinfos:
-                        vinfos[end] = VertexInfo(end, at_infinity=e.is_infinite and end == e.v)
+                    if end not in known:
+                        known.add(end)
+                        vinfos.append(VertexInfo(end, at_infinity=e.is_infinite and end == e.v))
             except (TypeError, ValueError) as exc:
                 raise TropError(f"malformed edge entry {entry!r}: "
                                 "an edge is (id, u, v, length)") from exc
             edescs.append(e)
-        return Curve(vinfos.values(), edescs, ray_classes or {})
+        return Curve(vinfos, edescs, ray_classes or {})
 
     def _validate(self, vertices: Iterable[VertexInfo], edges: Iterable[EdgeDesc]):
         """Take the vertices and edges in, and each edge end into ``edges_at``,

@@ -73,19 +73,21 @@ def _lines(T, a, b):
 def _walk(T):
     """Vertices as reduced (X, Y, q) for (X/q, Y/q), segments and rays of a 2-D support."""
     P = (0, 0, 1)
-    while len(H := _hull(_top(T, P)[2])) < 3:  # inside a region, then on an edge
+    while len(H := _hull((top := _top(T, P))[2])) < 3:  # inside a region, then on an edge
         if len(H) == 1:
             d = next((e[0] - H[0][0], e[1] - H[0][1]) for e, _ in T if e != H[0])
         else:
             d = (H[1][1] - H[0][1], H[0][0] - H[1][0])
-        P = _step(T, P, d) or _step(T, P, (-d[0], -d[1]))
+        P = _step(T, P, d, top) or _step(T, P, (-d[0], -d[1]), top)
     points, index, segments, rays = [P], {P: 0}, [], []
     for i, P in enumerate(points):  # points grows as the walk finds vertices
-        H = _hull(_top(T, P)[2])
+        if i:  # the first vertex's top and hull are the search's last
+            top = _top(T, P)
+            H = _hull(top[2])
         for a, b in zip(H, H[1:] + H[:1]):
             w = gcd(b[0] - a[0], b[1] - a[1])
             d = ((b[1] - a[1]) // w, (a[0] - b[0]) // w)
-            Q = _step(T, P, d)
+            Q = _step(T, P, d, top)
             if Q is None:
                 rays.append((i, d, w))
                 continue
@@ -105,9 +107,11 @@ def _top(T, P):
     return vals, top, [e for (e, _), v in zip(T, vals) if v == top]
 
 
-def _step(T, P, d):
-    """The first P + t·d, t > 0, where a term rising faster along d catches up, or None."""
-    vals, top, M = _top(T, P)
+def _step(T, P, d, at_P):
+    """The first P + t·d, t > 0, where a term rising faster along d catches up, or None.
+
+    ``at_P`` is ``_top(T, P)``, computed once per vertex by the caller."""
+    vals, top, M = at_P
     s = max(e[0] * d[0] + e[1] * d[1] for e in M)
     n, r = 0, 0  # the earliest catch-up so far is at t = n / (q r)
     for (e, _), v in zip(T, vals):

@@ -21,8 +21,8 @@ from .curve import INF, Curve, PointRef
 from .errors import InternalError, TropError
 from .geometry import parallel, primitive, vsub
 from .hypersurface import plane_hypersurface
-from .plfunction import PLFunction, _isolated_vertices, _sweep, principal_divisor
-from .semifield import TropPoly, common_scale, least_scale, on_scale
+from .plfunction import PLFunction, _gridded, _isolated_vertices, _sweep, principal_divisor
+from .semifield import TropPoly, common_scale, least_scale, on_scale, rat
 
 
 @dataclass(frozen=True)
@@ -130,13 +130,17 @@ def realize(c: Curve, fs: Sequence[PLFunction]) -> RealizationMap:
                 merged_edges |= key in ray_weights
                 ray_weights[key] = math.gcd(ray_weights.get(key, 0), *tails)
 
+    # Every field invariant holds by construction; whether the image embeds is
+    # checked on the vertex keys, put on one scale.
+    image = PolyComplex1D._trusted(
+        n,
+        tuple(vertices),
+        tuple(sorted((i, j, w) for (i, j), w in seg_weights.items())),
+        tuple(sorted((b, d, w) for (b, d), w in ray_weights.items())),
+    )
+    L, rows = common_scale(*vertex_ids)
     try:
-        image = PolyComplex1D(
-            n,
-            tuple(vertices),
-            tuple(sorted((i, j, w) for (i, j), w in seg_weights.items())),
-            tuple(sorted((b, d, w) for (b, d), w in ray_weights.items())),
-        )
+        image._check_complex_property([row for (row,) in rows], L)
     except TropError as exc:
         raise TropError(f"image is not an embedded complex: {exc}") from exc
     return RealizationMap(c, tuple(fs), image, tuple(pieces), tuple(skeleton),
@@ -232,7 +236,11 @@ def curve_from_complex(K: PolyComplex1D) -> tuple[Curve, tuple[PLFunction, ...],
 
     Edge lengths are lattice lengths divided by weights; rays of equal
     direction share a ray class; the coordinate functions realize the
-    complex back with identical weights.
+    complex back with identical weights.  Each coordinate is built on grids
+    from the vertices times their scale L (``on_scale``): a segment of
+    weight w and lattice length g has length g / (L·w), so on the scale L·w
+    its ends are 0 and g and its values w times the vertex rows, and its
+    slope, w times a coordinate difference over g, is an integer.
     """
     rep = check_balanced(K)
     if not rep.balanced:
@@ -244,8 +252,9 @@ def curve_from_complex(K: PolyComplex1D) -> tuple[Curve, tuple[PLFunction, ...],
     edges = []
     ray_classes = {}
     L, P = on_scale(K.vertices)
+    lattice = [math.gcd(*vsub(P[j], P[i])) for i, j, _ in K.segments]
     for k, (i, j, w) in enumerate(K.segments):
-        edges.append((f"s{k}", f"v{i}", f"v{j}", Fraction(math.gcd(*vsub(P[j], P[i])), L * w)))
+        edges.append((f"s{k}", f"v{i}", f"v{j}", Fraction(lattice[k], L * w)))
     for k, (i, d, w) in enumerate(K.rays):
         rid = f"r{k}"
         edges.append((rid, f"v{i}", None, INF))
@@ -256,18 +265,16 @@ def curve_from_complex(K: PolyComplex1D) -> tuple[Curve, tuple[PLFunction, ...],
         ray_classes[rid] = "dir:" + ",".join(str(x) for x in d) + f"*{w}"
     c = Curve.build(vertices=vertices, edges=edges, ray_classes=ray_classes)
 
+    used = {x for i, j, _ in K.segments for x in (i, j)} | {i for i, _, _ in K.rays}
+    isolated = [i for i in range(len(K.vertices)) if i not in used]
     fs = []
     for t in range(n):
-        data = {}
-        for k, (i, j, w) in enumerate(K.segments):
-            e = c.edges[f"s{k}"]
-            data[f"s{k}"] = ([(0, K.vertices[i][t]), (e.length, K.vertices[j][t])], None)
+        profiles = {f"s{k}": _gridded(L * w, [(0, w * P[i][t]), (g, w * P[j][t])], None)
+                    for k, ((i, j, w), g) in enumerate(zip(K.segments, lattice))}
         for k, (i, d, w) in enumerate(K.rays):
-            data[f"r{k}"] = ([(0, K.vertices[i][t])], w * d[t])
-        used = {e.u for e in c.edges.values()} | {e.v for e in c.edges.values()}
-        iso = {f"v{i}": K.vertices[i][t] for i in range(len(K.vertices))
-               if f"v{i}" not in used}
-        fs.append(PLFunction.from_edge_data(c, data, iso))
+            profiles[f"r{k}"] = _gridded(L, [(0, P[i][t])], w * d[t])
+        fs.append(PLFunction._trusted(c, profiles, {f"v{i}": rat(K.vertices[i][t])
+                                                    for i in isolated}))
     for f in fs:
         div = principal_divisor(f)
         if any(not c.is_at_infinity(p) for p in div.support()):

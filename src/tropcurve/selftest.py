@@ -301,6 +301,7 @@ def suite_complex_round_trip(rng: random.Random, cases: int) -> int:
         c, fs, r = curve_from_complex(K)
         check(r.image.canonical() == K.canonical())
         for f in fs:
+            check(PLFunction.from_edge_data(c, f.profiles, f.isolated) == f)  # built unchecked
             check(all(c.is_at_infinity(p) for p in principal_divisor(f).support()))
     return len(library)
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import random
+import re
 from fractions import Fraction
 from math import gcd
 
@@ -25,8 +26,9 @@ from tropcurve.errors import NonTransversalError, TropError
 from tropcurve.geometry import dot, edge_intersection, on_edge, vadd, vsub
 from tropcurve.hypersurface import plane_hypersurface
 from tropcurve.plfunction import PLFunction
-from tropcurve.randgen import complex_library, random_plane_poly, random_rational
-from tropcurve.realization import realize
+from tropcurve.randgen import (complex_library, random_class_respecting_function, random_curve,
+                               random_plane_poly, random_rational)
+from tropcurve.realization import curve_from_complex, realize
 from tropcurve.semifield import TropPoly, on_scale
 
 from conftest import fraction_calls, rng_for
@@ -362,19 +364,42 @@ def test_boxes_meet_exactly_when_they_overlap_in_every_coordinate():
     assert complexes._boxes_meet(seg, box("ray", (5, 1), (-1, 0)))
 
 
+def overlap_at_a_shared_vertex(message: str | None, segments, rays) -> bool:
+    """Whether the message names an overlap of two edges with a common endpoint."""
+    m = re.fullmatch(r"edges (\d+) and (\d+) overlap: not a complex", message or "")
+    ends = [{i, j} for i, j, _ in segments] + [{i} for i, _, _ in rays]
+    return m is not None and bool(ends[int(m[1])] & ends[int(m[2])])
+
+
+def leave_a_vertex_opposite(dim, vertices, segments, rays) -> bool:
+    """Whether two edges leave some vertex in opposite directions."""
+    away: dict[int, list] = {}
+    for i, j, _ in segments:
+        away.setdefault(i, []).append(vsub(vertices[j], vertices[i]))
+        away.setdefault(j, []).append(vsub(vertices[i], vertices[j]))
+    for i, d, _ in rays:
+        away.setdefault(i, []).append(d)
+    return any(ref_parallel(a, b) and dot(a, b) < 0
+               for ds in away.values() for a in ds for b in ds)
+
+
 def test_pruned_check_agrees_with_all_pairs():
     rng = rng_for("complex-oracle")
-    valid = invalid = 0
-    for case in range(2400):
+    valid = invalid = shared_overlaps = opposite = 0
+    for case in range(6000):  # enough draws for 100 valid opposite pairs at a vertex
         fields = random_fields(rng, 2 + case % 2)
         expected = all_pairs_verdict(*fields)
         assert verdict(*fields) == expected, fields
         if expected is None:
             valid += 1
+            opposite += leave_a_vertex_opposite(*fields)
         else:
             invalid += 1
-    # Both verdicts are common, so the comparison exercises each rule.
+            shared_overlaps += overlap_at_a_shared_vertex(expected, *fields[2:])
+    # Both verdicts are common, so the comparison exercises each rule; the
+    # direction rule decides pairs with a common endpoint, both ways.
     assert valid > 600 and invalid > 600, (valid, invalid)
+    assert shared_overlaps >= 100 and opposite >= 100, (shared_overlaps, opposite)
 
 
 def trusted_inputs(rng: random.Random):
@@ -392,6 +417,19 @@ def trusted_inputs(rng: random.Random):
         if all_pairs_verdict(*fields) is None:
             yield PolyComplex1D(*fields)
             valid += 1
+    yield embedded_image(50)
+    for K in complex_library(rng, 6):  # rays and lines, through realize
+        yield curve_from_complex(K)[2].image
+    images = 0
+    while images < 40:
+        c = random_curve(rng)
+        try:
+            image = realize(c, [random_class_respecting_function(c, rng)
+                                for _ in range(rng.randint(2, 3))]).image
+        except TropError:
+            continue  # the image does not embed
+        yield image
+        images += 1
 
 
 def test_trusted_results_pass_full_validation():
@@ -411,18 +449,36 @@ def embedded_image(n: int) -> PolyComplex1D:
     return realize(c, [f, g]).image
 
 
+def count_exact_tests(monkeypatch) -> dict[str, int]:
+    """Counters of the check's two exact tests: the direction test of a pair
+    with a common endpoint (``parallel``) and ``edge_intersection``."""
+    calls = {"parallel": 0, "edge_intersection": 0}
+    for name in calls:
+        def counted(*args, name=name, real=getattr(complexes, name)):
+            calls[name] += 1
+            return real(*args)
+        monkeypatch.setattr(complexes, name, counted)
+    return calls
+
+
 def test_rebuilding_an_embedded_image_prunes_pairs(monkeypatch):
     image = embedded_image(200)
-    calls = 0
-
-    def counted(*args):
-        nonlocal calls
-        calls += 1
-        return edge_intersection(*args)
-
-    monkeypatch.setattr(complexes, "edge_intersection", counted)
+    calls = count_exact_tests(monkeypatch)
     assert PolyComplex1D(image.dim, image.vertices, image.segments, image.rays) == image
-    assert 0 < calls <= 2 * image.edge_count()
+    # A monotone chain: each candidate pair shares an endpoint.
+    assert 0 < sum(calls.values()) <= 2 * image.edge_count(), calls
+    assert calls["edge_intersection"] == 0, calls
+
+
+def test_a_crossing_without_a_common_endpoint_reaches_edge_intersection(monkeypatch):
+    image = embedded_image(20)
+    n = len(image.vertices)
+    vertices = image.vertices + ((Fraction(1, 3), -10), (Fraction(1, 3), 10))
+    calls = count_exact_tests(monkeypatch)
+    with pytest.raises(TropError, match=r"^edges 0 and 19 meet at \(1/3, 1\), which is not "
+                                        r"an endpoint of both$"):
+        PolyComplex1D(image.dim, vertices, image.segments + ((n, n + 1, 1),), image.rays)
+    assert calls["parallel"] >= 1 and calls["edge_intersection"] >= 1, calls
 
 
 def test_validation_makes_one_fraction_call_per_coordinate():

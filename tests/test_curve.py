@@ -118,6 +118,7 @@ class TestBuild:
         (lambda: Curve.build(vertices=[(1, False)]), "vertex id must be a string, not int: 1"),
         (lambda: Curve.build(vertices=[("a", 1)]),
          "vertex 'a': at_infinity must be True or False, not int: 1"),
+        (lambda: Curve.build(vertices=["a", ("a", False)]), "duplicate vertex id 'a'"),
         # No file can name an edge 3, so no function on such a curve could be written.
         (lambda: Curve.build(vertices=["a", "b"], edges=[(3, "a", "b", 1)]),
          "edge id must be a string, not int: 3"),
@@ -139,7 +140,7 @@ class TestBuild:
         (lambda: Curve([VertexInfo("a", "yes")], [], {}),
          "vertex 'a': at_infinity must be True or False, not str: 'yes'"),
     ], ids=["vertex-int", "vertex-none", "vertex-one-tuple", "vertex-list-id", "vertex-int-id",
-            "vertex-int-flag", "edge-int-id", "edge-int-endpoint", "edge-list-endpoint",
+            "vertex-int-flag", "vertex-repeated", "edge-int-id", "edge-int-endpoint", "edge-list-endpoint",
             "edge-short", "ray-class-int-label", "ray-class-int-key", "raw-int-vertex-id",
             "raw-list-endpoint", "raw-str-flag"])
     def test_malformed_entries_raise_trop_error(self, make, message):

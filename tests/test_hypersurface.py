@@ -8,6 +8,7 @@ from fractions import Fraction
 
 import pytest
 
+from tropcurve import hypersurface
 from tropcurve.complexes import PolyComplex1D, check_balanced
 from tropcurve.errors import TropError
 from tropcurve.hypersurface import plane_hypersurface
@@ -120,6 +121,24 @@ def test_walk_matches_pair_scan(name):
     assert PolyComplex1D(2, K.vertices, K.segments, K.rays) == K
     assert K.canonical() == PolyComplex1D.of(2, vertices, segments, rays)
     argmax_oracle(F, K, GRID)
+
+
+@pytest.mark.parametrize("name", WALK_CASES)
+def test_top_is_evaluated_once_per_vertex(name, monkeypatch):
+    """``_step`` takes the values at its vertex from the walk: ``_top`` runs
+    once per vertex of the curve and once per move of the search for the first."""
+    calls = 0
+    top = hypersurface._top
+
+    def counted(T, P):
+        nonlocal calls
+        calls += 1
+        return top(T, P)
+
+    monkeypatch.setattr(hypersurface, "_top", counted)
+    K = plane_hypersurface(TropPoly.of(2, WALK_CASES[name][0]))
+    moves = {"origin-in-region": 2, "origin-on-edge": 1}.get(name, 0)
+    assert calls <= len(K.vertices) + moves, (calls, len(K.vertices))
 
 
 def random_poly(n: int) -> TropPoly:

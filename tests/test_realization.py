@@ -5,10 +5,12 @@ from __future__ import annotations
 import collections
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from tropcurve import complexes
+from tropcurve import complexes, realization
+from tropcurve import io as tio
 from tropcurve.complexes import PolyComplex1D, check_balanced, intersect
 from tropcurve.curve import INF, Curve
 from tropcurve.errors import NonTransversalError, TropError
@@ -24,6 +26,8 @@ from tropcurve.semifield import TropPoly, on_scale
 from tropcurve.subgraph import point_subgraph
 
 from conftest import fraction_calls, identity_fn, rng_for, scaled_fn
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
 class TestRealize:
@@ -335,6 +339,96 @@ class TestPerturbedHarmonicFamilies:
             r2 = realize(c, scaled)
             hb = harmonic_balance_report(r2)
             assert hb.all_harmonic and hb.balance.balanced
+
+
+def ref_coordinates(K: PolyComplex1D, c: Curve) -> tuple[PLFunction, ...]:
+    """``curve_from_complex``'s coordinates on its curve c as it used to build
+    them: (offset, value) pairs of ``Fraction``s, through the validating
+    constructor."""
+    fs = []
+    for t in range(K.dim):
+        data = {}
+        for k, (i, j, w) in enumerate(K.segments):
+            e = c.edges[f"s{k}"]
+            data[f"s{k}"] = ([(0, K.vertices[i][t]), (e.length, K.vertices[j][t])], None)
+        for k, (i, d, w) in enumerate(K.rays):
+            data[f"r{k}"] = ([(0, K.vertices[i][t])], w * d[t])
+        used = {e.u for e in c.edges.values()} | {e.v for e in c.edges.values()}
+        iso = {f"v{i}": K.vertices[i][t] for i in range(len(K.vertices))
+               if f"v{i}" not in used}
+        fs.append(PLFunction.from_edge_data(c, data, iso))
+    return tuple(fs)
+
+
+def golden_complexes() -> dict[str, PolyComplex1D]:
+    """Every input file of the golden corpus that reads as a complex."""
+    out = {}
+    for path in sorted(GOLDEN.glob("*/in/*.json")):
+        try:
+            out[f"{path.parent.parent.name}/{path.name}"] = tio.complex_from_json(path.read_text())
+        except TropError:
+            continue  # a curve, function or other file
+    return out
+
+
+def test_grid_built_coordinates_match_the_fraction_reading():
+    golden = golden_complexes()
+    rebuilt = 0
+    for K in complex_library(rng_for("coordinates"), 30) + list(golden.values()):
+        if not check_balanced(K).balanced:
+            with pytest.raises(TropError, match="complex is not balanced"):
+                curve_from_complex(K)
+            continue
+        c, fs, _ = curve_from_complex(K)
+        want = ref_coordinates(K, c)
+        assert fs == want, K
+        for f, g in zip(fs, want):
+            assert list(f.profiles) == list(g.profiles)
+            assert [(k, type(v), v) for k, v in f.isolated.items()] == \
+                [(k, type(v), v) for k, v in g.isolated.items()]
+        rebuilt += 1
+    assert len(golden) >= 4 and rebuilt >= 33, (sorted(golden), rebuilt)
+
+
+def test_realize_checks_its_image_on_its_own_keys(monkeypatch):
+    """The image is built unchecked and checked for embedding on realize's
+    integer vertex keys: no ``PolyComplex1D.__post_init__``, and no
+    ``on_scale`` of the image's vertices."""
+    cases = [curve_from_complex(K)[:2] for K in complex_library(rng_for("own-keys"), 8)]
+    c = Curve.build(vertices=["A", "B", "I"], edges=[("e", "A", "B", 3)])
+    cases.append((c, [PLFunction.from_edge_data(c, {"e": ([(0, 0), (1, 2), (3, 0)], None)},
+                                                {"I": Fraction(-1, 2)})] * 2))
+    post_init = PolyComplex1D.__post_init__.__code__
+    posts, scaled = 0, []
+
+    def hook(frame, event, arg):
+        nonlocal posts
+        posts += event == "call" and frame.f_code is post_init
+
+    def recorded(module):
+        real = module.on_scale
+
+        def on_scale(rows):
+            scaled.append(tuple(rows))
+            return real(rows)
+        return on_scale
+
+    for module in (complexes, realization):
+        monkeypatch.setattr(module, "on_scale", recorded(module))
+    seen = 0
+    for c, fs in cases:
+        scaled.clear()
+        sys.setprofile(hook)
+        try:
+            r = realize(c, fs)
+            assert posts == 0 and r.image.vertices not in scaled
+            seen += len(scaled)
+            rebuilt = PolyComplex1D(r.image.dim, r.image.vertices, r.image.segments, r.image.rays)
+        finally:
+            sys.setprofile(None)
+        assert rebuilt == r.image and posts == 1  # the counters see a validation
+        posts = 0
+    assert seen  # the isolated vertex's coordinates go through on_scale
 
 
 def concave_poly(exponents, nudge) -> TropPoly:
