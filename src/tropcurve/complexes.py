@@ -26,7 +26,7 @@ def _fmt(p: Sequence) -> str:
 
 
 def _unscaled(num: Sequence[int], den: int) -> Vec:
-    return tuple(Fraction(x, den) for x in num)
+    return tuple([Fraction(x, den) for x in num])
 
 
 def _int_edges(k: "PolyComplex1D", P: Sequence[IVec], L: int) -> list[tuple]:
@@ -36,7 +36,7 @@ def _int_edges(k: "PolyComplex1D", P: Sequence[IVec], L: int) -> list[tuple]:
     every edge and an overlap witness is L times the rational one.
     """
     return ([("seg", P[i], P[j]) for i, j, _ in k.segments]
-            + [("ray", P[i], tuple(L * x for x in d)) for i, d, _ in k.rays])
+            + [("ray", P[i], tuple([L * x for x in d])) for i, d, _ in k.rays])
 
 
 @dataclass(frozen=True)
@@ -169,7 +169,7 @@ class PolyComplex1D:
         loose = [v for v in range(len(P)) if v not in used]
         boxes = [_box(*e) for e in edges]
         boxes += [tuple((x, x) for x in P[v]) for v in loose]
-        axis = max(range(self.dim), key=lambda k: max(p[k] for p in P) - min(p[k] for p in P))
+        axis = max(range(self.dim), key=lambda k: max([p[k] for p in P]) - min([p[k] for p in P]))
         n = len(edges)
         pairs, hits = [], []
         for a, b in _box_candidates(boxes, axis):
@@ -305,8 +305,8 @@ def _away(edge: tuple, v: IVec) -> IVec:
 def _box(kind: str, p: Sequence, q: Sequence) -> tuple:
     """Per coordinate, the (lo, hi) extent of an edge; None on a ray's unbounded side."""
     if kind == "seg":
-        return tuple((a, b) if a <= b else (b, a) for a, b in zip(p, q))
-    return tuple((c, None) if s > 0 else (None, c) if s < 0 else (c, c) for c, s in zip(p, q))
+        return tuple([(a, b) if a <= b else (b, a) for a, b in zip(p, q)])
+    return tuple([(c, None) if s > 0 else (None, c) if s < 0 else (c, c) for c, s in zip(p, q)])
 
 
 def _boxes_meet(A: tuple, B: tuple) -> bool:
@@ -335,8 +335,8 @@ def _box_candidates(boxes: Sequence[tuple], axis: int) -> list[tuple[int, int]]:
         lo, hi = box[axis]
         while leaving and lo is not None and leaving[0][0] < lo:
             del active[heapq.heappop(leaving)[1]]
-        out.extend((min(a, k), max(a, k)) for a, other in active.items()
-                   if _boxes_meet(other, box))
+        out.extend([(min(a, k), max(a, k)) for a, other in active.items()
+                    if _boxes_meet(other, box)])
         active[k] = box
         if hi is not None:
             heapq.heappush(leaving, (hi, k))

@@ -133,10 +133,11 @@ class PointRef:
         return (self.vertex == other.vertex and self.edge == other.edge and self._n == other._n
                 and self._d == other._d and self.kind == other.kind)
 
-    def __hash__(self):  # worked out once, with no container built
+    def __hash__(self):  # worked out once, with no hash of None: it varies by process before 3.12
         h = self._hash
         if h is None:
-            h = self._hash = hash(self.vertex) ^ hash(self.edge) ^ hash(self._n) ^ hash(self._d) * 7
+            h = hash(self.vertex) if self._d is None else hash((self.edge, self._n, self._d))
+            self._hash = h
         return h
 
     def __repr__(self) -> str:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd
+from operator import add, mul, sub
 from typing import Sequence
 
 Vec = tuple[Fraction, ...]
@@ -17,15 +18,15 @@ IVec = tuple[int, ...]
 
 
 def vsub(a: Sequence, b: Sequence) -> Vec:
-    return tuple(x - y for x, y in zip(a, b))
+    return tuple(map(sub, a, b))
 
 
 def vadd(a: Sequence, b: Sequence) -> Vec:
-    return tuple(x + y for x, y in zip(a, b))
+    return tuple(map(add, a, b))
 
 
 def dot(a: Sequence, b: Sequence):
-    return sum((x * y for x, y in zip(a, b)), 0)
+    return sum(map(mul, a, b), 0)
 
 
 def _minor(a: Sequence, b: Sequence):

@@ -112,7 +112,7 @@ def _step(T, P, d, at_P):
 
     ``at_P`` is ``_top(T, P)``, computed once per vertex by the caller."""
     vals, top, M = at_P
-    s = max(e[0] * d[0] + e[1] * d[1] for e in M)
+    s = max([e[0] * d[0] + e[1] * d[1] for e in M])
     n, r = 0, 0  # the earliest catch-up so far is at t = n / (q r)
     for (e, _), v in zip(T, vals):
         rate = e[0] * d[0] + e[1] * d[1] - s

@@ -94,7 +94,25 @@ def _integer(x, what: str) -> int:
 
 
 def curve_to_json(c: Curve) -> str:
-    return _dumps(c.description()) + "\n"
+    """The bytes of ``json.dumps(c.description(), indent=2)``, written as text from the
+    curve: ids through ``json``'s string encoder, and each finite length one
+    ``ratio_str`` on the curve's integer length scale."""
+    q, (L, lengths) = encode_basestring_ascii, c._length_scale()
+    vertices = ",\n    ".join([
+        f'{{\n      "id": {q(vid)},\n      "at_infinity": '
+        f'{"true" if v.at_infinity else "false"}\n    }}'
+        for vid, v in sorted(c.vertices.items())])
+    edges = ",\n    ".join([
+        f'{{\n      "id": {q(eid)},\n      "u": {q(e.u)},\n      "v": {q(e.v)},\n      "length": '
+        f'"{ratio_str(lengths[eid], L) if eid in lengths else "inf"}"\n    }}'
+        for eid, e in sorted(c.edges.items())])
+    edges = f"[\n    {edges}\n  ]" if edges else "[]"
+    classes = _dumps(dict(sorted(c.ray_classes.items())), "\n  ")
+    return (f'{{\n  "vertices": [\n    {vertices}\n  ],\n  "edges": {edges},\n'
+            f'  "ray_classes": {classes}\n}}\n')
+
+
+_EDGE_KEYS = frozenset(("id", "u", "v", "length"))
 
 
 def curve_from_json(text: str) -> Curve:
@@ -104,12 +122,12 @@ def curve_from_json(text: str) -> Curve:
     for v in _member(data, "vertices", list):
         _require(isinstance(v, dict) and "id" in v, "vertex entries need an id")
         at_infinity = v.get("at_infinity", False)
-        _require(isinstance(at_infinity, bool),
-                 f"vertex {v['id']!r}: at_infinity must be true or false")
+        if not isinstance(at_infinity, bool):
+            raise FileFormatError(f"vertex {v['id']!r}: at_infinity must be true or false")
         vertices.append((_id(v["id"], "vertex id"), at_infinity))
     edges = []
     for e in _member(data, "edges", list):
-        _require(isinstance(e, dict) and {"id", "u", "v", "length"} <= set(e),
+        _require(isinstance(e, dict) and e.keys() >= _EDGE_KEYS,
                  "edge entries need id, u, v, length")
         length = e["length"]
         edges.append((_id(e["id"], "edge id"), _id(e["u"], "edge endpoint"),

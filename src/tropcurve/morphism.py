@@ -233,6 +233,9 @@ class Localization:
     """Handle for reading the germ of a function at a finite point.
 
     Germs are comparable only against the same recorded direction order.
+    The first ``apply`` resolves each direction to its edge and whether it
+    runs forward, and keeps that outside the dataclass fields, as
+    ``validate_morphism`` keeps its report.
     """
 
     curve: Curve
@@ -249,8 +252,27 @@ class Localization:
         if f.is_neg_inf:
             return Germ.zero(self.rank)
         value = f.value_at(self.point)
-        slopes = tuple(f.outgoing_slope(self.point, d) for d in self.directions)
-        return Germ(self.rank, value, slopes)
+        if "_germ" not in self.__dict__:
+            object.__setattr__(self, "_germ", self._resolve())
+        off, last, dirs = self._germ
+        ps = f.profiles
+        if off is None:  # a vertex: the first piece's slope, or minus the last one's
+            slopes = [ps[e].slopes[0] if fwd else -ps[e].slopes[last] for e, fwd in dirs]
+        else:
+            slopes = [ps[e].slope_right(off) if fwd else -ps[e].slope_left(off) for e, fwd in dirs]
+        return Germ(self.rank, value, tuple(slopes))
+
+    def _resolve(self) -> tuple["Fraction | None", int, list[tuple[str, bool]]]:
+        """(offset, last, dirs): the point's offset, None at a vertex; where ``slopes``
+        holds the slope that ends an edge there, the tail at a point at infinity;
+        and (edge, forward?) per direction.  An invalid direction raises."""
+        c, p = self.curve, self.point
+        valid = c.directions_at(p)
+        for d in self.directions:
+            if d not in valid:
+                raise TropError(f"direction {d!r} invalid at {p}")
+        return (None if p.kind == "vertex" else p.offset, -1 if c.is_at_infinity(p) else -2,
+                [(d[:-2], d[-1] == "+") for d in self.directions])
 
 
 def localize(c: Curve, x: PointRef, direction_order: Sequence[str] | None = None) -> Localization:

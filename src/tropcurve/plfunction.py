@@ -78,8 +78,8 @@ class Profile:
     def __eq__(self, other):
         return isinstance(other, Profile) and self.grid == other.grid and self.tail == other.tail
 
-    def __hash__(self):
-        return hash((self.grid, self.tail))
+    def __hash__(self):  # no hash of None, which varies by process before Python 3.12
+        return hash(self.grid) if self.tail is None else hash((self.grid, self.tail))
 
     def __repr__(self):
         return f"Profile({self.breaks!r}, {self.tail!r})"
@@ -132,11 +132,15 @@ class _NotATail(TropError):
     """A tail that is not an integer; ``from_edge_data`` names its edge."""
 
 
-def _gridded(d: int, g: Sequence[tuple[int, int]], tail: int | None) -> Profile:
-    """The profile of the pairs g on scale d, in least terms."""
+def _gridded(d: int, g: Sequence[tuple[int, int]], tail: int | None,
+             slopes: list | None = None) -> Profile:
+    """The profile of the pairs g on scale d, in least terms; ``slopes``, when the
+    kernel has them, are its right slopes, which no scale changes."""
     p = Profile.__new__(Profile)
     p.tail = tail
     p.grid = least_scale(d, g)
+    if slopes is not None:
+        p.slopes = slopes
     return p
 
 
@@ -213,7 +217,8 @@ def _combine2(p: Profile, q: Profile, op: str) -> Profile:
     is decided by (difference, slope difference), and a crossing is
     inserted only where the two ends have strictly opposite signs, or on a
     ray's tail.  A crossing lies on the scale times the slope difference,
-    so the result's scale is refined by their lcm, then reduced.
+    so the result's scale is refined by their lcm, then reduced.  The right
+    slope of each point kept goes to the result with it.
     """
     d, (gp, gq) = common_scale(p.grid, q.grid)
     grid = sorted({o for o, _ in gp} | {o for o, _ in gq})
@@ -221,7 +226,7 @@ def _combine2(p: Profile, q: Profile, op: str) -> Profile:
     qv, qs = _sweep(gq, q.slopes, grid)
     n = len(grid)
     sign = 1 if op == "max" else -1
-    out, cross = [], {}
+    out, slopes, cross = [], [], {}
     prev = None
     for i in range(n):
         a, b, sa, sb = pv[i], qv[i], ps[i], qs[i]
@@ -235,6 +240,7 @@ def _combine2(p: Profile, q: Profile, op: str) -> Profile:
             v, s = (a, sa) if up else (b, sb)
         if i == 0 or s != prev:
             out.append((grid[i], v))
+            slopes.append(s)
         prev = s
         if op == "add" or sa is None:
             continue
@@ -244,19 +250,23 @@ def _combine2(p: Profile, q: Profile, op: str) -> Profile:
             cross[len(out)] = k = sb - sa
             out.append((grid[i] * k + a - b, a * k + sa * (a - b)))
             prev = sb if up else sa
+            slopes.append(prev)
     if cross:
         m = lcm(*cross.values())
         d, out = d * m, [(o * (m // cross.get(i, 1)), v * (m // cross.get(i, 1)))
                          for i, (o, v) in enumerate(out)]
-    return _gridded(d, out, prev)
+    return _gridded(d, out, prev, slopes)
 
 
 def _affine(p: Profile, k: int, delta: Fraction | int = 0) -> Profile:
-    """The values times k plus delta; k = 0 flattens the profile, so it is normalized again."""
+    """The values times k plus delta; k = 0 flattens the profile, so it is normalized
+    again, and any other k takes the slopes times k."""
     d, g = p.grid
     n, m = place(d, delta)
     g, tail = [(o * m, v * k * m + n) for o, v in g], None if p.tail is None else p.tail * k
-    return _gridded(d * m, [g[i] for i in _kept(g, tail)] if k == 0 else g, tail)
+    if k == 0:
+        return _gridded(d * m, [g[i] for i in _kept(g, tail)], tail)
+    return _gridded(d * m, g, tail, [s * k for s in p.slopes[:-1]] + [tail])
 
 
 def _pull(p: Profile, start, length, orient: int = 1, k: int = 1) -> Profile:
@@ -266,12 +276,14 @@ def _pull(p: Profile, start, length, orient: int = 1, k: int = 1) -> Profile:
     The window is put on p's grid, scale D: an offset t in it becomes
     (t - start)·orient on the scale D·k, so each value is taken times k.
     The breakpoints inside stay slope changes, so the result is normalized
-    as built.
+    as built.  A window that reads the whole edge forward is p itself.
     """
     ray = length is INF
     if ray and orient < 0:
         raise TropError("cannot reverse an unbounded profile")
     d, (g, ((a, *w),)) = common_scale(p.grid, on_scale(((start,) if ray else (start, length),)))
+    if a == 0 and orient == 1 and k == 1 and (ray or p.tail is None and w[0] == g[-1][0]):
+        return p
     lo, *hi = [a] if ray else sorted((a, a + orient * k * w[0]))
     vals, _ = _sweep(g, p.slopes, [lo, *hi])
     pts = [(lo, vals[0])] + [(o, v) for o, v in g if lo < o and (ray or o < hi[0])]
@@ -433,8 +445,9 @@ class PLFunction:
     def __eq__(self, other):
         return isinstance(other, PLFunction) and self._key() == other._key()
 
-    def __hash__(self):
-        return hash(self._key())
+    def __hash__(self):  # as Profile's, with no hash of None
+        return hash((self.curve, frozenset((self.profiles or {}).items()),
+                     frozenset(self.isolated.items())))
 
     def _require_same_curve(self, other: "PLFunction"):
         if self.curve != other.curve:
@@ -776,7 +789,7 @@ def _fired(d: int, r: int, cap: int | None, du: int, ivs, far: tuple[int, int] |
                 xs.add((a + b) // 2)
     pts = []
     k, n = 0, len(srcs)
-    for x in sorted(x for x in xs if x >= 0 and (end is None or x <= end)):
+    for x in sorted([x for x in xs if x >= 0 and (end is None or x <= end)]):
         while k < n and srcs[k][0] <= x:
             k += 1
         near = [] if cap is None else [cap]

@@ -114,7 +114,7 @@ def realize(c: Curve, fs: Sequence[PLFunction]) -> RealizationMap:
             else:
                 pt = PointRef._on_edge(eid, grid[k], d)
             ids.append(place(pt, key))
-        piece_slopes = zip(*(right[:-1] for _, right in sweeps))
+        piece_slopes = zip(*[right[:-1] for _, right in sweeps])
         for k, slopes in enumerate(piece_slopes):
             pieces.append(Piece(eid, offs[k], offs[k + 1], slopes, vertices[ids[k]]))
             if all(s == 0 for s in slopes):

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, repeat
 from math import gcd, lcm
+from operator import add, neg
 from typing import Iterable, Mapping, Sequence
 
 from .errors import FileFormatError, TropError
@@ -280,18 +281,18 @@ class Germ:
             return self
         if self.coef < other.coef:
             return other
-        return Germ(self.n, self.coef, tuple(max(a, b) for a, b in zip(self.slopes, other.slopes)))
+        return Germ(self.n, self.coef, tuple(map(max, self.slopes, other.slopes)))
 
     def mul(self, other: "Germ") -> "Germ":
         self._require_rank(other)
         if self.coef is None or other.coef is None:
             return Germ.zero(self.n)
-        return Germ(self.n, self.coef + other.coef, tuple(a + b for a, b in zip(self.slopes, other.slopes)))
+        return Germ(self.n, self.coef + other.coef, tuple(map(add, self.slopes, other.slopes)))
 
     def inv(self) -> "Germ":
         if self.coef is None:
             raise TropError("zero has no multiplicative inverse")
-        return Germ(self.n, -self.coef, tuple(-s for s in self.slopes))
+        return Germ(self.n, -self.coef, tuple(map(neg, self.slopes)))
 
     def pow(self, k: int) -> "Germ":
         integer(k, "exponent")

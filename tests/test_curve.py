@@ -2,7 +2,11 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given
@@ -42,6 +46,24 @@ class TestBuild:
         assert hash(p) == hash(q) == hash(segment3.pt_on_edge("e", Fraction(2, 4)))
         assert p == q and repr(p) == repr(q) == ("PointRef(kind='on_edge', vertex=None, edge='e', "
                                                  "offset=Fraction(1, 2))")
+
+    def test_hashes_do_not_depend_on_the_process(self):
+        # Before Python 3.12 hash(None) is None's address, which varies from
+        # process to process; points, profiles and functions hash none, so a
+        # fixed PYTHONHASHSEED gives every process the same hashes, and a
+        # dict of them the same collisions.
+        code = ("from tropcurve.curve import Curve\n"
+                "from tropcurve.plfunction import PLFunction\n"
+                "c = Curve.build(vertices=['A', 'B'], edges=[('e', 'A', 'B', 3), "
+                "('r', 'A', None, 'inf')], ray_classes={'r': 'x'})\n"
+                "f = PLFunction.constant(c, 1)\n"
+                "print(hash(c.pt_vertex('A')), hash(c.pt_on_edge('e', 1)), hash(f.profiles['e']), "
+                "hash(f.profiles['r']), hash(f), hash(PLFunction.neg_inf(c)))\n")
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = {**os.environ, "PYTHONPATH": str(src), "PYTHONHASHSEED": "0"}
+        runs = [subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                               env=env, timeout=120, check=True).stdout for _ in range(2)]
+        assert len(runs[0].split()) == 6 and runs[0] == runs[1]
 
     @given(st.fractions(min_value=0, max_value=20).filter(lambda x: 0 < x < 20),
            st.integers(1, 10 ** 6))

@@ -142,6 +142,42 @@ def test_function_writer_gives_the_bytes_of_json_dumps():
     assert all(seen[kind] for kind in ("-inf", "isolated", "ray", "fraction", "escaped")), seen
 
 
+CURVE_IDS = ['"', "\\", "\x01", "\u00e9"]  # a quote, a backslash, a control character, a non-ASCII letter
+
+
+def _renamed(c: Curve, rng) -> Curve:
+    """c with every id and ray class led by one of CURVE_IDS, and half the time an isolated vertex."""
+    name = {x: rng.choice(CURVE_IDS) + x for x in [*c.vertices, *c.edges, *c.ray_classes.values()]}
+    vertices = [(name[v.id], v.at_infinity) for v in c.vertices.values()]
+    if rng.random() < 0.5:
+        vertices.append(rng.choice(CURVE_IDS) + " alone")
+    return Curve.build(vertices=vertices,
+                       edges=[(name[e.id], name[e.u], name[e.v], e.length) for e in c.edges.values()],
+                       ray_classes={name[k]: name[v] for k, v in c.ray_classes.items()})
+
+
+def test_curve_writer_gives_the_bytes_of_json_dumps():
+    # The writer formats the curve as text; on random curves, with ids that
+    # JSON escapes, isolated vertices and with or without rays, its bytes are
+    # json.dumps(indent=2)'s, and the file reads back to the curve.
+    rng = rng_for("curve-writer-bytes")
+    seen = Counter()
+    curves = [Curve.build(vertices=["\x01\u00e9"]), Curve.segment(Fraction(7, 3), u='"', v="\\"),
+              Curve.doubly_infinite_line()]
+    for k in range(300):
+        curves.append(_renamed(random_curve(rng), rng) if k % 2 else random_curve(rng))
+    for c in curves:
+        text = tio.curve_to_json(c)
+        assert text == json.dumps(c.description(), indent=2) + "\n"
+        assert tio.curve_from_json(text) == c
+        seen.update({"no rays": '"ray_classes": {}' in text, "rays": '"inf"' in text,
+                     "no edges": '"edges": []' in text, "fraction": "/" in text,
+                     "isolated": any(not ends for ends in c.edges_at.values()),
+                     **{repr(x): any(eid.startswith(x) for eid in c.edges) for x in CURVE_IDS}})
+    assert all(seen[kind] for kind in ("no rays", "rays", "no edges", "fraction", "isolated",
+                                       *map(repr, CURVE_IDS))), seen
+
+
 def test_an_edge_named_values_at_vertices():
     # An edge of that name keeps its entry when read.  With isolated vertices
     # as well, the file would need the key twice, so the writer refuses.

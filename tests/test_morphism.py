@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 
 from tropcurve import morphism, plfunction
-from tropcurve.curve import INF, Curve
+from tropcurve.curve import INF, Curve, disjoint_union
 from tropcurve.errors import TropError
 from tropcurve.morphism import (Localization, Morphism, MorphismReport, WeightReport, compose,
                                 germ_bump, localization_surjectivity, localize, pullback,
@@ -514,6 +514,52 @@ def test_a_morphism_is_validated_once(monkeypatch):
         with pytest.raises(TropError, match="invalid morphism: edge 'e2': target length"):
             pullback(bad, f)
     assert not weight_check(bad).is_weight and len(calls) == 2 and calls[-1] is bad
+
+
+def ref_apply(loc: Localization, f: PLFunction) -> Germ:
+    """``Localization.apply`` as it was when it read each slope through ``outgoing_slope``."""
+    if f.is_neg_inf:
+        return Germ.zero(loc.rank)
+    return Germ(loc.rank, f.value_at(loc.point),
+                tuple(f.outgoing_slope(loc.point, d) for d in loc.directions))
+
+
+def test_a_localization_resolves_its_directions_once(monkeypatch):
+    # The first apply reads the directions at the point once; every germ after
+    # comes from the profiles, equal to the outgoing_slope reading, at
+    # vertices (loops included), interior points and isolated vertices.
+    rng = rng_for("localize-once")
+    calls = []
+    directions_at = Curve.directions_at
+    monkeypatch.setattr(Curve, "directions_at",
+                        lambda c, p: calls.append(p) or directions_at(c, p))
+    looped = Curve.build(vertices=["P"], edges=[("l", "P", "P", 2), ("r", "P", None, INF)],
+                         ray_classes={"r": "x"})
+    seen = {"loop": 0, "edge": 0, "vertex": 0, "isolated": 0}
+    for k in range(240):
+        c = random_curve(rng)
+        if k % 3 == 0:
+            c = disjoint_union([c, looped, Curve.build(vertices=["Z"])])
+        x = random_point(c, rng)
+        loc = localize(c, x, None if rng.random() < 0.5 else
+                       rng.sample(c.directions_at(x), len(c.directions_at(x))))
+        fs = [random_function(c, rng, allow_neg_inf=True) for _ in range(3)]
+        calls.clear()
+        got = [loc.apply(f) for f in fs + fs]
+        assert len(calls) <= 1 and got == [ref_apply(loc, f) for f in fs + fs]
+        seen["loop"] += x.kind == "vertex" and any(c.edges[d[:-2]].is_loop for d in loc.directions)
+        seen["edge"] += x.kind == "on_edge"
+        seen["vertex"] += x.kind == "vertex"
+        seen["isolated"] += loc.rank == 0
+    assert min(seen.values()) >= 5, seen
+    # A direction that is not at the point raises on every apply, as before.
+    c = Curve.segment(3)
+    f = PLFunction.constant(c, 1)
+    bad = Localization(c, c.pt_vertex("A"), ("e:-",))
+    for _ in range(2):
+        with pytest.raises(TropError, match=r"^direction 'e:-' invalid at A$"):
+            bad.apply(f)
+    assert bad == Localization(c, c.pt_vertex("A"), ("e:-",))
 
 
 def ref_germ_bump(loc: Localization, germ: Germ) -> PLFunction:

@@ -37,8 +37,8 @@ from tropcurve.errors import TropError
 from tropcurve.geometry import primitive
 from tropcurve.gluing import GlueResult, glue, glue_function
 from tropcurve.morphism import Morphism, germ_bump, localize, pullback
-from tropcurve.plfunction import (Divisor, PLFunction, Profile, _affine, _combine2, _gridded,
-                                  _isolated_vertices, _normal, _pull, _slope_sum, _sweep,
+from tropcurve.plfunction import (Divisor, PLFunction, Profile, _affine, _combine2, _grid_slopes,
+                                  _gridded, _isolated_vertices, _normal, _pull, _slope_sum, _sweep,
                                   chip_fire, extend, is_harmonic_at, principal_divisor,
                                   pseudodirect_tuple, restrict_whole, split_components)
 from tropcurve.randgen import (random_class_respecting_function, random_curve, random_function,
@@ -661,13 +661,23 @@ def test_combine2_matches_fraction_kernel():
             got, want = _combine2(p, q, op), ref_combine2(fp, fq, op)
             assert got == want, (p, q, op)
             assert all(type(x) is Fraction for b in got.breaks for x in b)
+            assert kernel_slopes(got) == _grid_slopes(got.grid[1]) + [got.tail], (p, q, op)
             if op == "max":
                 seen["tail crossing"] += p.tail is not None and got.breaks[-1][0] > max(offsets)
                 seen["crossing at a breakpoint"] += any(
                     o in offsets and ref_value(fp, o) == ref_value(fq, o)
                     and ref_slope_right(fp, o) != ref_slope_right(fq, o)
                     for o, _ in got.breaks if p.tail is not None or o < max(offsets))
+        for k in (-1, 2, -3):
+            got = _affine(p, k, rng.choice((0, Fraction(1, 3))))
+            assert kernel_slopes(got) == _grid_slopes(got.grid[1]) + [got.tail], (p, k)
     assert min(seen.values()) >= 100, seen
+
+
+def kernel_slopes(p: Profile) -> list:
+    """The slopes a kernel handed its result; unlike ``p.slopes`` this does not
+    work them out from the grid, and raises AttributeError when they were not given."""
+    return Profile.slopes.__get__(p, Profile)
 
 
 def test_normalize_matches_fraction_kernel():
@@ -772,6 +782,25 @@ def test_pull_matches_the_fraction_reading():
     assert min(seen.values()) >= 100, seen
     with pytest.raises(TropError, match="cannot reverse an unbounded profile"):
         _pull(Profile(((0, 0),), 1), 0, INF, -1)
+
+
+def test_a_whole_forward_window_is_the_profile_itself():
+    # Reading a whole edge, or a whole ray, forward from 0 at degree 1 builds
+    # nothing: the window is the profile.  A proper window, a reversed or a
+    # stretched one is built anew, equal to the reference reading.
+    rng = rng_for("profile-pull-whole")
+    for _ in range(300):
+        p, *_ = random_pair(rng)
+        end = p.breaks[-1][0]
+        assert _pull(p, 0, INF if p.tail is not None else end) is p
+        end += 0 if p.tail is None else 2  # a finite window on a ray runs past its last breakpoint
+        windows = [(0, end / 2, 1, 1), (end / 3, end - end / 3, 1, 1), (end, end, -1, 1),
+                   (0, end / 2, 1, 2)]
+        if p.tail is not None:  # the rest of a ray, and a finite window to its last breakpoint
+            windows += [(end / 2, INF, 1, 1), (0, p.breaks[-1][0] or 1, 1, 1)]
+        for start, length, orient, k in windows:
+            got = _pull(p, start, length, orient, k)
+            assert got is not p and got == ref_pull(as_fractions(p), start, length, orient, k)
 
 
 def test_divisors_and_harmonicity_match_reference():
